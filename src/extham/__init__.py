@@ -32,15 +32,8 @@ from .extension import (
     Extension,
     ExtensionSpec,
     bracket_scale,
-    build_extended_hamiltonian,
-    build_gn_closed,
-    build_gn_recursive,
     functional_independence,
-    k_integral_closed,
-    k_integral_recursive,
-    kbar_integral,
     seed_equation_residual,
-    u_apply,
 )
 from .ladder import LadderData, ladder_eigen_residual, ladder_from_base, ladder_residuals
 from .phase import (

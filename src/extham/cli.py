@@ -1,8 +1,8 @@
 """Command-line front end: verification sweeps, trajectories, CCM, tables.
 
 All machine-readable reports go to stdout as JSON; human-oriented notes go
-to stderr. Exit codes: 0 verified, 1 failed verification, 2 construction or
-usage error. Reports quote the RNG (counter-based Philox) and seed, so
+to stderr. Exit codes: 0 verified, 1 failed verification, 2 any other error,
+reported as a JSON error. Reports quote the RNG (counter-based Philox) and seed, so
 identical flags reproduce byte-identical output.
 """
 
@@ -11,6 +11,8 @@ import json
 import math
 import sys
 from fractions import Fraction
+
+import numpy as np
 
 from . import __version__
 from .catalog import (
@@ -24,9 +26,9 @@ from .catalog import (
 )
 from .ccm import CcmSpec, ccm_transform, rescale_radial
 from .dynamics import drift_report, integrate
-from .extension import Extension, ExtensionSpec, bracket_scale, functional_independence
+from .extension import Extension, ExtensionSpec, jacobian_rank
 from .ladder import ladder_eigen_pattern, ladder_from_base, ladder_residuals, ladder_scale
-from .phase import PhaseFunction, PhasePoint, lift_last, poisson_bracket
+from .phase import PhaseFunction, PhasePoint, bracket_of_gradients, gradient, lift_last
 from .sampling import RNG_NAME, sample_points, sample_scalars
 from .tagged_trig import GammaProfile, gamma, gamma_prime
 
@@ -39,6 +41,23 @@ def _log(msg):
     print(msg, file=sys.stderr)
 
 
+def _checked(convert, accept, what):
+    """An argparse type that converts, then refuses values that fail accept."""
+    def parse(text):
+        try:
+            value = convert(text)
+            if accept(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return parse
+
+
+_finite_float = _checked(float, math.isfinite, "a finite number")
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+
+
 def _parse_k(text, allow_irrational):
     if "." in text:
         if not allow_irrational:
@@ -49,51 +68,61 @@ def _parse_k(text, allow_irrational):
     return Fraction(text)
 
 
-def _bracket_sweep(H, integrals, points, tol):
+def _bracket_sweep(H, integrals, points):
+    """(max |{H,K}|, max |{H,K}|/(|grad H||grad K|), min rank of (H, K...)) over points.
+
+    One Jacobian per point gives the brackets, their scales and the rank, each
+    equal to poisson_bracket, bracket_scale and functional_independence. Sums
+    run over Python floats, so verdicts stay plain bools.
+    """
+    fs = [H] + [f for _, f in integrals]
     max_abs = 0.0
     max_rel = 0.0
+    ranks = []
     for x in points:
-        for _, K in integrals:
-            b = abs(poisson_bracket(H, K, x))
-            s = bracket_scale(H, K, x)
+        jac = [gradient(f, x) for f in fs]
+        gH, normH = jac[0].tolist(), np.linalg.norm(jac[0])
+        for gK in jac[1:]:
+            b = abs(bracket_of_gradients(gH, gK.tolist()))
+            s = float(normH * np.linalg.norm(gK))
             max_abs = max(max_abs, b)
             if s > 0:
                 max_rel = max(max_rel, b / s)
-    return max_abs, max_rel
+        ranks.append(jacobian_rank(np.array(jac)))
+    return max_abs, max_rel, min(ranks)
 
 
-def cmd_verify(args):
-    tol = args.tol
+def _verify_model(args):
+    """The catalog model that verify checks for these flags."""
     if args.model == "minkowski":
         k = _parse_k(args.k, args.no_integral)
-        model = make_minkowski_hamiltonian(k, args.alpha, args.beta, args.omega)
-    elif args.model in ("sphere", "pseudosphere", "de-sitter", "anti-de-sitter"):
+        return make_minkowski_hamiltonian(k, args.alpha, args.beta, args.omega)
+    if args.model in ("sphere", "pseudosphere", "de-sitter", "anti-de-sitter"):
         k = _parse_k(args.k, False)
         if args.model in ("sphere", "pseudosphere"):
             base = trig_base(1.0, args.psi0, args.alpha, args.beta, abs(args.eta))
         else:
             base = exp_base(args.alpha, args.beta, abs(args.eta))
         kappa = 1 if args.model in ("sphere", "de-sitter") else -1
-        model = make_curved_hamiltonian(base, k, kappa, args.omega, model_id=args.model)
-    elif args.model == "ttw-flat":
+        return make_curved_hamiltonian(base, k, kappa, args.omega, model_id=args.model)
+    if args.model == "ttw-flat":
         base = trig_base(1.0, args.psi0, args.alpha, args.beta, abs(args.eta))
-        model = make_flat_ttw_hamiltonian(base, args.m, args.n, args.omega)
-    elif args.model in ("remark-h1", "remark-h2"):
+        return make_flat_ttw_hamiltonian(base, args.m, args.n, args.omega)
+    if args.model in ("remark-h1", "remark-h2"):
         h1, h2 = make_remark_pair(args.d, args.d)
-        model = h1 if args.model == "remark-h1" else h2
-    else:
-        raise ValueError(f"unknown model {args.model!r}")
+        return h1 if args.model == "remark-h1" else h2
+    raise ValueError(f"unknown model {args.model!r}")
 
+
+def cmd_verify(args):
+    model = _verify_model(args)
     _log(f"verifying {model.id} ({model.chart}) with "
          f"{[name for name, _ in model.known_integrals]} at {args.points} points, seed {args.seed}")
     pts = sample_points(args.points, args.seed, model.H.dof, q_ranges=model.q_windows)
-    max_abs, max_rel = _bracket_sweep(model.H, model.known_integrals, pts, tol)
+    max_abs, max_rel, rank = _bracket_sweep(model.H, model.known_integrals, pts)
+    expected_rank = 1 + len(model.known_integrals)
 
-    fs = [model.H] + [f for _, f in model.known_integrals]
-    expected_rank = len(fs)
-    rank = min(functional_independence(fs, x) for x in pts)
-
-    passed = (max_rel <= tol) and (rank == expected_rank)
+    passed = (max_rel <= args.tol) and (rank == expected_rank)
     report = {
         "tool": f"extham {__version__}",
         "model": model.describe(),
@@ -101,7 +130,7 @@ def cmd_verify(args):
         "num_points": args.points,
         "rng": RNG_NAME,
         "rng_seed": args.seed,
-        "tolerance": tol,
+        "tolerance": args.tol,
         "max_abs_bracket": max_abs,
         "max_rel_bracket": max_rel,
         "independence_rank": rank,
@@ -319,7 +348,8 @@ def cmd_ladder(args):
     return 0 if passed else 1
 
 
-def cmd_ccm(args):
+def _ccm_pair(args):
+    """The base system and the transformed pair (H', K') of the ccm check."""
     base = exp_base(args.alpha, args.beta, abs(args.eta))
     eta4 = args.eta**4
     profile = GammaProfile.from_c_C(base.c, 0.0)
@@ -333,11 +363,14 @@ def cmd_ccm(args):
     Hhat = Extension(ExtensionSpec(args.m, args.n, base.c, 0.0, 0.0, profile), base).hamiltonian()
     U = PhaseFunction(lambda q, p: q[0] * q[0], 2)
     Hp, Kp = ccm_transform(Hhat, K_builder, CcmSpec(U, args.E))
-    pts = sample_points(args.points, args.seed, 2, q_ranges=((0.3, 2.0), base.psi_window))
-    max_abs, max_rel = _bracket_sweep(Hp, [("Kprime", Kp)], pts, args.tol)
+    return base, Hp, Kp
 
-    H2, K2 = rescale_radial(Hp), rescale_radial(Kp)
-    max_abs2, max_rel2 = _bracket_sweep(H2, [("K2", K2)], pts, args.tol)
+
+def cmd_ccm(args):
+    base, Hp, Kp = _ccm_pair(args)
+    pts = sample_points(args.points, args.seed, 2, q_ranges=((0.3, 2.0), base.psi_window))
+    max_abs, max_rel, _ = _bracket_sweep(Hp, [("Kprime", Kp)], pts)
+    max_abs2, max_rel2, _ = _bracket_sweep(rescale_radial(Hp), [("K2", rescale_radial(Kp))], pts)
 
     passed = max_rel <= args.tol and max_rel2 <= args.tol
     report = {
@@ -363,8 +396,16 @@ def cmd_catalog(args):
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors raise, so main reports them like every other error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="extham",
         description="Build extended Hamiltonians and verify their first integrals numerically.",
     )
@@ -372,8 +413,9 @@ def build_parser():
 
     def common(p):
         p.add_argument("--seed", type=int, default=7, help="RNG seed (Philox counter-based)")
-        p.add_argument("--points", type=int, default=50, help="number of sample points")
-        p.add_argument("--tol", type=float, default=1e-9, help="relative bracket tolerance")
+        p.add_argument("--points", type=_positive_int, default=50, help="number of sample points")
+        p.add_argument("--tol", type=_finite_float, default=1e-9,
+                       help="relative bracket tolerance")
         p.add_argument("--json", action="store_true", help="JSON output (default for reports)")
 
     pv = sub.add_parser("verify", help="bracket and independence sweep for a catalog model")
@@ -382,14 +424,14 @@ def build_parser():
                     choices=["minkowski", "sphere", "pseudosphere", "de-sitter",
                              "anti-de-sitter", "ttw-flat", "remark-h1", "remark-h2"])
     pv.add_argument("--k", default="1", help="rational parameter p/q")
-    pv.add_argument("--alpha", type=float, default=1.0)
-    pv.add_argument("--beta", type=float, default=2.0)
-    pv.add_argument("--omega", type=float, default=0.0)
-    pv.add_argument("--eta", type=float, default=2.0)
-    pv.add_argument("--psi0", type=float, default=0.2)
+    pv.add_argument("--alpha", type=_finite_float, default=1.0)
+    pv.add_argument("--beta", type=_finite_float, default=2.0)
+    pv.add_argument("--omega", type=_finite_float, default=0.0)
+    pv.add_argument("--eta", type=_finite_float, default=2.0)
+    pv.add_argument("--psi0", type=_finite_float, default=0.2)
     pv.add_argument("--m", type=int, default=2)
     pv.add_argument("--n", type=int, default=1)
-    pv.add_argument("--d", type=float, default=2.0)
+    pv.add_argument("--d", type=_finite_float, default=2.0)
     pv.add_argument("--no-integral", action="store_true",
                     help="allow irrational k; verifies only L conservation")
     pv.set_defaults(func=cmd_verify)
@@ -398,15 +440,15 @@ def build_parser():
     common(pi)
     pi.add_argument("--model", default="minkowski", choices=["minkowski", "free"])
     pi.add_argument("--k", default="1")
-    pi.add_argument("--alpha", type=float, default=1.0)
-    pi.add_argument("--beta", type=float, default=2.0)
-    pi.add_argument("--omega", type=float, default=0.0)
+    pi.add_argument("--alpha", type=_finite_float, default=1.0)
+    pi.add_argument("--beta", type=_finite_float, default=2.0)
+    pi.add_argument("--omega", type=_finite_float, default=0.0)
     pi.add_argument("--chart", default="pseudo-polar", choices=["pseudo-polar", "null"])
-    pi.add_argument("--x0", type=float, nargs=4, required=True,
+    pi.add_argument("--x0", type=_finite_float, nargs=4, required=True,
                     metavar=("Q1", "Q2", "P1", "P2"))
-    pi.add_argument("--h", type=float, default=1e-3)
+    pi.add_argument("--h", type=_finite_float, default=1e-3)
     pi.add_argument("--steps", type=int, default=10000)
-    pi.add_argument("--u-min", type=float, default=0.05,
+    pi.add_argument("--u-min", type=_finite_float, default=0.05,
                     help="truncate when the radial coordinate drops below this")
     pi.add_argument("--csv", default="trajectory.csv")
     pi.add_argument("--no-integral", action="store_true")
@@ -419,10 +461,10 @@ def build_parser():
     pl = sub.add_parser("ladder", help="ladder-function residuals for a base family")
     common(pl)
     pl.add_argument("--branch", default="hyperbolic", choices=["hyperbolic", "trig"])
-    pl.add_argument("--alpha", type=float, default=0.7)
-    pl.add_argument("--beta", type=float, default=1.3)
-    pl.add_argument("--eta", type=float, default=2.0)
-    pl.add_argument("--psi0", type=float, default=0.2)
+    pl.add_argument("--alpha", type=_finite_float, default=0.7)
+    pl.add_argument("--beta", type=_finite_float, default=1.3)
+    pl.add_argument("--eta", type=_finite_float, default=2.0)
+    pl.add_argument("--psi0", type=_finite_float, default=0.2)
     pl.set_defaults(func=cmd_ladder)
     pl.set_defaults(tol=1e-10)
 
@@ -430,10 +472,10 @@ def build_parser():
     common(pc)
     pc.add_argument("--m", type=int, default=2)
     pc.add_argument("--n", type=int, default=1)
-    pc.add_argument("--eta", type=float, default=2.0)
-    pc.add_argument("--alpha", type=float, default=0.7)
-    pc.add_argument("--beta", type=float, default=1.3)
-    pc.add_argument("--E", type=float, default=0.4)
+    pc.add_argument("--eta", type=_finite_float, default=2.0)
+    pc.add_argument("--alpha", type=_finite_float, default=0.7)
+    pc.add_argument("--beta", type=_finite_float, default=1.3)
+    pc.add_argument("--E", type=_finite_float, default=0.4)
     pc.set_defaults(func=cmd_ccm)
 
     pcat = sub.add_parser("catalog", help="machine-readable model catalog")
@@ -444,12 +486,12 @@ def build_parser():
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    """Run one subcommand; any error that is not a verdict exits 2 with a JSON error."""
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, ZeroDivisionError, KeyError) as exc:
-        _log(f"error: {exc}")
+    except Exception as exc:
+        _log(f"error: {type(exc).__name__}: {exc}")
         _emit({"error": str(exc)})
         return 2
 

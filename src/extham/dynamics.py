@@ -19,12 +19,6 @@ DOMAIN_EXIT = "domain-exit"
 NO_CONVERGENCE = "no-convergence"
 
 
-class IntegrationError(RuntimeError):
-    def __init__(self, message, step):
-        super().__init__(f"{message} at step {step}")
-        self.step = step
-
-
 @dataclass
 class Trajectory:
     """Uniform-step trajectory; states has shape (len(times), 2*dof)."""
@@ -62,14 +56,13 @@ def _flow_rhs(H, z):
     return np.concatenate([g[d:], -g[:d]])
 
 
-def integrate(H, x0, h, steps, fp_tol=1e-13, max_iter=50, u_min=None, u_slot=0,
-              raise_on_exit=False):
+def integrate(H, x0, h, steps, fp_tol=1e-13, max_iter=50, u_min=None, u_slot=0):
     """Implicit-midpoint trajectory of Hamilton's equations from x0.
 
     h may be negative (the method is symmetric, so this is the exact time
     reversal). When u_min is given, the run truncates with DOMAIN_EXIT as
     soon as position slot u_slot drops below it; a non-convergent implicit
-    solve truncates with NO_CONVERGENCE (or raises if raise_on_exit).
+    solve truncates with NO_CONVERGENCE.
     """
     if h == 0.0:
         raise ValueError("step size must be nonzero")
@@ -98,8 +91,6 @@ def integrate(H, x0, h, steps, fp_tol=1e-13, max_iter=50, u_min=None, u_slot=0,
                 converged = True
                 break
         if not converged:
-            if raise_on_exit:
-                raise IntegrationError("implicit midpoint solve did not converge", step)
             status, exit_step = NO_CONVERGENCE, step
             break
         z = y

@@ -51,10 +51,6 @@ class ExtensionSpec:
     def gcd(self):
         return math.gcd(self.m, self.n)
 
-    @property
-    def ratio(self):
-        return self.m / self.n
-
 
 @dataclass
 class BaseSystem:
@@ -332,47 +328,18 @@ class Extension:
         return total
 
 
-# -- spec-level operation surface (thin wrappers) ---------------------------
-
-
-def build_gn_recursive(base, c, c0, n):
-    spec = ExtensionSpec(1, 1, c, c0, 0.0, GammaProfile.from_c_C(c, 0.0))
-    return Extension(spec, base).gn_recursive(n)
-
-
-def build_gn_closed(base, c, c0, n):
-    spec = ExtensionSpec(1, 1, c, c0, 0.0, GammaProfile.from_c_C(c, 0.0))
-    return Extension(spec, base).gn_closed(n)
-
-
-def build_extended_hamiltonian(spec, base, extra_scalar=None):
-    return Extension(spec, base).hamiltonian(extra_scalar)
-
-
-def u_apply(spec, base, f):
-    return Extension(spec, base).u_apply(f)
-
-
-def k_integral_recursive(spec, base):
-    return Extension(spec, base).k_recursive()
-
-
-def k_integral_closed(spec, base):
-    return Extension(spec, base).k_closed()
-
-
-def kbar_integral(spec, base, s, r):
-    return Extension(spec, base).kbar_closed(s, r)
-
-
 def functional_independence(fs, x):
-    """Rank of the Jacobian of fs w.r.t. all phase coordinates at x.
+    """Rank of the Jacobian of fs w.r.t. all phase coordinates at x."""
+    return jacobian_rank(np.array([gradient(f, x) for f in fs]))
+
+
+def jacobian_rank(jac):
+    """Numerical rank of a Jacobian whose rows are gradients at one point.
 
     Rows are normalized before the SVD: gradients of high-degree integrals
     run 8+ orders larger than those of H and L, which would otherwise push
     genuinely independent directions under any relative threshold.
     """
-    jac = np.array([gradient(f, x) for f in fs])
     norms = np.linalg.norm(jac, axis=1)
     safe = np.where(norms > 0.0, norms, 1.0)
     svals = np.linalg.svd(jac / safe[:, None], compute_uv=False)

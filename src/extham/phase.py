@@ -173,9 +173,19 @@ def poisson_bracket_generic(f, g, q, p):
     slots = range(f.dof)
     _, fq, fp = partials_at(f, q, p, slots)
     _, gq, gp = partials_at(g, q, p, slots)
+    return bracket_of_gradients(fq + fp, gq + gp)
+
+
+def bracket_of_gradients(gf, gg):
+    """{f, g} from the gradients (d/dq..., d/dp...) of f and g.
+
+    The one bracket formula: terms are summed from 0.0 in slot order, so a
+    bracket taken from precomputed gradients equals poisson_bracket exactly.
+    """
+    d = len(gf) // 2
     total = 0.0
-    for i in slots:
-        total = total + (fq[i] * gp[i] - fp[i] * gq[i])
+    for i in range(d):
+        total = total + (gf[i] * gg[d + i] - gf[d + i] * gg[i])
     return total
 
 
@@ -193,10 +203,7 @@ def hamiltonian_vector_field(L, f, slots=None):
     def rule(q, p):
         _, fq, fp = partials_at(f, q, p, active)
         _, Lq, Lp = partials_at(L, q, p, active)
-        total = 0.0
-        for k in range(len(active)):
-            total = total + (fq[k] * Lp[k] - fp[k] * Lq[k])
-        return total
+        return bracket_of_gradients(fq + fp, Lq + Lp)
 
     return PhaseFunction(rule, f.dof)
 
@@ -222,7 +229,4 @@ def fd_gradient(f, x, h=1e-5):
 
 def fd_poisson_bracket(f, g, x, h=1e-5):
     """Brute-force bracket from central differences only."""
-    d = x.dof
-    gf = fd_gradient(f, x, h)
-    gg = fd_gradient(g, x, h)
-    return float(sum(gf[i] * gg[d + i] - gf[d + i] * gg[i] for i in range(d)))
+    return float(bracket_of_gradients(fd_gradient(f, x, h), fd_gradient(g, x, h)))

@@ -1,10 +1,16 @@
 import csv
 import json
 import os
+import sys
 
 import pytest
 
+from extham import cli, phase
 from extham.cli import main
+from extham.ccm import rescale_radial
+from extham.extension import bracket_scale, functional_independence
+from extham.phase import poisson_bracket
+from extham.sampling import sample_points
 
 
 def run_cli(capsys, *argv):
@@ -178,3 +184,85 @@ def test_catalog_command(capsys):
     listing = json.loads(out)["models"]
     assert any(entry["id"] == "minkowski" for entry in listing)
     assert any(entry["extendable"] is False for entry in listing)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--model", "minkowski", "--k", "1000001/1000000"),  # OverflowError
+    ("verify", "--model", "minkowski", "--alpha", "nan"),
+    ("verify", "--model", "minkowski", "--points", "0"),
+    ("verify", "--model", "minkowski", "--points", "-1"),
+], ids=["overflow", "nan-alpha", "zero-points", "negative-points"])
+def test_errors_exit_two_with_json_error(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 2
+    assert "error" in json.loads(out)
+
+
+def test_unwritable_csv_exits_two_with_json_error(capsys, tmp_path):
+    path = str(tmp_path / "missing" / "x.csv")
+    code, out, _ = run_cli(
+        capsys, "integrate", "--x0", "1", "0", "3.2", "0.5", "--steps", "5", "--csv", path,
+    )
+    assert code == 2
+    assert "No such file" in json.loads(out)["error"]
+
+
+def _separate_sweep(H, integrals, pts):
+    """The reference composition: each figure takes its own gradients."""
+    max_abs = 0.0
+    max_rel = 0.0
+    for x in pts:
+        for _, K in integrals:
+            b = abs(poisson_bracket(H, K, x))
+            s = bracket_scale(H, K, x)
+            max_abs = max(max_abs, b)
+            if s > 0:
+                max_rel = max(max_rel, b / s)
+    rank = min(functional_independence([H] + [f for _, f in integrals], x) for x in pts)
+    return max_abs, max_rel, rank
+
+
+def _assert_same_sweep(H, integrals, pts):
+    got = cli._bracket_sweep(H, integrals, pts)
+    assert got == _separate_sweep(H, integrals, pts)
+    assert [type(v) for v in got] == [float, float, int]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--model", "minkowski", "--k", "1"),
+    ("--model", "minkowski", "--k", "1/2", "--omega", "0.3"),
+    ("--model", "sphere", "--omega", "0.2"),
+    ("--model", "ttw-flat", "--omega", "0.2"),
+    ("--model", "remark-h1"),
+], ids=["minkowski-k1", "minkowski-k1/2-omega", "sphere", "ttw-flat", "remark-h1"])
+def test_one_jacobian_sweep_equals_separate_figures(argv):
+    args = cli.build_parser().parse_args(["verify", *argv])
+    model = cli._verify_model(args)
+    pts = sample_points(12, 5, model.H.dof, q_ranges=model.q_windows)
+    _assert_same_sweep(model.H, model.known_integrals, pts)
+
+
+def test_one_jacobian_sweep_equals_separate_figures_ccm():
+    args = cli.build_parser().parse_args(["ccm", "--m", "2", "--n", "1"])
+    base, Hp, Kp = cli._ccm_pair(args)
+    pts = sample_points(12, 5, 2, q_ranges=((0.3, 2.0), base.psi_window))
+    _assert_same_sweep(Hp, [("Kprime", Kp)], pts)
+    _assert_same_sweep(rescale_radial(Hp), [("K2", rescale_radial(Kp))], pts)
+
+
+def test_verify_takes_each_gradient_once_per_point(capsys, monkeypatch):
+    # H, L and K(4,1) on 2 dof: one partials_at each, plus the 8 nested
+    # calls K's rule makes in its 4 seeded evaluations
+    original = phase.partials_at
+    calls = []
+
+    def counted(*a, **kw):
+        calls.append(1)
+        return original(*a, **kw)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("extham") and getattr(mod, "partials_at", None) is original:
+            monkeypatch.setattr(mod, "partials_at", counted)
+    code, _, _ = run_cli(capsys, "verify", "--model", "minkowski", "--k", "1", "--points", "1")
+    assert code == 0
+    assert len(calls) == 11
