@@ -315,17 +315,8 @@ def make_minkowski_hamiltonian(k, alpha, beta, Omega=0.0):
         # Omega_ext / gamma^2 = 16 Omega_ext u^2, so Omega_ext = Omega/16
         spec = ExtensionSpec(m, n, -4.0, 0.0, Omega / 16.0, profile)
         extension = Extension(spec, base)
-        if Omega == 0.0:
-            K_polar = extension.k_closed()
-            integral_label = f"K({m},{n})"
-        elif m % 2 == 0:
-            K_polar = extension.kbar_closed(m // 2, n)
-            integral_label = f"Kbar({m},{n})"
-        else:
-            spec2 = ExtensionSpec(2 * m, 2 * n, -4.0, 0.0, Omega / 16.0, profile)
-            K_polar = Extension(spec2, base).kbar_closed(m, 2 * n)
-            integral_label = f"Kbar({2*m},{2*n})"
-        integrals.append((integral_label, pullback_to_null(K_polar, kf)))
+        label, K_polar = extension.first_integral()
+        integrals.append((label, pullback_to_null(K_polar, kf)))
 
     return ModelInstance(
         id="minkowski",
@@ -375,14 +366,7 @@ def make_curved_hamiltonian(base, k, kappa, Omega=0.0, model_id=None):
         u_window = (0.3 / abs(c), 1.25 / abs(c))
     else:
         u_window = (0.3 / abs(c), 2.0 / abs(c))
-    integrals = [("L", lift_last(base.L, 2))]
-    if Omega == 0.0:
-        integrals.append((f"K({m},{n})", ext.k_closed()))
-    elif m % 2 == 0:
-        integrals.append((f"Kbar({m},{n})", ext.kbar_closed(m // 2, n)))
-    else:
-        spec2 = ExtensionSpec(2 * m, 2 * n, c, 0.0, Omega, profile)
-        integrals.append((f"Kbar({2*m},{2*n})", Extension(spec2, base).kbar_closed(m, 2 * n)))
+    integrals = [("L", lift_last(base.L, 2)), ext.first_integral()]
     return ModelInstance(
         id=model_id or chart.split()[0],
         H=ext.hamiltonian(),
@@ -403,14 +387,7 @@ def make_flat_ttw_hamiltonian(base, m, n, Omega=0.0):
     profile = GammaProfile.from_c_C(base.c, 0.0)
     spec = ExtensionSpec(m, n, base.c, 0.0, Omega, profile)
     ext = Extension(spec, base)
-    integrals = [("L", lift_last(base.L, 2))]
-    if Omega == 0.0:
-        integrals.append((f"K({m},{n})", ext.k_closed()))
-    elif m % 2 == 0:
-        integrals.append((f"Kbar({m},{n})", ext.kbar_closed(m // 2, n)))
-    else:
-        spec2 = ExtensionSpec(2 * m, 2 * n, base.c, 0.0, Omega, profile)
-        integrals.append((f"Kbar({2*m},{2*n})", Extension(spec2, base).kbar_closed(m, 2 * n)))
+    integrals = [("L", lift_last(base.L, 2)), ext.first_integral()]
     return ModelInstance(
         id="ttw-flat",
         H=ext.hamiltonian(),

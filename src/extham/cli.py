@@ -166,12 +166,14 @@ def cmd_integrate(args):
 
     x0 = PhasePoint(tuple(args.x0[:2]), tuple(args.x0[2:]))
     u_min = None if args.model == "free" else args.u_min
-    _log(f"integrating {args.model} for {args.steps} steps at h={args.h}")
-    traj = integrate(H, x0, args.h, args.steps, u_min=u_min)
-    if traj.status != "completed":
-        _log(f"trajectory truncated: {traj.status} at step {traj.exit_step}")
-    drifts = drift_report(traj, drift_fns)
-    traj.write_csv(args.csv)
+    # open the output first, so a path that cannot be written fails before any step
+    with open(args.csv, "w", newline="") as csv_file:
+        _log(f"integrating {args.model} for {args.steps} steps at h={args.h}")
+        traj = integrate(H, x0, args.h, args.steps, u_min=u_min)
+        if traj.status != "completed":
+            _log(f"trajectory truncated: {traj.status} at step {traj.exit_step}")
+        drifts = drift_report(traj, drift_fns)
+        traj.write_csv(csv_file)
     report = {
         "model": args.model,
         "h": args.h,
@@ -234,14 +236,12 @@ def _classify(values, candidates):
     return "unclassified"
 
 
-def gamma_prime_table():
-    """Evaluate gamma' for c = +-1, kappa = +-1, both branches, and classify."""
+def _table_rows(cases, evaluate, candidates):
+    """One row per (c, kappa, translated, expected): evaluate on the profile and classify."""
     rows = []
-    candidates = [k for k in _FORMS if "^-2" in k and ("sin" in k or "cos" in k)]
-    for (c, kappa, translated), expected in _GAMMA_PRIME_EXPECTED.items():
+    for c, kappa, translated, expected in cases:
         prof = GammaProfile.from_c_kappa(float(c), float(kappa), translated=translated)
-        values = [gamma_prime(prof, u) for u in _CLASSIFY_SAMPLES]
-        got = _classify(values, candidates)
+        got = _classify([evaluate(prof, u) for u in _CLASSIFY_SAMPLES], candidates)
         rows.append(
             {
                 "c": c,
@@ -255,25 +255,17 @@ def gamma_prime_table():
     return rows
 
 
+def gamma_prime_table():
+    """Evaluate gamma' for c = +-1, kappa = +-1, both branches, and classify."""
+    candidates = [k for k in _FORMS if "^-2" in k and ("sin" in k or "cos" in k)]
+    cases = [(c, kappa, t, e) for (c, kappa, t), e in _GAMMA_PRIME_EXPECTED.items()]
+    return _table_rows(cases, gamma_prime, candidates)
+
+
 def gamma_squared_table():
-    rows = []
     candidates = ["tan^2(u)", "tan^-2(u)", "tanh^2(u)", "tanh^-2(u)"]
-    for (kappa, translated), expected in _GAMMA_SQ_EXPECTED.items():
-        for c in (1, -1):
-            prof = GammaProfile.from_c_kappa(float(c), float(kappa), translated=translated)
-            values = [gamma(prof, u) ** 2 for u in _CLASSIFY_SAMPLES]
-            got = _classify(values, candidates)
-            rows.append(
-                {
-                    "c": c,
-                    "kappa": kappa,
-                    "translated": translated,
-                    "expected": expected,
-                    "classified": got,
-                    "match": got == expected,
-                }
-            )
-    return rows
+    cases = [(c, kappa, t, e) for (kappa, t), e in _GAMMA_SQ_EXPECTED.items() for c in (1, -1)]
+    return _table_rows(cases, lambda prof, u: gamma(prof, u) ** 2, candidates)
 
 
 def _constant_gamma_prime_rows():
@@ -294,16 +286,12 @@ def cmd_gamma_table(args):
     if args.json:
         _emit({"gamma_prime": gp, "gamma_squared": gs, "c_zero": cz, "pass": ok})
     else:
-        print("gamma' translation table")
-        for r in gp:
-            tag = "ok" if r["match"] else "MISMATCH"
-            branch = "translated" if r["translated"] else "principal"
-            print(f"  c={r['c']:+d} kappa={r['kappa']:+d} {branch:10s} -> {r['classified']:12s} [{tag}]")
-        print("gamma^2 translation table")
-        for r in gs:
-            tag = "ok" if r["match"] else "MISMATCH"
-            branch = "translated" if r["translated"] else "principal"
-            print(f"  c={r['c']:+d} kappa={r['kappa']:+d} {branch:10s} -> {r['classified']:12s} [{tag}]")
+        for title, rows in (("gamma'", gp), ("gamma^2", gs)):
+            print(f"{title} translation table")
+            for r in rows:
+                tag = "ok" if r["match"] else "MISMATCH"
+                branch = "translated" if r["translated"] else "principal"
+                print(f"  c={r['c']:+d} kappa={r['kappa']:+d} {branch:10s} -> {r['classified']:12s} [{tag}]")
         for r in cz:
             tag = "ok" if r["match"] else "MISMATCH"
             print(f"  c=0 C={r['C']:+.0f} -> gamma' = -C [{tag}]")

@@ -8,6 +8,8 @@ from the exact differentiation scheme.
 """
 
 import csv
+import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +42,12 @@ class Trajectory:
     def points(self):
         return [PhasePoint.from_array(s) for s in self.states]
 
-    def write_csv(self, path):
+    def write_csv(self, dest):
+        """Write t, q..., p... rows to dest: a path, or a text file opened with newline=""."""
         d = self.dof
         header = ["t"] + [f"q{i+1}" for i in range(d)] + [f"p{i+1}" for i in range(d)]
-        with open(path, "w", newline="") as fh:
+        is_path = isinstance(dest, (str, os.PathLike))
+        with open(dest, "w", newline="") if is_path else nullcontext(dest) as fh:
             w = csv.writer(fh)
             w.writerow(header)
             for t, s in zip(self.times, self.states):

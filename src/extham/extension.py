@@ -12,7 +12,7 @@ function of u commutes with the U operator.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,6 +24,10 @@ from .phase import (
     partials_at,
 )
 from .tagged_trig import GammaProfile, gamma, gamma_prime
+
+# Highest momentum degree m + 2n - 1 of an integral first_integral builds. Past
+# it the Minkowski wedge integrals overflow double precision or break the rank SVD.
+MAX_INTEGRAL_DEGREE = 30
 
 
 @dataclass(frozen=True)
@@ -193,9 +197,7 @@ class Extension:
         L = self.base.L
         c0 = spec.c0
         Om = spec.Omega
-        scalar_off = (
-            isinstance(Om, (int, float)) and Om == 0.0 and c0 == 0.0 and extra_scalar is None
-        )
+        scalar_off = self._omega_is_zero() and c0 == 0.0 and extra_scalar is None
 
         def rule(q, p):
             u = q[0]
@@ -246,20 +248,14 @@ class Extension:
     def k_closed(self):
         """K_{m,n} = P_{m,n,m} G_n + D_{m,n,m} X_L(G_n) in closed form."""
         self._require_omega_zero()
-        spec = self.spec
+        return PhaseFunction(lambda q, p: self._closed_form(q, p, 0), 2)
 
-        def rule(q, p):
-            gn, xgn, L = self._gn_xgn_values(q[1:], p[1:], spec.n)
-            w = spec.c * L + spec.c0
-            gam = gamma(spec.gamma, q[0])
-            P, D = self._pd_values(spec.m, gam, p[0], w)
-            return P * gn + D * xgn
-
-        return PhaseFunction(rule, 2)
+    def _omega_is_zero(self):
+        Om = self.spec.Omega
+        return isinstance(Om, (int, float)) and Om == 0.0
 
     def _require_omega_zero(self):
-        Om = self.spec.Omega
-        if not (isinstance(Om, (int, float)) and Om == 0.0):
+        if not self._omega_is_zero():
             raise ValueError("K_{m,n} requires Omega = 0; use kbar for Omega != 0")
 
     def _check_kbar_indices(self, s, r):
@@ -271,20 +267,51 @@ class Extension:
     def kbar_closed(self, s, r):
         """Kbar_{2s,r} = sum_j C(s,j) (2 Omega/gamma^2)^j U^{2(s-j)}(G_r), expanded."""
         self._check_kbar_indices(s, r)
+        return PhaseFunction(lambda q, p: self._closed_form(q, p, s), 2)
+
+    def _closed_form(self, q, p, s, magnitudes=False):
+        """sum_{j<=s} C(s,j) (2 Omega/gamma^2)^j (P_{m-2j} G_n + D_{m-2j} X_L G_n) at (q, p).
+
+        s = 0 is K_{m,n} (no gamma^-2 is computed) and s = m/2 is Kbar_{m,n}.
+        With magnitudes=True the absolute summands are added instead.
+        """
         spec = self.spec
+        gn, xgn, L = self._gn_xgn_values(q[1:], p[1:], spec.n, magnitudes)
+        w = spec.c * L + spec.c0
+        gam = gamma(spec.gamma, q[0])
 
-        def rule(q, p):
-            gn, xgn, L = self._gn_xgn_values(q[1:], p[1:], r)
-            w = spec.c * L + spec.c0
-            gam = gamma(spec.gamma, q[0])
-            om_term = 2.0 * spec.Omega / (gam * gam)
-            total = 0.0
-            for j in range(s + 1):
-                P, D = self._pd_values(2 * (s - j), gam, p[0], w)
-                total = total + math.comb(s, j) * om_term**j * (P * gn + D * xgn)
-            return total
+        def term(r):
+            P, D = self._pd_values(r, gam, p[0], w, magnitudes)
+            return P * gn + D * xgn
 
-        return PhaseFunction(rule, 2)
+        if s == 0:
+            return term(spec.m)
+        om_term = 2.0 * spec.Omega / (gam * gam)
+        om_term = abs(om_term) if magnitudes else om_term
+        total = 0.0
+        for j in range(s + 1):
+            total = total + math.comb(s, j) * om_term**j * term(spec.m - 2 * j)
+        return total
+
+    def first_integral(self):
+        """(label, PhaseFunction) of the integral this extension carries.
+
+        K_{m,n} at Omega = 0, Kbar_{m,n} for even m, Kbar_{2m,2n} on the doubled
+        spec for odd m; refused above momentum degree MAX_INTEGRAL_DEGREE.
+        """
+        m, n = self.spec.m, self.spec.n
+        if self._omega_is_zero():
+            label, ext, s = f"K({m},{n})", self, 0
+        elif m % 2 == 0:
+            label, ext, s = f"Kbar({m},{n})", self, m // 2
+        else:
+            label, s = f"Kbar({2 * m},{2 * n})", m
+            ext = Extension(replace(self.spec, m=2 * m, n=2 * n), self.base)
+        degree = ext.momentum_degree_bound()
+        if degree > MAX_INTEGRAL_DEGREE:
+            raise ValueError(f"{label} has momentum degree {degree}, "
+                             f"above the cap of {MAX_INTEGRAL_DEGREE}")
+        return label, (ext.k_closed() if s == 0 else ext.kbar_closed(s, ext.spec.n))
 
     def kbar_recursive(self, s, r):
         """Kbar_{2s,r} = (U^2 + 2 Omega gamma^-2)^s (G_r) by operator application."""
@@ -308,24 +335,12 @@ class Extension:
         agreement tolerances are taken relative to this scale: the value of
         K itself can sit many orders below it through cancellation.
         """
-        spec = self.spec
-        gn, xgn, L = self._gn_xgn_values(x.q[1:], x.p[1:], spec.n, magnitudes=True)
-        w = spec.c * L + spec.c0
-        gam = gamma(spec.gamma, x.q[0])
-        P, D = self._pd_values(spec.m, gam, x.p[0], w, magnitudes=True)
-        return P * gn + abs(D) * xgn
+        return self._closed_form(x.q, x.p, 0, magnitudes=True)
 
     def kbar_magnitude(self, x, s, r):
-        spec = self.spec
-        gn, xgn, L = self._gn_xgn_values(x.q[1:], x.p[1:], r, magnitudes=True)
-        w = spec.c * L + spec.c0
-        gam = gamma(spec.gamma, x.q[0])
-        om_term = abs(2.0 * spec.Omega / (gam * gam))
-        total = 0.0
-        for j in range(s + 1):
-            P, D = self._pd_values(2 * (s - j), gam, x.p[0], w, magnitudes=True)
-            total = total + math.comb(s, j) * om_term**j * (P * gn + abs(D) * xgn)
-        return total
+        """Sum of absolute summand magnitudes of the closed form of Kbar_{2s,r} at x."""
+        self._check_kbar_indices(s, r)
+        return self._closed_form(x.q, x.p, s, magnitudes=True)
 
 
 def functional_independence(fs, x):

@@ -20,7 +20,7 @@ from extham.catalog import (
     to_pseudo_polar,
     trig_base,
 )
-from extham.extension import bracket_scale, seed_equation_terms
+from extham.extension import Extension, ExtensionSpec, bracket_scale, seed_equation_terms
 from extham.phase import PhaseFunction, PhasePoint, poisson_bracket
 from extham.sampling import make_rng, sample_points
 
@@ -253,3 +253,43 @@ def test_catalog_listing_is_json_serializable():
     for entry in listing:
         assert set(entry) == {"id", "chart", "params", "known_integrals", "extendable"}
     assert json.loads(blob) == listing
+
+
+_TB = trig_base(1.0, 0.2, 1.0, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("build,label", [
+    (lambda: make_minkowski_hamiltonian(Fraction(1), 1.0, 2.0, 0.0), "K(4,1)"),
+    (lambda: make_minkowski_hamiltonian(Fraction(1), 1.0, 2.0, 0.3), "Kbar(4,1)"),
+    (lambda: make_minkowski_hamiltonian(Fraction(1, 2), 1.0, 2.0, 0.3), "Kbar(6,2)"),
+    (lambda: make_curved_hamiltonian(_TB, Fraction(1), 1, 0.0), "K(2,1)"),
+    (lambda: make_curved_hamiltonian(_TB, Fraction(1), 1, 0.2), "Kbar(2,1)"),
+    (lambda: make_curved_hamiltonian(_TB, Fraction(1, 2), 1, 0.2), "Kbar(6,4)"),
+    (lambda: make_flat_ttw_hamiltonian(_TB, 2, 1, 0.0), "K(2,1)"),
+    (lambda: make_flat_ttw_hamiltonian(_TB, 2, 1, 0.4), "Kbar(2,1)"),
+    (lambda: make_flat_ttw_hamiltonian(_TB, 3, 2, 0.4), "Kbar(6,4)"),
+], ids=[f"{model}-{case}" for model in ("minkowski", "curved", "flat-ttw")
+        for case in ("omega0", "even-m", "odd-m")])
+def test_first_integral_is_the_catalog_integral(build, label):
+    mdl = build()
+    ext = mdl.extension
+    got_label, f = ext.first_integral()
+    assert got_label == label == mdl.known_integrals[-1][0]
+    spec, (m, n) = ext.spec, (ext.spec.m, ext.spec.n)
+    if label.startswith("K("):
+        direct = ext.k_closed()
+    elif m % 2 == 0:
+        direct = ext.kbar_closed(m // 2, n)
+    else:
+        doubled = ExtensionSpec(2 * m, 2 * n, spec.c, spec.c0, spec.Omega, spec.gamma)
+        direct = Extension(doubled, ext.base).kbar_closed(m, 2 * n)
+    catalog_K = mdl.integral(label)
+    if mdl.id == "minkowski":
+        k = float(mdl.params["k"])
+        for x in wedge_points(10, 67):
+            y = to_pseudo_polar(k, x)
+            assert f(y) == direct(y)
+            assert catalog_K(x) == direct(y)
+    else:
+        for x in sample_points(10, 67, 2, q_ranges=mdl.q_windows):
+            assert f(x) == direct(x) == catalog_K(x)

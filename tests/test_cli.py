@@ -186,16 +186,17 @@ def test_catalog_command(capsys):
     assert any(entry["extendable"] is False for entry in listing)
 
 
-@pytest.mark.parametrize("argv", [
-    ("verify", "--model", "minkowski", "--k", "1000001/1000000"),  # OverflowError
-    ("verify", "--model", "minkowski", "--alpha", "nan"),
-    ("verify", "--model", "minkowski", "--points", "0"),
-    ("verify", "--model", "minkowski", "--points", "-1"),
+@pytest.mark.parametrize("argv,message", [
+    (("verify", "--model", "minkowski", "--k", "1000001/1000000"),
+     "K(2000001,500000) has momentum degree 3000000, above the cap of 30"),
+    (("verify", "--model", "minkowski", "--alpha", "nan"), "alpha"),
+    (("verify", "--model", "minkowski", "--points", "0"), "points"),
+    (("verify", "--model", "minkowski", "--points", "-1"), "points"),
 ], ids=["overflow", "nan-alpha", "zero-points", "negative-points"])
-def test_errors_exit_two_with_json_error(capsys, argv):
+def test_errors_exit_two_with_json_error(capsys, argv, message):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 2
-    assert "error" in json.loads(out)
+    assert message in json.loads(out)["error"]
 
 
 def test_unwritable_csv_exits_two_with_json_error(capsys, tmp_path):
@@ -205,6 +206,16 @@ def test_unwritable_csv_exits_two_with_json_error(capsys, tmp_path):
     )
     assert code == 2
     assert "No such file" in json.loads(out)["error"]
+
+
+def test_unwritable_csv_fails_before_integrating(capsys, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "integrate", lambda *a, **kw: calls.append(a))
+    path = str(tmp_path / "missing" / "x.csv")
+    code, out, _ = run_cli(capsys, "integrate", "--x0", "1", "0", "3.2", "0.5", "--csv", path)
+    assert code == 2
+    assert "No such file" in json.loads(out)["error"]
+    assert calls == []
 
 
 def _separate_sweep(H, integrals, pts):
