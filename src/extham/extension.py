@@ -18,6 +18,7 @@ import numpy as np
 
 from .phase import (
     PhaseFunction,
+    bracket_of_gradients,
     gradient,
     hamiltonian_vector_field,
     lift_last,
@@ -162,12 +163,31 @@ class Extension:
         """G_n by the literal recursion G_{k+1} = X_L(G) G_k + (1/k) G X_L(G_k)."""
         if n < 1:
             raise ValueError("n must be positive")
-        G = self.base.G
-        XG = hamiltonian_vector_field(self.base.L, G)
-        g = G
+        g = self.base.G
         for k in range(1, n):
-            g = XG * g + (1.0 / k) * G * hamiltonian_vector_field(self.base.L, g)
+            g = self._gn_step(g, 1.0 / k)
         return g
+
+    def _gn_step(self, g, inv_k):
+        """G_{k+1} from G_k = g, with each partial taken once per point.
+
+        The value of G_k comes with its partials, and X_L(G) and X_L(G_k)
+        share the partials of L, so G_k is evaluated twice per point, not
+        three times (and G_1 = G once); the arithmetic is that of
+        X_L(G) G_k + (1/k) G X_L(G_k).
+        """
+        G, L = self.base.G, self.base.L
+        slots = (0,)
+
+        def rule(q, p):
+            Gv, Gq, Gp = partials_at(G, q, p, slots)
+            gv, gq, gp = (Gv, Gq, Gp) if g is G else partials_at(g, q, p, slots)
+            _, Lq, Lp = partials_at(L, q, p, slots)
+            xl_G = bracket_of_gradients(Gq + Gp, Lq + Lp)
+            xl_g = bracket_of_gradients(gq + gp, Lq + Lp)
+            return xl_G * gv + Gv * inv_k * xl_g
+
+        return PhaseFunction(rule, 1)
 
     def gn_closed(self, n):
         """G_n from its binomial expansion in G, X_L G and (cL+c0)."""
