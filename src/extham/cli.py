@@ -92,11 +92,21 @@ def _bracket_sweep(H, integrals, points):
     return max_abs, max_rel, min(ranks)
 
 
+# Highest momentum degree of a Minkowski wedge integral that verify checks. Past it
+# the wedge integrals overflow double precision or break the rank SVD (k = 14, 15).
+MAX_MINKOWSKI_DEGREE = 30
+
+
 def _verify_model(args):
     """The catalog model that verify checks for these flags."""
     if args.model == "minkowski":
         k = _parse_k(args.k, args.no_integral)
-        return make_minkowski_hamiltonian(k, args.alpha, args.beta, args.omega)
+        model = make_minkowski_hamiltonian(k, args.alpha, args.beta, args.omega)
+        degree = model.extension.first_integral_degree() if model.extension else 0
+        if degree > MAX_MINKOWSKI_DEGREE:
+            raise ValueError(f"{model.known_integrals[-1][0]} has momentum degree {degree}, "
+                             f"above the cap of {MAX_MINKOWSKI_DEGREE} for the Minkowski wedge")
+        return model
     if args.model in ("sphere", "pseudosphere", "de-sitter", "anti-de-sitter"):
         k = _parse_k(args.k, False)
         if args.model in ("sphere", "pseudosphere"):
@@ -166,13 +176,16 @@ def cmd_integrate(args):
 
     x0 = PhasePoint(tuple(args.x0[:2]), tuple(args.x0[2:]))
     u_min = None if args.model == "free" else args.u_min
-    # open the output first, so a path that cannot be written fails before any step
-    with open(args.csv, "w", newline="") as csv_file:
+    # open the output first, so a path that cannot be written fails before any step;
+    # an existing file is emptied only once there is a trajectory to replace it
+    with open(args.csv, "a", newline="") as csv_file:
         _log(f"integrating {args.model} for {args.steps} steps at h={args.h}")
         traj = integrate(H, x0, args.h, args.steps, u_min=u_min)
         if traj.status != "completed":
             _log(f"trajectory truncated: {traj.status} at step {traj.exit_step}")
         drifts = drift_report(traj, drift_fns)
+        csv_file.seek(0)
+        csv_file.truncate()
         traj.write_csv(csv_file)
     report = {
         "model": args.model,

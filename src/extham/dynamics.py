@@ -8,8 +8,6 @@ from the exact differentiation scheme.
 """
 
 import csv
-import os
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,16 +40,14 @@ class Trajectory:
     def points(self):
         return [PhasePoint.from_array(s) for s in self.states]
 
-    def write_csv(self, dest):
-        """Write t, q..., p... rows to dest: a path, or a text file opened with newline=""."""
+    def write_csv(self, fh):
+        """Write t, q..., p... rows to fh, a text file opened with newline=""."""
         d = self.dof
         header = ["t"] + [f"q{i+1}" for i in range(d)] + [f"p{i+1}" for i in range(d)]
-        is_path = isinstance(dest, (str, os.PathLike))
-        with open(dest, "w", newline="") if is_path else nullcontext(dest) as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for t, s in zip(self.times, self.states):
-                w.writerow([repr(float(t))] + [repr(float(v)) for v in s])
+        w = csv.writer(fh)
+        w.writerow(header)
+        for t, s in zip(self.times, self.states):
+            w.writerow([repr(float(t))] + [repr(float(v)) for v in s])
 
 
 def _flow_rhs(H, z):

@@ -18,17 +18,12 @@ import numpy as np
 
 from .phase import (
     PhaseFunction,
-    bracket_of_gradients,
     gradient,
     hamiltonian_vector_field,
     lift_last,
     partials_at,
 )
 from .tagged_trig import GammaProfile, gamma, gamma_prime
-
-# Highest momentum degree m + 2n - 1 of an integral first_integral builds. Past
-# it the Minkowski wedge integrals overflow double precision or break the rank SVD.
-MAX_INTEGRAL_DEGREE = 30
 
 
 @dataclass(frozen=True)
@@ -163,31 +158,12 @@ class Extension:
         """G_n by the literal recursion G_{k+1} = X_L(G) G_k + (1/k) G X_L(G_k)."""
         if n < 1:
             raise ValueError("n must be positive")
-        g = self.base.G
+        G = self.base.G
+        XG = hamiltonian_vector_field(self.base.L, G)
+        g = G
         for k in range(1, n):
-            g = self._gn_step(g, 1.0 / k)
+            g = XG * g + (1.0 / k) * G * hamiltonian_vector_field(self.base.L, g)
         return g
-
-    def _gn_step(self, g, inv_k):
-        """G_{k+1} from G_k = g, with each partial taken once per point.
-
-        The value of G_k comes with its partials, and X_L(G) and X_L(G_k)
-        share the partials of L, so G_k is evaluated twice per point, not
-        three times (and G_1 = G once); the arithmetic is that of
-        X_L(G) G_k + (1/k) G X_L(G_k).
-        """
-        G, L = self.base.G, self.base.L
-        slots = (0,)
-
-        def rule(q, p):
-            Gv, Gq, Gp = partials_at(G, q, p, slots)
-            gv, gq, gp = (Gv, Gq, Gp) if g is G else partials_at(g, q, p, slots)
-            _, Lq, Lp = partials_at(L, q, p, slots)
-            xl_G = bracket_of_gradients(Gq + Gp, Lq + Lp)
-            xl_g = bracket_of_gradients(gq + gp, Lq + Lp)
-            return xl_G * gv + Gv * inv_k * xl_g
-
-        return PhaseFunction(rule, 1)
 
     def gn_closed(self, n):
         """G_n from its binomial expansion in G, X_L G and (cL+c0)."""
@@ -313,25 +289,28 @@ class Extension:
             total = total + math.comb(s, j) * om_term**j * term(spec.m - 2 * j)
         return total
 
-    def first_integral(self):
-        """(label, PhaseFunction) of the integral this extension carries.
+    def _integral_choice(self):
+        """(label, extension, s) of the integral this extension carries.
 
-        K_{m,n} at Omega = 0, Kbar_{m,n} for even m, Kbar_{2m,2n} on the doubled
-        spec for odd m; refused above momentum degree MAX_INTEGRAL_DEGREE.
+        K_{m,n} (s = 0) at Omega = 0, Kbar_{m,n} (s = m/2) for even m and
+        Kbar_{2m,2n} (s = m) on the doubled spec for odd m.
         """
         m, n = self.spec.m, self.spec.n
         if self._omega_is_zero():
-            label, ext, s = f"K({m},{n})", self, 0
-        elif m % 2 == 0:
-            label, ext, s = f"Kbar({m},{n})", self, m // 2
-        else:
-            label, s = f"Kbar({2 * m},{2 * n})", m
-            ext = Extension(replace(self.spec, m=2 * m, n=2 * n), self.base)
-        degree = ext.momentum_degree_bound()
-        if degree > MAX_INTEGRAL_DEGREE:
-            raise ValueError(f"{label} has momentum degree {degree}, "
-                             f"above the cap of {MAX_INTEGRAL_DEGREE}")
+            return f"K({m},{n})", self, 0
+        if m % 2 == 0:
+            return f"Kbar({m},{n})", self, m // 2
+        doubled = Extension(replace(self.spec, m=2 * m, n=2 * n), self.base)
+        return f"Kbar({2 * m},{2 * n})", doubled, m
+
+    def first_integral(self):
+        """(label, PhaseFunction) of the integral _integral_choice() names."""
+        label, ext, s = self._integral_choice()
         return label, (ext.k_closed() if s == 0 else ext.kbar_closed(s, ext.spec.n))
+
+    def first_integral_degree(self):
+        """Momentum degree of first_integral(), the doubled spec's for odd m at Omega != 0."""
+        return self._integral_choice()[1].momentum_degree_bound()
 
     def kbar_recursive(self, s, r):
         """Kbar_{2s,r} = (U^2 + 2 Omega gamma^-2)^s (G_r) by operator application."""

@@ -192,30 +192,57 @@ def test_catalog_command(capsys):
     (("verify", "--model", "minkowski", "--alpha", "nan"), "alpha"),
     (("verify", "--model", "minkowski", "--points", "0"), "points"),
     (("verify", "--model", "minkowski", "--points", "-1"), "points"),
-], ids=["overflow", "nan-alpha", "zero-points", "negative-points"])
+    (("verify", "--model", "minkowski", "--k", "14"),
+     "K(30,1) has momentum degree 31, above the cap of 30"),
+    (("verify", "--model", "minkowski", "--k", "13/2", "--omega", "0.3"),
+     "Kbar(30,2) has momentum degree 33, above the cap of 30"),
+], ids=["overflow", "nan-alpha", "zero-points", "negative-points", "degree-cap",
+        "degree-cap-doubled"])
 def test_errors_exit_two_with_json_error(capsys, argv, message):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 2
     assert message in json.loads(out)["error"]
 
 
-def test_unwritable_csv_exits_two_with_json_error(capsys, tmp_path):
+def test_unwritable_csv_exits_two_with_json_error(capsys, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "integrate", lambda *a, **kw: calls.append(a))
     path = str(tmp_path / "missing" / "x.csv")
     code, out, _ = run_cli(
         capsys, "integrate", "--x0", "1", "0", "3.2", "0.5", "--steps", "5", "--csv", path,
     )
     assert code == 2
     assert "No such file" in json.loads(out)["error"]
+    assert calls == []  # the path is refused before any step
 
 
-def test_unwritable_csv_fails_before_integrating(capsys, tmp_path, monkeypatch):
-    calls = []
-    monkeypatch.setattr(cli, "integrate", lambda *a, **kw: calls.append(a))
-    path = str(tmp_path / "missing" / "x.csv")
-    code, out, _ = run_cli(capsys, "integrate", "--x0", "1", "0", "3.2", "0.5", "--csv", path)
-    assert code == 2
-    assert "No such file" in json.loads(out)["error"]
-    assert calls == []
+def test_failed_integration_keeps_an_existing_csv(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "x.csv"
+    path.write_text("old contents\n" * 100)
+    argv = ("integrate", "--x0", "1", "0", "3.2", "0.5", "--steps", "5", "--csv", str(path))
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "integrate", lambda *a, **kw: 1 / 0)
+        code, out, _ = run_cli(capsys, *argv)
+    assert code == 2 and "division" in json.loads(out)["error"]
+    assert path.read_text() == "old contents\n" * 100
+    code, _, _ = run_cli(capsys, *argv)
+    with open(path) as fh:
+        rows = list(csv.reader(fh))
+    assert code == 0
+    assert rows[0] == ["t", "q1", "q2", "p1", "p2"] and len(rows) == 7
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--model", "sphere", "--k", "29"),  # K(30,1), degree 31
+    ("verify", "--model", "ttw-flat", "--m", "30", "--n", "1"),  # K(30,1) too
+    ("integrate", "--model", "minkowski", "--k", "14", "--chart", "pseudo-polar",
+     "--omega", "0.3", "--x0", "1", "0.3", "0.5", "0.4", "--steps", "5"),
+], ids=["sphere", "ttw-flat", "integrate"])
+def test_degree_cap_is_for_minkowski_verify_only(capsys, tmp_path, argv):
+    if argv[0] == "integrate":
+        argv += ("--csv", str(tmp_path / "x.csv"))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0, out
 
 
 def _separate_sweep(H, integrals, pts):

@@ -103,7 +103,8 @@ def test_csv_round_trip(tmp_path, wedge_system):
     H, _, _ = wedge_system
     traj = integrate(H, PhasePoint((1.0, 0.0), (3.2, 0.5)), 1e-3, 50)
     path = tmp_path / "traj.csv"
-    traj.write_csv(path)
+    with open(path, "w", newline="") as fh:
+        traj.write_csv(fh)
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "q1", "q2", "p1", "p2"]

@@ -229,15 +229,6 @@ def test_kbar_reduces_to_k_at_omega_zero(base, profile):
         assert e.kbar_magnitude(x, 1, 1) == e.k_magnitude(x)
 
 
-def test_first_integral_caps_the_momentum_degree(base, profile):
-    assert ext(base, profile, 29, 1).first_integral()[0] == "K(29,1)"  # degree 30
-    with pytest.raises(ValueError, match=r"K\(30,1\) has momentum degree 31, above the cap of 30"):
-        ext(base, profile, 30, 1).first_integral()
-    # odd m with Omega != 0 is capped on the doubled spec's degree
-    with pytest.raises(ValueError, match=r"Kbar\(30,2\) has momentum degree 33"):
-        ext(base, profile, 15, 1, Omega=0.3).first_integral()
-
-
 @pytest.mark.parametrize("twos,r", [(2, 1), (4, 3), (6, 1)])
 @pytest.mark.parametrize("Omega", [0.3, -0.7])
 def test_kbar_brackets_and_operator_equality(base, profile, twos, r, Omega):
