@@ -6,6 +6,15 @@ tag; tags keep independent differentiation levels from collapsing into
 each other (the classic perturbation-confusion failure of naive nested
 duals). Plain floats act as constants at every level, so mixed-depth
 arithmetic is cheap.
+
+A :class:`Jet` is the second leaf: a truncated Taylor series in one
+scalar parameter t whose coefficients are floats or Duals. Every math
+function here dispatches Dual -> Jet -> ``math``, in that order, so one
+rule evaluates on floats, on Duals, on Jets and on Duals wrapping Jets. A
+Jet never absorbs a Dual as a scalar: its arithmetic returns
+NotImplemented, so the Dual wraps the Jet and the outermost layer always
+carries the newest tag. Jets must therefore only meet Duals seeded after
+their coefficients were built.
 """
 
 import itertools
@@ -113,11 +122,194 @@ class Dual:
         return primal(self) >= primal(other)
 
 
+class Jet:
+    """Taylor coefficients c[0..N] of a series in t, truncated after t^N.
+
+    Coefficients may be floats or Duals. Combining jets of different
+    lengths keeps the shorter length: beyond it the sum is not known.
+    """
+
+    __slots__ = ("c",)
+
+    def __init__(self, coeffs):
+        self.c = list(coeffs)
+
+    def __repr__(self):
+        return f"Jet({self.c!r})"
+
+    def deriv(self):
+        """d/dt of the series, known to one order less."""
+        c = self.c
+        return Jet([k * c[k] for k in range(1, len(c))])
+
+    # -- arithmetic ------------------------------------------------------
+
+    def __add__(self, other):
+        if isinstance(other, Jet):
+            return Jet([a + b for a, b in zip(self.c, other.c)])
+        if isinstance(other, Dual):
+            return NotImplemented
+        return Jet([self.c[0] + other] + self.c[1:])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Jet([-a for a in self.c])
+
+    def __sub__(self, other):
+        if isinstance(other, Jet):
+            return Jet([a - b for a, b in zip(self.c, other.c)])
+        if isinstance(other, Dual):
+            return NotImplemented
+        return Jet([self.c[0] - other] + self.c[1:])
+
+    def __rsub__(self, other):
+        return Jet([other - self.c[0]] + [-a for a in self.c[1:]])
+
+    def __mul__(self, other):
+        if isinstance(other, Jet):
+            a, b = self.c, other.c
+            return Jet([_cauchy(a, b, k) for k in range(min(len(a), len(b)))])
+        if isinstance(other, Dual):
+            return NotImplemented
+        return Jet([a * other for a in self.c])
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, Jet):
+            return _jet_div(self.c, other.c)
+        if isinstance(other, Dual):
+            return NotImplemented
+        return Jet([a / other for a in self.c])
+
+    def __rtruediv__(self, other):
+        return _jet_div([other] + [0.0] * (len(self.c) - 1), self.c)
+
+    def __pow__(self, r):
+        if r != int(r):
+            return _jet_pow(self, r)
+        r = int(r)
+        if r < 0:
+            return 1.0 / self ** (-r)
+        out = Jet([1.0] + [0.0] * (len(self.c) - 1))
+        base = self
+        while r:
+            if r & 1:
+                out = out * base
+            r >>= 1
+            if r:
+                base = base * base
+        return out
+
+
+def _cauchy(a, b, k):
+    """Coefficient k of the product of two series."""
+    total = a[0] * b[k]
+    for j in range(1, k + 1):
+        total = total + a[j] * b[k - j]
+    return total
+
+
+def _jet_div(a, b):
+    """Series a/b: q_k = (a_k - sum_{j>=1} b_j q_{k-j}) / b_0."""
+    q = []
+    for k in range(min(len(a), len(b))):
+        t = a[k]
+        for j in range(1, k + 1):
+            t = t - b[j] * q[k - j]
+        q.append(t / b[0])
+    return Jet(q)
+
+
+def _ode_coefficient(a, k, g):
+    """Coefficient k >= 1 of f where f' = g a': (1/k) sum_{j=1..k} j a_j g_{k-j}."""
+    total = a[1] * g[k - 1]
+    for j in range(2, k + 1):
+        total = total + j * a[j] * g[k - j]
+    return total / k
+
+
+def _jet_exp(x):
+    a = x.c
+    e = [exp(a[0])]
+    for k in range(1, len(a)):
+        e.append(_ode_coefficient(a, k, e))
+    return Jet(e)
+
+
+def _jet_log(x):
+    # a l' = a', so l_k = (a_k - (1/k) sum_{j=1..k-1} j l_j a_{k-j}) / a_0
+    a = x.c
+    lg = [log(a[0])]
+    for k in range(1, len(a)):
+        t = a[k]
+        for j in range(1, k):
+            t = t - (j / k) * lg[j] * a[k - j]
+        lg.append(t / a[0])
+    return Jet(lg)
+
+
+def _jet_sqrt(x):
+    # s * s = a
+    a = x.c
+    s = [sqrt(a[0])]
+    for k in range(1, len(a)):
+        t = a[k]
+        for j in range(1, k):
+            t = t - s[j] * s[k - j]
+        s.append(t / (s[0] + s[0]))
+    return Jet(s)
+
+
+def _jet_sin_cos(x, hyperbolic):
+    # coupled: s' = c a', c' = -s a' (circular) or +s a' (hyperbolic)
+    a = x.c
+    if hyperbolic:
+        s, c = [sinh(a[0])], [cosh(a[0])]
+    else:
+        s, c = [sin(a[0])], [cos(a[0])]
+    for k in range(1, len(a)):
+        sk = _ode_coefficient(a, k, c)
+        ck = _ode_coefficient(a, k, s)
+        s.append(sk)
+        c.append(ck if hyperbolic else -ck)
+    return Jet(s), Jet(c)
+
+
+def _jet_tan(x, hyperbolic):
+    # t' = (1 + t^2) a' (tan) or (1 - t^2) a' (tanh)
+    a = x.c
+    sign = -1.0 if hyperbolic else 1.0
+    t = [tanh(a[0]) if hyperbolic else tan(a[0])]
+    w = [1.0 + sign * t[0] * t[0]]
+    for k in range(1, len(a)):
+        t.append(_ode_coefficient(a, k, w))
+        w.append(sign * _cauchy(t, t, k))
+    return Jet(t)
+
+
+def _jet_pow(x, r):
+    # a b' = r a' b, so b_k = (1/(k a_0)) sum_{j=1..k} (r j - (k - j)) a_j b_{k-j}
+    a = x.c
+    b = [pow_(a[0], r)]
+    for k in range(1, len(a)):
+        t = (r - (k - 1)) * a[1] * b[k - 1]
+        for j in range(2, k + 1):
+            t = t + (r * j - (k - j)) * a[j] * b[k - j]
+        b.append(t / (k * a[0]))
+    return Jet(b)
+
+
 def primal(x):
-    """Strip every derivative layer, returning the plain float value."""
-    while isinstance(x, Dual):
-        x = x.val
-    return x
+    """Strip every derivative and Taylor layer, returning the plain float value."""
+    while True:
+        if isinstance(x, Dual):
+            x = x.val
+        elif isinstance(x, Jet):
+            x = x.c[0]
+        else:
+            return x
 
 
 def seed(x, tag):
@@ -158,19 +350,23 @@ def nth_derivative(f, x, order):
     return derivative(lambda t: nth_derivative(f, t, order - 1), x)
 
 
-# -- math functions that dispatch on Dual --------------------------------
+# -- math functions that dispatch Dual -> Jet -> math ------------------
 
 
 def exp(x):
     if isinstance(x, Dual):
         e = exp(x.val)
         return Dual(e, e * x.dot, x.tag)
+    if isinstance(x, Jet):
+        return _jet_exp(x)
     return math.exp(x)
 
 
 def log(x):
     if isinstance(x, Dual):
         return Dual(log(x.val), x.dot / x.val, x.tag)
+    if isinstance(x, Jet):
+        return _jet_log(x)
     return math.log(x)
 
 
@@ -178,18 +374,24 @@ def sqrt(x):
     if isinstance(x, Dual):
         s = sqrt(x.val)
         return Dual(s, x.dot / (s + s), x.tag)
+    if isinstance(x, Jet):
+        return _jet_sqrt(x)
     return math.sqrt(x)
 
 
 def sin(x):
     if isinstance(x, Dual):
         return Dual(sin(x.val), cos(x.val) * x.dot, x.tag)
+    if isinstance(x, Jet):
+        return _jet_sin_cos(x, False)[0]
     return math.sin(x)
 
 
 def cos(x):
     if isinstance(x, Dual):
         return Dual(cos(x.val), -sin(x.val) * x.dot, x.tag)
+    if isinstance(x, Jet):
+        return _jet_sin_cos(x, False)[1]
     return math.cos(x)
 
 
@@ -197,18 +399,24 @@ def tan(x):
     if isinstance(x, Dual):
         t = tan(x.val)
         return Dual(t, (1.0 + t * t) * x.dot, x.tag)
+    if isinstance(x, Jet):
+        return _jet_tan(x, False)
     return math.tan(x)
 
 
 def sinh(x):
     if isinstance(x, Dual):
         return Dual(sinh(x.val), cosh(x.val) * x.dot, x.tag)
+    if isinstance(x, Jet):
+        return _jet_sin_cos(x, True)[0]
     return math.sinh(x)
 
 
 def cosh(x):
     if isinstance(x, Dual):
         return Dual(cosh(x.val), sinh(x.val) * x.dot, x.tag)
+    if isinstance(x, Jet):
+        return _jet_sin_cos(x, True)[1]
     return math.cosh(x)
 
 
@@ -216,6 +424,8 @@ def tanh(x):
     if isinstance(x, Dual):
         t = tanh(x.val)
         return Dual(t, (1.0 - t * t) * x.dot, x.tag)
+    if isinstance(x, Jet):
+        return _jet_tan(x, True)
     return math.tanh(x)
 
 
@@ -223,4 +433,6 @@ def pow_(x, r):
     """x**r for real r; raises ValueError off the real domain (negative base)."""
     if isinstance(x, Dual):
         return x**r
+    if isinstance(x, Jet):
+        return _jet_pow(x, r)
     return math.pow(x, r)

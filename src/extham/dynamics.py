@@ -17,6 +17,7 @@ from .phase import PhasePoint, gradient
 COMPLETED = "completed"
 DOMAIN_EXIT = "domain-exit"
 NO_CONVERGENCE = "no-convergence"
+LEFT_DOMAIN = "left-domain"
 
 
 @dataclass
@@ -61,8 +62,10 @@ def integrate(H, x0, h, steps, fp_tol=1e-13, max_iter=50, u_min=None, u_slot=0):
 
     h may be negative (the method is symmetric, so this is the exact time
     reversal). When u_min is given, the run truncates with DOMAIN_EXIT as
-    soon as position slot u_slot drops below it; a non-convergent implicit
-    solve truncates with NO_CONVERGENCE.
+    soon as position slot u_slot drops below it. An implicit solve whose
+    residual never falls to fp_tol in max_iter iterations truncates with
+    NO_CONVERGENCE; one whose iterate leaves H's domain (evaluating the flow
+    raises, or the iterate is no longer finite) truncates with LEFT_DOMAIN.
     """
     if h == 0.0:
         raise ValueError("step size must be nonzero")
@@ -75,23 +78,23 @@ def integrate(H, x0, h, steps, fp_tol=1e-13, max_iter=50, u_min=None, u_slot=0):
             status, exit_step = DOMAIN_EXIT, step
             break
         y = z.copy()
-        converged = False
+        failure = NO_CONVERGENCE
         for _ in range(max_iter):
             try:
-                incr = h * _flow_rhs(H, 0.5 * (z + y))
+                y_new = z + h * _flow_rhs(H, 0.5 * (z + y))
             except (OverflowError, ValueError, ZeroDivisionError):
-                # the iterate left H's domain; treat as a failed solve
+                failure = LEFT_DOMAIN
                 break
-            y_new = z + incr
             if not np.all(np.isfinite(y_new)):
+                failure = LEFT_DOMAIN
                 break
             residual = np.max(np.abs(y_new - y))
             y = y_new
             if residual <= fp_tol:
-                converged = True
+                failure = None
                 break
-        if not converged:
-            status, exit_step = NO_CONVERGENCE, step
+        if failure is not None:
+            status, exit_step = failure, step
             break
         z = y
         states.append(z.copy())

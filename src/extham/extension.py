@@ -5,6 +5,12 @@ Two independent routes exist for each construction: the literal operator
 recursion (U applied repeatedly, G_n built by its recursion) and the closed
 binomial expansions; tests pin their pointwise equality.
 
+The recursion runs on truncated Taylor series along the L-flow: at a base
+point, X_L^j f = j! [f(z(t))]_j for the flow z(t) of L, so the G_n
+recursion becomes jet products with X_L a coefficient shift, and U acts on
+the vector of X_L-derivatives. It never uses the seed equation or the
+closed forms, and its cost is polynomial in (m, n).
+
 The base Hamiltonian L acts on the trailing (psi, p_psi) block of the
 extended phase space (u, psi, p_u, p_psi); functions of the base block are
 silently lifted. X_L never touches (u, p_u), so multiplication by any
@@ -16,6 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .duals import Jet
 from .phase import (
     PhaseFunction,
     gradient,
@@ -91,13 +98,12 @@ def seed_equation_residual(base, c, c0, x):
 
 
 class Extension:
-    """An ExtensionSpec bound to a BaseSystem, with memoized U-operator chains."""
+    """An ExtensionSpec bound to a BaseSystem."""
 
     def __init__(self, spec, base):
         self.spec = spec
         self.base = base
         self._lifted_L = lift_last(base.L, 2)
-        self._chains = {}
 
     # -- pointwise seed data ---------------------------------------------
 
@@ -154,16 +160,46 @@ class Extension:
 
     # -- G_n chain ---------------------------------------------------------
 
+    def _flow_jets(self, psi, p_psi, order):
+        """Taylor coefficients of the L-flow (psi(t), p_psi(t)) through t^order.
+
+        The ODE Taylor method: psi_{k+1} = [dL/dp]_k / (k+1) and
+        p_{k+1} = -[dL/dpsi]_k / (k+1), each partial taken on the jets known
+        through t^k.
+        """
+        Q, P = [psi], [p_psi]
+        for k in range(order):
+            _, dq, dp = partials_at(self.base.L, (Jet(Q),), (Jet(P),), (0,))
+            Q.append(_coefficient(dp[0], k) / (k + 1))
+            P.append(-_coefficient(dq[0], k) / (k + 1))
+        return Jet(Q), Jet(P)
+
+    def _xl_powers(self, q1, p1, n, count):
+        """[X_L^j G_n for j < count] at a base-block point, by the G_n recursion on jets.
+
+        G_{k+1} = X_L(G) G_k + (1/k) G X_L(G_k) with every factor a jet along
+        the L-flow; each X_L shortens a jet by one, hence the flow order.
+        """
+        order = count + n - 2
+        Q, P = self._flow_jets(q1[0], p1[0], order)
+        g = self.base.G.rule((Q,), (P,))
+        G = Jet([_coefficient(g, j) for j in range(order + 1)])
+        XG = G.deriv()
+        g = G
+        for k in range(1, n):
+            g = XG * g + (1.0 / k) * G * g.deriv()
+        return [math.factorial(j) * g.c[j] for j in range(count)]
+
+    def _u_step(self, d, pu, gam):
+        """X_L^j(U f) = p_u d_j + (m/n^2) gamma d_{j+1} from d_j = X_L^j f."""
+        coef = self.spec.m / self.spec.n**2 * gam
+        return [pu * d[j] + coef * d[j + 1] for j in range(len(d) - 1)]
+
     def gn_recursive(self, n):
         """G_n by the literal recursion G_{k+1} = X_L(G) G_k + (1/k) G X_L(G_k)."""
         if n < 1:
             raise ValueError("n must be positive")
-        G = self.base.G
-        XG = hamiltonian_vector_field(self.base.L, G)
-        g = G
-        for k in range(1, n):
-            g = XG * g + (1.0 / k) * G * hamiltonian_vector_field(self.base.L, g)
-        return g
+        return PhaseFunction(lambda q, p: self._xl_powers(q, p, n, 1)[0], 1)
 
     def gn_closed(self, n):
         """G_n from its binomial expansion in G, X_L G and (cL+c0)."""
@@ -223,23 +259,21 @@ class Extension:
 
         return PhaseFunction(rule, 2)
 
-    def u_power_applied(self, start, key, r):
-        """U^r(start); chains are memoized per (key, r)."""
-        if r == 0:
-            return lift_last(start, 2)
-        prev = self._chains.get((key, r))
-        if prev is None:
-            prev = self.u_apply(self.u_power_applied(start, key, r - 1))
-            self._chains[(key, r)] = prev
-        return prev
-
     # -- characteristic first integrals ------------------------------------
 
     def k_recursive(self):
         """K_{m,n} = U^m(G_n) via the operator recursion (Omega must be 0)."""
         self._require_omega_zero()
-        n = self.spec.n
-        return self.u_power_applied(self.gn_recursive(n), ("gn", n), self.spec.m)
+        m, n = self.spec.m, self.spec.n
+
+        def rule(q, p):
+            d = self._xl_powers(q[1:], p[1:], n, m + 1)
+            gam = gamma(self.spec.gamma, q[0])
+            for _ in range(m):
+                d = self._u_step(d, p[0], gam)
+            return d[0]
+
+        return PhaseFunction(rule, 2)
 
     def k_closed(self):
         """K_{m,n} = P_{m,n,m} G_n + D_{m,n,m} X_L(G_n) in closed form."""
@@ -316,13 +350,17 @@ class Extension:
         """Kbar_{2s,r} = (U^2 + 2 Omega gamma^-2)^s (G_r) by operator application."""
         self._check_kbar_indices(s, r)
         spec = self.spec
-        om_of_u = PhaseFunction(
-            lambda q, p: 2.0 * spec.Omega / gamma(spec.gamma, q[0]) ** 2, 2
-        )
-        f = lift_last(self.gn_recursive(r), 2)
-        for _ in range(s):
-            f = self.u_apply(self.u_apply(f)) + om_of_u * f
-        return f
+
+        def rule(q, p):
+            d = self._xl_powers(q[1:], p[1:], r, 2 * s + 1)
+            gam = gamma(spec.gamma, q[0])
+            om = 2.0 * spec.Omega / gam**2
+            for _ in range(s):
+                u2 = self._u_step(self._u_step(d, p[0], gam), p[0], gam)
+                d = [a + om * b for a, b in zip(u2, d)]
+            return d[0]
+
+        return PhaseFunction(rule, 2)
 
     def momentum_degree_bound(self):
         """Exact polynomial degree of K (and Kbar) in the momenta: m + 2n - 1."""
@@ -340,6 +378,13 @@ class Extension:
         """Sum of absolute summand magnitudes of the closed form of Kbar_{2s,r} at x."""
         self._check_kbar_indices(s, r)
         return self._closed_form(x.q, x.p, s, magnitudes=True)
+
+
+def _coefficient(y, k):
+    """Taylor coefficient k of y; a non-jet y is a constant along the flow."""
+    if isinstance(y, Jet):
+        return y.c[k]
+    return y if k == 0 else 0.0
 
 
 def functional_independence(fs, x):

@@ -3,7 +3,12 @@ import math
 import pytest
 
 from extham import duals as dm
-from extham.duals import Dual, derivative, nth_derivative, primal
+from extham.catalog import exp_base
+from extham.duals import Dual, Jet, derivative, nth_derivative, primal
+from extham.extension import Extension, ExtensionSpec, bracket_scale
+from extham.phase import poisson_bracket
+from extham.sampling import sample_points
+from extham.tagged_trig import GammaProfile
 
 
 def test_first_derivatives_match_hand_results():
@@ -65,3 +70,125 @@ def test_float_cast_is_refused():
     tag = dm.new_tag()
     with pytest.raises(TypeError):
         float(Dual(1.0, 1.0, tag))
+
+
+# -- Jet leaf --------------------------------------------------------------
+
+JET_FUNCS = [
+    ("exp", dm.exp),
+    ("log", dm.log),
+    ("sqrt", dm.sqrt),
+    ("sin", dm.sin),
+    ("cos", dm.cos),
+    ("tan", dm.tan),
+    ("sinh", dm.sinh),
+    ("cosh", dm.cosh),
+    ("tanh", dm.tanh),
+    ("pow_", lambda x: dm.pow_(x, -1.7)),
+    ("int powers", lambda x: x**3 - 2.0 * x**-2),
+    ("division", lambda x: (3.0 - x) / (x * x + 0.5)),
+    ("composite", lambda x: dm.exp(dm.sin(x)) * dm.log(1.0 + x) ** 2),
+]
+JET_ORDER = 6
+
+
+def _series(x0):
+    """The jet of x0 + t, known through t^JET_ORDER."""
+    return Jet([x0, 1.0] + [0.0] * (JET_ORDER - 1))
+
+
+def _assert_taylor_coefficients(f, x0):
+    got = f(_series(x0)).c
+    assert len(got) == JET_ORDER + 1
+    for k, ck in enumerate(got):
+        ref = primal(nth_derivative(f, x0, k)) / math.factorial(k)
+        assert abs(ck - ref) <= 1e-11 * (1.0 + abs(ref)), (k, ck, ref)
+
+
+@pytest.mark.parametrize("name,f", JET_FUNCS)
+def test_jet_coefficients_match_nested_duals(name, f):
+    for x0 in (0.35, 0.9, 1.3):
+        _assert_taylor_coefficients(f, x0)
+
+
+@pytest.mark.parametrize("name,f", JET_FUNCS)
+def test_jet_over_dual_coefficients(name, f):
+    # coefficients that are Duals carry d/dx0 of every Taylor coefficient
+    x0 = 0.8
+    tag = dm.new_tag()
+    got = f(Jet([Dual(x0, 1.0, tag), 1.0] + [0.0] * (JET_ORDER - 1))).c
+    for k, ck in enumerate(got):
+        value = primal(nth_derivative(f, x0, k)) / math.factorial(k)
+        slope = primal(nth_derivative(f, x0, k + 1)) / math.factorial(k)
+        assert abs(primal(ck) - value) <= 1e-11 * (1.0 + abs(value))
+        assert abs(dm.tangent_part(ck, tag) - slope) <= 1e-10 * (1.0 + abs(slope))
+
+
+def test_jet_truncation_and_shift():
+    a = Jet([1.0, 2.0, 3.0])
+    b = Jet([4.0, 5.0])
+    assert (a * b).c == [4.0, 13.0]  # only t^0 and t^1 are known
+    assert (a + 1.0).c == [2.0, 2.0, 3.0]
+    assert (2.0 - a).c == [1.0, -2.0, -3.0]
+    assert a.deriv().c == [2.0, 6.0]
+    assert primal(Jet([Dual(1.5, 1.0, dm.new_tag())])) == 1.5
+
+
+def test_dual_wraps_jet():
+    j = _series(0.5)
+    d = Dual(2.0, 1.0, dm.new_tag())
+    for out in (j * d, d * j, j + d, j - d, j / d, d / j):
+        assert isinstance(out, Dual) and isinstance(out.val, Jet)
+
+
+def _coefficient_slope(x, y0, k):
+    """d/dy of [sin(x + t) exp((x + t) y) + (x + t)/y]_k at y0; x may be a Dual.
+
+    The jet stands on the left of each operation with the y-Dual, so the
+    Dual must decline to be absorbed and wrap the jet instead.
+    """
+    J = Jet([x, 1.0] + [0.0] * k)
+    out = derivative(lambda y: dm.sin(J) * dm.exp(J * y) + J / y, y0)
+    return out.c[k]
+
+
+def test_dual_outside_jet_of_lower_tag_duals_no_perturbation_confusion():
+    # the outer y-Dual is seeded after the x-Duals inside the jet's
+    # coefficients; d/dx of the result must match central differences
+    h = 1e-5
+    for x0, y0, k in [(0.4, 0.7, 2), (1.1, -0.3, 3), (0.9, 1.2, 4)]:
+        ad = derivative(lambda x: _coefficient_slope(x, y0, k), x0)
+        fd = (_coefficient_slope(x0 + h, y0, k) - _coefficient_slope(x0 - h, y0, k)) / (2 * h)
+        assert ad == pytest.approx(fd, rel=1e-7, abs=1e-8)
+
+
+@pytest.mark.parametrize("m,n", [(3, 2), (5, 3), (8, 3)])
+def test_bracket_through_duals_over_jets(m, n):
+    base = exp_base(0.7, 1.3)
+    prof = GammaProfile.from_c_C(-4.0, 0.0)
+    e = Extension(ExtensionSpec(m, n, -4.0, 0.0, 0.0, prof), base)
+    H, kr, kc = e.hamiltonian(), e.k_recursive(), e.k_closed()
+    for x in sample_points(5, 60, 2):
+        diff = poisson_bracket(H, kr, x) - poisson_bracket(H, kc, x)
+        assert abs(diff) <= 1e-10 * bracket_scale(H, kc, x)
+
+
+def test_jet_properties_hypothesis():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=60, deadline=None)
+    @hyp.given(st.sampled_from(JET_FUNCS), st.floats(0.2, 1.2))
+    def coefficients(named, x0):
+        _assert_taylor_coefficients(named[1], x0)
+
+    @hyp.settings(max_examples=30, deadline=None)
+    @hyp.given(st.floats(0.2, 1.5), st.floats(0.3, 1.5), st.integers(1, 4))
+    def no_confusion(x0, y0, k):
+        h = 1e-5
+        ad = derivative(lambda x: _coefficient_slope(x, y0, k), x0)
+        fd = (_coefficient_slope(x0 + h, y0, k) - _coefficient_slope(x0 - h, y0, k)) / (2 * h)
+        assert abs(ad - fd) <= 1e-6 * (1.0 + abs(fd))
+
+    coefficients()
+    no_confusion()

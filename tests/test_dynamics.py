@@ -8,6 +8,7 @@ from extham.catalog import make_minkowski_hamiltonian
 from extham.dynamics import (
     COMPLETED,
     DOMAIN_EXIT,
+    LEFT_DOMAIN,
     NO_CONVERGENCE,
     drift_report,
     integrate,
@@ -80,11 +81,22 @@ def test_domain_exit_guard(wedge_system):
 
 
 def test_no_convergence_status(wedge_system):
-    # a huge step near the singular region defeats the fixed-point solve
+    # a huge step near the singular region throws the first iterate out of
+    # H's domain: evaluating the flow overflows at step 0
     H, _, _ = wedge_system
     traj = integrate(H, PhasePoint((0.2, 0.0), (-1.0, 0.5)), 0.5, 10)
-    assert traj.status == NO_CONVERGENCE
+    assert traj.status == LEFT_DOMAIN
     assert traj.exit_step is not None
+
+
+def test_collapsing_orbit_reports_no_convergence(wedge_system):
+    # the acceptance orbit falls toward u -> 0; at step 356 every iterate
+    # stays finite but the residual never reaches fp_tol in 50 iterations
+    H, _, _ = wedge_system
+    traj = integrate(H, PhasePoint((1.0, 0.0), (0.2, 0.5)), 1e-3, 10_000, u_min=0.05)
+    assert traj.status == NO_CONVERGENCE
+    assert traj.exit_step == 356
+    assert np.all(np.isfinite(traj.states))
 
 
 def test_drift_report_controls(wedge_system):

@@ -190,7 +190,7 @@ def test_k_11_closed_form_and_d_special_case(base, profile):
         assert K(x) == pytest.approx(x.p[0] * base.G(bp) + gam * XG(bp), rel=1e-12)
 
 
-@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (3, 2), (4, 1), (5, 3)])
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (3, 2), (4, 1), (5, 3), (8, 3), (16, 3)])
 def test_k_recursive_equals_closed(base, profile, m, n):
     e = ext(base, profile, m, n)
     kr, kc = e.k_recursive(), e.k_closed()
@@ -240,6 +240,53 @@ def test_kbar_brackets_and_operator_equality(base, profile, twos, r, Omega):
         assert abs(poisson_bracket(H, kb_c, x)) <= 1e-9 * bracket_scale(H, kb_c, x)
         scale = 1.0 + abs(kb_c(x)) + e.kbar_magnitude(x, twos // 2, r)
         assert abs(kb_c(x) - kb_r(x)) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("Omega", [0.3, -0.7])
+def test_kbar_8_3_recursive_equals_closed(base, profile, Omega):
+    e = ext(base, profile, 8, 3, Omega=Omega)
+    kb_c, kb_r = e.kbar_closed(4, 3), e.kbar_recursive(4, 3)
+    for x in sample_points(20, 53, 2):
+        scale = 1.0 + abs(kb_c(x)) + e.kbar_magnitude(x, 4, 3)
+        assert abs(kb_c(x) - kb_r(x)) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("m,n", [(5, 3), (16, 3)])
+def test_recursive_k_base_rule_calls_grow_linearly(profile, m, n):
+    # one G call plus two L calls per order of the flow jet, m + n - 1 orders
+    b = exp_base(0.7, 1.3)
+    calls = []
+
+    def counted(rule):
+        def wrapper(q, p):
+            calls.append(1)
+            return rule(q, p)
+
+        return wrapper
+
+    b.G.rule, b.L.rule = counted(b.G.rule), counted(b.L.rule)
+    kr = Extension(ExtensionSpec(m, n, -4.0, 0.0, 0.0, profile), b).k_recursive()
+    for x in sample_points(3, 54, 2):
+        calls.clear()
+        kr(x)
+        assert len(calls) == 2 * (m + n - 1) + 1
+
+
+def test_recursive_route_uses_no_closed_form(base, profile, monkeypatch):
+    ek, ekbar = ext(base, profile, 5, 3), ext(base, profile, 4, 3, Omega=0.3)
+    x, bx = PhasePoint((1.1, 0.7), (0.8, -0.6)), PhasePoint((0.7,), (-0.6,))
+
+    def recursive_values():
+        return [ek.k_recursive()(x), ek.gn_recursive(3)(bx), ekbar.kbar_recursive(2, 3)(x)]
+
+    expected = recursive_values()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("closed form used by the recursive route")
+
+    for name in ("_gn_xgn_values", "_pd_values", "_closed_form"):
+        monkeypatch.setattr(Extension, name, refuse)
+    assert recursive_values() == expected
 
 
 def test_kbar_odd_m_uses_doubled_indices(base, profile):
