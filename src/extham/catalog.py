@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import duals as dm
-from .duals import primal
+from .duals import any_true, primal
 from .extension import BaseSystem, Extension, ExtensionSpec
 from .phase import PhaseFunction, PhasePoint, lift_last
 from .tagged_trig import GammaProfile
@@ -217,7 +217,7 @@ def polar_coords_generic(k, q, p):
     kf = _check_k(k)
     q1, q2 = q
     p1, p2 = p
-    if primal(q1) <= 0.0 or primal(q2) <= 0.0:
+    if any_true(primal(q1) <= 0.0) or any_true(primal(q2) <= 0.0):
         raise ValueError("pseudo-polar chart requires the wedge q1 > 0, q2 > 0")
     u = dm.sqrt(2.0 * q1 * q2)
     chi = 0.5 * dm.log(q1 / q2)
@@ -232,7 +232,7 @@ def null_coords_generic(k, q, p):
     kf = _check_k(k)
     u, psi = q
     pu, ppsi = p
-    if primal(u) <= 0.0:
+    if any_true(primal(u) <= 0.0):
         raise ValueError("pseudo-polar chart requires u > 0")
     chi = psi / (kf + 1.0)
     ech = dm.exp(chi)
@@ -289,7 +289,7 @@ def make_minkowski_hamiltonian(k, alpha, beta, Omega=0.0):
 
     def H_rule(q, p):
         q1, q2 = q
-        if primal(q1) <= 0.0 or primal(q2) <= 0.0:
+        if any_true(primal(q1) <= 0.0) or any_true(primal(q2) <= 0.0):
             raise ValueError("Minkowski family is defined on the wedge q1, q2 > 0")
         val = (
             p[0] * p[1]
@@ -414,7 +414,7 @@ def make_remark_pair(d1=2.0, d2=3.0):
     d1f, d2f = float(d1), float(d2)
 
     def _wedge(q):
-        if primal(q[0]) <= 0.0:
+        if any_true(primal(q[0]) <= 0.0):
             raise ValueError("q1 > 0 required")
 
     def H1_rule(q, p):

@@ -61,7 +61,7 @@ def rescale_radial(f):
 
     def new_rule(q, p):
         v = q[0]
-        if dm.primal(v) <= 0.0:
+        if dm.any_true(dm.primal(v) <= 0.0):
             raise ValueError("radial rescale requires v > 0")
         u = dm.sqrt(2.0 * v)
         return rule((u,) + q[1:], (u * p[0],) + p[1:])

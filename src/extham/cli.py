@@ -7,6 +7,7 @@ identical flags reproduce byte-identical output.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -25,10 +26,18 @@ from .catalog import (
     trig_base,
 )
 from .ccm import CcmSpec, ccm_transform, rescale_radial
+from .duals import primal
 from .dynamics import drift_report, integrate
 from .extension import Extension, ExtensionSpec, jacobian_rank
 from .ladder import ladder_eigen_pattern, ladder_from_base, ladder_residuals, ladder_scale
-from .phase import PhaseFunction, PhasePoint, bracket_of_gradients, gradient, lift_last
+from .phase import (
+    PhaseFunction,
+    PhasePoint,
+    batch_blocks,
+    bracket_of_gradients,
+    lift_last,
+    partials_at,
+)
 from .sampling import RNG_NAME, sample_points, sample_scalars
 from .tagged_trig import GammaProfile, gamma, gamma_prime
 
@@ -71,25 +80,29 @@ def _parse_k(text, allow_irrational):
 def _bracket_sweep(H, integrals, points):
     """(max |{H,K}|, max |{H,K}|/(|grad H||grad K|), min rank of (H, K...)) over points.
 
-    One Jacobian per point gives the brackets, their scales and the rank, each
-    equal to poisson_bracket, bracket_scale and functional_independence. Sums
-    run over Python floats, so verdicts stay plain bools.
+    Each function's gradient is taken once for all points: the coordinates go
+    in as Batch leaves, and jac[i, j] is the gradient of the j-th function at
+    points[i]. The brackets, their scales and the ranks equal poisson_bracket,
+    bracket_scale and functional_independence at each point (np.vecdot takes
+    the same dot product as np.linalg.norm). Maxima run over Python floats,
+    so verdicts stay plain bools.
     """
     fs = [H] + [f for _, f in integrals]
+    q, p = batch_blocks(np.array([x.q + x.p for x in points]))
+    jac = np.empty((len(points), len(fs), 2 * H.dof))
+    for j, f in enumerate(fs):
+        _, dq, dp = partials_at(f, q, p, range(H.dof))
+        for s, v in enumerate(dq + dp):
+            jac[:, j, s] = primal(v)  # a tangent that is a scalar zero broadcasts
+    norms = np.sqrt(np.vecdot(jac, jac))
     max_abs = 0.0
     max_rel = 0.0
-    ranks = []
-    for x in points:
-        jac = [gradient(f, x) for f in fs]
-        gH, normH = jac[0].tolist(), np.linalg.norm(jac[0])
-        for gK in jac[1:]:
-            b = abs(bracket_of_gradients(gH, gK.tolist()))
-            s = float(normH * np.linalg.norm(gK))
-            max_abs = max(max_abs, b)
-            if s > 0:
-                max_rel = max(max_rel, b / s)
-        ranks.append(jacobian_rank(np.array(jac)))
-    return max_abs, max_rel, min(ranks)
+    for j in range(1, len(fs)):
+        b = abs(bracket_of_gradients(jac[:, 0].T, jac[:, j].T))
+        s = norms[:, 0] * norms[:, j]
+        max_abs = max([max_abs] + b.tolist())
+        max_rel = max([max_rel] + (b[s > 0] / s[s > 0]).tolist())
+    return max_abs, max_rel, int(jacobian_rank(jac).min())
 
 
 # Highest momentum degree of a Minkowski wedge integral that verify checks. Past it
@@ -486,10 +499,16 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    """The parser main uses, built once per process: parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
     """Run one subcommand; any error that is not a verdict exits 2 with a JSON error."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except Exception as exc:
         _log(f"error: {type(exc).__name__}: {exc}")

@@ -9,16 +9,28 @@ arithmetic is cheap.
 
 A :class:`Jet` is the second leaf: a truncated Taylor series in one
 scalar parameter t whose coefficients are floats or Duals. Every math
-function here dispatches Dual -> Jet -> ``math``, in that order, so one
-rule evaluates on floats, on Duals, on Jets and on Duals wrapping Jets. A
-Jet never absorbs a Dual as a scalar: its arithmetic returns
+function here dispatches Dual -> Jet -> Batch -> ``math``, in that order,
+so one rule evaluates on floats, Duals, Jets, Batches and Duals wrapping
+any of them. A Jet never absorbs a Dual as a scalar: its arithmetic returns
 NotImplemented, so the Dual wraps the Jet and the outermost layer always
 carries the newest tag. Jets must therefore only meet Duals seeded after
 their coefficients were built.
+
+A :class:`Batch` is the third leaf: a float64 array holding one coordinate
+at many sample points, so one evaluation differentiates all of them. numpy
+does its + - * /, which round like Python floats; its ``**`` and every math
+function here apply the ``math`` function entry by entry instead, because
+numpy's own power, exp, log, tan and hyperbolic functions differ from libm
+in the last bit on a share of inputs. Dual and Jet set ``__array_ufunc__``
+to None, so an array operand defers to them. Guards on values go through
+:func:`any_true`, which leaves float and Jet evaluations free of numpy calls.
 """
 
 import itertools
 import math
+import operator
+
+import numpy as np
 
 _fresh_tag = itertools.count(1).__next__
 
@@ -27,6 +39,8 @@ class Dual:
     """Value plus a single tagged derivative slot; components may be Duals."""
 
     __slots__ = ("val", "dot", "tag")
+    # array operands defer to the Dual, which keeps the array as its leaf
+    __array_ufunc__ = None
 
     def __init__(self, val, dot, tag):
         self.val = val
@@ -102,10 +116,14 @@ class Dual:
         return Dual(pow_(self.val, r), (r * pow_(self.val, r - 1)) * self.dot, self.tag)
 
     def __rpow__(self, base):
-        return exp(self * math.log(base))
+        return exp(self * log(base))
 
     def __abs__(self):
-        s = 1.0 if primal(self) >= 0.0 else -1.0
+        x = primal(self)
+        if isinstance(x, np.ndarray):
+            s = batch(np.where(x >= 0.0, 1.0, -1.0))
+        else:
+            s = 1.0 if x >= 0.0 else -1.0
         return Dual(abs(self.val), self.dot * s, self.tag)
 
     # Comparisons act on the underlying primal value.
@@ -130,6 +148,7 @@ class Jet:
     """
 
     __slots__ = ("c",)
+    __array_ufunc__ = None
 
     def __init__(self, coeffs):
         self.c = list(coeffs)
@@ -301,6 +320,42 @@ def _jet_pow(x, r):
     return Jet(b)
 
 
+class Batch(np.ndarray):
+    """One coordinate at many sample points: a float64 array leaf.
+
+    Only ``**`` differs from a plain array: it is Python's float power,
+    entry by entry, so a batched evaluation rounds like the float one.
+    """
+
+    def __pow__(self, r):
+        if isinstance(r, (Dual, Jet)):
+            return NotImplemented
+        return _entrywise(operator.pow, self, r)
+
+    def __rpow__(self, base):
+        return _entrywise(operator.pow, base, self)
+
+
+def batch(values):
+    """values (a sequence or array of floats) as a Batch leaf."""
+    return np.asarray(values, dtype=float).view(Batch)
+
+
+def _entrywise(fn, *args):
+    """fn applied entry by entry; array arguments are zipped, scalars repeated."""
+    cols = [a.tolist() if isinstance(a, np.ndarray) else itertools.repeat(a) for a in args]
+    return batch([fn(*vals) for vals in zip(*cols)])
+
+
+def any_true(cond):
+    """Whether a guard holds: cond itself for a scalar, at any entry for an array.
+
+    Scalar conditions never reach numpy, so float and Jet evaluations pay
+    nothing for the array case.
+    """
+    return cond.any() if isinstance(cond, np.ndarray) else cond
+
+
 def primal(x):
     """Strip every derivative and Taylor layer, returning the plain float value."""
     while True:
@@ -350,7 +405,7 @@ def nth_derivative(f, x, order):
     return derivative(lambda t: nth_derivative(f, t, order - 1), x)
 
 
-# -- math functions that dispatch Dual -> Jet -> math ------------------
+# -- math functions that dispatch Dual -> Jet -> Batch -> math ----------
 
 
 def exp(x):
@@ -359,6 +414,8 @@ def exp(x):
         return Dual(e, e * x.dot, x.tag)
     if isinstance(x, Jet):
         return _jet_exp(x)
+    if isinstance(x, np.ndarray):
+        return _entrywise(math.exp, x)
     return math.exp(x)
 
 
@@ -367,6 +424,8 @@ def log(x):
         return Dual(log(x.val), x.dot / x.val, x.tag)
     if isinstance(x, Jet):
         return _jet_log(x)
+    if isinstance(x, np.ndarray):
+        return _entrywise(math.log, x)
     return math.log(x)
 
 
@@ -376,6 +435,8 @@ def sqrt(x):
         return Dual(s, x.dot / (s + s), x.tag)
     if isinstance(x, Jet):
         return _jet_sqrt(x)
+    if isinstance(x, np.ndarray):
+        return _entrywise(math.sqrt, x)
     return math.sqrt(x)
 
 
@@ -384,6 +445,8 @@ def sin(x):
         return Dual(sin(x.val), cos(x.val) * x.dot, x.tag)
     if isinstance(x, Jet):
         return _jet_sin_cos(x, False)[0]
+    if isinstance(x, np.ndarray):
+        return _entrywise(math.sin, x)
     return math.sin(x)
 
 
@@ -392,6 +455,8 @@ def cos(x):
         return Dual(cos(x.val), -sin(x.val) * x.dot, x.tag)
     if isinstance(x, Jet):
         return _jet_sin_cos(x, False)[1]
+    if isinstance(x, np.ndarray):
+        return _entrywise(math.cos, x)
     return math.cos(x)
 
 
@@ -401,6 +466,8 @@ def tan(x):
         return Dual(t, (1.0 + t * t) * x.dot, x.tag)
     if isinstance(x, Jet):
         return _jet_tan(x, False)
+    if isinstance(x, np.ndarray):
+        return _entrywise(math.tan, x)
     return math.tan(x)
 
 
@@ -409,6 +476,8 @@ def sinh(x):
         return Dual(sinh(x.val), cosh(x.val) * x.dot, x.tag)
     if isinstance(x, Jet):
         return _jet_sin_cos(x, True)[0]
+    if isinstance(x, np.ndarray):
+        return _entrywise(math.sinh, x)
     return math.sinh(x)
 
 
@@ -417,6 +486,8 @@ def cosh(x):
         return Dual(cosh(x.val), sinh(x.val) * x.dot, x.tag)
     if isinstance(x, Jet):
         return _jet_sin_cos(x, True)[1]
+    if isinstance(x, np.ndarray):
+        return _entrywise(math.cosh, x)
     return math.cosh(x)
 
 
@@ -426,6 +497,8 @@ def tanh(x):
         return Dual(t, (1.0 - t * t) * x.dot, x.tag)
     if isinstance(x, Jet):
         return _jet_tan(x, True)
+    if isinstance(x, np.ndarray):
+        return _entrywise(math.tanh, x)
     return math.tanh(x)
 
 
@@ -435,4 +508,6 @@ def pow_(x, r):
         return x**r
     if isinstance(x, Jet):
         return _jet_pow(x, r)
+    if isinstance(x, np.ndarray):
+        return _entrywise(math.pow, x, r)
     return math.pow(x, r)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase import PhasePoint, gradient
+from .phase import PhasePoint, batch_blocks, gradient
 
 COMPLETED = "completed"
 DOMAIN_EXIT = "domain-exit"
@@ -37,9 +37,6 @@ class Trajectory:
 
     def point(self, i):
         return PhasePoint.from_array(self.states[i])
-
-    def points(self):
-        return [PhasePoint.from_array(s) for s in self.states]
 
     def write_csv(self, fh):
         """Write t, q..., p... rows to fh, a text file opened with newline=""."""
@@ -66,6 +63,9 @@ def integrate(H, x0, h, steps, fp_tol=1e-13, max_iter=50, u_min=None, u_slot=0):
     residual never falls to fp_tol in max_iter iterations truncates with
     NO_CONVERGENCE; one whose iterate leaves H's domain (evaluating the flow
     raises, or the iterate is no longer finite) truncates with LEFT_DOMAIN.
+    The rule evaluates H only between states, so when the run stops H is
+    evaluated once at the last state: if that raises, the state is dropped
+    and the run truncates with LEFT_DOMAIN at the step that produced it.
     """
     if h == 0.0:
         raise ValueError("step size must be nonzero")
@@ -98,6 +98,12 @@ def integrate(H, x0, h, steps, fp_tol=1e-13, max_iter=50, u_min=None, u_slot=0):
             break
         z = y
         states.append(z.copy())
+    if len(states) > 1:
+        try:
+            H(PhasePoint.from_array(states[-1]))
+        except (OverflowError, ValueError, ZeroDivisionError):
+            states.pop()
+            status, exit_step = LEFT_DOMAIN, len(states) - 1
     n = len(states)
     times = np.arange(n) * h
     return Trajectory(times=times, states=np.array(states), h=h, status=status,
@@ -107,12 +113,16 @@ def integrate(H, x0, h, steps, fp_tol=1e-13, max_iter=50, u_min=None, u_slot=0):
 def drift_report(traj, functions):
     """Max relative drift |f(x_t) - f(x_0)| / (1 + |f(x_0)|) per function.
 
-    functions maps name -> PhaseFunction; evaluation failures propagate.
+    functions maps name -> PhaseFunction. Each is evaluated once, on every
+    state at a time as Batch leaves; evaluation failures propagate.
     """
-    pts = traj.points()
+    q, p = batch_blocks(traj.states)
     out = {}
     for name, f in functions.items():
-        f0 = f(pts[0])
+        if f.dof != traj.dof:
+            raise ValueError(f"function of {f.dof} dof evaluated at a {traj.dof}-dof point")
+        values = np.broadcast_to(f.rule(q, p), len(traj.states)).tolist()
+        f0 = values[0]
         denom = 1.0 + abs(f0)
-        out[name] = max(abs(f(x) - f0) for x in pts) / denom
+        out[name] = max(abs(v - f0) for v in values) / denom
     return out

@@ -389,22 +389,22 @@ def _coefficient(y, k):
 
 def functional_independence(fs, x):
     """Rank of the Jacobian of fs w.r.t. all phase coordinates at x."""
-    return jacobian_rank(np.array([gradient(f, x) for f in fs]))
+    return int(jacobian_rank(np.array([gradient(f, x) for f in fs])))
 
 
 def jacobian_rank(jac):
     """Numerical rank of a Jacobian whose rows are gradients at one point.
 
-    Rows are normalized before the SVD: gradients of high-degree integrals
-    run 8+ orders larger than those of H and L, which would otherwise push
-    genuinely independent directions under any relative threshold.
+    A stack of Jacobians, shaped (points, functions, coordinates), gives
+    one rank per point. Rows are normalized before the SVD: gradients of
+    high-degree integrals run 8+ orders larger than those of H and L, which
+    would otherwise push genuinely independent directions under any
+    relative threshold. A zero leading singular value gives rank 0.
     """
-    norms = np.linalg.norm(jac, axis=1)
+    norms = np.linalg.norm(jac, axis=-1, keepdims=True)
     safe = np.where(norms > 0.0, norms, 1.0)
-    svals = np.linalg.svd(jac / safe[:, None], compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return 0
-    return int(np.sum(svals > 1e-8 * svals[0]))
+    svals = np.linalg.svd(jac / safe, compute_uv=False)
+    return np.sum(svals > 1e-8 * svals[..., :1], axis=-1)
 
 
 def bracket_scale(f, g, x):

@@ -18,7 +18,7 @@ are evaluated here only as diagnostics; see ladder_eigen_residual.
 from dataclasses import dataclass
 
 from . import duals as dm
-from .duals import derivative, nth_derivative, primal
+from .duals import any_true, derivative, nth_derivative, primal
 from .phase import PhaseFunction, hamiltonian_vector_field
 
 
@@ -75,7 +75,7 @@ def ladder_function(data, sign):
 
     def rule(q, p):
         arg = 2.0 * (-c * L_rule(q, p) + c0)
-        if primal(arg) <= 0.0:
+        if any_true(primal(arg) <= 0.0):
             raise ValueError("ladder function needs eta^2 L + c0 > 0 at the point")
         f = dm.sqrt(arg)
         return sign * derivative(F, q[0]) * p[0] + F(q[0]) * f + c1 / f

@@ -3,9 +3,11 @@
 Evaluation rules receive the coordinate and momentum blocks as tuples whose
 entries are floats or :class:`~extham.duals.Dual` numbers, so every function
 built from them supports exact first derivatives in any single phase
-direction, at any nesting depth. Functions are immutable after construction
-and all operations are pure; concurrent evaluation at distinct points needs
-no synchronization.
+direction, at any nesting depth. An entry may also be a
+:class:`~extham.duals.Batch` holding that coordinate at many points
+(:func:`batch_blocks`), so one evaluation covers all of them. Functions
+are immutable after construction and all operations are pure; concurrent
+evaluation at distinct points needs no synchronization.
 """
 
 from dataclasses import dataclass
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import duals
-from .duals import new_tag, primal, tangent_part, value_part
+from .duals import batch, new_tag, primal, tangent_part, value_part
 
 
 @dataclass(frozen=True)
@@ -103,6 +105,13 @@ class PhaseFunction:
     def __neg__(self):
         f = self.rule
         return PhaseFunction(lambda q, p: -f(q, p), self.dof)
+
+
+def batch_blocks(z):
+    """(q, p) blocks of Batch leaves for the points that are the rows of z."""
+    d = z.shape[1] // 2
+    cols = tuple(batch(z[:, i]) for i in range(2 * d))
+    return cols[:d], cols[d:]
 
 
 def coordinate(i, dof):

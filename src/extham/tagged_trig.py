@@ -20,18 +20,26 @@ the opposite-sign effective gamma'.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import duals as dm
-from .duals import primal
+from .duals import any_true, primal
 
 _POLE_GUARD = 1e-300
 
 
 class GammaPoleError(ZeroDivisionError):
-    """gamma(u) evaluated at (or indistinguishably close to) a pole."""
+    """gamma(u) evaluated at (or indistinguishably close to) a pole.
 
-    def __init__(self, u):
-        super().__init__(f"gamma profile singular at u={primal(u)!r}")
-        self.u = primal(u)
+    For a batch of points, u is the first entry where the mask at is true.
+    """
+
+    def __init__(self, u, at=True):
+        u = primal(u)
+        if isinstance(u, np.ndarray):
+            u = float(u[at][0])
+        super().__init__(f"gamma profile singular at u={u!r}")
+        self.u = u
 
 
 def tagged_S(kappa, x):
@@ -90,9 +98,15 @@ class GammaProfile:
         return GammaProfile(c, kappa * c, kappa, shift, translated)
 
 
+def _pole_guard(den, u):
+    """Raise GammaPoleError where den is indistinguishable from zero."""
+    near = abs(primal(den)) < _POLE_GUARD
+    if any_true(near):
+        raise GammaPoleError(u, near)
+
+
 def _checked_div(num, den, u):
-    if abs(primal(den)) < _POLE_GUARD:
-        raise GammaPoleError(u)
+    _pole_guard(den, u)
     return num / den
 
 
@@ -123,14 +137,12 @@ def gamma_prime(profile, u):
     k = profile.kappa
     if not profile.translated:
         s = tagged_S(k, x)
-        if abs(primal(s)) < _POLE_GUARD:
-            raise GammaPoleError(u)
+        _pole_guard(s, u)
         return -c / (s * s)
     if k > 0:
         # translated S^2 = cos^2(sqrt(k) x)/k
         cc = dm.cos(dm.sqrt(k) * x)
-        if abs(primal(cc)) < _POLE_GUARD:
-            raise GammaPoleError(u)
+        _pole_guard(cc, u)
         return -c * k / (cc * cc)
     # translated (kappa<0): S^2 picks up a sign, so gamma' = +c|kappa| sech^2
     ch = dm.cosh(dm.sqrt(-k) * x)

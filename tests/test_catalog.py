@@ -2,11 +2,14 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from extham import duals as dm
 from extham.catalog import (
     catalog_listing,
     cosh_base,
+    default_models,
     exp_base,
     from_pseudo_polar,
     make_base_family,
@@ -21,8 +24,9 @@ from extham.catalog import (
     trig_base,
 )
 from extham.extension import Extension, ExtensionSpec, bracket_scale, seed_equation_terms
-from extham.phase import PhaseFunction, PhasePoint, poisson_bracket
+from extham.phase import PhaseFunction, PhasePoint, partials_at, poisson_bracket
 from extham.sampling import make_rng, sample_points
+from extham.tagged_trig import GammaProfile
 
 
 def wedge_points(num, seed):
@@ -293,3 +297,40 @@ def test_first_integral_is_the_catalog_integral(build, label):
     else:
         for x in sample_points(10, 67, 2, q_ranges=mdl.q_windows):
             assert f(x) == direct(x) == catalog_K(x)
+
+
+def test_batch_off_the_wedge_raises_the_per_point_message():
+    mdl = make_minkowski_hamiltonian(Fraction(1), 1.0, 2.0, 0.3)
+    h1, _ = make_remark_pair()
+    cases = [(f, (0.7, -0.2)) for f in [mdl.H] + [f for _, f in mdl.known_integrals]]
+    cases.append((h1.H, (-0.7, 0.2)))
+    p = (dm.batch([0.1, 0.2, 0.3]), dm.batch([0.2, 0.1, -0.4]))
+    for f, bad in cases:
+        q = tuple(dm.batch([0.5, b, 0.9]) for b in bad)  # only the middle point is off
+        with pytest.raises(ValueError) as batched:
+            f.rule(q, p)
+        with pytest.raises(ValueError) as single:
+            f.rule(bad, (0.2, 0.1))
+        assert str(batched.value) == str(single.value)
+
+
+def test_float_evaluations_never_call_numpy(monkeypatch):
+    # guards on float points must stay plain comparisons: numpy calls in the
+    # scalar path cost the integrator about 30%
+    fs = []
+    for mdl in default_models():
+        fs += [(mdl.H, mdl.q_windows), (mdl.known_integrals[-1][1], mdl.q_windows)]
+    ext = Extension(ExtensionSpec(5, 3, -4.0, 0.0, 0.0, GammaProfile.from_c_C(-4.0, 0.0)),
+                    exp_base(0.7, 1.3))
+    fs.append((ext.k_recursive(), ((0.3, 2.0), (0.3, 2.0))))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy called on a float evaluation")
+
+    monkeypatch.setattr(np, "any", refuse)
+    monkeypatch.setattr(np, "asarray", refuse)
+    for f, windows in fs:
+        q = tuple(0.5 * (lo + hi) for lo, hi in windows)
+        p = (0.4, -0.3)
+        assert isinstance(f.rule(q, p), float)
+        partials_at(f, q, p, range(2))

@@ -3,13 +3,15 @@ import json
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from extham import cli, phase
 from extham.cli import main
 from extham.ccm import rescale_radial
 from extham.extension import bracket_scale, functional_independence
-from extham.phase import poisson_bracket
+from extham.duals import primal
+from extham.phase import PhasePoint, batch_blocks, gradient, partials_at, poisson_bracket
 from extham.sampling import sample_points
 
 
@@ -301,6 +303,113 @@ def test_verify_takes_each_gradient_once_per_point(capsys, monkeypatch):
     for name, mod in list(sys.modules.items()):
         if name.startswith("extham") and getattr(mod, "partials_at", None) is original:
             monkeypatch.setattr(mod, "partials_at", counted)
-    code, _, _ = run_cli(capsys, "verify", "--model", "minkowski", "--k", "1", "--points", "1")
-    assert code == 0
-    assert len(calls) == 11
+    for points in ("1", "7"):  # one batched sweep, whatever the number of points
+        calls.clear()
+        code, _, _ = run_cli(capsys, "verify", "--model", "minkowski", "--k", "1", "--points", points)
+        assert code == 0
+        assert len(calls) == 11
+
+
+# the verify cases of the benchmark sweep, (model, k, Omega), at the default
+# alpha, beta, eta, psi0, m, n and d
+SWEEP_CASES = [
+    ("minkowski", "1", "0.0"), ("minkowski", "1/2", "0.0"), ("minkowski", "2", "0.0"),
+    ("minkowski", "1", "0.3"), ("minkowski", "1/2", "0.3"), ("minkowski", "5/3", "0.0"),
+    ("sphere", "1", "0.0"), ("pseudosphere", "1", "0.0"), ("de-sitter", "1", "0.0"),
+    ("anti-de-sitter", "1", "0.0"), ("ttw-flat", "1", "0.0"), ("remark-h1", "1", "0.0"),
+    ("remark-h2", "1", "0.0"),
+]
+
+
+def _assert_same_gradients(fs, pts):
+    """Batched gradients equal the per-point ones entry for entry, not only in the maxima."""
+    q, p = batch_blocks(np.array([x.q + x.p for x in pts]))
+    for f in fs:
+        _, dq, dp = partials_at(f, q, p, range(f.dof))
+        got = np.array([np.broadcast_to(primal(v), len(pts)) for v in dq + dp]).T
+        assert got.tolist() == [gradient(f, x).tolist() for x in pts]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("case", SWEEP_CASES, ids=["-".join(c) for c in SWEEP_CASES])
+def test_batched_sweep_equals_per_point_figures(case, seed):
+    model, k, omega = case
+    args = cli.build_parser().parse_args(["verify", "--model", model, "--k", k, "--omega", omega])
+    mdl = cli._verify_model(args)
+    pts = sample_points(args.points, seed, mdl.H.dof, q_ranges=mdl.q_windows)
+    _assert_same_sweep(mdl.H, mdl.known_integrals, pts)
+    _assert_same_gradients([mdl.H] + [f for _, f in mdl.known_integrals], pts)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("m,n", [(2, 1), (4, 3)])
+def test_batched_ccm_sweep_equals_per_point_figures(m, n, seed):
+    args = cli.build_parser().parse_args(["ccm", "--m", str(m), "--n", str(n)])
+    base, Hp, Kp = cli._ccm_pair(args)
+    pts = sample_points(args.points, seed, 2, q_ranges=((0.3, 2.0), base.psi_window))
+    _assert_same_sweep(Hp, [("Kprime", Kp)], pts)
+    _assert_same_sweep(rescale_radial(Hp), [("K2", rescale_radial(Kp))], pts)
+    _assert_same_gradients([Hp, Kp, rescale_radial(Hp), rescale_radial(Kp)], pts)
+
+
+def test_single_point_batches(capsys):
+    # --points 1 evaluates on arrays of one entry
+    args = cli.build_parser().parse_args(["verify", "--model", "minkowski", "--points", "1"])
+    mdl = cli._verify_model(args)
+    pts = sample_points(1, args.seed, 2, q_ranges=mdl.q_windows)
+    _assert_same_sweep(mdl.H, mdl.known_integrals, pts)
+    code, out, _ = run_cli(capsys, "verify", "--model", "minkowski", "--points", "1")
+    report = json.loads(out)
+    assert code == 0 and report["num_points"] == 1
+    assert report["max_abs_bracket"] == _separate_sweep(mdl.H, mdl.known_integrals, pts)[0]
+    code, out, _ = run_cli(capsys, "ccm", "--m", "4", "--n", "3", "--points", "1")
+    assert code == 0 and json.loads(out)["pass"] is True
+
+
+def test_pow_errors_in_a_batch_exit_two(capsys, monkeypatch):
+    # overflow: q1 q2^2000 leaves double range at q2 > 1.43
+    code, out, _ = run_cli(capsys, "verify", "--model", "remark-h2", "--d", "2000", "--points", "5")
+    assert code == 2 and json.loads(out)["error"] == "math range error"
+    # domain: one sample point with q2 < 0 puts a negative base under q2^0.5
+    pts = [PhasePoint((0.5, 0.7), (0.1, 0.2)), PhasePoint((0.6, -0.3), (0.1, 0.2))]
+    monkeypatch.setattr(cli, "sample_points", lambda *a, **kw: pts)
+    code, out, _ = run_cli(capsys, "verify", "--model", "remark-h1", "--d", "0.5", "--points", "2")
+    assert code == 2 and json.loads(out)["error"] == "math domain error"
+
+
+def test_parser_reuse_leaks_nothing_between_calls(capsys, tmp_path):
+    # main builds its parser once; each call must read as if on a fresh parser
+    argvs = [
+        ("verify", "--model", "minkowski", "--points", "3", "--tol", "1e-3", "--omega", "0.3"),
+        ("ladder", "--points", "3"),
+        ("verify", "--model", "minkowski", "--points", "3"),
+        ("ccm", "--points", "3", "--m", "4", "--n", "3"),
+        ("verify", "--model", "ttw-flat", "--points", "3", "--no-integral"),
+        ("integrate", "--x0", "1", "0", "3.2", "0.5", "--steps", "3",
+         "--csv", str(tmp_path / "x.csv")),
+        ("ccm", "--points", "3"),
+        ("gamma-table",),
+        ("catalog",),
+    ]
+    reused = [run_cli(capsys, *argv)[:2] for argv in argvs]
+    fresh = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv)[:2])
+    assert reused == fresh
+
+
+def test_null_chart_orbit_that_leaves_the_wedge_exits_one(capsys, tmp_path):
+    # the midpoint rule evaluates H only between states, so step 2320 accepted
+    # a state with q2 < 0; it is dropped and the run exits 1 with a drift report
+    path = tmp_path / "x.csv"
+    code, out, _ = run_cli(capsys, "integrate", "--chart", "null", "--omega", "0.3",
+                           "--x0", "0.7", "0.7", "2.97", "1.56", "--csv", str(path))
+    report = json.loads(out)
+    assert code == 1
+    assert report["status"] == "left-domain"
+    assert report["exit_step"] == report["steps_completed"] == 2320
+    assert set(report["drift"]) == {"H", "L", "Kbar(4,1)"}
+    with open(path) as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 2322 and min(float(v) for v in rows[-1][1:3]) > 0.0

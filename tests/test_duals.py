@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from extham import duals as dm
@@ -192,3 +193,70 @@ def test_jet_properties_hypothesis():
 
     coefficients()
     no_confusion()
+
+
+# -- Batch leaf ------------------------------------------------------------
+
+BATCH_XS = [0.35 + 0.0137 * i for i in range(80)]
+
+
+@pytest.mark.parametrize("name,f", JET_FUNCS)
+def test_batch_equals_float_evaluation(name, f):
+    # values and derivatives over a Batch equal the float ones bit for bit
+    got = f(dm.batch(BATCH_XS))
+    assert isinstance(got, dm.Batch)
+    assert got.tolist() == [f(x) for x in BATCH_XS]
+    slopes = derivative(f, dm.batch(BATCH_XS))
+    assert np.broadcast_to(slopes, len(BATCH_XS)).tolist() == [derivative(f, x) for x in BATCH_XS]
+
+
+def test_arrays_defer_to_duals():
+    d = Dual(1.5, 1.0, dm.new_tag())
+    outs = (np.array([1.0, 2.0]) + d, np.float64(2.0) * d, np.ones(2) / d,
+            np.float64(3.0) - d, dm.batch([1.0, 2.0]) * d, dm.batch([2.0, 3.0]) ** d)
+    for out in outs:
+        assert isinstance(out, Dual)
+    assert outs[0].val.tolist() == [2.5, 3.5]
+    assert outs[1].val == 3.0 and outs[1].dot == 2.0
+    assert outs[-1].dot.tolist() == [(2.0**d).dot, (3.0**d).dot]
+
+
+def test_batch_abs_and_guards():
+    tag = dm.new_tag()
+    a = abs(Dual(dm.batch([-1.5, 0.0, 2.0]), 1.0, tag))
+    assert a.val.tolist() == [1.5, 0.0, 2.0]
+    assert a.dot.tolist() == [-1.0, 1.0, 1.0]
+    assert dm.any_true(dm.batch([0.5, -0.1]) <= 0.0)
+    assert not dm.any_true(dm.batch([0.5, 0.1]) <= 0.0)
+    assert dm.any_true(-0.1 <= 0.0) is True and dm.any_true(0.1 <= 0.0) is False
+
+
+def test_batch_power_is_python_power():
+    # numpy's power differs from libm's in the last bit on a share of inputs
+    xs = [0.3 + 0.0123 * i for i in range(200)]
+    for r in (2, 3, 7, -2, 0.5, -1.7):
+        assert (dm.batch(xs) ** r).tolist() == [x**r for x in xs]
+        assert dm.pow_(dm.batch(xs), r).tolist() == [math.pow(x, r) for x in xs]
+    assert (2.0 ** dm.batch(xs)).tolist() == [2.0**x for x in xs]
+    with pytest.raises(ValueError, match="math domain error"):
+        dm.pow_(dm.batch([1.0, -2.0]), 0.5)
+    with pytest.raises(OverflowError):
+        dm.pow_(dm.batch([1.0, 1e200]), 3.0)
+
+
+def test_batch_no_perturbation_confusion_hypothesis():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def f(x, y0):
+        # d/dx [x * d/dy (x exp(x y) + sin(x y)) at y0]: the inner tag is newer
+        return x * derivative(lambda y: x * dm.exp(x * y) + dm.sin(y * x), y0)
+
+    @hyp.settings(max_examples=40, deadline=None)
+    @hyp.given(st.lists(st.floats(0.2, 2.0), min_size=1, max_size=8), st.floats(0.3, 1.5))
+    def batched_equals_per_entry(xs, y0):
+        got = derivative(lambda x: f(x, y0), dm.batch(xs))
+        assert np.broadcast_to(got, len(xs)).tolist() == [derivative(lambda x: f(x, y0), x)
+                                                           for x in xs]
+
+    batched_equals_per_entry()

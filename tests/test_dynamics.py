@@ -89,6 +89,21 @@ def test_no_convergence_status(wedge_system):
     assert traj.exit_step is not None
 
 
+def test_last_state_outside_the_domain_is_dropped():
+    # H is refused below q = -0.008; step 0 evaluates it only at the midpoint
+    # -0.005 and accepts q = -0.01, where H itself is refused
+    def rule(q, p):
+        if q[0] < -0.008:
+            raise ValueError("outside")
+        return 0.5 * p[0] * p[0]
+
+    for steps in (1, 5):
+        traj = integrate(PhaseFunction(rule, 1), PhasePoint((0.0,), (-1.0,)), 0.01, steps)
+        assert traj.status == LEFT_DOMAIN
+        assert traj.exit_step == 0
+        assert traj.states.tolist() == [[0.0, -1.0]]
+
+
 def test_collapsing_orbit_reports_no_convergence(wedge_system):
     # the acceptance orbit falls toward u -> 0; at step 356 every iterate
     # stays finite but the residual never reaches fp_tol in 50 iterations
@@ -109,6 +124,17 @@ def test_drift_report_controls(wedge_system):
     assert rep["const"] == 0.0
     assert rep["psi"] > 0.01  # non-integral drifts O(1), reported without error
     assert rep["H"] < 1e-4
+
+
+def test_drift_report_equals_per_state_evaluation(wedge_system):
+    # one batched evaluation per function gives the per-state drifts bit for bit
+    H, L, K = wedge_system
+    traj = integrate(H, PhasePoint((1.0, 0.0), (3.2, 0.5)), 1e-3, 300)
+    fns = {"H": H, "L": L, "K": K, "const": PhaseFunction(lambda q, p: 4.2, 2)}
+    rep = drift_report(traj, fns)
+    for name, f in fns.items():
+        values = [f(traj.point(i)) for i in range(len(traj.states))]
+        assert rep[name] == max(abs(v - values[0]) for v in values) / (1.0 + abs(values[0]))
 
 
 def test_csv_round_trip(tmp_path, wedge_system):

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from extham.duals import derivative
+from extham.duals import batch, derivative
 from extham.sampling import sample_scalars
 from extham.tagged_trig import (
     GammaPoleError,
@@ -131,6 +131,16 @@ def test_pole_errors_report_offending_u():
     assert math.isfinite(gamma(proft, math.pi / 2))
     with pytest.raises(GammaPoleError):
         gamma(GammaProfile.from_c_kappa(1.0, 1.0), 0.0)
+
+
+def test_pole_errors_in_a_batch_name_the_first_offending_u():
+    prof = GammaProfile.from_c_C(-4.0, 0.0)
+    for fn in (gamma, gamma_prime):
+        with pytest.raises(GammaPoleError) as batched:
+            fn(prof, batch([0.5, -0.0, 0.0, 0.7]))
+        with pytest.raises(GammaPoleError) as single:
+            fn(prof, -0.0)
+        assert str(batched.value) == str(single.value) == "gamma profile singular at u=-0.0"
 
 
 def test_profile_validation():
