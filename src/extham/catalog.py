@@ -75,14 +75,17 @@ def make_base_family(C1, C2, C3, C4, eta, branch, psi_window=None):
     if eta == 0.0:
         raise ValueError("eta must be nonzero")
     eta_hat = abs(eta)
+    # g_and_slope returns g and g'/eta_hat from one pair of transcendentals
     if branch == "hyperbolic":
         c = -(eta_hat**2)
 
         def g(psi):
             return C1 * dm.exp(eta_hat * psi) + C2 * dm.exp(-eta_hat * psi)
 
-        def gp_over_eta(psi):
-            return C1 * dm.exp(eta_hat * psi) - C2 * dm.exp(-eta_hat * psi)
+        def g_and_slope(psi):
+            up = dm.exp(eta_hat * psi)
+            down = dm.exp(-eta_hat * psi)
+            return C1 * up + C2 * down, C1 * up - C2 * down
 
     elif branch == "trig":
         c = eta_hat**2
@@ -90,15 +93,17 @@ def make_base_family(C1, C2, C3, C4, eta, branch, psi_window=None):
         def g(psi):
             return C1 * dm.cos(eta_hat * psi) + C2 * dm.sin(eta_hat * psi)
 
-        def gp_over_eta(psi):
-            return -C1 * dm.sin(eta_hat * psi) + C2 * dm.cos(eta_hat * psi)
+        def g_and_slope(psi):
+            cos = dm.cos(eta_hat * psi)
+            sin = dm.sin(eta_hat * psi)
+            return C1 * cos + C2 * sin, -C1 * sin + C2 * cos
 
     else:
         raise ValueError(f"unknown branch {branch!r}")
 
     def V_rule(q, p):
-        gv = g(q[0])
-        return (C3 + C4 * gp_over_eta(q[0])) / (gv * gv)
+        gv, slope = g_and_slope(q[0])
+        return (C3 + C4 * slope) / (gv * gv)
 
     V = PhaseFunction(V_rule, 1)
     L = PhaseFunction(lambda q, p: 0.5 * p[0] * p[0] + V_rule(q, p), 1)

@@ -10,6 +10,7 @@ are immutable after construction and all operations are pure; concurrent
 evaluation at distinct points needs no synchronization.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ class PhasePoint:
         p = tuple(float(v) for v in self.p)
         if len(q) != len(p):
             raise ValueError(f"q and p must have equal length, got {len(q)} and {len(p)}")
-        if not all(np.isfinite(q + p)):
+        if not all(map(math.isfinite, q + p)):
             raise ValueError(f"non-finite phase point: q={q} p={p}")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)

@@ -18,16 +18,20 @@ def make_rng(seed):
 
 
 def sample_points(num, seed, dof, q_range=(0.3, 2.0), p_range=(-2.0, 2.0), q_ranges=None):
-    """num seeded PhasePoints; per-slot position windows via q_ranges."""
+    """num seeded PhasePoints; per-slot position windows via q_ranges.
+
+    One draw fills a (num, 2*dof) array row by row, with each column scaled
+    to its own window: the same values, in the same order, as one
+    ``rng.uniform(lo, hi)`` call per coordinate.
+    """
     rng = make_rng(seed)
     if q_ranges is None:
         q_ranges = [q_range] * dof
-    pts = []
-    for _ in range(num):
-        q = tuple(rng.uniform(lo, hi) for lo, hi in q_ranges)
-        p = tuple(rng.uniform(p_range[0], p_range[1]) for _ in range(dof))
-        pts.append(PhasePoint(q, p))
-    return pts
+    windows = list(q_ranges) + [p_range] * dof
+    lo = [w[0] for w in windows]
+    hi = [w[1] for w in windows]
+    rows = rng.uniform(lo, hi, size=(num, 2 * dof)).tolist()
+    return [PhasePoint(tuple(r[:dof]), tuple(r[dof:])) for r in rows]
 
 
 def sample_scalars(num, seed, lo, hi):

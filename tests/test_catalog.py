@@ -166,6 +166,66 @@ def test_base_family_validation():
         make_base_family(1.0, -1.0, 1.0, 0.0, 2.0, "hyperbolic", psi_window=(-1.0, 1.0))
 
 
+def _explicit_base_L(C1, C2, C3, C4, eta, branch):
+    """L = p^2/2 + (C3 + C4 g'/eta_hat) / g^2, each transcendental called on its own."""
+    e = abs(eta)
+    if branch == "hyperbolic":
+        g = lambda s: C1 * dm.exp(e * s) + C2 * dm.exp(-e * s)
+        slope = lambda s: C1 * dm.exp(e * s) - C2 * dm.exp(-e * s)
+    else:
+        g = lambda s: C1 * dm.cos(e * s) + C2 * dm.sin(e * s)
+        slope = lambda s: -C1 * dm.sin(e * s) + C2 * dm.cos(e * s)
+
+    def rule(q, p):
+        gv = g(q[0])
+        return 0.5 * p[0] * p[0] + (C3 + C4 * slope(q[0])) / (gv * gv)
+
+    return PhaseFunction(rule, 1)
+
+
+def _leaf_values(x):
+    """x with every Dual, Jet and Batch layer spelled out, tags left aside."""
+    if isinstance(x, dm.Dual):
+        return ("dual", _leaf_values(x.val), _leaf_values(x.dot))
+    if isinstance(x, dm.Jet):
+        return ("jet", [_leaf_values(c) for c in x.c])
+    if isinstance(x, np.ndarray):
+        return ("batch", x.tolist())
+    if isinstance(x, (tuple, list)):
+        return [_leaf_values(v) for v in x]
+    return x
+
+
+@pytest.mark.parametrize("params, window", [
+    ((0.8, 0.6, 0.7, 1.3, -1.5, "hyperbolic"), None),
+    ((1.2, 0.0, 0.7, 1.3, 2.0, "hyperbolic"), None),
+    ((0.3, 1.1, 0.9, -0.4, 1.0, "trig"), None),
+    ((1.1, 0.0, 0.9, -0.4, 1.3, "trig"), (0.1, 1.0)),
+])
+def test_base_family_L_equals_separate_transcendentals(params, window):
+    # g and g'/eta_hat share one pair of exp or cos/sin calls; every value and
+    # partial must equal the form that calls each transcendental on its own
+    L = make_base_family(*params, psi_window=window).L
+    ref = _explicit_base_L(*params)
+    lo, hi = window or (0.3, 2.0)
+    p = (0.4,)
+    psis = np.linspace(lo, hi, 7)
+
+    def same(f):
+        assert _leaf_values(f(L)) == _leaf_values(f(ref))
+
+    for psi in psis.tolist():
+        same(lambda F: F.rule((psi,), p))
+        same(lambda F: partials_at(F, (psi,), p, [0]))
+        same(lambda F: dm.nth_derivative(lambda s: F.rule((s,), p), psi, 3))
+        same(lambda F: F.rule((dm.Jet([psi, 1.0, 0.0, 0.0, 0.0]),), p))
+        same(lambda F: F.rule((dm.Jet([dm.seed(psi, 7), 1.0, 0.0]),), p))
+    col = dm.batch(psis)
+    same(lambda F: F.rule((col,), p))
+    same(lambda F: partials_at(F, (col,), p, [0]))
+    same(lambda F: dm.nth_derivative(lambda s: F.rule((s,), p), col, 2))
+
+
 @pytest.mark.parametrize("kappa", [1, -1])
 @pytest.mark.parametrize("Omega", [0.0, 0.4])
 def test_curved_models_brackets(kappa, Omega):

@@ -13,7 +13,8 @@ from extham.dynamics import (
     drift_report,
     integrate,
 )
-from extham.phase import PhaseFunction, PhasePoint, lift_last
+from extham import duals as dm
+from extham.phase import PhaseFunction, PhasePoint, gradient, lift_last
 
 
 def free_particle():
@@ -157,3 +158,110 @@ def test_csv_round_trip(tmp_path, wedge_system):
 def test_step_size_validation():
     with pytest.raises(ValueError):
         integrate(free_particle(), PhasePoint((0.0,), (1.0,)), 0.0, 10)
+
+
+def test_dof_mismatch_is_refused():
+    with pytest.raises(ValueError, match="1 dof evaluated at a 2-dof point"):
+        integrate(free_particle(), PhasePoint((0.0, 0.0), (1.0, 1.0)), 0.01, 10)
+
+
+@np.errstate(over="ignore")
+def vector_integrate(H, x0, h, steps, fp_tol=1e-13, max_iter=50, u_min=None, u_slot=0):
+    """The midpoint loop on numpy state vectors: (states, status, exit_step).
+
+    A reference for integrate's float loop, which must reproduce it bit for
+    bit: midpoint 0.5 * (z + y), update z + h * rhs, residual max |y_new - y|.
+    """
+
+    def rhs(z):
+        d = len(z) // 2
+        g = gradient(H, PhasePoint.from_array(z))
+        return np.concatenate([g[d:], -g[:d]])
+
+    z = x0.as_array()
+    states = [z.copy()]
+    status, exit_step = COMPLETED, None
+    for step in range(steps):
+        if u_min is not None and z[u_slot] < u_min:
+            status, exit_step = DOMAIN_EXIT, step
+            break
+        y = z.copy()
+        failure = NO_CONVERGENCE
+        for _ in range(max_iter):
+            try:
+                y_new = z + h * rhs(0.5 * (z + y))
+            except (OverflowError, ValueError, ZeroDivisionError):
+                failure = LEFT_DOMAIN
+                break
+            if not np.all(np.isfinite(y_new)):
+                failure = LEFT_DOMAIN
+                break
+            residual = np.max(np.abs(y_new - y))
+            y = y_new
+            if residual <= fp_tol:
+                failure = None
+                break
+        if failure is not None:
+            status, exit_step = failure, step
+            break
+        z = y
+        states.append(z.copy())
+    if len(states) > 1:
+        try:
+            H(PhasePoint.from_array(states[-1]))
+        except (OverflowError, ValueError, ZeroDivisionError):
+            states.pop()
+            status, exit_step = LEFT_DOMAIN, len(states) - 1
+    return np.array(states), status, exit_step
+
+
+def assert_matches_vector_loop(H, x0, h, steps, **kw):
+    traj = integrate(H, x0, h, steps, **kw)
+    states, status, exit_step = vector_integrate(H, x0, h, steps, **kw)
+    assert traj.states.dtype == np.float64
+    assert traj.states.shape == states.shape
+    assert traj.states.tolist() == states.tolist()
+    assert (traj.status, traj.exit_step) == (status, exit_step)
+    return traj
+
+
+@pytest.mark.parametrize("k, omega, x0", [
+    ("1", 0.0, (1.03, -0.02, 3.15, 0.54)),
+    ("1/2", 0.0, (0.95, 0.07, 3.24, 0.46)),
+    ("2", 0.0, (1.06, 0.01, 3.17, 0.58)),
+    ("1", 0.3, (0.98, -0.08, 3.26, 0.43)),
+])
+@pytest.mark.parametrize("h", [1e-3, 5e-4])
+def test_flow_orbits_equal_the_vector_loop(k, omega, x0, h):
+    H = make_minkowski_hamiltonian(Fraction(k), 1.0, 2.0, omega).extension.hamiltonian()
+    traj = assert_matches_vector_loop(H, PhasePoint(x0[:2], x0[2:]), h, 50, u_min=0.05)
+    assert traj.status == COMPLETED and len(traj.states) == 51
+
+
+def test_collapsing_orbit_equals_the_vector_loop(wedge_system):
+    H, _, _ = wedge_system
+    traj = assert_matches_vector_loop(H, PhasePoint((1.0, 0.0), (0.2, 0.5)), 1e-3, 10_000,
+                                      u_min=0.05)
+    assert (traj.status, traj.exit_step) == (NO_CONVERGENCE, 356)
+
+
+def test_large_and_negative_steps_equal_the_vector_loop(wedge_system):
+    H, _, _ = wedge_system
+    traj = assert_matches_vector_loop(H, PhasePoint((0.2, 0.0), (-1.0, 0.5)), 0.5, 10)
+    assert (traj.status, traj.exit_step) == (LEFT_DOMAIN, 0)
+    traj = assert_matches_vector_loop(H, PhasePoint((1.0, 0.0), (3.2, 0.5)), -1e-3, 50)
+    assert traj.status == COMPLETED
+
+
+def test_one_dof_rule_equals_the_vector_loop():
+    pendulum = PhaseFunction(lambda q, p: 0.5 * p[0] * p[0] - dm.cos(q[0]), 1)
+    traj = assert_matches_vector_loop(pendulum, PhasePoint((0.4,), (1.1,)), 0.01, 200)
+    assert traj.states.shape == (201, 2)
+
+
+def test_overflowing_midpoint_leaves_the_domain():
+    # the first iterate is finite (q = 1.1e308), but its midpoint with the
+    # state overflows: z + y exceeds the largest double
+    traj = assert_matches_vector_loop(free_particle(), PhasePoint((8e307,), (3e307,)), 1.0, 5)
+    assert (traj.status, traj.exit_step) == (LEFT_DOMAIN, 0)
+    assert traj.states.tolist() == [[8e307, 3e307]]

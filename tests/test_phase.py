@@ -28,8 +28,30 @@ def test_phase_point_validation():
         PhasePoint((1.0, 2.0), (0.5,))
     with pytest.raises(ValueError):
         PhasePoint((float("nan"),), (0.0,))
+    with pytest.raises(ValueError, match="non-finite phase point"):
+        PhasePoint((1.0,), (float("inf"),))
     x = PhasePoint((1, 2), (3, 4))
     assert x.dof == 2 and x.q == (1.0, 2.0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 43, 1007])
+@pytest.mark.parametrize(
+    "dof, q_ranges, p_range",
+    [(2, None, (-2.0, 2.0)), (1, None, (-2.0, 2.0)),
+     (2, ((0.3, 2.0), (0.05, 1.4)), (-1.0, 3.0)), (3, ((0.1, 0.2), (1, 2), (-3, -1)), (-2.0, 2.0))],
+)
+def test_sample_points_equal_one_draw_per_coordinate(seed, dof, q_ranges, p_range):
+    # the reference draws q then p for each point, one rng.uniform call each
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    windows = q_ranges if q_ranges is not None else [(0.3, 2.0)] * dof
+    expected = []
+    for _ in range(23):
+        q = tuple(float(rng.uniform(lo, hi)) for lo, hi in windows)
+        p = tuple(float(rng.uniform(p_range[0], p_range[1])) for _ in range(dof))
+        expected.append((q, p))
+    pts = sample_points(23, seed, dof, p_range=p_range, q_ranges=q_ranges)
+    assert all(isinstance(x, PhasePoint) for x in pts)
+    assert [(x.q, x.p) for x in pts] == expected
 
 
 def test_canonical_bracket():
