@@ -26,9 +26,9 @@ from .catalog import (
     trig_base,
 )
 from .ccm import CcmSpec, ccm_transform, rescale_radial
-from .duals import primal
+from .duals import batch, primal
 from .dynamics import drift_report, integrate
-from .extension import Extension, ExtensionSpec, jacobian_rank
+from .extension import Extension, ExtensionSpec, jacobian_rank, row_norms
 from .ladder import ladder_eigen_pattern, ladder_from_base, ladder_residuals, ladder_scale
 from .phase import (
     PhaseFunction,
@@ -83,9 +83,9 @@ def _bracket_sweep(H, integrals, points):
     Each function's gradient is taken once for all points: the coordinates go
     in as Batch leaves, and jac[i, j] is the gradient of the j-th function at
     points[i]. The brackets, their scales and the ranks equal poisson_bracket,
-    bracket_scale and functional_independence at each point (np.vecdot takes
-    the same dot product as np.linalg.norm). Maxima run over Python floats,
-    so verdicts stay plain bools.
+    bracket_scale and functional_independence at each point; all take their
+    norms from row_norms, so a scale stays finite where squared gradients
+    overflow. Maxima run over Python floats, so verdicts stay plain bools.
     """
     fs = [H] + [f for _, f in integrals]
     q, p = batch_blocks(np.array([x.q + x.p for x in points]))
@@ -94,7 +94,7 @@ def _bracket_sweep(H, integrals, points):
         _, dq, dp = partials_at(f, q, p, range(H.dof))
         for s, v in enumerate(dq + dp):
             jac[:, j, s] = primal(v)  # a tangent that is a scalar zero broadcasts
-    norms = np.sqrt(np.vecdot(jac, jac))
+    norms = row_norms(jac)
     max_abs = 0.0
     max_rel = 0.0
     for j in range(1, len(fs)):
@@ -331,11 +331,10 @@ def cmd_ladder(args):
         base = trig_base(1.0, args.psi0, args.alpha, args.beta, abs(args.eta))
     data = ladder_from_base(base)
     psis = sample_scalars(args.points, args.seed, *base.psi_window)
-    worst = 0.0
-    for psi in psis:
-        r1, r2 = ladder_residuals(data, psi)
-        s = ladder_scale(data, psi)
-        worst = max(worst, abs(r1) / s, abs(r2) / s)
+    col = batch(psis)
+    r1, r2 = ladder_residuals(data, col)
+    s = ladder_scale(data, col)
+    worst = max([0.0] + (abs(r1) / s).tolist() + (abs(r2) / s).tolist())
     passed = worst <= args.tol
 
     diag = {"status": "reported"}

@@ -1,20 +1,19 @@
-"""Nested first-order dual numbers for exact forward-mode differentiation.
+"""Tagged dual numbers, Taylor jets and batched leaves for exact forward-mode derivatives.
 
-A :class:`Dual` carries a value and one derivative slot. Derivatives of
-derivatives are obtained by re-instrumenting an evaluation with a fresh
-tag; tags keep independent differentiation levels from collapsing into
-each other (the classic perturbation-confusion failure of naive nested
-duals). Plain floats act as constants at every level, so mixed-depth
-arithmetic is cheap.
+A :class:`Dual` carries a value and one derivative slot. Derivatives with
+respect to several variables are obtained by re-instrumenting an evaluation
+with a fresh tag; tags keep independent differentiation levels from
+collapsing into each other (the classic perturbation-confusion failure of
+naive nested duals). Plain floats act as constants at every level, so
+mixed-depth arithmetic is cheap.
 
 A :class:`Jet` is the second leaf: a truncated Taylor series in one
-scalar parameter t whose coefficients are floats or Duals. Every math
-function here dispatches Dual -> Jet -> Batch -> ``math``, in that order,
-so one rule evaluates on floats, Duals, Jets, Batches and Duals wrapping
-any of them. A Jet never absorbs a Dual as a scalar: its arithmetic returns
-NotImplemented, so the Dual wraps the Jet and the outermost layer always
-carries the newest tag. Jets must therefore only meet Duals seeded after
-their coefficients were built.
+scalar parameter t whose coefficients are floats or Duals. Higher
+derivatives along one variable come from jets only (:func:`taylor`). A Jet
+never absorbs a Dual as a scalar: its arithmetic returns NotImplemented,
+so the Dual wraps the Jet and the outermost layer always carries the newest
+tag. Jets must therefore only meet Duals seeded after their coefficients
+were built.
 
 A :class:`Batch` is the third leaf: a float64 array holding one coordinate
 at many sample points, so one evaluation differentiates all of them. numpy
@@ -24,6 +23,13 @@ numpy's own power, exp, log, tan and hyperbolic functions differ from libm
 in the last bit on a share of inputs. Dual and Jet set ``__array_ufunc__``
 to None, so an array operand defers to them. Guards on values go through
 :func:`any_true`, which leaves float and Jet evaluations free of numpy calls.
+
+One seam, :func:`_lift`, decides how every unary math function is computed:
+Dual -> Jet -> Batch -> ``math``, in that order, so one rule evaluates on
+floats, Duals, Jets, Batches and Duals wrapping any of them. A new scalar
+leaf (an mpmath ``mpf`` for extended precision, say) is one more branch
+there, before ``math``, whose functions would silently return floats.
+:func:`pow_` keeps its own two-argument dispatch.
 """
 
 import itertools
@@ -398,108 +404,52 @@ def derivative(f, x):
     return tangent_part(y, tag)
 
 
-def nth_derivative(f, x, order):
-    """Iterated exact derivative; nesting depth equals order."""
-    if order == 0:
-        return f(x)
-    return derivative(lambda t: nth_derivative(f, t, order - 1), x)
+def coefficient(y, k):
+    """Taylor coefficient k of y; a non-jet y is a constant along the series."""
+    if isinstance(y, Jet):
+        return y.c[k]
+    return y if k == 0 else 0.0
 
 
-# -- math functions that dispatch Dual -> Jet -> Batch -> math ----------
+def taylor(f, x, order):
+    """[f(x), f'(x), ..., f^(order)(x)] from one evaluation on the jet x + t (order >= 1).
+
+    x may be a float, a Batch or a Dual; the k-th derivative is k! times the
+    k-th Taylor coefficient, so through order 2 it is exact scaling.
+    """
+    y = f(Jet([x, 1.0] + [0.0] * (order - 1)))
+    return [math.factorial(k) * coefficient(y, k) for k in range(order + 1)]
 
 
-def exp(x):
-    if isinstance(x, Dual):
-        e = exp(x.val)
-        return Dual(e, e * x.dot, x.tag)
-    if isinstance(x, Jet):
-        return _jet_exp(x)
-    if isinstance(x, np.ndarray):
-        return _entrywise(math.exp, x)
-    return math.exp(x)
+# -- the seam: every math function dispatches Dual -> Jet -> Batch -> math --
 
 
-def log(x):
-    if isinstance(x, Dual):
-        return Dual(log(x.val), x.dot / x.val, x.tag)
-    if isinstance(x, Jet):
-        return _jet_log(x)
-    if isinstance(x, np.ndarray):
-        return _entrywise(math.log, x)
-    return math.log(x)
+def _lift(fn, jet_rule, tangent):
+    """fn on every leaf: a Dual carries tangent(x, fn(x), dx), a Jet runs jet_rule,
+    a Batch applies fn entry by entry and a float calls fn itself."""
+
+    def lifted(x):
+        if isinstance(x, Dual):
+            y = lifted(x.val)
+            return Dual(y, tangent(x.val, y, x.dot), x.tag)
+        if isinstance(x, Jet):
+            return jet_rule(x)
+        if isinstance(x, np.ndarray):
+            return _entrywise(fn, x)
+        return fn(x)
+
+    return lifted
 
 
-def sqrt(x):
-    if isinstance(x, Dual):
-        s = sqrt(x.val)
-        return Dual(s, x.dot / (s + s), x.tag)
-    if isinstance(x, Jet):
-        return _jet_sqrt(x)
-    if isinstance(x, np.ndarray):
-        return _entrywise(math.sqrt, x)
-    return math.sqrt(x)
-
-
-def sin(x):
-    if isinstance(x, Dual):
-        return Dual(sin(x.val), cos(x.val) * x.dot, x.tag)
-    if isinstance(x, Jet):
-        return _jet_sin_cos(x, False)[0]
-    if isinstance(x, np.ndarray):
-        return _entrywise(math.sin, x)
-    return math.sin(x)
-
-
-def cos(x):
-    if isinstance(x, Dual):
-        return Dual(cos(x.val), -sin(x.val) * x.dot, x.tag)
-    if isinstance(x, Jet):
-        return _jet_sin_cos(x, False)[1]
-    if isinstance(x, np.ndarray):
-        return _entrywise(math.cos, x)
-    return math.cos(x)
-
-
-def tan(x):
-    if isinstance(x, Dual):
-        t = tan(x.val)
-        return Dual(t, (1.0 + t * t) * x.dot, x.tag)
-    if isinstance(x, Jet):
-        return _jet_tan(x, False)
-    if isinstance(x, np.ndarray):
-        return _entrywise(math.tan, x)
-    return math.tan(x)
-
-
-def sinh(x):
-    if isinstance(x, Dual):
-        return Dual(sinh(x.val), cosh(x.val) * x.dot, x.tag)
-    if isinstance(x, Jet):
-        return _jet_sin_cos(x, True)[0]
-    if isinstance(x, np.ndarray):
-        return _entrywise(math.sinh, x)
-    return math.sinh(x)
-
-
-def cosh(x):
-    if isinstance(x, Dual):
-        return Dual(cosh(x.val), sinh(x.val) * x.dot, x.tag)
-    if isinstance(x, Jet):
-        return _jet_sin_cos(x, True)[1]
-    if isinstance(x, np.ndarray):
-        return _entrywise(math.cosh, x)
-    return math.cosh(x)
-
-
-def tanh(x):
-    if isinstance(x, Dual):
-        t = tanh(x.val)
-        return Dual(t, (1.0 - t * t) * x.dot, x.tag)
-    if isinstance(x, Jet):
-        return _jet_tan(x, True)
-    if isinstance(x, np.ndarray):
-        return _entrywise(math.tanh, x)
-    return math.tanh(x)
+exp = _lift(math.exp, _jet_exp, lambda x, e, dx: e * dx)
+log = _lift(math.log, _jet_log, lambda x, y, dx: dx / x)
+sqrt = _lift(math.sqrt, _jet_sqrt, lambda x, s, dx: dx / (s + s))
+sin = _lift(math.sin, lambda x: _jet_sin_cos(x, False)[0], lambda x, y, dx: cos(x) * dx)
+cos = _lift(math.cos, lambda x: _jet_sin_cos(x, False)[1], lambda x, y, dx: -sin(x) * dx)
+tan = _lift(math.tan, lambda x: _jet_tan(x, False), lambda x, t, dx: (1.0 + t * t) * dx)
+sinh = _lift(math.sinh, lambda x: _jet_sin_cos(x, True)[0], lambda x, y, dx: cosh(x) * dx)
+cosh = _lift(math.cosh, lambda x: _jet_sin_cos(x, True)[1], lambda x, y, dx: sinh(x) * dx)
+tanh = _lift(math.tanh, lambda x: _jet_tan(x, True), lambda x, t, dx: (1.0 - t * t) * dx)
 
 
 def pow_(x, r):

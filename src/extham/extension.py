@@ -22,14 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .duals import Jet
-from .phase import (
-    PhaseFunction,
-    gradient,
-    hamiltonian_vector_field,
-    lift_last,
-    partials_at,
-)
+from .duals import Jet, coefficient
+from .phase import PhaseFunction, gradient, hamiltonian_vector_field, partials_at
 from .tagged_trig import GammaProfile, gamma, gamma_prime
 
 
@@ -103,7 +97,6 @@ class Extension:
     def __init__(self, spec, base):
         self.spec = spec
         self.base = base
-        self._lifted_L = lift_last(base.L, 2)
 
     # -- pointwise seed data ---------------------------------------------
 
@@ -170,8 +163,8 @@ class Extension:
         Q, P = [psi], [p_psi]
         for k in range(order):
             _, dq, dp = partials_at(self.base.L, (Jet(Q),), (Jet(P),), (0,))
-            Q.append(_coefficient(dp[0], k) / (k + 1))
-            P.append(-_coefficient(dq[0], k) / (k + 1))
+            Q.append(coefficient(dp[0], k) / (k + 1))
+            P.append(-coefficient(dq[0], k) / (k + 1))
         return Jet(Q), Jet(P)
 
     def _xl_powers(self, q1, p1, n, count):
@@ -183,7 +176,7 @@ class Extension:
         order = count + n - 2
         Q, P = self._flow_jets(q1[0], p1[0], order)
         g = self.base.G.rule((Q,), (P,))
-        G = Jet([_coefficient(g, j) for j in range(order + 1)])
+        G = Jet([coefficient(g, j) for j in range(order + 1)])
         XG = G.deriv()
         g = G
         for k in range(1, n):
@@ -219,7 +212,7 @@ class Extension:
 
         return PhaseFunction(rule, 1)
 
-    # -- extended Hamiltonian and the U operator ---------------------------
+    # -- extended Hamiltonian ----------------------------------------------
 
     def hamiltonian(self, extra_scalar=None):
         """H = p_u^2/2 - (m/n)^2 gamma' L + (m/n)^2 c0 gamma^2 + Omega/gamma^2."""
@@ -241,21 +234,6 @@ class Extension:
                 if extra_scalar is not None:
                     H = H + extra_scalar(u)
             return H
-
-        return PhaseFunction(rule, 2)
-
-    def u_apply(self, f):
-        """U(f) = p_u f + (m/n^2) gamma X_L(f), X_L acting on the base block only."""
-        f = lift_last(f, 2)
-        coef = self.spec.m / self.spec.n**2
-        prof = self.spec.gamma
-        L = self._lifted_L
-
-        def rule(q, p):
-            fv, fq, fp = partials_at(f, q, p, (1,))
-            _, Lq, Lp = partials_at(L, q, p, (1,))
-            xl = fq[0] * Lp[0] - fp[0] * Lq[0]
-            return p[0] * fv + coef * gamma(prof, q[0]) * xl
 
         return PhaseFunction(rule, 2)
 
@@ -380,16 +358,29 @@ class Extension:
         return self._closed_form(x.q, x.p, s, magnitudes=True)
 
 
-def _coefficient(y, k):
-    """Taylor coefficient k of y; a non-jet y is a constant along the flow."""
-    if isinstance(y, Jet):
-        return y.c[k]
-    return y if k == 0 else 0.0
-
-
 def functional_independence(fs, x):
     """Rank of the Jacobian of fs w.r.t. all phase coordinates at x."""
     return int(jacobian_rank(np.array([gradient(f, x) for f in fs])))
+
+
+def row_norms(jac):
+    """Euclidean norms of the rows (last axis) of jac, safe from overflow.
+
+    A row whose sum of squares is finite keeps sqrt(vecdot), bit for bit. A
+    row of finite entries whose squares overflow (|grad K| reaches 1e248 at
+    high degree) is first scaled by its largest |entry|, as LAPACK's dnrm2
+    does (Blue 1978), so its norm stays finite.
+    """
+    with np.errstate(over="ignore"):  # overflowing rows are rescaled below
+        sq = np.vecdot(jac, jac)
+    norms = np.sqrt(sq)
+    over = ~np.isfinite(sq) & np.isfinite(jac).all(axis=-1)
+    if over.any():
+        rows = jac[over]
+        big = np.abs(rows).max(axis=-1, keepdims=True)
+        unit = rows / big
+        norms[over] = big[:, 0] * np.sqrt(np.vecdot(unit, unit))
+    return norms
 
 
 def jacobian_rank(jac):
@@ -401,7 +392,7 @@ def jacobian_rank(jac):
     would otherwise push genuinely independent directions under any
     relative threshold. A zero leading singular value gives rank 0.
     """
-    norms = np.linalg.norm(jac, axis=-1, keepdims=True)
+    norms = row_norms(jac)[..., None]
     safe = np.where(norms > 0.0, norms, 1.0)
     svals = np.linalg.svd(jac / safe, compute_uv=False)
     return np.sum(svals > 1e-8 * svals[..., :1], axis=-1)
@@ -409,4 +400,5 @@ def jacobian_rank(jac):
 
 def bracket_scale(f, g, x):
     """The relative scale |grad f||grad g| used by every bracket tolerance."""
-    return float(np.linalg.norm(gradient(f, x)) * np.linalg.norm(gradient(g, x)))
+    nf, ng = row_norms(np.array([gradient(f, x), gradient(g, x)]))
+    return float(nf * ng)

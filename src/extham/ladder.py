@@ -18,7 +18,7 @@ are evaluated here only as diagnostics; see ladder_eigen_residual.
 from dataclasses import dataclass
 
 from . import duals as dm
-from .duals import any_true, derivative, nth_derivative, primal
+from .duals import any_true, derivative, primal, taylor
 from .phase import PhaseFunction, hamiltonian_vector_field
 
 
@@ -44,14 +44,13 @@ def ladder_from_base(base):
 
 
 def ladder_residuals(data, psi):
-    """(r1, r2) at psi; both vanish iff (F, c1) is a valid ladder pair."""
+    """(r1, r2) at psi (a float or a Batch); both vanish iff (F, c1) is a valid ladder pair.
+
+    F, F', F'' and V, V' come from one jet evaluation each.
+    """
     base = data.base
-    F = data.F
-    Fv = F(psi)
-    Fp = derivative(F, psi)
-    Fpp = nth_derivative(F, psi, 2)
-    Vv = base.V.rule((psi,), (0.0,))
-    Vp = derivative(lambda t: base.V.rule((t,), (0.0,)), psi)
+    Fv, Fp, Fpp = taylor(data.F, psi, 2)
+    Vv, Vp = taylor(lambda t: base.V.rule((t,), (0.0,)), psi, 1)
     c = base.c
     r1 = Fpp + c * Fv
     r2 = Vp * Fp - 2.0 * c * Vv * Fv + data.c1
@@ -78,7 +77,8 @@ def ladder_function(data, sign):
         if any_true(primal(arg) <= 0.0):
             raise ValueError("ladder function needs eta^2 L + c0 > 0 at the point")
         f = dm.sqrt(arg)
-        return sign * derivative(F, q[0]) * p[0] + F(q[0]) * f + c1 / f
+        Fv, Fp = taylor(F, q[0], 1)
+        return sign * Fp * p[0] + Fv * f + c1 / f
 
     return PhaseFunction(rule, 1)
 
@@ -92,14 +92,7 @@ def ladder_eigen_residual(data, x, sign=1):
     combinations so the observed structure is documented without choosing a
     corrected equation.
     """
-    base = data.base
-    Fpm = ladder_function(data, sign)
-    x2 = hamiltonian_vector_field(base.L, hamiltonian_vector_field(base.L, Fpm))
-    arg = 2.0 * (-base.c * base.L(x) + base.c0)
-    if arg <= 0.0:
-        raise ValueError("ladder diagnostic needs eta^2 L + c0 > 0 at the point")
-    f = dm.sqrt(arg)
-    return x2(x) - f * Fpm(x)
+    return ladder_eigen_pattern(data, x, sign)["second_order_vs_f"]
 
 
 def ladder_eigen_pattern(data, x, sign=1):

@@ -28,6 +28,8 @@ from extham.phase import PhaseFunction, PhasePoint, partials_at, poisson_bracket
 from extham.sampling import make_rng, sample_points
 from extham.tagged_trig import GammaProfile
 
+from references import leaf_values, nth_derivative
+
 
 def wedge_points(num, seed):
     return sample_points(num, seed, 2, q_range=(0.3, 2.0))
@@ -183,19 +185,6 @@ def _explicit_base_L(C1, C2, C3, C4, eta, branch):
     return PhaseFunction(rule, 1)
 
 
-def _leaf_values(x):
-    """x with every Dual, Jet and Batch layer spelled out, tags left aside."""
-    if isinstance(x, dm.Dual):
-        return ("dual", _leaf_values(x.val), _leaf_values(x.dot))
-    if isinstance(x, dm.Jet):
-        return ("jet", [_leaf_values(c) for c in x.c])
-    if isinstance(x, np.ndarray):
-        return ("batch", x.tolist())
-    if isinstance(x, (tuple, list)):
-        return [_leaf_values(v) for v in x]
-    return x
-
-
 @pytest.mark.parametrize("params, window", [
     ((0.8, 0.6, 0.7, 1.3, -1.5, "hyperbolic"), None),
     ((1.2, 0.0, 0.7, 1.3, 2.0, "hyperbolic"), None),
@@ -212,18 +201,18 @@ def test_base_family_L_equals_separate_transcendentals(params, window):
     psis = np.linspace(lo, hi, 7)
 
     def same(f):
-        assert _leaf_values(f(L)) == _leaf_values(f(ref))
+        assert leaf_values(f(L)) == leaf_values(f(ref))
 
     for psi in psis.tolist():
         same(lambda F: F.rule((psi,), p))
         same(lambda F: partials_at(F, (psi,), p, [0]))
-        same(lambda F: dm.nth_derivative(lambda s: F.rule((s,), p), psi, 3))
+        same(lambda F: nth_derivative(lambda s: F.rule((s,), p), psi, 3))
         same(lambda F: F.rule((dm.Jet([psi, 1.0, 0.0, 0.0, 0.0]),), p))
         same(lambda F: F.rule((dm.Jet([dm.seed(psi, 7), 1.0, 0.0]),), p))
     col = dm.batch(psis)
     same(lambda F: F.rule((col,), p))
     same(lambda F: partials_at(F, (col,), p, [0]))
-    same(lambda F: dm.nth_derivative(lambda s: F.rule((s,), p), col, 2))
+    same(lambda F: nth_derivative(lambda s: F.rule((s,), p), col, 2))
 
 
 @pytest.mark.parametrize("kappa", [1, -1])

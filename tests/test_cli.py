@@ -9,7 +9,7 @@ import pytest
 from extham import cli, phase
 from extham.cli import main
 from extham.ccm import rescale_radial
-from extham.extension import bracket_scale, functional_independence
+from extham.extension import bracket_scale, functional_independence, row_norms
 from extham.duals import primal
 from extham.phase import PhasePoint, batch_blocks, gradient, partials_at, poisson_bracket
 from extham.sampling import sample_points
@@ -280,6 +280,27 @@ def test_one_jacobian_sweep_equals_separate_figures(argv):
     model = cli._verify_model(args)
     pts = sample_points(12, 5, model.H.dof, q_ranges=model.q_windows)
     _assert_same_sweep(model.H, model.known_integrals, pts)
+
+
+def test_overflowing_gradients_keep_every_bracket_checked(capsys):
+    # |grad K(28,1)| reaches 1e248, so its squared norm overflows; the bracket
+    # scale |grad H||grad K| must still be finite at every point of the sweep
+    args = cli.build_parser().parse_args(["verify", "--model", "minkowski", "--k", "13",
+                                          "--seed", "1"])
+    model = cli._verify_model(args)
+    pts = sample_points(args.points, args.seed, model.H.dof, q_ranges=model.q_windows)
+    fs = (model.H, model.known_integrals[-1][1])
+    jac = np.array([[gradient(f, x) for f in fs] for x in pts])
+    with np.errstate(over="ignore"):
+        over = ~np.isfinite(np.vecdot(jac, jac)).all(axis=1)
+    assert over.any()  # the overflow is really there
+    norms = row_norms(jac)
+    assert np.isfinite(norms[:, 0] * norms[:, 1]).all()
+    assert all(np.isfinite(bracket_scale(*fs, pts[i])) for i in np.flatnonzero(over))
+    code, out, _ = run_cli(capsys, "verify", "--model", "minkowski", "--k", "13", "--seed", "1")
+    report = json.loads(out)
+    assert code == 1 and report["independence_rank"] == 3
+    assert report["max_rel_bracket"] > report["tolerance"]  # fails by bracket only
 
 
 def test_one_jacobian_sweep_equals_separate_figures_ccm():

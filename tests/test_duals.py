@@ -5,11 +5,13 @@ import pytest
 
 from extham import duals as dm
 from extham.catalog import exp_base
-from extham.duals import Dual, Jet, derivative, nth_derivative, primal
+from extham.duals import Dual, Jet, derivative, primal, taylor
 from extham.extension import Extension, ExtensionSpec, bracket_scale
 from extham.phase import poisson_bracket
 from extham.sampling import sample_points
 from extham.tagged_trig import GammaProfile
+
+from references import leaf_values, nth_derivative
 
 
 def test_first_derivatives_match_hand_results():
@@ -53,6 +55,63 @@ def test_higher_order_derivatives():
     f = lambda x: x**3
     assert nth_derivative(f, 1.23, 3) == pytest.approx(6.0, abs=1e-12)
     assert nth_derivative(f, 1.23, 4) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_taylor_derivatives_from_one_jet():
+    # f = exp(2x): the k-th derivative is 2^k exp(2x)
+    for k, d in enumerate(taylor(lambda x: dm.exp(2.0 * x), 0.3, 4)):
+        assert d == pytest.approx(2.0**k * math.exp(0.6), rel=1e-13)
+    assert taylor(lambda x: x**3, 1.23, 4)[3:] == [pytest.approx(6.0, abs=1e-12), 0.0]
+    f = lambda x: dm.sin(x) * dm.exp(x) / (1.0 + x * x)
+    for x0 in (0.35, 0.9, 1.3):
+        ref = [primal(nth_derivative(f, x0, k)) for k in range(4)]
+        assert taylor(f, x0, 3) == pytest.approx(ref, rel=1e-13, abs=1e-13)
+    # a Batch gives each entry's float result
+    col = dm.batch([0.35, 0.9, 1.3])
+    assert [d.tolist() for d in taylor(f, col, 2)] == [
+        [taylor(f, x, 2)[k] for x in (0.35, 0.9, 1.3)] for k in range(3)]
+
+
+# -- the seam: one dispatch for every math function --------------------------
+
+UNARY = ["exp", "log", "sqrt", "sin", "cos", "tan", "sinh", "cosh", "tanh"]
+# the Dual tangent of each function as its own hand-written branch computed it
+HAND_TANGENT = {
+    "exp": lambda v, dx: dm.exp(v) * dx,
+    "log": lambda v, dx: dx / v,
+    "sqrt": lambda v, dx: dx / (dm.sqrt(v) + dm.sqrt(v)),
+    "sin": lambda v, dx: dm.cos(v) * dx,
+    "cos": lambda v, dx: -dm.sin(v) * dx,
+    "tan": lambda v, dx: (1.0 + dm.tan(v) * dm.tan(v)) * dx,
+    "sinh": lambda v, dx: dm.cosh(v) * dx,
+    "cosh": lambda v, dx: dm.sinh(v) * dx,
+    "tanh": lambda v, dx: (1.0 - dm.tanh(v) * dm.tanh(v)) * dx,
+}
+
+
+@pytest.mark.parametrize("name", UNARY)
+def test_seam_equals_hand_written_rules(name):
+    f, libm = getattr(dm, name), getattr(math, name)
+    xs = [0.35, 0.9, 1.3]
+    col = dm.batch(xs)
+    assert [f(x) for x in xs] == [libm(x) for x in xs]
+    assert isinstance(f(col), dm.Batch) and f(col).tolist() == [libm(x) for x in xs]
+    inner = Dual(0.9, 0.7, dm.new_tag())
+    jet = Jet([0.9, 1.0, 0.0, 0.0])
+    jet_of_duals = Jet([Dual(0.9, 1.0, dm.new_tag()), 1.0, 0.0])
+    # a jet's value coefficient is the function itself, on Dual coefficients too
+    assert f(jet).c[0] == libm(0.9)
+    assert leaf_values(f(jet_of_duals).c[0]) == leaf_values(f(jet_of_duals.c[0]))
+    assert len(f(jet).c) == 4 and len(f(jet_of_duals).c) == 3
+    # a Dual over every leaf: value f(val), tangent by the hand-written formula
+    tag = dm.new_tag()
+    for v in (0.9, col, inner, jet, jet_of_duals, Dual(col, 0.5, inner.tag)):
+        out = f(Dual(v, 1.3, tag))
+        assert isinstance(out, Dual) and out.tag == tag
+        assert leaf_values(out.val) == leaf_values(f(v))
+        assert leaf_values(out.dot) == leaf_values(HAND_TANGENT[name](v, 1.3))
+    nested = f(inner)
+    assert (nested.val, nested.dot) == (libm(0.9), HAND_TANGENT[name](0.9, 0.7))
 
 
 def test_mixed_depth_arithmetic_and_comparisons():

@@ -2,6 +2,7 @@ import pytest
 
 from extham import duals as dm
 from extham.catalog import exp_base, trig_base
+from extham.duals import batch, derivative, taylor
 from extham.ladder import (
     LadderData,
     ladder_eigen_pattern,
@@ -13,6 +14,8 @@ from extham.ladder import (
 )
 from extham.phase import PhasePoint
 from extham.sampling import sample_scalars
+
+from references import nth_derivative
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +38,33 @@ def test_family_ladder_residuals_vanish(hyper, trig):
             assert abs(r2) <= 1e-10 * s
 
 
+def _nested_residuals(data, psi):
+    """(r1, r2) one point at a time by nested duals: F'' is a third derivative of g."""
+    base, F = data.base, data.F
+    V = lambda t: base.V.rule((t,), (0.0,))
+    r1 = nth_derivative(F, psi, 2) + base.c * F(psi)
+    r2 = derivative(V, psi) * derivative(F, psi) - 2.0 * base.c * V(psi) * F(psi) + data.c1
+    return r1, r2
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 7])
+def test_batched_residuals_equal_nested_duals(seed):
+    # the bases of `extham ladder` at its default flags
+    for base in (exp_base(0.7, 1.3, 2.0), trig_base(1.0, 0.2, 0.7, 1.3, 2.0)):
+        data = ladder_from_base(base)
+        psis = sample_scalars(50, seed, *base.psi_window)
+        r1, r2 = ladder_residuals(data, batch(psis))
+        ref = [_nested_residuals(data, psi) for psi in psis]
+        assert r1.tolist() == [a for a, _ in ref]
+        assert r2.tolist() == [b for _, b in ref]
+        assert ladder_scale(data, batch(psis)).tolist() == [ladder_scale(data, x) for x in psis]
+
+
+def test_free_base_potential_has_zero_derivatives():
+    free = exp_base(0.0, 0.0)
+    assert taylor(lambda t: free.V.rule((t,), (0.0,)), 0.7, 2) == [0.0, 0.0, 0.0]
+
+
 def test_hyperbolic_c1_value(hyper):
     # c1 = -c^2 C4/eta = -C4 eta^3 for the hyperbolic branch
     data = ladder_from_base(hyper)
@@ -48,6 +78,8 @@ def test_zero_function_is_rejected_by_r2(hyper):
     assert r1 == 0.0
     assert r2 == pytest.approx(data.c1)
     assert abs(r2) > 1e-6  # C4 != 0 makes the trivial F fail the second condition
+    r1s, r2s = ladder_residuals(zero, batch([0.5, 0.8, 1.5]))
+    assert r1s.tolist() == [0.0] * 3 and r2s.tolist() == [r2] * 3
 
 
 def test_generic_exponential_fails_second_condition(hyper):
@@ -56,6 +88,8 @@ def test_generic_exponential_fails_second_condition(hyper):
     r1s, r2s = zip(*(ladder_residuals(cand, psi) for psi in (0.5, 1.0, 1.5)))
     assert all(abs(r) <= 1e-12 for r in r1s)  # solves F'' - eta^2 F = 0
     assert any(abs(r) > 1e-3 for r in r2s)  # but not the potential condition
+    b1, b2 = ladder_residuals(cand, batch([0.5, 1.0, 1.5]))
+    assert (b1.tolist(), b2.tolist()) == (list(r1s), list(r2s))
 
 
 def test_r2_is_linear_in_potential_parameters():
@@ -88,9 +122,7 @@ def test_eigen_pattern_on_hyperbolic_base(hyper):
             assert abs(pattern["second_order_vs_f_squared"]) <= 1e-8 * scale
             assert abs(pattern["first_order_vs_sign_f"]) <= 1e-9 * scale
             assert abs(pattern["second_order_vs_f"]) > 1e-2 * scale
-            assert ladder_eigen_residual(data, x, sign) == pytest.approx(
-                pattern["second_order_vs_f"], rel=1e-10
-            )
+            assert ladder_eigen_residual(data, x, sign) == pattern["second_order_vs_f"]
 
 
 def test_eigen_diagnostic_domain_error_on_trig(trig):
