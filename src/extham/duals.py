@@ -438,6 +438,7 @@ def _lift(fn, jet_rule, tangent):
             return _entrywise(fn, x)
         return fn(x)
 
+    lifted.__name__ = lifted.__qualname__ = fn.__name__
     return lifted
 
 
