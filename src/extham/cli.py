@@ -78,14 +78,15 @@ def _parse_k(text, allow_irrational):
 
 
 def _bracket_sweep(H, integrals, points):
-    """(max |{H,K}|, max |{H,K}|/(|grad H||grad K|), min rank of (H, K...)) over points.
+    """(max |{H,K}|, max |{H,K}|/(|grad H||grad K|), jac) over points.
 
     Each function's gradient is taken once for all points: the coordinates go
     in as Batch leaves, and jac[i, j] is the gradient of the j-th function at
-    points[i]. The brackets, their scales and the ranks equal poisson_bracket,
-    bracket_scale and functional_independence at each point; all take their
-    norms from row_norms, so a scale stays finite where squared gradients
-    overflow. Maxima run over Python floats, so verdicts stay plain bools.
+    points[i], from which jacobian_rank gives the ranks. The brackets and
+    their scales equal poisson_bracket and bracket_scale at each point; both
+    take their norms from row_norms, so a scale stays finite where squared
+    gradients overflow. Maxima run over Python floats, so verdicts stay plain
+    bools.
     """
     fs = [H] + [f for _, f in integrals]
     q, p = batch_blocks(np.array([x.q + x.p for x in points]))
@@ -102,7 +103,7 @@ def _bracket_sweep(H, integrals, points):
         s = norms[:, 0] * norms[:, j]
         max_abs = max([max_abs] + b.tolist())
         max_rel = max([max_rel] + (b[s > 0] / s[s > 0]).tolist())
-    return max_abs, max_rel, int(jacobian_rank(jac).min())
+    return max_abs, max_rel, jac
 
 
 # Highest momentum degree of a Minkowski wedge integral that verify checks. Past it
@@ -142,7 +143,8 @@ def cmd_verify(args):
     _log(f"verifying {model.id} ({model.chart}) with "
          f"{[name for name, _ in model.known_integrals]} at {args.points} points, seed {args.seed}")
     pts = sample_points(args.points, args.seed, model.H.dof, q_ranges=model.q_windows)
-    max_abs, max_rel, rank = _bracket_sweep(model.H, model.known_integrals, pts)
+    max_abs, max_rel, jac = _bracket_sweep(model.H, model.known_integrals, pts)
+    rank = int(jacobian_rank(jac).min())
     expected_rank = 1 + len(model.known_integrals)
 
     passed = (max_rel <= args.tol) and (rank == expected_rank)

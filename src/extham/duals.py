@@ -30,6 +30,16 @@ floats, Duals, Jets, Batches and Duals wrapping any of them. A new scalar
 leaf (an mpmath ``mpf`` for extended precision, say) is one more branch
 there, before ``math``, whose functions would silently return floats.
 :func:`pow_` keeps its own two-argument dispatch.
+
+A :class:`Tangent` is the dot of a Dual that carries several directions
+under one tag: it maps a direction index to that direction's component, so
+one evaluation gives every partial (``phase.partials_at`` on Batch leaves).
+A direction the value does not depend on is absent, a structural zero, and
+never stored as 0.0. Every present component then runs the same IEEE
+operation, in the same order, as the evaluation seeded along that direction
+alone, and an absent one acts like the plain value of that evaluation: a
+difference whose left side lacks direction j gives -b_j, as ``__rsub__``
+does. So each component equals the seeded partial bit for bit.
 """
 
 import itertools
@@ -92,6 +102,8 @@ class Dual:
                 )
             if other.tag > self.tag:
                 return Dual(self * other.val, self * other.dot, other.tag)
+        elif isinstance(other, Tangent):
+            return NotImplemented  # the tangent scales each component by self
         return Dual(self.val * other, self.dot * other, self.tag)
 
     __rmul__ = __mul__
@@ -113,12 +125,16 @@ class Dual:
     def __pow__(self, r):
         if isinstance(r, Dual):
             return exp(r * log(self))
-        if r == 0:
-            return Dual(1.0, 0.0, self.tag)
+        if r == 0:  # a present 0.0 in each direction self has
+            dot = self.dot
+            zero = Tangent(dict.fromkeys(dot.d, 0.0)) if isinstance(dot, Tangent) else 0.0
+            return Dual(1.0, zero, self.tag)
         if r == 1:
             return self
-        if r == 2:
-            return self * self
+        # no square shortcut: self * self would give the primal x*x, while a
+        # float or Batch base squares through pow(x, 2), which differs in the
+        # last bit on a share of inputs; (2 x) * dot is the tangent of x * x
+        # bit for bit, since doubling is exact
         return Dual(pow_(self.val, r), (r * pow_(self.val, r - 1)) * self.dot, self.tag)
 
     def __rpow__(self, base):
@@ -144,6 +160,52 @@ class Dual:
 
     def __ge__(self, other):
         return primal(self) >= primal(other)
+
+
+class Tangent:
+    """The dot of a Dual along several directions: direction index -> component.
+
+    Absent directions are structural zeros. A sum or difference keeps every
+    direction either side has; a product or quotient scales each present
+    component, with the operands in the order they were written, so Jet and
+    Dual components keep their own operand order.
+    """
+
+    __slots__ = ("d",)
+    # array operands defer to the Tangent, which applies them per component
+    __array_ufunc__ = None
+
+    def __init__(self, d):
+        self.d = d
+
+    def __repr__(self):
+        return f"Tangent({self.d!r})"
+
+    def __add__(self, other):
+        a = self.d
+        out = dict(a)
+        for j, b in other.d.items():
+            out[j] = a[j] + b if j in a else b
+        return Tangent(out)
+
+    def __sub__(self, other):
+        a = self.d
+        out = dict(a)
+        for j, b in other.d.items():
+            out[j] = a[j] - b if j in a else -b
+        return Tangent(out)
+
+    def __neg__(self):
+        return Tangent({j: -v for j, v in self.d.items()})
+
+    def __mul__(self, other):
+        return Tangent({j: v * other for j, v in self.d.items()})
+
+    def __rmul__(self, other):
+        return Tangent({j: other * v for j, v in self.d.items()})
+
+    def __truediv__(self, other):
+        return Tangent({j: v / other for j, v in self.d.items()})
 
 
 class Jet:
@@ -195,7 +257,7 @@ class Jet:
         if isinstance(other, Jet):
             a, b = self.c, other.c
             return Jet([_cauchy(a, b, k) for k in range(min(len(a), len(b)))])
-        if isinstance(other, Dual):
+        if isinstance(other, (Dual, Tangent)):
             return NotImplemented
         return Jet([a * other for a in self.c])
 

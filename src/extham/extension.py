@@ -24,7 +24,7 @@ import numpy as np
 
 from .duals import Jet, coefficient
 from .phase import PhaseFunction, gradient, hamiltonian_vector_field, partials_at
-from .tagged_trig import GammaProfile, gamma, gamma_prime
+from .tagged_trig import GammaProfile, gamma, gamma_and_prime, gamma_prime
 
 
 @dataclass(frozen=True)
@@ -227,12 +227,13 @@ class Extension:
         def rule(q, p):
             u = q[0]
             Lv = L.rule(q[1:], p[1:])
-            H = 0.5 * p[0] * p[0] - ratio2 * gamma_prime(prof, u) * Lv
-            if not scalar_off:
-                g = gamma(prof, u)
-                H = H + ratio2 * c0 * g * g + Om / (g * g)
-                if extra_scalar is not None:
-                    H = H + extra_scalar(u)
+            if scalar_off:
+                return 0.5 * p[0] * p[0] - ratio2 * gamma_prime(prof, u) * Lv
+            g, gp = gamma_and_prime(prof, u)
+            H = 0.5 * p[0] * p[0] - ratio2 * gp * Lv
+            H = H + ratio2 * c0 * g * g + Om / (g * g)
+            if extra_scalar is not None:
+                H = H + extra_scalar(u)
             return H
 
         return PhaseFunction(rule, 2)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import duals
-from .duals import batch, new_tag, primal, tangent_part, value_part
+from .duals import Dual, Tangent, batch, new_tag, primal, tangent_part, value_part
 
 
 @dataclass(frozen=True)
@@ -152,9 +152,18 @@ def _seeded(block, i, tag):
 def partials_at(f, q, p, slots):
     """df/dq_i and df/dp_i for each slot i, plus the plain value of f.
 
-    Each directional derivative costs one instrumented evaluation; the value
-    is recovered from the primal of the first one for free.
+    On Batch leaves (the outermost level of a sweep; the first coordinate
+    decides) one evaluation gives every partial: each slot is seeded under
+    one tag with its own direction of a Tangent, and each partial equals the
+    seeded one bit for bit. On any other leaves (floats, Jets, the Duals of
+    an enclosing evaluation) each directional derivative costs one
+    instrumented evaluation, and the value is the primal of the first. Floats stay seeded because there the
+    tangent bookkeeping costs more than the primal work it saves: one
+    evaluation on float leaves took the benchmark's flow workload from
+    about 2630 to about 1500 items/s.
     """
+    if isinstance(q[0], np.ndarray):
+        return _partials_in_one_evaluation(f, q, p, slots)
     dq = []
     dp = []
     value = None
@@ -170,6 +179,23 @@ def partials_at(f, q, p, slots):
     if value is None:
         value = f.rule(q, p)
     return value, dq, dp
+
+
+def _partials_in_one_evaluation(f, q, p, slots):
+    """partials_at with every slot seeded at once: q_i is direction k and p_i is
+    direction len(slots) + k for the k-th slot i; an absent direction is 0.0."""
+    slots = tuple(slots)
+    n = len(slots)
+    tag = new_tag()
+    q, p = list(q), list(p)
+    for k, i in enumerate(slots):
+        q[i] = Dual(q[i], Tangent({k: 1.0}), tag)
+        p[i] = Dual(p[i], Tangent({n + k: 1.0}), tag)
+    y = f.rule(tuple(q), tuple(p))
+    dot = tangent_part(y, tag)
+    d = dot.d if isinstance(dot, Tangent) else {}
+    parts = [d.get(j, 0.0) for j in range(2 * n)]
+    return value_part(y, tag), parts[:n], parts[n:]
 
 
 def poisson_bracket(f, g, x):

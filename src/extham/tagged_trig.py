@@ -149,7 +149,34 @@ def gamma_prime(profile, u):
     return c * (-k) / (ch * ch)
 
 
+def gamma_and_prime(profile, u):
+    """(gamma(u), gamma'(u)) from one S_k/C_k pair behind one pole guard.
+
+    Each value equals gamma and gamma_prime bit for bit: the same operations
+    on the same operands, with S_k (or the translated denominator) computed
+    once.
+    """
+    c = profile.c
+    w = u + profile.shift
+    if c == 0.0:
+        return -profile.C * w, -profile.C
+    x = c * w
+    k = profile.kappa
+    if not profile.translated:
+        s = tagged_S(k, x)
+        _pole_guard(s, u)
+        return tagged_C(k, x) / s, -c / (s * s)
+    if k > 0:
+        rk = dm.sqrt(k)
+        cc = dm.cos(rk * x)
+        _pole_guard(cc, u)
+        return -rk * (dm.sin(rk * x) / cc), -c * k / (cc * cc)
+    rk = dm.sqrt(-k)
+    ch = dm.cosh(rk * x)
+    return rk * dm.tanh(rk * x), c * (-k) / (ch * ch)
+
+
 def ode_residual(profile, u):
     """gamma' + c gamma^2 + C; zero to rounding on every branch."""
-    g = gamma(profile, u)
-    return gamma_prime(profile, u) + profile.c * g * g + profile.C
+    g, gp = gamma_and_prime(profile, u)
+    return gp + profile.c * g * g + profile.C

@@ -9,7 +9,7 @@ import pytest
 from extham import cli, phase
 from extham.cli import main
 from extham.ccm import rescale_radial
-from extham.extension import bracket_scale, functional_independence, row_norms
+from extham.extension import bracket_scale, functional_independence, jacobian_rank, row_norms
 from extham.duals import primal
 from extham.phase import PhasePoint, batch_blocks, gradient, partials_at, poisson_bracket
 from extham.sampling import sample_points
@@ -263,9 +263,12 @@ def _separate_sweep(H, integrals, pts):
 
 
 def _assert_same_sweep(H, integrals, pts):
-    got = cli._bracket_sweep(H, integrals, pts)
+    max_abs, max_rel, jac = cli._bracket_sweep(H, integrals, pts)
+    got = (max_abs, max_rel, int(jacobian_rank(jac).min()))
     assert got == _separate_sweep(H, integrals, pts)
-    assert [type(v) for v in got] == [float, float, int]
+    fs = [H] + [f for _, f in integrals]
+    assert jac.tolist() == [[gradient(f, x).tolist() for f in fs] for x in pts]
+    assert [type(v) for v in (max_abs, max_rel)] == [float, float]
 
 
 @pytest.mark.parametrize("argv", [
@@ -312,8 +315,8 @@ def test_one_jacobian_sweep_equals_separate_figures_ccm():
 
 
 def test_verify_takes_each_gradient_once_per_point(capsys, monkeypatch):
-    # H, L and K(4,1) on 2 dof: one partials_at each, plus the 8 nested
-    # calls K's rule makes in its 4 seeded evaluations
+    # H, L and K(4,1) on 2 dof: one partials_at each, each one evaluation
+    # over every direction and point, plus the 2 nested calls K's rule makes
     original = phase.partials_at
     calls = []
 
@@ -328,7 +331,7 @@ def test_verify_takes_each_gradient_once_per_point(capsys, monkeypatch):
         calls.clear()
         code, _, _ = run_cli(capsys, "verify", "--model", "minkowski", "--k", "1", "--points", points)
         assert code == 0
-        assert len(calls) == 11
+        assert len(calls) == 5
 
 
 # the verify cases of the benchmark sweep, (model, k, Omega), at the default

@@ -1,13 +1,20 @@
 import math
+import operator
 
 import numpy as np
 import pytest
 
 from extham import duals as dm
 from extham.catalog import exp_base
-from extham.duals import Dual, Jet, derivative, primal, taylor
+from extham.duals import Dual, Jet, Tangent, derivative, primal, taylor
 from extham.extension import Extension, ExtensionSpec, bracket_scale
-from extham.phase import poisson_bracket
+from extham.phase import (
+    PhaseFunction,
+    batch_blocks,
+    hamiltonian_vector_field,
+    partials_at,
+    poisson_bracket,
+)
 from extham.sampling import sample_points
 from extham.tagged_trig import GammaProfile
 
@@ -319,3 +326,98 @@ def test_batch_no_perturbation_confusion_hypothesis():
                                                            for x in xs]
 
     batched_equals_per_entry()
+
+
+def test_batch_partials_no_perturbation_confusion_hypothesis():
+    # partials_at on Batch leaves carries every direction under one tag; an
+    # inner derivative and an inner X_L are seeded later, on top of it. Each
+    # partial must equal the per-entry seeded float one, bit for bit.
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    G = PhaseFunction(lambda q, p: dm.sin(q[1]) * p[1] ** 3 - q[0] / p[0], 2)
+    L = PhaseFunction(lambda q, p: 0.5 * p[1] * p[1] + dm.exp(q[1]) * q[0], 2)
+    xg = hamiltonian_vector_field(L, G)
+
+    def rule(q, p):
+        inner = derivative(lambda y: q[0] * dm.exp(q[1] * y) + dm.sin(y * p[0]), p[1])
+        return q[0] * inner - p[1] / (1.0 + q[1] * q[1]) + xg.rule(q, p)
+
+    f = PhaseFunction(rule, 2)
+
+    @hyp.settings(max_examples=40, deadline=None)
+    @hyp.given(st.lists(st.tuples(*[st.floats(0.2, 2.0)] * 4), min_size=1, max_size=6))
+    def batched_equals_per_entry(zs):
+        value, dq, dp = partials_at(f, *batch_blocks(np.array(zs)), range(2))
+        ref = [partials_at(f, z[:2], z[2:], range(2)) for z in zs]
+        assert value.tolist() == [v for v, _, _ in ref]
+        got = [np.broadcast_to(d, len(zs)).tolist() for d in dq + dp]
+        assert got == [[r[1 + s // 2][s % 2] for r in ref] for s in range(4)]
+
+    batched_equals_per_entry()
+
+
+def test_square_primal_is_pow_on_every_leaf():
+    # pow(x, 2) and x * x differ in the last bit on a share of inputs (this
+    # one under glibc 2.36); a Dual squares like its float or Batch value,
+    # through pow, so a value's primal does not depend on which slot is seeded
+    x = 1.6051211967710652
+    col = dm.batch([x, 0.15170188774368704, 1.72970728398619])
+    tag = dm.new_tag()
+    # the tangent is still the product rule's x dx + dx x, bit for bit
+    sq = Dual(x, 0.7, tag) ** 2
+    assert sq.val == x**2 and sq.dot == x * 0.7 + 0.7 * x
+    sq = Dual(col, 0.7, tag) ** 2
+    assert sq.val.tolist() == (col**2).tolist() == [v**2 for v in col.tolist()]
+    assert sq.dot.tolist() == (col * 0.7 + 0.7 * col).tolist()
+    assert dm.pow_(Dual(x, 0.7, tag), 2).val == x**2
+
+
+def test_tangent_components_equal_seeded_evaluations():
+    # direction j of a Tangent equals the evaluation seeded along j alone:
+    # where one operand lacks j it acts as that evaluation's plain value,
+    # so a - b gives -b_j and a / b gives __rtruediv__'s (-q b_j) / b
+    tag = dm.new_tag()
+    vals = dm.batch([1.5, -0.4, 0.7]), dm.batch([0.3, 2.2, -1.1])
+    zero_in_b = dm.batch([1.0, 0.0, -2.0])  # -0.0 must come out where a lacks the direction
+    a = Dual(vals[0], Tangent({0: 1.0, 2: dm.batch([0.5, 0.25, -2.0])}), tag)
+    b = Dual(vals[1], Tangent({1: zero_in_b, 2: 3.0}), tag)
+    seeds = {0: (1.0, None), 1: (None, zero_in_b), 2: (dm.batch([0.5, 0.25, -2.0]), 3.0)}
+    ops = (operator.add, operator.sub, operator.mul, operator.truediv,
+           lambda x, y: x**0 * y, lambda x, y: -x / 2.0 - 3.0 * y)
+    for op in ops:
+        out = op(a, b)
+        for j, dots in seeds.items():
+            t = dm.new_tag()
+            x, y = (v if d is None else Dual(v, d, t) for v, d in zip(vals, dots))
+            ref = op(x, y)
+            assert out.val.tolist() == ref.val.tolist()
+            got, want = (np.broadcast_to(v, 3).tolist() for v in (out.dot.d[j], ref.dot))
+            assert got == want and [math.copysign(1.0, v) for v in got] == [
+                math.copysign(1.0, v) for v in want]
+    assert (a**0).dot.d == {0: 0.0, 2: 0.0}
+    # a Jet or a Dual operand scales each component from the side it stands on;
+    # a product of jets sums its terms in operand order ([1.21, 1.82, 1.4] times
+    # [1.86, 1.73, 1.98] rounds differently from the reverse)
+    jet, low = Jet([1.21, 1.82, 1.4]), Dual(1.5, 1.0, tag)
+    t = Tangent({0: Jet([1.86, 1.73, 1.98]), 3: dm.batch([0.5, -1.5, 2.0])})
+    for left, right in ((jet, t), (t, jet), (low, t), (t, low)):
+        out = left * right
+        assert isinstance(out, Tangent) and out.d.keys() == t.d.keys()
+        want = [left * c if right is t else c * right for c in t.d.values()]
+        assert leaf_values(list(out.d.values())) == leaf_values(want)
+
+
+def test_batch_partials_inside_an_outer_derivative():
+    # the rule closes over a Dual seeded before partials_at's own tag, so a
+    # lower-tag Dual multiplies the Tangent from the left and must let the
+    # Tangent scale each component
+    z = np.array([[0.5, 0.7, 1.5, -0.2], [1.1, 0.3, -0.4, 0.9], [0.8, 1.9, 0.2, 0.6]])
+    tag = dm.new_tag()
+    a = Dual(0.7, 1.0, tag)
+    f = PhaseFunction(lambda q, p: a * dm.sin(q[0] * p[1]) + q[1] / a - a * (p[0] * a), 2)
+    value, dq, dp = partials_at(f, *batch_blocks(z), range(2))
+    for i, row in enumerate(z.tolist()):
+        ref = partials_at(f, tuple(row[:2]), tuple(row[2:]), range(2))
+        for got, want in zip([value] + dq + dp, [ref[0]] + ref[1] + ref[2]):
+            for part in (primal, lambda v: dm.tangent_part(v, tag)):
+                assert np.broadcast_to(part(got), len(z))[i] == part(want)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from extham import tagged_trig
 from extham.catalog import exp_base, trig_base
+from extham.duals import Dual, new_tag
 from extham.extension import (
     Extension,
     ExtensionSpec,
@@ -14,6 +16,7 @@ from extham.extension import (
 from extham.phase import (
     PhaseFunction,
     PhasePoint,
+    batch_blocks,
     fd_gradient,
     hamiltonian_vector_field,
     lift_last,
@@ -21,7 +24,9 @@ from extham.phase import (
     poisson_bracket,
 )
 from extham.sampling import sample_points
-from extham.tagged_trig import GammaProfile, gamma
+from extham.tagged_trig import GammaProfile, gamma, gamma_prime
+
+from references import leaf_values
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +159,68 @@ def test_extended_hamiltonian_form(base, profile):
     Hf = e.hamiltonian(extra_scalar=lambda u: 3.0 * u)
     x = PhasePoint((1.2, 0.6), (0.1, 0.2))
     assert Hf(x) - H(x) == pytest.approx(3.6, rel=1e-12)
+
+
+# (c, kappa, translated) on every gamma branch: c = 0, principal with kappa
+# of either sign, translated with kappa of either sign
+GAMMA_BRANCHES = [(0.0, 0.0, False), (-1.0, 2.0, False), (-1.0, -2.0, False),
+                  (-1.0, 2.0, True), (-1.0, -2.0, True)]
+
+
+def _two_call_hamiltonian(e):
+    """H with gamma and gamma' each from its own call, as H was first written."""
+    spec = e.spec
+    ratio2 = (spec.m / spec.n) ** 2
+    L = e.base.L
+
+    def rule(q, p):
+        u = q[0]
+        H = 0.5 * p[0] * p[0] - ratio2 * gamma_prime(spec.gamma, u) * L.rule(q[1:], p[1:])
+        g = gamma(spec.gamma, u)
+        return H + ratio2 * spec.c0 * g * g + spec.Omega / (g * g)
+
+    return PhaseFunction(rule, 2)
+
+
+def _branch_extension(base, c, kappa, translated):
+    prof = (GammaProfile(0.0, 1.5, 0.0) if c == 0.0
+            else GammaProfile.from_c_kappa(c, kappa, translated=translated))
+    return Extension(ExtensionSpec(2, 1, c, 0.5, 0.3, prof), base)
+
+
+@pytest.mark.parametrize("c,kappa,translated", GAMMA_BRANCHES)
+def test_hamiltonian_equals_two_gamma_calls(base, c, kappa, translated):
+    # one (gamma, gamma') pair per rule call; H and its partials stay bit-identical
+    e = _branch_extension(base, c, kappa, translated)
+    H, ref = e.hamiltonian(), _two_call_hamiltonian(e)
+    pts = sample_points(8, 41, 2, q_ranges=((0.3, 1.0), base.psi_window))
+    tag = new_tag()
+    for x in pts:
+        q = (Dual(x.q[0], 0.7, tag), x.q[1])
+        for args in ((x.q, x.p), (q, x.p)):
+            assert leaf_values(H.rule(*args)) == leaf_values(ref.rule(*args))
+        assert leaf_values(partials_at(H, x.q, x.p, range(2))) == leaf_values(
+            partials_at(ref, x.q, x.p, range(2)))
+    q, p = batch_blocks(np.array([x.q + x.p for x in pts]))
+    assert leaf_values(H.rule(q, p)) == leaf_values(ref.rule(q, p))
+    assert leaf_values(partials_at(H, q, p, range(2))) == leaf_values(
+        partials_at(ref, q, p, range(2)))
+
+
+def test_hamiltonian_computes_tagged_s_once_per_rule_call(base, monkeypatch):
+    calls = []
+    original = tagged_trig.tagged_S
+
+    def counted(kappa, x):
+        calls.append(1)
+        return original(kappa, x)
+
+    monkeypatch.setattr(tagged_trig, "tagged_S", counted)
+    H = _branch_extension(base, -1.0, 2.0, False).hamiltonian()
+    H.rule((0.7, 0.9), (0.4, -0.3))
+    assert len(calls) == 1
+    partials_at(H, (0.7, 0.9), (0.4, -0.3), range(2))  # four seeded rule calls
+    assert len(calls) == 5
 
 
 def test_u_operator_examples(base, profile):

@@ -7,6 +7,7 @@ from extham.catalog import exp_base, make_minkowski_hamiltonian, trig_base
 from extham.phase import (
     PhaseFunction,
     PhasePoint,
+    batch_blocks,
     constant,
     coordinate,
     fd_gradient,
@@ -15,6 +16,7 @@ from extham.phase import (
     hamiltonian_vector_field,
     lift_last,
     momentum,
+    partials_at,
     poisson_bracket,
 )
 from extham.sampling import sample_points
@@ -169,3 +171,42 @@ def test_lift_and_algebra():
         lift_last(lifted, 1)
     with pytest.raises(ValueError):
         poisson_bracket(base, lifted, x)
+
+
+def test_rule_calls_per_partials_at():
+    # float leaves stay seeded, one evaluation per direction: tangent bookkeeping
+    # costs more than the primal work it saves on a scalar; Batch leaves take
+    # one evaluation for every direction and point
+    calls = []
+
+    def rule(q, p):
+        calls.append(1)
+        return dm.exp(q[0] * p[1]) + q[1] * p[0] * p[0]
+
+    f = PhaseFunction(rule, 2)
+    z = np.array([[0.5, 0.7, 1.5, -0.2], [1.1, 0.3, -0.4, 0.9], [0.8, 1.9, 0.2, 0.6]])
+    per_point = [partials_at(f, tuple(row[:2]), tuple(row[2:]), range(2)) for row in z.tolist()]
+    assert len(calls) == 4 * len(z)
+    calls.clear()
+    value, dq, dp = partials_at(f, *batch_blocks(z), range(2))
+    assert len(calls) == 1
+    assert value.tolist() == [v for v, _, _ in per_point]
+    assert [d.tolist() for d in dq + dp] == [[fq[s] for _, fq, _ in per_point] for s in range(2)] + [
+        [fp[s] for _, _, fp in per_point] for s in range(2)]
+
+
+def test_ignored_slot_gets_positive_zero_on_batch_leaves():
+    # a slot the function never reads is a structural zero, never -(0.0)
+    z = np.array([[0.5, 0.7, 1.5, -0.2], [1.1, 0.3, -0.4, 0.9]])
+    for f in (PhaseFunction(lambda q, p: -(q[0] * p[0]), 2),
+              PhaseFunction(lambda q, p: -q[0] - 2.0 * p[0], 2),
+              PhaseFunction(lambda q, p: 0.0 * (q[0] - p[0]), 2)):
+        _, dq, dp = partials_at(f, *batch_blocks(z), range(2))
+        for d in (dq[1], dp[1]):
+            assert d == 0.0 and math.copysign(1.0, d) == 1.0
+        # the seeded float evaluations agree
+        for row in z.tolist():
+            _, fq, fp = partials_at(f, tuple(row[:2]), tuple(row[2:]), range(2))
+            assert math.copysign(1.0, fq[1]) == math.copysign(1.0, fp[1]) == 1.0
+    const = PhaseFunction(lambda q, p: 2.5, 2)
+    assert partials_at(const, *batch_blocks(z), range(2)) == (2.5, [0.0, 0.0], [0.0, 0.0])

@@ -2,18 +2,21 @@ import math
 
 import pytest
 
-from extham.duals import batch, derivative
+from extham.duals import Dual, batch, derivative, new_tag
 from extham.sampling import sample_scalars
 from extham.tagged_trig import (
     GammaPoleError,
     GammaProfile,
     gamma,
+    gamma_and_prime,
     gamma_prime,
     ode_residual,
     tagged_C,
     tagged_S,
     tagged_T,
 )
+
+from references import leaf_values
 
 
 def _series_sinh(x, terms=25):
@@ -103,6 +106,25 @@ def test_ode_residual_on_24_profile_grid():
             assert abs(ode_residual(prof, u)) <= 1e-12 * (1.0 + g * g)
 
 
+def test_gamma_and_prime_equal_separate_calls_on_24_profile_grid():
+    us = sample_scalars(50, 123, 0.05, 2.2)
+    for prof in _profile_grid():
+        good = []
+        for u in us:
+            try:
+                ref = (gamma(prof, u), gamma_prime(prof, u))
+            except GammaPoleError:
+                continue
+            good.append(u)
+            assert gamma_and_prime(prof, u) == ref
+            x = Dual(u, 0.7, new_tag())
+            assert leaf_values(gamma_and_prime(prof, x)) == leaf_values(
+                [gamma(prof, x), gamma_prime(prof, x)])
+        col = batch(good)
+        assert leaf_values(gamma_and_prime(prof, col)) == leaf_values(
+            [gamma(prof, col), gamma_prime(prof, col)])
+
+
 def test_translated_branches_solve_ode_with_table_signs():
     # translated kappa=-1 rows: gamma' = +cosh^-2 for c=1, -cosh^-2 for c=-1
     for c, sign in ((1.0, 1.0), (-1.0, -1.0)):
@@ -126,6 +148,8 @@ def test_pole_errors_report_offending_u():
     assert err.value.u == 0.0
     with pytest.raises(GammaPoleError):
         gamma_prime(prof, 0.0)
+    with pytest.raises(GammaPoleError):
+        gamma_and_prime(prof, 0.0)
     # near (but not exactly at) a pole the value stays finite, never +-inf
     proft = GammaProfile.from_c_kappa(1.0, 1.0, translated=True)
     assert math.isfinite(gamma(proft, math.pi / 2))
@@ -135,7 +159,7 @@ def test_pole_errors_report_offending_u():
 
 def test_pole_errors_in_a_batch_name_the_first_offending_u():
     prof = GammaProfile.from_c_C(-4.0, 0.0)
-    for fn in (gamma, gamma_prime):
+    for fn in (gamma, gamma_prime, gamma_and_prime):
         with pytest.raises(GammaPoleError) as batched:
             fn(prof, batch([0.5, -0.0, 0.0, 0.7]))
         with pytest.raises(GammaPoleError) as single:
