@@ -25,7 +25,7 @@ from .catalog import (
     to_pseudo_polar,
     trig_base,
 )
-from .ccm import CcmSpec, ccm_transform, rescale_radial
+from .ccm import ccm_transform, rescale_radial
 from .dynamics import Trajectory, drift_report, integrate
 from .extension import (
     BaseSystem,

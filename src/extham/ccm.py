@@ -1,7 +1,8 @@
 """Coupling-constant metamorphosis: trade a coupling constant for the energy.
 
-Given H = Hhat - Etilde U with a position-only coupling U and an integral K
-depending on the parameter Etilde, the transformed pair is
+Given H = Hhat - Etilde U with a position-only coupling function U, a new
+energy E and an integral K depending on the parameter Etilde,
+``ccm_transform(Hhat, K_builder, U, E)`` gives the transformed pair
 
     H' = (Hhat - E)/U,        K' = K with Etilde replaced by H'(x).
 
@@ -13,25 +14,12 @@ frozen-parameter substitution is *not* an integral of H'; the bracket test
 distinguishes the two.
 """
 
-from dataclasses import dataclass
-
 from . import duals as dm
 from .phase import PhaseFunction
 
 
-@dataclass(frozen=True)
-class CcmSpec:
-    """Coupling function U (positions only), new energy E, parameter label."""
-
-    U: PhaseFunction
-    E: float
-    etilde_name: str = "Etilde"
-
-
-def ccm_transform(Hhat, K_builder, spec):
-    """(H', K') from Hhat and the Etilde-parametric integral builder."""
-    U = spec.U
-    E = spec.E
+def ccm_transform(Hhat, K_builder, U, E):
+    """(H', K') from Hhat, the Etilde-parametric integral builder, U and E."""
     if U.dof != Hhat.dof:
         raise ValueError("coupling function and Hamiltonian must share a phase space")
 

@@ -25,7 +25,7 @@ from .catalog import (
     make_remark_pair,
     trig_base,
 )
-from .ccm import CcmSpec, ccm_transform, rescale_radial
+from .ccm import ccm_transform, rescale_radial
 from .duals import batch, primal
 from .dynamics import drift_report, integrate
 from .extension import Extension, ExtensionSpec, jacobian_rank, row_norms
@@ -85,8 +85,9 @@ def _bracket_sweep(H, integrals, points):
     points[i], from which jacobian_rank gives the ranks. The brackets and
     their scales equal poisson_bracket and bracket_scale at each point; both
     take their norms from row_norms, so a scale stays finite where squared
-    gradients overflow. Maxima run over Python floats, so verdicts stay plain
-    bools.
+    gradients overflow. An inf or NaN gradient entry raises ValueError naming
+    its point: no bracket there can be checked. Maxima run over Python floats,
+    so verdicts stay plain bools.
     """
     fs = [H] + [f for _, f in integrals]
     q, p = batch_blocks(np.array([x.q + x.p for x in points]))
@@ -95,6 +96,9 @@ def _bracket_sweep(H, integrals, points):
         _, dq, dp = partials_at(f, q, p, range(H.dof))
         for s, v in enumerate(dq + dp):
             jac[:, j, s] = primal(v)  # a tangent that is a scalar zero broadcasts
+    bad = np.flatnonzero(~np.isfinite(jac).all(axis=(1, 2)))
+    if bad.size:
+        raise ValueError(f"non-finite gradient at sample point {bad[0]}: {points[bad[0]]}")
     norms = row_norms(jac)
     max_abs = 0.0
     max_rel = 0.0
@@ -377,7 +381,7 @@ def _ccm_pair(args):
         raise ValueError("ccm demo requires even m (Kbar indices)")
     Hhat = Extension(ExtensionSpec(args.m, args.n, base.c, 0.0, 0.0, profile), base).hamiltonian()
     U = PhaseFunction(lambda q, p: q[0] * q[0], 2)
-    Hp, Kp = ccm_transform(Hhat, K_builder, CcmSpec(U, args.E))
+    Hp, Kp = ccm_transform(Hhat, K_builder, U, args.E)
     return base, Hp, Kp
 
 
@@ -431,7 +435,6 @@ def build_parser():
         p.add_argument("--points", type=_positive_int, default=50, help="number of sample points")
         p.add_argument("--tol", type=_finite_float, default=1e-9,
                        help="relative bracket tolerance")
-        p.add_argument("--json", action="store_true", help="JSON output (default for reports)")
 
     pv = sub.add_parser("verify", help="bracket and independence sweep for a catalog model")
     common(pv)
@@ -452,7 +455,6 @@ def build_parser():
     pv.set_defaults(func=cmd_verify)
 
     pi = sub.add_parser("integrate", help="implicit-midpoint trajectory with drift summary")
-    common(pi)
     pi.add_argument("--model", default="minkowski", choices=["minkowski", "free"])
     pi.add_argument("--k", default="1")
     pi.add_argument("--alpha", type=_finite_float, default=1.0)
@@ -462,7 +464,7 @@ def build_parser():
     pi.add_argument("--x0", type=_finite_float, nargs=4, required=True,
                     metavar=("Q1", "Q2", "P1", "P2"))
     pi.add_argument("--h", type=_finite_float, default=1e-3)
-    pi.add_argument("--steps", type=int, default=10000)
+    pi.add_argument("--steps", type=_positive_int, default=10000)
     pi.add_argument("--u-min", type=_finite_float, default=0.05,
                     help="truncate when the radial coordinate drops below this")
     pi.add_argument("--csv", default="trajectory.csv")
@@ -470,7 +472,7 @@ def build_parser():
     pi.set_defaults(func=cmd_integrate)
 
     pg = sub.add_parser("gamma-table", help="reproduce the gamma'/gamma^2 translation tables")
-    pg.add_argument("--json", action="store_true")
+    pg.add_argument("--json", action="store_true", help="one JSON report instead of text tables")
     pg.set_defaults(func=cmd_gamma_table)
 
     pl = sub.add_parser("ladder", help="ladder-function residuals for a base family")
@@ -494,7 +496,6 @@ def build_parser():
     pc.set_defaults(func=cmd_ccm)
 
     pcat = sub.add_parser("catalog", help="machine-readable model catalog")
-    pcat.add_argument("--json", action="store_true")
     pcat.set_defaults(func=cmd_catalog)
 
     return ap

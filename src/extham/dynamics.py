@@ -59,12 +59,12 @@ class Trajectory:
             w.writerow([repr(float(t))] + [repr(float(v)) for v in s])
 
 
-def integrate(H, x0, h, steps, fp_tol=1e-13, max_iter=50, u_min=None, u_slot=0):
+def integrate(H, x0, h, steps, fp_tol=1e-13, max_iter=50, u_min=None):
     """Implicit-midpoint trajectory of Hamilton's equations from x0.
 
     h may be negative (the method is symmetric, so this is the exact time
     reversal). When u_min is given, the run truncates with DOMAIN_EXIT as
-    soon as position slot u_slot drops below it. An implicit solve whose
+    soon as the first position coordinate drops below it. An implicit solve whose
     residual never falls to fp_tol in max_iter iterations truncates with
     NO_CONVERGENCE; one whose iterate leaves H's domain (evaluating the flow
     raises, or the midpoint or iterate is no longer finite) truncates with
@@ -84,7 +84,7 @@ def integrate(H, x0, h, steps, fp_tol=1e-13, max_iter=50, u_min=None, u_slot=0):
     status = COMPLETED
     exit_step = None
     for step in range(steps):
-        if u_min is not None and z[u_slot] < u_min:
+        if u_min is not None and z[0] < u_min:
             status, exit_step = DOMAIN_EXIT, step
             break
         y = z

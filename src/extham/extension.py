@@ -48,10 +48,6 @@ class ExtensionSpec:
         if abs(self.gamma.c - self.c) > 1e-12 * (1.0 + abs(self.c)):
             raise ValueError("gamma profile must solve the ODE with the same c")
 
-    @property
-    def gcd(self):
-        return math.gcd(self.m, self.n)
-
 
 @dataclass
 class BaseSystem:
@@ -214,7 +210,7 @@ class Extension:
 
     # -- extended Hamiltonian ----------------------------------------------
 
-    def hamiltonian(self, extra_scalar=None):
+    def hamiltonian(self):
         """H = p_u^2/2 - (m/n)^2 gamma' L + (m/n)^2 c0 gamma^2 + Omega/gamma^2."""
         spec = self.spec
         prof = spec.gamma
@@ -222,7 +218,7 @@ class Extension:
         L = self.base.L
         c0 = spec.c0
         Om = spec.Omega
-        scalar_off = self._omega_is_zero() and c0 == 0.0 and extra_scalar is None
+        scalar_off = self._omega_is_zero() and c0 == 0.0
 
         def rule(q, p):
             u = q[0]
@@ -231,10 +227,7 @@ class Extension:
                 return 0.5 * p[0] * p[0] - ratio2 * gamma_prime(prof, u) * Lv
             g, gp = gamma_and_prime(prof, u)
             H = 0.5 * p[0] * p[0] - ratio2 * gp * Lv
-            H = H + ratio2 * c0 * g * g + Om / (g * g)
-            if extra_scalar is not None:
-                H = H + extra_scalar(u)
-            return H
+            return H + ratio2 * c0 * g * g + Om / (g * g)
 
         return PhaseFunction(rule, 2)
 
@@ -243,16 +236,7 @@ class Extension:
     def k_recursive(self):
         """K_{m,n} = U^m(G_n) via the operator recursion (Omega must be 0)."""
         self._require_omega_zero()
-        m, n = self.spec.m, self.spec.n
-
-        def rule(q, p):
-            d = self._xl_powers(q[1:], p[1:], n, m + 1)
-            gam = gamma(self.spec.gamma, q[0])
-            for _ in range(m):
-                d = self._u_step(d, p[0], gam)
-            return d[0]
-
-        return PhaseFunction(rule, 2)
+        return PhaseFunction(lambda q, p: self._recursive_form(q, p, 0), 2)
 
     def k_closed(self):
         """K_{m,n} = P_{m,n,m} G_n + D_{m,n,m} X_L(G_n) in closed form."""
@@ -328,18 +312,23 @@ class Extension:
     def kbar_recursive(self, s, r):
         """Kbar_{2s,r} = (U^2 + 2 Omega gamma^-2)^s (G_r) by operator application."""
         self._check_kbar_indices(s, r)
+        return PhaseFunction(lambda q, p: self._recursive_form(q, p, s), 2)
+
+    def _recursive_form(self, q, p, s):
+        """_closed_form's recursive twin: U^m(G_n) at (q, p) for s = 0 (K_{m,n})
+        and (U^2 + 2 Omega/gamma^2)^s(G_n) for s = m/2 (Kbar_{m,n})."""
         spec = self.spec
-
-        def rule(q, p):
-            d = self._xl_powers(q[1:], p[1:], r, 2 * s + 1)
-            gam = gamma(spec.gamma, q[0])
-            om = 2.0 * spec.Omega / gam**2
-            for _ in range(s):
-                u2 = self._u_step(self._u_step(d, p[0], gam), p[0], gam)
-                d = [a + om * b for a, b in zip(u2, d)]
+        d = self._xl_powers(q[1:], p[1:], spec.n, spec.m + 1)
+        gam = gamma(spec.gamma, q[0])
+        if s == 0:
+            for _ in range(spec.m):
+                d = self._u_step(d, p[0], gam)
             return d[0]
-
-        return PhaseFunction(rule, 2)
+        om = 2.0 * spec.Omega / gam**2
+        for _ in range(s):
+            u2 = self._u_step(self._u_step(d, p[0], gam), p[0], gam)
+            d = [a + om * b for a, b in zip(u2, d)]
+        return d[0]
 
     def momentum_degree_bound(self):
         """Exact polynomial degree of K (and Kbar) in the momenta: m + 2n - 1."""

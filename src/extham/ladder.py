@@ -28,7 +28,6 @@ class LadderData:
 
     F: object
     c1: float
-    eta: float
     base: object
 
 
@@ -40,7 +39,7 @@ def ladder_from_base(base):
     g = base.g_scalar
     F = lambda psi: derivative(g, psi)
     c1 = -(base.c**2) * C4 / base.eta_hat
-    return LadderData(F=F, c1=c1, eta=base.eta_hat, base=base)
+    return LadderData(F=F, c1=c1, base=base)
 
 
 def ladder_residuals(data, psi):

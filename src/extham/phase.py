@@ -200,15 +200,11 @@ def _partials_in_one_evaluation(f, q, p, slots):
 
 def poisson_bracket(f, g, x):
     """{f, g} = sum_i df/dq_i dg/dp_i - df/dp_i dg/dq_i at the point x."""
-    return poisson_bracket_generic(f, g, x.q, x.p)
-
-
-def poisson_bracket_generic(f, g, q, p):
     if f.dof != g.dof:
         raise ValueError("bracket of functions on different phase spaces")
     slots = range(f.dof)
-    _, fq, fp = partials_at(f, q, p, slots)
-    _, gq, gp = partials_at(g, q, p, slots)
+    _, fq, fp = partials_at(f, x.q, x.p, slots)
+    _, gq, gp = partials_at(g, x.q, x.p, slots)
     return bracket_of_gradients(fq + fp, gq + gp)
 
 
@@ -225,20 +221,14 @@ def bracket_of_gradients(gf, gg):
     return total
 
 
-def hamiltonian_vector_field(L, f, slots=None):
-    """X_L(f) = {f, L} as a new phase function, optionally restricted to slots.
-
-    Restricting slots is only a shortcut for Hamiltonians whose remaining
-    partial derivatives vanish identically (e.g. a lifted base Hamiltonian
-    that never reads the leading block); values are unchanged.
-    """
+def hamiltonian_vector_field(L, f):
+    """X_L(f) = {f, L} as a new phase function."""
     if L.dof != f.dof:
         raise ValueError("X_L requires L and f on the same phase space")
-    active = tuple(range(L.dof)) if slots is None else tuple(slots)
 
     def rule(q, p):
-        _, fq, fp = partials_at(f, q, p, active)
-        _, Lq, Lp = partials_at(L, q, p, active)
+        _, fq, fp = partials_at(f, q, p, range(f.dof))
+        _, Lq, Lp = partials_at(L, q, p, range(f.dof))
         return bracket_of_gradients(fq + fp, Lq + Lp)
 
     return PhaseFunction(rule, f.dof)

@@ -15,7 +15,8 @@ namely gamma = -C (u+shift) for c = 0 and gamma = C_k(c w)/S_k(c w) with
 w = u+shift otherwise. The ``translated`` flag selects the half-period
 translation of w (imaginary for kappa<0), which stays real and swaps the
 sin^2/cos^2 and sinh^2/cosh^2 end forms while solving the same ODE with
-the opposite-sign effective gamma'.
+the opposite-sign effective gamma'. One branch table, _branch, serves
+gamma_prime and gamma_and_prime; gamma is gamma_and_prime's first value.
 """
 
 from dataclasses import dataclass
@@ -105,75 +106,53 @@ def _pole_guard(den, u):
         raise GammaPoleError(u, near)
 
 
-def _checked_div(num, den, u):
-    _pole_guard(den, u)
-    return num / den
+def _branch(profile, u):
+    """(x, d, a) with gamma' = a/(d*d): d is 1 for c = 0 (x is None) and else, for
+    x = c (u+shift), S_k(x), or cos(sqrt(k) x) or cosh(sqrt(-k) x) when translated,
+    behind the pole guard. gamma_prime takes it alone, never gamma's numerator."""
+    c = profile.c
+    if c == 0.0:
+        return None, 1.0, -profile.C
+    x = c * (u + profile.shift)
+    k = profile.kappa
+    if not profile.translated:
+        d = tagged_S(k, x)
+        _pole_guard(d, u)
+        return x, d, -c
+    if k > 0:
+        # translated S^2 = cos^2(sqrt(k) x)/k
+        d = dm.cos(dm.sqrt(k) * x)
+        _pole_guard(d, u)
+        return x, d, -c * k
+    # translated (kappa<0): S^2 picks up a sign, so gamma' = +c|kappa| sech^2
+    return x, dm.cosh(dm.sqrt(-k) * x), c * (-k)
 
 
 def gamma(profile, u):
     """gamma(u); raises GammaPoleError where S_k (or the translated denominator) vanishes."""
-    c = profile.c
-    w = u + profile.shift
-    if c == 0.0:
-        return -profile.C * w
-    x = c * w
-    k = profile.kappa
-    if not profile.translated:
-        return _checked_div(tagged_C(k, x), tagged_S(k, x), u)
-    if k > 0:
-        # C_k(x + pi/(2 sqrt(k))) / S_k(same) = -sqrt(k) tan(sqrt(k) x)
-        rk = dm.sqrt(k)
-        return -rk * _checked_div(dm.sin(rk * x), dm.cos(rk * x), u)
-    rk = dm.sqrt(-k)
-    return rk * dm.tanh(rk * x)
+    return gamma_and_prime(profile, u)[0]
 
 
 def gamma_prime(profile, u):
     """gamma'(u), satisfying gamma' = -c gamma^2 - C identically on the branch."""
-    c = profile.c
-    if c == 0.0:
-        return -profile.C
-    x = c * (u + profile.shift)
-    k = profile.kappa
-    if not profile.translated:
-        s = tagged_S(k, x)
-        _pole_guard(s, u)
-        return -c / (s * s)
-    if k > 0:
-        # translated S^2 = cos^2(sqrt(k) x)/k
-        cc = dm.cos(dm.sqrt(k) * x)
-        _pole_guard(cc, u)
-        return -c * k / (cc * cc)
-    # translated (kappa<0): S^2 picks up a sign, so gamma' = +c|kappa| sech^2
-    ch = dm.cosh(dm.sqrt(-k) * x)
-    return c * (-k) / (ch * ch)
+    _, d, a = _branch(profile, u)
+    return a / (d * d)
 
 
 def gamma_and_prime(profile, u):
-    """(gamma(u), gamma'(u)) from one S_k/C_k pair behind one pole guard.
-
-    Each value equals gamma and gamma_prime bit for bit: the same operations
-    on the same operands, with S_k (or the translated denominator) computed
-    once.
-    """
-    c = profile.c
-    w = u + profile.shift
-    if c == 0.0:
-        return -profile.C * w, -profile.C
-    x = c * w
+    """(gamma(u), gamma'(u)), equal to gamma and gamma_prime bit for bit, from one denominator."""
+    x, d, a = _branch(profile, u)
     k = profile.kappa
-    if not profile.translated:
-        s = tagged_S(k, x)
-        _pole_guard(s, u)
-        return tagged_C(k, x) / s, -c / (s * s)
-    if k > 0:
-        rk = dm.sqrt(k)
-        cc = dm.cos(rk * x)
-        _pole_guard(cc, u)
-        return -rk * (dm.sin(rk * x) / cc), -c * k / (cc * cc)
-    rk = dm.sqrt(-k)
-    ch = dm.cosh(rk * x)
-    return rk * dm.tanh(rk * x), c * (-k) / (ch * ch)
+    if x is None:
+        g = -profile.C * (u + profile.shift)
+    elif not profile.translated:
+        g = tagged_C(k, x) / d
+    elif k > 0:
+        # C_k(x + pi/(2 sqrt(k))) / S_k(same) = -sqrt(k) tan(sqrt(k) x)
+        g = -dm.sqrt(k) * (dm.sin(dm.sqrt(k) * x) / d)
+    else:
+        g = dm.sqrt(-k) * dm.tanh(dm.sqrt(-k) * x)
+    return g, a / (d * d)
 
 
 def ode_residual(profile, u):

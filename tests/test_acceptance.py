@@ -25,7 +25,7 @@ from extham.catalog import (
     to_pseudo_polar,
     trig_base,
 )
-from extham.ccm import CcmSpec, ccm_transform, rescale_radial
+from extham.ccm import ccm_transform, rescale_radial
 from extham.cli import main as cli_main
 from extham.dynamics import COMPLETED, drift_report, integrate
 from extham.extension import (
@@ -246,7 +246,7 @@ def test_criterion_09_ccm():
 
     Hhat = Extension(ExtensionSpec(2, 1, base.c, 0.0, 0.0, SECTION3_PROFILE), base).hamiltonian()
     U = PhaseFunction(lambda q, p: q[0] * q[0], 2)
-    Hp, Kp = ccm_transform(Hhat, K_builder, CcmSpec(U, 0.4))
+    Hp, Kp = ccm_transform(Hhat, K_builder, U, 0.4)
     worst = 0.0
     for x in sample_points(30, 1011, 2):
         worst = max(worst, abs(poisson_bracket(Hp, Kp, x)) / bracket_scale(Hp, Kp, x))

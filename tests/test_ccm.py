@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from extham.catalog import exp_base
-from extham.ccm import CcmSpec, ccm_transform, rescale_radial
+from extham.ccm import ccm_transform, rescale_radial
 from extham.duals import primal
 from extham.extension import Extension, ExtensionSpec, bracket_scale
 from extham.phase import (
@@ -38,7 +38,7 @@ def setup():
 def test_unit_coupling_is_identity(setup):
     _, Hhat, _, K_builder = setup
     one = PhaseFunction(lambda q, p: 1.0, 2)
-    Hp, Kp = ccm_transform(Hhat, K_builder, CcmSpec(one, 0.0))
+    Hp, Kp = ccm_transform(Hhat, K_builder, one, 0.0)
     for x in sample_points(10, 71, 2):
         assert Hp(x) == pytest.approx(Hhat(x), rel=1e-14)
         assert Kp(x) == pytest.approx(K_builder(Hhat(x))(x), rel=1e-13)
@@ -47,7 +47,7 @@ def test_unit_coupling_is_identity(setup):
 def test_level_set_identity(setup):
     _, Hhat, U, K_builder = setup
     E = 0.4
-    Hp, _ = ccm_transform(Hhat, K_builder, CcmSpec(U, E))
+    Hp, _ = ccm_transform(Hhat, K_builder, U, E)
     for x in sample_points(20, 72, 2):
         # substituting Etilde = H'(x) back into Hhat - Etilde U recovers E
         assert abs(Hhat(x) - Hp(x) * U(x) - E) <= 1e-12 * (1.0 + abs(Hhat(x)))
@@ -56,7 +56,7 @@ def test_level_set_identity(setup):
 def test_composition_sanity_on_level_sets(setup):
     _, Hhat, _, K_builder = setup
     one = PhaseFunction(lambda q, p: 1.0, 2)
-    _, Kp = ccm_transform(Hhat, K_builder, CcmSpec(one, 0.0))
+    _, Kp = ccm_transform(Hhat, K_builder, one, 0.0)
     for x in sample_points(10, 73, 2):
         et0 = Hhat(x)  # the level set through x
         assert Kp(x) == pytest.approx(K_builder(et0)(x), rel=1e-13)
@@ -64,14 +64,14 @@ def test_composition_sanity_on_level_sets(setup):
 
 def test_main_transform_bracket(setup):
     _, Hhat, U, K_builder = setup
-    Hp, Kp = ccm_transform(Hhat, K_builder, CcmSpec(U, 0.4))
+    Hp, Kp = ccm_transform(Hhat, K_builder, U, 0.4)
     for x in sample_points(30, 74, 2):
         assert abs(poisson_bracket(Hp, Kp, x)) <= 1e-9 * bracket_scale(Hp, Kp, x)
 
 
 def test_rescaled_form_bracket_and_values(setup):
     _, Hhat, U, K_builder = setup
-    Hp, Kp = ccm_transform(Hhat, K_builder, CcmSpec(U, 0.4))
+    Hp, Kp = ccm_transform(Hhat, K_builder, U, 0.4)
     H2, K2 = rescale_radial(Hp), rescale_radial(Kp)
     # v = 1/2 corresponds to u = 1
     for psi, pv, pp in ((0.6, 0.3, -0.8), (1.1, -0.2, 0.5)):
@@ -104,7 +104,7 @@ def test_chain_rule_reaches_kprime_derivatives(setup):
     # differs in the gradient even though both brackets vanish (the bracket
     # chain term is proportional to {H', H'} = 0)
     _, Hhat, U, K_builder = setup
-    Hp, Kp = ccm_transform(Hhat, K_builder, CcmSpec(U, 0.4))
+    Hp, Kp = ccm_transform(Hhat, K_builder, U, 0.4)
 
     def frozen_rule(q, p):
         et = primal(Hp.rule(q, p))

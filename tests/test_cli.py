@@ -198,12 +198,41 @@ def test_catalog_command(capsys):
      "K(30,1) has momentum degree 31, above the cap of 30"),
     (("verify", "--model", "minkowski", "--k", "13/2", "--omega", "0.3"),
      "Kbar(30,2) has momentum degree 33, above the cap of 30"),
+    (("integrate", "--x0", "1", "0", "3.2", "0.5", "--steps", "-5"),
+     "argument --steps: expected a positive integer, got '-5'"),
+    (("integrate", "--x0", "1", "0", "3.2", "0.5", "--tol", "1"),
+     "unrecognized arguments: --tol 1"),
+    (("verify", "--model", "minkowski", "--json"), "unrecognized arguments: --json"),
+    (("ccm", "--json"), "unrecognized arguments: --json"),
+    (("ladder", "--json"), "unrecognized arguments: --json"),
+    (("catalog", "--json"), "unrecognized arguments: --json"),
 ], ids=["overflow", "nan-alpha", "zero-points", "negative-points", "degree-cap",
-        "degree-cap-doubled"])
+        "degree-cap-doubled", "negative-steps", "integrate-tol", "verify-json", "ccm-json",
+        "ladder-json", "catalog-json"])
 def test_errors_exit_two_with_json_error(capsys, argv, message):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 2
     assert message in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("ccm", "--m", "120", "--n", "1", "--seed", "1"),
+    ("verify", "--model", "sphere", "--k", "100", "--seed", "1"),
+], ids=["ccm", "sphere"])
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_overflowed_gradient_is_refused_not_skipped(capsys, argv):
+    # point 6's gradient overflows to inf/NaN; its bracket would be NaN, which
+    # max() skips, so the sweep refuses the run instead of passing or failing it
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"].startswith(
+        "non-finite gradient at sample point 6: PhasePoint(q=(")
+
+
+def test_sphere_below_the_overflow_still_passes(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--model", "sphere", "--k", "80", "--seed", "1")
+    report = json.loads(out)
+    assert code == 0 and report["max_rel_bracket"] < 1e-16
 
 
 def test_unwritable_csv_exits_two_with_json_error(capsys, tmp_path, monkeypatch):

@@ -26,6 +26,7 @@ from extham.phase import (
 from extham.sampling import sample_points
 from extham.tagged_trig import GammaProfile, gamma, gamma_prime
 
+import references
 from references import leaf_values
 
 
@@ -69,7 +70,7 @@ def test_spec_validation(profile):
     with pytest.raises(ValueError):
         ExtensionSpec(1, 1, -2.0, 0.0, 0.0, profile)  # profile.c mismatch
     spec = ExtensionSpec(6, 4, -4.0, 0.0, 0.0, profile)
-    assert spec.gcd == 2 and spec.m == 6  # stored as given, reduction optional
+    assert spec.m == 6  # stored as given, not reduced by gcd(m, n)
 
 
 def test_seed_residual_exp_family(base):
@@ -155,10 +156,6 @@ def test_extended_hamiltonian_form(base, profile):
     H1 = ext(base, profile, 4, 1, Omega=1.0).hamiltonian()
     for x in sample_points(5, 38, 2):
         assert H1(x) - H(x) == pytest.approx(16.0 * x.q[0] ** 2, rel=1e-11)
-    # optional extra scalar profile f(u)
-    Hf = e.hamiltonian(extra_scalar=lambda u: 3.0 * u)
-    x = PhasePoint((1.2, 0.6), (0.1, 0.2))
-    assert Hf(x) - H(x) == pytest.approx(3.6, rel=1e-12)
 
 
 # (c, kappa, translated) on every gamma branch: c = 0, principal with kappa
@@ -473,3 +470,24 @@ def test_gradients_match_fd_for_k(base, profile):
         ad = gradient(K, x)
         fd = fd_gradient(K, x)
         assert np.max(np.abs(ad - fd)) <= 1e-5 * (1.0 + np.max(np.abs(fd)))
+
+
+@pytest.mark.parametrize("m,n,omega", [(1, 1, 0.0), (2, 1, 0.0), (3, 2, 0.0), (4, 1, 0.0),
+                                       (6, 1, 0.0), (5, 3, 0.0), (2, 1, 0.3), (4, 1, 0.3),
+                                       (4, 3, 0.3)])
+def test_recursive_forms_equal_the_reference_rules(base, profile, m, n, omega):
+    # the one recursive evaluator reproduces the separate K and Kbar rules bit for bit
+    e = ext(base, profile, m, n, Omega=omega)
+    if omega == 0.0:
+        f, ref = e.k_recursive(), lambda q, p: references.k_recursive_value(e, q, p)
+    else:
+        f, ref = e.kbar_recursive(m // 2, n), (
+            lambda q, p: references.kbar_recursive_value(e, m // 2, n, q, p))
+    pts = sample_points(4, 55 + m + n, 2)
+    for x in pts:
+        assert f.rule(x.q, x.p) == ref(x.q, x.p)
+    x = pts[0]
+    assert leaf_values(partials_at(f, x.q, x.p, range(2))) == leaf_values(
+        partials_at(PhaseFunction(ref, 2), x.q, x.p, range(2)))
+    q, p = batch_blocks(np.array([x.q + x.p for x in pts]))
+    assert leaf_values(f.rule(q, p)) == leaf_values(ref(q, p))

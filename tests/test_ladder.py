@@ -73,7 +73,7 @@ def test_hyperbolic_c1_value(hyper):
 
 def test_zero_function_is_rejected_by_r2(hyper):
     data = ladder_from_base(hyper)
-    zero = LadderData(F=lambda psi: 0.0 * psi, c1=data.c1, eta=data.eta, base=hyper)
+    zero = LadderData(F=lambda psi: 0.0 * psi, c1=data.c1, base=hyper)
     r1, r2 = ladder_residuals(zero, 0.8)
     assert r1 == 0.0
     assert r2 == pytest.approx(data.c1)
@@ -84,7 +84,7 @@ def test_zero_function_is_rejected_by_r2(hyper):
 
 def test_generic_exponential_fails_second_condition(hyper):
     data = ladder_from_base(hyper)
-    cand = LadderData(F=lambda psi: dm.exp(2.0 * psi), c1=data.c1, eta=2.0, base=hyper)
+    cand = LadderData(F=lambda psi: dm.exp(2.0 * psi), c1=data.c1, base=hyper)
     r1s, r2s = zip(*(ladder_residuals(cand, psi) for psi in (0.5, 1.0, 1.5)))
     assert all(abs(r) <= 1e-12 for r in r1s)  # solves F'' - eta^2 F = 0
     assert any(abs(r) > 1e-3 for r in r2s)  # but not the potential condition
@@ -102,7 +102,7 @@ def test_r2_is_linear_in_potential_parameters():
         for c3, c4 in ((0.9, 0.0), (0.0, 1.1), (0.9, 1.1))
     ]
     datas = [
-        LadderData(F=probe, c1=-(b.c**2) * b.params["C4"] / b.eta_hat, eta=2.0, base=b)
+        LadderData(F=probe, c1=-(b.c**2) * b.params["C4"] / b.eta_hat, base=b)
         for b in bases
     ]
     for psi in (0.5, 1.0, 1.6):

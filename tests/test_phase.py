@@ -123,12 +123,8 @@ def test_jacobi_identity_with_nested_scheme():
     h = PhaseFunction(lambda q, p: q[0] * p[0] ** 2 - q[1] ** 3, 2)
 
     def nest(a, b):
-        # the bracket of two functions as a new phase function (re-instrumented)
-        return PhaseFunction(
-            lambda qq, pp: _bracket_rule(a, b, qq, pp), 2
-        )
-
-    from extham.phase import poisson_bracket_generic as _bracket_rule
+        # the bracket {a, b} = X_b(a) as a new phase function (re-instrumented)
+        return hamiltonian_vector_field(b, a)
 
     for x in sample_points(20, 6, 2):
         t1 = poisson_bracket(f, nest(g, h), x)

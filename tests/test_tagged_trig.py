@@ -16,6 +16,7 @@ from extham.tagged_trig import (
     tagged_T,
 )
 
+import references
 from references import leaf_values
 
 
@@ -175,3 +176,41 @@ def test_profile_validation():
     # kappa stored explicitly survives the c=0 limit
     prof = GammaProfile(0.0, 2.0, 0.0)
     assert gamma(prof, 1.0) == -2.0
+
+
+def _outcome(fn, prof, u):
+    """fn(prof, u) spelled out leaf by leaf, or the pole it raised and where."""
+    try:
+        return "value", leaf_values(fn(prof, u))
+    except GammaPoleError as err:
+        return "pole", str(err), err.u
+
+
+# (c, kappa, translated): c = 0, principal with kappa of either sign,
+# translated with kappa of either sign
+_BRANCHES = [(0.0, 0.0, False), (-1.0, 2.0, False), (1.5, -2.0, False),
+             (-1.0, 2.0, True), (1.5, -2.0, True)]
+
+
+@pytest.mark.parametrize("c,kappa,translated", _BRANCHES)
+def test_gamma_evaluators_equal_the_reference_on_every_branch(c, kappa, translated):
+    if c == 0.0:
+        prof = GammaProfile(0.0, 1.5, 0.0)
+    else:
+        prof = GammaProfile.from_c_kappa(c, kappa, translated=translated)
+    us = list(sample_scalars(20, 321, -2.2, 2.2)) + [0.0, -0.0, math.pi / 2, math.pi / 2 ** 1.5]
+    tag = new_tag()
+    leaves = us + [Dual(u, 0.7, tag) for u in us] + [batch(us), batch([0.4, -0.0, 0.0, 0.9])]
+    leaves.append(Dual(batch(us[:12]), batch(us[12:]), tag))
+    poles = 0
+    for u in leaves:
+        g = _outcome(references.gamma, prof, u)
+        gp = _outcome(references.gamma_prime, prof, u)
+        assert _outcome(gamma, prof, u) == g
+        assert _outcome(gamma_prime, prof, u) == gp
+        assert g[0] == gp[0]  # one denominator guards both
+        poles += g[0] == "pole"
+        expected = g if g[0] == "pole" else ("value", [g[1], gp[1]])
+        assert _outcome(gamma_and_prime, prof, u) == expected
+    # u = 0 is a pole of the principal branches: the guard is exercised there
+    assert poles == (0 if c == 0.0 or translated else 6)
