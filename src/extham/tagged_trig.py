@@ -26,7 +26,9 @@ import numpy as np
 from . import duals as dm
 from .duals import any_true, primal
 
-_POLE_GUARD = 1e-300
+# sqrt of the smallest normal float 2**-1022, about 1.49e-154: below it d*d is
+# subnormal or zero, and a/(d*d) is inf or raises ZeroDivisionError
+_POLE_GUARD = 2.0**-511
 
 
 class GammaPoleError(ZeroDivisionError):
@@ -100,7 +102,7 @@ class GammaProfile:
 
 
 def _pole_guard(den, u):
-    """Raise GammaPoleError where den is indistinguishable from zero."""
+    """Raise GammaPoleError where den*den falls below the smallest normal float."""
     near = abs(primal(den)) < _POLE_GUARD
     if any_true(near):
         raise GammaPoleError(u, near)

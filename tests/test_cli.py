@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -215,18 +216,32 @@ def test_errors_exit_two_with_json_error(capsys, argv, message):
     assert message in json.loads(out)["error"]
 
 
+def _refused(capsys, argv):
+    """The JSON error of a run that exits 2; numpy may not warn on the way."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code, out, _ = run_cli(capsys, *argv)
+    assert code == 2
+    assert [w for w in seen if issubclass(w.category, RuntimeWarning)] == []
+    return json.loads(out)["error"]
+
+
 @pytest.mark.parametrize("argv", [
     ("ccm", "--m", "120", "--n", "1", "--seed", "1"),
     ("verify", "--model", "sphere", "--k", "100", "--seed", "1"),
 ], ids=["ccm", "sphere"])
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_overflowed_gradient_is_refused_not_skipped(capsys, argv):
     # point 6's gradient overflows to inf/NaN; its bracket would be NaN, which
     # max() skips, so the sweep refuses the run instead of passing or failing it
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 2
-    assert json.loads(out)["error"].startswith(
+    assert _refused(capsys, argv).startswith(
         "non-finite gradient at sample point 6: PhasePoint(q=(")
+
+
+def test_non_finite_ladder_residual_is_refused_not_skipped(capsys):
+    # c1 is -inf and r2 NaN at every point; max() would skip NaN and pass the run
+    argv = ("ladder", "--branch", "trig", "--alpha", "1e308", "--beta", "1e308", "--seed", "1")
+    assert _refused(capsys, argv) == (
+        "non-finite ladder residual at sample point 0: psi=0.420594741214038")
 
 
 def test_sphere_below_the_overflow_still_passes(capsys):
@@ -261,6 +276,37 @@ def test_failed_integration_keeps_an_existing_csv(capsys, tmp_path, monkeypatch)
         rows = list(csv.reader(fh))
     assert code == 0
     assert rows[0] == ["t", "q1", "q2", "p1", "p2"] and len(rows) == 7
+
+
+def test_existing_csv_is_rewritten_in_place_to_the_fresh_bytes(capsys, tmp_path):
+    argv = ("integrate", "--x0", "1", "0", "3.2", "0.5", "--steps")
+    old, fresh = tmp_path / "old.csv", tmp_path / "fresh.csv"
+    code, _, _ = run_cli(capsys, *argv, "99", "--csv", str(old))
+    assert code == 0 and len(old.read_text().splitlines()) == 1 + 100
+    code, _, _ = run_cli(capsys, *argv, "5", "--csv", str(old))
+    assert code == 0
+    code, _, _ = run_cli(capsys, *argv, "5", "--csv", str(fresh))
+    assert code == 0
+    assert old.read_bytes() == fresh.read_bytes()  # no stale tail of the longer run
+
+
+def test_missing_csv_is_created(capsys, tmp_path):
+    path = tmp_path / "new.csv"
+    code, _, _ = run_cli(capsys, "integrate", "--x0", "1", "0", "3.2", "0.5", "--steps", "5",
+                         "--csv", str(path))
+    assert code == 0
+    with open(path) as fh:
+        assert len(list(csv.reader(fh))) == 7
+
+
+def test_csv_that_is_a_directory_exits_two_before_any_step(capsys, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "integrate", lambda *a, **kw: calls.append(a))
+    code, out, _ = run_cli(capsys, "integrate", "--x0", "1", "0", "3.2", "0.5", "--steps", "5",
+                           "--csv", str(tmp_path))
+    assert code == 2
+    assert json.loads(out)["error"] == f"[Errno 21] Is a directory: {str(tmp_path)!r}"
+    assert calls == []
 
 
 @pytest.mark.parametrize("argv", [

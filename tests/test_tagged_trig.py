@@ -158,6 +158,24 @@ def test_pole_errors_report_offending_u():
         gamma(GammaProfile.from_c_kappa(1.0, 1.0), 0.0)
 
 
+@pytest.mark.parametrize("u", [1e-301, 1e-200, 1e-160])
+@pytest.mark.parametrize("fn", [gamma, gamma_prime, gamma_and_prime])
+def test_pole_guard_covers_the_window_where_d_squared_underflows(fn, u):
+    # d = -4u: below |d| = 2**-511, d*d is subnormal or zero, and a/(d*d) inf or 1/0
+    with pytest.raises(GammaPoleError) as err:
+        fn(GammaProfile.from_c_C(-4.0, 0.0), u)
+    assert err.value.u == u
+
+
+def test_pole_guard_leaves_finite_values_just_outside_the_window():
+    d = -4.0 * 1e-150
+    expected = (1.0 / d, 4.0 / (d * d))
+    prof = GammaProfile.from_c_C(-4.0, 0.0)
+    assert gamma_and_prime(prof, 1e-150) == expected
+    assert (gamma(prof, 1e-150), gamma_prime(prof, 1e-150)) == expected
+    assert all(math.isfinite(v) for v in expected)
+
+
 def test_pole_errors_in_a_batch_name_the_first_offending_u():
     prof = GammaProfile.from_c_C(-4.0, 0.0)
     for fn in (gamma, gamma_prime, gamma_and_prime):
