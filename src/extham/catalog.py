@@ -339,11 +339,12 @@ def make_minkowski_hamiltonian(k, alpha, beta, Omega=0.0):
 # -- constant-curvature and flat TTW models -------------------------------------
 
 
+# (sign of c, kappa) -> (model id, chart)
 _CURVED_CHARTS = {
-    (1, 1): "sphere S2",
-    (1, -1): "pseudosphere H2",
-    (-1, 1): "de Sitter dS2",
-    (-1, -1): "anti-de Sitter AdS2",
+    (1, 1): ("sphere", "sphere S2"),
+    (1, -1): ("pseudosphere", "pseudosphere H2"),
+    (-1, 1): ("de-sitter", "de Sitter dS2"),
+    (-1, -1): ("anti-de-sitter", "anti-de Sitter AdS2"),
 }
 
 
@@ -366,14 +367,14 @@ def make_curved_hamiltonian(base, k, kappa, Omega=0.0, model_id=None):
     profile = GammaProfile.from_c_kappa(c, float(kappa))
     spec = ExtensionSpec(m, n, c, 0.0, Omega, profile)
     ext = Extension(spec, base)
-    chart = _CURVED_CHARTS[(1 if c > 0 else -1, kappa)]
+    curved_id, chart = _CURVED_CHARTS[(1 if c > 0 else -1, kappa)]
     if kappa == 1:
         u_window = (0.3 / abs(c), 1.25 / abs(c))
     else:
         u_window = (0.3 / abs(c), 2.0 / abs(c))
     integrals = [("L", lift_last(base.L, 2)), ext.first_integral()]
     return ModelInstance(
-        id=model_id or chart.split()[0],
+        id=model_id or curved_id,
         H=ext.hamiltonian(),
         known_integrals=integrals,
         chart=chart,
@@ -457,6 +458,64 @@ def make_remark_pair(d1=2.0, d2=3.0):
     return first, second
 
 
+# -- the command line's model tables -------------------------------------------
+# A builder's parameters are the flags it reads, named as argparse dests; --k comes
+# as text. Builders look make_* up when called, so a patched module binding runs.
+
+
+def _parse_k(text, allow_float=False):
+    """--k as a Fraction p/q, or as a float where allow_float (--no-integral)."""
+    if "." in text:
+        if not allow_float:
+            raise ValueError("--k must be a rational p/q (floats only allowed with --no-integral)")
+        return float(text)
+    return Fraction(text)
+
+
+BASES = {
+    "hyperbolic": lambda alpha, beta, eta: exp_base(alpha, beta, abs(eta)),
+    "trig": lambda psi0, alpha, beta, eta: trig_base(1.0, psi0, alpha, beta, abs(eta)),
+}
+
+MODELS = {
+    "minkowski": lambda k, alpha, beta, omega, no_integral:
+        make_minkowski_hamiltonian(_parse_k(k, no_integral), alpha, beta, omega),
+    "sphere": lambda k, psi0, alpha, beta, eta, omega:
+        make_curved_hamiltonian(BASES["trig"](psi0, alpha, beta, eta), _parse_k(k), 1, omega),
+    "pseudosphere": lambda k, psi0, alpha, beta, eta, omega:
+        make_curved_hamiltonian(BASES["trig"](psi0, alpha, beta, eta), _parse_k(k), -1, omega),
+    "de-sitter": lambda k, alpha, beta, eta, omega:
+        make_curved_hamiltonian(BASES["hyperbolic"](alpha, beta, eta), _parse_k(k), 1, omega),
+    "anti-de-sitter": lambda k, alpha, beta, eta, omega:
+        make_curved_hamiltonian(BASES["hyperbolic"](alpha, beta, eta), _parse_k(k), -1, omega),
+    "ttw-flat": lambda psi0, alpha, beta, eta, m, n, omega:
+        make_flat_ttw_hamiltonian(BASES["trig"](psi0, alpha, beta, eta), m, n, omega),
+    "remark-h1": lambda d: make_remark_pair(d, d)[0],
+    "remark-h2": lambda d: make_remark_pair(d, d)[1],
+}
+
+
+def _minkowski_flow(k, alpha, beta, omega, no_integral, chart, u_min):
+    """(H, the functions whose drift is reported, radial floor) of a wedge orbit in chart."""
+    model = MODELS["minkowski"](k, alpha, beta, omega, no_integral)
+    if chart == "null":
+        return model.H, {"H": model.H, **dict(model.known_integrals)}, u_min
+    H = model.extension.hamiltonian()
+    drift_fns = {"H": H, "L": lift_last(model.base.L, 2)}
+    if model.extension is not None and omega == 0.0:
+        drift_fns["K"] = model.extension.k_closed()
+    return H, drift_fns, u_min
+
+
+def _free_flow():
+    H = PhaseFunction(lambda q, p: 0.5 * (p[0] * p[0] + p[1] * p[1]), 2)
+    return H, {"H": H}, None
+
+
+# what integrate follows for each --model
+FLOWS = {"minkowski": _minkowski_flow, "free": _free_flow}
+
+
 # -- machine-readable catalog -------------------------------------------------
 
 
@@ -465,10 +524,10 @@ def default_models():
     tb = trig_base(1.0, 0.2, 1.0, 0.5, 1.0)
     models = [
         make_minkowski_hamiltonian(Fraction(1), 1.0, 2.0, 0.0),
-        make_curved_hamiltonian(tb, Fraction(1), 1, 0.0, model_id="sphere"),
-        make_curved_hamiltonian(tb, Fraction(1), -1, 0.0, model_id="pseudosphere"),
-        make_curved_hamiltonian(exp_base(0.7, 1.3), Fraction(1), 1, 0.0, model_id="de-sitter"),
-        make_curved_hamiltonian(exp_base(0.7, 1.3), Fraction(1), -1, 0.0, model_id="anti-de-sitter"),
+        make_curved_hamiltonian(tb, Fraction(1), 1, 0.0),
+        make_curved_hamiltonian(tb, Fraction(1), -1, 0.0),
+        make_curved_hamiltonian(exp_base(0.7, 1.3), Fraction(1), 1, 0.0),
+        make_curved_hamiltonian(exp_base(0.7, 1.3), Fraction(1), -1, 0.0),
         make_flat_ttw_hamiltonian(tb, 2, 1, 0.0),
     ]
     models.extend(make_remark_pair())

@@ -8,24 +8,16 @@ identical flags reproduce byte-identical output.
 
 import argparse
 import functools
+import inspect
 import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 import numpy as np
 
 from . import __version__
-from .catalog import (
-    catalog_listing,
-    exp_base,
-    make_curved_hamiltonian,
-    make_flat_ttw_hamiltonian,
-    make_minkowski_hamiltonian,
-    make_remark_pair,
-    trig_base,
-)
+from .catalog import BASES, FLOWS, MODELS, catalog_listing
 from .ccm import ccm_transform, rescale_radial
 from .duals import batch, primal
 from .dynamics import drift_report, integrate
@@ -36,7 +28,6 @@ from .phase import (
     PhasePoint,
     batch_blocks,
     bracket_of_gradients,
-    lift_last,
     partials_at,
 )
 from .sampling import RNG_NAME, sample_points, sample_scalars
@@ -66,16 +57,6 @@ def _checked(convert, accept, what):
 
 _finite_float = _checked(float, math.isfinite, "a finite number")
 _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
-
-
-def _parse_k(text, allow_irrational):
-    if "." in text:
-        if not allow_irrational:
-            raise ValueError(
-                "--k must be a rational p/q (floats only allowed with --no-integral)"
-            )
-        return float(text)
-    return Fraction(text)
 
 
 def _quiet_sweep():
@@ -123,31 +104,36 @@ def _bracket_sweep(H, integrals, points):
 MAX_MINKOWSKI_DEGREE = 30
 
 
+@functools.cache
+def _reads(builder):
+    """The flags a table entry reads: its builder's parameter names."""
+    return tuple(inspect.signature(builder).parameters)
+
+
+def _build(table, selector, args):
+    """The table entry that --selector chose, built from the flags it reads.
+
+    A flag that only other entries read is refused unless it keeps the
+    subcommand's default (--k compared as text), so it cannot look as if it
+    had an effect.
+    """
+    key = getattr(args, selector)
+    ignored = {flag for entry in table.values() for flag in _reads(entry)} - set(_reads(table[key]))
+    for flag in sorted(ignored):
+        if getattr(args, flag) != args.default_of(flag):
+            raise ValueError(f"--{flag.replace('_', '-')} is not read by --{selector} {key}")
+    return table[key](**{flag: getattr(args, flag) for flag in _reads(table[key])})
+
+
 def _verify_model(args):
     """The catalog model that verify checks for these flags."""
-    if args.model == "minkowski":
-        k = _parse_k(args.k, args.no_integral)
-        model = make_minkowski_hamiltonian(k, args.alpha, args.beta, args.omega)
-        degree = model.extension.first_integral_degree() if model.extension else 0
-        if degree > MAX_MINKOWSKI_DEGREE:
-            raise ValueError(f"{model.known_integrals[-1][0]} has momentum degree {degree}, "
-                             f"above the cap of {MAX_MINKOWSKI_DEGREE} for the Minkowski wedge")
-        return model
-    if args.model in ("sphere", "pseudosphere", "de-sitter", "anti-de-sitter"):
-        k = _parse_k(args.k, False)
-        if args.model in ("sphere", "pseudosphere"):
-            base = trig_base(1.0, args.psi0, args.alpha, args.beta, abs(args.eta))
-        else:
-            base = exp_base(args.alpha, args.beta, abs(args.eta))
-        kappa = 1 if args.model in ("sphere", "de-sitter") else -1
-        return make_curved_hamiltonian(base, k, kappa, args.omega, model_id=args.model)
-    if args.model == "ttw-flat":
-        base = trig_base(1.0, args.psi0, args.alpha, args.beta, abs(args.eta))
-        return make_flat_ttw_hamiltonian(base, args.m, args.n, args.omega)
-    if args.model in ("remark-h1", "remark-h2"):
-        h1, h2 = make_remark_pair(args.d, args.d)
-        return h1 if args.model == "remark-h1" else h2
-    raise ValueError(f"unknown model {args.model!r}")
+    model = _build(MODELS, "model", args)
+    degree = (model.extension.first_integral_degree()
+              if model.id == "minkowski" and model.extension else 0)
+    if degree > MAX_MINKOWSKI_DEGREE:
+        raise ValueError(f"{model.known_integrals[-1][0]} has momentum degree {degree}, "
+                         f"above the cap of {MAX_MINKOWSKI_DEGREE} for the Minkowski wedge")
+    return model
 
 
 def cmd_verify(args):
@@ -183,26 +169,8 @@ def cmd_verify(args):
 
 
 def cmd_integrate(args):
-    if args.model == "minkowski":
-        k = _parse_k(args.k, args.no_integral)
-        model = make_minkowski_hamiltonian(k, args.alpha, args.beta, args.omega)
-        H = model.extension.hamiltonian() if args.chart == "pseudo-polar" else model.H
-        drift_fns = {"H": H}
-        if args.chart == "pseudo-polar":
-            drift_fns["L"] = lift_last(model.base.L, 2)
-            if model.extension is not None and args.omega == 0.0:
-                drift_fns["K"] = model.extension.k_closed()
-        else:
-            for name, f in model.known_integrals:
-                drift_fns[name] = f
-    elif args.model == "free":
-        H = PhaseFunction(lambda q, p: 0.5 * (p[0] * p[0] + p[1] * p[1]), 2)
-        drift_fns = {"H": H}
-    else:
-        raise ValueError(f"unknown model {args.model!r} for integrate")
-
+    H, drift_fns, u_min = _build(FLOWS, "model", args)
     x0 = PhasePoint(tuple(args.x0[:2]), tuple(args.x0[2:]))
-    u_min = None if args.model == "free" else args.u_min
     # open the output first, so a path that cannot be written fails before any step;
     # an existing file is overwritten in place and cut to the new length only once
     # there is a trajectory to replace it (on ext4, truncating a rewritten file to
@@ -340,10 +308,7 @@ def cmd_gamma_table(args):
 
 
 def cmd_ladder(args):
-    if args.branch == "hyperbolic":
-        base = exp_base(args.alpha, args.beta, abs(args.eta))
-    else:
-        base = trig_base(1.0, args.psi0, args.alpha, args.beta, abs(args.eta))
+    base = _build(BASES, "branch", args)
     data = ladder_from_base(base)
     psis = sample_scalars(args.points, args.seed, *base.psi_window)
     col = batch(psis)
@@ -384,7 +349,7 @@ def cmd_ladder(args):
 
 def _ccm_pair(args):
     """The base system and the transformed pair (H', K') of the ccm check."""
-    base = exp_base(args.alpha, args.beta, abs(args.eta))
+    base = BASES["hyperbolic"](args.alpha, args.beta, args.eta)
     eta4 = args.eta**4
     profile = GammaProfile.from_c_C(base.c, 0.0)
 
@@ -453,9 +418,7 @@ def build_parser():
 
     pv = sub.add_parser("verify", help="bracket and independence sweep for a catalog model")
     common(pv)
-    pv.add_argument("--model", required=True,
-                    choices=["minkowski", "sphere", "pseudosphere", "de-sitter",
-                             "anti-de-sitter", "ttw-flat", "remark-h1", "remark-h2"])
+    pv.add_argument("--model", required=True, choices=list(MODELS))
     pv.add_argument("--k", default="1", help="rational parameter p/q")
     pv.add_argument("--alpha", type=_finite_float, default=1.0)
     pv.add_argument("--beta", type=_finite_float, default=2.0)
@@ -467,10 +430,10 @@ def build_parser():
     pv.add_argument("--d", type=_finite_float, default=2.0)
     pv.add_argument("--no-integral", action="store_true",
                     help="allow irrational k; verifies only L conservation")
-    pv.set_defaults(func=cmd_verify)
+    pv.set_defaults(func=cmd_verify, default_of=pv.get_default)
 
     pi = sub.add_parser("integrate", help="implicit-midpoint trajectory with drift summary")
-    pi.add_argument("--model", default="minkowski", choices=["minkowski", "free"])
+    pi.add_argument("--model", default="minkowski", choices=list(FLOWS))
     pi.add_argument("--k", default="1")
     pi.add_argument("--alpha", type=_finite_float, default=1.0)
     pi.add_argument("--beta", type=_finite_float, default=2.0)
@@ -484,7 +447,7 @@ def build_parser():
                     help="truncate when the radial coordinate drops below this")
     pi.add_argument("--csv", default="trajectory.csv")
     pi.add_argument("--no-integral", action="store_true")
-    pi.set_defaults(func=cmd_integrate)
+    pi.set_defaults(func=cmd_integrate, default_of=pi.get_default)
 
     pg = sub.add_parser("gamma-table", help="reproduce the gamma'/gamma^2 translation tables")
     pg.add_argument("--json", action="store_true", help="one JSON report instead of text tables")
@@ -492,13 +455,12 @@ def build_parser():
 
     pl = sub.add_parser("ladder", help="ladder-function residuals for a base family")
     common(pl)
-    pl.add_argument("--branch", default="hyperbolic", choices=["hyperbolic", "trig"])
+    pl.add_argument("--branch", default="hyperbolic", choices=list(BASES))
     pl.add_argument("--alpha", type=_finite_float, default=0.7)
     pl.add_argument("--beta", type=_finite_float, default=1.3)
     pl.add_argument("--eta", type=_finite_float, default=2.0)
     pl.add_argument("--psi0", type=_finite_float, default=0.2)
-    pl.set_defaults(func=cmd_ladder)
-    pl.set_defaults(tol=1e-10)
+    pl.set_defaults(func=cmd_ladder, default_of=pl.get_default, tol=1e-10)
 
     pc = sub.add_parser("ccm", help="coupling-constant metamorphosis verification")
     common(pc)

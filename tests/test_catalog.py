@@ -240,6 +240,16 @@ def test_curved_chart_labels():
         make_curved_hamiltonian(tb, 1.0, 1)
 
 
+def test_curved_model_ids_are_the_cli_model_names():
+    # without model_id the id comes from (sign of c, kappa), as verify --model names it
+    tb = trig_base(1.0, 0.2, 1.0, 0.5, 1.0)
+    hb = exp_base(0.7, 1.3)
+    ids = [make_curved_hamiltonian(base, Fraction(1), kappa).id
+           for base in (tb, hb) for kappa in (1, -1)]
+    assert ids == ["sphere", "pseudosphere", "de-sitter", "anti-de-sitter"]
+    assert make_curved_hamiltonian(hb, Fraction(1), 1, model_id="named").id == "named"
+
+
 def test_flat_ttw_warp_coefficient():
     # warp +m^2/(|eta|^2 n^2 u^2) agrees with -(m/n)^2 gamma' at gamma = 1/(cu)
     base = trig_base(1.0, 0.2, 1.0, 0.5, 2.0)

@@ -1,13 +1,16 @@
+import argparse
 import csv
+import importlib.util
 import json
 import os
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from extham import cli, phase
+from extham import catalog, cli, phase
 from extham.cli import main
 from extham.ccm import rescale_radial
 from extham.extension import bracket_scale, functional_independence, jacobian_rank, row_norms
@@ -214,6 +217,113 @@ def test_errors_exit_two_with_json_error(capsys, argv, message):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 2
     assert message in json.loads(out)["error"]
+
+
+# a value away from each model flag's default in every subcommand that has the flag
+_OFF_DEFAULT = {"k": ("--k", "2"), "alpha": ("--alpha", "3"), "beta": ("--beta", "3"),
+                "omega": ("--omega", "0.5"), "eta": ("--eta", "3"), "psi0": ("--psi0", "0.5"),
+                "m": ("--m", "3"), "n": ("--n", "2"), "d": ("--d", "3"),
+                "no_integral": ("--no-integral",), "chart": ("--chart", "null"),
+                "u_min": ("--u-min", "0.1")}
+_TABLES = [("verify", "--model", catalog.MODELS), ("integrate", "--model", catalog.FLOWS),
+           ("ladder", "--branch", catalog.BASES)]
+
+
+def _ignored_flag_cases():
+    """(argv, flag) for each table entry and each flag that only other entries read."""
+    cases = []
+    for command, selector, table in _TABLES:
+        for key, builder in table.items():
+            reads = cli._reads(builder)
+            flags = sorted({f for b in table.values() for f in cli._reads(b)} - set(reads))
+            cases += [((command, selector, key, *_OFF_DEFAULT[f]), f) for f in flags]
+    return cases
+
+
+_IGNORED_FLAG_CASES = _ignored_flag_cases()
+
+
+@pytest.mark.parametrize("argv,flag", _IGNORED_FLAG_CASES,
+                         ids=[" ".join(argv) for argv, _ in _IGNORED_FLAG_CASES])
+def test_a_flag_the_chosen_model_does_not_read_is_refused(capsys, tmp_path, argv, flag):
+    if argv[0] == "integrate":
+        argv += ("--x0", "1", "0", "3.2", "0.5", "--steps", "3", "--csv", str(tmp_path / "x.csv"))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"] == f"{_OFF_DEFAULT[flag][0]} is not read by {argv[1]} {argv[2]}"
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_ignored_flag_cases_cover_the_known_holes():
+    argvs = {argv for argv, _ in _IGNORED_FLAG_CASES}
+    assert {("verify", "--model", "ttw-flat", "--k", "2"),
+            ("verify", "--model", "sphere", "--m", "3"),
+            ("verify", "--model", "sphere", "--no-integral"),
+            ("ladder", "--branch", "hyperbolic", "--psi0", "0.5"),
+            ("integrate", "--model", "free", "--k", "2")} <= argvs
+
+
+def test_a_model_flag_at_its_default_is_accepted(capsys):
+    # ttw-flat reads no --k; passing the default text is not an effect to refuse
+    plain = run_cli(capsys, "verify", "--model", "ttw-flat", "--points", "5", "--seed", "1")
+    with_k = run_cli(capsys, "verify", "--model", "ttw-flat", "--k", "1", "--points", "5",
+                     "--seed", "1")
+    assert plain[:2] == with_k[:2] and plain[0] == 0
+    code, out, _ = run_cli(capsys, "verify", "--model", "ttw-flat", "--k", "1/1")
+    assert code == 2 and json.loads(out)["error"] == "--k is not read by --model ttw-flat"
+
+
+def _choices(command, flag):
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices[command]._actions if flag in a.option_strings)
+
+
+@pytest.mark.parametrize("command,selector,table", _TABLES, ids=[t[0] for t in _TABLES])
+def test_choices_are_the_table_keys(command, selector, table):
+    assert list(_choices(command, selector)) == list(table)
+
+
+def test_report_digest_argvs_are_not_refused(monkeypatch):
+    # tools/report_digest.py and the bench pass every model flag to every model at its default
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "report_digest.py")
+    spec = importlib.util.spec_from_file_location("report_digest", path)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+
+    class Built(Exception):
+        pass
+
+    build = cli._build
+
+    def build_then_stop(table, selector, args):
+        build(table, selector, args)
+        raise Built
+
+    monkeypatch.setattr(cli, "_build", build_then_stop)
+    argvs = [argv for argv, _ in digest.argvs()]
+    built = 0
+    for argv in argvs:
+        args = cli._parser().parse_args(argv)
+        if args.command in ("verify", "integrate", "ladder"):
+            with pytest.raises(Built):
+                args.func(args)
+            built += 1
+    assert (len(argvs), built) == (80, 69)
+
+
+@pytest.mark.parametrize("builder,model", [
+    ("make_minkowski_hamiltonian", "minkowski"), ("make_curved_hamiltonian", "de-sitter"),
+    ("make_flat_ttw_hamiltonian", "ttw-flat"), ("make_remark_pair", "remark-h2"),
+])
+def test_verify_calls_the_builders_through_the_catalog_module(capsys, monkeypatch, builder, model):
+    # a tracer that patches catalog's module bindings must see every verify build
+    calls = []
+    real = getattr(catalog, builder)
+    monkeypatch.setattr(catalog, builder, lambda *a: calls.append(a) or real(*a))
+    code, _, _ = run_cli(capsys, "verify", "--model", model, "--points", "3")
+    assert code == 0 and len(calls) == 1
+    if model == "minkowski":
+        assert calls == [(Fraction(1), 1.0, 2.0, 0.0)]
 
 
 def _refused(capsys, argv):
@@ -483,7 +593,7 @@ def test_parser_reuse_leaks_nothing_between_calls(capsys, tmp_path):
         ("ladder", "--points", "3"),
         ("verify", "--model", "minkowski", "--points", "3"),
         ("ccm", "--points", "3", "--m", "4", "--n", "3"),
-        ("verify", "--model", "ttw-flat", "--points", "3", "--no-integral"),
+        ("verify", "--model", "minkowski", "--k", "0.37", "--points", "3", "--no-integral"),
         ("integrate", "--x0", "1", "0", "3.2", "0.5", "--steps", "3",
          "--csv", str(tmp_path / "x.csv")),
         ("ccm", "--points", "3"),
