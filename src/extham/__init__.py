@@ -35,7 +35,7 @@ from .extension import (
     functional_independence,
     seed_equation_residual,
 )
-from .ladder import LadderData, ladder_eigen_residual, ladder_from_base, ladder_residuals
+from .ladder import LadderData, ladder_from_base, ladder_residuals
 from .phase import (
     PhaseFunction,
     PhasePoint,

@@ -55,6 +55,8 @@ class ModelInstance:
 
 def _window_free_of_zeros(g, window, label):
     lo, hi = window
+    if not lo < hi:
+        raise ValueError(f"{label}: empty psi window {window}")
     for i in range(201):
         psi = lo + (hi - lo) * i / 200.0
         if abs(g(psi)) < 1e-6:
@@ -135,6 +137,8 @@ def exp_base(alpha_t, beta_t, eta=2.0):
 
 def _free_base(eta):
     """V = 0: the seed G = e^(eta psi) p_psi still solves the c = -eta^2 equation."""
+    if eta == 0.0:
+        raise ValueError("eta must be nonzero")
 
     def g(psi):
         return dm.exp(eta * psi)
@@ -170,10 +174,12 @@ def trig_base(A, psi0, alpha, beta, abs_eta=1.0, psi_window=None):
     """g = A sin(|eta| psi + psi0), V = (alpha + beta cos(|eta| psi + psi0))/sin^2(...)."""
     C1 = A * math.sin(psi0)
     C2 = A * math.cos(psi0)
-    if psi_window is None:
+    if psi_window is None and abs_eta != 0.0:  # make_base_family refuses eta = 0
         # keep |eta| psi + psi0 inside (0.3, pi - 0.4), away from the sin zeros
         lo = max(0.05, (0.3 - psi0) / abs_eta)
         hi = (math.pi - 0.4 - psi0) / abs_eta
+        if hi <= lo:
+            raise ValueError(f"psi0={psi0} leaves an empty psi window ({lo}, {hi}) at |eta|={abs_eta}")
         psi_window = (lo, hi)
     return make_base_family(C1, C2, alpha * A * A, beta * A, abs_eta, "trig", psi_window)
 
@@ -500,9 +506,11 @@ def _minkowski_flow(k, alpha, beta, omega, no_integral, chart, u_min):
     model = MODELS["minkowski"](k, alpha, beta, omega, no_integral)
     if chart == "null":
         return model.H, {"H": model.H, **dict(model.known_integrals)}, u_min
+    if model.extension is None:
+        raise ValueError(f"--k {k} builds no extension, so the pseudo-polar chart has no H; use --chart null")
     H = model.extension.hamiltonian()
     drift_fns = {"H": H, "L": lift_last(model.base.L, 2)}
-    if model.extension is not None and omega == 0.0:
+    if omega == 0.0:
         drift_fns["K"] = model.extension.k_closed()
     return H, drift_fns, u_min
 

@@ -57,6 +57,7 @@ def _checked(convert, accept, what):
 
 _finite_float = _checked(float, math.isfinite, "a finite number")
 _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_tolerance = _checked(float, lambda v: math.isfinite(v) and v >= 0.0, "a finite number >= 0")
 
 
 def _quiet_sweep():
@@ -413,7 +414,7 @@ def build_parser():
     def common(p):
         p.add_argument("--seed", type=int, default=7, help="RNG seed (Philox counter-based)")
         p.add_argument("--points", type=_positive_int, default=50, help="number of sample points")
-        p.add_argument("--tol", type=_finite_float, default=1e-9,
+        p.add_argument("--tol", type=_tolerance, default=1e-9,
                        help="relative bracket tolerance")
 
     pv = sub.add_parser("verify", help="bracket and independence sweep for a catalog model")

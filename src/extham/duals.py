@@ -123,8 +123,6 @@ class Dual:
         return Dual(q, -q * self.dot / self.val, self.tag)
 
     def __pow__(self, r):
-        if isinstance(r, Dual):
-            return exp(r * log(self))
         if r == 0:  # a present 0.0 in each direction self has
             dot = self.dot
             zero = Tangent(dict.fromkeys(dot.d, 0.0)) if isinstance(dot, Tangent) else 0.0

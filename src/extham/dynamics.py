@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duals import primal
-from .phase import PhasePoint, batch_blocks, partials_at
+from .phase import batch_blocks, partials_at
 
 COMPLETED = "completed"
 DOMAIN_EXIT = "domain-exit"
@@ -45,9 +45,6 @@ class Trajectory:
     @property
     def dof(self):
         return self.states.shape[1] // 2
-
-    def point(self, i):
-        return PhasePoint.from_array(self.states[i])
 
     def write_csv(self, fh):
         """Write t, q..., p... rows to fh, a text file opened with newline=""."""

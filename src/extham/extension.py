@@ -103,42 +103,27 @@ class Extension:
         xg = Gq[0] * Lp[0] - Gp[0] * Lq[0]
         return Gv, xg, Lv
 
-    def _gn_xgn_values(self, q1, p1, n, magnitudes=False):
-        """Closed-form (G_n, X_L G_n) from powers of (G, X_L G, cL+c0).
+    def _gn_xgn_values(self, G, XG, w, n, sign=-2):
+        """Closed-form (G_n, X_L G_n) from powers of (G, X_L G, w = cL+c0).
 
-        X_L acts as a derivation with X_L(G) = XG, X_L(XG) = -2(cL+c0)G and
-        X_L(L) = 0, which turns both sums into plain algebra. With
-        magnitudes=True, absolute values of the summands are accumulated
-        instead: the intrinsic scale against which the cancelling sums are
-        conditioned.
+        X_L acts as a derivation with X_L(G) = XG, X_L(XG) = -2wG and
+        X_L(L) = 0, which turns both sums into plain algebra. sign is the
+        -2 of that rule; _closed_form passes +2 with absolute inputs to add
+        the absolute summands.
         """
-        G, XG, L = self._seed_triple(q1, p1)
-        w = self.spec.c * L + self.spec.c0
-        if magnitudes:
-            G, XG, w = abs(G), abs(XG), abs(w)
-            sign = 2
-        else:
-            sign = -2
         gn = 0.0
         xgn = 0.0
         for j in range((n - 1) // 2 + 1):
-            coef = math.comb(n, 2 * j + 1) * sign**j
-            t = coef * w**j
+            t = math.comb(n, 2 * j + 1) * sign**j * w**j
             gn = gn + t * G ** (2 * j + 1) * XG ** (n - 2 * j - 1)
             xgn = xgn + t * (2 * j + 1) * G ** (2 * j) * XG ** (n - 2 * j)
             if n - 2 * j - 1 > 0:
-                term = t * 2 * (n - 2 * j - 1) * w * G ** (2 * j + 2) * XG ** (n - 2 * j - 2)
-                xgn = (xgn + term) if magnitudes else (xgn - term)
-        return gn, xgn, L
+                xgn = xgn - t * -sign * (n - 2 * j - 1) * w * G ** (2 * j + 2) * XG ** (n - 2 * j - 2)
+        return gn, xgn
 
-    def _pd_values(self, r, gam, pu, w, magnitudes=False):
+    def _pd_values(self, r, gam, pu, w, sign=-2):
         """Closed-form P_{m,n,r} and D_{m,n,r} in powers of (m/n)gamma, p_u, cL+c0."""
         mg = (self.spec.m / self.spec.n) * gam
-        if magnitudes:
-            mg, pu, w = abs(mg), abs(pu), abs(w)
-            sign = 2
-        else:
-            sign = -2
         P = 0.0
         for j in range(r // 2 + 1):
             P = P + math.comb(r, 2 * j) * sign**j * mg ** (2 * j) * pu ** (r - 2 * j) * w**j
@@ -196,15 +181,8 @@ class Extension:
             raise ValueError("n must be positive")
 
         def rule(q, p):
-            return self._gn_xgn_values(q, p, n)[0]
-
-        return PhaseFunction(rule, 1)
-
-    def xl_gn_closed(self, n):
-        """X_L(G_n) in closed form (derivation applied to the expansion)."""
-
-        def rule(q, p):
-            return self._gn_xgn_values(q, p, n)[1]
+            G, XG, L = self._seed_triple(q, p)
+            return self._gn_xgn_values(G, XG, self.spec.c * L + self.spec.c0, n)[0]
 
         return PhaseFunction(rule, 1)
 
@@ -266,21 +244,27 @@ class Extension:
         """sum_{j<=s} C(s,j) (2 Omega/gamma^2)^j (P_{m-2j} G_n + D_{m-2j} X_L G_n) at (q, p).
 
         s = 0 is K_{m,n} (no gamma^-2 is computed) and s = m/2 is Kbar_{m,n}.
-        With magnitudes=True the absolute summands are added instead.
+        With magnitudes=True every input enters as its absolute value and the
+        -2 of the X_L rule as +2, so the absolute summands are added instead:
+        the intrinsic scale against which the cancelling sums are conditioned.
         """
         spec = self.spec
-        gn, xgn, L = self._gn_xgn_values(q[1:], p[1:], spec.n, magnitudes)
+        G, XG, L = self._seed_triple(q[1:], p[1:])
         w = spec.c * L + spec.c0
         gam = gamma(spec.gamma, q[0])
+        pu, Om, sign = p[0], spec.Omega, -2
+        if magnitudes:
+            G, XG, w, gam, pu, Om = map(abs, (G, XG, w, gam, pu, Om))
+            sign = 2
+        gn, xgn = self._gn_xgn_values(G, XG, w, spec.n, sign)
 
         def term(r):
-            P, D = self._pd_values(r, gam, p[0], w, magnitudes)
+            P, D = self._pd_values(r, gam, pu, w, sign)
             return P * gn + D * xgn
 
         if s == 0:
             return term(spec.m)
-        om_term = 2.0 * spec.Omega / (gam * gam)
-        om_term = abs(om_term) if magnitudes else om_term
+        om_term = 2.0 * Om / (gam * gam)
         total = 0.0
         for j in range(s + 1):
             total = total + math.comb(s, j) * om_term**j * term(spec.m - 2 * j)

@@ -12,7 +12,7 @@ For the V-family bases the solution is F = g' with c1 = -c^2 C4 / eta_hat
 
     F_pm = +-F' p_psi + F f + c1/f,      f = sqrt(2 (eta^2 L + c0))
 
-are evaluated here only as diagnostics; see ladder_eigen_residual.
+are evaluated here only as diagnostics; see ladder_eigen_pattern.
 """
 
 from dataclasses import dataclass
@@ -82,20 +82,13 @@ def ladder_function(data, sign):
     return PhaseFunction(rule, 1)
 
 
-def ladder_eigen_residual(data, x, sign=1):
-    """Diagnostic X_L^2(F_pm)(x) - f(x) F_pm(x); reported, never gated.
-
-    Empirically the catalog pairs satisfy the first-order relation
-    X_L(F_pm) = (+-) f F_pm and hence X_L^2(F_pm) = f^2 F_pm, so this
-    residual equals (f^2 - f) F_pm; ladder_eigen_pattern records all three
-    combinations so the observed structure is documented without choosing a
-    corrected equation.
-    """
-    return ladder_eigen_pattern(data, x, sign)["second_order_vs_f"]
-
-
 def ladder_eigen_pattern(data, x, sign=1):
-    """Residuals of the printed relation and of the two empirical ones."""
+    """Residuals of the printed relation X_L^2(F_pm) = f F_pm and of the two empirical
+    ones, X_L(F_pm) = (+-) f F_pm and X_L^2(F_pm) = f^2 F_pm; reported, never gated.
+
+    All three are recorded, so the observed structure is documented without
+    choosing a corrected equation.
+    """
     base = data.base
     Fpm = ladder_function(data, sign)
     x1 = hamiltonian_vector_field(base.L, Fpm)

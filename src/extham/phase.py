@@ -53,8 +53,7 @@ class PhaseFunction:
     """Scalar phase-space function with exact first-derivative support.
 
     Wraps an evaluation rule ``rule(q, p) -> scalar`` that must be generic in
-    its inputs (floats or Duals). Supports pointwise algebra so composite
-    functions stay differentiable.
+    its inputs (floats or Duals).
     """
 
     __slots__ = ("rule", "dof")
@@ -68,65 +67,12 @@ class PhaseFunction:
             raise ValueError(f"function of {self.dof} dof evaluated at a {x.dof}-dof point")
         return self.rule(x.q, x.p)
 
-    def _combine(self, other, op):
-        if isinstance(other, PhaseFunction):
-            if other.dof != self.dof:
-                raise ValueError("cannot combine phase functions of different dof")
-            f, g = self.rule, other.rule
-            return PhaseFunction(lambda q, p: op(f(q, p), g(q, p)), self.dof)
-        f = self.rule
-        return PhaseFunction(lambda q, p: op(f(q, p), other), self.dof)
-
-    def __add__(self, other):
-        return self._combine(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._combine(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._combine(other, lambda a, b: b - a)
-
-    def __mul__(self, other):
-        return self._combine(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._combine(other, lambda a, b: a / b)
-
-    def __rtruediv__(self, other):
-        return self._combine(other, lambda a, b: b / a)
-
-    def __pow__(self, r):
-        f = self.rule
-        return PhaseFunction(lambda q, p: f(q, p) ** r, self.dof)
-
-    def __neg__(self):
-        f = self.rule
-        return PhaseFunction(lambda q, p: -f(q, p), self.dof)
-
 
 def batch_blocks(z):
     """(q, p) blocks of Batch leaves for the points that are the rows of z."""
     d = z.shape[1] // 2
     cols = tuple(batch(z[:, i]) for i in range(2 * d))
     return cols[:d], cols[d:]
-
-
-def coordinate(i, dof):
-    """The i-th position coordinate as a phase function."""
-    return PhaseFunction(lambda q, p: q[i], dof)
-
-
-def momentum(i, dof):
-    """The i-th momentum coordinate as a phase function."""
-    return PhaseFunction(lambda q, p: p[i], dof)
-
-
-def constant(c, dof):
-    return PhaseFunction(lambda q, p: c, dof)
 
 
 def lift_last(f, dof):

@@ -156,8 +156,3 @@ def gamma_and_prime(profile, u):
         g = dm.sqrt(-k) * dm.tanh(dm.sqrt(-k) * x)
     return g, a / (d * d)
 
-
-def ode_residual(profile, u):
-    """gamma' + c gamma^2 + C; zero to rounding on every branch."""
-    g, gp = gamma_and_prime(profile, u)
-    return gp + profile.c * g * g + profile.C

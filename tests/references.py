@@ -1,14 +1,20 @@
 """References that the package itself no longer uses.
 
-Nested-dual derivatives, a leaf-by-leaf view of values, and the earlier
-bodies of gamma, gamma_prime and the recursive K and Kbar rules: one
-branch table and one recursive evaluator must reproduce them bit for bit.
+Nested-dual derivatives, a leaf-by-leaf view of values, the closed-form
+X_L(G_n) and the gamma ODE residual, and the earlier bodies of gamma,
+gamma_prime, the recursive K and Kbar rules and the closed-form sums with
+their magnitude mode: one branch table, one recursive evaluator and one
+closed-form evaluator must reproduce them bit for bit.
 """
+
+import math
 
 import numpy as np
 
 from extham import duals as dm
-from extham.tagged_trig import GammaPoleError, tagged_C, tagged_S
+from extham import tagged_trig
+from extham.phase import PhaseFunction
+from extham.tagged_trig import GammaPoleError, gamma_and_prime, tagged_C, tagged_S
 
 
 def nth_derivative(f, x, order):
@@ -98,3 +104,79 @@ def kbar_recursive_value(ext, s, r, q, p):
         u2 = ext._u_step(ext._u_step(d, p[0], gam), p[0], gam)
         d = [a + om * b for a, b in zip(u2, d)]
     return d[0]
+
+
+def xl_gn_closed(ext, n):
+    """X_L(G_n) in closed form (derivation applied to the expansion)."""
+
+    def rule(q, p):
+        G, XG, L = ext._seed_triple(q, p)
+        return ext._gn_xgn_values(G, XG, ext.spec.c * L + ext.spec.c0, n)[1]
+
+    return PhaseFunction(rule, 1)
+
+
+def ode_residual(profile, u):
+    """gamma' + c gamma^2 + C; zero to rounding on every branch."""
+    g, gp = gamma_and_prime(profile, u)
+    return gp + profile.c * g * g + profile.C
+
+
+def gn_xgn_values(ext, q1, p1, n, magnitudes=False):
+    """(G_n, X_L G_n, L), or their absolute summands, with the magnitude switch inside."""
+    G, XG, L = ext._seed_triple(q1, p1)
+    w = ext.spec.c * L + ext.spec.c0
+    if magnitudes:
+        G, XG, w = abs(G), abs(XG), abs(w)
+        sign = 2
+    else:
+        sign = -2
+    gn = 0.0
+    xgn = 0.0
+    for j in range((n - 1) // 2 + 1):
+        coef = math.comb(n, 2 * j + 1) * sign**j
+        t = coef * w**j
+        gn = gn + t * G ** (2 * j + 1) * XG ** (n - 2 * j - 1)
+        xgn = xgn + t * (2 * j + 1) * G ** (2 * j) * XG ** (n - 2 * j)
+        if n - 2 * j - 1 > 0:
+            term = t * 2 * (n - 2 * j - 1) * w * G ** (2 * j + 2) * XG ** (n - 2 * j - 2)
+            xgn = (xgn + term) if magnitudes else (xgn - term)
+    return gn, xgn, L
+
+
+def pd_values(ext, r, gam, pu, w, magnitudes=False):
+    """(P_{m,n,r}, D_{m,n,r}), or their absolute summands, with the magnitude switch inside."""
+    mg = (ext.spec.m / ext.spec.n) * gam
+    if magnitudes:
+        mg, pu, w = abs(mg), abs(pu), abs(w)
+        sign = 2
+    else:
+        sign = -2
+    P = 0.0
+    for j in range(r // 2 + 1):
+        P = P + math.comb(r, 2 * j) * sign**j * mg ** (2 * j) * pu ** (r - 2 * j) * w**j
+    D = 0.0
+    for j in range((r - 1) // 2 + 1):
+        D = D + math.comb(r, 2 * j + 1) * sign**j * mg ** (2 * j + 1) * pu ** (r - 2 * j - 1) * w**j
+    return P, (1.0 / ext.spec.n) * D
+
+
+def closed_form(ext, q, p, s, magnitudes=False):
+    """K_{m,n} (s = 0) or Kbar_{m,n} (s = m/2) at (q, p), or the sum of its absolute summands."""
+    spec = ext.spec
+    gn, xgn, L = gn_xgn_values(ext, q[1:], p[1:], spec.n, magnitudes)
+    w = spec.c * L + spec.c0
+    gam = tagged_trig.gamma(spec.gamma, q[0])
+
+    def term(r):
+        P, D = pd_values(ext, r, gam, p[0], w, magnitudes)
+        return P * gn + D * xgn
+
+    if s == 0:
+        return term(spec.m)
+    om_term = 2.0 * spec.Omega / (gam * gam)
+    om_term = abs(om_term) if magnitudes else om_term
+    total = 0.0
+    for j in range(s + 1):
+        total = total + math.comb(s, j) * om_term**j * term(spec.m - 2 * j)
+    return total

@@ -37,7 +37,9 @@ from extham.extension import (
 from extham.ladder import ladder_eigen_pattern, ladder_from_base, ladder_residuals
 from extham.phase import PhaseFunction, PhasePoint, gradient, lift_last, poisson_bracket
 from extham.sampling import make_rng, sample_points, sample_scalars
-from extham.tagged_trig import GammaPoleError, GammaProfile, gamma, gamma_prime, ode_residual
+from extham.tagged_trig import GammaPoleError, GammaProfile, gamma, gamma_prime
+
+from references import ode_residual
 
 SECTION3_PROFILE = GammaProfile.from_c_C(-4.0, 0.0)
 

@@ -168,6 +168,17 @@ def test_base_family_validation():
         make_base_family(1.0, -1.0, 1.0, 0.0, 2.0, "hyperbolic", psi_window=(-1.0, 1.0))
 
 
+@pytest.mark.parametrize("build", [
+    lambda w: make_base_family(1.0, 0.6, 1.3, 0.0, 2.0, "hyperbolic", psi_window=w),
+    lambda w: sinh_base(0.9, 0.5, 1.1, 0.7, 2.0, psi_window=w),
+    lambda w: trig_base(1.0, 0.2, 1.0, 0.5, 1.0, psi_window=w),
+])
+@pytest.mark.parametrize("window", [(2.0, 0.3), (0.5, 0.5)])
+def test_an_explicit_empty_window_is_refused(build, window):
+    with pytest.raises(ValueError, match=r"empty psi window"):
+        build(window)
+
+
 def _explicit_base_L(C1, C2, C3, C4, eta, branch):
     """L = p^2/2 + (C3 + C4 g'/eta_hat) / g^2, each transcendental called on its own."""
     e = abs(eta)

@@ -210,9 +210,25 @@ def test_catalog_command(capsys):
     (("ccm", "--json"), "unrecognized arguments: --json"),
     (("ladder", "--json"), "unrecognized arguments: --json"),
     (("catalog", "--json"), "unrecognized arguments: --json"),
+    (("verify", "--model", "minkowski", "--tol", "-1"),
+     "argument --tol: expected a finite number >= 0, got '-1'"),
+    (("ccm", "--tol", "-0.5"), "argument --tol: expected a finite number >= 0, got '-0.5'"),
+    (("ladder", "--tol", "nan"), "argument --tol: expected a finite number >= 0, got 'nan'"),
+    (("verify", "--model", "sphere", "--eta", "0"), "eta must be nonzero"),
+    (("verify", "--model", "pseudosphere", "--eta", "0"), "eta must be nonzero"),
+    (("verify", "--model", "ttw-flat", "--eta", "0"), "eta must be nonzero"),
+    (("ladder", "--branch", "trig", "--eta", "0"), "eta must be nonzero"),
+    (("ladder", "--alpha", "0", "--beta", "0", "--eta", "0"), "eta must be nonzero"),
+    # at |eta| = 2 the default window (0.05, (pi - 0.4 - psi0)/2) is empty from psi0 ~ 2.64
+    (("verify", "--model", "sphere", "--psi0", "3.0"),
+     "psi0=3.0 leaves an empty psi window (0.05, -0.1292036732051034) at |eta|=2.0"),
+    (("ladder", "--branch", "trig", "--psi0", "3.0"),
+     "psi0=3.0 leaves an empty psi window (0.05, -0.1292036732051034) at |eta|=2.0"),
 ], ids=["overflow", "nan-alpha", "zero-points", "negative-points", "degree-cap",
         "degree-cap-doubled", "negative-steps", "integrate-tol", "verify-json", "ccm-json",
-        "ladder-json", "catalog-json"])
+        "ladder-json", "catalog-json", "verify-negative-tol", "ccm-negative-tol", "ladder-nan-tol",
+        "sphere-zero-eta", "pseudosphere-zero-eta", "ttw-flat-zero-eta", "ladder-trig-zero-eta",
+        "ladder-free-zero-eta", "sphere-empty-window", "ladder-trig-empty-window"])
 def test_errors_exit_two_with_json_error(capsys, argv, message):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 2
@@ -417,6 +433,24 @@ def test_csv_that_is_a_directory_exits_two_before_any_step(capsys, tmp_path, mon
     assert code == 2
     assert json.loads(out)["error"] == f"[Errno 21] Is a directory: {str(tmp_path)!r}"
     assert calls == []
+
+
+def test_irrational_k_on_the_pseudo_polar_chart_is_refused_before_the_csv(capsys, tmp_path):
+    # irrational k builds no extension, so only the null chart has an H to follow
+    path = tmp_path / "x.csv"
+    argv = ("integrate", "--no-integral", "--k", "1.5", "--steps", "5", "--csv", str(path))
+    code, out, _ = run_cli(capsys, *argv, "--x0", "1", "0", "3.2", "0.5")
+    assert code == 2
+    assert json.loads(out)["error"] == (
+        "--k 1.5 builds no extension, so the pseudo-polar chart has no H; use --chart null")
+    assert not path.exists()
+    code, out, _ = run_cli(capsys, *argv, "--chart", "null", "--x0", "1", "1", "0.5", "0.5")
+    assert code == 0 and set(json.loads(out)["drift"]) >= {"H", "L"}
+
+
+def test_zero_tol_is_accepted(capsys):
+    for argv in (("verify", "--model", "minkowski"), ("ccm",), ("ladder",)):
+        assert run_cli(capsys, *argv, "--tol", "0", "--points", "2")[0] in (0, 1)
 
 
 @pytest.mark.parametrize("argv", [

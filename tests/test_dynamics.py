@@ -57,7 +57,7 @@ def test_time_reversal(wedge_system):
     x0 = PhasePoint((1.0, 0.0), (3.2, 0.5))
     fwd = integrate(H, x0, 1e-3, 1500)
     assert fwd.status == COMPLETED
-    back = integrate(H, fwd.point(-1), -1e-3, 1500)
+    back = integrate(H, PhasePoint.from_array(fwd.states[-1]), -1e-3, 1500)
     assert back.status == COMPLETED
     assert np.max(np.abs(back.states[-1] - x0.as_array())) <= 1e-9
 
@@ -134,7 +134,7 @@ def test_drift_report_equals_per_state_evaluation(wedge_system):
     fns = {"H": H, "L": L, "K": K, "const": PhaseFunction(lambda q, p: 4.2, 2)}
     rep = drift_report(traj, fns)
     for name, f in fns.items():
-        values = [f(traj.point(i)) for i in range(len(traj.states))]
+        values = [f(PhasePoint.from_array(z)) for z in traj.states]
         assert rep[name] == max(abs(v - values[0]) for v in values) / (1.0 + abs(values[0]))
 
 

@@ -1,8 +1,17 @@
+from fractions import Fraction
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from extham import tagged_trig
-from extham.catalog import exp_base, trig_base
+from extham.catalog import (
+    exp_base,
+    make_curved_hamiltonian,
+    make_flat_ttw_hamiltonian,
+    make_minkowski_hamiltonian,
+    trig_base,
+)
 from extham.duals import Dual, new_tag
 from extham.extension import (
     Extension,
@@ -87,7 +96,7 @@ def test_seed_residual_zero_seed(base):
         c0=0.0,
         V=base.V,
         L=base.L,
-        G=base.G * 0.0,
+        G=PhaseFunction(lambda q, p: base.G.rule(q, p) * 0.0, 1),
         eta_hat=2.0,
     )
     for x in sample_points(5, 32, 1):
@@ -137,7 +146,7 @@ def test_gn_closed_equals_recursive(base, profile):
 def test_xl_gn_closed_matches_instrumented_derivative(base, profile):
     e = ext(base, profile, 1, 1)
     for n in (2, 3, 4):
-        algebraic = e.xl_gn_closed(n)
+        algebraic = references.xl_gn_closed(e, n)
         instrumented = hamiltonian_vector_field(base.L, e.gn_closed(n))
         for x in sample_points(10, 36, 1):
             assert algebraic(x) == pytest.approx(instrumented(x), rel=1e-11)
@@ -248,7 +257,7 @@ def test_u_squared_matches_pd_closed_form(base, profile):
     # intermediate power r=2 < m with the n=2 chain seed G_2
     e2 = ext(base, profile, 3, 2)
     g2 = e2.gn_closed(2)
-    xg2 = e2.xl_gn_closed(2)
+    xg2 = references.xl_gn_closed(e2, 2)
     U2G2 = u_apply(e2, u_apply(e2, g2))
     for x in sample_points(10, 40, 2):
         gam = gamma(profile, x.q[0])
@@ -419,7 +428,9 @@ def test_functional_independence_ranks(base, profile):
     H, K = e.hamiltonian(), e.k_closed()
     L2 = lift_last(base.L, 2)
     x = sample_points(1, 48, 2)[0]
-    assert functional_independence([H, H * H, H + 1.0], x) == 1
+    H2 = PhaseFunction(lambda q, p: H.rule(q, p) * H.rule(q, p), 2)
+    H1 = PhaseFunction(lambda q, p: H.rule(q, p) + 1.0, 2)
+    assert functional_independence([H, H2, H1], x) == 1
     assert functional_independence([H, L2], x) == 2
     for x in sample_points(20, 49, 2):
         assert functional_independence([H, L2, K], x) == 3
@@ -491,3 +502,48 @@ def test_recursive_forms_equal_the_reference_rules(base, profile, m, n, omega):
         partials_at(PhaseFunction(ref, 2), x.q, x.p, range(2)))
     q, p = batch_blocks(np.array([x.q + x.p for x in pts]))
     assert leaf_values(f.rule(q, p)) == leaf_values(ref(q, p))
+
+
+def _closed_form_cases():
+    """(label, extension, s, q windows): the oracle's K and Kbar cases, with Omega < 0 too,
+    and the integrals of high-degree Minkowski, curved and flat models."""
+    b, prof = exp_base(0.7, 1.3), GammaProfile.from_c_C(-4.0, 0.0)
+    cases = [(f"K({m},{n})", ext(b, prof, m, n), 0)
+             for m, n in [(1, 1), (2, 1), (3, 2), (4, 1), (6, 1), (5, 3)]]
+    cases += [(f"Kbar({m},{n})", ext(b, prof, m, n, Omega=om), m // 2)
+              for m, n in [(2, 1), (4, 1), (4, 3)] for om in (0.3, -0.7)]
+    cases = [case + (None,) for case in cases]
+    tb = trig_base(1.0, 0.2, 1.0, 0.5, 1.0)
+    models = [make_minkowski_hamiltonian(Fraction(k), 1.0, 2.0, om)
+              for k in ("5/3", "1/3", "9/2") for om in (0.0, 0.3)]
+    models += [make_curved_hamiltonian(bb, Fraction(3, 2), kappa, om)
+               for bb in (tb, b) for kappa in (1, -1) for om in (0.0, -0.2)]
+    models += [make_flat_ttw_hamiltonian(tb, 3, 2, om) for om in (0.0, 0.2)]
+    for model in models:
+        windows = None if model.id == "minkowski" else model.q_windows
+        cases.append(model.extension._integral_choice() + (windows,))
+    return cases
+
+
+def test_closed_forms_and_magnitudes_equal_the_reference_sums():
+    # magnitudes are switched once in _closed_form; the earlier sums switched them in
+    # each helper, and every value, magnitude and partial must stay bit for bit
+    for label, e, s, windows in _closed_form_cases():
+        if s == 0:
+            value, magnitude = e.k_closed(), e.k_magnitude
+        else:
+            value, magnitude = e.kbar_closed(s, e.spec.n), (
+                lambda x, e=e, s=s: e.kbar_magnitude(x, s, e.spec.n))
+        ref = PhaseFunction(lambda q, p, e=e, s=s: references.closed_form(e, q, p, s), 2)
+        pts = sample_points(4, 61, 2, q_ranges=windows)
+        for x in pts:
+            assert value(x) == ref(x), label
+            assert magnitude(x) == references.closed_form(e, x.q, x.p, s, True), label
+        x = pts[0]
+        assert leaf_values(partials_at(value, x.q, x.p, range(2))) == leaf_values(
+            partials_at(ref, x.q, x.p, range(2))), label
+        q, p = batch_blocks(np.array([x.q + x.p for x in pts]))
+        assert leaf_values(partials_at(value, q, p, range(2))) == leaf_values(
+            partials_at(ref, q, p, range(2))), label
+        assert leaf_values(magnitude(SimpleNamespace(q=q, p=p))) == leaf_values(
+            references.closed_form(e, q, p, s, True)), label

@@ -10,14 +10,13 @@ from extham.tagged_trig import (
     gamma,
     gamma_and_prime,
     gamma_prime,
-    ode_residual,
     tagged_C,
     tagged_S,
     tagged_T,
 )
 
 import references
-from references import leaf_values
+from references import leaf_values, ode_residual
 
 
 def _series_sinh(x, terms=25):
