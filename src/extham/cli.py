@@ -441,8 +441,11 @@ def build_parser():
     pi.add_argument("--omega", type=_finite_float, default=0.0)
     pi.add_argument("--chart", default="pseudo-polar", choices=["pseudo-polar", "null"])
     pi.add_argument("--x0", type=_finite_float, nargs=4, required=True,
-                    metavar=("Q1", "Q2", "P1", "P2"))
-    pi.add_argument("--h", type=_finite_float, default=1e-3)
+                    metavar=("Q1", "Q2", "P1", "P2"),
+                    help="initial point; write a negative value without an exponent (-3.2)")
+    pi.add_argument("--h", type=_finite_float, default=1e-3,
+                    help="step size; negative runs the exact time reversal "
+                         "(write --h=-1e-3: after a space, -1e-3 reads as an option)")
     pi.add_argument("--steps", type=_positive_int, default=10000)
     pi.add_argument("--u-min", type=_finite_float, default=0.05,
                     help="truncate when the radial coordinate drops below this")

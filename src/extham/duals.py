@@ -24,12 +24,19 @@ in the last bit on a share of inputs. Dual and Jet set ``__array_ufunc__``
 to None, so an array operand defers to them. Guards on values go through
 :func:`any_true`, which leaves float and Jet evaluations free of numpy calls.
 
+A :class:`Trace` is the fourth leaf: a float that records every operation
+on it, and every comparison with its outcome, in a :class:`Tape`, so one
+evaluation on Traces gives the straight-line float program of that
+evaluation (``phase.compile_partials``). Anything that would branch on a
+traced value without a comparison (bool, float, int, hash) raises.
+
 One seam, :func:`_lift`, decides how every unary math function is computed:
-Dual -> Jet -> Batch -> ``math``, in that order, so one rule evaluates on
-floats, Duals, Jets, Batches and Duals wrapping any of them. A new scalar
-leaf (an mpmath ``mpf`` for extended precision, say) is one more branch
-there, before ``math``, whose functions would silently return floats.
-:func:`pow_` keeps its own two-argument dispatch.
+Dual -> Jet -> Batch -> Trace -> ``math``, in that order, so one rule
+evaluates on floats, Duals, Jets, Batches, Traces and Duals wrapping any of
+them. A new scalar leaf (an mpmath ``mpf`` for extended precision, say) is
+one more branch there, before ``math``, whose functions would silently
+return floats. :func:`pow_` keeps its own two-argument dispatch, in the
+same order.
 
 A :class:`Tangent` is the dot of a Dual that carries several directions
 under one tag: it maps a direction index to that direction's component, so
@@ -413,6 +420,102 @@ def _entrywise(fn, *args):
     return batch([fn(*vals) for vals in zip(*cols)])
 
 
+class Tape:
+    """The float operations of traced evaluations, in the order they first ran.
+
+    ``ops[i]`` is ``(fn, args, outcome)``: an input has fn None; a value is
+    fn applied to args, which hold Traces and constants; a guard is a
+    comparison whose outcome, True or False, the evaluation branched on. A
+    repeat of an operation on the same operands returns the first Trace,
+    since the same IEEE operation on the same operands gives the same bits.
+    Constants are keyed by type and repr, so 0.0 and -0.0 stay apart.
+    """
+
+    def __init__(self):
+        self.ops = []
+        self._memo = {}
+
+    def inputs(self, values):
+        """One new input Trace per value, as a tuple."""
+        out = []
+        for v in values:
+            out.append(Trace(self, len(self.ops), v))
+            self.ops.append((None, (), None))
+        return tuple(out)
+
+    def record(self, fn, args, guard=False):
+        """fn(*args) on the args' values: a new Trace, or the outcome of a guard."""
+        key = (fn,) + tuple(a.i if isinstance(a, Trace) else (type(a), repr(a)) for a in args)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        v = fn(*[a.v if isinstance(a, Trace) else a for a in args])
+        out = v if guard else Trace(self, len(self.ops), v)
+        self.ops.append((fn, args, v if guard else None))
+        self._memo[key] = out
+        return out
+
+
+def _traced(fn, reflected=False, guard=False):
+    """A Trace operator method recording fn; other leaves answer NotImplemented."""
+
+    def method(self, other):
+        if not isinstance(other, (Trace, float, int)):
+            return NotImplemented
+        return self.tape.record(fn, (other, self) if reflected else (self, other), guard)
+
+    return method
+
+
+def _untraced(self):
+    raise TypeError("a traced value cannot be branched on, converted or hashed")
+
+
+class Trace:
+    """A float leaf that records each operation on it in its Tape.
+
+    It holds its concrete value v and its index i in the tape. Arithmetic
+    and ``abs`` record a value, every comparison (== and != too) records a
+    guard with its outcome, and bool, float, int, index and hash raise, so
+    an evaluation that branches on a value in any other way cannot be traced.
+    """
+
+    __slots__ = ("tape", "i", "v")
+    __array_ufunc__ = None
+
+    def __init__(self, tape, i, v):
+        self.tape = tape
+        self.i = i
+        self.v = v
+
+    def __repr__(self):
+        return f"Trace({self.v!r}, i={self.i})"
+
+    __add__ = _traced(operator.add)
+    __radd__ = _traced(operator.add, reflected=True)
+    __sub__ = _traced(operator.sub)
+    __rsub__ = _traced(operator.sub, reflected=True)
+    __mul__ = _traced(operator.mul)
+    __rmul__ = _traced(operator.mul, reflected=True)
+    __truediv__ = _traced(operator.truediv)
+    __rtruediv__ = _traced(operator.truediv, reflected=True)
+    __pow__ = _traced(operator.pow)
+    __rpow__ = _traced(operator.pow, reflected=True)
+    __lt__ = _traced(operator.lt, guard=True)
+    __le__ = _traced(operator.le, guard=True)
+    __gt__ = _traced(operator.gt, guard=True)
+    __ge__ = _traced(operator.ge, guard=True)
+    __eq__ = _traced(operator.eq, guard=True)
+    __ne__ = _traced(operator.ne, guard=True)
+    __bool__ = __float__ = __int__ = __index__ = __hash__ = _untraced
+
+    def __neg__(self):
+        return self.tape.record(operator.neg, (self,))
+
+    def __abs__(self):
+        return self.tape.record(abs, (self,))
+
+
 def any_true(cond):
     """Whether a guard holds: cond itself for a scalar, at any entry for an array.
 
@@ -481,12 +584,12 @@ def taylor(f, x, order):
     return [math.factorial(k) * coefficient(y, k) for k in range(order + 1)]
 
 
-# -- the seam: every math function dispatches Dual -> Jet -> Batch -> math --
+# -- the seam: every math function dispatches Dual -> Jet -> Batch -> Trace -> math --
 
 
 def _lift(fn, jet_rule, tangent):
     """fn on every leaf: a Dual carries tangent(x, fn(x), dx), a Jet runs jet_rule,
-    a Batch applies fn entry by entry and a float calls fn itself."""
+    a Batch applies fn entry by entry, a Trace records fn and a float calls fn itself."""
 
     def lifted(x):
         if isinstance(x, Dual):
@@ -496,6 +599,8 @@ def _lift(fn, jet_rule, tangent):
             return jet_rule(x)
         if isinstance(x, np.ndarray):
             return _entrywise(fn, x)
+        if isinstance(x, Trace):
+            return x.tape.record(fn, (x,))
         return fn(x)
 
     lifted.__name__ = lifted.__qualname__ = fn.__name__
@@ -521,4 +626,6 @@ def pow_(x, r):
         return _jet_pow(x, r)
     if isinstance(x, np.ndarray):
         return _entrywise(math.pow, x, r)
+    if isinstance(x, Trace):
+        return x.tape.record(math.pow, (x, r))
     return math.pow(x, r)

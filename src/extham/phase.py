@@ -11,12 +11,13 @@ evaluation at distinct points needs no synchronization.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import duals
-from .duals import Dual, Tangent, batch, new_tag, primal, tangent_part, value_part
+from .duals import Dual, Tangent, Tape, Trace, batch, new_tag, primal, tangent_part, value_part
 
 
 @dataclass(frozen=True)
@@ -103,10 +104,12 @@ def partials_at(f, q, p, slots):
     one tag with its own direction of a Tangent, and each partial equals the
     seeded one bit for bit. On any other leaves (floats, Jets, the Duals of
     an enclosing evaluation) each directional derivative costs one
-    instrumented evaluation, and the value is the primal of the first. Floats stay seeded because there the
-    tangent bookkeeping costs more than the primal work it saves: one
-    evaluation on float leaves took the benchmark's flow workload from
-    about 2630 to about 1500 items/s.
+    instrumented evaluation, and the value is the primal of the first.
+    Floats stay seeded because there the tangent bookkeeping costs more than
+    the primal work it saves: one evaluation on float leaves took the
+    benchmark's flow workload from about 2630 to about 1500 items/s. Where
+    the same f is differentiated at many float points, compile_partials turns
+    these seeded evaluations into one plain-float program instead.
     """
     if isinstance(q[0], np.ndarray):
         return _partials_in_one_evaluation(f, q, p, slots)
@@ -142,6 +145,85 @@ def _partials_in_one_evaluation(f, q, p, slots):
     d = dot.d if isinstance(dot, Tangent) else {}
     parts = [d.get(j, 0.0) for j in range(2 * n)]
     return value_part(y, tag), parts[:n], parts[n:]
+
+
+_INFIX = {
+    operator.add: "{} + {}", operator.sub: "{} - {}", operator.mul: "{} * {}",
+    operator.truediv: "{} / {}", operator.pow: "{} ** {}", operator.neg: "-{}",
+    operator.lt: "{} < {}", operator.le: "{} <= {}", operator.gt: "{} > {}",
+    operator.ge: "{} >= {}", operator.eq: "{} == {}", operator.ne: "{} != {}",
+}
+# the float operations that cannot raise, dropped when nothing reads them; every
+# other one stays, so the program raises wherever the seeded evaluations would
+_PURE = {operator.add, operator.sub, operator.mul, operator.neg, abs}
+
+
+def compile_partials(f, q, p, slots):
+    """partials_at(f, ., ., slots) on float points as one straight-line program.
+
+    partials_at runs once at the float point (q, p) on Trace leaves, so the
+    tape holds exactly the float operations of its seeded evaluations, and
+    the program emitted from it returns (value, dq, dp) bit for bit as
+    partials_at does. It takes the coordinates as separate arguments and
+    returns None, meaning "use partials_at", where a comparison the
+    evaluations branched on comes out the other way or an operation raises:
+    partials_at then takes the branch or raises its own exception. Returns
+    None instead of a program when the evaluation cannot be traced there.
+    """
+    tape = Tape()
+    try:
+        value, dq, dp = partials_at(f, tape.inputs(q), tape.inputs(p), slots)
+    except Exception:  # any failure, untraceable or not, leaves partials_at in charge
+        return None
+    if not all(isinstance(x, (Trace, float, int)) for x in (value, *dq, *dp)):
+        return None
+    return _emit(tape, value, dq, dp)
+
+
+def _emit(tape, value, dq, dp):
+    """The compiled function of the tape's live operations and guards."""
+    ops = tape.ops
+    live = [outcome is not None or fn not in _PURE for fn, _, outcome in ops]
+    for x in (value, *dq, *dp):
+        if isinstance(x, Trace):
+            live[x.i] = True
+    for i in reversed(range(len(ops))):
+        if live[i]:
+            for a in ops[i][1]:
+                if isinstance(a, Trace):
+                    live[a.i] = True
+    namespace = {}
+    names = {}
+
+    def atom(x):
+        if isinstance(x, Trace):
+            return f"t{x.i}"
+        if type(x) is int or type(x) is float and math.isfinite(x):
+            return f"({x!r})" if repr(x).startswith("-") else repr(x)
+        name = names.get(id(x))  # functions and non-finite constants by reference
+        if name is None:
+            name = names[id(x)] = f"c{len(names)}"
+            namespace[name] = x
+        return name
+
+    params, lines = [], []
+    for i, (fn, args, outcome) in enumerate(ops):
+        if fn is None:
+            params.append(f"t{i}")
+        elif live[i]:
+            form = _INFIX.get(fn) or atom(fn) + "(" + ", ".join(["{}"] * len(args)) + ")"
+            expr = form.format(*map(atom, args))
+            if outcome is None:
+                lines.append(f"t{i} = {expr}")
+            else:
+                lines.append(f"if {'not ' if outcome else ''}({expr}): return None")
+    body = "\n        ".join(lines or ["pass"])
+    result = f"{atom(value)}, [{', '.join(map(atom, dq))}], [{', '.join(map(atom, dp))}]"
+    source = (f"def partials({', '.join(params)}):\n    try:\n        {body}\n"
+              f"    except (ArithmeticError, ValueError):\n        return None\n"
+              f"    return {result}\n")
+    exec(compile(source, "<compile_partials>", "exec"), namespace)
+    return namespace["partials"]
 
 
 def poisson_bracket(f, g, x):

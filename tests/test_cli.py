@@ -164,6 +164,21 @@ def test_integrate_domain_exit(capsys, tmp_path):
     assert os.path.exists(path)
 
 
+def test_negative_step_in_exponent_form(capsys, tmp_path):
+    # "--h=-1e-3" runs backwards in time; "--h -1e-3" is an argparse usage
+    # error, because a dash-led token with an exponent reads as an option
+    path = str(tmp_path / "back.csv")
+    argv = ("integrate", "--x0", "1", "0", "3.2", "0.5", "--steps", "3", "--csv", path)
+    code, out, _ = run_cli(capsys, *argv, "--h=-1e-3")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["h"], report["status"]) == (-0.001, "completed")
+    with open(path) as fh:
+        assert float(list(csv.reader(fh))[-1][0]) == 3 * -0.001
+    code, out, err = run_cli(capsys, *argv, "--h", "-1e-3")
+    assert code == 2 and "expected one argument" in json.loads(out)["error"]
+
+
 def test_ladder_command(capsys):
     for branch in ("hyperbolic", "trig"):
         code, out, _ = run_cli(

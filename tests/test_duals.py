@@ -421,3 +421,34 @@ def test_batch_partials_inside_an_outer_derivative():
         for got, want in zip([value] + dq + dp, [ref[0]] + ref[1] + ref[2]):
             for part in (primal, lambda v: dm.tangent_part(v, tag)):
                 assert np.broadcast_to(part(got), len(z))[i] == part(want)
+
+
+# -- Trace leaf ------------------------------------------------------------
+
+
+def test_trace_records_each_operation_once():
+    tape = dm.Tape()
+    x, y = tape.inputs((1.5, -0.0))
+    a = x * y + dm.exp(x)
+    b = x * y + dm.exp(x)  # the same operations on the same operands
+    assert (a.i, a.v) == (b.i, b.v) and a.v == 1.5 * -0.0 + math.exp(1.5)
+    # constants are keyed by type and repr: 0.0 and -0.0 differ, and 2 is not 2.0
+    assert len({(x + 0.0).i, (x + -0.0).i, (x * 2).i, (x * 2.0).i}) == 4
+    assert (2.0 - x).v == 0.5 and (2.0 ** x).v == 2.0**1.5
+    assert [op[0] for op in tape.ops[-2:]] == [operator.sub, operator.pow]
+    assert tape.ops[(2.0 - x).i][1][0] == 2.0  # reflected operands keep their order
+    n = len(tape.ops)
+    assert (x == 1.5) is True and (x != 1.5) is False and (y < x) is True
+    assert [op[2] for op in tape.ops[n:]] == [True, False, True]  # guards and outcomes
+
+
+def test_trace_under_a_dual_and_refusals():
+    tape = dm.Tape()
+    (x,) = tape.inputs((0.8,))
+    d = Dual(x, 1.0, dm.new_tag())
+    y = x * d  # the Trace defers to the Dual, which keeps it as its leaf
+    assert isinstance(y, Dual) and (y.val.v, y.dot.v) == (0.8 * 0.8, 0.8 * 1.0)
+    assert dm.pow_(x, 3.0).v == math.pow(0.8, 3.0)
+    for refuse in (bool, float, int, hash, operator.index):
+        with pytest.raises(TypeError):
+            refuse(x)

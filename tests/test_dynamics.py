@@ -1,9 +1,11 @@
 import csv
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from extham import catalog, dynamics, phase
 from extham.catalog import make_minkowski_hamiltonian
 from extham.dynamics import (
     COMPLETED,
@@ -265,3 +267,47 @@ def test_overflowing_midpoint_leaves_the_domain():
     traj = assert_matches_vector_loop(free_particle(), PhasePoint((8e307,), (3e307,)), 1.0, 5)
     assert (traj.status, traj.exit_step) == (LEFT_DOMAIN, 0)
     assert traj.states.tolist() == [[8e307, 3e307]]
+
+
+def _bench_flow_orbits():
+    # the benchmark's flow orbits at seed 1: each x0 jitters (1, 0, 3.2, 0.5)
+    # by up to 0.1 per coordinate, from random.Random(1000 + i)
+    out = []
+    for i, (k, omega) in enumerate([("1", 0.0), ("1/2", 0.0), ("2", 0.0), ("1", 0.3)]):
+        rng = random.Random(1000 + i)
+        x0 = [c + rng.uniform(-0.1, 0.1) for c in (1.0, 0.0, 3.2, 0.5)]
+        for h in (1e-3, 5e-4):
+            out.append((f"bench k={k} Omega={omega} h={h:g}", (k, omega, "pseudo-polar"), x0, h,
+                        round(0.2 / h), COMPLETED))
+    return out
+
+
+ORBITS = _bench_flow_orbits() + [
+    # the null-chart orbit that leaves the wedge after step 2320
+    ("null chart leaves the wedge", ("1", 0.3, "null"), [0.7, 0.7, 2.97, 1.56], 1e-3, 10_000,
+     LEFT_DOMAIN),
+    # criterion 08's orbit, which stops converging at step 356
+    ("criterion 08", ("1", 0.0, "pseudo-polar"), [1.0, 0.0, 0.2, 0.5], 1e-3, 10_000,
+     NO_CONVERGENCE),
+]
+
+
+@pytest.mark.parametrize("label,flow,x0,h,steps,status", ORBITS, ids=[o[0] for o in ORBITS])
+def test_compiled_partials_keep_every_trajectory(monkeypatch, label, flow, x0, h, steps, status):
+    # the compiled program serves the fixed-point iterations; without it every
+    # call takes partials_at, and the trajectory is the same bit for bit
+    k, omega, chart = flow
+    H, _, u_min = catalog.FLOWS["minkowski"](k, 1.0, 2.0, omega, False, chart, 0.05)
+    x0 = PhasePoint(x0[:2], x0[2:])
+    seeded_calls = []
+    monkeypatch.setattr(dynamics, "partials_at",
+                        lambda *a: seeded_calls.append(1) or phase.partials_at(*a))
+    compiled = integrate(H, x0, h, steps, u_min=u_min)
+    assert compiled.status == status
+    if status == COMPLETED:
+        assert not seeded_calls  # the program served every iteration
+    monkeypatch.setattr(dynamics, "compile_partials", lambda *a: None)
+    seeded = integrate(H, x0, h, steps, u_min=u_min)
+    assert seeded_calls
+    assert compiled.states.tolist() == seeded.states.tolist()
+    assert (compiled.status, compiled.exit_step) == (seeded.status, seeded.exit_step)

@@ -1,13 +1,18 @@
+import inspect
 import math
+import random
 
 import pytest
 
+from extham import catalog
 from extham import duals as dm
 from extham.catalog import exp_base, make_minkowski_hamiltonian, trig_base
+from extham.duals import primal
 from extham.phase import (
     PhaseFunction,
     PhasePoint,
     batch_blocks,
+    compile_partials,
     fd_gradient,
     fd_poisson_bracket,
     gradient,
@@ -17,6 +22,7 @@ from extham.phase import (
     poisson_bracket,
 )
 from extham.sampling import sample_points
+from extham.tagged_trig import GammaPoleError
 from fractions import Fraction
 
 import numpy as np
@@ -202,3 +208,122 @@ def test_ignored_slot_gets_positive_zero_on_batch_leaves():
             assert math.copysign(1.0, fq[1]) == math.copysign(1.0, fp[1]) == 1.0
     const = PhaseFunction(lambda q, p: 2.5, 2)
     assert partials_at(const, *batch_blocks(z), range(2)) == (2.5, [0.0, 0.0], [0.0, 0.0])
+
+
+# -- compiled float partials ----------------------------------------------------
+
+K_VALUES = ["1", "1/2", "2", "5/3"]
+# (label, H, the box its points are drawn from: q ranges then p ranges)
+WEDGE_BOX = [(0.3, 2.0), (0.3, 2.0), (-3.0, 3.0), (-3.0, 3.0)]
+POLAR_BOX = [(0.3, 2.0), (-1.0, 1.0), (-3.0, 3.0), (-3.0, 3.0)]
+
+
+def _flow_hamiltonians():
+    out = []
+    for k in K_VALUES:
+        for omega in (0.0, 0.3):
+            for chart, box in (("null", WEDGE_BOX), ("pseudo-polar", POLAR_BOX)):
+                H, _, _ = catalog.FLOWS["minkowski"](k, 1.0, 2.0, omega, False, chart, 0.05)
+                out.append((f"flow k={k} Omega={omega} {chart}", H, box))
+    H, _, _ = catalog.FLOWS["free"]()
+    out.append(("flow free", H, POLAR_BOX))
+    return out
+
+
+def _model_hamiltonians():
+    flags = {"k": "1", "alpha": 1.0, "beta": 2.0, "eta": 2.0, "psi0": 0.2, "m": 2, "n": 1,
+             "d": 2.0, "no_integral": False}
+    out = []
+    for name, build in catalog.MODELS.items():
+        params = inspect.signature(build).parameters
+        for omega in ((0.0, 0.3) if "omega" in params else (None,)):
+            model = build(**{a: (omega if a == "omega" else flags[a]) for a in params})
+            if model.H.dof == 2:
+                box = list(model.q_windows) + [(-3.0, 3.0)] * 2
+                out.append((f"model {name} Omega={omega}", model.H, box))
+    return out
+
+
+COMPILED_CASES = _flow_hamiltonians() + _model_hamiltonians()
+
+
+@pytest.mark.parametrize("label,H,box", COMPILED_CASES, ids=[c[0] for c in COMPILED_CASES])
+def test_compiled_partials_equal_partials_at_hypothesis(label, H, box):
+    # compiled at one in-domain point and run there and at 100 uniform others,
+    # the program returns partials_at's (value, dq, dp), the sign of every zero
+    # included; so many points because pow(x, 2) and x * x differ on about 1 in
+    # 1200 inputs, and an emitter that confused them must fail here
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=20, deadline=None)
+    @hyp.given(st.tuples(*[st.floats(lo, hi) for lo, hi in box]), st.integers(0, 2**32))
+    def compiled_equals_seeded(z0, seed):
+        program = compile_partials(H, z0[:2], z0[2:], range(2))
+        assert program is not None
+        rng = random.Random(seed)
+        for z in [z0] + [tuple(rng.uniform(lo, hi) for lo, hi in box) for _ in range(100)]:
+            assert repr(program(*z)) == repr(partials_at(H, z[:2], z[2:], range(2)))
+
+    compiled_equals_seeded()
+
+
+def test_compiled_partials_leave_the_gamma_pole_to_partials_at():
+    H, _, _ = catalog.FLOWS["minkowski"]("1", 1.0, 2.0, 0.0, False, "pseudo-polar", 0.05)
+    pole = ((1e-160, 0.1), (3.2, 0.5))
+    assert compile_partials(H, *pole, range(2)) is None
+    program = compile_partials(H, (1.0, 0.1), (3.2, 0.5), range(2))
+    assert program is not None and program(*pole[0], *pole[1]) is None
+    with pytest.raises(GammaPoleError, match="singular at u=1e-160"):
+        partials_at(H, *pole, range(2))
+
+
+def test_compiled_partials_leave_the_wedge_to_partials_at():
+    H, _, _ = catalog.FLOWS["minkowski"]("1", 1.0, 2.0, 0.3, False, "null", 0.05)
+    outside = ((0.7, -0.2), (2.97, 1.56))
+    assert compile_partials(H, *outside, range(2)) is None
+    program = compile_partials(H, (0.7, 0.7), (2.97, 1.56), range(2))
+    assert program is not None and program(*outside[0], *outside[1]) is None
+    with pytest.raises(ValueError, match="Minkowski family is defined on the wedge q1, q2 > 0"):
+        partials_at(H, *outside, range(2))
+
+
+OUTER = dm.Dual(2.0, 1.0, dm.new_tag())
+
+
+@pytest.mark.parametrize("rule", [
+    lambda q, p: q[0] * p[0] if primal(q[1]) else p[0],  # bool
+    lambda q, p: math.exp(float(primal(q[1]))) * p[0],  # float
+    lambda q, p: {q[1]: p[0]}[q[1]],  # hash
+    lambda q, p: OUTER * q[1] * p[0],  # a Dual of an enclosing evaluation in every output
+])
+def test_untraceable_rules_are_not_compiled(rule):
+    f = PhaseFunction(rule, 2)
+    assert partials_at(f, (0.5, 0.7), (1.5, -0.2), range(2)) is not None
+    assert compile_partials(f, (0.5, 0.7), (1.5, -0.2), range(2)) is None
+
+
+def test_equality_tests_compile_to_guards():
+    # == on a traced value is a guard, never the identity test, which would
+    # silently take the other branch
+    f = PhaseFunction(lambda q, p: q[0] * p[0] if primal(q[1]) == 1.0 else q[0] - p[0], 2)
+    at_one = compile_partials(f, (0.5, 1.0), (1.5, -0.2), range(2))
+    elsewhere = compile_partials(f, (0.5, 2.0), (1.5, -0.2), range(2))
+    for program, served, refused in ((at_one, (1.0,), (2.0, 0.7)), (elsewhere, (2.0, 0.7), (1.0,))):
+        for q1 in served:
+            z = (0.8, q1, 1.3, 0.4)
+            assert repr(program(*z)) == repr(partials_at(f, z[:2], z[2:], range(2)))
+        for q1 in refused:
+            assert program(0.8, q1, 1.3, 0.4) is None
+
+
+def test_compiled_partials_raise_nothing():
+    # an operation that raises makes the program return None, even one whose
+    # result nothing reads, so partials_at raises its own exception
+    f = PhaseFunction(lambda q, p: (dm.log(q[0]), q[1] * p[1])[1], 2)
+    program = compile_partials(f, (0.5, 0.7), (1.5, -0.2), range(2))
+    assert repr(program(0.5, 0.7, 1.5, -0.2)) == repr(partials_at(f, (0.5, 0.7), (1.5, -0.2), range(2)))
+    assert program(-0.5, 0.7, 1.5, -0.2) is None
+    with pytest.raises(ValueError):
+        partials_at(f, (-0.5, 0.7), (1.5, -0.2), range(2))
+    assert program(0.0, 0.7, 1.5, -0.2) is None
