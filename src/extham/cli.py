@@ -75,15 +75,19 @@ def _bracket_sweep(H, integrals, points):
     their scales equal poisson_bracket and bracket_scale at each point; both
     take their norms from row_norms, so a scale stays finite where squared
     gradients overflow. An inf or NaN gradient entry raises ValueError naming
-    its point: no bracket there can be checked. Maxima run over Python floats,
-    so verdicts stay plain bools.
+    its point, and an OverflowError while differentiating one raises
+    ValueError naming the function: no bracket there can be checked. Maxima
+    run over Python floats, so verdicts stay plain bools.
     """
-    fs = [H] + [f for _, f in integrals]
+    fs = [("H", H)] + list(integrals)
     q, p = batch_blocks(np.array([x.q + x.p for x in points]))
     jac = np.empty((len(points), len(fs), 2 * H.dof))
     with _quiet_sweep():
-        for j, f in enumerate(fs):
-            _, dq, dp = partials_at(f, q, p, range(H.dof))
+        for j, (name, f) in enumerate(fs):
+            try:
+                _, dq, dp = partials_at(f, q, p, range(H.dof))
+            except OverflowError:
+                raise ValueError(f"the gradient of {name} overflows double precision") from None
             for s, v in enumerate(dq + dp):
                 jac[:, j, s] = primal(v)  # a tangent that is a scalar zero broadcasts
     bad = np.flatnonzero(~np.isfinite(jac).all(axis=(1, 2)))

@@ -40,7 +40,8 @@ same order.
 
 A :class:`Tangent` is the dot of a Dual that carries several directions
 under one tag: it maps a direction index to that direction's component, so
-one evaluation gives every partial (``phase.partials_at`` on Batch leaves).
+one evaluation gives every partial (``phase.partials_at`` on Batch leaves,
+``phase.compile_partials`` on Trace leaves).
 A direction the value does not depend on is absent, a structural zero, and
 never stored as 0.0. Every present component then runs the same IEEE
 operation, in the same order, as the evaluation seeded along that direction
@@ -421,19 +422,15 @@ def _entrywise(fn, *args):
 
 
 class Tape:
-    """The float operations of traced evaluations, in the order they first ran.
+    """The float operations of traced evaluations, in the order they ran.
 
     ``ops[i]`` is ``(fn, args, outcome)``: an input has fn None; a value is
     fn applied to args, which hold Traces and constants; a guard is a
-    comparison whose outcome, True or False, the evaluation branched on. A
-    repeat of an operation on the same operands returns the first Trace,
-    since the same IEEE operation on the same operands gives the same bits.
-    Constants are keyed by type and repr, so 0.0 and -0.0 stay apart.
+    comparison whose outcome, True or False, the evaluation branched on.
     """
 
     def __init__(self):
         self.ops = []
-        self._memo = {}
 
     def inputs(self, values):
         """One new input Trace per value, as a tuple."""
@@ -445,15 +442,9 @@ class Tape:
 
     def record(self, fn, args, guard=False):
         """fn(*args) on the args' values: a new Trace, or the outcome of a guard."""
-        key = (fn,) + tuple(a.i if isinstance(a, Trace) else (type(a), repr(a)) for a in args)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
         v = fn(*[a.v if isinstance(a, Trace) else a for a in args])
-        out = v if guard else Trace(self, len(self.ops), v)
         self.ops.append((fn, args, v if guard else None))
-        self._memo[key] = out
-        return out
+        return v if guard else Trace(self, len(self.ops) - 1, v)
 
 
 def _traced(fn, reflected=False, guard=False):

@@ -12,13 +12,13 @@ with the same IEEE operations in the same order as the vector form
 (midpoint ``0.5 * (a + b)``, update ``z + h * rhs``, residual the largest
 ``|y_new - y|``). The partials come from a program that
 ``phase.compile_partials`` makes once per run at x0, which returns
-``partials_at``'s results bit for bit at about a tenth of its cost; an
-iteration that the program refuses (a branch taken the other way, an
-operation that raises) calls ``partials_at`` itself, which also raises
-where H leaves its domain. It starts every solve from the last state
-rather than from a predictor such as ``z + h * slope``: a predictor saves
-about one iteration per step but moves every iterate in its last bits,
-which changes where a collapsing orbit stops and how.
+``partials_at``'s results bit for bit at about a twentieth of its cost;
+where a branch goes the other way or an operation raises, the program
+calls ``partials_at``, which also raises where H leaves its domain. It
+starts every solve from the last state rather than from a predictor such
+as ``z + h * slope``: a predictor saves about one iteration per step but
+moves every iterate in its last bits, which changes where a collapsing
+orbit stops and how.
 """
 
 import csv
@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duals import primal
-from .phase import batch_blocks, compile_partials, partials_at
+from .phase import batch_blocks, compile_partials
 
 COMPLETED = "completed"
 DOMAIN_EXIT = "domain-exit"
@@ -80,8 +79,7 @@ def integrate(H, x0, h, steps, fp_tol=1e-13, max_iter=50, u_min=None):
     d = x0.dof
     if H.dof != d:
         raise ValueError(f"function of {H.dof} dof evaluated at a {d}-dof point")
-    slots = range(d)
-    partials = compile_partials(H, x0.q, x0.p, slots)
+    partials = compile_partials(H, x0.q, x0.p, range(d))
     z = x0.q + x0.p
     states = [z]
     status = COMPLETED
@@ -97,17 +95,12 @@ def integrate(H, x0, h, steps, fp_tol=1e-13, max_iter=50, u_min=None):
             if not all(map(math.isfinite, mid)):
                 failure = LEFT_DOMAIN
                 break
-            compiled = partials(*mid) if partials is not None else None
-            if compiled is not None:
-                _, dq, dp = compiled
-                rhs = [float(v) for v in dp] + [-float(v) for v in dq]
-            else:
-                try:
-                    _, dq, dp = partials_at(H, tuple(mid[:d]), tuple(mid[d:]), slots)
-                except (OverflowError, ValueError, ZeroDivisionError):
-                    failure = LEFT_DOMAIN
-                    break
-                rhs = [float(primal(v)) for v in dp] + [-float(primal(v)) for v in dq]
+            try:
+                _, dq, dp = partials(*mid)
+            except (OverflowError, ValueError, ZeroDivisionError):
+                failure = LEFT_DOMAIN
+                break
+            rhs = [float(v) for v in dp] + [-float(v) for v in dq]
             y_new = tuple(a + h * r for a, r in zip(z, rhs))
             if not all(map(math.isfinite, y_new)):
                 failure = LEFT_DOMAIN

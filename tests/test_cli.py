@@ -239,11 +239,19 @@ def test_catalog_command(capsys):
      "psi0=3.0 leaves an empty psi window (0.05, -0.1292036732051034) at |eta|=2.0"),
     (("ladder", "--branch", "trig", "--psi0", "3.0"),
      "psi0=3.0 leaves an empty psi window (0.05, -0.1292036732051034) at |eta|=2.0"),
+    # powers of huge integral indices overflow inside the closed-form K
+    (("verify", "--model", "ttw-flat", "--m", "150"),
+     "the gradient of K(150,1) overflows double precision"),
+    (("verify", "--model", "sphere", "--k", "150"),
+     "the gradient of K(151,1) overflows double precision"),
+    (("ccm", "--m", "120"), "the gradient of Kprime overflows double precision"),
+    (("ccm", "--m", "160"), "the gradient of Kprime overflows double precision"),
 ], ids=["overflow", "nan-alpha", "zero-points", "negative-points", "degree-cap",
         "degree-cap-doubled", "negative-steps", "integrate-tol", "verify-json", "ccm-json",
         "ladder-json", "catalog-json", "verify-negative-tol", "ccm-negative-tol", "ladder-nan-tol",
         "sphere-zero-eta", "pseudosphere-zero-eta", "ttw-flat-zero-eta", "ladder-trig-zero-eta",
-        "ladder-free-zero-eta", "sphere-empty-window", "ladder-trig-empty-window"])
+        "ladder-free-zero-eta", "sphere-empty-window", "ladder-trig-empty-window",
+        "ttw-flat-overflow", "sphere-overflow", "ccm-overflow-120", "ccm-overflow-160"])
 def test_errors_exit_two_with_json_error(capsys, argv, message):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 2
@@ -339,7 +347,7 @@ def test_report_digest_argvs_are_not_refused(monkeypatch):
             with pytest.raises(Built):
                 args.func(args)
             built += 1
-    assert (len(argvs), built) == (80, 69)
+    assert (len(argvs), built) == (83, 72)
 
 
 @pytest.mark.parametrize("builder,model", [
@@ -627,7 +635,7 @@ def test_single_point_batches(capsys):
 def test_pow_errors_in_a_batch_exit_two(capsys, monkeypatch):
     # overflow: q1 q2^2000 leaves double range at q2 > 1.43
     code, out, _ = run_cli(capsys, "verify", "--model", "remark-h2", "--d", "2000", "--points", "5")
-    assert code == 2 and json.loads(out)["error"] == "math range error"
+    assert code == 2 and json.loads(out)["error"] == "the gradient of H overflows double precision"
     # domain: one sample point with q2 < 0 puts a negative base under q2^0.5
     pts = [PhasePoint((0.5, 0.7), (0.1, 0.2)), PhasePoint((0.6, -0.3), (0.1, 0.2))]
     monkeypatch.setattr(cli, "sample_points", lambda *a, **kw: pts)

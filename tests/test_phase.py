@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from extham import catalog
+from extham import catalog, phase
 from extham import duals as dm
 from extham.catalog import exp_base, make_minkowski_hamiltonian, trig_base
 from extham.duals import primal
@@ -172,9 +172,10 @@ def test_lift_last():
 
 
 def test_rule_calls_per_partials_at():
-    # float leaves stay seeded, one evaluation per direction: tangent bookkeeping
-    # costs more than the primal work it saves on a scalar; Batch leaves take
-    # one evaluation for every direction and point
+    # float leaves stay seeded, one evaluation per direction: on a scalar the
+    # tangent bookkeeping costs more than the primal work it saves (a float-point
+    # closed-form K and its magnitude went from 11-13 to 21-23 us through one
+    # evaluation); Batch leaves take one evaluation for every direction and point
     calls = []
 
     def rule(q, p):
@@ -247,12 +248,20 @@ def _model_hamiltonians():
 COMPILED_CASES = _flow_hamiltonians() + _model_hamiltonians()
 
 
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The calls compiled programs make to partials_at, one list entry each."""
+    calls = []
+    monkeypatch.setattr(phase, "partials_at", lambda *a: calls.append(a) or partials_at(*a))
+    return calls
+
+
 @pytest.mark.parametrize("label,H,box", COMPILED_CASES, ids=[c[0] for c in COMPILED_CASES])
-def test_compiled_partials_equal_partials_at_hypothesis(label, H, box):
+def test_compiled_partials_equal_partials_at_hypothesis(fallbacks, label, H, box):
     # compiled at one in-domain point and run there and at 100 uniform others,
-    # the program returns partials_at's (value, dq, dp), the sign of every zero
-    # included; so many points because pow(x, 2) and x * x differ on about 1 in
-    # 1200 inputs, and an emitter that confused them must fail here
+    # the program itself returns partials_at's (value, dq, dp), the sign of every
+    # zero included; so many points because pow(x, 2) and x * x differ on about
+    # 1 in 1200 inputs, and an emitter that confused them must fail here
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -260,31 +269,40 @@ def test_compiled_partials_equal_partials_at_hypothesis(label, H, box):
     @hyp.given(st.tuples(*[st.floats(lo, hi) for lo, hi in box]), st.integers(0, 2**32))
     def compiled_equals_seeded(z0, seed):
         program = compile_partials(H, z0[:2], z0[2:], range(2))
-        assert program is not None
         rng = random.Random(seed)
         for z in [z0] + [tuple(rng.uniform(lo, hi) for lo, hi in box) for _ in range(100)]:
-            assert repr(program(*z)) == repr(partials_at(H, z[:2], z[2:], range(2)))
+            fallbacks.clear()
+            got = repr(program(*z))
+            assert not fallbacks
+            assert got == repr(partials_at(H, z[:2], z[2:], range(2)))
 
     compiled_equals_seeded()
 
 
-def test_compiled_partials_leave_the_gamma_pole_to_partials_at():
+def test_compiled_partials_leave_the_gamma_pole_to_partials_at(fallbacks):
     H, _, _ = catalog.FLOWS["minkowski"]("1", 1.0, 2.0, 0.0, False, "pseudo-polar", 0.05)
-    pole = ((1e-160, 0.1), (3.2, 0.5))
-    assert compile_partials(H, *pole, range(2)) is None
-    program = compile_partials(H, (1.0, 0.1), (3.2, 0.5), range(2))
-    assert program is not None and program(*pole[0], *pole[1]) is None
+    pole, regular = ((1e-160, 0.1), (3.2, 0.5)), ((1.0, 0.1), (3.2, 0.5))
+    for program in (compile_partials(H, *pole, range(2)), compile_partials(H, *regular, range(2))):
+        fallbacks.clear()
+        with pytest.raises(GammaPoleError, match="singular at u=1e-160"):
+            program(*pole[0], *pole[1])
+        assert len(fallbacks) == 1
+        assert repr(program(*regular[0], *regular[1])) == repr(partials_at(H, *regular, range(2)))
     with pytest.raises(GammaPoleError, match="singular at u=1e-160"):
         partials_at(H, *pole, range(2))
 
 
-def test_compiled_partials_leave_the_wedge_to_partials_at():
+def test_compiled_partials_leave_the_wedge_to_partials_at(fallbacks):
     H, _, _ = catalog.FLOWS["minkowski"]("1", 1.0, 2.0, 0.3, False, "null", 0.05)
-    outside = ((0.7, -0.2), (2.97, 1.56))
-    assert compile_partials(H, *outside, range(2)) is None
-    program = compile_partials(H, (0.7, 0.7), (2.97, 1.56), range(2))
-    assert program is not None and program(*outside[0], *outside[1]) is None
-    with pytest.raises(ValueError, match="Minkowski family is defined on the wedge q1, q2 > 0"):
+    outside, inside = ((0.7, -0.2), (2.97, 1.56)), ((0.7, 0.7), (2.97, 1.56))
+    wedge = "Minkowski family is defined on the wedge q1, q2 > 0"
+    for program in (compile_partials(H, *outside, range(2)), compile_partials(H, *inside, range(2))):
+        fallbacks.clear()
+        with pytest.raises(ValueError, match=wedge):
+            program(*outside[0], *outside[1])
+        assert len(fallbacks) == 1
+        assert repr(program(*inside[0], *inside[1])) == repr(partials_at(H, *inside, range(2)))
+    with pytest.raises(ValueError, match=wedge):
         partials_at(H, *outside, range(2))
 
 
@@ -294,36 +312,45 @@ OUTER = dm.Dual(2.0, 1.0, dm.new_tag())
 @pytest.mark.parametrize("rule", [
     lambda q, p: q[0] * p[0] if primal(q[1]) else p[0],  # bool
     lambda q, p: math.exp(float(primal(q[1]))) * p[0],  # float
-    lambda q, p: {q[1]: p[0]}[q[1]],  # hash
+    lambda q, p: {primal(q[1]): p[0]}[primal(q[1])],  # hash
     lambda q, p: OUTER * q[1] * p[0],  # a Dual of an enclosing evaluation in every output
 ])
-def test_untraceable_rules_are_not_compiled(rule):
+def test_untraceable_rules_are_left_to_partials_at(fallbacks, rule):
+    # checked away from the trace point too, where a constant baked in at it
+    # would give another answer
     f = PhaseFunction(rule, 2)
-    assert partials_at(f, (0.5, 0.7), (1.5, -0.2), range(2)) is not None
-    assert compile_partials(f, (0.5, 0.7), (1.5, -0.2), range(2)) is None
+    program = compile_partials(f, (0.5, 0.7), (1.5, -0.2), range(2))
+    for z in ((0.5, 0.7, 1.5, -0.2), (0.9, 1.3, -0.4, 0.6)):
+        fallbacks.clear()
+        assert repr(program(*z)) == repr(partials_at(f, z[:2], z[2:], range(2)))
+        assert len(fallbacks) == 1
 
 
-def test_equality_tests_compile_to_guards():
+def test_equality_tests_compile_to_guards(fallbacks):
     # == on a traced value is a guard, never the identity test, which would
     # silently take the other branch
     f = PhaseFunction(lambda q, p: q[0] * p[0] if primal(q[1]) == 1.0 else q[0] - p[0], 2)
     at_one = compile_partials(f, (0.5, 1.0), (1.5, -0.2), range(2))
     elsewhere = compile_partials(f, (0.5, 2.0), (1.5, -0.2), range(2))
     for program, served, refused in ((at_one, (1.0,), (2.0, 0.7)), (elsewhere, (2.0, 0.7), (1.0,))):
-        for q1 in served:
+        for q1 in served + refused:
             z = (0.8, q1, 1.3, 0.4)
+            fallbacks.clear()
             assert repr(program(*z)) == repr(partials_at(f, z[:2], z[2:], range(2)))
-        for q1 in refused:
-            assert program(0.8, q1, 1.3, 0.4) is None
+            assert len(fallbacks) == (q1 in refused)
 
 
-def test_compiled_partials_raise_nothing():
-    # an operation that raises makes the program return None, even one whose
-    # result nothing reads, so partials_at raises its own exception
+def test_compiled_partials_raise_as_partials_at_does(fallbacks):
+    # every operation is emitted, even one whose result nothing reads, so where
+    # one raises the program calls partials_at, which raises its own exception
     f = PhaseFunction(lambda q, p: (dm.log(q[0]), q[1] * p[1])[1], 2)
     program = compile_partials(f, (0.5, 0.7), (1.5, -0.2), range(2))
     assert repr(program(0.5, 0.7, 1.5, -0.2)) == repr(partials_at(f, (0.5, 0.7), (1.5, -0.2), range(2)))
-    assert program(-0.5, 0.7, 1.5, -0.2) is None
-    with pytest.raises(ValueError):
-        partials_at(f, (-0.5, 0.7), (1.5, -0.2), range(2))
-    assert program(0.0, 0.7, 1.5, -0.2) is None
+    assert not fallbacks
+    for u in (-0.5, 0.0):
+        with pytest.raises(ValueError, match="math domain error"):
+            partials_at(f, (u, 0.7), (1.5, -0.2), range(2))
+        fallbacks.clear()
+        with pytest.raises(ValueError, match="math domain error"):
+            program(u, 0.7, 1.5, -0.2)
+        assert len(fallbacks) == 1
