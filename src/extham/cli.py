@@ -181,6 +181,7 @@ def cmd_integrate(args):
     # there is a trajectory to replace it (on ext4, truncating a rewritten file to
     # zero stalled for 30-45 ms; cutting it at the written length did not)
     with open(os.open(args.csv, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="") as csv_file:
+        H(x0)  # an x0 outside H's domain raises here, before the first step
         _log(f"integrating {args.model} for {args.steps} steps at h={args.h}")
         traj = integrate(H, x0, args.h, args.steps, u_min=u_min)
         if traj.status != "completed":

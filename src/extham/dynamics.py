@@ -6,19 +6,25 @@ trajectories are time-reversible and energy error stays bounded at second
 order. The implicit stage is solved by fixed-point iteration; gradients come
 from the exact differentiation scheme.
 
-The iteration runs on plain floats: each fixed-point iteration takes H's
-value and partials at the midpoint and updates the state entry by entry,
-with the same IEEE operations in the same order as the vector form
-(midpoint ``0.5 * (a + b)``, update ``z + h * rhs``, residual the largest
-``|y_new - y|``). The partials come from a program that
-``phase.compile_partials`` makes once per run at x0, which returns
-``partials_at``'s results bit for bit at about a twentieth of its cost;
-where a branch goes the other way or an operation raises, the program
-calls ``partials_at``, which also raises where H leaves its domain. It
-starts every solve from the last state rather than from a predictor such
-as ``z + h * slope``: a predictor saves about one iteration per step but
-moves every iterate in its last bits, which changes where a collapsing
-orbit stops and how.
+Each step's implicit stage is one call to a solve function emitted for the
+run's dof and compile()d once per run, right after ``phase.compile_partials``
+has made H's partials program at x0. Every quantity in it is a scalar
+local. An iteration forms the midpoint ``m_i = 0.5 * (z_i + y_i)`` and
+requires each m_i to be finite; calls the partials program at m; forms the
+update ``w_i = z_i + h * dH/dp_i`` for a position and
+``z_{d+i} + h * -dH/dq_i`` for a momentum, and requires each w_i to be
+finite; and stops when ``abs(w_i - y_i) <= fp_tol`` for every i (every entry
+is finite there, so this is ``max |w - y| <= fp_tol``). These are the IEEE
+operations, in the same order, of the numpy-vector loop that the tests keep
+as a reference, so trajectories equal it bit for bit. Where a branch of H
+goes the other way or an operation raises, the partials program calls
+``partials_at``, which also raises where H leaves its domain; the solve turns
+that exception, or a midpoint or iterate that is not finite, into
+LEFT_DOMAIN, and max_iter iterations without convergence into
+NO_CONVERGENCE. It starts every solve from the last state rather than from a
+predictor such as ``z + h * slope``: a predictor saves about one iteration
+per step but moves every iterate in its last bits, which changes where a
+collapsing orbit stops and how.
 """
 
 import csv
@@ -56,8 +62,8 @@ class Trajectory:
         header = ["t"] + [f"q{i+1}" for i in range(d)] + [f"p{i+1}" for i in range(d)]
         w = csv.writer(fh)
         w.writerow(header)
-        for t, s in zip(self.times, self.states):
-            w.writerow([repr(float(t))] + [repr(float(v)) for v in s])
+        for t, s in zip(self.times.tolist(), self.states.tolist()):
+            w.writerow([repr(t)] + [repr(v) for v in s])
 
 
 def integrate(H, x0, h, steps, fp_tol=1e-13, max_iter=50, u_min=None):
@@ -79,7 +85,7 @@ def integrate(H, x0, h, steps, fp_tol=1e-13, max_iter=50, u_min=None):
     d = x0.dof
     if H.dof != d:
         raise ValueError(f"function of {H.dof} dof evaluated at a {d}-dof point")
-    partials = compile_partials(H, x0.q, x0.p, range(d))
+    solve = _compile_solve(compile_partials(H, x0.q, x0.p, range(d)), d, fp_tol, max_iter)
     z = x0.q + x0.p
     states = [z]
     status = COMPLETED
@@ -88,28 +94,7 @@ def integrate(H, x0, h, steps, fp_tol=1e-13, max_iter=50, u_min=None):
         if u_min is not None and z[0] < u_min:
             status, exit_step = DOMAIN_EXIT, step
             break
-        y = z
-        failure = NO_CONVERGENCE
-        for _ in range(max_iter):
-            mid = [0.5 * (a + b) for a, b in zip(z, y)]
-            if not all(map(math.isfinite, mid)):
-                failure = LEFT_DOMAIN
-                break
-            try:
-                _, dq, dp = partials(*mid)
-            except (OverflowError, ValueError, ZeroDivisionError):
-                failure = LEFT_DOMAIN
-                break
-            rhs = [float(v) for v in dp] + [-float(v) for v in dq]
-            y_new = tuple(a + h * r for a, r in zip(z, rhs))
-            if not all(map(math.isfinite, y_new)):
-                failure = LEFT_DOMAIN
-                break
-            residual = max(abs(a - b) for a, b in zip(y_new, y))
-            y = y_new
-            if residual <= fp_tol:
-                failure = None
-                break
+        failure, y = solve(*z, h)
         if failure is not None:
             status, exit_step = failure, step
             break
@@ -123,9 +108,52 @@ def integrate(H, x0, h, steps, fp_tol=1e-13, max_iter=50, u_min=None):
             states.pop()
             status, exit_step = LEFT_DOMAIN, len(states) - 1
     n = len(states)
-    times = np.arange(n) * h
+    times = np.arange(n, dtype=float) * h
     return Trajectory(times=times, states=np.array(states), h=h, status=status,
                       exit_step=exit_step)
+
+
+def _compile_solve(partials, d, fp_tol, max_iter):
+    """solve(z_0, ..., z_{2d-1}, h) -> (failure, y): one step's fixed-point solve.
+
+    Every quantity is a scalar local; failure is None with y the new state, or
+    a status with y None. Emitted for d and compile()d once per run.
+    """
+    z, y, m, w = ([f"{c}{i}" for i in range(2 * d)] for c in "zymw")
+    dq, dp = ([f"{c}{i}" for i in range(d)] for c in ("dq", "dp"))
+
+    def each(form, *cols):
+        return [form.format(*row) for row in zip(*cols)]
+
+    def seq(names):
+        return ", ".join(names)
+
+    left = "return LEFT_DOMAIN, None"
+    body = [
+        f"{seq(y)} = {seq(z)}",
+        "for _ in range(max_iter):",
+        *each("    {} = 0.5 * ({} + {})", m, z, y),
+        f"    if not ({' and '.join(each('isfinite({})', m))}):",
+        f"        {left}",
+        "    try:",
+        f"        _, ({seq(dq)},), ({seq(dp)},) = partials({seq(m)})",
+        "    except (OverflowError, ValueError, ZeroDivisionError):",
+        f"        {left}",
+        *each("    {} = {} + h * float({})", w[:d], z[:d], dp),
+        *each("    {} = {} + h * -float({})", w[d:], z[d:], dq),
+        f"    if not ({' and '.join(each('isfinite({})', w))}):",
+        f"        {left}",
+        f"    if {' and '.join(each('abs({} - {}) <= fp_tol', w, y))}:",
+        f"        return None, ({seq(w)},)",
+        f"    {seq(y)} = {seq(w)}",
+        "return NO_CONVERGENCE, None",
+    ]
+    source = f"def solve({seq(z)}, h):\n" + "".join(f"    {line}\n" for line in body)
+    namespace = {"partials": partials, "isfinite": math.isfinite, "fp_tol": fp_tol,
+                 "max_iter": max_iter, "LEFT_DOMAIN": LEFT_DOMAIN,
+                 "NO_CONVERGENCE": NO_CONVERGENCE}
+    exec(compile(source, "<integrate solve>", "exec"), namespace)
+    return namespace["solve"]
 
 
 def drift_report(traj, functions):

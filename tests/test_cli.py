@@ -246,16 +246,23 @@ def test_catalog_command(capsys):
      "the gradient of K(151,1) overflows double precision"),
     (("ccm", "--m", "120"), "the gradient of Kprime overflows double precision"),
     (("ccm", "--m", "160"), "the gradient of Kprime overflows double precision"),
+    # an x0 outside H's domain is refused before the first step
+    (("integrate", "--x0", "0", "0", "3.2", "0.5"), "gamma profile singular at u=0.0"),
+    (("integrate", "--chart", "null", "--x0", "1", "0", "3.2", "0.5"),
+     "Minkowski family is defined on the wedge q1, q2 > 0"),
 ], ids=["overflow", "nan-alpha", "zero-points", "negative-points", "degree-cap",
         "degree-cap-doubled", "negative-steps", "integrate-tol", "verify-json", "ccm-json",
         "ladder-json", "catalog-json", "verify-negative-tol", "ccm-negative-tol", "ladder-nan-tol",
         "sphere-zero-eta", "pseudosphere-zero-eta", "ttw-flat-zero-eta", "ladder-trig-zero-eta",
         "ladder-free-zero-eta", "sphere-empty-window", "ladder-trig-empty-window",
-        "ttw-flat-overflow", "sphere-overflow", "ccm-overflow-120", "ccm-overflow-160"])
-def test_errors_exit_two_with_json_error(capsys, argv, message):
-    code, out, _ = run_cli(capsys, *argv)
+        "ttw-flat-overflow", "sphere-overflow", "ccm-overflow-120", "ccm-overflow-160",
+        "x0-at-gamma-pole", "x0-off-wedge"])
+def test_errors_exit_two_with_json_error(capsys, monkeypatch, tmp_path, argv, message):
+    monkeypatch.chdir(tmp_path)  # integrate writes its default CSV path here
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert message in json.loads(out)["error"]
+    assert "truncated" not in err
 
 
 # a value away from each model flag's default in every subcommand that has the flag
@@ -347,7 +354,7 @@ def test_report_digest_argvs_are_not_refused(monkeypatch):
             with pytest.raises(Built):
                 args.func(args)
             built += 1
-    assert (len(argvs), built) == (83, 72)
+    assert (len(argvs), built) == (85, 74)
 
 
 @pytest.mark.parametrize("builder,model", [

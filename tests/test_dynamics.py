@@ -269,6 +269,57 @@ def test_overflowing_midpoint_leaves_the_domain():
     assert traj.states.tolist() == [[8e307, 3e307]]
 
 
+@pytest.mark.parametrize("flow,x0,h,steps,exit_step,midpoint", [
+    # the null-chart orbit: at step 2320 a midpoint has q2 < 0, outside the wedge
+    (("1", 0.3, "null", 0.05), (0.7, 0.7, 2.97, 1.56), 1e-3, 10_000, 2320,
+     (3.702611483158483, -7.661689122008715e-05, -0.8090555635335563, -1.0453621687849435)),
+    # straight at the gamma pole: the first iterate is u = -2^-7, so the second
+    # iteration's midpoint is u = 0, where the pole guard fails
+    (("1", 0.0, "pseudo-polar", None), (2**-7, 0.1, -16.0, 0.5), 2**-10, 100, 0,
+     (0.0, -15.899999999999999, -7139.152073169392, -68.59986704477633)),
+], ids=["null chart leaves the wedge", "gamma pole"])
+def test_fallback_inside_a_solve_equals_the_vector_loop(monkeypatch, flow, x0, h, steps,
+                                                        exit_step, midpoint):
+    # a guard of the compiled partials fails in the middle of a solve: the
+    # program calls partials_at once, which raises, and the step leaves the domain
+    k, omega, chart, u_min = flow
+    H, _, u_min = catalog.FLOWS["minkowski"](k, 1.0, 2.0, omega, False, chart, u_min)
+    x0 = PhasePoint(x0[:2], x0[2:])
+    seeded = phase.partials_at
+    calls = []
+    monkeypatch.setattr(phase, "partials_at",
+                        lambda f, q, p, s: calls.append(q + p) or seeded(f, q, p, s))
+    traj = integrate(H, x0, h, steps, u_min=u_min)
+    assert calls == [midpoint]
+    assert (traj.status, traj.exit_step) == (LEFT_DOMAIN, exit_step)
+    monkeypatch.setattr(phase, "partials_at", seeded)
+    assert_matches_vector_loop(H, x0, h, steps, u_min=u_min)
+
+
+def test_a_single_iteration_does_not_converge(wedge_system):
+    H, _, _ = wedge_system
+    traj = assert_matches_vector_loop(H, PhasePoint((1.0, 0.0), (3.2, 0.5)), 1e-3, 10, max_iter=1)
+    assert (traj.status, traj.exit_step) == (NO_CONVERGENCE, 0)
+    assert traj.states.tolist() == [[1.0, 0.0, 3.2, 0.5]]
+
+
+@pytest.mark.parametrize("steps", [1, 10, 1000])
+def test_one_program_per_run(monkeypatch, wedge_system, steps):
+    # the partials and the fixed-point solve are each compiled once, at the start
+    made = []
+
+    def counting(source, filename, mode):
+        made.append(filename)
+        return compile(source, filename, mode)
+
+    for module in (phase, dynamics):
+        monkeypatch.setattr(module, "compile", counting, raising=False)
+    H, _, _ = wedge_system
+    traj = integrate(H, PhasePoint((1.0, 0.0), (3.2, 0.5)), 1e-3, steps)
+    assert traj.status == COMPLETED
+    assert made == ["<compile_partials>", "<integrate solve>"]
+
+
 def _bench_flow_orbits():
     # the benchmark's flow orbits at seed 1: each x0 jitters (1, 0, 3.2, 0.5)
     # by up to 0.1 per coordinate, from random.Random(1000 + i)
@@ -294,8 +345,8 @@ ORBITS = _bench_flow_orbits() + [
 
 @pytest.mark.parametrize("label,flow,x0,h,steps,status", ORBITS, ids=[o[0] for o in ORBITS])
 def test_compiled_partials_keep_every_trajectory(monkeypatch, label, flow, x0, h, steps, status):
-    # the compiled program serves the fixed-point iterations; with a plain
-    # partials_at wrapper in its place, the trajectory is the same bit for bit
+    # the compiled program serves every iteration of the emitted solve; with a
+    # plain partials_at wrapper in its place, the trajectory is the same bit for bit
     k, omega, chart = flow
     H, _, u_min = catalog.FLOWS["minkowski"](k, 1.0, 2.0, omega, False, chart, 0.05)
     x0 = PhasePoint(x0[:2], x0[2:])

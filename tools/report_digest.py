@@ -1,6 +1,6 @@
 """One SHA-256 over the reports of a fixed list of extham commands.
 
-Runs 83 command lines in one process and hashes, in order, each argv, its
+Runs 85 command lines in one process and hashes, in order, each argv, its
 exit code, its stdout and the CSV it wrote (if any). Two trees whose reports
 are byte for byte the same print the same digest:
 
@@ -11,9 +11,10 @@ are byte for byte the same print the same digest:
 The list is the verify, ccm and ladder sweep at seeds 1, 2, 3 and 7; verify
 on the Minkowski wedge at k = 1/3, 9/2, 19/2 and 13; gamma-table as text and
 JSON; catalog; four pseudo-polar orbits; one null-chart orbit that leaves
-the wedge; and three orbits that end otherwise: criterion 08's, which stops
+the wedge; three orbits that end otherwise: criterion 08's, which stops
 converging, one that crosses --u-min, and a time-reversed one that stops
-converging. Uses only the standard library and extham.
+converging; and two starts outside H's domain, at the gamma pole and off the
+wedge, which are refused. Uses only the standard library and extham.
 """
 
 import argparse
@@ -49,6 +50,11 @@ EARLY_STOPS = [
     ["--x0", "1.0", "0.0", "-3.2", "0.5", "--u-min", "0.3", "--steps", "2000"],
     ["--x0", "1.0", "0.0", "3.2", "0.5", "--h=-1e-3", "--steps", "3000"],
 ]
+# integrate flags of starts outside H's domain: at the gamma pole and off the wedge
+REFUSED_STARTS = [
+    ["--x0", "0", "0", "3.2", "0.5"],
+    ["--chart", "null", "--x0", "1", "0", "3.2", "0.5"],
+]
 
 
 def verify_argv(model, k, omega, seed):
@@ -82,7 +88,7 @@ def argvs():
                      "--u-min", "0.05", "--csv", name], name))
     out.append((["integrate", "--chart", "null", "--omega", "0.3",
                  "--x0", "0.7", "0.7", "2.97", "1.56", "--csv", "null.csv"], "null.csv"))
-    for i, flags in enumerate(EARLY_STOPS):
+    for i, flags in enumerate(EARLY_STOPS + REFUSED_STARTS):
         name = f"stop{i}.csv"
         out.append((["integrate"] + flags + ["--csv", name], name))
     return out
