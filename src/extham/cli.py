@@ -56,6 +56,9 @@ def _checked(convert, accept, what):
 
 
 _finite_float = _checked(float, math.isfinite, "a finite number")
+_nonzero_float = _checked(float, lambda v: math.isfinite(v) and v != 0.0,
+                          "a finite nonzero number")
+_seed = _checked(int, lambda v: 0 <= v < 2**128, "an integer in [0, 2**128)")
 _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
 _tolerance = _checked(float, lambda v: math.isfinite(v) and v >= 0.0, "a finite number >= 0")
 
@@ -417,7 +420,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=7, help="RNG seed (Philox counter-based)")
+        p.add_argument("--seed", type=_seed, default=7, help="RNG seed (Philox counter-based)")
         p.add_argument("--points", type=_positive_int, default=50, help="number of sample points")
         p.add_argument("--tol", type=_tolerance, default=1e-9,
                        help="relative bracket tolerance")
@@ -448,8 +451,8 @@ def build_parser():
     pi.add_argument("--x0", type=_finite_float, nargs=4, required=True,
                     metavar=("Q1", "Q2", "P1", "P2"),
                     help="initial point; write a negative value without an exponent (-3.2)")
-    pi.add_argument("--h", type=_finite_float, default=1e-3,
-                    help="step size; negative runs the exact time reversal "
+    pi.add_argument("--h", type=_nonzero_float, default=1e-3,
+                    help="nonzero step size; negative runs the exact time reversal "
                          "(write --h=-1e-3: after a space, -1e-3 reads as an option)")
     pi.add_argument("--steps", type=_positive_int, default=10000)
     pi.add_argument("--u-min", type=_finite_float, default=0.05,

@@ -24,11 +24,12 @@ in the last bit on a share of inputs. Dual and Jet set ``__array_ufunc__``
 to None, so an array operand defers to them. Guards on values go through
 :func:`any_true`, which leaves float and Jet evaluations free of numpy calls.
 
-A :class:`Trace` is the fourth leaf: a float that records every operation
-on it, and every comparison with its outcome, in a :class:`Tape`, so one
-evaluation on Traces gives the straight-line float program of that
-evaluation (``phase.compile_partials``). Anything that would branch on a
-traced value without a comparison (bool, float, int, hash) raises.
+A :class:`Trace` is the fourth leaf: a float whose :class:`Tape` writes
+every operation on it, and every comparison with its outcome, as a line of
+Python source, so one evaluation on Traces gives the straight-line float
+program of that evaluation (``phase.compile_partials``), which
+:func:`define` compiles. Anything that would branch on a traced value
+without a comparison (bool, float, int, hash) raises.
 
 One seam, :func:`_lift`, decides how every unary math function is computed:
 Dual -> Jet -> Batch -> Trace -> ``math``, in that order, so one rule
@@ -421,30 +422,70 @@ def _entrywise(fn, *args):
     return batch([fn(*vals) for vals in zip(*cols)])
 
 
-class Tape:
-    """The float operations of traced evaluations, in the order they ran.
+_INFIX = {
+    operator.add: "{} + {}", operator.sub: "{} - {}", operator.mul: "{} * {}",
+    operator.truediv: "{} / {}", operator.pow: "{} ** {}", operator.neg: "-{}",
+    operator.lt: "{} < {}", operator.le: "{} <= {}", operator.gt: "{} > {}",
+    operator.ge: "{} >= {}", operator.eq: "{} == {}", operator.ne: "{} != {}",
+}
 
-    ``ops[i]`` is ``(fn, args, outcome)``: an input has fn None; a value is
-    fn applied to args, which hold Traces and constants; a guard is a
-    comparison whose outcome, True or False, the evaluation branched on.
+
+class Tape:
+    """Python source of the float operations of traced evaluations, in the order they ran.
+
+    ``params`` names the inputs ``t0``, ``t1``, ..., all made before the first
+    operation. ``lines`` holds a statement per operation: a value is
+    ``t<i> = <expr>``; a guard, a comparison the evaluation branched on, is
+    ``if not (<cmp>): return fallback(<params>)``, without the ``not`` where
+    it came out False. Finite numbers are written as literals; functions and
+    other constants are passed by reference as ``c0``, ``c1``, ... in
+    ``namespace``, which needs a ``fallback`` before the source runs.
     """
 
     def __init__(self):
-        self.ops = []
+        self.params = []
+        self.lines = []
+        self.namespace = {}
+        self._index = itertools.count().__next__
 
     def inputs(self, values):
         """One new input Trace per value, as a tuple."""
-        out = []
-        for v in values:
-            out.append(Trace(self, len(self.ops), v))
-            self.ops.append((None, (), None))
-        return tuple(out)
+        out = tuple(Trace(self, self._index(), v) for v in values)
+        self.params += map(self.atom, out)
+        return out
 
     def record(self, fn, args, guard=False):
         """fn(*args) on the args' values: a new Trace, or the outcome of a guard."""
         v = fn(*[a.v if isinstance(a, Trace) else a for a in args])
-        self.ops.append((fn, args, v if guard else None))
-        return v if guard else Trace(self, len(self.ops) - 1, v)
+        form = _INFIX.get(fn) or self.atom(fn) + "(" + ", ".join(["{}"] * len(args)) + ")"
+        expr = form.format(*map(self.atom, args))
+        if guard:
+            self.lines.append(f"if {'not ' if v else ''}({expr}): "
+                              f"return fallback({', '.join(self.params)})")
+            return v
+        out = Trace(self, self._index(), v)
+        self.lines.append(f"t{out.i} = {expr}")
+        return out
+
+    def atom(self, x):
+        """x in the source: a Trace's name, a finite number's literal or a reference."""
+        if isinstance(x, Trace):
+            return f"t{x.i}"
+        if type(x) is int or type(x) is float and math.isfinite(x):
+            return f"({x!r})" if repr(x).startswith("-") else repr(x)
+        for name, c in self.namespace.items():
+            if c is x:
+                return name
+        name = f"c{len(self.namespace)}"
+        self.namespace[name] = x
+        return name
+
+
+def define(name, params, lines, namespace, filename):
+    """The function ``def name(params): lines``, compiled under filename in namespace."""
+    source = f"def {name}({', '.join(params)}):\n" + "".join(f"    {line}\n" for line in lines)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]
 
 
 def _traced(fn, reflected=False, guard=False):

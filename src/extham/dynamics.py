@@ -7,22 +7,18 @@ order. The implicit stage is solved by fixed-point iteration; gradients come
 from the exact differentiation scheme.
 
 Each step's implicit stage is one call to a solve function emitted for the
-run's dof and compile()d once per run, right after ``phase.compile_partials``
-has made H's partials program at x0. Every quantity in it is a scalar
-local. An iteration forms the midpoint ``m_i = 0.5 * (z_i + y_i)`` and
-requires each m_i to be finite; calls the partials program at m; forms the
-update ``w_i = z_i + h * dH/dp_i`` for a position and
-``z_{d+i} + h * -dH/dq_i`` for a momentum, and requires each w_i to be
-finite; and stops when ``abs(w_i - y_i) <= fp_tol`` for every i (every entry
-is finite there, so this is ``max |w - y| <= fp_tol``). These are the IEEE
-operations, in the same order, of the numpy-vector loop that the tests keep
-as a reference, so trajectories equal it bit for bit. Where a branch of H
-goes the other way or an operation raises, the partials program calls
-``partials_at``, which also raises where H leaves its domain; the solve turns
-that exception, or a midpoint or iterate that is not finite, into
+run's dof and compiled once per run, right after ``phase.compile_partials``
+has made H's partials program at x0. Every quantity in it is a scalar local,
+and it runs the IEEE operations, in the same order, of the numpy-vector
+loop that the tests keep as a reference, so trajectories equal it bit for
+bit. Where a branch of H goes the other way, the partials program returns
+``partials_at``'s answer, which raises where H leaves its domain; an
+operation that raises in the program raises from it, as it does in
+``partials_at``. The solve turns OverflowError, ValueError and
+ZeroDivisionError, or a midpoint or iterate that is not finite, into
 LEFT_DOMAIN, and max_iter iterations without convergence into
-NO_CONVERGENCE. It starts every solve from the last state rather than from a
-predictor such as ``z + h * slope``: a predictor saves about one iteration
+NO_CONVERGENCE. It starts every solve from the last state rather than from
+a predictor such as ``z + h * slope``: a predictor saves about one iteration
 per step but moves every iterate in its last bits, which changes where a
 collapsing orbit stops and how.
 """
@@ -33,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .duals import define
 from .phase import batch_blocks, compile_partials
 
 COMPLETED = "completed"
@@ -148,12 +145,10 @@ def _compile_solve(partials, d, fp_tol, max_iter):
         f"    {seq(y)} = {seq(w)}",
         "return NO_CONVERGENCE, None",
     ]
-    source = f"def solve({seq(z)}, h):\n" + "".join(f"    {line}\n" for line in body)
     namespace = {"partials": partials, "isfinite": math.isfinite, "fp_tol": fp_tol,
                  "max_iter": max_iter, "LEFT_DOMAIN": LEFT_DOMAIN,
                  "NO_CONVERGENCE": NO_CONVERGENCE}
-    exec(compile(source, "<integrate solve>", "exec"), namespace)
-    return namespace["solve"]
+    return define("solve", z + ["h"], body, namespace, "<integrate solve>")
 
 
 def drift_report(traj, functions):

@@ -11,7 +11,6 @@ evaluation at distinct points needs no synchronization.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,11 +105,11 @@ def partials_at(f, q, p, slots):
     an enclosing evaluation) each directional derivative costs one
     instrumented evaluation, and the value is the primal of the first.
     Floats stay seeded because there the tangent bookkeeping costs more than
-    the primal work it saves: one evaluation on float leaves took a float-point
-    closed-form K and its magnitude from 11-13 to 21-23 us, and the benchmark's
-    oracle workload from about 6000 to about 5500 items/s. Where the same f is
-    differentiated at many float points, compile_partials turns the one
-    evaluation into a plain-float program instead.
+    the primal work it saves: a float-point closed-form K of the benchmark's
+    oracle base, K(1,1) to K(5,3), takes 18-20 us seeded against 35-38 us
+    through a Tangent (timeit minima, 2-core AMD EPYC, Python 3.11). Where
+    the same f is differentiated at many float points, compile_partials turns
+    the one evaluation into a plain-float program instead.
     """
     if isinstance(q[0], np.ndarray):
         return _partials_in_one_evaluation(f, q, p, slots)
@@ -148,29 +147,20 @@ def _partials_in_one_evaluation(f, q, p, slots):
     return value_part(y, tag), parts[:n], parts[n:]
 
 
-_INFIX = {
-    operator.add: "{} + {}", operator.sub: "{} - {}", operator.mul: "{} * {}",
-    operator.truediv: "{} / {}", operator.pow: "{} ** {}", operator.neg: "-{}",
-    operator.lt: "{} < {}", operator.le: "{} <= {}", operator.gt: "{} > {}",
-    operator.ge: "{} >= {}", operator.eq: "{} == {}", operator.ne: "{} != {}",
-}
-
-
-class _Refused(Exception):
-    """A guard of a compiled program came out the other way."""
-
-
 def compile_partials(f, q, p, slots):
     """partials_at(f, ., ., slots) on float points as one straight-line program.
 
     The Tangent evaluation (every slot seeded at once) runs at the float point
-    (q, p) on Trace leaves, so the tape holds its float operations, and the
-    program emitted from it returns (value, dq, dp) bit for bit as
+    (q, p) on Trace leaves, so the tape writes its float operations as the
+    program's source, and the program returns (value, dq, dp) bit for bit as
     partials_at does. The program takes the coordinates as separate arguments.
-    Where a comparison the evaluation branched on comes out the other way or
-    an operation raises, it calls partials_at, which takes the other branch or
-    raises its own exception. Where the evaluation cannot be traced at (q, p),
-    the callable returned is partials_at itself.
+    Where a comparison the evaluation branched on comes out the other way, it
+    returns partials_at's answer, which takes the other branch or raises.
+    Where one of its operations raises, so does the same operation in
+    partials_at; where two raise at one point, the two may raise different
+    ones, since partials_at runs the slots one after another. Where the
+    evaluation cannot be traced at (q, p), the callable returned is
+    partials_at itself.
     """
     d = len(q)
 
@@ -184,44 +174,11 @@ def compile_partials(f, q, p, slots):
         return fallback
     if not all(isinstance(x, (Trace, float, int)) for x in (value, *dq, *dp)):
         return fallback
-    return _emit(tape, value, dq, dp, fallback)
-
-
-def _emit(tape, value, dq, dp, fallback):
-    """The compiled function of every operation and guard on the tape."""
-    namespace = {"_Refused": _Refused, "fallback": fallback}
-    names = {}
-
-    def atom(x):
-        if isinstance(x, Trace):
-            return f"t{x.i}"
-        if type(x) is int or type(x) is float and math.isfinite(x):
-            return f"({x!r})" if repr(x).startswith("-") else repr(x)
-        name = names.get(id(x))  # functions and non-finite constants by reference
-        if name is None:
-            name = names[id(x)] = f"c{len(names)}"
-            namespace[name] = x
-        return name
-
-    params, lines = [], []
-    for i, (fn, args, outcome) in enumerate(tape.ops):
-        if fn is None:
-            params.append(f"t{i}")
-            continue
-        form = _INFIX.get(fn) or atom(fn) + "(" + ", ".join(["{}"] * len(args)) + ")"
-        expr = form.format(*map(atom, args))
-        if outcome is None:
-            lines.append(f"t{i} = {expr}")
-        else:
-            lines.append(f"if {'not ' if outcome else ''}({expr}): raise _Refused")
-    inputs = ", ".join(params)
-    result = f"{atom(value)}, [{', '.join(map(atom, dq))}], [{', '.join(map(atom, dp))}]"
-    body = "\n        ".join(lines + [f"return {result}"])
-    source = (f"def partials({inputs}):\n    try:\n        {body}\n"
-              f"    except (ArithmeticError, ValueError, _Refused):\n        pass\n"
-              f"    return fallback({inputs})\n")
-    exec(compile(source, "<compile_partials>", "exec"), namespace)
-    return namespace["partials"]
+    atom = tape.atom
+    result = f"return {atom(value)}, [{', '.join(map(atom, dq))}], [{', '.join(map(atom, dp))}]"
+    tape.namespace["fallback"] = fallback
+    return duals.define("partials", tape.params, tape.lines + [result], tape.namespace,
+                        "<compile_partials>")
 
 
 def poisson_bracket(f, g, x):

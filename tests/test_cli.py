@@ -250,19 +250,37 @@ def test_catalog_command(capsys):
     (("integrate", "--x0", "0", "0", "3.2", "0.5"), "gamma profile singular at u=0.0"),
     (("integrate", "--chart", "null", "--x0", "1", "0", "3.2", "0.5"),
      "Minkowski family is defined on the wedge q1, q2 > 0"),
+    # refused at parse time, before integrate logs or opens its CSV
+    (("integrate", "--x0", "1", "0", "3.2", "0.5", "--h", "0"),
+     "argument --h: expected a finite nonzero number, got '0'"),
+    # Philox keys are integers in [0, 2**128)
+    (("verify", "--model", "minkowski", "--seed", "-1"),
+     "argument --seed: expected an integer in [0, 2**128), got '-1'"),
+    (("ladder", "--seed=-3"), "argument --seed: expected an integer in [0, 2**128), got '-3'"),
+    (("ccm", "--seed", str(2**128)),
+     f"argument --seed: expected an integer in [0, 2**128), got '{2**128}'"),
 ], ids=["overflow", "nan-alpha", "zero-points", "negative-points", "degree-cap",
         "degree-cap-doubled", "negative-steps", "integrate-tol", "verify-json", "ccm-json",
         "ladder-json", "catalog-json", "verify-negative-tol", "ccm-negative-tol", "ladder-nan-tol",
         "sphere-zero-eta", "pseudosphere-zero-eta", "ttw-flat-zero-eta", "ladder-trig-zero-eta",
         "ladder-free-zero-eta", "sphere-empty-window", "ladder-trig-empty-window",
         "ttw-flat-overflow", "sphere-overflow", "ccm-overflow-120", "ccm-overflow-160",
-        "x0-at-gamma-pole", "x0-off-wedge"])
+        "x0-at-gamma-pole", "x0-off-wedge", "integrate-zero-h", "verify-negative-seed",
+        "ladder-negative-seed", "ccm-seed-2**128"])
 def test_errors_exit_two_with_json_error(capsys, monkeypatch, tmp_path, argv, message):
     monkeypatch.chdir(tmp_path)  # integrate writes its default CSV path here
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert message in json.loads(out)["error"]
     assert "truncated" not in err
+    if message.startswith(("argument", "unrecognized")):  # a usage error writes nothing
+        assert err.startswith("usage:") and not (tmp_path / "trajectory.csv").exists()
+
+
+def test_seed_takes_the_philox_key_range(capsys):
+    for seed in (0, 2**128 - 1):
+        code, out, _ = run_cli(capsys, "ccm", "--points", "3", "--seed", str(seed))
+        assert code in (0, 1) and json.loads(out)["rng_seed"] == seed
 
 
 # a value away from each model flag's default in every subcommand that has the flag
@@ -349,12 +367,16 @@ def test_report_digest_argvs_are_not_refused(monkeypatch):
     argvs = [argv for argv, _ in digest.argvs()]
     built = 0
     for argv in argvs:
+        if argv in digest.REFUSED_AT_PARSE:
+            with pytest.raises(ValueError, match="argument --(h|seed): expected"):
+                cli._parser().parse_args(argv)
+            continue
         args = cli._parser().parse_args(argv)
         if args.command in ("verify", "integrate", "ladder"):
             with pytest.raises(Built):
                 args.func(args)
             built += 1
-    assert (len(argvs), built) == (85, 74)
+    assert (len(argvs), built, len(digest.REFUSED_AT_PARSE)) == (87, 74, 2)
 
 
 @pytest.mark.parametrize("builder,model", [

@@ -429,16 +429,22 @@ def test_batch_partials_inside_an_outer_derivative():
 def test_trace_records_operations_and_guards():
     tape = dm.Tape()
     x, y = tape.inputs((1.5, -0.0))
+    assert tape.params == ["t0", "t1"]
     a = x * y + dm.exp(x)
     b = x * y + dm.exp(x)  # a repeat is recorded again, so one that raises raises again
     assert a.v == b.v == 1.5 * -0.0 + math.exp(1.5) and a.i != b.i
-    assert [op[0] for op in tape.ops[2:]] == [operator.mul, math.exp, operator.add] * 2
+    assert tape.lines == ["t2 = t0 * t1", "t3 = c0(t0)", "t4 = t2 + t3",
+                          "t5 = t0 * t1", "t6 = c0(t0)", "t7 = t5 + t6"]
+    assert tape.namespace == {"c0": math.exp}  # one name per function, however often called
     assert (2.0 - x).v == 0.5 and (2.0 ** x).v == 2.0**1.5
-    assert [op[0] for op in tape.ops[-2:]] == [operator.sub, operator.pow]
-    assert tape.ops[(2.0 - x).i][1][0] == 2.0  # reflected operands keep their order
-    n = len(tape.ops)
+    assert tape.lines[-2:] == ["t8 = 2.0 - t0", "t9 = 2.0 ** t0"]  # reflected operands keep their order
+    n = len(tape.lines)
     assert (x == 1.5) is True and (x != 1.5) is False and (y < x) is True
-    assert [op[2] for op in tape.ops[n:]] == [True, False, True]  # guards and outcomes
+    assert tape.lines[n:] == [  # guards and outcomes
+        "if not (t0 == 1.5): return fallback(t0, t1)",
+        "if (t0 != 1.5): return fallback(t0, t1)",
+        "if not (t1 < t0): return fallback(t0, t1)",
+    ]
 
 
 def test_trace_under_a_dual_and_refusals():

@@ -342,7 +342,7 @@ def test_equality_tests_compile_to_guards(fallbacks):
 
 def test_compiled_partials_raise_as_partials_at_does(fallbacks):
     # every operation is emitted, even one whose result nothing reads, so where
-    # one raises the program calls partials_at, which raises its own exception
+    # one raises, the program raises the exception partials_at raises, without calling it
     f = PhaseFunction(lambda q, p: (dm.log(q[0]), q[1] * p[1])[1], 2)
     program = compile_partials(f, (0.5, 0.7), (1.5, -0.2), range(2))
     assert repr(program(0.5, 0.7, 1.5, -0.2)) == repr(partials_at(f, (0.5, 0.7), (1.5, -0.2), range(2)))
@@ -353,4 +353,28 @@ def test_compiled_partials_raise_as_partials_at_does(fallbacks):
         fallbacks.clear()
         with pytest.raises(ValueError, match="math domain error"):
             program(u, 0.7, 1.5, -0.2)
-        assert len(fallbacks) == 1
+        assert not fallbacks
+
+
+def test_compiled_partials_source(monkeypatch):
+    # a guard returns partials_at's answer; math functions are passed by
+    # reference under sequential names, negative literals are parenthesised
+    sources = []
+    monkeypatch.setattr(dm, "compile", lambda source, *a: sources.append(source) or compile(source, *a),
+                        raising=False)
+    f = PhaseFunction(lambda q, p: dm.sin(q[0]) * p[1] * -2.0 if primal(q[1]) > 0.0 else p[0], 2)
+    program = compile_partials(f, (0.5, 0.7), (1.5, -0.2), range(2))
+    assert sources == ["""def partials(t0, t1, t2, t3):
+    if not (t1 > 0.0): return fallback(t0, t1, t2, t3)
+    t4 = c0(t0)
+    t5 = c1(t0)
+    t6 = t5 * 1.0
+    t7 = t4 * t3
+    t8 = t4 * 1.0
+    t9 = t6 * t3
+    t10 = t7 * (-2.0)
+    t11 = t8 * (-2.0)
+    t12 = t9 * (-2.0)
+    return t10, [t12, 0.0], [0.0, t11]
+"""]
+    assert (program.__globals__["c0"], program.__globals__["c1"]) == (math.sin, math.cos)

@@ -1,6 +1,6 @@
 """One SHA-256 over the reports of a fixed list of extham commands.
 
-Runs 85 command lines in one process and hashes, in order, each argv, its
+Runs 87 command lines in one process and hashes, in order, each argv, its
 exit code, its stdout and the CSV it wrote (if any). Two trees whose reports
 are byte for byte the same print the same digest:
 
@@ -13,8 +13,9 @@ on the Minkowski wedge at k = 1/3, 9/2, 19/2 and 13; gamma-table as text and
 JSON; catalog; four pseudo-polar orbits; one null-chart orbit that leaves
 the wedge; three orbits that end otherwise: criterion 08's, which stops
 converging, one that crosses --u-min, and a time-reversed one that stops
-converging; and two starts outside H's domain, at the gamma pole and off the
-wedge, which are refused. Uses only the standard library and extham.
+converging; two starts outside H's domain, at the gamma pole and off the
+wedge, which are refused; and two command lines refused at parse time, a
+zero step and a negative seed. Uses only the standard library and extham.
 """
 
 import argparse
@@ -55,6 +56,11 @@ REFUSED_STARTS = [
     ["--x0", "0", "0", "3.2", "0.5"],
     ["--chart", "null", "--x0", "1", "0", "3.2", "0.5"],
 ]
+# command lines refused at parse time: a zero step and a seed outside Philox's key range
+REFUSED_AT_PARSE = [
+    ["integrate", "--x0", "1.0", "0.0", "3.2", "0.5", "--h", "0"],
+    ["verify", "--model", "minkowski", "--seed", "-1"],
+]
 
 
 def verify_argv(model, k, omega, seed):
@@ -91,6 +97,7 @@ def argvs():
     for i, flags in enumerate(EARLY_STOPS + REFUSED_STARTS):
         name = f"stop{i}.csv"
         out.append((["integrate"] + flags + ["--csv", name], name))
+    out += [(argv, None) for argv in REFUSED_AT_PARSE]
     return out
 
 
