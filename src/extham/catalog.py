@@ -2,6 +2,10 @@
 families, constant-curvature generalizations, the flat TTW form, and the
 non-extendable pair, plus the null <-> pseudo-polar canonical transforms.
 
+Two constructors build what the families share: _base makes every base system
+L = p^2/2 + V with its seed G and c0 = 0, and _extended_model makes every
+curved or flat extension's model, H with the integrals L and K.
+
 Rational parameters are passed as fractions.Fraction so the integral indices
 (m, n) come out exact; irrational k is accepted for Hamiltonian construction
 but characteristic-integral construction is refused.
@@ -63,6 +67,15 @@ def _window_free_of_zeros(g, window, label):
             raise ValueError(f"{label}: gauge function vanishes inside psi window {window}")
 
 
+def _base(family, params, c, V_rule, G_rule, g, eta_hat, psi_window=(0.3, 2.0)):
+    """The BaseSystem L = p^2/2 + V with seed G and c0 = 0."""
+    return BaseSystem(
+        family=family, params=params, c=c, c0=0.0, V=PhaseFunction(V_rule, 1),
+        L=PhaseFunction(lambda q, p: 0.5 * p[0] * p[0] + V_rule(q, p), 1),
+        G=PhaseFunction(G_rule, 1), g_scalar=g, eta_hat=eta_hat, psi_window=psi_window,
+    )
+
+
 def make_base_family(C1, C2, C3, C4, eta, branch, psi_window=None):
     """Base system with seed G = g(psi) p_psi.
 
@@ -107,25 +120,11 @@ def make_base_family(C1, C2, C3, C4, eta, branch, psi_window=None):
         gv, slope = g_and_slope(q[0])
         return (C3 + C4 * slope) / (gv * gv)
 
-    V = PhaseFunction(V_rule, 1)
-    L = PhaseFunction(lambda q, p: 0.5 * p[0] * p[0] + V_rule(q, p), 1)
-    G = PhaseFunction(lambda q, p: g(q[0]) * p[0], 1)
     if psi_window is None:
         psi_window = (0.3, 2.0)
-    label = f"{branch}(C1={C1}, C2={C2})"
-    _window_free_of_zeros(g, psi_window, label)
-    return BaseSystem(
-        family=f"V2-{branch}",
-        params={"C1": C1, "C2": C2, "C3": C3, "C4": C4, "eta": eta},
-        c=c,
-        c0=0.0,
-        V=V,
-        L=L,
-        G=G,
-        g_scalar=g,
-        eta_hat=eta_hat,
-        psi_window=psi_window,
-    )
+    _window_free_of_zeros(g, psi_window, f"{branch}(C1={C1}, C2={C2})")
+    return _base(f"V2-{branch}", {"C1": C1, "C2": C2, "C3": C3, "C4": C4, "eta": eta}, c,
+                 V_rule, lambda q, p: g(q[0]) * p[0], g, eta_hat, psi_window)
 
 
 def exp_base(alpha_t, beta_t, eta=2.0):
@@ -143,17 +142,8 @@ def _free_base(eta):
     def g(psi):
         return dm.exp(eta * psi)
 
-    return BaseSystem(
-        family="free",
-        params={"C1": 1.0, "C2": 0.0, "C3": 0.0, "C4": 0.0, "eta": eta},
-        c=-(eta**2),
-        c0=0.0,
-        V=PhaseFunction(lambda q, p: 0.0, 1),
-        L=PhaseFunction(lambda q, p: 0.5 * p[0] * p[0], 1),
-        G=PhaseFunction(lambda q, p: dm.exp(eta * q[0]) * p[0], 1),
-        g_scalar=g,
-        eta_hat=eta,
-    )
+    return _base("free", {"C1": 1.0, "C2": 0.0, "C3": 0.0, "C4": 0.0, "eta": eta}, -(eta**2),
+                 lambda q, p: 0.0, lambda q, p: g(q[0]) * p[0], g, eta)
 
 
 def cosh_base(A, psi0, alpha, beta, eta=2.0):
@@ -194,23 +184,10 @@ def momentum_free_seed_base(C1, C2, C3, eta=2.0):
     def g(psi):
         return C1 * dm.exp(eta * psi) + C2 * dm.exp(-eta * psi)
 
-    V = PhaseFunction(lambda q, p: C3 / g(q[0]) ** 2, 1)
-    L = PhaseFunction(lambda q, p: 0.5 * p[0] * p[0] + C3 / g(q[0]) ** 2, 1)
-    G = PhaseFunction(
-        lambda q, p: C1 * dm.exp(eta * q[0]) - C2 * dm.exp(-eta * q[0]), 1
-    )
     _window_free_of_zeros(g, (0.3, 2.0), "V10")
-    return BaseSystem(
-        family="V10",
-        params={"C1": C1, "C2": C2, "C3": C3, "eta": eta},
-        c=-(eta**2),
-        c0=0.0,
-        V=V,
-        L=L,
-        G=G,
-        g_scalar=g,
-        eta_hat=eta,
-    )
+    return _base("V10", {"C1": C1, "C2": C2, "C3": C3, "eta": eta}, -(eta**2),
+                 lambda q, p: C3 / g(q[0]) ** 2,
+                 lambda q, p: C1 * dm.exp(eta * q[0]) - C2 * dm.exp(-eta * q[0]), g, eta)
 
 
 # -- null <-> pseudo-polar canonical transforms --------------------------------
@@ -330,15 +307,9 @@ def make_minkowski_hamiltonian(k, alpha, beta, Omega=0.0):
         integrals.append((label, pullback_to_null(K_polar, kf)))
 
     return ModelInstance(
-        id="minkowski",
-        H=H,
-        known_integrals=integrals,
-        chart="null-coordinates",
-        params={"k": k, "alpha": alpha, "beta": beta, "Omega": Omega},
-        extendable=True,
-        extension=extension,
-        base=base,
-        q_windows=((0.3, 2.0), (0.3, 2.0)),
+        id="minkowski", H=H, known_integrals=integrals, chart="null-coordinates",
+        params={"k": k, "alpha": alpha, "beta": beta, "Omega": Omega}, extendable=True,
+        extension=extension, base=base, q_windows=((0.3, 2.0), (0.3, 2.0)),
     )
 
 
@@ -352,6 +323,17 @@ _CURVED_CHARTS = {
     (-1, 1): ("de-sitter", "de Sitter dS2"),
     (-1, -1): ("anti-de-sitter", "anti-de Sitter AdS2"),
 }
+
+
+def _extended_model(base, m, n, Omega, profile, model_id, chart, params, u_window):
+    """The ModelInstance of base extended by (m, n, Omega) on profile: H, and L with K."""
+    ext = Extension(ExtensionSpec(m, n, base.c, 0.0, Omega, profile), base)
+    integrals = [("L", lift_last(base.L, 2)), ext.first_integral()]
+    return ModelInstance(
+        id=model_id, H=ext.hamiltonian(), known_integrals=integrals, chart=chart,
+        params={**params, **base.params}, extendable=True, extension=ext, base=base,
+        q_windows=(u_window, base.psi_window),
+    )
 
 
 def make_curved_hamiltonian(base, k, kappa, Omega=0.0, model_id=None):
@@ -368,27 +350,13 @@ def make_curved_hamiltonian(base, k, kappa, Omega=0.0, model_id=None):
     ratio = k + 1
     if ratio <= 0:
         raise ValueError("k must exceed -1")
-    m, n = ratio.numerator, ratio.denominator
     c = base.c
-    profile = GammaProfile.from_c_kappa(c, float(kappa))
-    spec = ExtensionSpec(m, n, c, 0.0, Omega, profile)
-    ext = Extension(spec, base)
     curved_id, chart = _CURVED_CHARTS[(1 if c > 0 else -1, kappa)]
-    if kappa == 1:
-        u_window = (0.3 / abs(c), 1.25 / abs(c))
-    else:
-        u_window = (0.3 / abs(c), 2.0 / abs(c))
-    integrals = [("L", lift_last(base.L, 2)), ext.first_integral()]
-    return ModelInstance(
-        id=model_id or curved_id,
-        H=ext.hamiltonian(),
-        known_integrals=integrals,
-        chart=chart,
-        params={"k": k, "c": c, "kappa": kappa, "Omega": Omega, **base.params},
-        extendable=True,
-        extension=ext,
-        base=base,
-        q_windows=(u_window, base.psi_window),
+    u_max = 1.25 if kappa == 1 else 2.0
+    return _extended_model(
+        base, ratio.numerator, ratio.denominator, Omega, GammaProfile.from_c_kappa(c, float(kappa)),
+        model_id or curved_id, chart, {"k": k, "c": c, "kappa": kappa, "Omega": Omega},
+        (0.3 / abs(c), u_max / abs(c)),
     )
 
 
@@ -396,21 +364,8 @@ def make_flat_ttw_hamiltonian(base, m, n, Omega=0.0):
     """H = p_u^2/2 + m^2/(|eta|^2 n^2 u^2) L + eta^4 u^2 Omega on the plane."""
     if base.c <= 0.0:
         raise ValueError("the flat model needs a trig-branch base (c > 0)")
-    profile = GammaProfile.from_c_C(base.c, 0.0)
-    spec = ExtensionSpec(m, n, base.c, 0.0, Omega, profile)
-    ext = Extension(spec, base)
-    integrals = [("L", lift_last(base.L, 2)), ext.first_integral()]
-    return ModelInstance(
-        id="ttw-flat",
-        H=ext.hamiltonian(),
-        known_integrals=integrals,
-        chart="euclidean E2",
-        params={"m": m, "n": n, "Omega": Omega, **base.params},
-        extendable=True,
-        extension=ext,
-        base=base,
-        q_windows=((0.3, 2.0), base.psi_window),
-    )
+    return _extended_model(base, m, n, Omega, GammaProfile.from_c_C(base.c, 0.0), "ttw-flat",
+                           "euclidean E2", {"m": m, "n": n, "Omega": Omega}, (0.3, 2.0))
 
 
 # -- the non-extendable pair ------------------------------------------------
@@ -443,25 +398,17 @@ def make_remark_pair(d1=2.0, d2=3.0):
     def I2_rule(q, p):
         return p[0] * p[0] + dm.pow_(q[1], d2f + 1.0) / (d2f + 1.0)
 
-    first = ModelInstance(
-        id="remark-h1",
-        H=PhaseFunction(H1_rule, 2),
-        known_integrals=[("I1", PhaseFunction(I1_rule, 2))],
-        chart="null-coordinates",
-        params={"d": d1f, "rule": "d = p or d = (1-2p)/2, p natural"},
-        extendable=False,
-        q_windows=((0.3, 2.0), (0.3, 2.0)),
+    def model(model_id, H_rule, label, I_rule, d, rule):
+        return ModelInstance(
+            id=model_id, H=PhaseFunction(H_rule, 2),
+            known_integrals=[(label, PhaseFunction(I_rule, 2))], chart="null-coordinates",
+            params={"d": d, "rule": rule}, extendable=False, q_windows=((0.3, 2.0), (0.3, 2.0)),
+        )
+
+    return (
+        model("remark-h1", H1_rule, "I1", I1_rule, d1f, "d = p or d = (1-2p)/2, p natural"),
+        model("remark-h2", H2_rule, "I2", I2_rule, d2f, "d = (1-p)/p or d = (1+2p)/(1-2p), p natural"),
     )
-    second = ModelInstance(
-        id="remark-h2",
-        H=PhaseFunction(H2_rule, 2),
-        known_integrals=[("I2", PhaseFunction(I2_rule, 2))],
-        chart="null-coordinates",
-        params={"d": d2f, "rule": "d = (1-p)/p or d = (1+2p)/(1-2p), p natural"},
-        extendable=False,
-        q_windows=((0.3, 2.0), (0.3, 2.0)),
-    )
-    return first, second
 
 
 # -- the command line's model tables -------------------------------------------

@@ -12,6 +12,7 @@ import inspect
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -225,65 +226,48 @@ _GAMMA_SQ_EXPECTED = {
     (-1, True): "tanh^2(u)",
 }
 
-_FORMS = {
-    "+sin^-2(u)": lambda u: 1.0 / math.sin(u) ** 2,
-    "-sin^-2(u)": lambda u: -1.0 / math.sin(u) ** 2,
-    "+sinh^-2(u)": lambda u: 1.0 / math.sinh(u) ** 2,
-    "-sinh^-2(u)": lambda u: -1.0 / math.sinh(u) ** 2,
-    "+cos^-2(u)": lambda u: 1.0 / math.cos(u) ** 2,
-    "-cos^-2(u)": lambda u: -1.0 / math.cos(u) ** 2,
-    "+cosh^-2(u)": lambda u: 1.0 / math.cosh(u) ** 2,
-    "-cosh^-2(u)": lambda u: -1.0 / math.cosh(u) ** 2,
-    "tan^2(u)": lambda u: math.tan(u) ** 2,
-    "tan^-2(u)": lambda u: 1.0 / math.tan(u) ** 2,
-    "tanh^2(u)": lambda u: math.tanh(u) ** 2,
-    "tanh^-2(u)": lambda u: 1.0 / math.tanh(u) ** 2,
-}
-
 _CLASSIFY_SAMPLES = (0.37, 0.71, 1.13)
+
+
+def _form(label, u):
+    """The value at u of a table label [+-]fn^[-]2(u), fn a function of math: -sin^-2(u)."""
+    sign, fn, power = re.fullmatch(r"([+-]?)(\w+)\^(-?2)\(u\)", label).groups()
+    v = getattr(math, fn)(u) ** 2
+    if power == "-2":
+        v = 1.0 / v
+    return -v if sign == "-" else v
 
 
 def _classify(values, candidates):
     for label in candidates:
-        form = _FORMS[label]
-        if all(
-            abs(v - form(u)) <= 1e-10 * (1.0 + abs(form(u)))
-            for u, v in zip(_CLASSIFY_SAMPLES, values)
-        ):
+        forms = [_form(label, u) for u in _CLASSIFY_SAMPLES]
+        if all(abs(v - f) <= 1e-10 * (1.0 + abs(f)) for v, f in zip(values, forms)):
             return label
     return "unclassified"
 
 
-def _table_rows(cases, evaluate, candidates):
-    """One row per (c, kappa, translated, expected): evaluate on the profile and classify."""
+def _table_rows(cases, evaluate):
+    """One row per (c, kappa, translated, expected): evaluate on the profile and classify
+    among the expected labels."""
+    candidates = [expected for *_, expected in cases]
     rows = []
     for c, kappa, translated, expected in cases:
         prof = GammaProfile.from_c_kappa(float(c), float(kappa), translated=translated)
         got = _classify([evaluate(prof, u) for u in _CLASSIFY_SAMPLES], candidates)
-        rows.append(
-            {
-                "c": c,
-                "kappa": kappa,
-                "translated": translated,
-                "expected": expected,
-                "classified": got,
-                "match": got == expected,
-            }
-        )
+        rows.append({"c": c, "kappa": kappa, "translated": translated, "expected": expected,
+                     "classified": got, "match": got == expected})
     return rows
 
 
 def gamma_prime_table():
     """Evaluate gamma' for c = +-1, kappa = +-1, both branches, and classify."""
-    candidates = [k for k in _FORMS if "^-2" in k and ("sin" in k or "cos" in k)]
-    cases = [(c, kappa, t, e) for (c, kappa, t), e in _GAMMA_PRIME_EXPECTED.items()]
-    return _table_rows(cases, gamma_prime, candidates)
+    return _table_rows([(c, kappa, t, e) for (c, kappa, t), e in _GAMMA_PRIME_EXPECTED.items()],
+                       gamma_prime)
 
 
 def gamma_squared_table():
-    candidates = ["tan^2(u)", "tan^-2(u)", "tanh^2(u)", "tanh^-2(u)"]
     cases = [(c, kappa, t, e) for (kappa, t), e in _GAMMA_SQ_EXPECTED.items() for c in (1, -1)]
-    return _table_rows(cases, lambda prof, u: gamma(prof, u) ** 2, candidates)
+    return _table_rows(cases, lambda prof, u: gamma(prof, u) ** 2)
 
 
 def _constant_gamma_prime_rows():
@@ -428,7 +412,8 @@ def build_parser():
     pv = sub.add_parser("verify", help="bracket and independence sweep for a catalog model")
     common(pv)
     pv.add_argument("--model", required=True, choices=list(MODELS))
-    pv.add_argument("--k", default="1", help="rational parameter p/q")
+    pv.add_argument("--k", default="1",
+                    help="rational parameter p/q; write a negative k as --k=-1/2")
     pv.add_argument("--alpha", type=_finite_float, default=1.0)
     pv.add_argument("--beta", type=_finite_float, default=2.0)
     pv.add_argument("--omega", type=_finite_float, default=0.0)
@@ -443,7 +428,8 @@ def build_parser():
 
     pi = sub.add_parser("integrate", help="implicit-midpoint trajectory with drift summary")
     pi.add_argument("--model", default="minkowski", choices=list(FLOWS))
-    pi.add_argument("--k", default="1")
+    pi.add_argument("--k", default="1",
+                    help="rational parameter p/q; write a negative k as --k=-1/2")
     pi.add_argument("--alpha", type=_finite_float, default=1.0)
     pi.add_argument("--beta", type=_finite_float, default=2.0)
     pi.add_argument("--omega", type=_finite_float, default=0.0)

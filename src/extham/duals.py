@@ -13,7 +13,9 @@ derivatives along one variable come from jets only (:func:`taylor`). A Jet
 never absorbs a Dual as a scalar: its arithmetic returns NotImplemented,
 so the Dual wraps the Jet and the outermost layer always carries the newest
 tag. Jets must therefore only meet Duals seeded after their coefficients
-were built.
+were built. A Jet has one power rule, for ``**`` and :func:`pow_` alike: an
+integer power multiplies the series by itself, so a zero constant term is
+allowed, and any other power runs a recurrence that divides by it.
 
 A :class:`Batch` is the third leaf: a float64 array holding one coordinate
 at many sample points, so one evaluation differentiates all of them. numpy
@@ -652,10 +654,8 @@ tanh = _lift(math.tanh, lambda x: _jet_tan(x, True), lambda x, t, dx: (1.0 - t *
 
 def pow_(x, r):
     """x**r for real r; raises ValueError off the real domain (negative base)."""
-    if isinstance(x, Dual):
+    if isinstance(x, (Dual, Jet)):
         return x**r
-    if isinstance(x, Jet):
-        return _jet_pow(x, r)
     if isinstance(x, np.ndarray):
         return _entrywise(math.pow, x, r)
     if isinstance(x, Trace):

@@ -110,24 +110,20 @@ def _pole_guard(den, u):
 
 def _branch(profile, u):
     """(x, d, a) with gamma' = a/(d*d): d is 1 for c = 0 (x is None) and else, for
-    x = c (u+shift), S_k(x), or cos(sqrt(k) x) or cosh(sqrt(-k) x) when translated,
-    behind the pole guard. gamma_prime takes it alone, never gamma's numerator."""
+    x = c (u+shift), S_k(x), or C_k(x) when translated, behind the pole guard.
+    gamma_prime takes it alone, never gamma's numerator."""
     c = profile.c
     if c == 0.0:
         return None, 1.0, -profile.C
     x = c * (u + profile.shift)
     k = profile.kappa
-    if not profile.translated:
-        d = tagged_S(k, x)
-        _pole_guard(d, u)
-        return x, d, -c
-    if k > 0:
-        # translated S^2 = cos^2(sqrt(k) x)/k
-        d = dm.cos(dm.sqrt(k) * x)
-        _pole_guard(d, u)
-        return x, d, -c * k
-    # translated (kappa<0): S^2 picks up a sign, so gamma' = +c|kappa| sech^2
-    return x, dm.cosh(dm.sqrt(-k) * x), c * (-k)
+    if profile.translated:
+        # translated S_k^2 = C_k^2(x)/k, so gamma' = -c k / C_k^2(x) for either sign of kappa
+        d, a = tagged_C(k, x), -c * k
+    else:
+        d, a = tagged_S(k, x), -c
+    _pole_guard(d, u)
+    return x, d, a
 
 
 def gamma(profile, u):

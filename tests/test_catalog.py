@@ -179,8 +179,9 @@ def test_an_explicit_empty_window_is_refused(build, window):
         build(window)
 
 
-def _explicit_base_L(C1, C2, C3, C4, eta, branch):
-    """L = p^2/2 + (C3 + C4 g'/eta_hat) / g^2, each transcendental called on its own."""
+def _explicit_base(C1, C2, C3, C4, eta, branch):
+    """V = (C3 + C4 g'/eta_hat) / g^2, L = p^2/2 + V and G = g p, each transcendental
+    called on its own."""
     e = abs(eta)
     if branch == "hyperbolic":
         g = lambda s: C1 * dm.exp(e * s) + C2 * dm.exp(-e * s)
@@ -189,11 +190,26 @@ def _explicit_base_L(C1, C2, C3, C4, eta, branch):
         g = lambda s: C1 * dm.cos(e * s) + C2 * dm.sin(e * s)
         slope = lambda s: -C1 * dm.sin(e * s) + C2 * dm.cos(e * s)
 
-    def rule(q, p):
+    def V(q, p):
         gv = g(q[0])
-        return 0.5 * p[0] * p[0] + (C3 + C4 * slope(q[0])) / (gv * gv)
+        return (C3 + C4 * slope(q[0])) / (gv * gv)
 
-    return PhaseFunction(rule, 1)
+    return V, lambda q, p: 0.5 * p[0] * p[0] + V(q, p), lambda q, p: g(q[0]) * p[0]
+
+
+def _v10_reference():
+    g = lambda s: 1.0 * dm.exp(2.0 * s) + 0.4 * dm.exp(-2.0 * s)
+    return (lambda q, p: 1.2 / g(q[0]) ** 2,
+            lambda q, p: 0.5 * p[0] * p[0] + 1.2 / g(q[0]) ** 2,
+            lambda q, p: 1.0 * dm.exp(2.0 * q[0]) - 0.4 * dm.exp(-2.0 * q[0]))
+
+
+# the bases make_base_family does not build, with their (V, L, G) written out
+_OTHER_BASES = {
+    "free": lambda: (exp_base(0.0, 0.0), (lambda q, p: 0.0, lambda q, p: 0.5 * p[0] * p[0],
+                                          lambda q, p: dm.exp(2.0 * q[0]) * p[0])),
+    "V10": lambda: (momentum_free_seed_base(1.0, 0.4, 1.2, 2.0), _v10_reference()),
+}
 
 
 @pytest.mark.parametrize("params, window", [
@@ -201,29 +217,36 @@ def _explicit_base_L(C1, C2, C3, C4, eta, branch):
     ((1.2, 0.0, 0.7, 1.3, 2.0, "hyperbolic"), None),
     ((0.3, 1.1, 0.9, -0.4, 1.0, "trig"), None),
     ((1.1, 0.0, 0.9, -0.4, 1.3, "trig"), (0.1, 1.0)),
+    ("free", None),
+    ("V10", None),
 ])
 def test_base_family_L_equals_separate_transcendentals(params, window):
-    # g and g'/eta_hat share one pair of exp or cos/sin calls; every value and
-    # partial must equal the form that calls each transcendental on its own
-    L = make_base_family(*params, psi_window=window).L
-    ref = _explicit_base_L(*params)
+    # make_base_family's g and g'/eta_hat share one pair of exp or cos/sin calls, and
+    # every base's L adds V to p^2/2: every value and partial of V, L and G must equal
+    # the form written out with each transcendental called on its own
+    if isinstance(params, str):
+        base, reference = _OTHER_BASES[params]()
+    else:
+        base, reference = make_base_family(*params, psi_window=window), _explicit_base(*params)
     lo, hi = window or (0.3, 2.0)
     p = (0.4,)
     psis = np.linspace(lo, hi, 7)
+    for built, rule in zip((base.V, base.L, base.G), reference):
+        ref = PhaseFunction(rule, 1)
 
-    def same(f):
-        assert leaf_values(f(L)) == leaf_values(f(ref))
+        def same(f):
+            assert leaf_values(f(built)) == leaf_values(f(ref))
 
-    for psi in psis.tolist():
-        same(lambda F: F.rule((psi,), p))
-        same(lambda F: partials_at(F, (psi,), p, [0]))
-        same(lambda F: nth_derivative(lambda s: F.rule((s,), p), psi, 3))
-        same(lambda F: F.rule((dm.Jet([psi, 1.0, 0.0, 0.0, 0.0]),), p))
-        same(lambda F: F.rule((dm.Jet([dm.seed(psi, 7), 1.0, 0.0]),), p))
-    col = dm.batch(psis)
-    same(lambda F: F.rule((col,), p))
-    same(lambda F: partials_at(F, (col,), p, [0]))
-    same(lambda F: nth_derivative(lambda s: F.rule((s,), p), col, 2))
+        for psi in psis.tolist():
+            same(lambda F: F.rule((psi,), p))
+            same(lambda F: partials_at(F, (psi,), p, [0]))
+            same(lambda F: nth_derivative(lambda s: F.rule((s,), p), psi, 3))
+            same(lambda F: F.rule((dm.Jet([psi, 1.0, 0.0, 0.0, 0.0]),), p))
+            same(lambda F: F.rule((dm.Jet([dm.seed(psi, 7), 1.0, 0.0]),), p))
+        col = dm.batch(psis)
+        same(lambda F: F.rule((col,), p))
+        same(lambda F: partials_at(F, (col,), p, [0]))
+        same(lambda F: nth_derivative(lambda s: F.rule((s,), p), col, 2))
 
 
 @pytest.mark.parametrize("kappa", [1, -1])

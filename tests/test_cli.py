@@ -2,6 +2,7 @@ import argparse
 import csv
 import importlib.util
 import json
+import math
 import os
 import sys
 import warnings
@@ -131,6 +132,45 @@ def test_gamma_table_passes(capsys):
     assert table["pass"] is True
     assert all(row["match"] for row in table["gamma_prime"])
     assert all(row["match"] for row in table["gamma_squared"])
+
+
+def test_a_wrong_expected_label_fails_the_table(capsys, monkeypatch):
+    # the candidates are the expected labels, so the true -sin^-2(u) is no longer one
+    monkeypatch.setitem(cli._GAMMA_PRIME_EXPECTED, (1, 1, False), "-cos^-2(u)")
+    code, out, _ = run_cli(capsys, "gamma-table", "--json")
+    assert code == 1
+    table = json.loads(out)
+    assert table["pass"] is False
+    failed = [row for row in table["gamma_prime"] if not row["match"]]
+    assert failed == [{"c": 1, "kappa": 1, "translated": False, "expected": "-cos^-2(u)",
+                       "classified": "unclassified", "match": False}]
+    code, out, _ = run_cli(capsys, "gamma-table")
+    assert code == 1
+    assert out.count("MISMATCH") == 1
+
+
+_WRITTEN_OUT = {
+    "+sin^-2(u)": lambda u: 1.0 / math.sin(u) ** 2,
+    "-sin^-2(u)": lambda u: -1.0 / math.sin(u) ** 2,
+    "+sinh^-2(u)": lambda u: 1.0 / math.sinh(u) ** 2,
+    "-sinh^-2(u)": lambda u: -1.0 / math.sinh(u) ** 2,
+    "+cos^-2(u)": lambda u: 1.0 / math.cos(u) ** 2,
+    "-cos^-2(u)": lambda u: -1.0 / math.cos(u) ** 2,
+    "+cosh^-2(u)": lambda u: 1.0 / math.cosh(u) ** 2,
+    "-cosh^-2(u)": lambda u: -1.0 / math.cosh(u) ** 2,
+    "tan^2(u)": lambda u: math.tan(u) ** 2,
+    "tan^-2(u)": lambda u: 1.0 / math.tan(u) ** 2,
+    "tanh^2(u)": lambda u: math.tanh(u) ** 2,
+    "tanh^-2(u)": lambda u: 1.0 / math.tanh(u) ** 2,
+}
+
+
+def test_each_table_label_reads_as_its_formula():
+    labels = [*cli._GAMMA_PRIME_EXPECTED.values(), *cli._GAMMA_SQ_EXPECTED.values()]
+    assert sorted(labels) == sorted(_WRITTEN_OUT)
+    for label in labels:
+        for u in cli._CLASSIFY_SAMPLES:
+            assert cli._form(label, u) == _WRITTEN_OUT[label](u), (label, u)
 
 
 def test_integrate_free_particle(capsys, tmp_path):
@@ -376,7 +416,7 @@ def test_report_digest_argvs_are_not_refused(monkeypatch):
             with pytest.raises(Built):
                 args.func(args)
             built += 1
-    assert (len(argvs), built, len(digest.REFUSED_AT_PARSE)) == (87, 74, 2)
+    assert (len(argvs), built, len(digest.REFUSED_AT_PARSE)) == (90, 77, 2)
 
 
 @pytest.mark.parametrize("builder,model", [

@@ -10,6 +10,7 @@ from extham.duals import Dual, Jet, Tangent, derivative, primal, taylor
 from extham.extension import Extension, ExtensionSpec, bracket_scale
 from extham.phase import (
     PhaseFunction,
+    PhasePoint,
     batch_blocks,
     hamiltonian_vector_field,
     partials_at,
@@ -77,6 +78,21 @@ def test_taylor_derivatives_from_one_jet():
     col = dm.batch([0.35, 0.9, 1.3])
     assert [d.tolist() for d in taylor(f, col, 2)] == [
         [taylor(f, x, 2)[k] for x in (0.35, 0.9, 1.3)] for k in range(3)]
+
+
+def test_integer_powers_of_a_jet_multiply():
+    # pow_ and ** share Jet.__pow__: an integer power of a series through zero exists,
+    # where the non-integer recurrence would divide by the zero constant term
+    assert taylor(lambda x: dm.pow_(x, 3), 0.0, 3) == [0.0, 0.0, 0.0, 6.0]
+    # the recursive K runs L on a Jet whose p_psi has a zero constant term
+    base = exp_base(0.7, 1.3)
+    V = base.V.rule
+    base.L.rule = lambda q, p: 0.5 * p[0] ** 2 + V(q, p)
+    e = Extension(ExtensionSpec(4, 1, base.c, 0.0, 0.0, GammaProfile.from_c_C(base.c, 0.0)), base)
+    x = PhasePoint((0.8, 0.9), (0.5, 0.0))
+    closed = e.k_closed()(x)
+    assert closed == pytest.approx(-24.3127, rel=1e-5)
+    assert e.k_recursive()(x) == pytest.approx(closed, rel=1e-12)
 
 
 # -- the seam: one dispatch for every math function --------------------------

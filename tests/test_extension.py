@@ -18,6 +18,7 @@ from extham.extension import (
     ExtensionSpec,
     bracket_scale,
     functional_independence,
+    jacobian_rank,
     row_norms,
     seed_equation_residual,
     seed_equation_terms,
@@ -27,6 +28,7 @@ from extham.phase import (
     PhasePoint,
     batch_blocks,
     fd_gradient,
+    gradient,
     hamiltonian_vector_field,
     lift_last,
     partials_at,
@@ -434,6 +436,22 @@ def test_functional_independence_ranks(base, profile):
     assert functional_independence([H, L2], x) == 2
     for x in sample_points(20, 49, 2):
         assert functional_independence([H, L2, K], x) == 3
+
+
+def test_a_cancelling_zero_partial_leaves_the_rank_deficient():
+    # f2 = f1^2 + ((p2 * 49) * (1/49) - p2): its p2-partial is zero in exact
+    # arithmetic but 49 * (1/49) - 1 = -1.1e-16 in doubles, so (f1, f2, f3) is a
+    # dependent triple whose dependence only that round-off hides. Scaling each
+    # column to unit norm would lift the round-off to order one and give rank 3.
+    fs = [
+        PhaseFunction(lambda q, p: q[0], 2),
+        PhaseFunction(lambda q, p: q[0] * q[0] + ((p[1] * 49.0) * (1.0 / 49.0) - p[1]), 2),
+        PhaseFunction(lambda q, p: q[1], 2),
+    ]
+    jac = np.array([[gradient(f, x) for f in fs] for x in sample_points(50, 7, 2)])
+    assert set(jac[:, 1, 3].tolist()) == {49.0 * (1.0 / 49.0) - 1.0}
+    assert jac[0, 1, 3] == pytest.approx(-1.1e-16, rel=0.01)
+    assert jacobian_rank(jac).tolist() == [2] * 50
 
 
 def test_row_norms_rescale_only_overflowing_rows():

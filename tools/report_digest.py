@@ -1,6 +1,6 @@
 """One SHA-256 over the reports of a fixed list of extham commands.
 
-Runs 87 command lines in one process and hashes, in order, each argv, its
+Runs 90 command lines in one process and hashes, in order, each argv, its
 exit code, its stdout and the CSV it wrote (if any). Two trees whose reports
 are byte for byte the same print the same digest:
 
@@ -9,9 +9,10 @@ are byte for byte the same print the same digest:
     python tools/report_digest.py -v                   # one line per command too
 
 The list is the verify, ccm and ladder sweep at seeds 1, 2, 3 and 7; verify
-on the Minkowski wedge at k = 1/3, 9/2, 19/2 and 13; gamma-table as text and
-JSON; catalog; four pseudo-polar orbits; one null-chart orbit that leaves
-the wedge; three orbits that end otherwise: criterion 08's, which stops
+on the Minkowski wedge at k = 1/3, 9/2, 19/2 and 13, and on its free base
+(alpha = beta = 0) at seeds 1 and 7; gamma-table as text and JSON; catalog;
+four pseudo-polar orbits and one on the free base; one null-chart orbit that
+leaves the wedge; three orbits that end otherwise: criterion 08's, which stops
 converging, one that crosses --u-min, and a time-reversed one that stops
 converging; two starts outside H's domain, at the gamma pole and off the
 wedge, which are refused; and two command lines refused at parse time, a
@@ -43,6 +44,8 @@ VERIFY_CASES = [
     ("minkowski", "5/3", 0.0),
 ]
 HIGH_DEGREE_K = ("1/3", "9/2", "19/2", "13")
+FREE_BASE = ["--alpha", "0", "--beta", "0"]
+FREE_BASE_SEEDS = (1, 7)
 ORBITS = [("1", 0.0), ("1/2", 0.0), ("2", 0.0), ("1", 0.3)]
 # integrate flags of orbits that stop early: no-convergence at step 356,
 # domain-exit at step 147 and, time-reversed, no-convergence at step 160
@@ -85,6 +88,8 @@ def argvs():
                          "--seed", str(seed), "--tol", "1e-10"], None))
     out += [(["verify", "--model", "minkowski", "--k", k, "--seed", "7"], None)
             for k in HIGH_DEGREE_K]
+    out += [(["verify", "--model", "minkowski"] + FREE_BASE + ["--seed", str(seed)], None)
+            for seed in FREE_BASE_SEEDS]
     out += [(["gamma-table"], None), (["gamma-table", "--json"], None), (["catalog"], None)]
     for i, (k, omega) in enumerate(ORBITS):
         name = f"orbit{i}.csv"
@@ -92,6 +97,8 @@ def argvs():
                      "--alpha", "1.0", "--beta", "2.0", "--chart", "pseudo-polar",
                      "--x0", "1.0", "0.0", "3.2", "0.5", "--h", "0.001", "--steps", "200",
                      "--u-min", "0.05", "--csv", name], name))
+    out.append((["integrate"] + FREE_BASE + ["--x0", "1", "0", "3.2", "0.5", "--steps", "400",
+                                             "--csv", "free.csv"], "free.csv"))
     out.append((["integrate", "--chart", "null", "--omega", "0.3",
                  "--x0", "0.7", "0.7", "2.97", "1.56", "--csv", "null.csv"], "null.csv"))
     for i, flags in enumerate(EARLY_STOPS + REFUSED_STARTS):
