@@ -33,14 +33,11 @@ from .extension import (
     ExtensionSpec,
     bracket_scale,
     functional_independence,
-    seed_equation_residual,
 )
 from .ladder import LadderData, ladder_from_base, ladder_residuals
 from .phase import (
     PhaseFunction,
     PhasePoint,
-    fd_gradient,
-    fd_poisson_bracket,
     gradient,
     hamiltonian_vector_field,
     lift_last,

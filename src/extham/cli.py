@@ -89,7 +89,7 @@ def _bracket_sweep(H, integrals, points):
     with _quiet_sweep():
         for j, (name, f) in enumerate(fs):
             try:
-                _, dq, dp = partials_at(f, q, p, range(H.dof))
+                _, dq, dp = partials_at(f, q, p)
             except OverflowError:
                 raise ValueError(f"the gradient of {name} overflows double precision") from None
             for s, v in enumerate(dq + dp):

@@ -43,14 +43,16 @@ same order.
 
 A :class:`Tangent` is the dot of a Dual that carries several directions
 under one tag: it maps a direction index to that direction's component, so
-one evaluation gives every partial (``phase.partials_at`` on Batch leaves,
-``phase.compile_partials`` on Trace leaves).
+one evaluation gives every partial (``phase.partials_at`` on every leaf but
+plain floats, which it seeds one direction at a time).
 A direction the value does not depend on is absent, a structural zero, and
 never stored as 0.0. Every present component then runs the same IEEE
 operation, in the same order, as the evaluation seeded along that direction
 alone, and an absent one acts like the plain value of that evaluation: a
 difference whose left side lacks direction j gives -b_j, as ``__rsub__``
-does. So each component equals the seeded partial bit for bit.
+does, and a product keeps its operands in the order written, as
+``__rmul__`` does, since a Jet product is not commutative bit for bit. So
+each component equals the seeded partial bit for bit.
 """
 
 import itertools
@@ -117,7 +119,9 @@ class Dual:
             return NotImplemented  # the tangent scales each component by self
         return Dual(self.val * other, self.dot * other, self.tag)
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        # operands in the order written: a Jet product is not commutative bit for bit
+        return Dual(other * self.val, other * self.dot, self.tag)
 
     def __truediv__(self, other):
         if isinstance(other, Dual):
@@ -147,7 +151,14 @@ class Dual:
         return Dual(pow_(self.val, r), (r * pow_(self.val, r - 1)) * self.dot, self.tag)
 
     def __rpow__(self, base):
-        return exp(self * log(base))
+        # the value is the leaf's own base ** val, so it rounds as the float and
+        # batched evaluations do, which exp(val log base) does not on a share of
+        # inputs; a Jet value keeps exp and log
+        if isinstance(self.val, Jet):
+            return exp(self * log(base))
+        lb = log(base)
+        y = base**self.val
+        return Dual(y, y * (self.dot * lb), self.tag)
 
     def __abs__(self):
         x = primal(self)
@@ -568,11 +579,6 @@ def primal(x):
             x = x.c[0]
         else:
             return x
-
-
-def seed(x, tag):
-    """Wrap x as the variable of differentiation for the given tag."""
-    return Dual(x, 1.0, tag)
 
 
 def new_tag():

@@ -82,7 +82,7 @@ def integrate(H, x0, h, steps, fp_tol=1e-13, max_iter=50, u_min=None):
     d = x0.dof
     if H.dof != d:
         raise ValueError(f"function of {H.dof} dof evaluated at a {d}-dof point")
-    solve = _compile_solve(compile_partials(H, x0.q, x0.p, range(d)), d, fp_tol, max_iter)
+    solve = _compile_solve(compile_partials(H, x0.q, x0.p), d, fp_tol, max_iter)
     z = x0.q + x0.p
     states = [z]
     status = COMPLETED
@@ -155,14 +155,20 @@ def drift_report(traj, functions):
     """Max relative drift |f(x_t) - f(x_0)| / (1 + |f(x_0)|) per function.
 
     functions maps name -> PhaseFunction. Each is evaluated once, on every
-    state at a time as Batch leaves; evaluation failures propagate.
+    state at a time as Batch leaves; evaluation failures propagate, and a
+    value that is not finite raises ValueError naming the function and the
+    first such state, since max would skip a NaN.
     """
     q, p = batch_blocks(traj.states)
     out = {}
     for name, f in functions.items():
         if f.dof != traj.dof:
             raise ValueError(f"function of {f.dof} dof evaluated at a {traj.dof}-dof point")
-        values = np.broadcast_to(f.rule(q, p), len(traj.states)).tolist()
+        values = np.broadcast_to(f.rule(q, p), len(traj.states))
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ValueError(f"non-finite {name} at state {bad[0]}: {traj.states[bad[0]].tolist()}")
+        values = values.tolist()
         f0 = values[0]
         denom = 1.0 + abs(f0)
         out[name] = max(abs(v - f0) for v in values) / denom

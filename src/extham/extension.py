@@ -81,12 +81,6 @@ def seed_equation_terms(base, c, c0, x):
     return x2g(x), 2.0 * (c * base.L(x) + c0) * base.G(x)
 
 
-def seed_equation_residual(base, c, c0, x):
-    """X_L^2(G)(x) + 2(cL(x)+c0)G(x); zero certifies the extension seed."""
-    a, b = seed_equation_terms(base, c, c0, x)
-    return a + b
-
-
 class Extension:
     """An ExtensionSpec bound to a BaseSystem."""
 
@@ -98,8 +92,8 @@ class Extension:
 
     def _seed_triple(self, q1, p1):
         """(G, X_L G, L) values at a base-block point; inputs may be duals."""
-        Gv, Gq, Gp = partials_at(self.base.G, q1, p1, (0,))
-        Lv, Lq, Lp = partials_at(self.base.L, q1, p1, (0,))
+        Gv, Gq, Gp = partials_at(self.base.G, q1, p1)
+        Lv, Lq, Lp = partials_at(self.base.L, q1, p1)
         xg = Gq[0] * Lp[0] - Gp[0] * Lq[0]
         return Gv, xg, Lv
 
@@ -143,7 +137,7 @@ class Extension:
         """
         Q, P = [psi], [p_psi]
         for k in range(order):
-            _, dq, dp = partials_at(self.base.L, (Jet(Q),), (Jet(P),), (0,))
+            _, dq, dp = partials_at(self.base.L, (Jet(Q),), (Jet(P),))
             Q.append(coefficient(dp[0], k) / (k + 1))
             P.append(-coefficient(dq[0], k) / (k + 1))
         return Jet(Q), Jet(P)

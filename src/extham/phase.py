@@ -5,9 +5,11 @@ entries are floats or :class:`~extham.duals.Dual` numbers, so every function
 built from them supports exact first derivatives in any single phase
 direction, at any nesting depth. An entry may also be a
 :class:`~extham.duals.Batch` holding that coordinate at many points
-(:func:`batch_blocks`), so one evaluation covers all of them. Functions
-are immutable after construction and all operations are pure; concurrent
-evaluation at distinct points needs no synchronization.
+(:func:`batch_blocks`), so one evaluation covers all of them.
+:func:`partials_at` seeds one direction per evaluation only where every
+coordinate is a plain float; on any other leaf one evaluation gives every
+partial. Functions are immutable after construction and all operations are
+pure; concurrent evaluation at distinct points needs no synchronization.
 """
 
 import math
@@ -91,85 +93,69 @@ def lift_last(f, dof):
     return PhaseFunction(lambda q, p: rule(q[-k:], p[-k:]), dof)
 
 
-def _seeded(block, i, tag):
-    return block[:i] + (duals.seed(block[i], tag),) + block[i + 1 :]
+def partials_at(f, q, p):
+    """(value, [df/dq_i], [df/dp_i]) of f at (q, p), over every slot i of its phase space.
 
-
-def partials_at(f, q, p, slots):
-    """df/dq_i and df/dp_i for each slot i, plus the plain value of f.
-
-    On Batch leaves (the outermost level of a sweep; the first coordinate
-    decides) one evaluation gives every partial: each slot is seeded under
-    one tag with its own direction of a Tangent, and each partial equals the
-    seeded one bit for bit. On any other leaves (floats, Jets, the Duals of
-    an enclosing evaluation) each directional derivative costs one
-    instrumented evaluation, and the value is the primal of the first.
-    Floats stay seeded because there the tangent bookkeeping costs more than
-    the primal work it saves: a float-point closed-form K of the benchmark's
-    oracle base, K(1,1) to K(5,3), takes 18-20 us seeded against 35-38 us
-    through a Tangent (timeit minima, 2-core AMD EPYC, Python 3.11). Where
-    the same f is differentiated at many float points, compile_partials turns
-    the one evaluation into a plain-float program instead.
+    One rule decides how. On plain float coordinates each directional
+    derivative costs one seeded evaluation, and the value is the primal of
+    the first: there the tangent bookkeeping costs more than the primal work
+    it saves (a float-point closed-form K of the benchmark's oracle base,
+    K(1,1) to K(5,3), takes 18-20 us seeded against 35-38 us through a
+    Tangent; timeit minima, 2-core AMD EPYC, Python 3.11). On every other
+    leaf (Batch, Trace, Jet, or the Duals of an enclosing evaluation) one
+    evaluation gives every partial: q_i is seeded as direction i and p_i as
+    direction dof + i of a Tangent under one tag, each partial equals the
+    seeded one bit for bit, and an absent direction is 0.0. Where the same f
+    is differentiated at many float points, compile_partials turns that one
+    evaluation into a plain-float program instead.
     """
-    if isinstance(q[0], np.ndarray):
-        return _partials_in_one_evaluation(f, q, p, slots)
-    dq = []
-    dp = []
-    value = None
-    for i in slots:
-        tag = new_tag()
-        y = f.rule(_seeded(q, i, tag), p)
-        if value is None:
-            value = value_part(y, tag)
-        dq.append(tangent_part(y, tag))
-        tag = new_tag()
-        y = f.rule(q, _seeded(p, i, tag))
-        dp.append(tangent_part(y, tag))
-    if value is None:
-        value = f.rule(q, p)
-    return value, dq, dp
-
-
-def _partials_in_one_evaluation(f, q, p, slots):
-    """partials_at with every slot seeded at once: q_i is direction k and p_i is
-    direction len(slots) + k for the k-th slot i; an absent direction is 0.0."""
-    slots = tuple(slots)
-    n = len(slots)
+    d = len(q)
+    # the first test alone settles every leaf but a float, at no cost to Jets
+    if type(q[0]) is float and all(type(v) is float for v in q + p):
+        dq = []
+        dp = []
+        for i in range(d):
+            tag = new_tag()
+            y = f.rule(q[:i] + (Dual(q[i], 1.0, tag),) + q[i + 1 :], p)
+            if not i:
+                value = value_part(y, tag)
+            dq.append(tangent_part(y, tag))
+            tag = new_tag()
+            y = f.rule(q, p[:i] + (Dual(p[i], 1.0, tag),) + p[i + 1 :])
+            dp.append(tangent_part(y, tag))
+        return value, dq, dp
     tag = new_tag()
-    q, p = list(q), list(p)
-    for k, i in enumerate(slots):
-        q[i] = Dual(q[i], Tangent({k: 1.0}), tag)
-        p[i] = Dual(p[i], Tangent({n + k: 1.0}), tag)
-    y = f.rule(tuple(q), tuple(p))
-    dot = tangent_part(y, tag)
-    d = dot.d if isinstance(dot, Tangent) else {}
-    parts = [d.get(j, 0.0) for j in range(2 * n)]
-    return value_part(y, tag), parts[:n], parts[n:]
+    y = f.rule(tuple([Dual(v, Tangent({i: 1.0}), tag) for i, v in enumerate(q)]),
+               tuple([Dual(v, Tangent({d + i: 1.0}), tag) for i, v in enumerate(p)]))
+    if not (isinstance(y, Dual) and y.tag == tag):
+        return y, [0.0] * d, [0.0] * d
+    parts = [y.dot.d.get(j, 0.0) for j in range(2 * d)]
+    return y.val, parts[:d], parts[d:]
 
 
-def compile_partials(f, q, p, slots):
-    """partials_at(f, ., ., slots) on float points as one straight-line program.
+def compile_partials(f, q, p):
+    """partials_at(f, ., .) on float points as one straight-line program.
 
-    The Tangent evaluation (every slot seeded at once) runs at the float point
-    (q, p) on Trace leaves, so the tape writes its float operations as the
-    program's source, and the program returns (value, dq, dp) bit for bit as
-    partials_at does. The program takes the coordinates as separate arguments.
-    Where a comparison the evaluation branched on comes out the other way, it
-    returns partials_at's answer, which takes the other branch or raises.
-    Where one of its operations raises, so does the same operation in
-    partials_at; where two raise at one point, the two may raise different
-    ones, since partials_at runs the slots one after another. Where the
-    evaluation cannot be traced at (q, p), the callable returned is
-    partials_at itself.
+    partials_at runs at the float point (q, p) on Trace leaves, where it
+    takes its one evaluation with every slot seeded at once, so the tape
+    writes its float operations as the program's source, and the program
+    returns (value, dq, dp) bit for bit as partials_at does. The program
+    takes the coordinates as separate arguments. Where a comparison the
+    evaluation branched on comes out the other way, it returns partials_at's
+    answer, which takes the other branch or raises. Where one of its
+    operations raises, so does the same operation in partials_at; where two
+    raise at one point, the two may raise different ones, since on floats
+    partials_at runs the slots one after another. Where the evaluation
+    cannot be traced at (q, p), the callable returned is partials_at itself.
     """
     d = len(q)
 
     def fallback(*z):
-        return partials_at(f, z[:d], z[d:], slots)
+        return partials_at(f, z[:d], z[d:])
 
     tape = Tape()
     try:
-        value, dq, dp = _partials_in_one_evaluation(f, tape.inputs(q), tape.inputs(p), slots)
+        value, dq, dp = partials_at(f, tape.inputs(q), tape.inputs(p))
     except Exception:  # any failure, untraceable or not, leaves partials_at in charge
         return fallback
     if not all(isinstance(x, (Trace, float, int)) for x in (value, *dq, *dp)):
@@ -185,9 +171,8 @@ def poisson_bracket(f, g, x):
     """{f, g} = sum_i df/dq_i dg/dp_i - df/dp_i dg/dq_i at the point x."""
     if f.dof != g.dof:
         raise ValueError("bracket of functions on different phase spaces")
-    slots = range(f.dof)
-    _, fq, fp = partials_at(f, x.q, x.p, slots)
-    _, gq, gp = partials_at(g, x.q, x.p, slots)
+    _, fq, fp = partials_at(f, x.q, x.p)
+    _, gq, gp = partials_at(g, x.q, x.p)
     return bracket_of_gradients(fq + fp, gq + gp)
 
 
@@ -210,8 +195,8 @@ def hamiltonian_vector_field(L, f):
         raise ValueError("X_L requires L and f on the same phase space")
 
     def rule(q, p):
-        _, fq, fp = partials_at(f, q, p, range(f.dof))
-        _, Lq, Lp = partials_at(L, q, p, range(f.dof))
+        _, fq, fp = partials_at(f, q, p)
+        _, Lq, Lp = partials_at(L, q, p)
         return bracket_of_gradients(fq + fp, Lq + Lp)
 
     return PhaseFunction(rule, f.dof)
@@ -219,23 +204,5 @@ def hamiltonian_vector_field(L, f):
 
 def gradient(f, x):
     """All first partials (d/dq..., d/dp...) as a numpy vector."""
-    _, dq, dp = partials_at(f, x.q, x.p, range(f.dof))
+    _, dq, dp = partials_at(f, x.q, x.p)
     return np.array([primal(v) for v in dq] + [primal(v) for v in dp])
-
-
-def fd_gradient(f, x, h=1e-5):
-    """Central-difference gradient; the independent cross-check oracle."""
-    z = x.as_array()
-    out = np.empty_like(z)
-    for i in range(len(z)):
-        zp = z.copy()
-        zm = z.copy()
-        zp[i] += h
-        zm[i] -= h
-        out[i] = (f(PhasePoint.from_array(zp)) - f(PhasePoint.from_array(zm))) / (2 * h)
-    return out
-
-
-def fd_poisson_bracket(f, g, x, h=1e-5):
-    """Brute-force bracket from central differences only."""
-    return float(bracket_of_gradients(fd_gradient(f, x, h), fd_gradient(g, x, h)))

@@ -1,10 +1,12 @@
 """References that the package itself no longer uses.
 
-Nested-dual derivatives, a leaf-by-leaf view of values, the closed-form
-X_L(G_n) and the gamma ODE residual, and the earlier bodies of gamma,
-gamma_prime, the recursive K and Kbar rules and the closed-form sums with
-their magnitude mode: one branch table, one recursive evaluator and one
-closed-form evaluator must reproduce them bit for bit.
+Nested-dual derivatives, central-difference gradients and brackets, the
+seed-equation residual, a leaf-by-leaf view of values, the closed-form
+X_L(G_n) and the gamma ODE residual, and the earlier bodies of partials_at
+on every leaf, gamma, gamma_prime, the recursive K and Kbar rules and the
+closed-form sums with their magnitude mode: one partials rule, one branch
+table, one recursive evaluator and one closed-form evaluator must reproduce
+them bit for bit.
 """
 
 import math
@@ -13,7 +15,8 @@ import numpy as np
 
 from extham import duals as dm
 from extham import tagged_trig
-from extham.phase import PhaseFunction
+from extham.extension import seed_equation_terms
+from extham.phase import PhaseFunction, PhasePoint, bracket_of_gradients
 from extham.tagged_trig import GammaPoleError, gamma_and_prime, tagged_C, tagged_S
 
 
@@ -22,6 +25,47 @@ def nth_derivative(f, x, order):
     if order == 0:
         return f(x)
     return dm.derivative(lambda t: nth_derivative(f, t, order - 1), x)
+
+
+def seeded_partials(f, q, p):
+    """(f, [df/dq_i], [df/dp_i]) by one seeded evaluation per direction, on any leaves;
+    the value is the primal of the first."""
+    dq = []
+    dp = []
+    for i in range(len(q)):
+        tag = dm.new_tag()
+        y = f.rule(q[:i] + (dm.Dual(q[i], 1.0, tag),) + q[i + 1 :], p)
+        if not i:
+            value = dm.value_part(y, tag)
+        dq.append(dm.tangent_part(y, tag))
+        tag = dm.new_tag()
+        y = f.rule(q, p[:i] + (dm.Dual(p[i], 1.0, tag),) + p[i + 1 :])
+        dp.append(dm.tangent_part(y, tag))
+    return value, dq, dp
+
+
+def fd_gradient(f, x, h=1e-5):
+    """Central-difference gradient; the independent cross-check oracle."""
+    z = x.as_array()
+    out = np.empty_like(z)
+    for i in range(len(z)):
+        zp = z.copy()
+        zm = z.copy()
+        zp[i] += h
+        zm[i] -= h
+        out[i] = (f(PhasePoint.from_array(zp)) - f(PhasePoint.from_array(zm))) / (2 * h)
+    return out
+
+
+def fd_poisson_bracket(f, g, x, h=1e-5):
+    """Brute-force bracket from central differences only."""
+    return float(bracket_of_gradients(fd_gradient(f, x, h), fd_gradient(g, x, h)))
+
+
+def seed_equation_residual(base, c, c0, x):
+    """X_L^2(G)(x) + 2(cL(x)+c0)G(x); zero certifies the extension seed."""
+    a, b = seed_equation_terms(base, c, c0, x)
+    return a + b
 
 
 def leaf_values(x):

@@ -8,12 +8,13 @@ from extham.extension import Extension, ExtensionSpec, bracket_scale
 from extham.phase import (
     PhaseFunction,
     PhasePoint,
-    fd_gradient,
     gradient,
     poisson_bracket,
 )
 from extham.sampling import sample_points
 from extham.tagged_trig import GammaProfile
+
+from references import fd_gradient
 
 ETA = 2.0
 ETA4 = ETA**4

@@ -387,12 +387,17 @@ def test_choices_are_the_table_keys(command, selector, table):
     assert list(_choices(command, selector)) == list(table)
 
 
-def test_report_digest_argvs_are_not_refused(monkeypatch):
-    # tools/report_digest.py and the bench pass every model flag to every model at its default
+def _report_digest_tool():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "report_digest.py")
     spec = importlib.util.spec_from_file_location("report_digest", path)
-    digest = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(digest)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_report_digest_argvs_are_not_refused(monkeypatch):
+    # tools/report_digest.py and the bench pass every model flag to every model at its default
+    digest = _report_digest_tool()
 
     class Built(Exception):
         pass
@@ -416,7 +421,14 @@ def test_report_digest_argvs_are_not_refused(monkeypatch):
             with pytest.raises(Built):
                 args.func(args)
             built += 1
-    assert (len(argvs), built, len(digest.REFUSED_AT_PARSE)) == (90, 77, 2)
+    assert (len(argvs), built, len(digest.REFUSED_AT_PARSE)) == (94, 81, 2)
+
+
+def test_report_digest_is_pinned():
+    # every report of tools/report_digest.py's 94 commands, byte for byte, as recorded
+    # when the last four commands were added
+    assert _report_digest_tool().digest() == (
+        "3eaa6ed4b2f96eba555db9e05fd870f97481f9f2055cdaf164281e125eb60e23")
 
 
 @pytest.mark.parametrize("builder,model", [
@@ -660,7 +672,7 @@ def _assert_same_gradients(fs, pts):
     """Batched gradients equal the per-point ones entry for entry, not only in the maxima."""
     q, p = batch_blocks(np.array([x.q + x.p for x in pts]))
     for f in fs:
-        _, dq, dp = partials_at(f, q, p, range(f.dof))
+        _, dq, dp = partials_at(f, q, p)
         got = np.array([np.broadcast_to(primal(v), len(pts)) for v in dq + dp]).T
         assert got.tolist() == [gradient(f, x).tolist() for x in pts]
 

@@ -12,6 +12,7 @@ from extham.dynamics import (
     DOMAIN_EXIT,
     LEFT_DOMAIN,
     NO_CONVERGENCE,
+    Trajectory,
     drift_report,
     integrate,
 )
@@ -127,6 +128,19 @@ def test_drift_report_controls(wedge_system):
     assert rep["const"] == 0.0
     assert rep["psi"] > 0.01  # non-integral drifts O(1), reported without error
     assert rep["H"] < 1e-4
+
+
+def test_drift_report_refuses_a_non_finite_value():
+    # (q1 1e307) 10 overflows only at q1 = 2, so the values are [1.0, nan, 1.5];
+    # max() would skip the NaN and report 0.25
+    traj = Trajectory(times=np.arange(3.0), states=np.array([[1.0, 0.0], [2.0, 0.0], [1.5, 0.0]]),
+                      h=1.0)
+    f = PhaseFunction(lambda q, p: (q[0] * 1e307) * 10.0 - (q[0] * 1e307) * 10.0 + q[0], 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = [f(PhasePoint.from_array(z)) for z in traj.states.tolist()]
+        assert repr(values) == "[1.0, nan, 1.5]"
+        with pytest.raises(ValueError, match=r"non-finite f at state 1: \[2\.0, 0\.0\]"):
+            drift_report(traj, {"f": f})
 
 
 def test_drift_report_equals_per_state_evaluation(wedge_system):
@@ -288,9 +302,9 @@ def test_fallback_inside_a_solve_equals_the_vector_loop(monkeypatch, flow, x0, h
     seeded = phase.partials_at
     calls = []
     monkeypatch.setattr(phase, "partials_at",
-                        lambda f, q, p, s: calls.append(q + p) or seeded(f, q, p, s))
+                        lambda f, q, p: calls.append(q + p) or seeded(f, q, p))
     traj = integrate(H, x0, h, steps, u_min=u_min)
-    assert calls == [midpoint]
+    assert calls[1:] == [midpoint]  # calls[0] is compile_partials tracing at x0
     assert (traj.status, traj.exit_step) == (LEFT_DOMAIN, exit_step)
     monkeypatch.setattr(phase, "partials_at", seeded)
     assert_matches_vector_loop(H, x0, h, steps, u_min=u_min)
@@ -355,9 +369,9 @@ def test_compiled_partials_keep_every_trajectory(monkeypatch, label, flow, x0, h
     compiled = integrate(H, x0, h, steps, u_min=u_min)
     assert compiled.status == status
     if status == COMPLETED:
-        assert not seeded_calls  # the program served every iteration
+        assert len(seeded_calls) == 1  # the trace at x0; the program served every iteration
     monkeypatch.setattr(dynamics, "compile_partials",
-                        lambda H, q, p, slots: lambda *z: phase.partials_at(H, z[:2], z[2:], slots))
+                        lambda H, q, p: lambda *z: phase.partials_at(H, z[:2], z[2:]))
     plain = integrate(H, x0, h, steps, u_min=u_min)
     assert seeded_calls
     assert compiled.states.tolist() == plain.states.tolist()

@@ -13,8 +13,6 @@ from extham.phase import (
     PhasePoint,
     batch_blocks,
     compile_partials,
-    fd_gradient,
-    fd_poisson_bracket,
     gradient,
     hamiltonian_vector_field,
     lift_last,
@@ -26,6 +24,8 @@ from extham.tagged_trig import GammaPoleError
 from fractions import Fraction
 
 import numpy as np
+
+from references import fd_gradient, fd_poisson_bracket, leaf_values, seeded_partials
 
 
 def test_phase_point_validation():
@@ -175,7 +175,8 @@ def test_rule_calls_per_partials_at():
     # float leaves stay seeded, one evaluation per direction: on a scalar the
     # tangent bookkeeping costs more than the primal work it saves (a float-point
     # closed-form K and its magnitude went from 11-13 to 21-23 us through one
-    # evaluation); Batch leaves take one evaluation for every direction and point
+    # evaluation); every other leaf takes one evaluation for every direction
+    # (and, on Batch leaves, every point)
     calls = []
 
     def rule(q, p):
@@ -184,14 +185,67 @@ def test_rule_calls_per_partials_at():
 
     f = PhaseFunction(rule, 2)
     z = np.array([[0.5, 0.7, 1.5, -0.2], [1.1, 0.3, -0.4, 0.9], [0.8, 1.9, 0.2, 0.6]])
-    per_point = [partials_at(f, tuple(row[:2]), tuple(row[2:]), range(2)) for row in z.tolist()]
+    per_point = [partials_at(f, tuple(row[:2]), tuple(row[2:])) for row in z.tolist()]
     assert len(calls) == 4 * len(z)
     calls.clear()
-    value, dq, dp = partials_at(f, *batch_blocks(z), range(2))
+    value, dq, dp = partials_at(f, *batch_blocks(z))
     assert len(calls) == 1
     assert value.tolist() == [v for v, _, _ in per_point]
     assert [d.tolist() for d in dq + dp] == [[fq[s] for _, fq, _ in per_point] for s in range(2)] + [
         [fp[s] for _, _, fp in per_point] for s in range(2)]
+    outer = dm.new_tag()
+    for q, p in [((dm.Jet([0.5, 1.0]), dm.Jet([0.7, 0.0])), (dm.Jet([1.5, 0.0]), dm.Jet([-0.2, 1.0]))),
+                 ((dm.Dual(0.5, 1.0, outer), 0.7), (1.5, -0.2)),  # one enclosing Dual is enough
+                 ((0.5, 0.7), (1.5, dm.Dual(-0.2, 1.0, outer))),
+                 (dm.Tape().inputs((0.5, 0.7)), (1.5, -0.2))]:
+        calls.clear()
+        partials_at(f, q, p)
+        assert len(calls) == 1
+    g = PhaseFunction(lambda q, p: calls.append(1) or q[0] * p[0], 1)
+    calls.clear()
+    partials_at(g, (0.5,), (1.5,))
+    assert len(calls) == 2
+
+
+def _catalog_functions():
+    """(label, f, q windows) for each catalog model's H and integrals and each base's L and G."""
+    flags = {"k": "1", "alpha": 1.0, "beta": 2.0, "eta": 2.0, "psi0": 0.2, "m": 2, "n": 1,
+             "d": 2.0, "no_integral": False}
+    out = []
+    for name, build in catalog.BASES.items():
+        base = build(**{a: flags[a] for a in inspect.signature(build).parameters})
+        out += [(f"base {name} {fname}", f, (base.psi_window,))
+                for fname, f in (("L", base.L), ("G", base.G))]
+    for name, build in catalog.MODELS.items():
+        params = inspect.signature(build).parameters
+        for omega in ((0.0, 0.3) if "omega" in params else (None,)):
+            model = build(**{a: (omega if a == "omega" else flags[a]) for a in params})
+            windows = model.q_windows or ((0.3, 2.0),) * model.H.dof
+            out += [(f"model {name} Omega={omega} {fname}", f, windows)
+                    for fname, f in [("H", model.H)] + list(model.known_integrals)]
+    return out
+
+
+CATALOG_FUNCTIONS = _catalog_functions()
+
+
+@pytest.mark.parametrize("label,f,windows", CATALOG_FUNCTIONS, ids=[c[0] for c in CATALOG_FUNCTIONS])
+def test_partials_at_equals_the_seeded_loop_on_every_leaf(label, f, windows):
+    # one evaluation over every direction gives each seeded partial bit for bit,
+    # on Batch leaves, on the Duals of an enclosing evaluation and on Jets (there
+    # only because a Dual keeps a product's operands in the order written)
+    d = f.dof
+    pts = sample_points(3, 24, d, q_ranges=windows)
+    z = np.array([x.q + x.p for x in pts])
+    blocks = [batch_blocks(z)]
+    outer = dm.new_tag()
+    for x in pts:
+        v = x.q + x.p
+        dual = [dm.Dual(c, 0.7 - 0.3 * i, outer) for i, c in enumerate(v)]
+        jet = [dm.Jet([c, 0.5 - 0.2 * i, 0.0]) for i, c in enumerate(v)]
+        blocks += [(tuple(dual[:d]), tuple(dual[d:])), (tuple(jet[:d]), tuple(jet[d:]))]
+    for q, p in blocks:
+        assert leaf_values(partials_at(f, q, p)) == leaf_values(seeded_partials(f, q, p))
 
 
 def test_ignored_slot_gets_positive_zero_on_batch_leaves():
@@ -200,15 +254,15 @@ def test_ignored_slot_gets_positive_zero_on_batch_leaves():
     for f in (PhaseFunction(lambda q, p: -(q[0] * p[0]), 2),
               PhaseFunction(lambda q, p: -q[0] - 2.0 * p[0], 2),
               PhaseFunction(lambda q, p: 0.0 * (q[0] - p[0]), 2)):
-        _, dq, dp = partials_at(f, *batch_blocks(z), range(2))
+        _, dq, dp = partials_at(f, *batch_blocks(z))
         for d in (dq[1], dp[1]):
             assert d == 0.0 and math.copysign(1.0, d) == 1.0
         # the seeded float evaluations agree
         for row in z.tolist():
-            _, fq, fp = partials_at(f, tuple(row[:2]), tuple(row[2:]), range(2))
+            _, fq, fp = partials_at(f, tuple(row[:2]), tuple(row[2:]))
             assert math.copysign(1.0, fq[1]) == math.copysign(1.0, fp[1]) == 1.0
     const = PhaseFunction(lambda q, p: 2.5, 2)
-    assert partials_at(const, *batch_blocks(z), range(2)) == (2.5, [0.0, 0.0], [0.0, 0.0])
+    assert partials_at(const, *batch_blocks(z)) == (2.5, [0.0, 0.0], [0.0, 0.0])
 
 
 # -- compiled float partials ----------------------------------------------------
@@ -250,7 +304,8 @@ COMPILED_CASES = _flow_hamiltonians() + _model_hamiltonians()
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """The calls compiled programs make to partials_at, one list entry each."""
+    """The calls made to phase.partials_at, one list entry each: a compiled program's
+    fallbacks, and compile_partials' own trace when it compiles one."""
     calls = []
     monkeypatch.setattr(phase, "partials_at", lambda *a: calls.append(a) or partials_at(*a))
     return calls
@@ -268,13 +323,13 @@ def test_compiled_partials_equal_partials_at_hypothesis(fallbacks, label, H, box
     @hyp.settings(max_examples=20, deadline=None)
     @hyp.given(st.tuples(*[st.floats(lo, hi) for lo, hi in box]), st.integers(0, 2**32))
     def compiled_equals_seeded(z0, seed):
-        program = compile_partials(H, z0[:2], z0[2:], range(2))
+        program = compile_partials(H, z0[:2], z0[2:])
         rng = random.Random(seed)
         for z in [z0] + [tuple(rng.uniform(lo, hi) for lo, hi in box) for _ in range(100)]:
             fallbacks.clear()
             got = repr(program(*z))
             assert not fallbacks
-            assert got == repr(partials_at(H, z[:2], z[2:], range(2)))
+            assert got == repr(partials_at(H, z[:2], z[2:]))
 
     compiled_equals_seeded()
 
@@ -282,28 +337,28 @@ def test_compiled_partials_equal_partials_at_hypothesis(fallbacks, label, H, box
 def test_compiled_partials_leave_the_gamma_pole_to_partials_at(fallbacks):
     H, _, _ = catalog.FLOWS["minkowski"]("1", 1.0, 2.0, 0.0, False, "pseudo-polar", 0.05)
     pole, regular = ((1e-160, 0.1), (3.2, 0.5)), ((1.0, 0.1), (3.2, 0.5))
-    for program in (compile_partials(H, *pole, range(2)), compile_partials(H, *regular, range(2))):
+    for program in (compile_partials(H, *pole), compile_partials(H, *regular)):
         fallbacks.clear()
         with pytest.raises(GammaPoleError, match="singular at u=1e-160"):
             program(*pole[0], *pole[1])
         assert len(fallbacks) == 1
-        assert repr(program(*regular[0], *regular[1])) == repr(partials_at(H, *regular, range(2)))
+        assert repr(program(*regular[0], *regular[1])) == repr(partials_at(H, *regular))
     with pytest.raises(GammaPoleError, match="singular at u=1e-160"):
-        partials_at(H, *pole, range(2))
+        partials_at(H, *pole)
 
 
 def test_compiled_partials_leave_the_wedge_to_partials_at(fallbacks):
     H, _, _ = catalog.FLOWS["minkowski"]("1", 1.0, 2.0, 0.3, False, "null", 0.05)
     outside, inside = ((0.7, -0.2), (2.97, 1.56)), ((0.7, 0.7), (2.97, 1.56))
     wedge = "Minkowski family is defined on the wedge q1, q2 > 0"
-    for program in (compile_partials(H, *outside, range(2)), compile_partials(H, *inside, range(2))):
+    for program in (compile_partials(H, *outside), compile_partials(H, *inside)):
         fallbacks.clear()
         with pytest.raises(ValueError, match=wedge):
             program(*outside[0], *outside[1])
         assert len(fallbacks) == 1
-        assert repr(program(*inside[0], *inside[1])) == repr(partials_at(H, *inside, range(2)))
+        assert repr(program(*inside[0], *inside[1])) == repr(partials_at(H, *inside))
     with pytest.raises(ValueError, match=wedge):
-        partials_at(H, *outside, range(2))
+        partials_at(H, *outside)
 
 
 OUTER = dm.Dual(2.0, 1.0, dm.new_tag())
@@ -319,10 +374,10 @@ def test_untraceable_rules_are_left_to_partials_at(fallbacks, rule):
     # checked away from the trace point too, where a constant baked in at it
     # would give another answer
     f = PhaseFunction(rule, 2)
-    program = compile_partials(f, (0.5, 0.7), (1.5, -0.2), range(2))
+    program = compile_partials(f, (0.5, 0.7), (1.5, -0.2))
     for z in ((0.5, 0.7, 1.5, -0.2), (0.9, 1.3, -0.4, 0.6)):
         fallbacks.clear()
-        assert repr(program(*z)) == repr(partials_at(f, z[:2], z[2:], range(2)))
+        assert repr(program(*z)) == repr(partials_at(f, z[:2], z[2:]))
         assert len(fallbacks) == 1
 
 
@@ -330,13 +385,13 @@ def test_equality_tests_compile_to_guards(fallbacks):
     # == on a traced value is a guard, never the identity test, which would
     # silently take the other branch
     f = PhaseFunction(lambda q, p: q[0] * p[0] if primal(q[1]) == 1.0 else q[0] - p[0], 2)
-    at_one = compile_partials(f, (0.5, 1.0), (1.5, -0.2), range(2))
-    elsewhere = compile_partials(f, (0.5, 2.0), (1.5, -0.2), range(2))
+    at_one = compile_partials(f, (0.5, 1.0), (1.5, -0.2))
+    elsewhere = compile_partials(f, (0.5, 2.0), (1.5, -0.2))
     for program, served, refused in ((at_one, (1.0,), (2.0, 0.7)), (elsewhere, (2.0, 0.7), (1.0,))):
         for q1 in served + refused:
             z = (0.8, q1, 1.3, 0.4)
             fallbacks.clear()
-            assert repr(program(*z)) == repr(partials_at(f, z[:2], z[2:], range(2)))
+            assert repr(program(*z)) == repr(partials_at(f, z[:2], z[2:]))
             assert len(fallbacks) == (q1 in refused)
 
 
@@ -344,12 +399,13 @@ def test_compiled_partials_raise_as_partials_at_does(fallbacks):
     # every operation is emitted, even one whose result nothing reads, so where
     # one raises, the program raises the exception partials_at raises, without calling it
     f = PhaseFunction(lambda q, p: (dm.log(q[0]), q[1] * p[1])[1], 2)
-    program = compile_partials(f, (0.5, 0.7), (1.5, -0.2), range(2))
-    assert repr(program(0.5, 0.7, 1.5, -0.2)) == repr(partials_at(f, (0.5, 0.7), (1.5, -0.2), range(2)))
+    program = compile_partials(f, (0.5, 0.7), (1.5, -0.2))
+    fallbacks.clear()  # compile_partials' own trace
+    assert repr(program(0.5, 0.7, 1.5, -0.2)) == repr(partials_at(f, (0.5, 0.7), (1.5, -0.2)))
     assert not fallbacks
     for u in (-0.5, 0.0):
         with pytest.raises(ValueError, match="math domain error"):
-            partials_at(f, (u, 0.7), (1.5, -0.2), range(2))
+            partials_at(f, (u, 0.7), (1.5, -0.2))
         fallbacks.clear()
         with pytest.raises(ValueError, match="math domain error"):
             program(u, 0.7, 1.5, -0.2)
@@ -363,7 +419,7 @@ def test_compiled_partials_source(monkeypatch):
     monkeypatch.setattr(dm, "compile", lambda source, *a: sources.append(source) or compile(source, *a),
                         raising=False)
     f = PhaseFunction(lambda q, p: dm.sin(q[0]) * p[1] * -2.0 if primal(q[1]) > 0.0 else p[0], 2)
-    program = compile_partials(f, (0.5, 0.7), (1.5, -0.2), range(2))
+    program = compile_partials(f, (0.5, 0.7), (1.5, -0.2))
     assert sources == ["""def partials(t0, t1, t2, t3):
     if not (t1 > 0.0): return fallback(t0, t1, t2, t3)
     t4 = c0(t0)

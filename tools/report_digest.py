@@ -1,6 +1,6 @@
 """One SHA-256 over the reports of a fixed list of extham commands.
 
-Runs 90 command lines in one process and hashes, in order, each argv, its
+Runs 94 command lines in one process and hashes, in order, each argv, its
 exit code, its stdout and the CSV it wrote (if any). Two trees whose reports
 are byte for byte the same print the same digest:
 
@@ -15,8 +15,11 @@ four pseudo-polar orbits and one on the free base; one null-chart orbit that
 leaves the wedge; three orbits that end otherwise: criterion 08's, which stops
 converging, one that crosses --u-min, and a time-reversed one that stops
 converging; two starts outside H's domain, at the gamma pole and off the
-wedge, which are refused; and two command lines refused at parse time, a
-zero step and a negative seed. Uses only the standard library and extham.
+wedge, which are refused; two command lines refused at parse time, a
+zero step and a negative seed; and, last, an orbit of the free flow, verify
+and integrate at a --k that takes --no-integral, and verify at a --k whose
+integral passes the degree cap (exit 2). Uses only the standard library and
+extham.
 """
 
 import argparse
@@ -65,6 +68,17 @@ REFUSED_AT_PARSE = [
     ["verify", "--model", "minkowski", "--seed", "-1"],
 ]
 
+# commands that reach code the lists above do not: the free flow, the float --k of
+# --no-integral in verify and in integrate, and the degree cap (K(30,1) at k = 14)
+OTHER_PATHS = [
+    (["integrate", "--model", "free", "--x0", "1", "0", "3.2", "0.5", "--steps", "200"],
+     "trajectory.csv"),
+    (["verify", "--model", "minkowski", "--k", "0.5", "--no-integral", "--seed", "1"], None),
+    (["integrate", "--chart", "null", "--k", "0.5", "--no-integral",
+      "--x0", "1", "0.5", "0.2", "0.5", "--steps", "200"], "trajectory.csv"),
+    (["verify", "--model", "minkowski", "--k", "14"], None),
+]
+
 
 def verify_argv(model, k, omega, seed):
     return ["verify", "--model", model, "--k", k, "--omega", repr(omega),
@@ -105,17 +119,11 @@ def argvs():
         name = f"stop{i}.csv"
         out.append((["integrate"] + flags + ["--csv", name], name))
     out += [(argv, None) for argv in REFUSED_AT_PARSE]
-    return out
+    return out + OTHER_PATHS
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    here = os.path.dirname(os.path.abspath(__file__))
-    ap.add_argument("--src", default=os.path.join(here, os.pardir, "src"),
-                    help="directory holding the extham package (default: this checkout's src)")
-    ap.add_argument("-v", "--verbose", action="store_true", help="also print each command's digest")
-    args = ap.parse_args()
-    sys.path.insert(0, os.path.abspath(args.src))
+def digest(verbose=False):
+    """The hex digest over every command, run with the extham that imports first."""
     from extham import cli
 
     total = hashlib.sha256()
@@ -134,11 +142,22 @@ def main():
                     with open(csv_name, "rb") as fh:
                         one.update(fh.read())
                 total.update(one.digest())
-                if args.verbose:
+                if verbose:
                     print(f"{one.hexdigest()[:16]} exit {code} {' '.join(argv)}")
         finally:
             os.chdir(cwd)
-    print(total.hexdigest())
+    return total.hexdigest()
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    here = os.path.dirname(os.path.abspath(__file__))
+    ap.add_argument("--src", default=os.path.join(here, os.pardir, "src"),
+                    help="directory holding the extham package (default: this checkout's src)")
+    ap.add_argument("-v", "--verbose", action="store_true", help="also print each command's digest")
+    args = ap.parse_args()
+    sys.path.insert(0, os.path.abspath(args.src))
+    print(digest(args.verbose))
 
 
 if __name__ == "__main__":
