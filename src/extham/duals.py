@@ -15,7 +15,11 @@ so the Dual wraps the Jet and the outermost layer always carries the newest
 tag. Jets must therefore only meet Duals seeded after their coefficients
 were built. A Jet has one power rule, for ``**`` and :func:`pow_` alike: an
 integer power multiplies the series by itself, so a zero constant term is
-allowed, and any other power runs a recurrence that divides by it.
+allowed, and any other power runs a recurrence that divides by it. A
+constant base to a Jet power takes its constant term from the base's own
+``**``, as a Dual does, and the rest from exp's recurrence. Each operation
+computes its coefficients by one rule (the ``_*_terms`` functions), which
+extends them one order at a time.
 
 A :class:`Batch` is the third leaf: a float64 array holding one coordinate
 at many sample points, so one evaluation differentiates all of them. numpy
@@ -31,7 +35,12 @@ every operation on it, and every comparison with its outcome, as a line of
 Python source, so one evaluation on Traces gives the straight-line float
 program of that evaluation (``phase.compile_partials``), which
 :func:`define` compiles. Anything that would branch on a traced value
-without a comparison (bool, float, int, hash) raises.
+without a comparison (bool, float, int, hash) raises. The tape also writes
+the same operations in series form (:meth:`Tape.series`): each value is the
+list of its Taylor coefficients, and each operation appends coefficient k by
+the Jet's own rule for it, so a program looping over k
+(``extension.compile_flow_series``) computes each coefficient once, bit for
+bit as the evaluation on Jets, which recomputes every lower one at each order.
 
 One seam, :func:`_lift`, decides how every unary math function is computed:
 Dual -> Jet -> Batch -> Trace -> ``math``, in that order, so one rule
@@ -153,9 +162,7 @@ class Dual:
     def __rpow__(self, base):
         # the value is the leaf's own base ** val, so it rounds as the float and
         # batched evaluations do, which exp(val log base) does not on a share of
-        # inputs; a Jet value keeps exp and log
-        if isinstance(self.val, Jet):
-            return exp(self * log(base))
+        # inputs; Jet.__rpow__ takes its constant term the same way
         lb = log(base)
         y = base**self.val
         return Dual(y, y * (self.dot * lb), self.tag)
@@ -285,29 +292,30 @@ class Jet:
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
-            return _jet_div(self.c, other.c)
+            q = []
+            _div_terms(self.c, other.c, q)
+            return Jet(q)
         if isinstance(other, Dual):
             return NotImplemented
         return Jet([a / other for a in self.c])
 
     def __rtruediv__(self, other):
-        return _jet_div([other] + [0.0] * (len(self.c) - 1), self.c)
+        return Jet([other] + [0.0] * (len(self.c) - 1)) / self
 
     def __pow__(self, r):
         if r != int(r):
-            return _jet_pow(self, r)
+            return _jet(_pow_terms, self, r)
         r = int(r)
         if r < 0:
             return 1.0 / self ** (-r)
-        out = Jet([1.0] + [0.0] * (len(self.c) - 1))
-        base = self
-        while r:
-            if r & 1:
-                out = out * base
-            r >>= 1
-            if r:
-                base = base * base
-        return out
+        return _power_chain(r, Jet([1.0] + [0.0] * (len(self.c) - 1)), self, operator.mul)
+
+    def __rpow__(self, base):
+        # coefficient 0 is base ** c0, rounded as Dual.__rpow__ takes its value; the
+        # rest follow exp's recurrence on log(base) * self, so log(base) runs first
+        e = []
+        _rpow_terms(base, self.c, (log(base) * self).c, e)
+        return Jet(e)
 
 
 def _cauchy(a, b, k):
@@ -318,15 +326,33 @@ def _cauchy(a, b, k):
     return total
 
 
-def _jet_div(a, b):
-    """Series a/b: q_k = (a_k - sum_{j>=1} b_j q_{k-j}) / b_0."""
-    q = []
-    for k in range(min(len(a), len(b))):
+def _power_chain(r, one, x, mul):
+    """x ** r for an integer r >= 0 by square and multiply from one, each product mul(a, b)."""
+    out = one
+    while r:
+        if r & 1:
+            out = mul(out, x)
+        r >>= 1
+        if r:
+            x = mul(x, x)
+    return out
+
+
+# -- one rule per coefficient ------------------------------------------------
+# Each _*_terms extends the coefficient list of one operation's result, out,
+# through the last coefficient its operands have, from their coefficients and
+# out's own lower ones. A Jet operation calls it once, on an empty out; the
+# series program (Tape.series) calls it once per order, when the operands
+# have one coefficient more. So both compute every coefficient by one rule.
+
+
+def _div_terms(a, b, q):
+    # q = a/b: q_k = (a_k - sum_{j=1..k} b_j q_{k-j}) / b_0
+    for k in range(len(q), min(len(a), len(b))):
         t = a[k]
         for j in range(1, k + 1):
             t = t - b[j] * q[k - j]
         q.append(t / b[0])
-    return Jet(q)
 
 
 def _ode_coefficient(a, k, g):
@@ -337,75 +363,89 @@ def _ode_coefficient(a, k, g):
     return total / k
 
 
-def _jet_exp(x):
-    a = x.c
-    e = [exp(a[0])]
-    for k in range(1, len(a)):
+def _exp_terms(a, e):
+    if not e:
+        e.append(exp(a[0]))
+    for k in range(len(e), len(a)):
         e.append(_ode_coefficient(a, k, e))
-    return Jet(e)
 
 
-def _jet_log(x):
+def _rpow_terms(base, x, a, e):
+    # e = base ** x, where a is the series log(base) x: e_0 = base ** x_0, then exp's rule
+    if not e:
+        e.append(base ** x[0])
+    for k in range(len(e), len(a)):
+        e.append(_ode_coefficient(a, k, e))
+
+
+def _log_terms(a, lg):
     # a l' = a', so l_k = (a_k - (1/k) sum_{j=1..k-1} j l_j a_{k-j}) / a_0
-    a = x.c
-    lg = [log(a[0])]
-    for k in range(1, len(a)):
+    if not lg:
+        lg.append(log(a[0]))
+    for k in range(len(lg), len(a)):
         t = a[k]
         for j in range(1, k):
             t = t - (j / k) * lg[j] * a[k - j]
         lg.append(t / a[0])
-    return Jet(lg)
 
 
-def _jet_sqrt(x):
+def _sqrt_terms(a, s):
     # s * s = a
-    a = x.c
-    s = [sqrt(a[0])]
-    for k in range(1, len(a)):
+    if not s:
+        s.append(sqrt(a[0]))
+    for k in range(len(s), len(a)):
         t = a[k]
         for j in range(1, k):
             t = t - s[j] * s[k - j]
         s.append(t / (s[0] + s[0]))
-    return Jet(s)
 
 
-def _jet_sin_cos(x, hyperbolic):
+def _sin_cos_terms(a, s, c, hyperbolic):
     # coupled: s' = c a', c' = -s a' (circular) or +s a' (hyperbolic)
-    a = x.c
-    if hyperbolic:
-        s, c = [sinh(a[0])], [cosh(a[0])]
-    else:
-        s, c = [sin(a[0])], [cos(a[0])]
-    for k in range(1, len(a)):
+    if not s:
+        s.append(sinh(a[0]) if hyperbolic else sin(a[0]))
+        c.append(cosh(a[0]) if hyperbolic else cos(a[0]))
+    for k in range(len(s), len(a)):
         sk = _ode_coefficient(a, k, c)
         ck = _ode_coefficient(a, k, s)
         s.append(sk)
         c.append(ck if hyperbolic else -ck)
-    return Jet(s), Jet(c)
 
 
-def _jet_tan(x, hyperbolic):
-    # t' = (1 + t^2) a' (tan) or (1 - t^2) a' (tanh)
-    a = x.c
+def _tan_terms(a, t, w, hyperbolic):
+    # t' = w a' with w = 1 + t^2 (tan) or 1 - t^2 (tanh)
     sign = -1.0 if hyperbolic else 1.0
-    t = [tanh(a[0]) if hyperbolic else tan(a[0])]
-    w = [1.0 + sign * t[0] * t[0]]
-    for k in range(1, len(a)):
+    if not t:
+        t.append(tanh(a[0]) if hyperbolic else tan(a[0]))
+        w.append(1.0 + sign * t[0] * t[0])
+    for k in range(len(t), len(a)):
         t.append(_ode_coefficient(a, k, w))
         w.append(sign * _cauchy(t, t, k))
-    return Jet(t)
 
 
-def _jet_pow(x, r):
+def _pow_terms(a, b, r):
     # a b' = r a' b, so b_k = (1/(k a_0)) sum_{j=1..k} (r j - (k - j)) a_j b_{k-j}
-    a = x.c
-    b = [pow_(a[0], r)]
-    for k in range(1, len(a)):
+    if not b:
+        b.append(pow_(a[0], r))
+    for k in range(len(b), len(a)):
         t = (r - (k - 1)) * a[1] * b[k - 1]
         for j in range(2, k + 1):
             t = t + (r * j - (k - j)) * a[j] * b[k - j]
         b.append(t / (k * a[0]))
-    return Jet(b)
+
+
+def _jet(terms, x, *params):
+    """The Jet of one operation on x, whose coefficients terms appends."""
+    out = []
+    terms(x.c, out, *params)
+    return Jet(out)
+
+
+def _jet_pair(terms, x, hyperbolic):
+    """(sin, cos) or (tan, its companion 1 +- tan^2) of x, whose coefficients terms appends."""
+    f, g = [], []
+    terms(x.c, f, g, hyperbolic)
+    return Jet(f), Jet(g)
 
 
 class Batch(np.ndarray):
@@ -452,12 +492,15 @@ class Tape:
     ``if not (<cmp>): return fallback(<params>)``, without the ``not`` where
     it came out False. Finite numbers are written as literals; functions and
     other constants are passed by reference as ``c0``, ``c1``, ... in
-    ``namespace``, which needs a ``fallback`` before the source runs.
+    ``namespace``, which needs a ``fallback`` before the source runs. ``ops``
+    holds each operation as (fn, args, result), the result a Trace or a
+    guard's outcome, for the second form the tape writes, :meth:`series`.
     """
 
     def __init__(self):
         self.params = []
         self.lines = []
+        self.ops = []
         self.namespace = {}
         self._index = itertools.count().__next__
 
@@ -475,10 +518,54 @@ class Tape:
         if guard:
             self.lines.append(f"if {'not ' if v else ''}({expr}): "
                               f"return fallback({', '.join(self.params)})")
+            self.ops.append((fn, args, v))
             return v
         out = Trace(self, self._index(), v)
         self.lines.append(f"t{out.i} = {expr}")
+        self.ops.append((fn, args, out))
         return out
+
+    def series(self):
+        """The recorded operations on Taylor series: (head, body), lines of source.
+
+        Each traced value t<i> stands for the list of its Taylor coefficients.
+        head starts the list of every value an operation made. The inputs'
+        lists come from outside and must hold coefficients 0..k when body
+        runs for k; body then appends coefficient k of every value, in tape
+        order, by the rule the Jet method of that operation runs. So body run
+        for k = 0, 1, 2, ... gives every coefficient of the evaluation on Jets
+        bit for bit, each once. A guard compares the primals of coefficients
+        0, as an evaluation on Jets compares them, and at k = 0, where it
+        comes out the other way, body returns None. An operation Jet has no
+        rule for raises TypeError.
+        """
+        self.namespace.update({f.__name__: f for f in _SERIES_HELPERS})
+        head, body = [], []
+        for fn, args, out in self.ops:
+            names = [self.atom(x) for x in args]
+            if not isinstance(out, Trace):
+                cmp = _INFIX[fn].format(*[f"primal({n}[0])" if isinstance(x, Trace) else n
+                                          for x, n in zip(args, names)])
+                body.append(f"if not k and {'not ' if out else ''}({cmp}): return None")
+                continue
+            o = f"t{out.i}"
+            kinds = "".join("s" if isinstance(x, Trace) else "c" for x in args)
+            if fn in (operator.pow, math.pow) and kinds == "sc":
+                _series_power(names[0], args[1], names[1], o, head, body)
+            elif fn is operator.pow and kinds == "cs":
+                head += [f"{o} = []", f"{o}_c = []"]  # the series log(base) * x
+                body += [f"{o}_c.append({names[1]}[k] * {self.atom(log(args[0]))})",
+                         f"_rpow_terms({names[0]}, {names[1]}, {o}_c, {o})"]
+            else:
+                line = _SERIES_RULES.get((fn, kinds))
+                if line is None:
+                    name = getattr(fn, "__name__", fn)
+                    raise TypeError(f"a Jet has no rule for {name} on {kinds}")
+                head.append(f"{o} = []")
+                if "{o}_c" in line:
+                    head.append(f"{o}_c = []")
+                body.append(line.format(o=o, a=names[0], b=names[-1]))
+        return head, body
 
     def atom(self, x):
         """x in the source: a Trace's name, a finite number's literal or a reference."""
@@ -492,6 +579,59 @@ class Tape:
         name = f"c{len(self.namespace)}"
         self.namespace[name] = x
         return name
+
+
+def _series_power(a, r, r_name, o, head, body):
+    """head and body lines of o = a ** r, the series a to the constant r, as Jet.__pow__ runs."""
+    if r != int(r):
+        head.append(f"{o} = []")
+        body.append(f"_pow_terms({a}, {o}, {r_name})")
+        return
+    r = int(r)
+    names = (f"{o}_{i}" for i in itertools.count())
+
+    def series(step):  # a new list, whose coefficient k step appends
+        name = next(names)
+        head.append(f"{name} = []")
+        body.append(step.format(name))
+        return name
+
+    unit = series("{}.append(1.0 if not k else 0.0)")
+    last = _power_chain(abs(r), unit, a, lambda x, y: series(f"{{}}.append(_cauchy({x}, {y}, k))"))
+    if r < 0:  # 1.0 / a ** -r
+        head.append(f"{o} = []")
+        body.append(f"_div_terms({unit}, {last}, {o})")
+    else:
+        head.append(f"{o} = {last}")
+
+
+# (fn, which operands are series (s) or constants (c)) -> the line appending
+# coefficient k of the result o, as the Jet method computes it; a reflected
+# operation was recorded with its operands in the order written
+_SERIES_RULES = {
+    (operator.add, "ss"): "{o}.append({a}[k] + {b}[k])",
+    (operator.add, "sc"): "{o}.append({a}[k] if k else {a}[0] + {b})",
+    (operator.add, "cs"): "{o}.append({b}[k] if k else {b}[0] + {a})",
+    (operator.sub, "ss"): "{o}.append({a}[k] - {b}[k])",
+    (operator.sub, "sc"): "{o}.append({a}[k] if k else {a}[0] - {b})",
+    (operator.sub, "cs"): "{o}.append(-{b}[k] if k else {a} - {b}[0])",
+    (operator.mul, "ss"): "{o}.append(_cauchy({a}, {b}, k))",
+    (operator.mul, "sc"): "{o}.append({a}[k] * {b})",
+    (operator.mul, "cs"): "{o}.append({b}[k] * {a})",
+    (operator.truediv, "ss"): "_div_terms({a}, {b}, {o})",
+    (operator.truediv, "sc"): "{o}.append({a}[k] / {b})",
+    (operator.truediv, "cs"): "{o}_c.append({a} if not k else 0.0); _div_terms({o}_c, {b}, {o})",
+    (operator.neg, "s"): "{o}.append(-{a}[k])",
+    (math.exp, "s"): "_exp_terms({a}, {o})",
+    (math.log, "s"): "_log_terms({a}, {o})",
+    (math.sqrt, "s"): "_sqrt_terms({a}, {o})",
+    (math.sin, "s"): "_sin_cos_terms({a}, {o}, {o}_c, False)",
+    (math.cos, "s"): "_sin_cos_terms({a}, {o}_c, {o}, False)",
+    (math.sinh, "s"): "_sin_cos_terms({a}, {o}, {o}_c, True)",
+    (math.cosh, "s"): "_sin_cos_terms({a}, {o}_c, {o}, True)",
+    (math.tan, "s"): "_tan_terms({a}, {o}, {o}_c, False)",
+    (math.tanh, "s"): "_tan_terms({a}, {o}, {o}_c, True)",
+}
 
 
 def define(name, params, lines, namespace, filename):
@@ -647,16 +787,21 @@ def _lift(fn, jet_rule, tangent):
     return lifted
 
 
-exp = _lift(math.exp, _jet_exp, lambda x, e, dx: e * dx)
-log = _lift(math.log, _jet_log, lambda x, y, dx: dx / x)
-sqrt = _lift(math.sqrt, _jet_sqrt, lambda x, s, dx: dx / (s + s))
-sin = _lift(math.sin, lambda x: _jet_sin_cos(x, False)[0], lambda x, y, dx: cos(x) * dx)
-cos = _lift(math.cos, lambda x: _jet_sin_cos(x, False)[1], lambda x, y, dx: -sin(x) * dx)
-tan = _lift(math.tan, lambda x: _jet_tan(x, False), lambda x, t, dx: (1.0 + t * t) * dx)
-sinh = _lift(math.sinh, lambda x: _jet_sin_cos(x, True)[0], lambda x, y, dx: cosh(x) * dx)
-cosh = _lift(math.cosh, lambda x: _jet_sin_cos(x, True)[1], lambda x, y, dx: sinh(x) * dx)
-tanh = _lift(math.tanh, lambda x: _jet_tan(x, True), lambda x, t, dx: (1.0 - t * t) * dx)
-
+exp = _lift(math.exp, lambda x: _jet(_exp_terms, x), lambda x, e, dx: e * dx)
+log = _lift(math.log, lambda x: _jet(_log_terms, x), lambda x, y, dx: dx / x)
+sqrt = _lift(math.sqrt, lambda x: _jet(_sqrt_terms, x), lambda x, s, dx: dx / (s + s))
+sin = _lift(math.sin, lambda x: _jet_pair(_sin_cos_terms, x, False)[0],
+            lambda x, y, dx: cos(x) * dx)
+cos = _lift(math.cos, lambda x: _jet_pair(_sin_cos_terms, x, False)[1],
+            lambda x, y, dx: -sin(x) * dx)
+tan = _lift(math.tan, lambda x: _jet_pair(_tan_terms, x, False)[0],
+            lambda x, t, dx: (1.0 + t * t) * dx)
+sinh = _lift(math.sinh, lambda x: _jet_pair(_sin_cos_terms, x, True)[0],
+             lambda x, y, dx: cosh(x) * dx)
+cosh = _lift(math.cosh, lambda x: _jet_pair(_sin_cos_terms, x, True)[1],
+             lambda x, y, dx: sinh(x) * dx)
+tanh = _lift(math.tanh, lambda x: _jet_pair(_tan_terms, x, True)[0],
+             lambda x, t, dx: (1.0 - t * t) * dx)
 
 def pow_(x, r):
     """x**r for real r; raises ValueError off the real domain (negative base)."""
@@ -667,3 +812,8 @@ def pow_(x, r):
     if isinstance(x, Trace):
         return x.tape.record(math.pow, (x, r))
     return math.pow(x, r)
+
+
+# what series programs call, by name
+_SERIES_HELPERS = (_cauchy, _div_terms, _exp_terms, _rpow_terms, _log_terms, _sqrt_terms,
+                   _sin_cos_terms, _tan_terms, _pow_terms, primal)

@@ -9,7 +9,10 @@ The recursion runs on truncated Taylor series along the L-flow: at a base
 point, X_L^j f = j! [f(z(t))]_j for the flow z(t) of L, so the G_n
 recursion becomes jet products with X_L a coefficient shift, and U acts on
 the vector of X_L-derivatives. It never uses the seed equation or the
-closed forms, and its cost is polynomial in (m, n).
+closed forms, and its cost is polynomial in (m, n). The flow's coefficients
+come one order at a time from a series program of L's partials, traced once
+per base system (compile_flow_series); evaluating those partials on jets
+order after order (flow_jets_by_evaluation) is its reference and fallback.
 
 The base Hamiltonian L acts on the trailing (psi, p_psi) block of the
 extended phase space (u, psi, p_u, p_psi); functions of the base block are
@@ -18,11 +21,11 @@ function of u commutes with the U operator.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .duals import Jet, coefficient
+from .duals import Dual, Jet, Tape, Trace, coefficient, define, primal
 from .phase import PhaseFunction, gradient, hamiltonian_vector_field, partials_at
 from .tagged_trig import GammaProfile, gamma, gamma_and_prime, gamma_prime
 
@@ -68,10 +71,27 @@ class BaseSystem:
     g_scalar: object = None
     eta_hat: float = None
     psi_window: tuple = (0.3, 2.0)
+    # (L.rule, its flow series program or None), built by flow_series on first use
+    _flow_series: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.V.dof != 1 or self.L.dof != 1 or self.G.dof != 1:
             raise ValueError("base system functions must live on the 1-dof phase space")
+
+    def flow_series(self, psi, p_psi):
+        """The series program of L's flow (compile_flow_series), or None where it has none.
+
+        It is traced at the float point (psi, p_psi) the first time it is
+        asked for, and that answer, program or None, stands until L.rule is
+        no longer the rule it traced. Two threads asking at once may both
+        build it; either program serves.
+        """
+        rule, program = self._flow_series
+        if rule is not self.L.rule:
+            rule = self.L.rule
+            program = compile_flow_series(self.L, psi, p_psi)
+            self._flow_series = (rule, program)
+        return program
 
 
 def seed_equation_terms(base, c, c0, x):
@@ -79,6 +99,60 @@ def seed_equation_terms(base, c, c0, x):
     xg = hamiltonian_vector_field(base.L, base.G)
     x2g = hamiltonian_vector_field(base.L, xg)
     return x2g(x), 2.0 * (c * base.L(x) + c0) * base.G(x)
+
+
+def flow_jets_by_evaluation(L, psi, p_psi, order):
+    """The L-flow's Taylor coefficients through t^order by evaluating L's partials on jets.
+
+    Each order k evaluates the partials on the jets (Q, P) known through t^k
+    and appends Q_{k+1} = [dL/dp]_k / (k+1) and P_{k+1} = -[dL/dpsi]_k / (k+1),
+    recomputing every lower coefficient: O(order^3) coefficient work. It is
+    the series program's reference and its fallback.
+    """
+    Q, P = [psi], [p_psi]
+    for k in range(order):
+        _, dq, dp = partials_at(L, (Jet(Q),), (Jet(P),))
+        Q.append(coefficient(dp[0], k) / (k + 1))
+        P.append(-coefficient(dq[0], k) / (k + 1))
+    return Jet(Q), Jet(P)
+
+
+def compile_flow_series(L, psi, p_psi):
+    """flow_jets_by_evaluation(L, ., ., order) as one program over the coefficient lists.
+
+    partials_at(L) runs once on Trace leaves at the float point (psi, p_psi),
+    and the tape writes its operations in series form (Tape.series), so the
+    program computes each coefficient once, O(order^2) in all, bit for bit as
+    the evaluation on jets does. program([psi], [p_psi], order) extends the
+    two lists it is given through t^order and returns them, or returns None
+    where a guard comes out the other way. The trace costs about 0.5 ms.
+    There is no program (None) where the trace raises at (psi, p_psi) or L
+    uses an operation a Jet has not.
+    """
+    tape = Tape()
+    try:
+        _, (dq,), (dp,) = partials_at(L, tape.inputs((psi,)), tape.inputs((p_psi,)))
+        head, body = tape.series()
+    except Exception:  # untraceable here, or no Taylor rule: evaluation on jets decides
+        return None
+    if not all(isinstance(x, (Trace, float, int)) for x in (dq, dp)):
+        return None
+
+    def coefficient_k(x):  # coefficient(x, k): a constant is a series of one term
+        name = tape.atom(x)
+        return f"{name}[k]" if isinstance(x, Trace) else f"({name} if not k else 0.0)"
+
+    loop = body + [f"t0.append({coefficient_k(dp)} / (k + 1))",
+                   f"t1.append(-{coefficient_k(dq)} / (k + 1))"]
+    lines = head + ["for k in range(order):"] + ["    " + line for line in loop] + ["return t0, t1"]
+    return define("flow_series", tape.params + ["order"], lines, tape.namespace, "<flow series>")
+
+
+def _on_floats(x):
+    """Whether x is a float, or Duals whose innermost value is one."""
+    while isinstance(x, Dual):
+        x = x.val
+    return type(x) is float
 
 
 class Extension:
@@ -131,16 +205,20 @@ class Extension:
     def _flow_jets(self, psi, p_psi, order):
         """Taylor coefficients of the L-flow (psi(t), p_psi(t)) through t^order.
 
-        The ODE Taylor method: psi_{k+1} = [dL/dp]_k / (k+1) and
-        p_{k+1} = -[dL/dpsi]_k / (k+1), each partial taken on the jets known
-        through t^k.
+        The ODE Taylor method, one order at a time: the base's series program
+        appends coefficient k of every value of L's partials, from the flow's
+        coefficients through t^k, then psi_{k+1} = [dL/dp]_k / (k+1) and
+        p_{k+1} = -[dL/dpsi]_k / (k+1). Where the base has no program, the
+        point is not on floats or Duals over floats, or a guard of the program
+        comes out the other way, flow_jets_by_evaluation computes the same
+        coefficients.
         """
-        Q, P = [psi], [p_psi]
-        for k in range(order):
-            _, dq, dp = partials_at(self.base.L, (Jet(Q),), (Jet(P),))
-            Q.append(coefficient(dp[0], k) / (k + 1))
-            P.append(-coefficient(dq[0], k) / (k + 1))
-        return Jet(Q), Jet(P)
+        if order and _on_floats(psi) and _on_floats(p_psi):
+            program = self.base.flow_series(primal(psi), primal(p_psi))
+            series = program and program([psi], [p_psi], order)
+            if series:
+                return Jet(series[0]), Jet(series[1])
+        return flow_jets_by_evaluation(self.base.L, psi, p_psi, order)
 
     def _xl_powers(self, q1, p1, n, count):
         """[X_L^j G_n for j < count] at a base-block point, by the G_n recursion on jets.

@@ -9,7 +9,10 @@ direction, at any nesting depth. An entry may also be a
 :func:`partials_at` seeds one direction per evaluation only where every
 coordinate is a plain float; on any other leaf one evaluation gives every
 partial. Functions are immutable after construction and all operations are
-pure; concurrent evaluation at distinct points needs no synchronization.
+pure but one: a base system keeps the series program of its L's flow
+(``extension.BaseSystem.flow_series``), built on first use. Two threads may
+both build it, and either serves, so concurrent evaluation at distinct points
+needs no synchronization.
 """
 
 import math

@@ -81,6 +81,16 @@ def leaf_values(x):
     return x
 
 
+def leaf_bits(x):
+    """leaf_values(x) with each float as its hex string, so a signed zero is told apart."""
+    x = leaf_values(x)
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, (tuple, list)):
+        return [leaf_bits(v) for v in x]
+    return x
+
+
 def _pole_guard(den, u):
     near = abs(dm.primal(den)) < 1e-300
     if dm.any_true(near):

@@ -20,7 +20,7 @@ from extham.phase import (
 from extham.sampling import sample_points
 from extham.tagged_trig import GammaProfile
 
-from references import leaf_values, nth_derivative
+from references import leaf_bits, leaf_values, nth_derivative
 
 
 def test_first_derivatives_match_hand_results():
@@ -94,6 +94,77 @@ def test_integer_powers_of_a_jet_multiply():
     closed = e.k_closed()(x)
     assert closed == pytest.approx(-24.3127, rel=1e-5)
     assert e.k_recursive()(x) == pytest.approx(closed, rel=1e-12)
+
+
+def test_a_constant_base_to_a_jet_power():
+    # coefficient 0 is the float power, the rest follow exp's recurrence on x log 2
+    lb = math.log(2.0)
+    got = taylor(lambda x: 2.0 ** x, 0.5, 4)
+    assert got[0] == 2.0**0.5
+    assert got == pytest.approx([2.0**0.5 * lb**k for k in range(5)], rel=1e-14)
+    # under a Dual (the Jet's own __rpow__ now takes the Dual's value) and over Duals
+    y = derivative(lambda x: 2.0 ** x, Jet([0.5, 1.0, 0.0]))
+    assert y.c == pytest.approx([2.0**0.5 * lb ** (k + 1) / math.factorial(k) for k in range(3)],
+                                rel=1e-14)
+    tag = dm.new_tag()
+    z = 2.0 ** Jet([Dual(0.5, 1.0, tag), 1.0])
+    assert (z.c[0].val, z.c[0].dot) == (2.0**0.5, pytest.approx(2.0**0.5 * lb, rel=1e-15))
+    with pytest.raises(ValueError, match="math domain error"):
+        (-2.0) ** Jet([0.5, 1.0])
+
+
+# values of one leaf, one per Jet rule: every operand kind of + - * /, the
+# integer, zero, negative and non-integer powers, a constant base, and each
+# math function; sqrt and log need a positive constant term
+SERIES_FUNCS = [
+    lambda x: (x * x, 2.0 * x, x * 2.0, x - 0.5, 1.5 + x, x + 1.5, -x, 2.0 - x, x - x),
+    lambda x: (x / 3.0, 1.0 / (x * x + 1.0), (x - 3.0) / (x * x + 2.0)),
+    lambda x: (x**3, x**0, x**1, x**2.0, dm.pow_(x * x + 1.0, -2), dm.pow_(x * x + 1.0, 0.5)),
+    lambda x: (dm.exp(x), dm.log(x * x + 1.0), dm.sqrt(x * x + 4.0)),
+    lambda x: (dm.sin(x), dm.cos(x), dm.tan(x), 0.25**x),
+    lambda x: (dm.sinh(x), dm.cosh(x), dm.tanh(x), 1.5**x),
+]
+
+
+def _series_program(f, x0):
+    """f as a series program: series(a, order) gives the coefficients 0..order-1 of each
+    value f returns, at the series a, taking one coefficient of a per order."""
+    tape = dm.Tape()
+    (x,) = tape.inputs((x0,))
+    ys = ", ".join(map(tape.atom, f(x)))
+    head, body = tape.series()
+    lines = ["t0 = []"] + head + ["for k in range(order):", "    t0.append(a[k])"]
+    lines += [f"    {line}" for line in body]
+    lines.append(f"return [{ys}]")
+    return dm.define("series", ["a", "order"], lines, tape.namespace, "<test>")
+
+
+@pytest.mark.parametrize("i", range(len(SERIES_FUNCS)))
+def test_series_rules_equal_the_jet_methods_bit_for_bit(i):
+    f = SERIES_FUNCS[i]
+    program = _series_program(f, 0.7)
+    rng = random.Random(i)
+    tag = dm.new_tag()
+    for _ in range(20):
+        a = [rng.uniform(-1.0, 1.0) for _ in range(9)]
+        a[rng.randrange(1, 9)] = rng.choice([0.0, -0.0])  # signed zeros flow through
+        for leaves in (a, [Dual(v, 0.5 * v, tag) for v in a]):
+            for order in range(10):
+                got = program(leaves, order)
+                want = [y.c for y in f(Jet(leaves[:order]))] if order else [[]] * len(got)
+                assert leaf_bits(got) == leaf_bits(want)
+    # a comparison the evaluation branched on is a guard at k = 0
+    program = _series_program(lambda x: (x if primal(x) < 1.0 else -x,), 0.7)
+    assert program([0.5, 1.0], 2) == [[0.5, 1.0]] and program([1.5, 1.0], 2) is None
+
+
+def test_an_operation_without_a_taylor_rule_is_refused():
+    for f in (abs, lambda x: x**x, lambda x: dm.pow_(x, x)):
+        tape = dm.Tape()
+        (x,) = tape.inputs((0.7,))
+        f(x)
+        with pytest.raises(TypeError, match="a Jet has no rule"):
+            tape.series()
 
 
 # -- the seam: one dispatch for every math function --------------------------

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -6,17 +7,24 @@ import pytest
 
 from extham import tagged_trig
 from extham.catalog import (
+    BASES,
+    cosh_base,
     exp_base,
     make_curved_hamiltonian,
     make_flat_ttw_hamiltonian,
     make_minkowski_hamiltonian,
+    momentum_free_seed_base,
+    sinh_base,
     trig_base,
 )
-from extham.duals import Dual, new_tag
+from extham.duals import Dual, new_tag, primal
 from extham.extension import (
+    BaseSystem,
     Extension,
     ExtensionSpec,
     bracket_scale,
+    compile_flow_series,
+    flow_jets_by_evaluation,
     functional_independence,
     jacobian_rank,
     row_norms,
@@ -36,7 +44,7 @@ from extham.sampling import sample_points
 from extham.tagged_trig import GammaProfile, gamma, gamma_prime
 
 import references
-from references import fd_gradient, leaf_values, seed_equation_residual
+from references import fd_gradient, leaf_bits, leaf_values, seed_equation_residual
 
 
 @pytest.fixture(scope="module")
@@ -344,24 +352,106 @@ def test_kbar_8_3_recursive_equals_closed(base, profile, Omega):
 
 @pytest.mark.parametrize("m,n", [(5, 3), (16, 3)])
 def test_recursive_k_base_rule_calls_grow_linearly(profile, m, n):
-    # one G call plus one L call per order of the flow jet, m + n - 1 orders: the
-    # partials of L on Jet leaves take one evaluation for both directions
+    # one G call per point; L's rule runs only in the one trace of its series
+    # program, at the first point, and the program does every order of the flow jet
     b = exp_base(0.7, 1.3)
     calls = []
 
-    def counted(rule):
+    def counted(name, rule):
         def wrapper(q, p):
-            calls.append(1)
+            calls.append(name)
             return rule(q, p)
 
         return wrapper
 
-    b.G.rule, b.L.rule = counted(b.G.rule), counted(b.L.rule)
+    b.G.rule, b.L.rule = counted("G", b.G.rule), counted("L", b.L.rule)
     kr = Extension(ExtensionSpec(m, n, -4.0, 0.0, 0.0, profile), b).k_recursive()
-    for x in sample_points(3, 54, 2):
+    for i, x in enumerate(sample_points(3, 54, 2)):
         calls.clear()
         kr(x)
-        assert len(calls) == m + n
+        assert calls == (["L", "G"] if i == 0 else ["G"])
+
+
+# -- the flow's series program -------------------------------------------------
+
+
+def _series_bases():
+    """Every catalog base family, and L = 0.5 p^2 + V, whose power runs the product chain."""
+    bases = [BASES["hyperbolic"](0.7, 1.3, 2.0), BASES["trig"](0.2, 1.0, 0.5, 1.0),
+             cosh_base(1.0, 0.3, 0.7, 1.1), sinh_base(1.0, 0.3, 0.7, 1.1), exp_base(0.0, 0.0),
+             momentum_free_seed_base(1.0, 0.5, 0.8)]
+    squared = exp_base(0.7, 1.3)
+    V = squared.V.rule
+    squared.L.rule = lambda q, p: 0.5 * p[0] ** 2 + V(q, p)
+    return bases + [squared]
+
+
+@pytest.mark.parametrize("b", _series_bases(),
+                         ids=["hyperbolic", "trig", "cosh", "sinh", "free", "V10", "p-squared"])
+def test_flow_series_equals_the_jet_evaluation_bit_for_bit(b):
+    # signed zeros too: p_psi = 0.0 and -0.0 start the flow at a turning point
+    lo, hi = b.psi_window
+    program = compile_flow_series(b.L, lo, 0.3)
+    assert program is not None
+    rng = random.Random(25)
+    points = [(rng.uniform(lo, hi), rng.uniform(-2.0, 2.0)) for _ in range(6)]
+    points += [(0.5 * (lo + hi), 0.0), (0.5 * (lo + hi), -0.0)]
+    for psi, p_psi in points:
+        tag = new_tag()
+        for leaves in [(psi, p_psi), (Dual(psi, 1.0, tag), Dual(p_psi, -0.5, tag))]:
+            # the jets through t^k do not depend on how far the loop runs
+            Q, P = (leaf_bits(j.c) for j in flow_jets_by_evaluation(b.L, *leaves, 12))
+            for order in range(13):
+                got = program([leaves[0]], [leaves[1]], order)
+                assert leaf_bits(got) == [Q[:order + 1], P[:order + 1]]
+
+
+def _guarded_base():
+    # V switches formula at psi = 1, through a comparison on the primal
+    b = exp_base(0.7, 1.3)
+    V = b.V.rule
+    b.L.rule = lambda q, p: 0.5 * p[0] * p[0] + (V(q, p) if primal(q[0]) < 1.0 else 2.0 * V(q, p))
+    return b
+
+
+def test_a_flipped_guard_falls_back_to_the_jet_evaluation(profile):
+    b = _guarded_base()
+    program = compile_flow_series(b.L, 0.8, 0.3)
+    assert program([1.3], [0.4], 5) is None and program([0.9], [0.4], 5) is not None
+    e = Extension(ExtensionSpec(5, 3, -4.0, 0.0, 0.0, profile), b)
+    for psi in (0.8, 1.3, 0.9):  # traced on the first side, then both
+        got = e._flow_jets(psi, 0.4, 8)
+        assert leaf_bits(got) == leaf_bits(flow_jets_by_evaluation(b.L, psi, 0.4, 8))
+    assert b.flow_series(0.8, 0.3) is not None
+
+
+def test_an_operation_jets_lack_leaves_the_jet_evaluation_in_charge(profile):
+    # abs has no Taylor rule: no program is built, and the evaluation on jets
+    # raises its own error
+    b = exp_base(0.7, 1.3)
+    V = b.V.rule
+    b.L.rule = lambda q, p: 0.5 * p[0] * p[0] + abs(V(q, p))
+    assert compile_flow_series(b.L, 0.8, 0.3) is None
+    with pytest.raises(TypeError) as want:
+        flow_jets_by_evaluation(b.L, 0.8, 0.3, 4)
+    kr = Extension(ExtensionSpec(5, 3, -4.0, 0.0, 0.0, profile), b).k_recursive()
+    with pytest.raises(TypeError) as got:
+        kr(PhasePoint((1.1, 0.8), (0.5, 0.3)))
+    assert str(got.value) == str(want.value) == "bad operand type for abs(): 'Jet'"
+    assert b.flow_series(0.8, 0.3) is None
+
+
+def test_a_patched_base_rule_is_traced_again(profile, monkeypatch):
+    b = exp_base(0.7, 1.3)
+    kr = Extension(ExtensionSpec(5, 3, -4.0, 0.0, 0.0, profile), b).k_recursive()
+    x = PhasePoint((1.1, 0.8), (0.5, 0.3))
+    before = kr(x)
+    V = b.V.rule
+    b.L.rule = lambda q, p: 0.5 * p[0] * p[0] + 3.0 * V(q, p)
+    after = kr(x)
+    assert b._flow_series[0] is b.L.rule
+    monkeypatch.setattr(BaseSystem, "flow_series", lambda self, psi, p_psi: None)
+    assert after == kr(x) != before  # the jet evaluation of the patched rule
 
 
 def test_recursive_route_uses_no_closed_form(base, profile, monkeypatch):
