@@ -57,14 +57,26 @@ class ModelInstance:
 # -- base-potential families -------------------------------------------------
 
 
-def _window_free_of_zeros(g, window, label):
+def _window_free_of_zeros(C1, C2, eta, branch, window, label):
+    """Refuse a psi window that is empty or holds a zero of the gauge function g.
+
+    g is C1 e^(eta psi) + C2 e^(-eta psi) on the hyperbolic branch and
+    C1 cos(eta psi) + C2 sin(eta psi), eta > 0, on the trig one; both have
+    their zeros in closed form.
+    """
     lo, hi = window
     if not lo < hi:
         raise ValueError(f"{label}: empty psi window {window}")
-    for i in range(201):
-        psi = lo + (hi - lo) * i / 200.0
-        if abs(g(psi)) < 1e-6:
-            raise ValueError(f"{label}: gauge function vanishes inside psi window {window}")
+    if branch == "hyperbolic":
+        # zero where e^(2 eta psi) = -C2/C1, if that is positive
+        ratio = -C2 / C1 if C1 else 0.0
+        vanishes = ratio > 0.0 and lo <= math.log(ratio) / (2.0 * eta) <= hi
+    else:
+        # g = R cos(eta psi - phi): zeros at eta psi = phi + pi/2 + j pi; take the first j past lo
+        phi = math.atan2(C2, C1) + 0.5 * math.pi
+        vanishes = (phi + math.ceil((eta * lo - phi) / math.pi) * math.pi) / eta <= hi
+    if vanishes:
+        raise ValueError(f"{label}: gauge function vanishes inside psi window {window}")
 
 
 def _base(family, params, c, V_rule, G_rule, g, eta_hat, psi_window=(0.3, 2.0)):
@@ -122,7 +134,7 @@ def make_base_family(C1, C2, C3, C4, eta, branch, psi_window=None):
 
     if psi_window is None:
         psi_window = (0.3, 2.0)
-    _window_free_of_zeros(g, psi_window, f"{branch}(C1={C1}, C2={C2})")
+    _window_free_of_zeros(C1, C2, eta_hat, branch, psi_window, f"{branch}(C1={C1}, C2={C2})")
     return _base(f"V2-{branch}", {"C1": C1, "C2": C2, "C3": C3, "C4": C4, "eta": eta}, c,
                  V_rule, lambda q, p: g(q[0]) * p[0], g, eta_hat, psi_window)
 
@@ -184,7 +196,7 @@ def momentum_free_seed_base(C1, C2, C3, eta=2.0):
     def g(psi):
         return C1 * dm.exp(eta * psi) + C2 * dm.exp(-eta * psi)
 
-    _window_free_of_zeros(g, (0.3, 2.0), "V10")
+    _window_free_of_zeros(C1, C2, eta, "hyperbolic", (0.3, 2.0), "V10")
     return _base("V10", {"C1": C1, "C2": C2, "C3": C3, "eta": eta}, -(eta**2),
                  lambda q, p: C3 / g(q[0]) ** 2,
                  lambda q, p: C1 * dm.exp(eta * q[0]) - C2 * dm.exp(-eta * q[0]), g, eta)

@@ -5,6 +5,11 @@ Two independent routes exist for each construction: the literal operator
 recursion (U applied repeatedly, G_n built by its recursion) and the closed
 binomial expansions; tests pin their pointwise equality.
 
+The closed forms need G, X_L G and L at a base point, from the partials of G
+and L. At a float point those come from two straight-line programs per base
+system (compile_partials of G and of L, traced once, BaseSystem.partials);
+on every other leaf from partials_at, which they equal bit for bit.
+
 The recursion runs on truncated Taylor series along the L-flow: at a base
 point, X_L^j f = j! [f(z(t))]_j for the flow z(t) of L, so the G_n
 recursion becomes jet products with X_L a coefficient shift, and U acts on
@@ -26,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .duals import Dual, Jet, Tape, Trace, coefficient, define, primal
-from .phase import PhaseFunction, gradient, hamiltonian_vector_field, partials_at
+from .phase import PhaseFunction, compile_partials, gradient, hamiltonian_vector_field, partials_at
 from .tagged_trig import GammaProfile, gamma, gamma_and_prime, gamma_prime
 
 
@@ -58,7 +63,10 @@ class BaseSystem:
 
     The seed satisfies X_L^2(G) = -2(c L + c0) G for the recorded (c, c0).
     psi_window is the position interval on which the family is free of
-    singularities; samplers respect it.
+    singularities; samplers respect it. A base system also keeps the
+    programs it traces at its first float point: the series program of L's
+    flow (flow_series) and the partials programs of G and L (partials), each
+    until the rule it traced is patched.
     """
 
     family: str
@@ -71,27 +79,39 @@ class BaseSystem:
     g_scalar: object = None
     eta_hat: float = None
     psi_window: tuple = (0.3, 2.0)
-    # (L.rule, its flow series program or None), built by flow_series on first use
-    _flow_series: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    # {(compiler, f): (the f.rule it traced, its program)}, built by _kept on first use
+    _programs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.V.dof != 1 or self.L.dof != 1 or self.G.dof != 1:
             raise ValueError("base system functions must live on the 1-dof phase space")
 
-    def flow_series(self, psi, p_psi):
-        """The series program of L's flow (compile_flow_series), or None where it has none.
-
-        It is traced at the float point (psi, p_psi) the first time it is
-        asked for, and that answer, program or None, stands until L.rule is
-        no longer the rule it traced. Two threads asking at once may both
-        build it; either program serves.
-        """
-        rule, program = self._flow_series
-        if rule is not self.L.rule:
-            rule = self.L.rule
-            program = compile_flow_series(self.L, psi, p_psi)
-            self._flow_series = (rule, program)
+    def _kept(self, compiler, f, *point):
+        """compiler(f, *point), traced at that float point the first time it is asked
+        for; that answer stands until f.rule is no longer the rule it traced. Two
+        threads asking at once may both build it; either serves."""
+        rule, program = self._programs.get((compiler, f), (None, None))
+        if rule is not f.rule:
+            rule, program = f.rule, compiler(f, *point)
+            self._programs[compiler, f] = (rule, program)
         return program
+
+    def flow_series(self, psi, p_psi):
+        """The series program of L's flow (compile_flow_series), or None where it has none."""
+        return self._kept(compile_flow_series, self.L, psi, p_psi)
+
+    def partials(self, f, q, p):
+        """partials_at(f, q, p) for f = G or L, bit for bit.
+
+        On plain floats it runs f's straight-line program (compile_partials),
+        kept as flow_series is: on the benchmark's oracle base 0.2-0.35 us a
+        call against 3-4.5 us for partials_at's two seeded Dual evaluations,
+        after a trace of 0.08-0.15 ms (timeit minima, 2-core AMD EPYC). Every
+        other leaf takes partials_at's one Tangent evaluation.
+        """
+        if type(q[0]) is float and type(p[0]) is float:
+            return self._kept(compile_partials, f, q, p)(q[0], p[0])
+        return partials_at(f, q, p)
 
 
 def seed_equation_terms(base, c, c0, x):
@@ -166,8 +186,8 @@ class Extension:
 
     def _seed_triple(self, q1, p1):
         """(G, X_L G, L) values at a base-block point; inputs may be duals."""
-        Gv, Gq, Gp = partials_at(self.base.G, q1, p1)
-        Lv, Lq, Lp = partials_at(self.base.L, q1, p1)
+        Gv, Gq, Gp = self.base.partials(self.base.G, q1, p1)
+        Lv, Lq, Lp = self.base.partials(self.base.L, q1, p1)
         xg = Gq[0] * Lp[0] - Gp[0] * Lq[0]
         return Gv, xg, Lv
 

@@ -179,6 +179,29 @@ def test_an_explicit_empty_window_is_refused(build, window):
         build(window)
 
 
+@pytest.mark.parametrize("build", [
+    # each zero falls between the points of an evenly spaced 201-point scan
+    lambda: sinh_base(0.9, -1.0, 1.1, 0.7, 2.0),  # sinh(2 psi - 1): psi = 0.5
+    lambda: momentum_free_seed_base(1.0, -4.0, 0.8),  # e^(4 psi) = 4: psi = ln(4)/4
+    lambda: momentum_free_seed_base(1.0, -0.25, 0.8, -2.0),  # e^(-4 psi) = 1/4: psi = ln(4)/4
+    lambda: make_base_family(0.0, 1.0, 1.0, 0.5, 1.0, "trig", psi_window=(3.0, 3.2)),  # pi
+    lambda: make_base_family(1.0, 1.0, 1.0, 0.5, 3.0, "trig", psi_window=(4.9, 5.1)),  # 19 pi / 12
+])
+def test_a_window_holding_a_zero_of_the_gauge_is_refused(build):
+    with pytest.raises(ValueError, match=r"gauge function vanishes inside psi window"):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_base_family(1e-7, 1e-7, 1.0, 0.0, 2.0, "hyperbolic"),  # small, never zero
+    lambda: make_base_family(1.0, -1.0, 1.0, 0.0, 2.0, "hyperbolic", psi_window=(1e-9, 1.0)),
+    lambda: make_base_family(0.0, 1.0, 1.0, 0.5, 1.0, "trig", psi_window=(0.3, 3.1)),
+    lambda: make_base_family(1.0, 1.0, 1.0, 0.5, 3.0, "trig", psi_window=(5.0, 6.0)),
+])
+def test_a_window_free_of_zeros_is_accepted(build):
+    build()
+
+
 def _explicit_base(C1, C2, C3, C4, eta, branch):
     """V = (C3 + C4 g'/eta_hat) / g^2, L = p^2/2 + V and G = g p, each transcendental
     called on its own."""

@@ -5,7 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from extham import tagged_trig
+from extham import duals as dm
+from extham import phase, tagged_trig
 from extham.catalog import (
     BASES,
     cosh_base,
@@ -17,7 +18,7 @@ from extham.catalog import (
     sinh_base,
     trig_base,
 )
-from extham.duals import Dual, new_tag, primal
+from extham.duals import Dual, Jet, Tape, new_tag, primal
 from extham.extension import (
     BaseSystem,
     Extension,
@@ -34,6 +35,7 @@ from extham.phase import (
     PhaseFunction,
     PhasePoint,
     batch_blocks,
+    compile_partials,
     gradient,
     hamiltonian_vector_field,
     lift_last,
@@ -449,9 +451,115 @@ def test_a_patched_base_rule_is_traced_again(profile, monkeypatch):
     V = b.V.rule
     b.L.rule = lambda q, p: 0.5 * p[0] * p[0] + 3.0 * V(q, p)
     after = kr(x)
-    assert b._flow_series[0] is b.L.rule
+    assert b._programs[compile_flow_series, b.L][0] is b.L.rule
     monkeypatch.setattr(BaseSystem, "flow_series", lambda self, psi, p_psi: None)
     assert after == kr(x) != before  # the jet evaluation of the patched rule
+
+
+# -- the seed partials' programs ---------------------------------------------
+
+
+def _window_points(b):
+    lo, hi = b.psi_window
+    rng = random.Random(26)
+    mid = 0.5 * (lo + hi)
+    return [(rng.uniform(lo, hi), rng.uniform(-2.0, 2.0)) for _ in range(6)] + [(mid, 0.0), (mid, -0.0)]
+
+
+@pytest.mark.parametrize("b", _series_bases(),
+                         ids=["hyperbolic", "trig", "cosh", "sinh", "free", "V10", "p-squared"])
+def test_the_seed_partials_programs_equal_the_seeded_partials_bit_for_bit(b):
+    for f in (b.G, b.L):
+        for psi, p_psi in _window_points(b):
+            got = b.partials(f, (psi,), (p_psi,))
+            assert leaf_bits(got) == leaf_bits(references.seeded_partials(f, (psi,), (p_psi,)))
+        assert b._programs[compile_partials, f][1].__code__.co_filename == "<compile_partials>"
+
+
+def test_a_patched_seed_or_l_rule_is_traced_again(profile, monkeypatch):
+    b = exp_base(0.7, 1.3)
+    k = Extension(ExtensionSpec(5, 3, -4.0, 0.0, 0.0, profile), b).k_closed()
+    x = PhasePoint((1.1, 0.8), (0.5, 0.3))
+    values = [k(x)]
+    for f in (b.G, b.L):
+        rule = f.rule
+        f.rule = lambda q, p, rule=rule: 3.0 * rule(q, p)
+        values.append(k(x))
+        assert b._programs[compile_partials, f][0] is f.rule
+    monkeypatch.setattr(BaseSystem, "partials", lambda self, f, q, p: partials_at(f, q, p))
+    assert values[2] == k(x) and len(set(values)) == 3  # partials_at's value of the patched rules
+
+
+def test_a_flipped_guard_in_the_seed_partials_falls_back_to_partials_at(monkeypatch):
+    b = _guarded_base()
+    b.partials(b.L, (0.8,), (0.3,))  # traced below the switch
+    seeded = phase.partials_at
+    calls = []
+    monkeypatch.setattr(phase, "partials_at", lambda f, q, p: calls.append(q + p) or seeded(f, q, p))
+    for psi, fell_back in [(1.3, True), (0.9, False), (1.0, True)]:
+        calls.clear()
+        got = b.partials(b.L, (psi,), (0.4,))
+        assert leaf_bits(got) == leaf_bits(references.seeded_partials(b.L, (psi,), (0.4,)))
+        assert calls == ([(psi, 0.4)] if fell_back else [])
+
+
+def test_only_float_points_run_the_seed_partials_programs(profile):
+    b = exp_base(0.7, 1.3)
+    e = Extension(ExtensionSpec(4, 3, -4.0, 0.0, 0.3, profile), b)
+    kb = e.kbar_closed(2, 3)
+    x = PhasePoint((1.1, 0.8), (0.5, 0.3))
+    kb(x)
+
+    def refuse(*z):
+        raise AssertionError("a seed partials program ran on a leaf that is not a float")
+
+    for f in (b.G, b.L):
+        b._programs[compile_partials, f] = (f.rule, refuse)
+    tag = new_tag()
+    kb.rule(tuple(Jet([v, 1.0]) for v in x.q), tuple(Jet([v, -0.5]) for v in x.p))
+    tape = Tape()
+    for q, p in [batch_blocks(np.array([x.q + x.p, (1.2, 0.9, -0.4, 0.2)])),
+                 (tuple(Dual(v, 1.0, tag) for v in x.q), tuple(Dual(v, 0.5, tag) for v in x.p)),
+                 (tape.inputs(x.q), tape.inputs(x.p))]:
+        kb.rule(q, p)
+        e.kbar_magnitude(SimpleNamespace(q=q, p=p), 2, 3)  # abs has no Jet rule
+
+
+def test_one_base_compiles_two_seed_partials_programs(profile, monkeypatch):
+    made = []
+
+    def counting(source, filename, mode):
+        made.append(filename)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(dm, "compile", counting, raising=False)
+    b = exp_base(0.7, 1.3)
+    exts = [Extension(ExtensionSpec(m, n, -4.0, 0.0, 0.0, profile), b) for m, n in [(1, 1), (3, 2), (5, 3)]]
+    for x in sample_points(5, 26, 2):
+        for e in exts:
+            e.k_closed()(x)
+            e.k_magnitude(x)
+            e.gn_closed(2)(PhasePoint(x.q[1:], x.p[1:]))
+    assert made == ["<compile_partials>", "<compile_partials>"]
+
+
+@pytest.mark.parametrize("b", [trig_base(1.0, 0.0, 0.5, 1.0), sinh_base(1.0, 0.0, 0.7, 1.1)],
+                         ids=["trig", "sinh"])
+def test_a_closed_form_where_g_vanishes_raises_as_partials_at_does(b, monkeypatch):
+    # g(0) = 0.0 exactly, and V divides by g^2
+    c = b.c
+    e = Extension(ExtensionSpec(3, 2, c, 0.0, 0.0, GammaProfile.from_c_C(c, 0.0)), b)
+    lo, hi = b.psi_window
+    x, zero = PhasePoint((1.1, 0.5 * (lo + hi)), (0.5, 0.3)), PhasePoint((1.1, 0.0), (0.5, 0.3))
+    e.k_closed()(x)  # traced away from the zero
+    errors = []
+    for partials in (BaseSystem.partials, lambda self, f, q, p: partials_at(f, q, p)):
+        monkeypatch.setattr(BaseSystem, "partials", partials)
+        for evaluate in (e.k_closed(), e.k_magnitude, lambda x: e.gn_closed(2)(PhasePoint(x.q[1:], x.p[1:]))):
+            with pytest.raises(ZeroDivisionError) as err:
+                evaluate(zero)
+            errors.append(str(err.value))
+    assert errors == ["float division by zero"] * 6
 
 
 def test_recursive_route_uses_no_closed_form(base, profile, monkeypatch):
