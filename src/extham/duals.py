@@ -30,17 +30,16 @@ in the last bit on a share of inputs. Dual and Jet set ``__array_ufunc__``
 to None, so an array operand defers to them. Guards on values go through
 :func:`any_true`, which leaves float and Jet evaluations free of numpy calls.
 
-A :class:`Trace` is the fourth leaf: a float whose :class:`Tape` writes
-every operation on it, and every comparison with its outcome, as a line of
-Python source, so one evaluation on Traces gives the straight-line float
-program of that evaluation (``phase.compile_partials``), which
-:func:`define` compiles. Anything that would branch on a traced value
-without a comparison (bool, float, int, hash) raises. The tape also writes
-the same operations in series form (:meth:`Tape.series`): each value is the
-list of its Taylor coefficients, and each operation appends coefficient k by
-the Jet's own rule for it, so a program looping over k
-(``extension.compile_flow_series``) computes each coefficient once, bit for
-bit as the evaluation on Jets, which recomputes every lower one at each order.
+A :class:`Trace` is the fourth leaf: a float whose :class:`Tape` records
+every operation on it, and every comparison with its outcome. Anything that
+would branch on a traced value without a comparison (bool, float, int,
+hash) raises. The tape writes its one record in two forms: the straight-line
+float program of the evaluation (:attr:`Tape.lines`, for
+``phase.compile_partials``, which :func:`define` compiles), and its series
+form (:meth:`Tape.series`), where each value is the list of its Taylor
+coefficients and each operation appends coefficient k by the Jet's own rule
+for it. So a program looping over k (``extension.compile_flow_series``)
+computes each coefficient once, bit for bit as the evaluation on Jets.
 
 One seam, :func:`_lift`, decides how every unary math function is computed:
 Dual -> Jet -> Batch -> Trace -> ``math``, in that order, so one rule
@@ -52,8 +51,7 @@ same order.
 
 A :class:`Tangent` is the dot of a Dual that carries several directions
 under one tag: it maps a direction index to that direction's component, so
-one evaluation gives every partial (``phase.partials_at`` on every leaf but
-plain floats, which it seeds one direction at a time).
+one evaluation gives every partial (``phase.partials_at``, on every leaf).
 A direction the value does not depend on is absent, a structural zero, and
 never stored as 0.0. Every present component then runs the same IEEE
 operation, in the same order, as the evaluation seeded along that direction
@@ -484,22 +482,20 @@ _INFIX = {
 
 
 class Tape:
-    """Python source of the float operations of traced evaluations, in the order they ran.
+    """The float operations of traced evaluations, in the order they ran.
 
     ``params`` names the inputs ``t0``, ``t1``, ..., all made before the first
-    operation. ``lines`` holds a statement per operation: a value is
-    ``t<i> = <expr>``; a guard, a comparison the evaluation branched on, is
-    ``if not (<cmp>): return fallback(<params>)``, without the ``not`` where
-    it came out False. Finite numbers are written as literals; functions and
-    other constants are passed by reference as ``c0``, ``c1``, ... in
-    ``namespace``, which needs a ``fallback`` before the source runs. ``ops``
-    holds each operation as (fn, args, result), the result a Trace or a
-    guard's outcome, for the second form the tape writes, :meth:`series`.
+    operation. ``ops`` is the one record: each operation as (fn, args,
+    result), the result a Trace or, for a guard (a comparison the evaluation
+    branched on), its outcome. Two writers turn it into Python source: the
+    float program (:attr:`lines`) and the series program (:meth:`series`).
+    Finite numbers are written as literals; functions and other constants
+    are passed by reference as ``c0``, ``c1``, ... in ``namespace``, named in
+    the order the writer first meets them.
     """
 
     def __init__(self):
         self.params = []
-        self.lines = []
         self.ops = []
         self.namespace = {}
         self._index = itertools.count().__next__
@@ -513,16 +509,24 @@ class Tape:
     def record(self, fn, args, guard=False):
         """fn(*args) on the args' values: a new Trace, or the outcome of a guard."""
         v = fn(*[a.v if isinstance(a, Trace) else a for a in args])
-        form = _INFIX.get(fn) or self.atom(fn) + "(" + ", ".join(["{}"] * len(args)) + ")"
-        expr = form.format(*map(self.atom, args))
-        if guard:
-            self.lines.append(f"if {'not ' if v else ''}({expr}): "
-                              f"return fallback({', '.join(self.params)})")
-            self.ops.append((fn, args, v))
-            return v
-        out = Trace(self, self._index(), v)
-        self.lines.append(f"t{out.i} = {expr}")
+        out = v if guard else Trace(self, self._index(), v)
         self.ops.append((fn, args, out))
+        return out
+
+    @property
+    def lines(self):
+        """The float program, a statement per operation: ``t<i> = <expr>``, or for a guard
+        ``if not (<cmp>): return fallback(<params>)``, without the ``not`` where it came
+        out False, so ``namespace`` needs a ``fallback`` before the source runs."""
+        out = []
+        for fn, args, result in self.ops:
+            form = _INFIX.get(fn) or self.atom(fn) + "(" + ", ".join(["{}"] * len(args)) + ")"
+            expr = form.format(*map(self.atom, args))
+            if isinstance(result, Trace):
+                out.append(f"t{result.i} = {expr}")
+            else:
+                out.append(f"if {'not ' if result else ''}({expr}): "
+                           f"return fallback({', '.join(self.params)})")
         return out
 
     def series(self):
@@ -724,13 +728,6 @@ def primal(x):
 def new_tag():
     """Allocate a fresh differentiation level."""
     return _fresh_tag()
-
-
-def value_part(y, tag):
-    """Value of y with the given tag's derivative layer removed."""
-    if isinstance(y, Dual) and y.tag == tag:
-        return y.val
-    return y
 
 
 def tangent_part(y, tag):

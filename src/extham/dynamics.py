@@ -13,8 +13,8 @@ and it runs the IEEE operations, in the same order, of the numpy-vector
 loop that the tests keep as a reference, so trajectories equal it bit for
 bit. Where a branch of H goes the other way, the partials program returns
 ``partials_at``'s answer, which raises where H leaves its domain; an
-operation that raises in the program raises from it, as it does in
-``partials_at``. The solve turns OverflowError, ValueError and
+operation that raises in the program raises the exception ``partials_at``
+raises there. The solve turns OverflowError, ValueError and
 ZeroDivisionError, or a midpoint or iterate that is not finite, into
 LEFT_DOMAIN, and max_iter iterations without convergence into
 NO_CONVERGENCE. It starts every solve from the last state rather than from

@@ -64,9 +64,9 @@ class BaseSystem:
     The seed satisfies X_L^2(G) = -2(c L + c0) G for the recorded (c, c0).
     psi_window is the position interval on which the family is free of
     singularities; samplers respect it. A base system also keeps the
-    programs it traces at its first float point: the series program of L's
-    flow (flow_series) and the partials programs of G and L (partials), each
-    until the rule it traced is patched.
+    programs it traces at its first regular float point: the series program
+    of L's flow (flow_series) and the partials programs of G and L
+    (partials), each until the rule it traced is patched.
     """
 
     family: str
@@ -86,31 +86,38 @@ class BaseSystem:
         if self.V.dof != 1 or self.L.dof != 1 or self.G.dof != 1:
             raise ValueError("base system functions must live on the 1-dof phase space")
 
-    def _kept(self, compiler, f, *point):
-        """compiler(f, *point), traced at that float point the first time it is asked
-        for; that answer stands until f.rule is no longer the rule it traced. Two
-        threads asking at once may both build it; either serves."""
+    def _kept(self, compiler, f, point, run):
+        """run(compiler(f, *point)), traced at that float point the first time it is
+        asked for, and kept once run answers there (where f is singular, the next
+        float point traces again) until f.rule is no longer the rule it traced.
+        Two threads asking at once may both build it; either serves."""
         rule, program = self._programs.get((compiler, f), (None, None))
-        if rule is not f.rule:
-            rule, program = f.rule, compiler(f, *point)
-            self._programs[compiler, f] = (rule, program)
-        return program
+        if rule is f.rule:
+            return run(program)
+        program = compiler(f, *point)
+        answer = run(program)
+        self._programs[compiler, f] = (f.rule, program)
+        return answer
 
     def flow_series(self, psi, p_psi):
-        """The series program of L's flow (compile_flow_series), or None where it has none."""
-        return self._kept(compile_flow_series, self.L, psi, p_psi)
+        """The series program of L's flow (compile_flow_series), or None where it
+        has none or L's partials raise at (psi, p_psi)."""
+        try:
+            return self._kept(compile_flow_series, self.L, (psi, p_psi), lambda program: program)
+        except (OverflowError, ValueError, ZeroDivisionError):
+            return None
 
     def partials(self, f, q, p):
         """partials_at(f, q, p) for f = G or L, bit for bit.
 
         On plain floats it runs f's straight-line program (compile_partials),
         kept as flow_series is: on the benchmark's oracle base 0.2-0.35 us a
-        call against 3-4.5 us for partials_at's two seeded Dual evaluations,
-        after a trace of 0.08-0.15 ms (timeit minima, 2-core AMD EPYC). Every
-        other leaf takes partials_at's one Tangent evaluation.
+        call against 6-11 us for partials_at's Tangent evaluation, after a
+        trace of 0.08-0.15 ms (timeit minima, 2-core AMD EPYC). Every other
+        leaf takes partials_at's evaluation.
         """
         if type(q[0]) is float and type(p[0]) is float:
-            return self._kept(compile_partials, f, q, p)(q[0], p[0])
+            return self._kept(compile_partials, f, (q, p), lambda program: program(q[0], p[0]))
         return partials_at(f, q, p)
 
 
@@ -146,13 +153,16 @@ def compile_flow_series(L, psi, p_psi):
     the evaluation on jets does. program([psi], [p_psi], order) extends the
     two lists it is given through t^order and returns them, or returns None
     where a guard comes out the other way. The trace costs about 0.5 ms.
-    There is no program (None) where the trace raises at (psi, p_psi) or L
-    uses an operation a Jet has not.
+    There is no program (None) where L cannot be traced at (psi, p_psi) or
+    uses an operation a Jet has not. Where L is singular at (psi, p_psi), the
+    trace's OverflowError, ValueError or ZeroDivisionError propagates.
     """
     tape = Tape()
     try:
         _, (dq,), (dp,) = partials_at(L, tape.inputs((psi,)), tape.inputs((p_psi,)))
         head, body = tape.series()
+    except (OverflowError, ValueError, ZeroDivisionError):
+        raise
     except Exception:  # untraceable here, or no Taylor rule: evaluation on jets decides
         return None
     if not all(isinstance(x, (Trace, float, int)) for x in (dq, dp)):

@@ -6,13 +6,13 @@ built from them supports exact first derivatives in any single phase
 direction, at any nesting depth. An entry may also be a
 :class:`~extham.duals.Batch` holding that coordinate at many points
 (:func:`batch_blocks`), so one evaluation covers all of them.
-:func:`partials_at` seeds one direction per evaluation only where every
-coordinate is a plain float; on any other leaf one evaluation gives every
-partial. Functions are immutable after construction and all operations are
-pure but one: a base system keeps the programs it traces on first use, the
-series program of its L's flow and the partials programs of its G and L
-(``extension.BaseSystem``). Two threads may both build one, and either
-serves, so concurrent evaluation at distinct points needs no synchronization.
+:func:`partials_at` takes every partial from one evaluation, on every leaf.
+Functions are immutable after construction and all operations are pure
+but one: a base system keeps the programs it traces at its first regular
+float point, the series program of its L's flow and the partials programs
+of its G and L (``extension.BaseSystem``). Two threads may both build one,
+and either serves, so concurrent evaluation at distinct points needs no
+synchronization.
 """
 
 import math
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import duals
-from .duals import Dual, Tangent, Tape, Trace, batch, new_tag, primal, tangent_part, value_part
+from .duals import Dual, Tangent, Tape, Trace, batch, new_tag, primal
 
 
 @dataclass(frozen=True)
@@ -99,36 +99,16 @@ def lift_last(f, dof):
 def partials_at(f, q, p):
     """(value, [df/dq_i], [df/dp_i]) of f at (q, p), over every slot i of its phase space.
 
-    One rule decides how. On plain float coordinates each directional
-    derivative costs one seeded evaluation, and the value is the primal of
-    the first: there the tangent bookkeeping costs more than the primal work
-    it saves (on the benchmark's oracle base, G takes 3.1 us seeded against
-    5.3 us through a Tangent, L 4.5 against 10.3 us, and the extended H of
-    (m, n) = (4, 1) 10.3 against 16.9 us; timeit minima, 2-core AMD EPYC,
-    Python 3.11). On every other leaf (Batch, Trace, Jet, or the Duals of an
-    enclosing evaluation) one evaluation gives every partial: q_i is seeded
-    as direction i and p_i as direction dof + i of a Tangent under one tag,
-    each partial equals the seeded one bit for bit, and an absent direction
-    is 0.0. Where the same f
-    is differentiated at many float points (H in integrate, a base system's
-    G and L in the closed forms), compile_partials turns that one evaluation
-    into a plain-float program instead.
+    One evaluation gives every partial, on every leaf (float, Batch, Trace,
+    Jet, or the Duals of an enclosing evaluation): q_i is seeded as
+    direction i and p_i as direction dof + i of a Tangent under one tag.
+    Each partial equals the one seeded along its slot alone bit for bit, and
+    an absent direction is 0.0. Where the same f is differentiated at many
+    float points (H in integrate, a base system's G and L in the closed
+    forms), compile_partials turns that one evaluation into a plain-float
+    program instead.
     """
     d = len(q)
-    # the first test alone settles every leaf but a float, at no cost to Jets
-    if type(q[0]) is float and all(type(v) is float for v in q + p):
-        dq = []
-        dp = []
-        for i in range(d):
-            tag = new_tag()
-            y = f.rule(q[:i] + (Dual(q[i], 1.0, tag),) + q[i + 1 :], p)
-            if not i:
-                value = value_part(y, tag)
-            dq.append(tangent_part(y, tag))
-            tag = new_tag()
-            y = f.rule(q, p[:i] + (Dual(p[i], 1.0, tag),) + p[i + 1 :])
-            dp.append(tangent_part(y, tag))
-        return value, dq, dp
     tag = new_tag()
     y = f.rule(tuple([Dual(v, Tangent({i: 1.0}), tag) for i, v in enumerate(q)]),
                tuple([Dual(v, Tangent({d + i: 1.0}), tag) for i, v in enumerate(p)]))
@@ -141,17 +121,16 @@ def partials_at(f, q, p):
 def compile_partials(f, q, p):
     """partials_at(f, ., .) on float points as one straight-line program.
 
-    partials_at runs at the float point (q, p) on Trace leaves, where it
-    takes its one evaluation with every slot seeded at once, so the tape
-    writes its float operations as the program's source, and the program
-    returns (value, dq, dp) bit for bit as partials_at does. The program
-    takes the coordinates as separate arguments. Where a comparison the
-    evaluation branched on comes out the other way, it returns partials_at's
-    answer, which takes the other branch or raises. Where one of its
-    operations raises, so does the same operation in partials_at; where two
-    raise at one point, the two may raise different ones, since on floats
-    partials_at runs the slots one after another. Where the evaluation
-    cannot be traced at (q, p), the callable returned is partials_at itself.
+    partials_at runs at the float point (q, p) on Trace leaves, and the
+    tape's float program (Tape.lines) of that one evaluation becomes the
+    program, which returns (value, dq, dp) bit for bit as partials_at does.
+    The program takes the coordinates as separate arguments. Where a
+    comparison the evaluation branched on comes out the other way, it
+    returns partials_at's answer, which takes the other branch or raises.
+    Where one of its operations raises, partials_at raises the same
+    exception at the same operation. Where the evaluation cannot be
+    traced at (q, p), or raises there, the callable returned is partials_at
+    itself.
     """
     d = len(q)
 
@@ -165,10 +144,10 @@ def compile_partials(f, q, p):
         return fallback
     if not all(isinstance(x, (Trace, float, int)) for x in (value, *dq, *dp)):
         return fallback
-    atom = tape.atom
+    lines, atom = tape.lines, tape.atom  # written first, so constants are named in tape order
     result = f"return {atom(value)}, [{', '.join(map(atom, dq))}], [{', '.join(map(atom, dp))}]"
     tape.namespace["fallback"] = fallback
-    return duals.define("partials", tape.params, tape.lines + [result], tape.namespace,
+    return duals.define("partials", tape.params, lines + [result], tape.namespace,
                         "<compile_partials>")
 
 

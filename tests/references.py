@@ -36,7 +36,7 @@ def seeded_partials(f, q, p):
         tag = dm.new_tag()
         y = f.rule(q[:i] + (dm.Dual(q[i], 1.0, tag),) + q[i + 1 :], p)
         if not i:
-            value = dm.value_part(y, tag)
+            value = y.val if isinstance(y, dm.Dual) and y.tag == tag else y
         dq.append(dm.tangent_part(y, tag))
         tag = dm.new_tag()
         y = f.rule(q, p[:i] + (dm.Dual(p[i], 1.0, tag),) + p[i + 1 :])

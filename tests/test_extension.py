@@ -235,8 +235,8 @@ def test_hamiltonian_computes_tagged_s_once_per_rule_call(base, monkeypatch):
     H = _branch_extension(base, -1.0, 2.0, False).hamiltonian()
     H.rule((0.7, 0.9), (0.4, -0.3))
     assert len(calls) == 1
-    partials_at(H, (0.7, 0.9), (0.4, -0.3))  # four seeded rule calls
-    assert len(calls) == 5
+    partials_at(H, (0.7, 0.9), (0.4, -0.3))  # one rule call for every direction
+    assert len(calls) == 2
 
 
 def test_u_operator_examples(base, profile):
@@ -560,6 +560,27 @@ def test_a_closed_form_where_g_vanishes_raises_as_partials_at_does(b, monkeypatc
                 evaluate(zero)
             errors.append(str(err.value))
     assert errors == ["float division by zero"] * 6
+
+
+def test_a_singular_first_point_keeps_no_program():
+    # L divides by g^2 and g(0) = 0.0, so L's partials raise at psi = 0: the
+    # first evaluation there keeps no program for L, and the first regular
+    # point traces both of L's programs, which answer as on a fresh base
+    def k_pair():
+        b = trig_base(1.0, 0.0, 0.5, 1.0)
+        e = Extension(ExtensionSpec(3, 2, b.c, 0.0, 0.0, GammaProfile.from_c_C(b.c, 0.0)), b)
+        return b, (e.k_closed(), e.k_recursive())
+
+    b, ks = k_pair()
+    for k in ks:
+        with pytest.raises(ZeroDivisionError, match="float division by zero"):
+            k(PhasePoint((1.1, 0.0), (0.5, 0.3)))
+    assert (compile_partials, b.L) not in b._programs
+    assert (compile_flow_series, b.L) not in b._programs
+    x = PhasePoint((1.1, 1.0), (0.5, 0.3))
+    assert [k(x) for k in ks] == [k(x) for k in k_pair()[1]]
+    for compiler, f in ((compile_partials, b.G), (compile_partials, b.L), (compile_flow_series, b.L)):
+        assert b._programs[compiler, f][1].__code__.co_filename in ("<compile_partials>", "<flow series>")
 
 
 def test_recursive_route_uses_no_closed_form(base, profile, monkeypatch):

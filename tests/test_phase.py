@@ -8,6 +8,7 @@ from extham import catalog, phase
 from extham import duals as dm
 from extham.catalog import exp_base, make_minkowski_hamiltonian, trig_base
 from extham.duals import primal
+from extham.extension import compile_flow_series
 from extham.phase import (
     PhaseFunction,
     PhasePoint,
@@ -25,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from references import fd_gradient, fd_poisson_bracket, leaf_values, seeded_partials
+from references import fd_gradient, fd_poisson_bracket, leaf_bits, seeded_partials
 
 
 def test_phase_point_validation():
@@ -172,11 +173,8 @@ def test_lift_last():
 
 
 def test_rule_calls_per_partials_at():
-    # float leaves stay seeded, one evaluation per direction: on a scalar the
-    # tangent bookkeeping costs more than the primal work it saves (a float-point
-    # closed-form K and its magnitude went from 11-13 to 21-23 us through one
-    # evaluation); every other leaf takes one evaluation for every direction
-    # (and, on Batch leaves, every point)
+    # every leaf takes one evaluation for every direction (and, on Batch
+    # leaves, every point)
     calls = []
 
     def rule(q, p):
@@ -186,7 +184,7 @@ def test_rule_calls_per_partials_at():
     f = PhaseFunction(rule, 2)
     z = np.array([[0.5, 0.7, 1.5, -0.2], [1.1, 0.3, -0.4, 0.9], [0.8, 1.9, 0.2, 0.6]])
     per_point = [partials_at(f, tuple(row[:2]), tuple(row[2:])) for row in z.tolist()]
-    assert len(calls) == 4 * len(z)
+    assert len(calls) == len(z)
     calls.clear()
     value, dq, dp = partials_at(f, *batch_blocks(z))
     assert len(calls) == 1
@@ -204,7 +202,7 @@ def test_rule_calls_per_partials_at():
     g = PhaseFunction(lambda q, p: calls.append(1) or q[0] * p[0], 1)
     calls.clear()
     partials_at(g, (0.5,), (1.5,))
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def _catalog_functions():
@@ -232,8 +230,9 @@ CATALOG_FUNCTIONS = _catalog_functions()
 @pytest.mark.parametrize("label,f,windows", CATALOG_FUNCTIONS, ids=[c[0] for c in CATALOG_FUNCTIONS])
 def test_partials_at_equals_the_seeded_loop_on_every_leaf(label, f, windows):
     # one evaluation over every direction gives each seeded partial bit for bit,
-    # on Batch leaves, on the Duals of an enclosing evaluation and on Jets (there
-    # only because a Dual keeps a product's operands in the order written)
+    # on plain floats, on Batch leaves, on the Duals of an enclosing evaluation
+    # and on Jets (there only because a Dual keeps a product's operands in the
+    # order written)
     d = f.dof
     pts = sample_points(3, 24, d, q_ranges=windows)
     z = np.array([x.q + x.p for x in pts])
@@ -243,9 +242,9 @@ def test_partials_at_equals_the_seeded_loop_on_every_leaf(label, f, windows):
         v = x.q + x.p
         dual = [dm.Dual(c, 0.7 - 0.3 * i, outer) for i, c in enumerate(v)]
         jet = [dm.Jet([c, 0.5 - 0.2 * i, 0.0]) for i, c in enumerate(v)]
-        blocks += [(tuple(dual[:d]), tuple(dual[d:])), (tuple(jet[:d]), tuple(jet[d:]))]
+        blocks += [(x.q, x.p), (tuple(dual[:d]), tuple(dual[d:])), (tuple(jet[:d]), tuple(jet[d:]))]
     for q, p in blocks:
-        assert leaf_values(partials_at(f, q, p)) == leaf_values(seeded_partials(f, q, p))
+        assert leaf_bits(partials_at(f, q, p)) == leaf_bits(seeded_partials(f, q, p))
 
 
 def test_ignored_slot_gets_positive_zero_on_batch_leaves():
@@ -410,6 +409,29 @@ def test_compiled_partials_raise_as_partials_at_does(fallbacks):
         with pytest.raises(ValueError, match="math domain error"):
             program(u, 0.7, 1.5, -0.2)
         assert not fallbacks
+
+
+def test_where_two_operations_raise_both_raise_the_first(fallbacks):
+    # at q = (0, 0) the partial of q[1] ** 0.5 needs 0.0 ** -0.5 (a domain
+    # error), and the one of sqrt(q[0]) divides by zero; both run the first
+    f = PhaseFunction(lambda q, p: q[1] ** 0.5 + dm.sqrt(q[0]) + p[0], 2)
+    program = compile_partials(f, (1.0, 1.0), (1.0, 1.0))
+    fallbacks.clear()  # compile_partials' own trace
+    with pytest.raises(ValueError, match="math domain error"):
+        program(0.0, 0.0, 1.0, 1.0)
+    assert not fallbacks
+    with pytest.raises(ValueError, match="math domain error"):
+        partials_at(f, (0.0, 0.0), (1.0, 1.0))
+
+
+@pytest.mark.parametrize("rule", [
+    lambda q, p: q[0] * p[0] if primal(q[0]) else p[0],  # bool
+    lambda q, p: math.exp(float(primal(q[0]))) * p[0],  # float
+    lambda q, p: {primal(q[0]): p[0]}[primal(q[0])],  # hash
+    lambda q, p: OUTER * q[0] * p[0],  # a Dual of an enclosing evaluation in every output
+])
+def test_untraceable_rules_have_no_flow_series(rule):
+    assert compile_flow_series(PhaseFunction(rule, 1), 0.5, -0.2) is None
 
 
 def test_compiled_partials_source(monkeypatch):
