@@ -429,12 +429,15 @@ def make_remark_pair(d1=2.0, d2=3.0):
 
 
 def _parse_k(text, allow_float=False):
-    """--k as a Fraction p/q, or as a float where allow_float (--no-integral)."""
-    if "." in text:
-        if not allow_float:
-            raise ValueError("--k must be a rational p/q (floats only allowed with --no-integral)")
-        return float(text)
-    return Fraction(text)
+    """--k as a Fraction p/q, or as a finite float where allow_float (--no-integral)."""
+    try:
+        if "." not in text:
+            return Fraction(text)
+        if allow_float and math.isfinite(float(text)):
+            return float(text)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"--k must be a rational p/q, or a decimal with --no-integral; got {text!r}")
 
 
 BASES = {
@@ -470,7 +473,7 @@ def _minkowski_flow(k, alpha, beta, omega, no_integral, chart, u_min):
     H = model.extension.hamiltonian()
     drift_fns = {"H": H, "L": lift_last(model.base.L, 2)}
     if omega == 0.0:  # Kbar's drift at Omega != 0 would cost about 9% of a flow round
-        drift_fns["K"] = model.extension.k_closed()
+        drift_fns["K"] = model.extension.first_integral()[1]
     return H, drift_fns, u_min
 
 

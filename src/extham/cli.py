@@ -29,6 +29,7 @@ from .phase import (
     PhasePoint,
     batch_blocks,
     bracket_of_gradients,
+    evaluate_batch,
     partials_at,
 )
 from .sampling import RNG_NAME, sample_points, sample_scalars
@@ -41,6 +42,14 @@ def _emit(report):
 
 def _log(msg):
     print(msg, file=sys.stderr)
+
+
+def _verdict(args, report, passed):
+    """Emit a sampled check's report with the fields every one shares; exit 0 if passed, else 1."""
+    report.update({"num_points": args.points, "rng": RNG_NAME, "rng_seed": args.seed,
+                   "tolerance": args.tol, "pass": passed})
+    _emit(report)
+    return 0 if passed else 1
 
 
 def _checked(convert, accept, what):
@@ -64,12 +73,6 @@ _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
 _tolerance = _checked(float, lambda v: math.isfinite(v) and v >= 0.0, "a finite number >= 0")
 
 
-def _quiet_sweep():
-    """numpy error state for a batched sweep: an overflow or NaN stays silent, and
-    the finiteness check after the sweep decides what it means."""
-    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
-
-
 def _bracket_sweep(H, integrals, points):
     """(max |{H,K}|, max |{H,K}|/(|grad H||grad K|), jac) over points.
 
@@ -79,21 +82,17 @@ def _bracket_sweep(H, integrals, points):
     their scales equal poisson_bracket and bracket_scale at each point; both
     take their norms from row_norms, so a scale stays finite where squared
     gradients overflow. An inf or NaN gradient entry raises ValueError naming
-    its point, and an OverflowError while differentiating one raises
-    ValueError naming the function: no bracket there can be checked. Maxima
-    run over Python floats, so verdicts stay plain bools.
+    its point, and evaluate_batch refuses an overflow inside a gradient by
+    its function: no bracket there can be checked. Maxima run over Python
+    floats, so verdicts stay plain bools.
     """
     fs = [("H", H)] + list(integrals)
     q, p = batch_blocks(np.array([x.q + x.p for x in points]))
     jac = np.empty((len(points), len(fs), 2 * H.dof))
-    with _quiet_sweep():
-        for j, (name, f) in enumerate(fs):
-            try:
-                _, dq, dp = partials_at(f, q, p)
-            except OverflowError:
-                raise ValueError(f"the gradient of {name} overflows double precision") from None
-            for s, v in enumerate(dq + dp):
-                jac[:, j, s] = primal(v)  # a tangent that is a scalar zero broadcasts
+    for j, (name, f) in enumerate(fs):
+        _, dq, dp = evaluate_batch(f"the gradient of {name}", partials_at, f, q, p)
+        for s, v in enumerate(dq + dp):
+            jac[:, j, s] = primal(v)  # a tangent that is a scalar zero broadcasts
     bad = np.flatnonzero(~np.isfinite(jac).all(axis=(1, 2)))
     if bad.size:
         raise ValueError(f"non-finite gradient at sample point {bad[0]}: {points[bad[0]]}")
@@ -159,22 +158,16 @@ def cmd_verify(args):
         "tool": f"extham {__version__}",
         "model": model.describe(),
         "integrals_checked": [name for name, _ in model.known_integrals],
-        "num_points": args.points,
-        "rng": RNG_NAME,
-        "rng_seed": args.seed,
-        "tolerance": args.tol,
         "max_abs_bracket": max_abs,
         "max_rel_bracket": max_rel,
         "independence_rank": rank,
         "expected_rank": expected_rank,
-        "pass": passed,
     }
     if model.extension is not None:
         report["m"] = model.extension.spec.m
         report["n"] = model.extension.spec.n
         report["Omega"] = args.omega
-    _emit(report)
-    return 0 if passed else 1
+    return _verdict(args, report, passed)
 
 
 def cmd_integrate(args):
@@ -305,9 +298,8 @@ def cmd_ladder(args):
     data = ladder_from_base(base)
     psis = sample_scalars(args.points, args.seed, *base.psi_window)
     col = batch(psis)
-    with _quiet_sweep():
-        r1, r2 = ladder_residuals(data, col)
-        s = ladder_scale(data, col)
+    r1, r2, s = evaluate_batch("the ladder residual",
+                               lambda: (*ladder_residuals(data, col), ladder_scale(data, col)))
     # r2 carries c1, so a non-finite c1 is refused at every point; max() would skip NaN
     finite = np.isfinite(r1) & np.isfinite(r2) & np.isfinite(s)
     bad = np.flatnonzero(~np.broadcast_to(finite, col.shape))
@@ -328,16 +320,10 @@ def cmd_ladder(args):
         "branch": args.branch,
         "family": base.family,
         "c1": data.c1,
-        "num_points": args.points,
-        "rng": RNG_NAME,
-        "rng_seed": args.seed,
-        "tolerance": args.tol,
         "max_rel_residual": worst,
         "eigen_diagnostic": diag,
-        "pass": passed,
     }
-    _emit(report)
-    return 0 if passed else 1
+    return _verdict(args, report, passed)
 
 
 def _ccm_pair(args):
@@ -370,17 +356,11 @@ def cmd_ccm(args):
         "m": args.m,
         "n": args.n,
         "eta": args.eta,
-        "num_points": args.points,
-        "rng": RNG_NAME,
-        "rng_seed": args.seed,
-        "tolerance": args.tol,
         "max_rel_bracket": max_rel,
         "rescaled_max_rel_bracket": max_rel2,
         "max_abs_bracket": max(max_abs, max_abs2),
-        "pass": passed,
     }
-    _emit(report)
-    return 0 if passed else 1
+    return _verdict(args, report, passed)
 
 
 def cmd_catalog(args):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duals import define
-from .phase import batch_blocks, compile_partials
+from .phase import batch_blocks, compile_partials, evaluate_batch
 
 COMPLETED = "completed"
 DOMAIN_EXIT = "domain-exit"
@@ -154,17 +154,18 @@ def _compile_solve(partials, d, fp_tol, max_iter):
 def drift_report(traj, functions):
     """Max relative drift |f(x_t) - f(x_0)| / (1 + |f(x_0)|) per function.
 
-    functions maps name -> PhaseFunction. Each is evaluated once, on every
-    state at a time as Batch leaves; evaluation failures propagate, and a
-    value that is not finite raises ValueError naming the function and the
-    first such state, since max would skip a NaN.
+    functions maps name -> PhaseFunction. Each is evaluated once, on all states
+    as Batch leaves, by phase.evaluate_batch: numpy does not warn, an overflow
+    inside raises ValueError "<name> overflows double precision", other failures
+    propagate, and a value that is not finite raises ValueError naming the
+    function and the first such state, since max would skip a NaN.
     """
     q, p = batch_blocks(traj.states)
     out = {}
     for name, f in functions.items():
         if f.dof != traj.dof:
             raise ValueError(f"function of {f.dof} dof evaluated at a {traj.dof}-dof point")
-        values = np.broadcast_to(f.rule(q, p), len(traj.states))
+        values = np.broadcast_to(evaluate_batch(name, f.rule, q, p), len(traj.states))
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             raise ValueError(f"non-finite {name} at state {bad[0]}: {traj.states[bad[0]].tolist()}")

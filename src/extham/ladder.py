@@ -94,9 +94,9 @@ def ladder_eigen_pattern(data, x, sign=1):
     x1 = hamiltonian_vector_field(base.L, Fpm)
     x2 = hamiltonian_vector_field(base.L, x1)
     f = dm.sqrt(2.0 * (-base.c * base.L(x) + base.c0))
-    val = Fpm(x)
+    val, x2x = Fpm(x), x2(x)
     return {
-        "second_order_vs_f": x2(x) - f * val,
-        "second_order_vs_f_squared": x2(x) - f * f * val,
+        "second_order_vs_f": x2x - f * val,
+        "second_order_vs_f_squared": x2x - f * f * val,
         "first_order_vs_sign_f": x1(x) - sign * f * val,
     }

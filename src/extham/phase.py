@@ -80,6 +80,20 @@ def batch_blocks(z):
     return cols[:d], cols[d:]
 
 
+def evaluate_batch(name, run, *args):
+    """run(*args) on Batch leaves, with numpy's overflow, invalid and divide warnings off.
+
+    An entry that overflows stays inf or NaN, for the caller's finiteness scan to
+    refuse by its point. An OverflowError raised inside (a math function or a float
+    power) names no point, so it becomes ValueError("<name> overflows double precision").
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            return run(*args)
+        except OverflowError:
+            raise ValueError(f"{name} overflows double precision") from None
+
+
 def lift_last(f, dof):
     """Promote a function to a larger phase space, reading the trailing block.
 

@@ -247,6 +247,9 @@ def test_catalog_command(capsys):
     assert any(entry["extendable"] is False for entry in listing)
 
 
+_K_TEXT = "--k must be a rational p/q, or a decimal with --no-integral; got "
+
+
 @pytest.mark.parametrize("argv,message", [
     (("verify", "--model", "minkowski", "--k", "1000001/1000000"),
      "K(2000001,500000) has momentum degree 3000000, above the cap of 30"),
@@ -286,6 +289,12 @@ def test_catalog_command(capsys):
      "the gradient of K(151,1) overflows double precision"),
     (("ccm", "--m", "120"), "the gradient of Kprime overflows double precision"),
     (("ccm", "--m", "160"), "the gradient of Kprime overflows double precision"),
+    # --k text that is no number is refused by name, in verify and integrate alike
+    (("verify", "--model", "minkowski", "--k", "1/0"), _K_TEXT + "'1/0'"),
+    (("verify", "--model", "minkowski", "--k", "abc"), _K_TEXT + "'abc'"),
+    (("verify", "--model", "minkowski", "--k", "1.5.2", "--no-integral"), _K_TEXT + "'1.5.2'"),
+    (("verify", "--model", "minkowski", "--k", "1.e400", "--no-integral"), _K_TEXT + "'1.e400'"),
+    (("integrate", "--k", "abc", "--x0", "1", "0", "3.2", "0.5"), _K_TEXT + "'abc'"),
     # an x0 outside H's domain is refused before the first step
     (("integrate", "--x0", "0", "0", "3.2", "0.5"), "gamma profile singular at u=0.0"),
     (("integrate", "--chart", "null", "--x0", "1", "0", "3.2", "0.5"),
@@ -305,6 +314,8 @@ def test_catalog_command(capsys):
         "sphere-zero-eta", "pseudosphere-zero-eta", "ttw-flat-zero-eta", "ladder-trig-zero-eta",
         "ladder-free-zero-eta", "sphere-empty-window", "ladder-trig-empty-window",
         "ttw-flat-overflow", "sphere-overflow", "ccm-overflow-120", "ccm-overflow-160",
+        "k-zero-denominator", "k-not-a-number", "k-two-points", "k-infinite-decimal",
+        "integrate-k-not-a-number",
         "x0-at-gamma-pole", "x0-off-wedge", "integrate-zero-h", "verify-negative-seed",
         "ladder-negative-seed", "ccm-seed-2**128"])
 def test_errors_exit_two_with_json_error(capsys, monkeypatch, tmp_path, argv, message):
@@ -472,6 +483,22 @@ def test_non_finite_ladder_residual_is_refused_not_skipped(capsys):
     argv = ("ladder", "--branch", "trig", "--alpha", "1e308", "--beta", "1e308", "--seed", "1")
     assert _refused(capsys, argv) == (
         "non-finite ladder residual at sample point 0: psi=0.420594741214038")
+
+
+@pytest.mark.parametrize("argv,message", [
+    # a jet's exp overflows inside math.exp while the residuals are taken
+    (("ladder", "--eta", "1000"), "the ladder residual overflows double precision"),
+    # the orbit runs; a float power inside the closed K overflows in the drift report
+    (("integrate", "--x0", "1", "0", "1e100", "0.5", "--steps", "3"),
+     "K overflows double precision"),
+    # p1 * p1 overflows to inf in numpy, which names the state and prints no warning
+    (("integrate", "--model", "free", "--x0", "1", "0", "1e160", "0.5", "--steps", "3"),
+     "non-finite H at state 0: [1.0, 0.0, 1e+160, 0.5]"),
+], ids=["ladder", "integrate-k", "integrate-free"])
+def test_an_overflow_in_a_batch_is_refused_by_name(capsys, tmp_path, argv, message):
+    if argv[0] == "integrate":
+        argv += ("--csv", str(tmp_path / "x.csv"))
+    assert _refused(capsys, argv) == message
 
 
 def test_sphere_below_the_overflow_still_passes(capsys):

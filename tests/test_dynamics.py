@@ -143,6 +143,15 @@ def test_drift_report_refuses_a_non_finite_value():
             drift_report(traj, {"f": f})
 
 
+def test_drift_report_refuses_an_overflow_by_the_function_name():
+    # a Batch power is Python's float power entry by entry, so 1e200 ** 3.0 raises
+    # OverflowError inside the evaluation, which names no state
+    traj = Trajectory(times=np.arange(2.0), states=np.array([[1.0, 0.0], [1e200, 0.0]]), h=1.0)
+    cube = PhaseFunction(lambda q, p: q[0] ** 3.0, 1)
+    with pytest.raises(ValueError, match=r"^cube overflows double precision$"):
+        drift_report(traj, {"cube": cube})
+
+
 def test_drift_report_equals_per_state_evaluation(wedge_system):
     # one batched evaluation per function gives the per-state drifts bit for bit
     H, L, K = wedge_system
