@@ -12,6 +12,7 @@ but characteristic-integral construction is refused.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -79,6 +80,17 @@ def _window_free_of_zeros(C1, C2, eta, branch, window, label):
         raise ValueError(f"{label}: gauge function vanishes inside psi window {window}")
 
 
+def _check_eta(eta):
+    """Refuse eta = 0, and an eta whose c = +-eta^2 or c^2 is not a finite, normal, nonzero
+    double; eta * eta, unlike eta ** 2, does not raise where it overflows."""
+    if eta == 0.0:
+        raise ValueError("eta must be nonzero")
+    c = eta * eta
+    if not sys.float_info.min <= c * c <= sys.float_info.max:
+        raise ValueError(f"eta={eta!r} is out of range: c = +-eta^2 and c^2 must be finite, "
+                         "normal, nonzero doubles")
+
+
 def _base(family, params, c, V_rule, G_rule, g, eta_hat, psi_window=(0.3, 2.0)):
     """The BaseSystem L = p^2/2 + V with seed G and c0 = 0."""
     return BaseSystem(
@@ -99,8 +111,7 @@ def make_base_family(C1, C2, C3, C4, eta, branch, psi_window=None):
         raise ValueError("C1 and C2 must not both vanish")
     if (C3, C4) == (0.0, 0.0):
         raise ValueError("C3 and C4 must not both vanish")
-    if eta == 0.0:
-        raise ValueError("eta must be nonzero")
+    _check_eta(eta)
     eta_hat = abs(eta)
     # g_and_slope returns g and g'/eta_hat from one pair of transcendentals
     if branch == "hyperbolic":
@@ -148,8 +159,7 @@ def exp_base(alpha_t, beta_t, eta=2.0):
 
 def _free_base(eta):
     """V = 0: the seed G = e^(eta psi) p_psi still solves the c = -eta^2 equation."""
-    if eta == 0.0:
-        raise ValueError("eta must be nonzero")
+    _check_eta(eta)
 
     def g(psi):
         return dm.exp(eta * psi)
@@ -176,7 +186,8 @@ def trig_base(A, psi0, alpha, beta, abs_eta=1.0, psi_window=None):
     """g = A sin(|eta| psi + psi0), V = (alpha + beta cos(|eta| psi + psi0))/sin^2(...)."""
     C1 = A * math.sin(psi0)
     C2 = A * math.cos(psi0)
-    if psi_window is None and abs_eta != 0.0:  # make_base_family refuses eta = 0
+    _check_eta(abs_eta)  # before the window divides by it
+    if psi_window is None:
         # keep |eta| psi + psi0 inside (0.3, pi - 0.4), away from the sin zeros
         lo = max(0.05, (0.3 - psi0) / abs_eta)
         hi = (math.pi - 0.4 - psi0) / abs_eta
@@ -192,6 +203,7 @@ def momentum_free_seed_base(C1, C2, C3, eta=2.0):
         raise ValueError("C1 and C2 must not both vanish")
     if C3 == 0.0:
         raise ValueError("C3 must be nonzero")
+    _check_eta(eta)
 
     def g(psi):
         return C1 * dm.exp(eta * psi) + C2 * dm.exp(-eta * psi)
@@ -432,10 +444,12 @@ def _parse_k(text, allow_float=False):
     """--k as a Fraction p/q, or as a finite float where allow_float (--no-integral)."""
     try:
         if "." not in text:
-            return Fraction(text)
+            k = Fraction(text)
+            float(k)  # a rational past double range raises OverflowError
+            return k
         if allow_float and math.isfinite(float(text)):
             return float(text)
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         pass
     raise ValueError(f"--k must be a rational p/q, or a decimal with --no-integral; got {text!r}")
 

@@ -81,10 +81,11 @@ def _bracket_sweep(H, integrals, points):
     points[i], from which jacobian_rank gives the ranks. The brackets and
     their scales equal poisson_bracket and bracket_scale at each point; both
     take their norms from row_norms, so a scale stays finite where squared
-    gradients overflow. An inf or NaN gradient entry raises ValueError naming
-    its point, and evaluate_batch refuses an overflow inside a gradient by
-    its function: no bracket there can be checked. Maxima run over Python
-    floats, so verdicts stay plain bools.
+    gradients overflow. Where the scale itself overflows, the bracket is
+    divided by one norm at a time. An inf or NaN gradient entry or bracket
+    raises ValueError naming its point, and evaluate_batch refuses an
+    overflow inside a gradient by its function: no bracket there can be
+    checked. Maxima run over Python floats, so verdicts stay plain bools.
     """
     fs = [("H", H)] + list(integrals)
     q, p = batch_blocks(np.array([x.q + x.p for x in points]))
@@ -99,11 +100,19 @@ def _bracket_sweep(H, integrals, points):
     norms = row_norms(jac)
     max_abs = 0.0
     max_rel = 0.0
-    for j in range(1, len(fs)):
-        b = abs(bracket_of_gradients(jac[:, 0].T, jac[:, j].T))
-        s = norms[:, 0] * norms[:, j]
-        max_abs = max([max_abs] + b.tolist())
-        max_rel = max([max_rel] + (b[s > 0] / s[s > 0]).tolist())
+    with np.errstate(over="ignore", invalid="ignore"):  # what overflows is refused or rescaled
+        for j in range(1, len(fs)):
+            b = abs(bracket_of_gradients(jac[:, 0].T, jac[:, j].T))
+            bad = np.flatnonzero(~np.isfinite(b))
+            if bad.size:
+                raise ValueError(f"non-finite bracket {{H, {fs[j][0]}}} at sample point {bad[0]}: "
+                                 f"{points[bad[0]]}")
+            max_abs = max([max_abs] + b.tolist())
+            s = norms[:, 0] * norms[:, j]
+            over = np.isinf(s)
+            b[over] /= norms[over, 0]
+            s[over] = norms[over, j]
+            max_rel = max([max_rel] + (b[s > 0] / s[s > 0]).tolist())
     return max_abs, max_rel, jac
 
 

@@ -540,8 +540,10 @@ class Tape:
         for k = 0, 1, 2, ... gives every coefficient of the evaluation on Jets
         bit for bit, each once. A guard compares the primals of coefficients
         0, as an evaluation on Jets compares them, and at k = 0, where it
-        comes out the other way, body returns None. An operation Jet has no
-        rule for raises TypeError.
+        comes out the other way, body runs ``return fallback(<params>, order)``,
+        as the float program's guard does, so ``namespace`` needs a
+        ``fallback`` and the program an ``order``. An operation Jet has no rule
+        for raises TypeError.
         """
         self.namespace.update({f.__name__: f for f in _SERIES_HELPERS})
         head, body = [], []
@@ -550,7 +552,8 @@ class Tape:
             if not isinstance(out, Trace):
                 cmp = _INFIX[fn].format(*[f"primal({n}[0])" if isinstance(x, Trace) else n
                                           for x, n in zip(args, names)])
-                body.append(f"if not k and {'not ' if out else ''}({cmp}): return None")
+                body.append(f"if not k and {'not ' if out else ''}({cmp}): "
+                            f"return fallback({', '.join(self.params)}, order)")
                 continue
             o = f"t{out.i}"
             kinds = "".join("s" if isinstance(x, Trace) else "c" for x in args)

@@ -6,18 +6,19 @@ recursion (U applied repeatedly, G_n built by its recursion) and the closed
 binomial expansions; tests pin their pointwise equality.
 
 The closed forms need G, X_L G and L at a base point, from the partials of G
-and L. At a float point those come from two straight-line programs per base
-system (compile_partials of G and of L, traced once, BaseSystem.partials);
-on every other leaf from partials_at, which they equal bit for bit.
+and L (BaseSystem.partials). The recursion runs on truncated Taylor series
+along the L-flow: at a base point, X_L^j f = j! [f(z(t))]_j for the flow
+z(t) of L, so the G_n recursion becomes jet products with X_L a coefficient
+shift, and U acts on the vector of X_L-derivatives. It never uses the seed
+equation or the closed forms, and its cost is polynomial in (m, n). The
+flow's coefficients through t^order come from BaseSystem.flow_jets, which
+equals flow_jets_by_evaluation: L's partials evaluated on jets, order after
+order.
 
-The recursion runs on truncated Taylor series along the L-flow: at a base
-point, X_L^j f = j! [f(z(t))]_j for the flow z(t) of L, so the G_n
-recursion becomes jet products with X_L a coefficient shift, and U acts on
-the vector of X_L-derivatives. It never uses the seed equation or the
-closed forms, and its cost is polynomial in (m, n). The flow's coefficients
-come one order at a time from a series program of L's partials, traced once
-per base system (compile_flow_series); evaluating those partials on jets
-order after order (flow_jets_by_evaluation) is its reference and fallback.
+A base system compiles both evaluations once (compile_partials,
+compile_flow_series), under one contract: a program answers as the
+evaluation it compiles, bit for bit, by calling it where a guard flips, and
+where the trace fails the callable returned is that evaluation itself.
 
 The base Hamiltonian L acts on the trailing (psi, p_psi) block of the
 extended phase space (u, psi, p_u, p_psi); functions of the base block are
@@ -64,9 +65,9 @@ class BaseSystem:
     The seed satisfies X_L^2(G) = -2(c L + c0) G for the recorded (c, c0).
     psi_window is the position interval on which the family is free of
     singularities; samplers respect it. A base system also keeps the
-    programs it traces at its first regular float point: the series program
-    of L's flow (flow_series) and the partials programs of G and L
-    (partials), each until the rule it traced is patched.
+    programs it traces at its first regular float point: the partials
+    programs of G and L (partials) and the series program of L's flow
+    (flow_jets), each until the rule it traced is patched.
     """
 
     family: str
@@ -86,39 +87,44 @@ class BaseSystem:
         if self.V.dof != 1 or self.L.dof != 1 or self.G.dof != 1:
             raise ValueError("base system functions must live on the 1-dof phase space")
 
-    def _kept(self, compiler, f, point, run):
-        """run(compiler(f, *point)), traced at that float point the first time it is
-        asked for, and kept once run answers there (where f is singular, the next
+    def _kept(self, compiler, f, point, *args):
+        """program(*args) for program = compiler(f, *point), traced at that float
+        point the first time it is asked for, and kept once it answers there
+        (where f is singular, the evaluation it fell back to raises, and the next
         float point traces again) until f.rule is no longer the rule it traced.
         Two threads asking at once may both build it; either serves."""
         rule, program = self._programs.get((compiler, f), (None, None))
         if rule is f.rule:
-            return run(program)
+            return program(*args)
         program = compiler(f, *point)
-        answer = run(program)
+        answer = program(*args)
         self._programs[compiler, f] = (f.rule, program)
         return answer
-
-    def flow_series(self, psi, p_psi):
-        """The series program of L's flow (compile_flow_series), or None where it
-        has none or L's partials raise at (psi, p_psi)."""
-        try:
-            return self._kept(compile_flow_series, self.L, (psi, p_psi), lambda program: program)
-        except (OverflowError, ValueError, ZeroDivisionError):
-            return None
 
     def partials(self, f, q, p):
         """partials_at(f, q, p) for f = G or L, bit for bit.
 
         On plain floats it runs f's straight-line program (compile_partials),
-        kept as flow_series is: on the benchmark's oracle base 0.2-0.35 us a
-        call against 6-11 us for partials_at's Tangent evaluation, after a
-        trace of 0.08-0.15 ms (timeit minima, 2-core AMD EPYC). Every other
-        leaf takes partials_at's evaluation.
+        kept by _kept: on the benchmark's oracle base 0.2-0.35 us a call
+        against 6-11 us for partials_at's Tangent evaluation, after a trace of
+        0.08-0.15 ms (timeit minima, 2-core AMD EPYC). Every other leaf takes
+        partials_at's evaluation.
         """
         if type(q[0]) is float and type(p[0]) is float:
-            return self._kept(compile_partials, f, (q, p), lambda program: program(q[0], p[0]))
+            return self._kept(compile_partials, f, (q, p), q[0], p[0])
         return partials_at(f, q, p)
+
+    def flow_jets(self, psi, p_psi, order):
+        """flow_jets_by_evaluation(L, psi, p_psi, order), bit for bit.
+
+        On floats, or Duals over floats, it runs the series program of L's
+        flow (compile_flow_series), kept by _kept. Every other leaf, and order
+        0 (the start point, which needs no trace), takes the evaluation on jets.
+        """
+        if order and _on_floats(psi) and _on_floats(p_psi):
+            return self._kept(compile_flow_series, self.L, (primal(psi), primal(p_psi)),
+                              [psi], [p_psi], order)
+        return flow_jets_by_evaluation(self.L, psi, p_psi, order)
 
 
 def seed_equation_terms(base, c, c0, x):
@@ -134,7 +140,7 @@ def flow_jets_by_evaluation(L, psi, p_psi, order):
     Each order k evaluates the partials on the jets (Q, P) known through t^k
     and appends Q_{k+1} = [dL/dp]_k / (k+1) and P_{k+1} = -[dL/dpsi]_k / (k+1),
     recomputing every lower coefficient: O(order^3) coefficient work. It is
-    the series program's reference and its fallback.
+    what the series program (compile_flow_series) compiles.
     """
     Q, P = [psi], [p_psi]
     for k in range(order):
@@ -149,24 +155,26 @@ def compile_flow_series(L, psi, p_psi):
 
     partials_at(L) runs once on Trace leaves at the float point (psi, p_psi),
     and the tape writes its operations in series form (Tape.series), so the
-    program computes each coefficient once, O(order^2) in all, bit for bit as
-    the evaluation on jets does. program([psi], [p_psi], order) extends the
-    two lists it is given through t^order and returns them, or returns None
-    where a guard comes out the other way. The trace costs about 0.5 ms.
-    There is no program (None) where L cannot be traced at (psi, p_psi) or
-    uses an operation a Jet has not. Where L is singular at (psi, p_psi), the
-    trace's OverflowError, ValueError or ZeroDivisionError propagates.
+    program computes each coefficient once, O(order^2) in all. The trace
+    costs about 0.5 ms. program([psi], [p_psi], order) returns the two Jets
+    flow_jets_by_evaluation(L, psi, p_psi, order) returns, bit for bit, as
+    compile_partials' program answers as partials_at: where a guard comes
+    out the other way, it returns that evaluation's answer, and where L
+    cannot be traced at (psi, p_psi), raises there or uses an operation a
+    Jet has not, the callable returned is that evaluation itself.
     """
+
+    def fallback(Q, P, order):
+        return flow_jets_by_evaluation(L, Q[0], P[0], order)
+
     tape = Tape()
     try:
         _, (dq,), (dp,) = partials_at(L, tape.inputs((psi,)), tape.inputs((p_psi,)))
         head, body = tape.series()
-    except (OverflowError, ValueError, ZeroDivisionError):
-        raise
-    except Exception:  # untraceable here, or no Taylor rule: evaluation on jets decides
-        return None
+    except Exception:  # untraceable, singular here, or no Taylor rule: evaluation on jets decides
+        return fallback
     if not all(isinstance(x, (Trace, float, int)) for x in (dq, dp)):
-        return None
+        return fallback
 
     def coefficient_k(x):  # coefficient(x, k): a constant is a series of one term
         name = tape.atom(x)
@@ -174,7 +182,8 @@ def compile_flow_series(L, psi, p_psi):
 
     loop = body + [f"t0.append({coefficient_k(dp)} / (k + 1))",
                    f"t1.append(-{coefficient_k(dq)} / (k + 1))"]
-    lines = head + ["for k in range(order):"] + ["    " + line for line in loop] + ["return t0, t1"]
+    lines = head + ["for k in range(order):"] + ["    " + line for line in loop] + ["return Jet(t0), Jet(t1)"]
+    tape.namespace.update(fallback=fallback, Jet=Jet)
     return define("flow_series", tape.params + ["order"], lines, tape.namespace, "<flow series>")
 
 
@@ -232,24 +241,6 @@ class Extension:
 
     # -- G_n chain ---------------------------------------------------------
 
-    def _flow_jets(self, psi, p_psi, order):
-        """Taylor coefficients of the L-flow (psi(t), p_psi(t)) through t^order.
-
-        The ODE Taylor method, one order at a time: the base's series program
-        appends coefficient k of every value of L's partials, from the flow's
-        coefficients through t^k, then psi_{k+1} = [dL/dp]_k / (k+1) and
-        p_{k+1} = -[dL/dpsi]_k / (k+1). Where the base has no program, the
-        point is not on floats or Duals over floats, or a guard of the program
-        comes out the other way, flow_jets_by_evaluation computes the same
-        coefficients.
-        """
-        if order and _on_floats(psi) and _on_floats(p_psi):
-            program = self.base.flow_series(primal(psi), primal(p_psi))
-            series = program and program([psi], [p_psi], order)
-            if series:
-                return Jet(series[0]), Jet(series[1])
-        return flow_jets_by_evaluation(self.base.L, psi, p_psi, order)
-
     def _xl_powers(self, q1, p1, n, count):
         """[X_L^j G_n for j < count] at a base-block point, by the G_n recursion on jets.
 
@@ -257,7 +248,7 @@ class Extension:
         the L-flow; each X_L shortens a jet by one, hence the flow order.
         """
         order = count + n - 2
-        Q, P = self._flow_jets(q1[0], p1[0], order)
+        Q, P = self.base.flow_jets(q1[0], p1[0], order)
         g = self.base.G.rule((Q,), (P,))
         G = Jet([coefficient(g, j) for j in range(order + 1)])
         XG = G.deriv()
@@ -281,6 +272,7 @@ class Extension:
         """G_n from its binomial expansion in G, X_L G and (cL+c0)."""
         if n < 1:
             raise ValueError("n must be positive")
+        self._require_base_constants()
 
         def rule(q, p):
             G, XG, L = self._seed_triple(q, p)
@@ -316,11 +308,13 @@ class Extension:
     def k_recursive(self):
         """K_{m,n} = U^m(G_n) via the operator recursion (Omega must be 0)."""
         self._require_omega_zero()
+        self._require_base_constants()
         return PhaseFunction(lambda q, p: self._recursive_form(q, p, 0), 2)
 
     def k_closed(self):
         """K_{m,n} = P_{m,n,m} G_n + D_{m,n,m} X_L(G_n) in closed form."""
         self._require_omega_zero()
+        self._require_base_constants()
         return PhaseFunction(lambda q, p: self._closed_form(q, p, 0), 2)
 
     def _omega_is_zero(self):
@@ -331,6 +325,14 @@ class Extension:
         if not self._omega_is_zero():
             raise ValueError("K_{m,n} requires Omega = 0; use kbar for Omega != 0")
 
+    def _require_base_constants(self):
+        """The seed relation X_L^2 G = -2(cL + c0)G, which makes K an integral, holds
+        for the base's own (c, c0) only."""
+        spec, base = self.spec, self.base
+        if (spec.c, spec.c0) != (base.c, base.c0):
+            raise ValueError(f"K, Kbar and G_n need the base's (c, c0) = ({base.c}, {base.c0}); "
+                             f"the spec has ({spec.c}, {spec.c0})")
+
     def _check_kbar_indices(self, s, r):
         if s < 1 or r < 1:
             raise ValueError("s and r must be strictly positive")
@@ -340,6 +342,7 @@ class Extension:
     def kbar_closed(self, s, r):
         """Kbar_{2s,r} = sum_j C(s,j) (2 Omega/gamma^2)^j U^{2(s-j)}(G_r), expanded."""
         self._check_kbar_indices(s, r)
+        self._require_base_constants()
         return PhaseFunction(lambda q, p: self._closed_form(q, p, s), 2)
 
     def _closed_form(self, q, p, s, magnitudes=False):
@@ -398,6 +401,7 @@ class Extension:
     def kbar_recursive(self, s, r):
         """Kbar_{2s,r} = (U^2 + 2 Omega gamma^-2)^s (G_r) by operator application."""
         self._check_kbar_indices(s, r)
+        self._require_base_constants()
         return PhaseFunction(lambda q, p: self._recursive_form(q, p, s), 2)
 
     def _recursive_form(self, q, p, s):

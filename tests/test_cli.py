@@ -16,7 +16,7 @@ from extham.cli import main
 from extham.ccm import rescale_radial
 from extham.extension import bracket_scale, functional_independence, jacobian_rank, row_norms
 from extham.duals import primal
-from extham.phase import PhasePoint, batch_blocks, gradient, partials_at, poisson_bracket
+from extham.phase import PhaseFunction, PhasePoint, batch_blocks, gradient, partials_at, poisson_bracket
 from extham.sampling import sample_points
 
 
@@ -248,6 +248,7 @@ def test_catalog_command(capsys):
 
 
 _K_TEXT = "--k must be a rational p/q, or a decimal with --no-integral; got "
+_ETA_TEXT = "eta={} is out of range: c = +-eta^2 and c^2 must be finite, normal, nonzero doubles"
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -295,6 +296,21 @@ _K_TEXT = "--k must be a rational p/q, or a decimal with --no-integral; got "
     (("verify", "--model", "minkowski", "--k", "1.5.2", "--no-integral"), _K_TEXT + "'1.5.2'"),
     (("verify", "--model", "minkowski", "--k", "1.e400", "--no-integral"), _K_TEXT + "'1.e400'"),
     (("integrate", "--k", "abc", "--x0", "1", "0", "3.2", "0.5"), _K_TEXT + "'abc'"),
+    # a rational whose float overflows
+    (("verify", "--model", "minkowski", "--k", "1e400"), _K_TEXT + "'1e400'"),
+    # eta whose c = +-eta^2 or c^2 leaves the normal doubles is refused by name
+    (("ccm", "--eta", "1e200"), _ETA_TEXT.format("1e+200")),
+    (("ladder", "--eta", "1e200"), _ETA_TEXT.format("1e+200")),
+    (("ladder", "--eta", "1e100"), _ETA_TEXT.format("1e+100")),
+    (("verify", "--model", "de-sitter", "--eta", "1e200"), _ETA_TEXT.format("1e+200")),
+    (("ladder", "--alpha", "0", "--beta", "0", "--eta", "1e200"), _ETA_TEXT.format("1e+200")),
+    (("verify", "--model", "sphere", "--eta", "1e-200"), _ETA_TEXT.format("1e-200")),
+    (("verify", "--model", "de-sitter", "--eta", "1e-200"), _ETA_TEXT.format("1e-200")),
+    (("verify", "--model", "sphere", "--eta", "1e-160"), _ETA_TEXT.format("1e-160")),
+    (("ccm", "--eta", "1e-200"), _ETA_TEXT.format("1e-200")),
+    (("ccm", "--eta", "1e-160"), _ETA_TEXT.format("1e-160")),
+    (("ladder", "--eta", "1e-200"), _ETA_TEXT.format("1e-200")),
+    (("ladder", "--eta", "1e-160"), _ETA_TEXT.format("1e-160")),
     # an x0 outside H's domain is refused before the first step
     (("integrate", "--x0", "0", "0", "3.2", "0.5"), "gamma profile singular at u=0.0"),
     (("integrate", "--chart", "null", "--x0", "1", "0", "3.2", "0.5"),
@@ -315,7 +331,10 @@ _K_TEXT = "--k must be a rational p/q, or a decimal with --no-integral; got "
         "ladder-free-zero-eta", "sphere-empty-window", "ladder-trig-empty-window",
         "ttw-flat-overflow", "sphere-overflow", "ccm-overflow-120", "ccm-overflow-160",
         "k-zero-denominator", "k-not-a-number", "k-two-points", "k-infinite-decimal",
-        "integrate-k-not-a-number",
+        "integrate-k-not-a-number", "k-overflowing-rational",
+        "ccm-huge-eta", "ladder-huge-eta", "ladder-eta-1e100", "de-sitter-huge-eta",
+        "ladder-free-huge-eta", "sphere-tiny-eta", "de-sitter-tiny-eta", "sphere-eta-1e-160",
+        "ccm-tiny-eta", "ccm-eta-1e-160", "ladder-tiny-eta", "ladder-eta-1e-160",
         "x0-at-gamma-pole", "x0-off-wedge", "integrate-zero-h", "verify-negative-seed",
         "ladder-negative-seed", "ccm-seed-2**128"])
 def test_errors_exit_two_with_json_error(capsys, monkeypatch, tmp_path, argv, message):
@@ -494,11 +513,51 @@ def test_non_finite_ladder_residual_is_refused_not_skipped(capsys):
     # p1 * p1 overflows to inf in numpy, which names the state and prints no warning
     (("integrate", "--model", "free", "--x0", "1", "0", "1e160", "0.5", "--steps", "3"),
      "non-finite H at state 0: [1.0, 0.0, 1e+160, 0.5]"),
-], ids=["ladder", "integrate-k", "integrate-free"])
+    # the gradients are finite, but the scale overflows and {H, K(2,1)} is NaN, which max() skips
+    (("verify", "--model", "sphere", "--alpha", "1e300"),
+     "non-finite bracket {H, K(2,1)} at sample point 0: PhasePoint(q=(0.28211744551986573, "
+     "0.41058097281440015), p=(-0.3196092859710311, -0.3784310168640217))"),
+], ids=["ladder", "integrate-k", "integrate-free", "sphere-bracket"])
 def test_an_overflow_in_a_batch_is_refused_by_name(capsys, tmp_path, argv, message):
     if argv[0] == "integrate":
         argv += ("--csv", str(tmp_path / "x.csv"))
     assert _refused(capsys, argv) == message
+
+
+def _linear_sweep(h, k):
+    """_bracket_sweep of H = h q1 against K = k (p1, q2) over five points, and its warnings."""
+    H = PhaseFunction(lambda q, p: h * q[0], 2)
+    K = PhaseFunction(lambda q, p: k[0] * p[0] + k[1] * q[1], 2)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        try:
+            return cli._bracket_sweep(H, [("K", K)], sample_points(5, 1, 2))[:2], seen
+        except ValueError as exc:
+            return str(exc), seen
+
+
+def test_an_overflowing_bracket_scale_divides_by_one_norm_at_a_time():
+    # |grad H||grad K| = 1e310 overflows, while {H, K} = 1e303 does not: the
+    # relative bracket is 1e-7, which fails the default tolerance of 1e-9
+    (max_abs, max_rel), seen = _linear_sweep(1e155, (1e148, 1e155))
+    assert max_abs == 1e303 and max_rel == pytest.approx(1e-7, rel=1e-12)
+    assert seen == []
+
+
+def test_an_overflowing_bracket_is_refused_by_its_point():
+    # {H, K} = 1e400 is inf: K is no integral (relative bracket 1), and max() would read 0.0
+    error, seen = _linear_sweep(1e200, (1e200, 0.0))
+    assert error.startswith("non-finite bracket {H, K} at sample point 0: PhasePoint(q=(")
+    assert seen == []
+
+
+def test_ccm_past_an_overflowing_scale_reports_its_bracket_without_warning(capsys):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code, out, _ = run_cli(capsys, "ccm", "--E", "1e300")
+    report = json.loads(out)
+    assert [w for w in seen if issubclass(w.category, RuntimeWarning)] == []
+    assert code == 0 and 0.0 < report["max_rel_bracket"] < 1e-300  # about 7.2e-316
 
 
 def test_sphere_below_the_overflow_still_passes(capsys):

@@ -136,6 +136,7 @@ def _series_program(f, x0):
     lines = ["t0 = []"] + head + ["for k in range(order):", "    t0.append(a[k])"]
     lines += [f"    {line}" for line in body]
     lines.append(f"return [{ys}]")
+    tape.namespace["fallback"] = lambda *args: None  # a flipped guard returns None
     return dm.define("series", ["a", "order"], lines, tape.namespace, "<test>")
 
 

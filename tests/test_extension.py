@@ -394,18 +394,16 @@ def test_flow_series_equals_the_jet_evaluation_bit_for_bit(b):
     # signed zeros too: p_psi = 0.0 and -0.0 start the flow at a turning point
     lo, hi = b.psi_window
     program = compile_flow_series(b.L, lo, 0.3)
-    assert program is not None
+    assert program.__code__.co_filename == "<flow series>"
     rng = random.Random(25)
     points = [(rng.uniform(lo, hi), rng.uniform(-2.0, 2.0)) for _ in range(6)]
     points += [(0.5 * (lo + hi), 0.0), (0.5 * (lo + hi), -0.0)]
     for psi, p_psi in points:
         tag = new_tag()
         for leaves in [(psi, p_psi), (Dual(psi, 1.0, tag), Dual(p_psi, -0.5, tag))]:
-            # the jets through t^k do not depend on how far the loop runs
-            Q, P = (leaf_bits(j.c) for j in flow_jets_by_evaluation(b.L, *leaves, 12))
             for order in range(13):
                 got = program([leaves[0]], [leaves[1]], order)
-                assert leaf_bits(got) == [Q[:order + 1], P[:order + 1]]
+                assert leaf_bits(got) == leaf_bits(flow_jets_by_evaluation(b.L, *leaves, order))
 
 
 def _guarded_base():
@@ -416,15 +414,15 @@ def _guarded_base():
     return b
 
 
-def test_a_flipped_guard_falls_back_to_the_jet_evaluation(profile):
+def test_a_flipped_guard_falls_back_to_the_jet_evaluation():
     b = _guarded_base()
     program = compile_flow_series(b.L, 0.8, 0.3)
-    assert program([1.3], [0.4], 5) is None and program([0.9], [0.4], 5) is not None
-    e = Extension(ExtensionSpec(5, 3, -4.0, 0.0, 0.0, profile), b)
+    for psi in (1.3, 0.9):  # the flipped side, then the traced one
+        assert leaf_bits(program([psi], [0.4], 5)) == leaf_bits(flow_jets_by_evaluation(b.L, psi, 0.4, 5))
     for psi in (0.8, 1.3, 0.9):  # traced on the first side, then both
-        got = e._flow_jets(psi, 0.4, 8)
+        got = b.flow_jets(psi, 0.4, 8)
         assert leaf_bits(got) == leaf_bits(flow_jets_by_evaluation(b.L, psi, 0.4, 8))
-    assert b.flow_series(0.8, 0.3) is not None
+    assert b._programs[compile_flow_series, b.L][1].__code__.co_filename == "<flow series>"
 
 
 def test_an_operation_jets_lack_leaves_the_jet_evaluation_in_charge(profile):
@@ -433,14 +431,14 @@ def test_an_operation_jets_lack_leaves_the_jet_evaluation_in_charge(profile):
     b = exp_base(0.7, 1.3)
     V = b.V.rule
     b.L.rule = lambda q, p: 0.5 * p[0] * p[0] + abs(V(q, p))
-    assert compile_flow_series(b.L, 0.8, 0.3) is None
+    assert compile_flow_series(b.L, 0.8, 0.3).__code__.co_filename != "<flow series>"
     with pytest.raises(TypeError) as want:
         flow_jets_by_evaluation(b.L, 0.8, 0.3, 4)
     kr = Extension(ExtensionSpec(5, 3, -4.0, 0.0, 0.0, profile), b).k_recursive()
     with pytest.raises(TypeError) as got:
         kr(PhasePoint((1.1, 0.8), (0.5, 0.3)))
     assert str(got.value) == str(want.value) == "bad operand type for abs(): 'Jet'"
-    assert b.flow_series(0.8, 0.3) is None
+    assert (compile_flow_series, b.L) not in b._programs  # nothing is kept: the evaluation raised
 
 
 def test_a_patched_base_rule_is_traced_again(profile, monkeypatch):
@@ -452,8 +450,22 @@ def test_a_patched_base_rule_is_traced_again(profile, monkeypatch):
     b.L.rule = lambda q, p: 0.5 * p[0] * p[0] + 3.0 * V(q, p)
     after = kr(x)
     assert b._programs[compile_flow_series, b.L][0] is b.L.rule
-    monkeypatch.setattr(BaseSystem, "flow_series", lambda self, psi, p_psi: None)
+    monkeypatch.setattr(BaseSystem, "flow_jets", lambda self, psi, p_psi, order:
+                        flow_jets_by_evaluation(self.L, psi, p_psi, order))
     assert after == kr(x) != before  # the jet evaluation of the patched rule
+
+
+def test_k_builders_refuse_constants_that_are_not_the_bases(base):
+    # exp_base(0.7, 1.3) has (c, c0) = (-4, 0); on (-1, 0) the seed relation fails,
+    # and {H, K} at (0.8, 0.9; 0.3, -0.4) read 42.7 (closed) and 389 (recursive)
+    for c, c0 in [(-1.0, 0.0), (-4.0, 0.5)]:
+        prof = GammaProfile.from_c_C(c, 0.0)
+        e, ebar = (Extension(ExtensionSpec(2, 1, c, c0, Om, prof), base) for Om in (0.0, 0.3))
+        for build in (e.k_closed, e.k_recursive, lambda: e.gn_closed(1),
+                      lambda: ebar.kbar_closed(1, 1), lambda: ebar.kbar_recursive(1, 1)):
+            with pytest.raises(ValueError, match=r"need the base's \(c, c0\) = \(-4.0, 0.0\)"):
+                build()
+        e.hamiltonian()  # H itself is built for any pairing
 
 
 # -- the seed partials' programs ---------------------------------------------

@@ -431,7 +431,7 @@ def test_where_two_operations_raise_both_raise_the_first(fallbacks):
     lambda q, p: OUTER * q[0] * p[0],  # a Dual of an enclosing evaluation in every output
 ])
 def test_untraceable_rules_have_no_flow_series(rule):
-    assert compile_flow_series(PhaseFunction(rule, 1), 0.5, -0.2) is None
+    assert compile_flow_series(PhaseFunction(rule, 1), 0.5, -0.2).__code__.co_filename != "<flow series>"
 
 
 def test_compiled_partials_source(monkeypatch):
