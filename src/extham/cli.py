@@ -27,7 +27,6 @@ from .ladder import ladder_eigen_pattern, ladder_from_base, ladder_residuals, la
 from .phase import (
     PhaseFunction,
     PhasePoint,
-    batch_blocks,
     bracket_of_gradients,
     evaluate_batch,
     partials_at,
@@ -77,19 +76,26 @@ def _bracket_sweep(H, integrals, points):
     """(max |{H,K}|, max |{H,K}|/(|grad H||grad K|), jac) over points.
 
     Each function's gradient is taken once for all points: the coordinates go
-    in as Batch leaves, and jac[i, j] is the gradient of the j-th function at
-    points[i], from which jacobian_rank gives the ranks. The brackets and
-    their scales equal poisson_bracket and bracket_scale at each point; both
-    take their norms from row_norms, so a scale stays finite where squared
-    gradients overflow. Where the scale itself overflows, the bracket is
-    divided by one norm at a time. An inf or NaN gradient entry or bracket
-    raises ValueError naming its point, and evaluate_batch refuses an
-    overflow inside a gradient by its function: no bracket there can be
-    checked. Maxima run over Python floats, so verdicts stay plain bools.
+    in as plain float64 arrays, which partials_at seeds in Duals, so every
+    power and math function still runs entry by entry and no Batch is made.
+    jac[i, j] is the gradient of the j-th function at points[i], from which
+    jacobian_rank gives the ranks. The brackets and their scales equal
+    poisson_bracket and bracket_scale at each point; both take their norms
+    from row_norms, so a scale stays finite where squared gradients overflow.
+    Where the scale itself overflows, the bracket is divided by one norm at a
+    time; where it underflows below the smallest normal double while both
+    norms are positive, the bracket is taken of the gradients divided by
+    their norms, so a non-integral cannot pass there. An inf or NaN gradient
+    entry or bracket raises ValueError naming its point, and evaluate_batch
+    refuses an overflow inside a gradient by its function: no bracket there
+    can be checked. Maxima run over Python floats, so verdicts stay plain
+    bools.
     """
     fs = [("H", H)] + list(integrals)
-    q, p = batch_blocks(np.array([x.q + x.p for x in points]))
-    jac = np.empty((len(points), len(fs), 2 * H.dof))
+    d = H.dof
+    cols = np.array([x.q + x.p for x in points]).T  # a row per coordinate
+    q, p = tuple(cols[:d]), tuple(cols[d:])
+    jac = np.empty((len(points), len(fs), 2 * d))
     for j, (name, f) in enumerate(fs):
         _, dq, dp = evaluate_batch(f"the gradient of {name}", partials_at, f, q, p)
         for s, v in enumerate(dq + dp):
@@ -112,6 +118,11 @@ def _bracket_sweep(H, integrals, points):
             over = np.isinf(s)
             b[over] /= norms[over, 0]
             s[over] = norms[over, j]
+            under = (s < sys.float_info.min) & (norms[:, 0] > 0.0) & (norms[:, j] > 0.0)
+            if under.any():  # the bracket of the unit gradients, relative by itself
+                unit = jac[under][:, [0, j]] / norms[under][:, [0, j], None]
+                b[under] = abs(bracket_of_gradients(unit[:, 0].T, unit[:, 1].T))
+                s[under] = 1.0
             max_rel = max([max_rel] + (b[s > 0] / s[s > 0]).tolist())
     return max_abs, max_rel, jac
 

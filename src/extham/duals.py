@@ -26,9 +26,17 @@ at many sample points, so one evaluation differentiates all of them. numpy
 does its + - * /, which round like Python floats; its ``**`` and every math
 function here apply the ``math`` function entry by entry instead, because
 numpy's own power, exp, log, tan and hyperbolic functions differ from libm
-in the last bit on a share of inputs. Dual and Jet set ``__array_ufunc__``
-to None, so an array operand defers to them. Guards on values go through
-:func:`any_true`, which leaves float and Jet evaluations free of numpy calls.
+in the last bit on a share of inputs. Only a bare evaluation needs the
+subclass for that. Inside a Dual every power and math function already
+goes entry by entry (:func:`pow_`, :func:`_lift`, ``Dual.__rpow__``), so
+a Dual's values and components may be plain arrays, which skip the
+subclass wrapping numpy adds to every operation on a Batch:
+``phase.partials_at`` seeds Batch leaves as plain arrays and hands its
+answer back as Batches, and :func:`_entrywise` returns a Batch only when
+an argument is one. Dual and Jet set ``__array_ufunc__`` to None, so an
+array operand defers to them. Guards on values go through
+:func:`any_true`, which leaves float and Jet evaluations free of numpy
+calls.
 
 A :class:`Trace` is the fourth leaf: a float whose :class:`Tape` records
 every operation on it, and every comparison with its outcome. Anything that
@@ -42,8 +50,8 @@ for it. So a program looping over k (``extension.compile_flow_series``)
 computes each coefficient once, bit for bit as the evaluation on Jets.
 
 One seam, :func:`_lift`, decides how every unary math function is computed:
-Dual -> Jet -> Batch -> Trace -> ``math``, in that order, so one rule
-evaluates on floats, Duals, Jets, Batches, Traces and Duals wrapping any of
+Dual -> Jet -> array -> Trace -> ``math``, in that order, so one rule
+evaluates on floats, Duals, Jets, arrays, Traces and Duals wrapping any of
 them. A new scalar leaf (an mpmath ``mpf`` for extended precision, say) is
 one more branch there, before ``math``, whose functions would silently
 return floats. :func:`pow_` keeps its own two-argument dispatch, in the
@@ -160,15 +168,18 @@ class Dual:
     def __rpow__(self, base):
         # the value is the leaf's own base ** val, so it rounds as the float and
         # batched evaluations do, which exp(val log base) does not on a share of
-        # inputs; Jet.__rpow__ takes its constant term the same way
+        # inputs; an array exponent goes entry by entry, as a Batch's ** does,
+        # since a Dual's value may be a plain array; Jet.__rpow__ takes its
+        # constant term the same way
         lb = log(base)
-        y = base**self.val
+        v = self.val
+        y = _entrywise(operator.pow, base, v) if isinstance(v, np.ndarray) else base**v
         return Dual(y, y * (self.dot * lb), self.tag)
 
     def __abs__(self):
         x = primal(self)
         if isinstance(x, np.ndarray):
-            s = batch(np.where(x >= 0.0, 1.0, -1.0))
+            s = np.where(x >= 0.0, 1.0, -1.0)
         else:
             s = 1.0 if x >= 0.0 else -1.0
         return Dual(abs(self.val), self.dot * s, self.tag)
@@ -450,7 +461,11 @@ class Batch(np.ndarray):
     """One coordinate at many sample points: a float64 array leaf.
 
     Only ``**`` differs from a plain array: it is Python's float power,
-    entry by entry, so a batched evaluation rounds like the float one.
+    entry by entry, so a bare evaluation on Batch leaves rounds like the
+    float one. Every operation on a Batch makes a Batch, at 2-3 times a
+    plain array's cost, so evaluations under a Dual run on plain arrays
+    (``phase.partials_at``), whose powers go through :func:`pow_` and
+    ``Dual.__rpow__``.
     """
 
     def __pow__(self, r):
@@ -468,9 +483,13 @@ def batch(values):
 
 
 def _entrywise(fn, *args):
-    """fn applied entry by entry; array arguments are zipped, scalars repeated."""
+    """fn applied entry by entry; array arguments are zipped, scalars repeated.
+
+    The result is a Batch where an argument is one, and a plain array otherwise.
+    """
     cols = [a.tolist() if isinstance(a, np.ndarray) else itertools.repeat(a) for a in args]
-    return batch([fn(*vals) for vals in zip(*cols)])
+    out = np.array([fn(*vals) for vals in zip(*cols)], dtype=float)
+    return out.view(Batch) if Batch in map(type, args) else out
 
 
 _INFIX = {
@@ -764,12 +783,12 @@ def taylor(f, x, order):
     return [math.factorial(k) * coefficient(y, k) for k in range(order + 1)]
 
 
-# -- the seam: every math function dispatches Dual -> Jet -> Batch -> Trace -> math --
+# -- the seam: every math function dispatches Dual -> Jet -> array -> Trace -> math --
 
 
 def _lift(fn, jet_rule, tangent):
     """fn on every leaf: a Dual carries tangent(x, fn(x), dx), a Jet runs jet_rule,
-    a Batch applies fn entry by entry, a Trace records fn and a float calls fn itself."""
+    an array applies fn entry by entry, a Trace records fn and a float calls fn itself."""
 
     def lifted(x):
         if isinstance(x, Dual):

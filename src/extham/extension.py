@@ -27,6 +27,7 @@ function of u commutes with the U operator.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -444,22 +445,24 @@ def functional_independence(fs, x):
 
 
 def row_norms(jac):
-    """Euclidean norms of the rows (last axis) of jac, safe from overflow.
+    """Euclidean norms of the rows (last axis) of jac, safe from overflow and underflow.
 
-    A row whose sum of squares is finite keeps sqrt(vecdot), bit for bit. A
-    row of finite entries whose squares overflow (|grad K| reaches 1e248 at
-    high degree) is first scaled by its largest |entry|, as LAPACK's dnrm2
-    does (Blue 1978), so its norm stays finite.
+    A row whose sum of squares is a normal float keeps sqrt(vecdot), bit for
+    bit. A row of finite entries whose squares overflow (|grad K| reaches
+    1e248 at high degree), or underflow while an entry is nonzero (below
+    about 1.5e-154), is first scaled by its largest |entry|, as LAPACK's
+    dnrm2 does (Blue 1978), so its norm stays finite and nonzero.
     """
     with np.errstate(over="ignore"):  # overflowing rows are rescaled below
         sq = np.vecdot(jac, jac)
     norms = np.sqrt(sq)
-    over = ~np.isfinite(sq) & np.isfinite(jac).all(axis=-1)
-    if over.any():
-        rows = jac[over]
+    off = (np.isinf(sq) | (sq < sys.float_info.min)) & np.isfinite(jac).all(axis=-1)
+    off &= jac.any(axis=-1)  # a zero row keeps its norm 0.0
+    if off.any():
+        rows = jac[off]
         big = np.abs(rows).max(axis=-1, keepdims=True)
         unit = rows / big
-        norms[over] = big[:, 0] * np.sqrt(np.vecdot(unit, unit))
+        norms[off] = big[:, 0] * np.sqrt(np.vecdot(unit, unit))
     return norms
 
 
@@ -479,6 +482,13 @@ def jacobian_rank(jac):
 
 
 def bracket_scale(f, g, x):
-    """The relative scale |grad f||grad g| used by every bracket tolerance."""
+    """The relative scale |grad f||grad g| used by every bracket tolerance.
+
+    Past double range it raises ValueError: an infinite scale would make any
+    bracket read as 0 relative to it.
+    """
     nf, ng = row_norms(np.array([gradient(f, x), gradient(g, x)]))
-    return float(nf * ng)
+    scale = float(nf) * float(ng)  # a Python float product overflows to inf without a warning
+    if math.isinf(scale):
+        raise ValueError(f"the bracket scale |grad f||grad g| overflows double precision at {x}")
+    return scale

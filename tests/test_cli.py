@@ -7,6 +7,7 @@ import os
 import sys
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -549,6 +550,39 @@ def test_an_overflowing_bracket_is_refused_by_its_point():
     error, seen = _linear_sweep(1e200, (1e200, 0.0))
     assert error.startswith("non-finite bracket {H, K} at sample point 0: PhasePoint(q=(")
     assert seen == []
+
+
+def test_an_underflowing_bracket_scale_takes_the_unit_gradients():
+    # {H, K} = 1e-340 and |grad H||grad K| both underflow to 0.0, while K is no
+    # integral (relative bracket 1); dividing 0.0 by 0.0 was skipped, a pass
+    (max_abs, max_rel), seen = _linear_sweep(1e-170, (1e-170, 0.0))
+    assert (max_abs, max_rel) == (0.0, 1.0)
+    assert seen == []
+
+
+def test_verify_fails_a_non_integral_whose_scale_underflows(capsys, monkeypatch):
+    H = PhaseFunction(lambda q, p: 1e-170 * q[0], 2)
+    K = PhaseFunction(lambda q, p: 1e-170 * p[0], 2)
+    model = SimpleNamespace(id="tiny", chart="cartesian", H=H, known_integrals=[("K", K)],
+                            q_windows=None, extension=None, describe=lambda: "tiny")
+    monkeypatch.setattr(cli, "_verify_model", lambda args: model)
+    code, out, _ = run_cli(capsys, "verify", "--model", "minkowski", "--points", "5")
+    report = json.loads(out)
+    assert code == 1 and report["pass"] is False
+    assert report["max_rel_bracket"] == 1.0 and report["independence_rank"] == 2
+
+
+def test_an_overflowing_bracket_scale_is_refused_without_warning():
+    # |grad H||grad K| = 1e310: inf would make {H, K} = 1e303 read as 0 relative to it
+    H = PhaseFunction(lambda q, p: 1e155 * q[0], 2)
+    K = PhaseFunction(lambda q, p: 1e148 * p[0] + 1e155 * q[1], 2)
+    x = sample_points(5, 1, 2)[0]
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=r"the bracket scale \|grad f\|\|grad g\| overflows "
+                                             r"double precision at PhasePoint\(q=\(0.816"):
+            bracket_scale(H, K, x)
+    assert [w for w in seen if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_ccm_past_an_overflowing_scale_reports_its_bracket_without_warning(capsys):

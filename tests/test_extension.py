@@ -699,6 +699,34 @@ def test_row_norms_rescale_only_overflowing_rows():
     assert norms[keep].tolist() == plain[keep].tolist()
 
 
+@pytest.mark.parametrize("k", ["1", "1/2", "2", "5/3", "3", "4"])
+def test_closed_k_on_batch_leaves_equals_the_float_evaluations(k):
+    # as drift_report evaluates it: the closed form raises G, X_L G and cL + c0,
+    # taken from partials_at, to powers; its evaluation runs on plain arrays and
+    # must hand them back as Batches, or numpy's power rounds some differently
+    model = make_minkowski_hamiltonian(Fraction(k), 1.0, 2.0)
+    K = model.known_integrals[-1][1]
+    for seed in (1, 2, 3):
+        pts = sample_points(200, seed, 2, q_ranges=model.q_windows)
+        values = K.rule(*batch_blocks(np.array([x.q + x.p for x in pts])))
+        assert isinstance(values, dm.Batch)
+        assert [v.hex() for v in values.tolist()] == [K(x).hex() for x in pts]
+
+
+def test_row_norms_rescale_underflowing_rows():
+    # squares of entries below about 1.5e-154 underflow: sqrt(vecdot) reads 0.0
+    # for a nonzero row, or loses digits in the subnormal range
+    jac = np.array([[3e-170, -4e-170, 0.0, 0.0], [3e-160, 4e-160, 1e-161, 0.0],
+                    [0.0, 0.0, 0.0, 0.0], [0.3, -0.4, 0.0, 0.0]])
+    with np.errstate(under="ignore"):
+        sq = np.vecdot(jac[:2], jac[:2])
+    assert sq[0] == 0.0 and 0.0 < sq[1] < np.finfo(float).tiny
+    norms = row_norms(jac)
+    assert norms[0] == pytest.approx(5e-170, rel=1e-15, abs=0.0)
+    assert norms[1] == pytest.approx(np.hypot(5e-160, 1e-161), rel=1e-15, abs=0.0)
+    assert norms[2:].tolist() == [0.0, np.sqrt(0.3 * 0.3 + 0.4 * 0.4)]
+
+
 def test_memoized_chain_matches_fresh_application(base, profile):
     e = ext(base, profile, 3, 1)
     memo = e.k_recursive()

@@ -205,6 +205,27 @@ def test_rule_calls_per_partials_at():
     assert len(calls) == 1
 
 
+def test_batch_leaves_run_as_plain_arrays_and_come_back_as_batches():
+    # under partials_at the rule sees Duals over plain arrays, so no operation pays
+    # for the Batch subclass; the value and array partials it returns are Batches,
+    # so a caller's ** on them rounds as libm does, and a constant partial stays a float
+    seen = []
+
+    def rule(q, p):
+        seen.extend(q + p)
+        return q[0] ** 3 * p[0] + dm.exp(q[1]) + 2.5 * p[1] + 2.0 ** (q[0] * p[0])
+
+    f = PhaseFunction(rule, 2)
+    z = np.array([[0.5, 0.7, 1.5, -0.2], [1.1, 0.3, -0.4, 0.9], [0.8, 1.9, 0.2, 0.6]])
+    value, dq, dp = partials_at(f, *batch_blocks(z))
+    assert len(seen) == 4 and all(type(x.val) is np.ndarray for x in seen)
+    assert all(type(v) is dm.Batch for v in [value] + dq + dp[:1])
+    assert dp[1] == 2.5
+    for i, row in enumerate(z.tolist()):
+        ref = partials_at(f, tuple(row[:2]), tuple(row[2:]))
+        assert [value[i]] + [v[i] for v in dq + dp[:1]] == [ref[0]] + ref[1] + ref[2][:1]
+
+
 def _catalog_functions():
     """(label, f, q windows) for each catalog model's H and integrals and each base's L and G."""
     flags = {"k": "1", "alpha": 1.0, "beta": 2.0, "eta": 2.0, "psi0": 0.2, "m": 2, "n": 1,
