@@ -16,32 +16,28 @@ tag. Jets must therefore only meet Duals seeded after their coefficients
 were built. A Jet has one power rule, for ``**`` and :func:`pow_` alike: an
 integer power multiplies the series by itself, so a zero constant term is
 allowed, and any other power runs a recurrence that divides by it. A
-constant base to a Jet power takes its constant term from the base's own
-``**``, as a Dual does, and the rest from exp's recurrence. Each operation
+constant base to a Jet power takes its constant term from :func:`pow_`, as
+a Dual does, and the rest from exp's recurrence. Each operation
 computes its coefficients by one rule (the ``_*_terms`` functions), which
 extends them one order at a time.
 
 A :class:`Batch` is the third leaf: a float64 array holding one coordinate
 at many sample points, so one evaluation differentiates all of them. numpy
-does its + - * /, which round like Python floats; its ``**`` and every math
-function here apply the ``math`` function entry by entry instead, because
-numpy's own power, exp, log, tan and hyperbolic functions differ from libm
-in the last bit on a share of inputs. Only a bare evaluation needs the
-subclass for that. Inside a Dual every power and math function already
-goes entry by entry (:func:`pow_`, :func:`_lift`, ``Dual.__rpow__``), so
-a Dual's values and components may be plain arrays, which skip the
-subclass wrapping numpy adds to every operation on a Batch:
-``phase.partials_at`` seeds Batch leaves as plain arrays and hands its
-answer back as Batches, and :func:`_entrywise` returns a Batch only when
-an argument is one. Dual and Jet set ``__array_ufunc__`` to None, so an
-array operand defers to them. Guards on values go through
-:func:`any_true`, which leaves float and Jet evaluations free of numpy
-calls.
+does its + - * /, which round like Python floats; every power and math
+function here applies the ``math`` function entry by entry instead, since
+numpy's own differ from libm in the last bit on a share of inputs. Only a
+bare ``**`` needs the subclass: inside a Dual or Jet no power reaches
+numpy's, so their values may be plain arrays, which skip the wrapping numpy
+adds to every operation on a Batch. Dual, Jet and Trace set
+``__array_ufunc__`` to None, so an array operand defers to them. Guards on
+values go through :func:`any_true`, which leaves float and Jet evaluations
+free of numpy calls.
 
 A :class:`Trace` is the fourth leaf: a float whose :class:`Tape` records
 every operation on it, and every comparison with its outcome. Anything that
 would branch on a traced value without a comparison (bool, float, int,
-hash) raises. The tape writes its one record in two forms: the straight-line
+hash) raises; every power is recorded as ``math.pow``, however it was
+written. The tape writes its one record in two forms: the straight-line
 float program of the evaluation (:attr:`Tape.lines`, for
 ``phase.compile_partials``, which :func:`define` compiles), and its series
 form (:meth:`Tape.series`), where each value is the list of its Taylor
@@ -49,13 +45,11 @@ coefficients and each operation appends coefficient k by the Jet's own rule
 for it. So a program looping over k (``extension.compile_flow_series``)
 computes each coefficient once, bit for bit as the evaluation on Jets.
 
-One seam, :func:`_lift`, decides how every unary math function is computed:
-Dual -> Jet -> array -> Trace -> ``math``, in that order, so one rule
-evaluates on floats, Duals, Jets, arrays, Traces and Duals wrapping any of
-them. A new scalar leaf (an mpmath ``mpf`` for extended precision, say) is
-one more branch there, before ``math``, whose functions would silently
-return floats. :func:`pow_` keeps its own two-argument dispatch, in the
-same order.
+Two seams decide how scalars are computed: :func:`_lift` every unary math
+function (Dual -> Jet -> array -> Trace -> ``math``) and :func:`pow_` every
+power, on every leaf and from either side. A new scalar leaf (an mpmath
+``mpf``, say) is one more branch in each, before ``math``, whose functions
+would silently return floats.
 
 A :class:`Tangent` is the dot of a Dual that carries several directions
 under one tag: it maps a direction index to that direction's component, so
@@ -166,20 +160,17 @@ class Dual:
         return Dual(pow_(self.val, r), (r * pow_(self.val, r - 1)) * self.dot, self.tag)
 
     def __rpow__(self, base):
-        # the value is the leaf's own base ** val, so it rounds as the float and
-        # batched evaluations do, which exp(val log base) does not on a share of
-        # inputs; an array exponent goes entry by entry, as a Batch's ** does,
-        # since a Dual's value may be a plain array; Jet.__rpow__ takes its
-        # constant term the same way
+        # the value is pow_(base, val), so it rounds as the float and batched
+        # evaluations do, which exp(val log base) does not on a share of inputs;
+        # Jet.__rpow__ takes its constant term the same way
         lb = log(base)
-        v = self.val
-        y = _entrywise(operator.pow, base, v) if isinstance(v, np.ndarray) else base**v
+        y = pow_(base, self.val)
         return Dual(y, y * (self.dot * lb), self.tag)
 
     def __abs__(self):
         x = primal(self)
         if isinstance(x, np.ndarray):
-            s = np.where(x >= 0.0, 1.0, -1.0)
+            s = np.where(x >= 0.0, 1.0, -1.0).view(type(x))  # a Batch sign for a Batch x
         else:
             s = 1.0 if x >= 0.0 else -1.0
         return Dual(abs(self.val), self.dot * s, self.tag)
@@ -320,7 +311,7 @@ class Jet:
         return _power_chain(r, Jet([1.0] + [0.0] * (len(self.c) - 1)), self, operator.mul)
 
     def __rpow__(self, base):
-        # coefficient 0 is base ** c0, rounded as Dual.__rpow__ takes its value; the
+        # coefficient 0 is pow_(base, c0), as Dual.__rpow__ takes its value; the
         # rest follow exp's recurrence on log(base) * self, so log(base) runs first
         e = []
         _rpow_terms(base, self.c, (log(base) * self).c, e)
@@ -380,9 +371,9 @@ def _exp_terms(a, e):
 
 
 def _rpow_terms(base, x, a, e):
-    # e = base ** x, where a is the series log(base) x: e_0 = base ** x_0, then exp's rule
+    # e = base ** x, where a is the series log(base) x: e_0 = pow_(base, x_0), then exp's rule
     if not e:
-        e.append(base ** x[0])
+        e.append(pow_(base, x[0]))
     for k in range(len(e), len(a)):
         e.append(_ode_coefficient(a, k, e))
 
@@ -460,21 +451,15 @@ def _jet_pair(terms, x, hyperbolic):
 class Batch(np.ndarray):
     """One coordinate at many sample points: a float64 array leaf.
 
-    Only ``**`` differs from a plain array: it is Python's float power,
-    entry by entry, so a bare evaluation on Batch leaves rounds like the
-    float one. Every operation on a Batch makes a Batch, at 2-3 times a
-    plain array's cost, so evaluations under a Dual run on plain arrays
-    (``phase.partials_at``), whose powers go through :func:`pow_` and
-    ``Dual.__rpow__``.
+    Only ``**`` differs from a plain array: it is :func:`pow_`, so a bare
+    evaluation on Batch leaves rounds like the float one.
     """
 
     def __pow__(self, r):
-        if isinstance(r, (Dual, Jet)):
-            return NotImplemented
-        return _entrywise(operator.pow, self, r)
+        return NotImplemented if isinstance(r, _OPERAND_LEAVES) else pow_(self, r)
 
     def __rpow__(self, base):
-        return _entrywise(operator.pow, base, self)
+        return pow_(base, self)
 
 
 def batch(values):
@@ -494,7 +479,7 @@ def _entrywise(fn, *args):
 
 _INFIX = {
     operator.add: "{} + {}", operator.sub: "{} - {}", operator.mul: "{} * {}",
-    operator.truediv: "{} / {}", operator.pow: "{} ** {}", operator.neg: "-{}",
+    operator.truediv: "{} / {}", operator.neg: "-{}",
     operator.lt: "{} < {}", operator.le: "{} <= {}", operator.gt: "{} > {}",
     operator.ge: "{} >= {}", operator.eq: "{} == {}", operator.ne: "{} != {}",
 }
@@ -576,9 +561,9 @@ class Tape:
                 continue
             o = f"t{out.i}"
             kinds = "".join("s" if isinstance(x, Trace) else "c" for x in args)
-            if fn in (operator.pow, math.pow) and kinds == "sc":
+            if fn is math.pow and kinds == "sc":
                 _series_power(names[0], args[1], names[1], o, head, body)
-            elif fn is operator.pow and kinds == "cs":
+            elif fn is math.pow and kinds == "cs":
                 head += [f"{o} = []", f"{o}_c = []"]  # the series log(base) * x
                 body += [f"{o}_c.append({names[1]}[k] * {self.atom(log(args[0]))})",
                          f"_rpow_terms({names[0]}, {names[1]}, {o}_c, {o})"]
@@ -710,8 +695,8 @@ class Trace:
     __rmul__ = _traced(operator.mul, reflected=True)
     __truediv__ = _traced(operator.truediv)
     __rtruediv__ = _traced(operator.truediv, reflected=True)
-    __pow__ = _traced(operator.pow)
-    __rpow__ = _traced(operator.pow, reflected=True)
+    __pow__ = _traced(math.pow)
+    __rpow__ = _traced(math.pow, reflected=True)
     __lt__ = _traced(operator.lt, guard=True)
     __le__ = _traced(operator.le, guard=True)
     __gt__ = _traced(operator.gt, guard=True)
@@ -822,14 +807,23 @@ cosh = _lift(math.cosh, lambda x: _jet_pair(_sin_cos_terms, x, True)[1],
 tanh = _lift(math.tanh, lambda x: _jet_pair(_tan_terms, x, True)[0],
              lambda x, t, dx: (1.0 - t * t) * dx)
 
+
+# the leaves whose own ** carries the power rule
+_OPERAND_LEAVES = (Dual, Jet, Trace)
+
+
 def pow_(x, r):
-    """x**r for real r; raises ValueError off the real domain (negative base)."""
-    if isinstance(x, (Dual, Jet)):
+    """x ** r, the one rule for every power on every leaf.
+
+    A Dual, Jet or Trace on either side runs its own ``**``, an array on
+    either side applies ``math.pow`` entry by entry, and anything else calls
+    it. So every power rounds as libm does, and off the real domain raises
+    ValueError.
+    """
+    if isinstance(x, _OPERAND_LEAVES) or isinstance(r, _OPERAND_LEAVES):
         return x**r
-    if isinstance(x, np.ndarray):
+    if isinstance(x, np.ndarray) or isinstance(r, np.ndarray):
         return _entrywise(math.pow, x, r)
-    if isinstance(x, Trace):
-        return x.tape.record(math.pow, (x, r))
     return math.pow(x, r)
 
 

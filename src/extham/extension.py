@@ -484,11 +484,15 @@ def jacobian_rank(jac):
 def bracket_scale(f, g, x):
     """The relative scale |grad f||grad g| used by every bracket tolerance.
 
-    Past double range it raises ValueError: an infinite scale would make any
-    bracket read as 0 relative to it.
+    Outside the normal doubles it raises ValueError naming x: an infinite
+    scale would make any bracket read as 0 relative to it, and one that
+    underflows while both gradients are nonzero would let only an exact 0
+    bracket pass a tolerance.
     """
     nf, ng = row_norms(np.array([gradient(f, x), gradient(g, x)]))
     scale = float(nf) * float(ng)  # a Python float product overflows to inf without a warning
     if math.isinf(scale):
         raise ValueError(f"the bracket scale |grad f||grad g| overflows double precision at {x}")
+    if scale < sys.float_info.min and nf > 0.0 and ng > 0.0:
+        raise ValueError(f"the bracket scale |grad f||grad g| underflows double precision at {x}")
     return scale

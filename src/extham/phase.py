@@ -6,9 +6,8 @@ built from them supports exact first derivatives in any single phase
 direction, at any nesting depth. An entry may also be a
 :class:`~extham.duals.Batch` holding that coordinate at many points
 (:func:`batch_blocks`), so one evaluation covers all of them.
-:func:`partials_at` takes every partial from one evaluation, on every leaf;
-under it a plain float64 array is a leaf too, since inside a Dual every
-power and math function runs entry by entry, as it does on a Batch.
+:func:`partials_at` takes every partial from one evaluation, on every leaf,
+a plain float64 array included.
 Functions are immutable after construction and all operations are pure
 but one: a base system keeps the programs it traces at its first regular
 float point, the series program of its L's flow and the partials programs
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import duals
-from .duals import Batch, Dual, Tangent, Tape, Trace, batch, new_tag, primal
+from .duals import Dual, Tangent, Tape, Trace, batch, new_tag, primal
 
 
 @dataclass(frozen=True)
@@ -119,20 +118,12 @@ def partials_at(f, q, p):
     float64 array, Trace, Jet, or the Duals of an enclosing evaluation):
     q_i is seeded as direction i and p_i as direction dof + i of a Tangent
     under one tag. Each partial equals the one seeded along its slot alone
-    bit for bit, and an absent direction is 0.0. Under the Dual an array
-    needs no Batch, since every power and math function already runs entry
-    by entry there, so Batch leaves (the first leaf decides) are seeded as
-    plain-array views, which skip the subclass wrapping numpy adds to each
-    operation. The value and every array partial come back as Batches, so a
-    caller's own ``**`` on them still rounds as libm does. Where the same f
-    is differentiated at many float points (H in integrate, a base system's
-    G and L in the closed forms), compile_partials turns that one evaluation
+    bit for bit, and an absent direction is 0.0. Where the same f is
+    differentiated at many float points (H in integrate, a base system's G
+    and L in the closed forms), compile_partials turns that one evaluation
     into a plain-float program instead.
     """
     d = len(q)
-    batched = d and isinstance(q[0], Batch)
-    if batched:
-        q, p = tuple(map(_plain, q)), tuple(map(_plain, p))
     tag = new_tag()
     y = f.rule(tuple([Dual(v, Tangent({i: 1.0}), tag) for i, v in enumerate(q)]),
                tuple([Dual(v, Tangent({d + i: 1.0}), tag) for i, v in enumerate(p)]))
@@ -140,19 +131,7 @@ def partials_at(f, q, p):
         value, parts = y.val, [y.dot.d.get(j, 0.0) for j in range(2 * d)]
     else:
         value, parts = y, [0.0] * (2 * d)
-    if batched:
-        value, parts = _as_batch(value), list(map(_as_batch, parts))
     return value, parts[:d], parts[d:]
-
-
-def _plain(x):
-    """A Batch leaf as a plain-array view; any other leaf as it is."""
-    return x.view(np.ndarray) if isinstance(x, Batch) else x
-
-
-def _as_batch(x):
-    """A plain array as a Batch view; anything else (a float, a Dual) as it is."""
-    return x.view(Batch) if type(x) is np.ndarray else x
 
 
 def compile_partials(f, q, p):

@@ -585,6 +585,20 @@ def test_an_overflowing_bracket_scale_is_refused_without_warning():
     assert [w for w in seen if issubclass(w.category, RuntimeWarning)] == []
 
 
+def test_an_underflowing_bracket_scale_is_refused_by_its_point():
+    # |grad H||grad K| = 1e-340 rounds to 0.0 while both gradients are nonzero: a
+    # tolerance times it would pass only an exact 0 bracket; a zero gradient is no underflow
+    H = PhaseFunction(lambda q, p: 1e-170 * q[0], 2)
+    K = PhaseFunction(lambda q, p: 1e-170 * p[0], 2)
+    x = sample_points(5, 1, 2)[0]
+    with pytest.raises(ValueError, match=r"the bracket scale \|grad f\|\|grad g\| underflows "
+                                         r"double precision at PhasePoint\(q=\(0.816"):
+        bracket_scale(H, K, x)
+    assert bracket_scale(H, PhaseFunction(lambda q, p: 1.0, 2), x) == 0.0
+    assert bracket_scale(H, PhaseFunction(lambda q, p: 1e-130 * p[0], 2), x) == pytest.approx(
+        1e-300, rel=1e-15)
+
+
 def test_ccm_past_an_overflowing_scale_reports_its_bracket_without_warning(capsys):
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")

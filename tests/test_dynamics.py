@@ -144,7 +144,7 @@ def test_drift_report_refuses_a_non_finite_value():
 
 
 def test_drift_report_refuses_an_overflow_by_the_function_name():
-    # a Batch power is Python's float power entry by entry, so 1e200 ** 3.0 raises
+    # a Batch power is math.pow entry by entry, so 1e200 ** 3.0 raises
     # OverflowError inside the evaluation, which names no state
     traj = Trajectory(times=np.arange(2.0), states=np.array([[1.0, 0.0], [1e200, 0.0]]), h=1.0)
     cube = PhaseFunction(lambda q, p: q[0] ** 3.0, 1)

@@ -205,25 +205,26 @@ def test_rule_calls_per_partials_at():
     assert len(calls) == 1
 
 
-def test_batch_leaves_run_as_plain_arrays_and_come_back_as_batches():
-    # under partials_at the rule sees Duals over plain arrays, so no operation pays
-    # for the Batch subclass; the value and array partials it returns are Batches,
-    # so a caller's ** on them rounds as libm does, and a constant partial stays a float
-    seen = []
-
+def test_batch_leaves_give_batch_partials_equal_to_plain_array_leaves():
+    # a Batch leaf stays a Batch through the evaluation, so the value and every array
+    # partial (abs's alone in q1) come back as Batches, and a caller's ** on them rounds
+    # as libm does; a constant or absent partial stays a float; every entry equals the
+    # plain-array one
     def rule(q, p):
-        seen.extend(q + p)
-        return q[0] ** 3 * p[0] + dm.exp(q[1]) + 2.5 * p[1] + 2.0 ** (q[0] * p[0])
+        return (q[0] ** 3 * p[0] + 2.0 ** (q[0] * p[0]) + dm.exp(p[1]) + abs(q[1] - 1.0)
+                + 2.5 * q[2])
 
-    f = PhaseFunction(rule, 2)
-    z = np.array([[0.5, 0.7, 1.5, -0.2], [1.1, 0.3, -0.4, 0.9], [0.8, 1.9, 0.2, 0.6]])
+    f = PhaseFunction(rule, 3)
+    z = np.array([[0.5, 0.7, 1.5, -0.2, 0.3, 0.1], [1.1, 1.3, -0.4, 0.9, 0.2, 0.4],
+                  [0.8, 1.9, 0.2, 0.6, -0.5, 0.7]])
     value, dq, dp = partials_at(f, *batch_blocks(z))
-    assert len(seen) == 4 and all(type(x.val) is np.ndarray for x in seen)
-    assert all(type(v) is dm.Batch for v in [value] + dq + dp[:1])
-    assert dp[1] == 2.5
-    for i, row in enumerate(z.tolist()):
-        ref = partials_at(f, tuple(row[:2]), tuple(row[2:]))
-        assert [value[i]] + [v[i] for v in dq + dp[:1]] == [ref[0]] + ref[1] + ref[2][:1]
+    assert all(type(v) is dm.Batch for v in [value] + dq[:2] + dp[:2])
+    assert (dq[2], dp[2]) == (2.5, 0.0)
+    cols = tuple(z.T)
+    ref_value, ref_dq, ref_dp = partials_at(f, cols[:3], cols[3:])
+    assert all(type(v) is np.ndarray for v in [ref_value] + ref_dq[:2] + ref_dp[:2])
+    assert [leaf_bits(v) for v in [value] + dq + dp] == [
+        leaf_bits(v) for v in [ref_value] + ref_dq + ref_dp]
 
 
 def _catalog_functions():
