@@ -210,7 +210,7 @@ def momentum_free_seed_base(C1, C2, C3, eta=2.0):
 
     _window_free_of_zeros(C1, C2, eta, "hyperbolic", (0.3, 2.0), "V10")
     return _base("V10", {"C1": C1, "C2": C2, "C3": C3, "eta": eta}, -(eta**2),
-                 lambda q, p: C3 / g(q[0]) ** 2,
+                 lambda q, p: C3 / dm.pow_(g(q[0]), 2),
                  lambda q, p: C1 * dm.exp(eta * q[0]) - C2 * dm.exp(-eta * q[0]), g, eta)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .catalog import BASES, FLOWS, MODELS, catalog_listing
 from .ccm import ccm_transform, rescale_radial
-from .duals import batch, primal
+from .duals import primal
 from .dynamics import drift_report, integrate
 from .extension import Extension, ExtensionSpec, jacobian_rank, row_norms
 from .ladder import ladder_eigen_pattern, ladder_from_base, ladder_residuals, ladder_scale
@@ -317,7 +317,7 @@ def cmd_ladder(args):
     base = _build(BASES, "branch", args)
     data = ladder_from_base(base)
     psis = sample_scalars(args.points, args.seed, *base.psi_window)
-    col = batch(psis)
+    col = np.array(psis)
     r1, r2, s = evaluate_batch("the ladder residual",
                                lambda: (*ladder_residuals(data, col), ladder_scale(data, col)))
     # r2 carries c1, so a non-finite c1 is refused at every point; max() would skip NaN

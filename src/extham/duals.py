@@ -27,8 +27,10 @@ does its + - * /, which round like Python floats; every power and math
 function here applies the ``math`` function entry by entry instead, since
 numpy's own differ from libm in the last bit on a share of inputs. Only a
 bare ``**`` needs the subclass: inside a Dual or Jet no power reaches
-numpy's, so their values may be plain arrays, which skip the wrapping numpy
-adds to every operation on a Batch. Dual, Jet and Trace set
+numpy's, and the catalog's rules write theirs as :func:`pow_`, so their
+evaluations take plain arrays, which skip the wrapping numpy adds to every
+operation on a Batch. Only ``dynamics.drift_report`` takes Batch leaves,
+for the closed forms' bare powers of derived values. Dual, Jet and Trace set
 ``__array_ufunc__`` to None, so an array operand defers to them. Guards on
 values go through :func:`any_true`, which leaves float and Jet evaluations
 free of numpy calls.

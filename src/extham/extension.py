@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .duals import Dual, Jet, Tape, Trace, coefficient, define, primal
+from .duals import Jet, Tape, Trace, coefficient, define
 from .phase import PhaseFunction, compile_partials, gradient, hamiltonian_vector_field, partials_at
 from .tagged_trig import GammaProfile, gamma, gamma_and_prime, gamma_prime
 
@@ -105,11 +105,11 @@ class BaseSystem:
     def partials(self, f, q, p):
         """partials_at(f, q, p) for f = G or L, bit for bit.
 
-        On plain floats it runs f's straight-line program (compile_partials),
-        kept by _kept: on the benchmark's oracle base 0.2-0.35 us a call
-        against 6-11 us for partials_at's Tangent evaluation, after a trace of
-        0.08-0.15 ms (timeit minima, 2-core AMD EPYC). Every other leaf takes
-        partials_at's evaluation.
+        Where both coordinates are plain floats it runs f's straight-line
+        program (compile_partials), kept by _kept: on the benchmark's oracle
+        base 0.2-0.35 us a call against 6-11 us for partials_at's Tangent
+        evaluation, after a trace of 0.08-0.15 ms (timeit minima, 2-core AMD
+        EPYC). Every other leaf takes partials_at's evaluation.
         """
         if type(q[0]) is float and type(p[0]) is float:
             return self._kept(compile_partials, f, (q, p), q[0], p[0])
@@ -118,13 +118,14 @@ class BaseSystem:
     def flow_jets(self, psi, p_psi, order):
         """flow_jets_by_evaluation(L, psi, p_psi, order), bit for bit.
 
-        On floats, or Duals over floats, it runs the series program of L's
-        flow (compile_flow_series), kept by _kept. Every other leaf, and order
-        0 (the start point, which needs no trace), takes the evaluation on jets.
+        Under partials' leaf rule, where both coordinates are plain floats,
+        it runs the series program of L's flow (compile_flow_series), kept by
+        _kept. Every other leaf, and order 0 (the start point, which never
+        touches L, so a singular first point would keep the evaluation),
+        takes the evaluation on jets.
         """
-        if order and _on_floats(psi) and _on_floats(p_psi):
-            return self._kept(compile_flow_series, self.L, (primal(psi), primal(p_psi)),
-                              [psi], [p_psi], order)
+        if order and type(psi) is float and type(p_psi) is float:
+            return self._kept(compile_flow_series, self.L, (psi, p_psi), [psi], [p_psi], order)
         return flow_jets_by_evaluation(self.L, psi, p_psi, order)
 
 
@@ -186,13 +187,6 @@ def compile_flow_series(L, psi, p_psi):
     lines = head + ["for k in range(order):"] + ["    " + line for line in loop] + ["return Jet(t0), Jet(t1)"]
     tape.namespace.update(fallback=fallback, Jet=Jet)
     return define("flow_series", tape.params + ["order"], lines, tape.namespace, "<flow series>")
-
-
-def _on_floats(x):
-    """Whether x is a float, or Duals whose innermost value is one."""
-    while isinstance(x, Dual):
-        x = x.val
-    return type(x) is float
 
 
 class Extension:

@@ -3,17 +3,17 @@
 Evaluation rules receive the coordinate and momentum blocks as tuples whose
 entries are floats or :class:`~extham.duals.Dual` numbers, so every function
 built from them supports exact first derivatives in any single phase
-direction, at any nesting depth. An entry may also be a
-:class:`~extham.duals.Batch` holding that coordinate at many points
-(:func:`batch_blocks`), so one evaluation covers all of them.
-:func:`partials_at` takes every partial from one evaluation, on every leaf,
-a plain float64 array included.
+direction, at any nesting depth. An entry may also be a float64 array
+holding that coordinate at many points, so one evaluation covers all of
+them: a plain array under :func:`partials_at`, which takes every partial
+from one evaluation on every leaf, or a :class:`~extham.duals.Batch`
+(:func:`batch_blocks`) for a bare evaluation that writes ``**``.
 Functions are immutable after construction and all operations are pure
 but one: a base system keeps the programs it traces at its first regular
 float point, the series program of its L's flow and the partials programs
-of its G and L (``extension.BaseSystem``). Two threads may both build one,
-and either serves, so concurrent evaluation at distinct points needs no
-synchronization.
+of its G and L (``extension.BaseSystem``), and runs them at plain float
+points only. Two threads may both build one, and either serves, so
+concurrent evaluation at distinct points needs no synchronization.
 """
 
 import math

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from extham import catalog, cli, phase
+from extham import duals as dm
 from extham.cli import main
 from extham.ccm import rescale_radial
 from extham.extension import bracket_scale, functional_independence, jacobian_rank, row_norms
@@ -230,6 +231,16 @@ def test_ladder_command(capsys):
         assert report["pass"] is True
         assert report["max_rel_residual"] <= 1e-10
         assert "eigen_diagnostic" in report
+
+
+@pytest.mark.parametrize("branch", ["hyperbolic", "trig"])
+def test_ladder_makes_no_batch(capsys, monkeypatch, branch):
+    # the ladder evaluates on plain float64 arrays, as verify and ccm do
+    made = []
+    monkeypatch.setattr(dm.Batch, "__array_finalize__", lambda self, obj: made.append(1), raising=False)
+    code, _, _ = run_cli(capsys, "ladder", "--branch", branch, "--points", "5")
+    assert code == 0
+    assert not made
 
 
 def test_ccm_command(capsys):

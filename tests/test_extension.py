@@ -42,7 +42,7 @@ from extham.phase import (
     partials_at,
     poisson_bracket,
 )
-from extham.sampling import sample_points
+from extham.sampling import sample_points, sample_scalars
 from extham.tagged_trig import GammaProfile, gamma, gamma_prime
 
 import references
@@ -406,6 +406,32 @@ def test_flow_series_equals_the_jet_evaluation_bit_for_bit(b):
                 assert leaf_bits(got) == leaf_bits(flow_jets_by_evaluation(b.L, *leaves, order))
 
 
+def test_flow_jets_at_duals_take_the_jet_evaluation_and_keep_no_program():
+    # partials' leaf rule: only plain floats run (and keep) the series program
+    b = exp_base(0.7, 1.3)
+    tag = new_tag()
+    psi, p_psi = Dual(0.9, 1.0, tag), Dual(0.3, -0.5, tag)
+    for order in range(1, 7):
+        got = b.flow_jets(psi, p_psi, order)
+        assert leaf_bits(got) == leaf_bits(flow_jets_by_evaluation(b.L, psi, p_psi, order))
+    assert not b._programs
+    b.flow_jets(0.9, 0.3, 4)
+    assert [program.__code__.co_filename for _, program in b._programs.values()] == ["<flow series>"]
+
+
+@pytest.mark.parametrize("b", _series_bases()[:-1], ids=["hyperbolic", "trig", "cosh", "sinh", "free", "V10"])
+def test_base_rules_on_plain_arrays_equal_the_float_evaluations(b):
+    # every catalog base writes its powers through pow_, so a bare evaluation
+    # on plain float64 arrays rounds as the float one does, entry by entry
+    psis = sample_scalars(20000, 1, *b.psi_window)
+    ps = sample_scalars(20000, 2, -2.0, 2.0)
+    q, p = (np.array(psis),), (np.array(ps),)
+    for f in (b.V, b.L, b.G):
+        got = np.broadcast_to(f.rule(q, p), (len(psis),)).tolist()
+        want = [float(f.rule((x,), (y,))) for x, y in zip(psis, ps)]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
 def _guarded_base():
     # V switches formula at psi = 1, through a comparison on the primal
     b = exp_base(0.7, 1.3)
@@ -702,8 +728,9 @@ def test_row_norms_rescale_only_overflowing_rows():
 @pytest.mark.parametrize("k", ["1", "1/2", "2", "5/3", "3", "4"])
 def test_closed_k_on_batch_leaves_equals_the_float_evaluations(k):
     # as drift_report evaluates it: the closed form raises G, X_L G and cL + c0,
-    # taken from partials_at, to powers; its evaluation runs on plain arrays and
-    # must hand them back as Batches, or numpy's power rounds some differently
+    # taken from partials_at, to powers; a Batch leaf stays a Batch through
+    # partials_at, so those powers go through pow_, where numpy's power would
+    # round some differently
     model = make_minkowski_hamiltonian(Fraction(k), 1.0, 2.0)
     K = model.known_integrals[-1][1]
     for seed in (1, 2, 3):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from extham import duals as dm
@@ -52,11 +53,12 @@ def test_batched_residuals_equal_nested_duals(seed):
     for base in (exp_base(0.7, 1.3, 2.0), trig_base(1.0, 0.2, 0.7, 1.3, 2.0)):
         data = ladder_from_base(base)
         psis = sample_scalars(50, seed, *base.psi_window)
-        r1, r2 = ladder_residuals(data, batch(psis))
         ref = [_nested_residuals(data, psi) for psi in psis]
-        assert r1.tolist() == [a for a, _ in ref]
-        assert r2.tolist() == [b for _, b in ref]
-        assert ladder_scale(data, batch(psis)).tolist() == [ladder_scale(data, x) for x in psis]
+        for col in (batch(psis), np.array(psis)):
+            r1, r2 = ladder_residuals(data, col)
+            assert r1.tolist() == [a for a, _ in ref]
+            assert r2.tolist() == [b for _, b in ref]
+            assert ladder_scale(data, col).tolist() == [ladder_scale(data, x) for x in psis]
 
 
 def test_free_base_potential_has_zero_derivatives():
