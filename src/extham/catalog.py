@@ -478,10 +478,11 @@ MODELS = {
 
 
 def _minkowski_flow(k, alpha, beta, omega, no_integral, chart, u_min):
-    """(H, the functions whose drift is reported, radial floor) of a wedge orbit in chart."""
+    """(H, the functions whose drift is reported, floor of u) of a wedge orbit in chart;
+    the null chart has no coordinate u, so no floor."""
     model = MODELS["minkowski"](k, alpha, beta, omega, no_integral)
     if chart == "null":
-        return model.H, {"H": model.H, **dict(model.known_integrals)}, u_min
+        return model.H, {"H": model.H, **dict(model.known_integrals)}, None
     if model.extension is None:
         raise ValueError(f"--k {k} builds no extension, so the pseudo-polar chart has no H; use --chart null")
     H = model.extension.hamiltonian()

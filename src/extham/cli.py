@@ -192,6 +192,8 @@ def cmd_verify(args):
 
 def cmd_integrate(args):
     H, drift_fns, u_min = _build(FLOWS, "model", args)
+    if u_min is None and args.u_min != args.default_of("u_min"):
+        raise ValueError(f"--u-min is not read by --chart {args.chart}")
     x0 = PhasePoint(tuple(args.x0[:2]), tuple(args.x0[2:]))
     # open the output first, so a path that cannot be written fails before any step;
     # an existing file is overwritten in place and cut to the new length only once
@@ -442,7 +444,7 @@ def build_parser():
                          "(write --h=-1e-3: after a space, -1e-3 reads as an option)")
     pi.add_argument("--steps", type=_positive_int, default=10000)
     pi.add_argument("--u-min", type=_finite_float, default=0.05,
-                    help="truncate when the radial coordinate drops below this")
+                    help="truncate when the pseudo-polar radial coordinate u drops below this")
     pi.add_argument("--csv", default="trajectory.csv")
     pi.add_argument("--no-integral", action="store_true")
     pi.set_defaults(func=cmd_integrate, default_of=pi.get_default)

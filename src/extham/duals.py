@@ -45,7 +45,9 @@ float program of the evaluation (:attr:`Tape.lines`, for
 form (:meth:`Tape.series`), where each value is the list of its Taylor
 coefficients and each operation appends coefficient k by the Jet's own rule
 for it. So a program looping over k (``extension.compile_flow_series``)
-computes each coefficient once, bit for bit as the evaluation on Jets.
+computes each coefficient once, bit for bit as the evaluation on Jets. The
+series form is its rule table, arithmetic and the math functions: it has no
+rule for a power or ``abs``, and a tape holding one has no series form.
 
 Two seams decide how scalars are computed: :func:`_lift` every unary math
 function (Dual -> Jet -> array -> Trace -> ``math``) and :func:`pow_` every
@@ -310,7 +312,15 @@ class Jet:
         r = int(r)
         if r < 0:
             return 1.0 / self ** (-r)
-        return _power_chain(r, Jet([1.0] + [0.0] * (len(self.c) - 1)), self, operator.mul)
+        # square and multiply, out on the left: a Jet product is not commutative bit for bit
+        out, x = Jet([1.0] + [0.0] * (len(self.c) - 1)), self
+        while r:
+            if r & 1:
+                out = out * x
+            r >>= 1
+            if r:
+                x = x * x
+        return out
 
     def __rpow__(self, base):
         # coefficient 0 is pow_(base, c0), as Dual.__rpow__ takes its value; the
@@ -328,24 +338,13 @@ def _cauchy(a, b, k):
     return total
 
 
-def _power_chain(r, one, x, mul):
-    """x ** r for an integer r >= 0 by square and multiply from one, each product mul(a, b)."""
-    out = one
-    while r:
-        if r & 1:
-            out = mul(out, x)
-        r >>= 1
-        if r:
-            x = mul(x, x)
-    return out
-
-
 # -- one rule per coefficient ------------------------------------------------
 # Each _*_terms extends the coefficient list of one operation's result, out,
 # through the last coefficient its operands have, from their coefficients and
 # out's own lower ones. A Jet operation calls it once, on an empty out; the
 # series program (Tape.series) calls it once per order, when the operands
 # have one coefficient more. So both compute every coefficient by one rule.
+# The power rules (_rpow_terms, _pow_terms) serve Jets alone.
 
 
 def _div_terms(a, b, q):
@@ -494,7 +493,8 @@ class Tape:
     operation. ``ops`` is the one record: each operation as (fn, args,
     result), the result a Trace or, for a guard (a comparison the evaluation
     branched on), its outcome. Two writers turn it into Python source: the
-    float program (:attr:`lines`) and the series program (:meth:`series`).
+    float program (:attr:`lines`), of every operation, and the series program
+    (:meth:`series`), of the operations ``_SERIES_RULES`` has a line for.
     Finite numbers are written as literals; functions and other constants
     are passed by reference as ``c0``, ``c1``, ... in ``namespace``, named in
     the order the writer first meets them.
@@ -548,8 +548,8 @@ class Tape:
         0, as an evaluation on Jets compares them, and at k = 0, where it
         comes out the other way, body runs ``return fallback(<params>, order)``,
         as the float program's guard does, so ``namespace`` needs a
-        ``fallback`` and the program an ``order``. An operation Jet has no rule
-        for raises TypeError.
+        ``fallback`` and the program an ``order``. An operation with no series
+        rule (a power, ``abs``) raises TypeError.
         """
         self.namespace.update({f.__name__: f for f in _SERIES_HELPERS})
         head, body = [], []
@@ -563,21 +563,13 @@ class Tape:
                 continue
             o = f"t{out.i}"
             kinds = "".join("s" if isinstance(x, Trace) else "c" for x in args)
-            if fn is math.pow and kinds == "sc":
-                _series_power(names[0], args[1], names[1], o, head, body)
-            elif fn is math.pow and kinds == "cs":
-                head += [f"{o} = []", f"{o}_c = []"]  # the series log(base) * x
-                body += [f"{o}_c.append({names[1]}[k] * {self.atom(log(args[0]))})",
-                         f"_rpow_terms({names[0]}, {names[1]}, {o}_c, {o})"]
-            else:
-                line = _SERIES_RULES.get((fn, kinds))
-                if line is None:
-                    name = getattr(fn, "__name__", fn)
-                    raise TypeError(f"a Jet has no rule for {name} on {kinds}")
-                head.append(f"{o} = []")
-                if "{o}_c" in line:
-                    head.append(f"{o}_c = []")
-                body.append(line.format(o=o, a=names[0], b=names[-1]))
+            line = _SERIES_RULES.get((fn, kinds))
+            if line is None:
+                raise TypeError(f"no series rule for {getattr(fn, '__name__', fn)} on {kinds}")
+            head.append(f"{o} = []")
+            if "{o}_c" in line:
+                head.append(f"{o}_c = []")
+            body.append(line.format(o=o, a=names[0], b=names[-1]))
         return head, body
 
     def atom(self, x):
@@ -592,30 +584,6 @@ class Tape:
         name = f"c{len(self.namespace)}"
         self.namespace[name] = x
         return name
-
-
-def _series_power(a, r, r_name, o, head, body):
-    """head and body lines of o = a ** r, the series a to the constant r, as Jet.__pow__ runs."""
-    if r != int(r):
-        head.append(f"{o} = []")
-        body.append(f"_pow_terms({a}, {o}, {r_name})")
-        return
-    r = int(r)
-    names = (f"{o}_{i}" for i in itertools.count())
-
-    def series(step):  # a new list, whose coefficient k step appends
-        name = next(names)
-        head.append(f"{name} = []")
-        body.append(step.format(name))
-        return name
-
-    unit = series("{}.append(1.0 if not k else 0.0)")
-    last = _power_chain(abs(r), unit, a, lambda x, y: series(f"{{}}.append(_cauchy({x}, {y}, k))"))
-    if r < 0:  # 1.0 / a ** -r
-        head.append(f"{o} = []")
-        body.append(f"_div_terms({unit}, {last}, {o})")
-    else:
-        head.append(f"{o} = {last}")
 
 
 # (fn, which operands are series (s) or constants (c)) -> the line appending
@@ -830,5 +798,5 @@ def pow_(x, r):
 
 
 # what series programs call, by name
-_SERIES_HELPERS = (_cauchy, _div_terms, _exp_terms, _rpow_terms, _log_terms, _sqrt_terms,
-                   _sin_cos_terms, _tan_terms, _pow_terms, primal)
+_SERIES_HELPERS = (_cauchy, _div_terms, _exp_terms, _log_terms, _sqrt_terms, _sin_cos_terms,
+                   _tan_terms, primal)

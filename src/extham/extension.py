@@ -162,8 +162,9 @@ def compile_flow_series(L, psi, p_psi):
     flow_jets_by_evaluation(L, psi, p_psi, order) returns, bit for bit, as
     compile_partials' program answers as partials_at: where a guard comes
     out the other way, it returns that evaluation's answer, and where L
-    cannot be traced at (psi, p_psi), raises there or uses an operation a
-    Jet has not, the callable returned is that evaluation itself.
+    cannot be traced at (psi, p_psi), raises there or uses an operation the
+    series writer has no rule for (a power, abs), the callable returned is
+    that evaluation itself.
     """
 
     def fallback(Q, P, order):
@@ -173,7 +174,7 @@ def compile_flow_series(L, psi, p_psi):
     try:
         _, (dq,), (dp,) = partials_at(L, tape.inputs((psi,)), tape.inputs((p_psi,)))
         head, body = tape.series()
-    except Exception:  # untraceable, singular here, or no Taylor rule: evaluation on jets decides
+    except Exception:  # untraceable, singular here, or no series rule: evaluation on jets decides
         return fallback
     if not all(isinstance(x, (Trace, float, int)) for x in (dq, dp)):
         return fallback

@@ -23,8 +23,10 @@ from extham.catalog import (
     to_pseudo_polar,
     trig_base,
 )
+from extham.ccm import ccm_transform
+from extham.dynamics import Trajectory, drift_report
 from extham.extension import Extension, ExtensionSpec, bracket_scale, seed_equation_terms
-from extham.phase import PhaseFunction, PhasePoint, partials_at, poisson_bracket
+from extham.phase import PhaseFunction, PhasePoint, hamiltonian_vector_field, partials_at, poisson_bracket
 from extham.sampling import make_rng, sample_points
 from extham.tagged_trig import GammaProfile
 
@@ -166,6 +168,32 @@ def test_base_family_validation():
     with pytest.raises(ValueError):
         # gauge vanishes inside the window
         make_base_family(1.0, -1.0, 1.0, 0.0, 2.0, "hyperbolic", psi_window=(-1.0, 1.0))
+
+
+_ONE_DOF = PhaseFunction(lambda q, p: 0.5 * p[0] * p[0], 1)
+_TWO_DOF = PhaseFunction(lambda q, p: q[0] * p[1], 2)
+_WEDGE = make_minkowski_hamiltonian(Fraction(1), 1.0, 2.0, 0.0)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: momentum_free_seed_base(0.0, 0.0, 1.0), ValueError, "C1 and C2 must not both vanish"),
+    (lambda: momentum_free_seed_base(1.0, 0.5, 0.0), ValueError, "C3 must be nonzero"),
+    (lambda: _WEDGE.extension.gn_recursive(0), ValueError, "n must be positive"),
+    (lambda: _WEDGE.extension.gn_closed(0), ValueError, "n must be positive"),
+    (lambda: _WEDGE.integral("K(9,9)"), KeyError, r"K\(9,9\)"),
+    (lambda: _ONE_DOF(PhasePoint((1.0, 2.0), (0.0, 0.0))), ValueError,
+     "function of 1 dof evaluated at a 2-dof point"),
+    (lambda: drift_report(Trajectory(np.zeros(1), np.zeros((1, 2)), 0.1), {"H": _TWO_DOF}),
+     ValueError, "function of 2 dof evaluated at a 1-dof point"),
+    (lambda: hamiltonian_vector_field(_ONE_DOF, _TWO_DOF), ValueError,
+     "X_L requires L and f on the same phase space"),
+    (lambda: ccm_transform(_TWO_DOF, None, _ONE_DOF, 0.4), ValueError,
+     "coupling function and Hamiltonian must share a phase space"),
+], ids=["V10-C1-C2", "V10-C3", "gn-recursive", "gn-closed", "unknown-integral",
+        "phase-function-dof", "drift-report-dof", "vector-field-dof", "ccm-dof"])
+def test_a_refusal_names_its_cause(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 @pytest.mark.parametrize("build", [

@@ -206,6 +206,17 @@ def test_integrate_domain_exit(capsys, tmp_path):
     assert os.path.exists(path)
 
 
+def test_null_chart_sets_no_floor_on_q1(capsys, tmp_path):
+    # q1 = 0.04 is below the default --u-min, but u = sqrt(2 q1 q2) = 0.89, and
+    # on the free base (alpha = beta = 0) q1 moves away from 0
+    path = str(tmp_path / "null.csv")
+    code, out, _ = run_cli(capsys, "integrate", "--chart", "null", "--alpha", "0", "--beta", "0",
+                           "--x0", "0.04", "10", "0.1", "0.1", "--steps", "100", "--csv", path)
+    report = json.loads(out)
+    assert code == 0
+    assert (report["status"], report["steps_completed"]) == ("completed", 100)
+
+
 def test_negative_step_in_exponent_form(capsys, tmp_path):
     # "--h=-1e-3" runs backwards in time; "--h -1e-3" is an argparse usage
     # error, because a dash-led token with an exponent reads as an option
@@ -336,6 +347,12 @@ _ETA_TEXT = "eta={} is out of range: c = +-eta^2 and c^2 must be finite, normal,
     (("ladder", "--seed=-3"), "argument --seed: expected an integer in [0, 2**128), got '-3'"),
     (("ccm", "--seed", str(2**128)),
      f"argument --seed: expected an integer in [0, 2**128), got '{2**128}'"),
+    (("ccm", "--m", "3"), "ccm demo requires even m (Kbar indices)"),
+    (("verify", "--model", "sphere", "--k=-1"), "k must exceed -1"),
+    (("verify", "--model", "minkowski", "--k=-1"), "k = -1 degenerates the pseudo-polar map"),
+    # the null chart has no radial coordinate for --u-min to bound
+    (("integrate", "--chart", "null", "--u-min", "0.01", "--x0", "1", "1", "3.2", "0.5"),
+     "--u-min is not read by --chart null"),
 ], ids=["overflow", "nan-alpha", "zero-points", "negative-points", "degree-cap",
         "degree-cap-doubled", "negative-steps", "integrate-tol", "verify-json", "ccm-json",
         "ladder-json", "catalog-json", "verify-negative-tol", "ccm-negative-tol", "ladder-nan-tol",
@@ -348,7 +365,8 @@ _ETA_TEXT = "eta={} is out of range: c = +-eta^2 and c^2 must be finite, normal,
         "ladder-free-huge-eta", "sphere-tiny-eta", "de-sitter-tiny-eta", "sphere-eta-1e-160",
         "ccm-tiny-eta", "ccm-eta-1e-160", "ladder-tiny-eta", "ladder-eta-1e-160",
         "x0-at-gamma-pole", "x0-off-wedge", "integrate-zero-h", "verify-negative-seed",
-        "ladder-negative-seed", "ccm-seed-2**128"])
+        "ladder-negative-seed", "ccm-seed-2**128", "ccm-odd-m", "sphere-k-minus-one",
+        "minkowski-k-minus-one", "null-chart-u-min"])
 def test_errors_exit_two_with_json_error(capsys, monkeypatch, tmp_path, argv, message):
     monkeypatch.chdir(tmp_path)  # integrate writes its default CSV path here
     code, out, err = run_cli(capsys, *argv)

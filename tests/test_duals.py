@@ -119,10 +119,9 @@ def test_a_constant_base_to_a_jet_power():
 SERIES_FUNCS = [
     lambda x: (x * x, 2.0 * x, x * 2.0, x - 0.5, 1.5 + x, x + 1.5, -x, 2.0 - x, x - x),
     lambda x: (x / 3.0, 1.0 / (x * x + 1.0), (x - 3.0) / (x * x + 2.0)),
-    lambda x: (x**3, x**0, x**1, x**2.0, dm.pow_(x * x + 1.0, -2), dm.pow_(x * x + 1.0, 0.5)),
     lambda x: (dm.exp(x), dm.log(x * x + 1.0), dm.sqrt(x * x + 4.0)),
-    lambda x: (dm.sin(x), dm.cos(x), dm.tan(x), 0.25**x),
-    lambda x: (dm.sinh(x), dm.cosh(x), dm.tanh(x), 1.5**x),
+    lambda x: (dm.sin(x), dm.cos(x), dm.tan(x)),
+    lambda x: (dm.sinh(x), dm.cosh(x), dm.tanh(x)),
 ]
 
 
@@ -160,11 +159,15 @@ def test_series_rules_equal_the_jet_methods_bit_for_bit(i):
 
 
 def test_an_operation_without_a_taylor_rule_is_refused():
-    for f in (abs, lambda x: x**x, lambda x: dm.pow_(x, x)):
+    # a Jet has power rules, but the series writer has none: every power is refused
+    powers = (lambda x: x**3, lambda x: x**0, lambda x: x**1, lambda x: x**2.0,
+              lambda x: dm.pow_(x * x + 1.0, -2), lambda x: dm.pow_(x * x + 1.0, 0.5),
+              lambda x: 0.25**x, lambda x: 1.5**x)
+    for f in (abs, lambda x: x**x, lambda x: dm.pow_(x, x)) + powers:
         tape = dm.Tape()
         (x,) = tape.inputs((0.7,))
         f(x)
-        with pytest.raises(TypeError, match="a Jet has no rule"):
+        with pytest.raises(TypeError, match="no series rule for"):
             tape.series()
 
 

@@ -378,7 +378,7 @@ def test_recursive_k_base_rule_calls_grow_linearly(profile, m, n):
 
 
 def _series_bases():
-    """Every catalog base family, and L = 0.5 p^2 + V, whose power runs the product chain."""
+    """Every catalog base family, and L = 0.5 p^2 + V, whose bare power the series writer refuses."""
     bases = [BASES["hyperbolic"](0.7, 1.3, 2.0), BASES["trig"](0.2, 1.0, 0.5, 1.0),
              cosh_base(1.0, 0.3, 0.7, 1.1), sinh_base(1.0, 0.3, 0.7, 1.1), exp_base(0.0, 0.0),
              momentum_free_seed_base(1.0, 0.5, 0.8)]
@@ -388,13 +388,15 @@ def _series_bases():
     return bases + [squared]
 
 
-@pytest.mark.parametrize("b", _series_bases(),
+@pytest.mark.parametrize("b, compiled", zip(_series_bases(), [True] * 5 + [False] * 2),
                          ids=["hyperbolic", "trig", "cosh", "sinh", "free", "V10", "p-squared"])
-def test_flow_series_equals_the_jet_evaluation_bit_for_bit(b):
-    # signed zeros too: p_psi = 0.0 and -0.0 start the flow at a turning point
+def test_flow_series_equals_the_jet_evaluation_bit_for_bit(b, compiled):
+    # V10 and p-squared raise a value to a power inside L, which the series writer
+    # has no rule for, so their callable is the evaluation on jets itself.
+    # Signed zeros too: p_psi = 0.0 and -0.0 start the flow at a turning point
     lo, hi = b.psi_window
     program = compile_flow_series(b.L, lo, 0.3)
-    assert program.__code__.co_filename == "<flow series>"
+    assert (program.__code__.co_filename == "<flow series>") == compiled
     rng = random.Random(25)
     points = [(rng.uniform(lo, hi), rng.uniform(-2.0, 2.0)) for _ in range(6)]
     points += [(0.5 * (lo + hi), 0.0), (0.5 * (lo + hi), -0.0)]
