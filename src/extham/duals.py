@@ -39,9 +39,10 @@ A :class:`Trace` is the fourth leaf: a float whose :class:`Tape` records
 every operation on it, and every comparison with its outcome. Anything that
 would branch on a traced value without a comparison (bool, float, int,
 hash) raises; every power is recorded as ``math.pow``, however it was
-written. The tape writes its one record in two forms: the straight-line
-float program of the evaluation (:attr:`Tape.lines`, for
-``phase.compile_partials``, which :func:`define` compiles), and its series
+written. A repeated operation is recorded once, and ``x * 1.0`` is x, which
+is exact on every double. The tape writes its one record in two forms: the
+straight-line float program of the evaluation (:attr:`Tape.lines`, from
+``phase.trace_partials``, which :func:`define` compiles), and its series
 form (:meth:`Tape.series`), where each value is the list of its Taylor
 coefficients and each operation appends coefficient k by the Jet's own rule
 for it. So a program looping over k (``extension.compile_flow_series``)
@@ -474,7 +475,7 @@ def _entrywise(fn, *args):
     The result is a Batch where an argument is one, and a plain array otherwise.
     """
     cols = [a.tolist() if isinstance(a, np.ndarray) else itertools.repeat(a) for a in args]
-    out = np.array([fn(*vals) for vals in zip(*cols)], dtype=float)
+    out = np.fromiter(map(fn, *cols), dtype=float)
     return out.view(Batch) if Batch in map(type, args) else out
 
 
@@ -487,7 +488,7 @@ _INFIX = {
 
 
 class Tape:
-    """The float operations of traced evaluations, in the order they ran.
+    """The distinct float operations of traced evaluations, in the order they first ran.
 
     ``params`` names the inputs ``t0``, ``t1``, ..., all made before the first
     operation. ``ops`` is the one record: each operation as (fn, args,
@@ -504,6 +505,7 @@ class Tape:
         self.params = []
         self.ops = []
         self.namespace = {}
+        self._made = {}
         self._index = itertools.count().__next__
 
     def inputs(self, values):
@@ -513,11 +515,20 @@ class Tape:
         return out
 
     def record(self, fn, args, guard=False):
-        """fn(*args) on the args' values: a new Trace, or the outcome of a guard."""
-        v = fn(*[a.v if isinstance(a, Trace) else a for a in args])
-        out = v if guard else Trace(self, self._index(), v)
-        self.ops.append((fn, args, out))
-        return out
+        """fn(*args) on the args' values: a Trace, or the outcome of a guard. A repeat
+        returns what its first record made, with constants keyed by type and repr (a
+        NaN by identity), so 0.0 and -0.0, 2 and 2.0 stay apart; ``x * 1.0`` is x."""
+        if fn is operator.mul:
+            for x, one in (args, args[::-1]):
+                if type(one) is float and one == 1.0:
+                    return x
+        key = (fn, *[a.i if isinstance(a, Trace) else (type(a), repr(a) if a == a else id(a))
+                     for a in args])
+        if key not in self._made:
+            v = fn(*[a.v if isinstance(a, Trace) else a for a in args])
+            self._made[key] = out = v if guard else Trace(self, self._index(), v)
+            self.ops.append((fn, args, out))
+        return self._made[key]
 
     @property
     def lines(self):

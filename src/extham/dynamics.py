@@ -7,30 +7,31 @@ order. The implicit stage is solved by fixed-point iteration; gradients come
 from the exact differentiation scheme.
 
 Each step's implicit stage is one call to a solve function emitted for the
-run's dof and compiled once per run, right after ``phase.compile_partials``
-has made H's partials program at x0. Every quantity in it is a scalar local,
-and it runs the IEEE operations, in the same order, of the numpy-vector
-loop that the tests keep as a reference, so trajectories equal it bit for
-bit. Where a branch of H goes the other way, the partials program returns
-``partials_at``'s answer, which raises where H leaves its domain; an
-operation that raises in the program raises the exception ``partials_at``
-raises there. The solve turns OverflowError, ValueError and
-ZeroDivisionError, or a midpoint or iterate that is not finite, into
-LEFT_DOMAIN, and max_iter iterations without convergence into
-NO_CONVERGENCE. It starts every solve from the last state rather than from
-a predictor such as ``z + h * slope``: a predictor saves about one iteration
-per step but moves every iterate in its last bits, which changes where a
-collapsing orbit stops and how.
+run's dof and compiled once per run. H's partials are written inline in it:
+``phase.trace_partials`` traces them once at x0, and its lines run over the
+midpoint in each iteration, which then makes no call and builds no list.
+Every quantity is a scalar local, and the solve runs the IEEE operations, in
+the same order, of the numpy-vector loop that the tests keep as a
+reference, so trajectories equal it bit for bit. Where a branch of H goes
+the other way, a private exception hands that iteration to ``partials_at``,
+which raises where H leaves its domain; an operation that raises in the
+inlined lines raises the exception ``partials_at`` raises there. The solve
+turns OverflowError, ValueError and ZeroDivisionError, from either, or a
+midpoint or iterate that is not finite, into LEFT_DOMAIN, and max_iter
+iterations without convergence into NO_CONVERGENCE. It starts every solve
+from the last state rather than from a predictor such as ``z + h * slope``:
+a predictor saves about one iteration per step but moves every iterate in
+its last bits, which changes where a collapsing orbit stops and how.
 """
 
-import csv
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .duals import define
-from .phase import batch_blocks, compile_partials, evaluate_batch
+from . import phase
 
 COMPLETED = "completed"
 DOMAIN_EXIT = "domain-exit"
@@ -54,13 +55,14 @@ class Trajectory:
         return self.states.shape[1] // 2
 
     def write_csv(self, fh):
-        """Write t, q..., p... rows to fh, a text file opened with newline=""."""
+        """Write t, q..., p... rows of reprs to fh, a text file opened with newline="",
+        as csv.writer writes them: no repr holds a comma, quote or line break."""
         d = self.dof
         header = ["t"] + [f"q{i+1}" for i in range(d)] + [f"p{i+1}" for i in range(d)]
-        w = csv.writer(fh)
-        w.writerow(header)
-        for t, s in zip(self.times.tolist(), self.states.tolist()):
-            w.writerow([repr(t)] + [repr(v) for v in s])
+        fh.write(",".join(header) + "\r\n")
+        row = ",".join(["{!r}"] * (2 * d + 1)) + "\r\n"
+        rows = np.column_stack((self.times, self.states)).tolist()
+        fh.writelines(itertools.starmap(row.format, rows))
 
 
 def integrate(H, x0, h, steps, fp_tol=1e-13, max_iter=50, u_min=None):
@@ -82,7 +84,7 @@ def integrate(H, x0, h, steps, fp_tol=1e-13, max_iter=50, u_min=None):
     d = x0.dof
     if H.dof != d:
         raise ValueError(f"function of {H.dof} dof evaluated at a {d}-dof point")
-    solve = _compile_solve(compile_partials(H, x0.q, x0.p), d, fp_tol, max_iter)
+    solve = _compile_solve(H, x0.q, x0.p, fp_tol, max_iter)
     z = x0.q + x0.p
     states = [z]
     status = COMPLETED
@@ -110,14 +112,25 @@ def integrate(H, x0, h, steps, fp_tol=1e-13, max_iter=50, u_min=None):
                       exit_step=exit_step)
 
 
-def _compile_solve(partials, d, fp_tol, max_iter):
+class _Flipped(Exception):
+    """A guard of the inlined partials came out the other way; args[0] is partials_at's answer."""
+
+
+def _compile_solve(H, q, p, fp_tol, max_iter):
     """solve(z_0, ..., z_{2d-1}, h) -> (failure, y): one step's fixed-point solve.
 
     Every quantity is a scalar local; failure is None with y the new state, or
-    a status with y None. Emitted for d and compile()d once per run.
+    a status with y None. H's partials are trace_partials(H, q, p)'s lines,
+    written inline over the midpoint, which is named as the tape's inputs.
     """
-    z, y, m, w = ([f"{c}{i}" for i in range(2 * d)] for c in "zymw")
+    d = len(q)
+    tape, lines, answer = phase.trace_partials(H, q, p)
+    m = tape.params
+    z, y, w = ([f"{c}{i}" for i in range(2 * d)] for c in "zyw")
     dq, dp = ([f"{c}{i}" for i in range(d)] for c in ("dq", "dp"))
+
+    def fallback(*mid):
+        raise _Flipped(phase.partials_at(H, mid[:d], mid[d:]))
 
     def each(form, *cols):
         return [form.format(*row) for row in zip(*cols)]
@@ -133,11 +146,14 @@ def _compile_solve(partials, d, fp_tol, max_iter):
         f"    if not ({' and '.join(each('isfinite({})', m))}):",
         f"        {left}",
         "    try:",
-        f"        _, ({seq(dq)},), ({seq(dp)},) = partials({seq(m)})",
+        *["        " + line for line in lines],
+        *each("        {} = {}", dq + dp, answer[1:]),
+        "    except Flipped as flip:",
+        f"        _, ({seq(dq)},), ({seq(dp)},) = flip.args[0]",
         "    except (OverflowError, ValueError, ZeroDivisionError):",
         f"        {left}",
-        *each("    {} = {} + h * float({})", w[:d], z[:d], dp),
-        *each("    {} = {} + h * -float({})", w[d:], z[d:], dq),
+        *each("    {} = {} + h * {}", w[:d], z[:d], dp),
+        *each("    {} = {} + h * -{}", w[d:], z[d:], dq),
         f"    if not ({' and '.join(each('isfinite({})', w))}):",
         f"        {left}",
         f"    if {' and '.join(each('abs({} - {}) <= fp_tol', w, y))}:",
@@ -145,10 +161,10 @@ def _compile_solve(partials, d, fp_tol, max_iter):
         f"    {seq(y)} = {seq(w)}",
         "return NO_CONVERGENCE, None",
     ]
-    namespace = {"partials": partials, "isfinite": math.isfinite, "fp_tol": fp_tol,
-                 "max_iter": max_iter, "LEFT_DOMAIN": LEFT_DOMAIN,
-                 "NO_CONVERGENCE": NO_CONVERGENCE}
-    return define("solve", z + ["h"], body, namespace, "<integrate solve>")
+    tape.namespace.update(fallback=fallback, Flipped=_Flipped, isfinite=math.isfinite,
+                          fp_tol=fp_tol, max_iter=max_iter, LEFT_DOMAIN=LEFT_DOMAIN,
+                          NO_CONVERGENCE=NO_CONVERGENCE)
+    return define("solve", z + ["h"], body, tape.namespace, "<integrate solve>")
 
 
 def drift_report(traj, functions):
@@ -158,19 +174,18 @@ def drift_report(traj, functions):
     as Batch leaves, by phase.evaluate_batch: numpy does not warn, an overflow
     inside raises ValueError "<name> overflows double precision", other failures
     propagate, and a value that is not finite raises ValueError naming the
-    function and the first such state, since max would skip a NaN.
+    function and the first such state. The maximum is then taken over finite
+    values, where numpy's subtraction, abs and max are exact as Python's are.
     """
-    q, p = batch_blocks(traj.states)
+    q, p = phase.batch_blocks(traj.states)
     out = {}
     for name, f in functions.items():
         if f.dof != traj.dof:
             raise ValueError(f"function of {f.dof} dof evaluated at a {traj.dof}-dof point")
-        values = np.broadcast_to(evaluate_batch(name, f.rule, q, p), len(traj.states))
+        values = np.broadcast_to(phase.evaluate_batch(name, f.rule, q, p), len(traj.states))
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             raise ValueError(f"non-finite {name} at state {bad[0]}: {traj.states[bad[0]].tolist()}")
-        values = values.tolist()
-        f0 = values[0]
-        denom = 1.0 + abs(f0)
-        out[name] = max(abs(v - f0) for v in values) / denom
+        f0 = float(values[0])
+        out[name] = float(np.abs(values - f0).max()) / (1.0 + abs(f0))
     return out

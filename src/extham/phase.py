@@ -120,8 +120,8 @@ def partials_at(f, q, p):
     under one tag. Each partial equals the one seeded along its slot alone
     bit for bit, and an absent direction is 0.0. Where the same f is
     differentiated at many float points (H in integrate, a base system's G
-    and L in the closed forms), compile_partials turns that one evaluation
-    into a plain-float program instead.
+    and L in the closed forms), trace_partials turns that one evaluation
+    into plain-float lines instead, for integrate's solve and compile_partials.
     """
     d = len(q)
     tag = new_tag()
@@ -134,34 +134,48 @@ def partials_at(f, q, p):
     return value, parts[:d], parts[d:]
 
 
+def trace_partials(f, q, p):
+    """partials_at(f) at the float point (q, p) as straight-line source: (tape, lines, answer).
+
+    partials_at runs once there on Trace leaves; lines is its tape's float
+    program (Tape.lines) over the inputs tape.params, and answer the source of
+    [value, *dq, *dp]. Where the evaluation cannot be traced at (q, p) or raises
+    there, lines is ``return fallback(<params>)`` and answer is empty. Either
+    way the tape's namespace needs a ``fallback`` before lines run.
+    """
+    tape = Tape()
+    try:
+        value, dq, dp = partials_at(f, tape.inputs(q), tape.inputs(p))
+        answer = [value, *dq, *dp]
+    except Exception:  # any failure, untraceable or not, leaves partials_at in charge
+        answer = [None]
+    if not all(isinstance(x, (Trace, float, int)) for x in answer):
+        return tape, [f"return fallback({', '.join(tape.params)})"], []
+    lines = tape.lines  # written first, so constants are named in tape order
+    return tape, lines, [tape.atom(x) for x in answer]
+
+
 def compile_partials(f, q, p):
     """partials_at(f, ., .) on float points as one straight-line program.
 
-    partials_at runs at the float point (q, p) on Trace leaves, and the
-    tape's float program (Tape.lines) of that one evaluation becomes the
-    program, which returns (value, dq, dp) bit for bit as partials_at does.
-    The program takes the coordinates as separate arguments. Where a
-    comparison the evaluation branched on comes out the other way, it
-    returns partials_at's answer, which takes the other branch or raises.
-    Where one of its operations raises, partials_at raises the same
-    exception at the same operation. Where the evaluation cannot be
-    traced at (q, p), or raises there, the callable returned is partials_at
-    itself.
+    The program runs trace_partials(f, q, p)'s lines and returns (value, dq,
+    dp) bit for bit as partials_at does; it takes the coordinates as separate
+    arguments. Where a comparison the evaluation branched on comes out the
+    other way, the program returns partials_at's answer, which takes the
+    other branch or raises. Where one of its operations raises (a repeated
+    one at its first place), partials_at raises the same exception at the
+    same operation. Where the evaluation cannot be traced at (q, p), or raises
+    there, the callable returned is partials_at itself.
     """
     d = len(q)
 
     def fallback(*z):
         return partials_at(f, z[:d], z[d:])
 
-    tape = Tape()
-    try:
-        value, dq, dp = partials_at(f, tape.inputs(q), tape.inputs(p))
-    except Exception:  # any failure, untraceable or not, leaves partials_at in charge
+    tape, lines, answer = trace_partials(f, q, p)
+    if not answer:
         return fallback
-    if not all(isinstance(x, (Trace, float, int)) for x in (value, *dq, *dp)):
-        return fallback
-    lines, atom = tape.lines, tape.atom  # written first, so constants are named in tape order
-    result = f"return {atom(value)}, [{', '.join(map(atom, dq))}], [{', '.join(map(atom, dp))}]"
+    result = f"return {answer[0]}, [{', '.join(answer[1:d + 1])}], [{', '.join(answer[d + 1:])}]"
     tape.namespace["fallback"] = fallback
     return duals.define("partials", tape.params, lines + [result], tape.namespace,
                         "<compile_partials>")

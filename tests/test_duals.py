@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from extham.phase import (
     PhaseFunction,
     PhasePoint,
     batch_blocks,
+    compile_partials,
     hamiltonian_vector_field,
     partials_at,
     poisson_bracket,
@@ -592,16 +594,16 @@ def test_trace_records_operations_and_guards():
     x, y = tape.inputs((1.5, -0.0))
     assert tape.params == ["t0", "t1"]
     a = x * y + dm.exp(x)
-    b = x * y + dm.exp(x)  # a repeat is recorded again, so one that raises raises again
-    assert a.v == b.v == 1.5 * -0.0 + math.exp(1.5) and a.i != b.i
-    assert tape.lines == ["t2 = t0 * t1", "t3 = c0(t0)", "t4 = t2 + t3",
-                          "t5 = t0 * t1", "t6 = c0(t0)", "t7 = t5 + t6"]
+    b = x * y + dm.exp(x)  # a repeat is the Trace its first record made
+    assert a.v == b.v == 1.5 * -0.0 + math.exp(1.5) and b is a
+    assert tape.lines == ["t2 = t0 * t1", "t3 = c0(t0)", "t4 = t2 + t3"]
     assert tape.namespace == {"c0": math.exp}  # one name per function, however often called
     assert (2.0 - x).v == 0.5 and (2.0 ** x).v == 2.0**1.5
-    assert tape.lines[-2:] == ["t8 = 2.0 - t0", "t9 = c1(2.0, t0)"]  # reflected operands keep their order
+    assert tape.lines[-2:] == ["t5 = 2.0 - t0", "t6 = c1(2.0, t0)"]  # reflected operands keep their order
     assert tape.namespace["c1"] is math.pow
     n = len(tape.lines)
     assert (x == 1.5) is True and (x != 1.5) is False and (y < x) is True
+    assert (x == 1.5) is True and (y < x) is True  # a repeated guard is checked once
     assert tape.lines[n:] == [  # guards and outcomes
         "if not (t0 == 1.5): return fallback(t0, t1)",
         "if (t0 != 1.5): return fallback(t0, t1)",
@@ -613,11 +615,47 @@ def test_every_trace_power_records_math_pow():
     # the tape has one power op, whichever way the power was written
     tape = dm.Tape()
     (t,) = tape.inputs((1.3,))
-    assert [y.v for y in (t**2, dm.pow_(t, 2), 2.0**t)] == [1.3**2, 1.3**2, 2.0**1.3]
-    assert [fn for fn, _, _ in tape.ops] == [math.pow] * 3
-    assert [args for _, args, _ in tape.ops] == [(t, 2), (t, 2), (2.0, t)]
-    assert tape.lines == ["t1 = c0(t0, 2)", "t2 = c0(t0, 2)", "t3 = c0(2.0, t0)"]
+    ys = (t**2, dm.pow_(t, 2), 2.0**t)
+    assert [y.v for y in ys] == [1.3**2, 1.3**2, 2.0**1.3]
+    assert ys[1] is ys[0]  # t**2 and pow_(t, 2) are one op
+    assert [fn for fn, _, _ in tape.ops] == [math.pow] * 2
+    assert [args for _, args, _ in tape.ops] == [(t, 2), (2.0, t)]
+    assert tape.lines == ["t1 = c0(t0, 2)", "t2 = c0(2.0, t0)"]
     assert tape.namespace == {"c0": math.pow}
+
+
+def test_the_memo_keeps_constants_apart():
+    # a repeat is keyed by its constants' type and repr, and a NaN by identity, so
+    # 0.0 and -0.0, 2 and 2.0, inf and -inf, and two NaNs of opposite sign stay apart
+    tape = dm.Tape()
+    (t,) = tape.inputs((1.3,))
+    nan = math.nan
+    pairs = [(t * 0.0, t * -0.0), (t**2, t**2.0), (t + 2, t + 2.0), (t * math.inf, t * -math.inf),
+             (t + nan, t + -nan), (t * math.inf, t * nan)]
+    for a, b in pairs:
+        assert a is not b
+    bits = [struct.pack("<d", v) for v in (1.3 * 0.0, 1.3 * -0.0, 1.3 * math.inf, 1.3 * -math.inf)]
+    assert [struct.pack("<d", y.v) for y in (*pairs[0], *pairs[3])] == bits
+    assert len(set(bits)) == 4
+    assert len(tape.ops) == 11  # t * math.inf once, however often it is written
+    assert t + nan is pairs[4][0] and t * 0.0 is pairs[0][0] and t + 2 is pairs[2][0]
+    assert tape.lines[:5] == ["t1 = t0 * 0.0", "t2 = t0 * (-0.0)", "t3 = c0(t0, 2)",
+                              "t4 = c0(t0, 2.0)", "t5 = t0 + 2"]
+
+
+def test_only_a_product_with_one_is_left_out():
+    # x * 1.0 and 1.0 * x are x on every double; x * 0.0 and x + 0.0 are not
+    # (-1.5 * 0.0 is -0.0, -0.0 + 0.0 is 0.0, inf * 0.0 is NaN), so they are recorded
+    tape = dm.Tape()
+    x, y = tape.inputs((-1.5, -0.0))
+    assert x * 1.0 is x and 1.0 * y is y and not tape.ops
+    products = (x * 0.0, 0.0 * x, y + 0.0, 0.0 + y)
+    assert [math.copysign(1.0, v.v) for v in products] == [-1.0, -1.0, 1.0, 1.0]
+    assert tape.lines == ["t2 = t0 * 0.0", "t3 = 0.0 * t0", "t4 = t1 + 0.0", "t5 = 0.0 + t1"]
+    f = PhaseFunction(lambda q, p: q[0] * 0.0 + (p[0] + 0.0) * 1.0 * q[0], 1)
+    program = compile_partials(f, (-1.5,), (-0.0,))
+    for q, p in [(-1.5, -0.0), (math.inf, 2.0), (-0.0, -0.0), (3.0, math.nan)]:
+        assert repr(program(q, p)) == repr(partials_at(f, (q,), (p,)))
 
 
 def test_trace_under_a_dual_and_refusals():

@@ -1,4 +1,5 @@
 import csv
+import io
 import random
 from fractions import Fraction
 
@@ -328,7 +329,7 @@ def test_a_single_iteration_does_not_converge(wedge_system):
 
 @pytest.mark.parametrize("steps", [1, 10, 1000])
 def test_one_program_per_run(monkeypatch, wedge_system, steps):
-    # the partials and the fixed-point solve are each compiled once, at the start
+    # H's partials are written inline in the fixed-point solve, compiled once, at the start
     made = []
 
     def counting(source, filename, mode):
@@ -339,7 +340,7 @@ def test_one_program_per_run(monkeypatch, wedge_system, steps):
     H, _, _ = wedge_system
     traj = integrate(H, PhasePoint((1.0, 0.0), (3.2, 0.5)), 1e-3, steps)
     assert traj.status == COMPLETED
-    assert made == ["<compile_partials>", "<integrate solve>"]
+    assert made == ["<integrate solve>"]
 
 
 def _bench_flow_orbits():
@@ -367,8 +368,8 @@ ORBITS = _bench_flow_orbits() + [
 
 @pytest.mark.parametrize("label,flow,x0,h,steps,status", ORBITS, ids=[o[0] for o in ORBITS])
 def test_compiled_partials_keep_every_trajectory(monkeypatch, label, flow, x0, h, steps, status):
-    # the compiled program serves every iteration of the emitted solve; with a
-    # plain partials_at wrapper in its place, the trajectory is the same bit for bit
+    # the partials inlined in the solve serve every iteration, and the trajectory
+    # equals the vector loop's, whose every gradient is a partials_at evaluation
     k, omega, chart = flow
     H, _, u_min = catalog.FLOWS["minkowski"](k, 1.0, 2.0, omega, False, chart, 0.05)
     x0 = PhasePoint(x0[:2], x0[2:])
@@ -378,10 +379,43 @@ def test_compiled_partials_keep_every_trajectory(monkeypatch, label, flow, x0, h
     compiled = integrate(H, x0, h, steps, u_min=u_min)
     assert compiled.status == status
     if status == COMPLETED:
-        assert len(seeded_calls) == 1  # the trace at x0; the program served every iteration
-    monkeypatch.setattr(dynamics, "compile_partials",
-                        lambda H, q, p: lambda *z: phase.partials_at(H, z[:2], z[2:]))
-    plain = integrate(H, x0, h, steps, u_min=u_min)
-    assert seeded_calls
-    assert compiled.states.tolist() == plain.states.tolist()
-    assert (compiled.status, compiled.exit_step) == (plain.status, plain.exit_step)
+        assert len(seeded_calls) == 1  # the trace at x0; the inlined partials served every iteration
+    monkeypatch.setattr(phase, "partials_at", seeded)
+    assert_matches_vector_loop(H, x0, h, steps, u_min=u_min)
+
+
+def test_a_repeat_that_raises_in_a_solve_leaves_the_domain(monkeypatch):
+    # H runs log(q) twice. The first iterate of step 0 has q = 0.01 - 0.05 < 0, so the
+    # second midpoint has q < 0, where partials_at raises ValueError; the inlined
+    # partials raise it at log's first copy, without a fallback, and the step leaves
+    # the domain as in the vector loop
+    H = PhaseFunction(lambda q, p: 0.5 * p[0] * p[0] + dm.log(q[0]) * 0.25 + 0.25 * dm.log(q[0]), 1)
+    z, h = (0.01, -1.0), 0.05
+    _, dq, dp = phase.partials_at(H, z[:1], z[1:])
+    mid = (0.5 * (z[0] + (z[0] + h * dp[0])), 0.5 * (z[1] + (z[1] + h * -dq[0])))
+    with pytest.raises(ValueError, match="math domain error"):
+        phase.partials_at(H, mid[:1], mid[1:])
+    seeded = phase.partials_at
+    calls = []
+    monkeypatch.setattr(phase, "partials_at", lambda *a: calls.append(1) or seeded(*a))
+    traj = integrate(H, PhasePoint(z[:1], z[1:]), h, 10)
+    assert (traj.status, traj.exit_step, len(calls)) == (LEFT_DOMAIN, 0, 1)  # the trace at x0
+    monkeypatch.setattr(phase, "partials_at", seeded)
+    assert_matches_vector_loop(H, PhasePoint(z[:1], z[1:]), h, 10)
+
+
+@pytest.mark.parametrize("dof", [1, 2])
+def test_write_csv_writes_csv_writers_text(dof):
+    values = [-0.0, 5e-324, 1e-5, 1e16, 1e22, 0.1 + 0.2]
+    values += [-v for v in values]
+    states = np.array([[values[(i + j) % len(values)] for j in range(2 * dof)]
+                       for i in range(len(values))])
+    traj = Trajectory(times=np.array(values), states=states, h=0.1)
+    want = io.StringIO()
+    w = csv.writer(want)
+    w.writerow(["t"] + [f"q{i+1}" for i in range(dof)] + [f"p{i+1}" for i in range(dof)])
+    for t, row in zip(values, states.tolist()):
+        w.writerow([repr(t)] + [repr(v) for v in row])
+    got = io.StringIO()
+    traj.write_csv(got)
+    assert got.getvalue() == want.getvalue()

@@ -433,6 +433,27 @@ def test_compiled_partials_raise_as_partials_at_does(fallbacks):
         assert not fallbacks
 
 
+def test_a_repeat_that_raises_at_a_new_point_raises_at_its_first_copy(fallbacks):
+    # log(q) runs twice, with a division by p + 2 between its copies: the program
+    # writes it once, at its first place, so where q < 0 and p = -2 it raises
+    # partials_at's ValueError, and not the division's ZeroDivisionError
+    def rule(q, p):
+        a, b, c = dm.log(q[0]), p[0] / (p[0] + 2.0), dm.log(q[0])
+        return a * p[0] + b + c
+
+    f = PhaseFunction(rule, 1)
+    program = compile_partials(f, (0.5,), (1.5,))
+    fallbacks.clear()  # compile_partials' own trace
+    assert repr(program(0.7, -1.0)) == repr(partials_at(f, (0.7,), (-1.0,)))
+    errors = []
+    for evaluate in (lambda: partials_at(f, (-0.5,), (-2.0,)), lambda: program(-0.5, -2.0)):
+        with pytest.raises(Exception) as err:
+            evaluate()
+        errors.append((type(err.value), str(err.value)))
+    assert errors == [(ValueError, "math domain error")] * 2
+    assert not fallbacks  # the program raised by itself
+
+
 def test_where_two_operations_raise_both_raise_the_first(fallbacks):
     # at q = (0, 0) the partial of q[1] ** 0.5 needs 0.0 ** -0.5 (a domain
     # error), and the one of sqrt(q[0]) divides by zero; both run the first
@@ -468,13 +489,11 @@ def test_compiled_partials_source(monkeypatch):
     if not (t1 > 0.0): return fallback(t0, t1, t2, t3)
     t4 = c0(t0)
     t5 = c1(t0)
-    t6 = t5 * 1.0
-    t7 = t4 * t3
-    t8 = t4 * 1.0
-    t9 = t6 * t3
+    t6 = t4 * t3
+    t7 = t5 * t3
+    t8 = t6 * (-2.0)
+    t9 = t4 * (-2.0)
     t10 = t7 * (-2.0)
-    t11 = t8 * (-2.0)
-    t12 = t9 * (-2.0)
-    return t10, [t12, 0.0], [0.0, t11]
+    return t8, [t10, 0.0], [0.0, t9]
 """]
     assert (program.__globals__["c0"], program.__globals__["c1"]) == (math.sin, math.cos)
