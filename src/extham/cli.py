@@ -76,8 +76,8 @@ def _bracket_sweep(H, integrals, points):
     """(max |{H,K}|, max |{H,K}|/(|grad H||grad K|), jac) over points.
 
     Each function's gradient is taken once for all points: the coordinates go
-    in as plain float64 arrays, which partials_at seeds in Duals, so every
-    power and math function still runs entry by entry and no Batch is made.
+    in as float64 arrays, which partials_at seeds in Duals, so every power
+    and math function still runs entry by entry.
     jac[i, j] is the gradient of the j-th function at points[i], from which
     jacobian_rank gives the ranks. The brackets and their scales equal
     poisson_bracket and bracket_scale at each point; both take their norms

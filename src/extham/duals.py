@@ -1,4 +1,4 @@
-"""Tagged dual numbers, Taylor jets and batched leaves for exact forward-mode derivatives.
+"""Tagged dual numbers, Taylor jets and array leaves for exact forward-mode derivatives.
 
 A :class:`Dual` carries a value and one derivative slot. Derivatives with
 respect to several variables are obtained by re-instrumenting an evaluation
@@ -21,19 +21,15 @@ a Dual does, and the rest from exp's recurrence. Each operation
 computes its coefficients by one rule (the ``_*_terms`` functions), which
 extends them one order at a time.
 
-A :class:`Batch` is the third leaf: a float64 array holding one coordinate
-at many sample points, so one evaluation differentiates all of them. numpy
-does its + - * /, which round like Python floats; every power and math
-function here applies the ``math`` function entry by entry instead, since
-numpy's own differ from libm in the last bit on a share of inputs. Only a
-bare ``**`` needs the subclass: inside a Dual or Jet no power reaches
-numpy's, and the catalog's rules write theirs as :func:`pow_`, so their
-evaluations take plain arrays, which skip the wrapping numpy adds to every
-operation on a Batch. Only ``dynamics.drift_report`` takes Batch leaves,
-for the closed forms' bare powers of derived values. Dual, Jet and Trace set
-``__array_ufunc__`` to None, so an array operand defers to them. Guards on
-values go through :func:`any_true`, which leaves float and Jet evaluations
-free of numpy calls.
+A float64 array is the third leaf: one coordinate at many sample points,
+so one evaluation differentiates all of them. numpy does its + - * /, which
+round like Python floats; the two seams below apply every power and math
+function entry by entry through ``math``, since numpy's own differ from libm
+in the last bit on a share of inputs. A bare ``**`` on an array is numpy's,
+so every rule in the package writes its powers through :func:`pow_`. Dual,
+Jet and Trace set ``__array_ufunc__`` to None, so an array operand defers to
+them. Guards go through :func:`any_true`, which leaves float and Jet
+evaluations free of numpy calls.
 
 A :class:`Trace` is the fourth leaf: a float whose :class:`Tape` records
 every operation on it, and every comparison with its outcome. Anything that
@@ -159,13 +155,13 @@ class Dual:
         if r == 1:
             return self
         # no square shortcut: self * self would give the primal x*x, while a
-        # float or Batch base squares through pow(x, 2), which differs in the
+        # float or array base squares through pow_(x, 2), which differs in the
         # last bit on a share of inputs; (2 x) * dot is the tangent of x * x
         # bit for bit, since doubling is exact
         return Dual(pow_(self.val, r), (r * pow_(self.val, r - 1)) * self.dot, self.tag)
 
     def __rpow__(self, base):
-        # the value is pow_(base, val), so it rounds as the float and batched
+        # the value is pow_(base, val), so it rounds as the float and array
         # evaluations do, which exp(val log base) does not on a share of inputs;
         # Jet.__rpow__ takes its constant term the same way
         lb = log(base)
@@ -175,7 +171,7 @@ class Dual:
     def __abs__(self):
         x = primal(self)
         if isinstance(x, np.ndarray):
-            s = np.where(x >= 0.0, 1.0, -1.0).view(type(x))  # a Batch sign for a Batch x
+            s = np.where(x >= 0.0, 1.0, -1.0)
         else:
             s = 1.0 if x >= 0.0 else -1.0
         return Dual(abs(self.val), self.dot * s, self.tag)
@@ -450,33 +446,10 @@ def _jet_pair(terms, x, hyperbolic):
     return Jet(f), Jet(g)
 
 
-class Batch(np.ndarray):
-    """One coordinate at many sample points: a float64 array leaf.
-
-    Only ``**`` differs from a plain array: it is :func:`pow_`, so a bare
-    evaluation on Batch leaves rounds like the float one.
-    """
-
-    def __pow__(self, r):
-        return NotImplemented if isinstance(r, _OPERAND_LEAVES) else pow_(self, r)
-
-    def __rpow__(self, base):
-        return pow_(base, self)
-
-
-def batch(values):
-    """values (a sequence or array of floats) as a Batch leaf."""
-    return np.asarray(values, dtype=float).view(Batch)
-
-
 def _entrywise(fn, *args):
-    """fn applied entry by entry; array arguments are zipped, scalars repeated.
-
-    The result is a Batch where an argument is one, and a plain array otherwise.
-    """
+    """fn entry by entry as a float64 array; array arguments are zipped, scalars repeated."""
     cols = [a.tolist() if isinstance(a, np.ndarray) else itertools.repeat(a) for a in args]
-    out = np.fromiter(map(fn, *cols), dtype=float)
-    return out.view(Batch) if Batch in map(type, args) else out
+    return np.fromiter(map(fn, *cols), dtype=float)
 
 
 _INFIX = {
@@ -742,8 +715,8 @@ def coefficient(y, k):
 def taylor(f, x, order):
     """[f(x), f'(x), ..., f^(order)(x)] from one evaluation on the jet x + t (order >= 1).
 
-    x may be a float, a Batch or a Dual; the k-th derivative is k! times the
-    k-th Taylor coefficient, so through order 2 it is exact scaling.
+    x may be a float, a float64 array or a Dual; the k-th derivative is k!
+    times the k-th Taylor coefficient, so through order 2 it is exact scaling.
     """
     y = f(Jet([x, 1.0] + [0.0] * (order - 1)))
     return [math.factorial(k) * coefficient(y, k) for k in range(order + 1)]
@@ -789,8 +762,7 @@ tanh = _lift(math.tanh, lambda x: _jet_pair(_tan_terms, x, True)[0],
              lambda x, t, dx: (1.0 - t * t) * dx)
 
 
-# the leaves whose own ** carries the power rule
-_OPERAND_LEAVES = (Dual, Jet, Trace)
+_OPERAND_LEAVES = (Dual, Jet, Trace)  # the leaves whose own ** carries the power rule
 
 
 def pow_(x, r):
@@ -801,6 +773,8 @@ def pow_(x, r):
     it. So every power rounds as libm does, and off the real domain raises
     ValueError.
     """
+    if type(x) is float and type(r) is int:  # first: most calls, the closed forms' at floats
+        return math.pow(x, r)
     if isinstance(x, _OPERAND_LEAVES) or isinstance(r, _OPERAND_LEAVES):
         return x**r
     if isinstance(x, np.ndarray) or isinstance(r, np.ndarray):

@@ -170,14 +170,17 @@ def _compile_solve(H, q, p, fp_tol, max_iter):
 def drift_report(traj, functions):
     """Max relative drift |f(x_t) - f(x_0)| / (1 + |f(x_0)|) per function.
 
-    functions maps name -> PhaseFunction. Each is evaluated once, on all states
-    as Batch leaves, by phase.evaluate_batch: numpy does not warn, an overflow
-    inside raises ValueError "<name> overflows double precision", other failures
-    propagate, and a value that is not finite raises ValueError naming the
-    function and the first such state. The maximum is then taken over finite
-    values, where numpy's subtraction, abs and max are exact as Python's are.
+    functions maps name -> PhaseFunction. Each is evaluated once, on the state
+    columns as float64 array leaves, by phase.evaluate_batch: numpy does not
+    warn, an overflow inside raises ValueError "<name> overflows double
+    precision", other failures propagate, and a value that is not finite raises
+    ValueError naming the function and the first such state. A rule that writes
+    its powers through duals.pow_ gives each state its float value bit for bit.
+    The maximum is then taken over finite values, where numpy's subtraction,
+    abs and max are exact as Python's are.
     """
-    q, p = phase.batch_blocks(traj.states)
+    cols = tuple(traj.states.T)
+    q, p = cols[:traj.dof], cols[traj.dof:]
     out = {}
     for name, f in functions.items():
         if f.dof != traj.dof:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .duals import Jet, Tape, Trace, coefficient, define
+from .duals import Jet, Tape, Trace, coefficient, define, pow_
 from .phase import PhaseFunction, compile_partials, gradient, hamiltonian_vector_field, partials_at
 from .tagged_trig import GammaProfile, gamma, gamma_and_prime, gamma_prime
 
@@ -217,11 +217,11 @@ class Extension:
         gn = 0.0
         xgn = 0.0
         for j in range((n - 1) // 2 + 1):
-            t = math.comb(n, 2 * j + 1) * sign**j * w**j
-            gn = gn + t * G ** (2 * j + 1) * XG ** (n - 2 * j - 1)
-            xgn = xgn + t * (2 * j + 1) * G ** (2 * j) * XG ** (n - 2 * j)
+            t = math.comb(n, 2 * j + 1) * sign**j * pow_(w, j)
+            gn = gn + t * pow_(G, 2 * j + 1) * pow_(XG, n - 2 * j - 1)
+            xgn = xgn + t * (2 * j + 1) * pow_(G, 2 * j) * pow_(XG, n - 2 * j)
             if n - 2 * j - 1 > 0:
-                xgn = xgn - t * -sign * (n - 2 * j - 1) * w * G ** (2 * j + 2) * XG ** (n - 2 * j - 2)
+                xgn = xgn - t * -sign * (n - 2 * j - 1) * w * pow_(G, 2 * j + 2) * pow_(XG, n - 2 * j - 2)
         return gn, xgn
 
     def _pd_values(self, r, gam, pu, w, sign=-2):
@@ -229,10 +229,11 @@ class Extension:
         mg = (self.spec.m / self.spec.n) * gam
         P = 0.0
         for j in range(r // 2 + 1):
-            P = P + math.comb(r, 2 * j) * sign**j * mg ** (2 * j) * pu ** (r - 2 * j) * w**j
+            P = P + math.comb(r, 2 * j) * sign**j * pow_(mg, 2 * j) * pow_(pu, r - 2 * j) * pow_(w, j)
         D = 0.0
         for j in range((r - 1) // 2 + 1):
-            D = D + math.comb(r, 2 * j + 1) * sign**j * mg ** (2 * j + 1) * pu ** (r - 2 * j - 1) * w**j
+            D = D + (math.comb(r, 2 * j + 1) * sign**j * pow_(mg, 2 * j + 1) * pow_(pu, r - 2 * j - 1)
+                     * pow_(w, j))
         return P, (1.0 / self.spec.n) * D
 
     # -- G_n chain ---------------------------------------------------------
@@ -368,7 +369,7 @@ class Extension:
         om_term = 2.0 * Om / (gam * gam)
         total = 0.0
         for j in range(s + 1):
-            total = total + math.comb(s, j) * om_term**j * term(spec.m - 2 * j)
+            total = total + math.comb(s, j) * pow_(om_term, j) * term(spec.m - 2 * j)
         return total
 
     def _integral_choice(self):
@@ -410,7 +411,7 @@ class Extension:
             for _ in range(spec.m):
                 d = self._u_step(d, p[0], gam)
             return d[0]
-        om = 2.0 * spec.Omega / gam**2
+        om = 2.0 * spec.Omega / pow_(gam, 2)
         for _ in range(s):
             u2 = self._u_step(self._u_step(d, p[0], gam), p[0], gam)
             d = [a + om * b for a, b in zip(u2, d)]

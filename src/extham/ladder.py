@@ -45,8 +45,7 @@ def ladder_from_base(base):
 def ladder_residuals(data, psi):
     """(r1, r2) at psi (a float or a float64 array); both vanish iff (F, c1) is a valid ladder pair.
 
-    F, F', F'' and V, V' come from one jet evaluation each. Pass a Batch
-    only where V writes a bare ``**``.
+    F, F', F'' and V, V' come from one jet evaluation each.
     """
     base = data.base
     Fv, Fp, Fpp = taylor(data.F, psi, 2)

@@ -5,15 +5,13 @@ entries are floats or :class:`~extham.duals.Dual` numbers, so every function
 built from them supports exact first derivatives in any single phase
 direction, at any nesting depth. An entry may also be a float64 array
 holding that coordinate at many points, so one evaluation covers all of
-them: a plain array under :func:`partials_at`, which takes every partial
-from one evaluation on every leaf, or a :class:`~extham.duals.Batch`
-(:func:`batch_blocks`) for a bare evaluation that writes ``**``.
-Functions are immutable after construction and all operations are pure
-but one: a base system keeps the programs it traces at its first regular
-float point, the series program of its L's flow and the partials programs
-of its G and L (``extension.BaseSystem``), and runs them at plain float
-points only. Two threads may both build one, and either serves, so
-concurrent evaluation at distinct points needs no synchronization.
+them, bare or under :func:`partials_at`, which takes every partial from one
+evaluation on every leaf. Functions are immutable after construction and
+all operations are pure but one: a base system keeps the programs it traces
+at its first regular float point, the series program of its L's flow and
+the partials programs of its G and L (``extension.BaseSystem``), and runs
+them at plain float points only. Two threads may both build one, and either
+serves, so concurrent evaluation at distinct points needs no synchronization.
 """
 
 import math
@@ -22,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import duals
-from .duals import Dual, Tangent, Tape, Trace, batch, new_tag, primal
+from .duals import Dual, Tangent, Tape, Trace, new_tag, primal
 
 
 @dataclass(frozen=True)
@@ -59,7 +57,9 @@ class PhaseFunction:
     """Scalar phase-space function with exact first-derivative support.
 
     Wraps an evaluation rule ``rule(q, p) -> scalar`` that must be generic in
-    its inputs (floats or Duals).
+    its inputs (floats, float64 arrays or Duals). Where it writes its powers
+    through ``duals.pow_``, it agrees bit for bit with its float evaluation on
+    every leaf; a bare ``**`` on an array is numpy's.
     """
 
     __slots__ = ("rule", "dof")
@@ -72,13 +72,6 @@ class PhaseFunction:
         if x.dof != self.dof:
             raise ValueError(f"function of {self.dof} dof evaluated at a {x.dof}-dof point")
         return self.rule(x.q, x.p)
-
-
-def batch_blocks(z):
-    """(q, p) blocks of Batch leaves for the points that are the rows of z."""
-    d = z.shape[1] // 2
-    cols = tuple(batch(z[:, i]) for i in range(2 * d))
-    return cols[:d], cols[d:]
 
 
 def evaluate_batch(name, run, *args):
@@ -114,8 +107,8 @@ def lift_last(f, dof):
 def partials_at(f, q, p):
     """(value, [df/dq_i], [df/dp_i]) of f at (q, p), over every slot i of its phase space.
 
-    One evaluation gives every partial, on every leaf (float, Batch, plain
-    float64 array, Trace, Jet, or the Duals of an enclosing evaluation):
+    One evaluation gives every partial, on every leaf (float, float64 array,
+    Trace, Jet, or the Duals of an enclosing evaluation):
     q_i is seeded as direction i and p_i as direction dof + i of a Tangent
     under one tag. Each partial equals the one seeded along its slot alone
     bit for bit, and an absent direction is 0.0. Where the same f is

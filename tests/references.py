@@ -69,16 +69,23 @@ def seed_equation_residual(base, c, c0, x):
 
 
 def leaf_values(x):
-    """x with every Dual, Jet and Batch layer spelled out, tags left aside."""
+    """x with every Dual, Jet and array layer spelled out, tags left aside."""
     if isinstance(x, dm.Dual):
         return ("dual", leaf_values(x.val), leaf_values(x.dot))
     if isinstance(x, dm.Jet):
         return ("jet", [leaf_values(c) for c in x.c])
     if isinstance(x, np.ndarray):
-        return ("batch", x.tolist())
+        return ("array", x.tolist())
     if isinstance(x, (tuple, list)):
         return [leaf_values(v) for v in x]
     return x
+
+
+def columns(z):
+    """(q, p) blocks of float64 array leaves for the points that are the rows of z."""
+    cols = tuple(np.asarray(z, dtype=float).T)
+    d = len(cols) // 2
+    return cols[:d], cols[d:]
 
 
 def leaf_bits(x):
@@ -153,7 +160,7 @@ def kbar_recursive_value(ext, s, r, q, p):
     spec = ext.spec
     d = ext._xl_powers(q[1:], p[1:], r, 2 * s + 1)
     gam = gamma(spec.gamma, q[0])
-    om = 2.0 * spec.Omega / gam**2
+    om = 2.0 * spec.Omega / dm.pow_(gam, 2)
     for _ in range(s):
         u2 = ext._u_step(ext._u_step(d, p[0], gam), p[0], gam)
         d = [a + om * b for a, b in zip(u2, d)]
@@ -189,11 +196,12 @@ def gn_xgn_values(ext, q1, p1, n, magnitudes=False):
     xgn = 0.0
     for j in range((n - 1) // 2 + 1):
         coef = math.comb(n, 2 * j + 1) * sign**j
-        t = coef * w**j
-        gn = gn + t * G ** (2 * j + 1) * XG ** (n - 2 * j - 1)
-        xgn = xgn + t * (2 * j + 1) * G ** (2 * j) * XG ** (n - 2 * j)
+        t = coef * dm.pow_(w, j)
+        gn = gn + t * dm.pow_(G, 2 * j + 1) * dm.pow_(XG, n - 2 * j - 1)
+        xgn = xgn + t * (2 * j + 1) * dm.pow_(G, 2 * j) * dm.pow_(XG, n - 2 * j)
         if n - 2 * j - 1 > 0:
-            term = t * 2 * (n - 2 * j - 1) * w * G ** (2 * j + 2) * XG ** (n - 2 * j - 2)
+            term = (t * 2 * (n - 2 * j - 1) * w * dm.pow_(G, 2 * j + 2)
+                    * dm.pow_(XG, n - 2 * j - 2))
             xgn = (xgn + term) if magnitudes else (xgn - term)
     return gn, xgn, L
 
@@ -208,10 +216,12 @@ def pd_values(ext, r, gam, pu, w, magnitudes=False):
         sign = -2
     P = 0.0
     for j in range(r // 2 + 1):
-        P = P + math.comb(r, 2 * j) * sign**j * mg ** (2 * j) * pu ** (r - 2 * j) * w**j
+        P = P + (math.comb(r, 2 * j) * sign**j * dm.pow_(mg, 2 * j) * dm.pow_(pu, r - 2 * j)
+                 * dm.pow_(w, j))
     D = 0.0
     for j in range((r - 1) // 2 + 1):
-        D = D + math.comb(r, 2 * j + 1) * sign**j * mg ** (2 * j + 1) * pu ** (r - 2 * j - 1) * w**j
+        D = D + (math.comb(r, 2 * j + 1) * sign**j * dm.pow_(mg, 2 * j + 1)
+                 * dm.pow_(pu, r - 2 * j - 1) * dm.pow_(w, j))
     return P, (1.0 / ext.spec.n) * D
 
 
@@ -232,5 +242,5 @@ def closed_form(ext, q, p, s, magnitudes=False):
     om_term = abs(om_term) if magnitudes else om_term
     total = 0.0
     for j in range(s + 1):
-        total = total + math.comb(s, j) * om_term**j * term(spec.m - 2 * j)
+        total = total + math.comb(s, j) * dm.pow_(om_term, j) * term(spec.m - 2 * j)
     return total

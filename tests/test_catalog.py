@@ -294,7 +294,7 @@ def test_base_family_L_equals_separate_transcendentals(params, window):
             same(lambda F: nth_derivative(lambda s: F.rule((s,), p), psi, 3))
             same(lambda F: F.rule((dm.Jet([psi, 1.0, 0.0, 0.0, 0.0]),), p))
             same(lambda F: F.rule((dm.Jet([dm.Dual(psi, 1.0, 7), 1.0, 0.0]),), p))
-        col = dm.batch(psis)
+        col = np.array(psis)
         same(lambda F: F.rule((col,), p))
         same(lambda F: partials_at(F, (col,), p))
         same(lambda F: nth_derivative(lambda s: F.rule((s,), p), col, 2))
@@ -448,9 +448,9 @@ def test_batch_off_the_wedge_raises_the_per_point_message():
     h1, _ = make_remark_pair()
     cases = [(f, (0.7, -0.2)) for f in [mdl.H] + [f for _, f in mdl.known_integrals]]
     cases.append((h1.H, (-0.7, 0.2)))
-    p = (dm.batch([0.1, 0.2, 0.3]), dm.batch([0.2, 0.1, -0.4]))
+    p = (np.array([0.1, 0.2, 0.3]), np.array([0.2, 0.1, -0.4]))
     for f, bad in cases:
-        q = tuple(dm.batch([0.5, b, 0.9]) for b in bad)  # only the middle point is off
+        q = tuple(np.array([0.5, b, 0.9]) for b in bad)  # only the middle point is off
         with pytest.raises(ValueError) as batched:
             f.rule(q, p)
         with pytest.raises(ValueError) as single:

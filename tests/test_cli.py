@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 from extham import catalog, cli, phase
-from extham import duals as dm
 from extham.cli import main
 from extham.ccm import rescale_radial
 from extham.extension import bracket_scale, functional_independence, jacobian_rank, row_norms
 from extham.duals import primal
-from extham.phase import PhaseFunction, PhasePoint, batch_blocks, gradient, partials_at, poisson_bracket
+from extham.phase import PhaseFunction, PhasePoint, gradient, partials_at, poisson_bracket
 from extham.sampling import sample_points
+
+from references import columns
 
 
 def run_cli(capsys, *argv):
@@ -242,16 +243,6 @@ def test_ladder_command(capsys):
         assert report["pass"] is True
         assert report["max_rel_residual"] <= 1e-10
         assert "eigen_diagnostic" in report
-
-
-@pytest.mark.parametrize("branch", ["hyperbolic", "trig"])
-def test_ladder_makes_no_batch(capsys, monkeypatch, branch):
-    # the ladder evaluates on plain float64 arrays, as verify and ccm do
-    made = []
-    monkeypatch.setattr(dm.Batch, "__array_finalize__", lambda self, obj: made.append(1), raising=False)
-    code, _, _ = run_cli(capsys, "ladder", "--branch", branch, "--points", "5")
-    assert code == 0
-    assert not made
 
 
 def test_ccm_command(capsys):
@@ -833,7 +824,7 @@ SWEEP_CASES = [
 
 def _assert_same_gradients(fs, pts):
     """Batched gradients equal the per-point ones entry for entry, not only in the maxima."""
-    q, p = batch_blocks(np.array([x.q + x.p for x in pts]))
+    q, p = columns([x.q + x.p for x in pts])
     for f in fs:
         _, dq, dp = partials_at(f, q, p)
         got = np.array([np.broadcast_to(primal(v), len(pts)) for v in dq + dp]).T

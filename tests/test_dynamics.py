@@ -145,11 +145,15 @@ def test_drift_report_refuses_a_non_finite_value():
 
 
 def test_drift_report_refuses_an_overflow_by_the_function_name():
-    # a Batch power is math.pow entry by entry, so 1e200 ** 3.0 raises
+    # pow_ on an array is math.pow entry by entry, so 1e200 ** 3.0 raises
     # OverflowError inside the evaluation, which names no state
     traj = Trajectory(times=np.arange(2.0), states=np.array([[1.0, 0.0], [1e200, 0.0]]), h=1.0)
-    cube = PhaseFunction(lambda q, p: q[0] ** 3.0, 1)
+    cube = PhaseFunction(lambda q, p: dm.pow_(q[0], 3.0), 1)
     with pytest.raises(ValueError, match=r"^cube overflows double precision$"):
+        drift_report(traj, {"cube": cube})
+    # a bare ** on an array is numpy's, which overflows to inf: still refused, by its state
+    cube = PhaseFunction(lambda q, p: q[0] ** 3.0, 1)
+    with pytest.raises(ValueError, match=r"^non-finite cube at state 1: \[1e\+200, 0\.0\]$"):
         drift_report(traj, {"cube": cube})
 
 

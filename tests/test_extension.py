@@ -34,7 +34,6 @@ from extham.extension import (
 from extham.phase import (
     PhaseFunction,
     PhasePoint,
-    batch_blocks,
     compile_partials,
     gradient,
     hamiltonian_vector_field,
@@ -46,7 +45,7 @@ from extham.sampling import sample_points, sample_scalars
 from extham.tagged_trig import GammaProfile, gamma, gamma_prime
 
 import references
-from references import fd_gradient, leaf_bits, leaf_values, seed_equation_residual
+from references import columns, fd_gradient, leaf_bits, leaf_values, seed_equation_residual
 
 
 @pytest.fixture(scope="module")
@@ -217,7 +216,7 @@ def test_hamiltonian_equals_two_gamma_calls(base, c, kappa, translated):
             assert leaf_values(H.rule(*args)) == leaf_values(ref.rule(*args))
         assert leaf_values(partials_at(H, x.q, x.p)) == leaf_values(
             partials_at(ref, x.q, x.p))
-    q, p = batch_blocks(np.array([x.q + x.p for x in pts]))
+    q, p = columns([x.q + x.p for x in pts])
     assert leaf_values(H.rule(q, p)) == leaf_values(ref.rule(q, p))
     assert leaf_values(partials_at(H, q, p)) == leaf_values(
         partials_at(ref, q, p))
@@ -558,7 +557,7 @@ def test_only_float_points_run_the_seed_partials_programs(profile):
     tag = new_tag()
     kb.rule(tuple(Jet([v, 1.0]) for v in x.q), tuple(Jet([v, -0.5]) for v in x.p))
     tape = Tape()
-    for q, p in [batch_blocks(np.array([x.q + x.p, (1.2, 0.9, -0.4, 0.2)])),
+    for q, p in [columns([x.q + x.p, (1.2, 0.9, -0.4, 0.2)]),
                  (tuple(Dual(v, 1.0, tag) for v in x.q), tuple(Dual(v, 0.5, tag) for v in x.p)),
                  (tape.inputs(x.q), tape.inputs(x.p))]:
         kb.rule(q, p)
@@ -727,21 +726,6 @@ def test_row_norms_rescale_only_overflowing_rows():
     assert norms[keep].tolist() == plain[keep].tolist()
 
 
-@pytest.mark.parametrize("k", ["1", "1/2", "2", "5/3", "3", "4"])
-def test_closed_k_on_batch_leaves_equals_the_float_evaluations(k):
-    # as drift_report evaluates it: the closed form raises G, X_L G and cL + c0,
-    # taken from partials_at, to powers; a Batch leaf stays a Batch through
-    # partials_at, so those powers go through pow_, where numpy's power would
-    # round some differently
-    model = make_minkowski_hamiltonian(Fraction(k), 1.0, 2.0)
-    K = model.known_integrals[-1][1]
-    for seed in (1, 2, 3):
-        pts = sample_points(200, seed, 2, q_ranges=model.q_windows)
-        values = K.rule(*batch_blocks(np.array([x.q + x.p for x in pts])))
-        assert isinstance(values, dm.Batch)
-        assert [v.hex() for v in values.tolist()] == [K(x).hex() for x in pts]
-
-
 def test_row_norms_rescale_underflowing_rows():
     # squares of entries below about 1.5e-154 underflow: sqrt(vecdot) reads 0.0
     # for a nonzero row, or loses digits in the subnormal range
@@ -805,7 +789,7 @@ def test_recursive_forms_equal_the_reference_rules(base, profile, m, n, omega):
     x = pts[0]
     assert leaf_values(partials_at(f, x.q, x.p)) == leaf_values(
         partials_at(PhaseFunction(ref, 2), x.q, x.p))
-    q, p = batch_blocks(np.array([x.q + x.p for x in pts]))
+    q, p = columns([x.q + x.p for x in pts])
     assert leaf_values(f.rule(q, p)) == leaf_values(ref(q, p))
 
 
@@ -830,6 +814,42 @@ def _closed_form_cases():
     return cases
 
 
+def _entries_differ(on_columns, on_point, pts):
+    values = on_columns(*columns([x.q + x.p for x in pts]))
+    assert type(values) is np.ndarray
+    return [v.hex() for v in values.tolist()] != [on_point(x).hex() for x in pts]
+
+
+@pytest.mark.parametrize("case", range(len(_closed_form_cases())),
+                         ids=[f"{i}-{c[0]}" for i, c in enumerate(_closed_form_cases())])
+def test_closed_forms_on_array_leaves_equal_the_float_evaluations(case):
+    # as drift_report evaluates them: the closed forms raise G, X_L G, cL + c0,
+    # (m/n) gamma, p_u and 2 Omega/gamma^2 to powers through pow_, which runs
+    # math.pow entry by entry on float64 arrays, where numpy's own power would
+    # round some entries differently; the value and magnitude, entry by entry
+    label, e, s, windows = _closed_form_cases()[case]
+    pts = sample_points(200, 1, 2, q_ranges=windows)
+    if s == 0:
+        value, magnitude = e.k_closed(), e.k_magnitude
+    else:
+        value, magnitude = e.kbar_closed(s, e.spec.n), (
+            lambda x: e.kbar_magnitude(x, s, e.spec.n))
+    assert not _entries_differ(value.rule, value, pts), f"{label} value"
+    assert not _entries_differ(lambda q, p: magnitude(SimpleNamespace(q=q, p=p)),
+                               magnitude, pts), f"{label} magnitude"
+
+
+@pytest.mark.parametrize("k", ["1", "1/2", "2", "5/3", "3", "4"])
+def test_null_chart_k_on_array_leaves_equals_the_float_evaluations(k):
+    # K through the null-chart pullback, as drift_report evaluates it on a
+    # Minkowski orbit
+    model = make_minkowski_hamiltonian(Fraction(k), 1.0, 2.0)
+    K = model.known_integrals[-1][1]
+    for seed in (1, 2, 3):
+        pts = sample_points(200, seed, 2, q_ranges=model.q_windows)
+        assert not _entries_differ(K.rule, K, pts), f"seed {seed}"
+
+
 def test_closed_forms_and_magnitudes_equal_the_reference_sums():
     # magnitudes are switched once in _closed_form; the earlier sums switched them in
     # each helper, and every value, magnitude and partial must stay bit for bit
@@ -847,7 +867,7 @@ def test_closed_forms_and_magnitudes_equal_the_reference_sums():
         x = pts[0]
         assert leaf_values(partials_at(value, x.q, x.p)) == leaf_values(
             partials_at(ref, x.q, x.p)), label
-        q, p = batch_blocks(np.array([x.q + x.p for x in pts]))
+        q, p = columns([x.q + x.p for x in pts])
         assert leaf_values(partials_at(value, q, p)) == leaf_values(
             partials_at(ref, q, p)), label
         assert leaf_values(magnitude(SimpleNamespace(q=q, p=p))) == leaf_values(

@@ -3,7 +3,7 @@ import pytest
 
 from extham import duals as dm
 from extham.catalog import exp_base, trig_base
-from extham.duals import batch, derivative, taylor
+from extham.duals import derivative, taylor
 from extham.ladder import (
     LadderData,
     ladder_eigen_pattern,
@@ -54,11 +54,11 @@ def test_batched_residuals_equal_nested_duals(seed):
         data = ladder_from_base(base)
         psis = sample_scalars(50, seed, *base.psi_window)
         ref = [_nested_residuals(data, psi) for psi in psis]
-        for col in (batch(psis), np.array(psis)):
-            r1, r2 = ladder_residuals(data, col)
-            assert r1.tolist() == [a for a, _ in ref]
-            assert r2.tolist() == [b for _, b in ref]
-            assert ladder_scale(data, col).tolist() == [ladder_scale(data, x) for x in psis]
+        col = np.array(psis)
+        r1, r2 = ladder_residuals(data, col)
+        assert r1.tolist() == [a for a, _ in ref]
+        assert r2.tolist() == [b for _, b in ref]
+        assert ladder_scale(data, col).tolist() == [ladder_scale(data, x) for x in psis]
 
 
 def test_free_base_potential_has_zero_derivatives():
@@ -79,7 +79,7 @@ def test_zero_function_is_rejected_by_r2(hyper):
     assert r1 == 0.0
     assert r2 == pytest.approx(data.c1)
     assert abs(r2) > 1e-6  # C4 != 0 makes the trivial F fail the second condition
-    r1s, r2s = ladder_residuals(zero, batch([0.5, 0.8, 1.5]))
+    r1s, r2s = ladder_residuals(zero, np.array([0.5, 0.8, 1.5]))
     assert r1s.tolist() == [0.0] * 3 and r2s.tolist() == [r2] * 3
 
 
@@ -89,7 +89,7 @@ def test_generic_exponential_fails_second_condition(hyper):
     r1s, r2s = zip(*(ladder_residuals(cand, psi) for psi in (0.5, 1.0, 1.5)))
     assert all(abs(r) <= 1e-12 for r in r1s)  # solves F'' - eta^2 F = 0
     assert any(abs(r) > 1e-3 for r in r2s)  # but not the potential condition
-    b1, b2 = ladder_residuals(cand, batch([0.5, 1.0, 1.5]))
+    b1, b2 = ladder_residuals(cand, np.array([0.5, 1.0, 1.5]))
     assert (b1.tolist(), b2.tolist()) == (list(r1s), list(r2s))
 
 

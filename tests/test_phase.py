@@ -12,7 +12,6 @@ from extham.extension import compile_flow_series
 from extham.phase import (
     PhaseFunction,
     PhasePoint,
-    batch_blocks,
     compile_partials,
     gradient,
     hamiltonian_vector_field,
@@ -26,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from references import fd_gradient, fd_poisson_bracket, leaf_bits, seeded_partials
+from references import columns, fd_gradient, fd_poisson_bracket, leaf_bits, seeded_partials
 
 
 def test_phase_point_validation():
@@ -173,7 +172,7 @@ def test_lift_last():
 
 
 def test_rule_calls_per_partials_at():
-    # every leaf takes one evaluation for every direction (and, on Batch
+    # every leaf takes one evaluation for every direction (and, on array
     # leaves, every point)
     calls = []
 
@@ -186,7 +185,7 @@ def test_rule_calls_per_partials_at():
     per_point = [partials_at(f, tuple(row[:2]), tuple(row[2:])) for row in z.tolist()]
     assert len(calls) == len(z)
     calls.clear()
-    value, dq, dp = partials_at(f, *batch_blocks(z))
+    value, dq, dp = partials_at(f, *columns(z))
     assert len(calls) == 1
     assert value.tolist() == [v for v, _, _ in per_point]
     assert [d.tolist() for d in dq + dp] == [[fq[s] for _, fq, _ in per_point] for s in range(2)] + [
@@ -205,11 +204,10 @@ def test_rule_calls_per_partials_at():
     assert len(calls) == 1
 
 
-def test_batch_leaves_give_batch_partials_equal_to_plain_array_leaves():
-    # a Batch leaf stays a Batch through the evaluation, so the value and every array
-    # partial (abs's alone in q1) come back as Batches, and a caller's ** on them rounds
-    # as libm does; a constant or absent partial stays a float; every entry equals the
-    # plain-array one
+def test_array_leaves_give_array_partials_equal_to_the_float_partials():
+    # the value and every array partial (abs's alone in q1) come back as plain
+    # float64 arrays; a constant or absent partial stays a float; every entry
+    # equals the float evaluation's at its point
     def rule(q, p):
         return (q[0] ** 3 * p[0] + 2.0 ** (q[0] * p[0]) + dm.exp(p[1]) + abs(q[1] - 1.0)
                 + 2.5 * q[2])
@@ -217,14 +215,13 @@ def test_batch_leaves_give_batch_partials_equal_to_plain_array_leaves():
     f = PhaseFunction(rule, 3)
     z = np.array([[0.5, 0.7, 1.5, -0.2, 0.3, 0.1], [1.1, 1.3, -0.4, 0.9, 0.2, 0.4],
                   [0.8, 1.9, 0.2, 0.6, -0.5, 0.7]])
-    value, dq, dp = partials_at(f, *batch_blocks(z))
-    assert all(type(v) is dm.Batch for v in [value] + dq[:2] + dp[:2])
+    value, dq, dp = partials_at(f, *columns(z))
+    assert all(type(v) is np.ndarray for v in [value] + dq[:2] + dp[:2])
     assert (dq[2], dp[2]) == (2.5, 0.0)
-    cols = tuple(z.T)
-    ref_value, ref_dq, ref_dp = partials_at(f, cols[:3], cols[3:])
-    assert all(type(v) is np.ndarray for v in [ref_value] + ref_dq[:2] + ref_dp[:2])
-    assert [leaf_bits(v) for v in [value] + dq + dp] == [
-        leaf_bits(v) for v in [ref_value] + ref_dq + ref_dp]
+    for i, row in enumerate(z.tolist()):
+        ref_value, ref_dq, ref_dp = partials_at(f, tuple(row[:3]), tuple(row[3:]))
+        got = [np.broadcast_to(v, len(z))[i] for v in [value] + dq + dp]
+        assert [v.hex() for v in got] == [v.hex() for v in [ref_value] + ref_dq + ref_dp]
 
 
 def _catalog_functions():
@@ -252,13 +249,13 @@ CATALOG_FUNCTIONS = _catalog_functions()
 @pytest.mark.parametrize("label,f,windows", CATALOG_FUNCTIONS, ids=[c[0] for c in CATALOG_FUNCTIONS])
 def test_partials_at_equals_the_seeded_loop_on_every_leaf(label, f, windows):
     # one evaluation over every direction gives each seeded partial bit for bit,
-    # on plain floats, on Batch leaves, on the Duals of an enclosing evaluation
+    # on plain floats, on array leaves, on the Duals of an enclosing evaluation
     # and on Jets (there only because a Dual keeps a product's operands in the
     # order written)
     d = f.dof
     pts = sample_points(3, 24, d, q_ranges=windows)
     z = np.array([x.q + x.p for x in pts])
-    blocks = [batch_blocks(z)]
+    blocks = [columns(z)]
     outer = dm.new_tag()
     for x in pts:
         v = x.q + x.p
@@ -269,13 +266,13 @@ def test_partials_at_equals_the_seeded_loop_on_every_leaf(label, f, windows):
         assert leaf_bits(partials_at(f, q, p)) == leaf_bits(seeded_partials(f, q, p))
 
 
-def test_ignored_slot_gets_positive_zero_on_batch_leaves():
+def test_ignored_slot_gets_positive_zero_on_array_leaves():
     # a slot the function never reads is a structural zero, never -(0.0)
     z = np.array([[0.5, 0.7, 1.5, -0.2], [1.1, 0.3, -0.4, 0.9]])
     for f in (PhaseFunction(lambda q, p: -(q[0] * p[0]), 2),
               PhaseFunction(lambda q, p: -q[0] - 2.0 * p[0], 2),
               PhaseFunction(lambda q, p: 0.0 * (q[0] - p[0]), 2)):
-        _, dq, dp = partials_at(f, *batch_blocks(z))
+        _, dq, dp = partials_at(f, *columns(z))
         for d in (dq[1], dp[1]):
             assert d == 0.0 and math.copysign(1.0, d) == 1.0
         # the seeded float evaluations agree
@@ -283,7 +280,7 @@ def test_ignored_slot_gets_positive_zero_on_batch_leaves():
             _, fq, fp = partials_at(f, tuple(row[:2]), tuple(row[2:]))
             assert math.copysign(1.0, fq[1]) == math.copysign(1.0, fp[1]) == 1.0
     const = PhaseFunction(lambda q, p: 2.5, 2)
-    assert partials_at(const, *batch_blocks(z)) == (2.5, [0.0, 0.0], [0.0, 0.0])
+    assert partials_at(const, *columns(z)) == (2.5, [0.0, 0.0], [0.0, 0.0])
 
 
 # -- compiled float partials ----------------------------------------------------

@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from extham.duals import Dual, batch, derivative, new_tag
+from extham.duals import Dual, derivative, new_tag
 from extham.sampling import sample_scalars
 from extham.tagged_trig import (
     GammaPoleError,
@@ -120,7 +121,7 @@ def test_gamma_and_prime_equal_separate_calls_on_24_profile_grid():
             x = Dual(u, 0.7, new_tag())
             assert leaf_values(gamma_and_prime(prof, x)) == leaf_values(
                 [gamma(prof, x), gamma_prime(prof, x)])
-        col = batch(good)
+        col = np.array(good)
         assert leaf_values(gamma_and_prime(prof, col)) == leaf_values(
             [gamma(prof, col), gamma_prime(prof, col)])
 
@@ -179,7 +180,7 @@ def test_pole_errors_in_a_batch_name_the_first_offending_u():
     prof = GammaProfile.from_c_C(-4.0, 0.0)
     for fn in (gamma, gamma_prime, gamma_and_prime):
         with pytest.raises(GammaPoleError) as batched:
-            fn(prof, batch([0.5, -0.0, 0.0, 0.7]))
+            fn(prof, np.array([0.5, -0.0, 0.0, 0.7]))
         with pytest.raises(GammaPoleError) as single:
             fn(prof, -0.0)
         assert str(batched.value) == str(single.value) == "gamma profile singular at u=-0.0"
@@ -217,8 +218,8 @@ def test_gamma_evaluators_equal_the_reference_on_every_branch(c, kappa, translat
         prof = GammaProfile.from_c_kappa(c, kappa, translated=translated)
     us = list(sample_scalars(20, 321, -2.2, 2.2)) + [0.0, -0.0, math.pi / 2, math.pi / 2 ** 1.5]
     tag = new_tag()
-    leaves = us + [Dual(u, 0.7, tag) for u in us] + [batch(us), batch([0.4, -0.0, 0.0, 0.9])]
-    leaves.append(Dual(batch(us[:12]), batch(us[12:]), tag))
+    leaves = us + [Dual(u, 0.7, tag) for u in us] + [np.array(us), np.array([0.4, -0.0, 0.0, 0.9])]
+    leaves.append(Dual(np.array(us[:12]), np.array(us[12:]), tag))
     poles = 0
     for u in leaves:
         g = _outcome(references.gamma, prof, u)
