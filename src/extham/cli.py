@@ -72,13 +72,13 @@ _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
 _tolerance = _checked(float, lambda v: math.isfinite(v) and v >= 0.0, "a finite number >= 0")
 
 
-def _bracket_sweep(H, integrals, points):
-    """(max |{H,K}|, max |{H,K}|/(|grad H||grad K|), jac) over points.
+def _bracket_sweep(H, integrals, z):
+    """(max |{H,K}|, max |{H,K}|/(|grad H||grad K|), jac) over the rows of z.
 
-    Each function's gradient is taken once for all points: the coordinates go
-    in as float64 arrays, which partials_at seeds in Duals, so every power
-    and math function still runs entry by entry.
-    jac[i, j] is the gradient of the j-th function at points[i], from which
+    Each function's gradient is taken once for all points: the columns of the
+    (num, 2*dof) draw z go in as float64 arrays, which partials_at seeds in
+    Duals, so every power and math function still runs entry by entry.
+    jac[i, j] is the gradient of the j-th function at z[i], from which
     jacobian_rank gives the ranks. The brackets and their scales equal
     poisson_bracket and bracket_scale at each point; both take their norms
     from row_norms, so a scale stays finite where squared gradients overflow.
@@ -86,23 +86,22 @@ def _bracket_sweep(H, integrals, points):
     time; where it underflows below the smallest normal double while both
     norms are positive, the bracket is taken of the gradients divided by
     their norms, so a non-integral cannot pass there. An inf or NaN gradient
-    entry or bracket raises ValueError naming its point, and evaluate_batch
-    refuses an overflow inside a gradient by its function: no bracket there
-    can be checked. Maxima run over Python floats, so verdicts stay plain
-    bools.
+    entry or bracket raises ValueError naming its point, the one PhasePoint
+    built here; evaluate_batch refuses an overflow inside a gradient by its
+    function: no bracket there can be checked. Maxima run over Python
+    floats, so verdicts stay plain bools.
     """
     fs = [("H", H)] + list(integrals)
     d = H.dof
-    cols = np.array([x.q + x.p for x in points]).T  # a row per coordinate
-    q, p = tuple(cols[:d]), tuple(cols[d:])
-    jac = np.empty((len(points), len(fs), 2 * d))
+    q, p = tuple(z.T[:d]), tuple(z.T[d:])
+    jac = np.empty((len(z), len(fs), 2 * d))
     for j, (name, f) in enumerate(fs):
         _, dq, dp = evaluate_batch(f"the gradient of {name}", partials_at, f, q, p)
         for s, v in enumerate(dq + dp):
             jac[:, j, s] = primal(v)  # a tangent that is a scalar zero broadcasts
     bad = np.flatnonzero(~np.isfinite(jac).all(axis=(1, 2)))
     if bad.size:
-        raise ValueError(f"non-finite gradient at sample point {bad[0]}: {points[bad[0]]}")
+        raise ValueError(f"non-finite gradient at sample point {bad[0]}: {PhasePoint.from_array(z[bad[0]])}")
     norms = row_norms(jac)
     max_abs = 0.0
     max_rel = 0.0
@@ -112,7 +111,7 @@ def _bracket_sweep(H, integrals, points):
             bad = np.flatnonzero(~np.isfinite(b))
             if bad.size:
                 raise ValueError(f"non-finite bracket {{H, {fs[j][0]}}} at sample point {bad[0]}: "
-                                 f"{points[bad[0]]}")
+                                 f"{PhasePoint.from_array(z[bad[0]])}")
             max_abs = max([max_abs] + b.tolist())
             s = norms[:, 0] * norms[:, j]
             over = np.isinf(s)
@@ -168,8 +167,8 @@ def cmd_verify(args):
     model = _verify_model(args)
     _log(f"verifying {model.id} ({model.chart}) with "
          f"{[name for name, _ in model.known_integrals]} at {args.points} points, seed {args.seed}")
-    pts = sample_points(args.points, args.seed, model.H.dof, q_ranges=model.q_windows)
-    max_abs, max_rel, jac = _bracket_sweep(model.H, model.known_integrals, pts)
+    z = sample_points(args.points, args.seed, model.H.dof, q_ranges=model.q_windows)
+    max_abs, max_rel, jac = _bracket_sweep(model.H, model.known_integrals, z)
     rank = int(jacobian_rank(jac).min())
     expected_rank = 1 + len(model.known_integrals)
 
@@ -318,21 +317,20 @@ def cmd_gamma_table(args):
 def cmd_ladder(args):
     base = _build(BASES, "branch", args)
     data = ladder_from_base(base)
-    psis = sample_scalars(args.points, args.seed, *base.psi_window)
-    col = np.array(psis)
+    col = sample_scalars(args.points, args.seed, *base.psi_window)
     r1, r2, s = evaluate_batch("the ladder residual",
                                lambda: (*ladder_residuals(data, col), ladder_scale(data, col)))
     # r2 carries c1, so a non-finite c1 is refused at every point; max() would skip NaN
     finite = np.isfinite(r1) & np.isfinite(r2) & np.isfinite(s)
     bad = np.flatnonzero(~np.broadcast_to(finite, col.shape))
     if bad.size:
-        raise ValueError(f"non-finite ladder residual at sample point {bad[0]}: psi={psis[bad[0]]!r}")
+        raise ValueError(f"non-finite ladder residual at sample point {bad[0]}: psi={col[bad[0]].item()!r}")
     worst = max([0.0] + (abs(r1) / s).tolist() + (abs(r2) / s).tolist())
     passed = worst <= args.tol
 
     diag = {"status": "reported"}
     try:
-        x = PhasePoint((psis[0],), (0.8,))
+        x = PhasePoint((col[0],), (0.8,))
         pattern = ladder_eigen_pattern(data, x)
         diag.update({k: float(v) for k, v in pattern.items()})
     except ValueError as exc:
@@ -368,9 +366,9 @@ def _ccm_pair(args):
 
 def cmd_ccm(args):
     base, Hp, Kp = _ccm_pair(args)
-    pts = sample_points(args.points, args.seed, 2, q_ranges=((0.3, 2.0), base.psi_window))
-    max_abs, max_rel, _ = _bracket_sweep(Hp, [("Kprime", Kp)], pts)
-    max_abs2, max_rel2, _ = _bracket_sweep(rescale_radial(Hp), [("K2", rescale_radial(Kp))], pts)
+    z = sample_points(args.points, args.seed, 2, q_ranges=((0.3, 2.0), base.psi_window))
+    max_abs, max_rel, _ = _bracket_sweep(Hp, [("Kprime", Kp)], z)
+    max_abs2, max_rel2, _ = _bracket_sweep(rescale_radial(Hp), [("K2", rescale_radial(Kp))], z)
 
     passed = max_rel <= args.tol and max_rel2 <= args.tol
     report = {

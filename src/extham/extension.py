@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .duals import Jet, Tape, Trace, coefficient, define, pow_
-from .phase import PhaseFunction, compile_partials, gradient, hamiltonian_vector_field, partials_at
+from .phase import PhaseFunction, compile_partials, gradient, partials_at
 from .tagged_trig import GammaProfile, gamma, gamma_and_prime, gamma_prime
 
 
@@ -127,13 +127,6 @@ class BaseSystem:
         if order and type(psi) is float and type(p_psi) is float:
             return self._kept(compile_flow_series, self.L, (psi, p_psi), [psi], [p_psi], order)
         return flow_jets_by_evaluation(self.L, psi, p_psi, order)
-
-
-def seed_equation_terms(base, c, c0, x):
-    """(X_L^2 G, 2(cL+c0)G) at x; their sum is the seed-equation residual."""
-    xg = hamiltonian_vector_field(base.L, base.G)
-    x2g = hamiltonian_vector_field(base.L, xg)
-    return x2g(x), 2.0 * (c * base.L(x) + c0) * base.G(x)
 
 
 def flow_jets_by_evaluation(L, psi, p_psi, order):

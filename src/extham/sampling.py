@@ -1,14 +1,12 @@
-"""Seeded phase-space point sampling on the counter-based Philox generator.
+"""Seeded phase-space sampling on the counter-based Philox generator.
 
-Positions default to [0.3, 2.0] (bounded away from u = 0 and the gamma
-poles of the catalog systems) and momenta to [-2, 2]. Philox (4x64-10) is
-deterministic across platforms, so reports quoting a seed are reproducible
-byte for byte.
+Each sampler returns the float64 array it draws. Positions default to
+[0.3, 2.0] (bounded away from u = 0 and the gamma poles of the catalog
+systems) and momenta to [-2, 2]. Philox (4x64-10) is deterministic across
+platforms, so reports quoting a seed are reproducible byte for byte.
 """
 
 import numpy as np
-
-from .phase import PhasePoint
 
 RNG_NAME = "philox4x64-10"
 
@@ -18,22 +16,20 @@ def make_rng(seed):
 
 
 def sample_points(num, seed, dof, q_range=(0.3, 2.0), p_range=(-2.0, 2.0), q_ranges=None):
-    """num seeded PhasePoints; per-slot position windows via q_ranges.
+    """A (num, 2*dof) float64 array, one seeded point (q, p) per row.
 
-    One draw fills a (num, 2*dof) array row by row, with each column scaled
-    to its own window: the same values, in the same order, as one
-    ``rng.uniform(lo, hi)`` call per coordinate.
+    One draw fills it row by row, with each column scaled to its own window
+    (per-slot position windows via q_ranges): the same values, in the same
+    order, as one ``rng.uniform(lo, hi)`` call per coordinate.
     """
     rng = make_rng(seed)
     if q_ranges is None:
         q_ranges = [q_range] * dof
     windows = list(q_ranges) + [p_range] * dof
-    lo = [w[0] for w in windows]
-    hi = [w[1] for w in windows]
-    rows = rng.uniform(lo, hi, size=(num, 2 * dof)).tolist()
-    return [PhasePoint(tuple(r[:dof]), tuple(r[dof:])) for r in rows]
+    lo, hi = zip(*windows)
+    return rng.uniform(lo, hi, size=(num, 2 * dof))
 
 
 def sample_scalars(num, seed, lo, hi):
-    rng = make_rng(seed)
-    return [float(v) for v in rng.uniform(lo, hi, size=num)]
+    """A (num,) float64 array of seeded values in [lo, hi)."""
+    return make_rng(seed).uniform(lo, hi, size=num)

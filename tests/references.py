@@ -1,12 +1,12 @@
 """References that the package itself no longer uses.
 
 Nested-dual derivatives, central-difference gradients and brackets, the
-seed-equation residual, a leaf-by-leaf view of values, the closed-form
-X_L(G_n) and the gamma ODE residual, and the earlier bodies of partials_at
-on every leaf, gamma, gamma_prime, the recursive K and Kbar rules and the
-closed-form sums with their magnitude mode: one partials rule, one branch
-table, one recursive evaluator and one closed-form evaluator must reproduce
-them bit for bit.
+seed-equation terms and residual, the rows of a draw as PhasePoints, a
+leaf-by-leaf view of values, the closed-form X_L(G_n) and the gamma ODE
+residual, and the earlier bodies of partials_at on every leaf, gamma,
+gamma_prime, the recursive K and Kbar rules and the closed-form sums with
+their magnitude mode: one partials rule, one branch table, one recursive
+evaluator and one closed-form evaluator must reproduce them bit for bit.
 """
 
 import math
@@ -15,8 +15,7 @@ import numpy as np
 
 from extham import duals as dm
 from extham import tagged_trig
-from extham.extension import seed_equation_terms
-from extham.phase import PhaseFunction, PhasePoint, bracket_of_gradients
+from extham.phase import PhaseFunction, PhasePoint, bracket_of_gradients, hamiltonian_vector_field
 from extham.tagged_trig import GammaPoleError, gamma_and_prime, tagged_C, tagged_S
 
 
@@ -62,10 +61,22 @@ def fd_poisson_bracket(f, g, x, h=1e-5):
     return float(bracket_of_gradients(fd_gradient(f, x, h), fd_gradient(g, x, h)))
 
 
+def seed_equation_terms(base, c, c0, x):
+    """(X_L^2 G, 2(cL+c0)G) at x; their sum is the seed-equation residual."""
+    xg = hamiltonian_vector_field(base.L, base.G)
+    x2g = hamiltonian_vector_field(base.L, xg)
+    return x2g(x), 2.0 * (c * base.L(x) + c0) * base.G(x)
+
+
 def seed_equation_residual(base, c, c0, x):
     """X_L^2(G)(x) + 2(cL(x)+c0)G(x); zero certifies the extension seed."""
     a, b = seed_equation_terms(base, c, c0, x)
     return a + b
+
+
+def phase_points(z):
+    """The rows of a sampler's (num, 2*dof) draw as PhasePoints."""
+    return [PhasePoint.from_array(row) for row in z]
 
 
 def leaf_values(x):

@@ -28,18 +28,13 @@ from extham.catalog import (
 from extham.ccm import ccm_transform, rescale_radial
 from extham.cli import main as cli_main
 from extham.dynamics import COMPLETED, drift_report, integrate
-from extham.extension import (
-    Extension,
-    ExtensionSpec,
-    bracket_scale,
-    seed_equation_terms,
-)
+from extham.extension import Extension, ExtensionSpec, bracket_scale
 from extham.ladder import ladder_eigen_pattern, ladder_from_base, ladder_residuals
 from extham.phase import PhaseFunction, PhasePoint, gradient, lift_last, poisson_bracket
 from extham.sampling import make_rng, sample_points, sample_scalars
 from extham.tagged_trig import GammaPoleError, GammaProfile, gamma, gamma_prime
 
-from references import ode_residual
+from references import ode_residual, phase_points, seed_equation_terms
 
 SECTION3_PROFILE = GammaProfile.from_c_C(-4.0, 0.0)
 
@@ -73,7 +68,7 @@ def test_criterion_01_gamma_ode_residual():
     worst = 0.0
     checked = 0
     for prof in profiles:
-        for u in sample_scalars(50, 1001, 0.05, 2.2):
+        for u in sample_scalars(50, 1001, 0.05, 2.2).tolist():
             try:
                 g = gamma(prof, u)
             except GammaPoleError:
@@ -99,7 +94,7 @@ def test_criterion_02_seed_certification():
     worst = 0.0
     for name, base in bases:
         assert (base.c > 0) == (name == "trig-TTW")
-        for x in sample_points(50, 1003, 1, q_range=base.psi_window):
+        for x in phase_points(sample_points(50, 1003, 1, q_range=base.psi_window)):
             a, b = seed_equation_terms(base, base.c, base.c0, x)
             worst = max(worst, abs(a + b) / (1.0 + abs(a) + abs(b)))
     ok = worst <= 1e-10
@@ -114,7 +109,7 @@ def test_criterion_03_superintegrability_sweep():
     for m, n in [(1, 1), (2, 1), (3, 2), (4, 1), (5, 3)]:
         ext = Extension(ExtensionSpec(m, n, -4.0, 0.0, 0.0, SECTION3_PROFILE), base)
         H, K = ext.hamiltonian(), ext.k_closed()
-        for x in sample_points(50, 1004, 2):
+        for x in phase_points(sample_points(50, 1004, 2)):
             rel = abs(poisson_bracket(H, K, x)) / bracket_scale(H, K, x)
             worst = max(worst, rel)
     ok = worst <= 1e-9
@@ -130,12 +125,12 @@ def test_criterion_04_omega_sweep():
         for twos, r in [(2, 1), (4, 3), (6, 1)]:
             ext = Extension(ExtensionSpec(twos, r, -4.0, 0.0, Omega, SECTION3_PROFILE), base)
             H, Kb = ext.hamiltonian(), ext.kbar_closed(twos // 2, r)
-            for x in sample_points(50, 1005, 2):
+            for x in phase_points(sample_points(50, 1005, 2)):
                 worst = max(worst, abs(poisson_bracket(H, Kb, x)) / bracket_scale(H, Kb, x))
         # odd first index m=3, n=2: the integral doubles to Kbar_{6,4}
         H = Extension(ExtensionSpec(3, 2, -4.0, 0.0, Omega, SECTION3_PROFILE), base).hamiltonian()
         Kb = Extension(ExtensionSpec(6, 4, -4.0, 0.0, Omega, SECTION3_PROFILE), base).kbar_closed(3, 4)
-        for x in sample_points(50, 1006, 2):
+        for x in phase_points(sample_points(50, 1006, 2)):
             worst = max(worst, abs(poisson_bracket(H, Kb, x)) / bracket_scale(H, Kb, x))
     ok = worst <= 1e-9
     _finish(4, "bracket sweep {H, Kbar} with Omega != 0", 20.0, t0, ok,
@@ -147,13 +142,13 @@ def test_criterion_05_oracle_equivalence():
     base = section3_base()
     ext1 = Extension(ExtensionSpec(1, 1, -4.0, 0.0, 0.0, SECTION3_PROFILE), base)
     worst_g = 0.0
-    pts1 = sample_points(20, 1007, 1)
+    pts1 = phase_points(sample_points(20, 1007, 1))
     for n in range(1, 6):
         gr, gc = ext1.gn_recursive(n), ext1.gn_closed(n)
         for x in pts1:
             worst_g = max(worst_g, abs(gr(x) - gc(x)) / (1.0 + abs(gc(x))))
     worst_k = 0.0
-    pts2 = sample_points(20, 1008, 2)
+    pts2 = phase_points(sample_points(20, 1008, 2))
     for m, n in [(1, 1), (2, 1), (3, 2), (4, 1), (5, 3)]:
         ext = Extension(ExtensionSpec(m, n, -4.0, 0.0, 0.0, SECTION3_PROFILE), base)
         kr, kc = ext.k_recursive(), ext.k_closed()
@@ -175,7 +170,7 @@ def test_criterion_06_chart_consistency():
         kf = float(k)
         mdl = make_minkowski_hamiltonian(k, 1.0, 2.0, 0.0)
         H_polar = mdl.extension.hamiltonian()
-        for x in sample_points(50, 1009, 2):
+        for x in phase_points(sample_points(50, 1009, 2)):
             a = mdl.H(x)
             b = H_polar(to_pseudo_polar(kf, x))
             scale = 1.0 + abs(a) + abs(x.p[0] * x.p[1])
@@ -195,7 +190,7 @@ def test_criterion_07_maximal_superintegrability():
     H, K = ext.hamiltonian(), ext.k_closed()
     L2 = lift_last(base.L, 2)
     min_ratio = np.inf
-    for x in sample_points(20, 1010, 2):
+    for x in phase_points(sample_points(20, 1010, 2)):
         jac = np.array([gradient(f, x) for f in (H, L2, K)])
         jac = jac / np.linalg.norm(jac, axis=1)[:, None]
         sv = np.linalg.svd(jac, compute_uv=False)
@@ -250,11 +245,11 @@ def test_criterion_09_ccm():
     U = PhaseFunction(lambda q, p: q[0] * q[0], 2)
     Hp, Kp = ccm_transform(Hhat, K_builder, U, 0.4)
     worst = 0.0
-    for x in sample_points(30, 1011, 2):
+    for x in phase_points(sample_points(30, 1011, 2)):
         worst = max(worst, abs(poisson_bracket(Hp, Kp, x)) / bracket_scale(Hp, Kp, x))
     H2, K2 = rescale_radial(Hp), rescale_radial(Kp)
     worst2 = 0.0
-    for x in sample_points(30, 1012, 2):
+    for x in phase_points(sample_points(30, 1012, 2)):
         worst2 = max(worst2, abs(poisson_bracket(H2, K2, x)) / bracket_scale(H2, K2, x))
     ok = worst <= 1e-9 and worst2 <= 1e-9
     _finish(9, "coupling-constant metamorphosis brackets", 10.0, t0, ok,
@@ -272,7 +267,7 @@ def test_criterion_10_curved_catalog():
         cases.append(make_flat_ttw_hamiltonian(tb, 2, 1, Omega))
     for mdl in cases:
         name, K = mdl.known_integrals[-1]
-        for x in sample_points(50, 1013, 2, q_ranges=mdl.q_windows):
+        for x in phase_points(sample_points(50, 1013, 2, q_ranges=mdl.q_windows)):
             worst = max(worst, abs(poisson_bracket(mdl.H, K, x)) / bracket_scale(mdl.H, K, x))
     ok = worst <= 1e-9
     _finish(10, "sphere, pseudosphere, and flat-plane brackets", 20.0, t0, ok,
@@ -285,7 +280,7 @@ def test_criterion_11_remark_pair():
     worst = 0.0
     for mdl in (h1, h2):
         _, I = mdl.known_integrals[0]
-        for x in sample_points(50, 1014, 2):
+        for x in phase_points(sample_points(50, 1014, 2)):
             worst = max(worst, abs(poisson_bracket(mdl.H, I, x)) / bracket_scale(mdl.H, I, x))
     ok = worst <= 1e-10 and not h1.extendable and not h2.extendable
     _finish(11, "non-extendable pair bracket identities", 1.0, t0, ok,
@@ -297,7 +292,7 @@ def test_criterion_12_ladder_conditions():
     worst = 0.0
     for base in (section3_base(), trig_base(1.0, 0.2, 1.0, 0.5, 1.0)):
         data = ladder_from_base(base)
-        for psi in sample_scalars(50, 1015, *base.psi_window):
+        for psi in sample_scalars(50, 1015, *base.psi_window).tolist():
             r1, r2 = ladder_residuals(data, psi)
             scale = 1.0 + abs(base.V.rule((psi,), (0.0,)))
             worst = max(worst, abs(r1) / scale, abs(r2) / scale)

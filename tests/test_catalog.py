@@ -25,16 +25,16 @@ from extham.catalog import (
 )
 from extham.ccm import ccm_transform
 from extham.dynamics import Trajectory, drift_report
-from extham.extension import Extension, ExtensionSpec, bracket_scale, seed_equation_terms
+from extham.extension import Extension, ExtensionSpec, bracket_scale
 from extham.phase import PhaseFunction, PhasePoint, hamiltonian_vector_field, partials_at, poisson_bracket
 from extham.sampling import make_rng, sample_points
 from extham.tagged_trig import GammaProfile
 
-from references import leaf_values, nth_derivative
+from references import leaf_values, nth_derivative, phase_points, seed_equation_terms
 
 
 def wedge_points(num, seed):
-    return sample_points(num, seed, 2, q_range=(0.3, 2.0))
+    return phase_points(sample_points(num, seed, 2, q_range=(0.3, 2.0)))
 
 
 def test_minkowski_hamiltonian_values():
@@ -151,7 +151,7 @@ def test_every_family_passes_seed_residual():
         eta = rng.uniform(0.8, 2.5)
         bases.append(make_base_family(C1, C2, C3, C4, eta, "hyperbolic"))
     for base in bases:
-        for x in sample_points(50, 203, 1, q_range=base.psi_window):
+        for x in phase_points(sample_points(50, 203, 1, q_range=base.psi_window)):
             a, b = seed_equation_terms(base, base.c, base.c0, x)
             assert abs(a + b) <= 1e-10 * (1.0 + abs(a) + abs(b)), base.family
 
@@ -305,7 +305,7 @@ def test_base_family_L_equals_separate_transcendentals(params, window):
 def test_curved_models_brackets(kappa, Omega):
     base = trig_base(1.0, 0.2, 1.0, 0.5, 1.0)
     mdl = make_curved_hamiltonian(base, Fraction(1), kappa, Omega)
-    pts = sample_points(20, 64, 2, q_ranges=mdl.q_windows)
+    pts = phase_points(sample_points(20, 64, 2, q_ranges=mdl.q_windows))
     for name, K in mdl.known_integrals:
         for x in pts:
             b = abs(poisson_bracket(mdl.H, K, x))
@@ -340,7 +340,7 @@ def test_flat_ttw_warp_coefficient():
     base = trig_base(1.0, 0.2, 1.0, 0.5, 2.0)
     mdl = make_flat_ttw_hamiltonian(base, 3, 2, 0.0)
     H = mdl.H
-    for x in sample_points(10, 65, 2, q_ranges=mdl.q_windows):
+    for x in phase_points(sample_points(10, 65, 2, q_ranges=mdl.q_windows)):
         u = x.q[0]
         L = base.L(PhasePoint(x.q[1:], x.p[1:]))
         expected = 0.5 * x.p[0] ** 2 + (9.0 / (4.0 * 4.0 * u * u)) * L
@@ -358,7 +358,7 @@ def test_flat_ttw_bracket_with_omega():
     mdl = make_flat_ttw_hamiltonian(base, 2, 1, 0.4)
     name, K = mdl.known_integrals[-1]
     assert name == "Kbar(2,1)"
-    for x in sample_points(20, 66, 2, q_ranges=mdl.q_windows):
+    for x in phase_points(sample_points(20, 66, 2, q_ranges=mdl.q_windows)):
         assert abs(poisson_bracket(mdl.H, K, x)) <= 1e-9 * bracket_scale(mdl.H, K, x)
 
 
@@ -439,7 +439,7 @@ def test_first_integral_is_the_catalog_integral(build, label):
             assert f(y) == direct(y)
             assert catalog_K(x) == direct(y)
     else:
-        for x in sample_points(10, 67, 2, q_ranges=mdl.q_windows):
+        for x in phase_points(sample_points(10, 67, 2, q_ranges=mdl.q_windows)):
             assert f(x) == direct(x) == catalog_K(x)
 
 

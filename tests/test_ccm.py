@@ -14,7 +14,7 @@ from extham.phase import (
 from extham.sampling import sample_points
 from extham.tagged_trig import GammaProfile
 
-from references import fd_gradient
+from references import fd_gradient, phase_points
 
 ETA = 2.0
 ETA4 = ETA**4
@@ -40,7 +40,7 @@ def test_unit_coupling_is_identity(setup):
     _, Hhat, _, K_builder = setup
     one = PhaseFunction(lambda q, p: 1.0, 2)
     Hp, Kp = ccm_transform(Hhat, K_builder, one, 0.0)
-    for x in sample_points(10, 71, 2):
+    for x in phase_points(sample_points(10, 71, 2)):
         assert Hp(x) == pytest.approx(Hhat(x), rel=1e-14)
         assert Kp(x) == pytest.approx(K_builder(Hhat(x))(x), rel=1e-13)
 
@@ -49,7 +49,7 @@ def test_level_set_identity(setup):
     _, Hhat, U, K_builder = setup
     E = 0.4
     Hp, _ = ccm_transform(Hhat, K_builder, U, E)
-    for x in sample_points(20, 72, 2):
+    for x in phase_points(sample_points(20, 72, 2)):
         # substituting Etilde = H'(x) back into Hhat - Etilde U recovers E
         assert abs(Hhat(x) - Hp(x) * U(x) - E) <= 1e-12 * (1.0 + abs(Hhat(x)))
 
@@ -58,7 +58,7 @@ def test_composition_sanity_on_level_sets(setup):
     _, Hhat, _, K_builder = setup
     one = PhaseFunction(lambda q, p: 1.0, 2)
     _, Kp = ccm_transform(Hhat, K_builder, one, 0.0)
-    for x in sample_points(10, 73, 2):
+    for x in phase_points(sample_points(10, 73, 2)):
         et0 = Hhat(x)  # the level set through x
         assert Kp(x) == pytest.approx(K_builder(et0)(x), rel=1e-13)
 
@@ -66,7 +66,7 @@ def test_composition_sanity_on_level_sets(setup):
 def test_main_transform_bracket(setup):
     _, Hhat, U, K_builder = setup
     Hp, Kp = ccm_transform(Hhat, K_builder, U, 0.4)
-    for x in sample_points(30, 74, 2):
+    for x in phase_points(sample_points(30, 74, 2)):
         assert abs(poisson_bracket(Hp, Kp, x)) <= 1e-9 * bracket_scale(Hp, Kp, x)
 
 
@@ -79,7 +79,7 @@ def test_rescaled_form_bracket_and_values(setup):
         a = H2(PhasePoint((0.5, psi), (pv, pp)))
         b = Hp(PhasePoint((1.0, psi), (pv, pp)))  # p_u = u p_v = p_v at u=1
         assert a == pytest.approx(b, rel=1e-12)
-    for x in sample_points(30, 75, 2):
+    for x in phase_points(sample_points(30, 75, 2)):
         assert abs(poisson_bracket(H2, K2, x)) <= 1e-9 * bracket_scale(H2, K2, x)
 
 
@@ -87,7 +87,7 @@ def test_rescale_is_canonical():
     # {v, p_v} = 1 survives the lift: the rescaled pair (u, p_u) has bracket 1
     u_of = rescale_radial(PhaseFunction(lambda q, p: q[0], 1))
     pu_of = rescale_radial(PhaseFunction(lambda q, p: p[0], 1))
-    for x in sample_points(10, 76, 1):
+    for x in phase_points(sample_points(10, 76, 1)):
         assert poisson_bracket(u_of, pu_of, x) == pytest.approx(1.0, rel=1e-13)
 
 
@@ -112,7 +112,7 @@ def test_chain_rule_reaches_kprime_derivatives(setup):
         return K_builder(et).rule(q, p)
 
     K_frozen = PhaseFunction(frozen_rule, 2)
-    for x in sample_points(5, 77, 2):
+    for x in phase_points(sample_points(5, 77, 2)):
         chained = gradient(Kp, x)
         fd = fd_gradient(Kp, x)
         assert np.max(np.abs(chained - fd)) <= 1e-5 * (1.0 + np.max(np.abs(fd)))

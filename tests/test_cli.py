@@ -20,7 +20,7 @@ from extham.duals import primal
 from extham.phase import PhaseFunction, PhasePoint, gradient, partials_at, poisson_bracket
 from extham.sampling import sample_points
 
-from references import columns
+from references import columns, phase_points
 
 
 def run_cli(capsys, *argv):
@@ -596,7 +596,7 @@ def test_an_overflowing_bracket_scale_is_refused_without_warning():
     # |grad H||grad K| = 1e310: inf would make {H, K} = 1e303 read as 0 relative to it
     H = PhaseFunction(lambda q, p: 1e155 * q[0], 2)
     K = PhaseFunction(lambda q, p: 1e148 * p[0] + 1e155 * q[1], 2)
-    x = sample_points(5, 1, 2)[0]
+    x = phase_points(sample_points(5, 1, 2))[0]
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
         with pytest.raises(ValueError, match=r"the bracket scale \|grad f\|\|grad g\| overflows "
@@ -610,7 +610,7 @@ def test_an_underflowing_bracket_scale_is_refused_by_its_point():
     # tolerance times it would pass only an exact 0 bracket; a zero gradient is no underflow
     H = PhaseFunction(lambda q, p: 1e-170 * q[0], 2)
     K = PhaseFunction(lambda q, p: 1e-170 * p[0], 2)
-    x = sample_points(5, 1, 2)[0]
+    x = phase_points(sample_points(5, 1, 2))[0]
     with pytest.raises(ValueError, match=r"the bracket scale \|grad f\|\|grad g\| underflows "
                                          r"double precision at PhasePoint\(q=\(0.816"):
         bracket_scale(H, K, x)
@@ -739,8 +739,9 @@ def _separate_sweep(H, integrals, pts):
     return max_abs, max_rel, rank
 
 
-def _assert_same_sweep(H, integrals, pts):
-    max_abs, max_rel, jac = cli._bracket_sweep(H, integrals, pts)
+def _assert_same_sweep(H, integrals, z):
+    max_abs, max_rel, jac = cli._bracket_sweep(H, integrals, z)
+    pts = phase_points(z)
     got = (max_abs, max_rel, int(jacobian_rank(jac).min()))
     assert got == _separate_sweep(H, integrals, pts)
     fs = [H] + [f for _, f in integrals]
@@ -768,7 +769,7 @@ def test_overflowing_gradients_keep_every_bracket_checked(capsys):
     args = cli.build_parser().parse_args(["verify", "--model", "minkowski", "--k", "13",
                                           "--seed", "1"])
     model = cli._verify_model(args)
-    pts = sample_points(args.points, args.seed, model.H.dof, q_ranges=model.q_windows)
+    pts = phase_points(sample_points(args.points, args.seed, model.H.dof, q_ranges=model.q_windows))
     fs = (model.H, model.known_integrals[-1][1])
     jac = np.array([[gradient(f, x) for f in fs] for x in pts])
     with np.errstate(over="ignore"):
@@ -811,6 +812,24 @@ def test_verify_takes_each_gradient_once_per_point(capsys, monkeypatch):
         assert len(calls) == 5
 
 
+@pytest.mark.parametrize("argv", [("verify", "--model", "minkowski", "--points", "50"), ("ccm",)],
+                         ids=["verify", "ccm"])
+def test_a_passing_sweep_builds_no_phase_point(capsys, monkeypatch, argv):
+    # the sweep takes its columns from the sampler's array; only a refusal
+    # builds a PhasePoint, for the point it prints
+    original = PhasePoint.__post_init__
+    calls = []
+
+    def counted(self):
+        calls.append(1)
+        original(self)
+
+    monkeypatch.setattr(PhasePoint, "__post_init__", counted)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert calls == []
+
+
 # the verify cases of the benchmark sweep, (model, k, Omega), at the default
 # alpha, beta, eta, psi0, m, n and d
 SWEEP_CASES = [
@@ -822,13 +841,13 @@ SWEEP_CASES = [
 ]
 
 
-def _assert_same_gradients(fs, pts):
+def _assert_same_gradients(fs, z):
     """Batched gradients equal the per-point ones entry for entry, not only in the maxima."""
-    q, p = columns([x.q + x.p for x in pts])
+    q, p = columns(z)
     for f in fs:
         _, dq, dp = partials_at(f, q, p)
-        got = np.array([np.broadcast_to(primal(v), len(pts)) for v in dq + dp]).T
-        assert got.tolist() == [gradient(f, x).tolist() for x in pts]
+        got = np.array([np.broadcast_to(primal(v), len(z)) for v in dq + dp]).T
+        assert got.tolist() == [gradient(f, x).tolist() for x in phase_points(z)]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -862,7 +881,7 @@ def test_single_point_batches(capsys):
     code, out, _ = run_cli(capsys, "verify", "--model", "minkowski", "--points", "1")
     report = json.loads(out)
     assert code == 0 and report["num_points"] == 1
-    assert report["max_abs_bracket"] == _separate_sweep(mdl.H, mdl.known_integrals, pts)[0]
+    assert report["max_abs_bracket"] == _separate_sweep(mdl.H, mdl.known_integrals, phase_points(pts))[0]
     code, out, _ = run_cli(capsys, "ccm", "--m", "4", "--n", "3", "--points", "1")
     assert code == 0 and json.loads(out)["pass"] is True
 
@@ -872,8 +891,8 @@ def test_pow_errors_in_a_batch_exit_two(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--model", "remark-h2", "--d", "2000", "--points", "5")
     assert code == 2 and json.loads(out)["error"] == "the gradient of H overflows double precision"
     # domain: one sample point with q2 < 0 puts a negative base under q2^0.5
-    pts = [PhasePoint((0.5, 0.7), (0.1, 0.2)), PhasePoint((0.6, -0.3), (0.1, 0.2))]
-    monkeypatch.setattr(cli, "sample_points", lambda *a, **kw: pts)
+    z = np.array([[0.5, 0.7, 0.1, 0.2], [0.6, -0.3, 0.1, 0.2]])
+    monkeypatch.setattr(cli, "sample_points", lambda *a, **kw: z)
     code, out, _ = run_cli(capsys, "verify", "--model", "remark-h1", "--d", "0.5", "--points", "2")
     assert code == 2 and json.loads(out)["error"] == "math domain error"
 

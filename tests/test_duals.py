@@ -21,7 +21,7 @@ from extham.phase import (
 from extham.sampling import sample_points
 from extham.tagged_trig import GammaProfile
 
-from references import columns, leaf_bits, leaf_values, nth_derivative
+from references import columns, leaf_bits, leaf_values, nth_derivative, phase_points
 
 
 def test_first_derivatives_match_hand_results():
@@ -328,7 +328,7 @@ def test_bracket_through_duals_over_jets(m, n):
     prof = GammaProfile.from_c_C(-4.0, 0.0)
     e = Extension(ExtensionSpec(m, n, -4.0, 0.0, 0.0, prof), base)
     H, kr, kc = e.hamiltonian(), e.k_recursive(), e.k_closed()
-    for x in sample_points(5, 60, 2):
+    for x in phase_points(sample_points(5, 60, 2)):
         diff = poisson_bracket(H, kr, x) - poisson_bracket(H, kc, x)
         assert abs(diff) <= 1e-10 * bracket_scale(H, kc, x)
 

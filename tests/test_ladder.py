@@ -31,7 +31,7 @@ def trig():
 def test_family_ladder_residuals_vanish(hyper, trig):
     for base in (hyper, trig):
         data = ladder_from_base(base)
-        for psi in sample_scalars(50, 81, *base.psi_window):
+        for psi in sample_scalars(50, 81, *base.psi_window).tolist():
             r1, r2 = ladder_residuals(data, psi)
             s = ladder_scale(data, psi)
             assert abs(r1) <= 1e-10 * s
@@ -52,7 +52,7 @@ def test_batched_residuals_equal_nested_duals(seed):
     # the bases of `extham ladder` at its default flags
     for base in (exp_base(0.7, 1.3, 2.0), trig_base(1.0, 0.2, 0.7, 1.3, 2.0)):
         data = ladder_from_base(base)
-        psis = sample_scalars(50, seed, *base.psi_window)
+        psis = sample_scalars(50, seed, *base.psi_window).tolist()
         ref = [_nested_residuals(data, psi) for psi in psis]
         col = np.array(psis)
         r1, r2 = ladder_residuals(data, col)

@@ -19,13 +19,13 @@ from extham.phase import (
     partials_at,
     poisson_bracket,
 )
-from extham.sampling import sample_points
+from extham.sampling import sample_points, sample_scalars
 from extham.tagged_trig import GammaPoleError
 from fractions import Fraction
 
 import numpy as np
 
-from references import columns, fd_gradient, fd_poisson_bracket, leaf_bits, seeded_partials
+from references import columns, fd_gradient, fd_poisson_bracket, leaf_bits, phase_points, seeded_partials
 
 
 def test_phase_point_validation():
@@ -53,10 +53,18 @@ def test_sample_points_equal_one_draw_per_coordinate(seed, dof, q_ranges, p_rang
     for _ in range(23):
         q = tuple(float(rng.uniform(lo, hi)) for lo, hi in windows)
         p = tuple(float(rng.uniform(p_range[0], p_range[1])) for _ in range(dof))
-        expected.append((q, p))
-    pts = sample_points(23, seed, dof, p_range=p_range, q_ranges=q_ranges)
-    assert all(isinstance(x, PhasePoint) for x in pts)
-    assert [(x.q, x.p) for x in pts] == expected
+        expected.append(list(q + p))
+    z = sample_points(23, seed, dof, p_range=p_range, q_ranges=q_ranges)
+    assert type(z) is np.ndarray and z.dtype == np.float64 and z.shape == (23, 2 * dof)
+    assert z.tolist() == expected
+
+
+def test_sample_scalars_equal_one_draw_per_value():
+    rng = np.random.Generator(np.random.Philox(key=3))
+    expected = [float(rng.uniform(0.05, 2.2)) for _ in range(23)]
+    col = sample_scalars(23, 3, 0.05, 2.2)
+    assert type(col) is np.ndarray and col.dtype == np.float64 and col.shape == (23,)
+    assert col.tolist() == expected
 
 
 def test_canonical_bracket():
@@ -95,7 +103,7 @@ def test_hamiltonian_vector_field_seed_action():
     L = PhaseFunction(lambda q, p: 0.5 * p[0] * p[0] + V(q[0]), 1)
     G = PhaseFunction(lambda q, p: dm.exp(2.0 * q[0]) * p[0], 1)
     XG = hamiltonian_vector_field(L, G)
-    for x in sample_points(10, 3, 1):
+    for x in phase_points(sample_points(10, 3, 1)):
         psi, pp = x.q[0], x.p[0]
         # hand differentiation: X_L(G) = e^{2 psi}(2 p^2 - V')
         expected = math.exp(2 * psi) * (2 * pp * pp - dm.primal(dV(psi)))
@@ -103,7 +111,7 @@ def test_hamiltonian_vector_field_seed_action():
         assert XG(x) == pytest.approx(fd_poisson_bracket(G, L, x), abs=2e-5)
     # X_L^2(G) = 8 L G pointwise for this potential (the c = -4 seed identity)
     X2G = hamiltonian_vector_field(L, XG)
-    for x in sample_points(10, 4, 1):
+    for x in phase_points(sample_points(10, 4, 1)):
         assert X2G(x) == pytest.approx(8.0 * L(x) * G(x), rel=1e-11)
 
 
@@ -111,7 +119,7 @@ def test_antisymmetry_and_leibniz():
     f = PhaseFunction(lambda q, p: dm.sin(q[0]) * p[1] + q[1] ** 2 * p[0], 2)
     g = PhaseFunction(lambda q, p: dm.exp(q[1]) * p[0] * p[0] + q[0], 2)
     h = PhaseFunction(lambda q, p: q[0] * q[1] + dm.cosh(p[1]), 2)
-    for x in sample_points(15, 5, 2):
+    for x in phase_points(sample_points(15, 5, 2)):
         a = poisson_bracket(f, g, x)
         b = poisson_bracket(g, f, x)
         assert abs(a + b) <= 1e-12 * (1.0 + abs(a))
@@ -130,7 +138,7 @@ def test_jacobi_identity_with_nested_scheme():
         # the bracket {a, b} = X_b(a) as a new phase function (re-instrumented)
         return hamiltonian_vector_field(b, a)
 
-    for x in sample_points(20, 6, 2):
+    for x in phase_points(sample_points(20, 6, 2)):
         t1 = poisson_bracket(f, nest(g, h), x)
         t2 = poisson_bracket(g, nest(h, f), x)
         t3 = poisson_bracket(h, nest(f, g), x)
@@ -153,7 +161,7 @@ def test_exact_vs_finite_difference_on_catalog_hamiltonians():
         (ttw.H, ttw.q_windows),
     ]
     for H, windows in hams:
-        for x in sample_points(10, 7, 2, q_ranges=windows):
+        for x in phase_points(sample_points(10, 7, 2, q_ranges=windows)):
             ad = gradient(H, x)
             fd = fd_gradient(H, x, h=1e-5)
             scale = 1.0 + np.abs(fd).max()
@@ -253,11 +261,10 @@ def test_partials_at_equals_the_seeded_loop_on_every_leaf(label, f, windows):
     # and on Jets (there only because a Dual keeps a product's operands in the
     # order written)
     d = f.dof
-    pts = sample_points(3, 24, d, q_ranges=windows)
-    z = np.array([x.q + x.p for x in pts])
+    z = sample_points(3, 24, d, q_ranges=windows)
     blocks = [columns(z)]
     outer = dm.new_tag()
-    for x in pts:
+    for x in phase_points(z):
         v = x.q + x.p
         dual = [dm.Dual(c, 0.7 - 0.3 * i, outer) for i, c in enumerate(v)]
         jet = [dm.Jet([c, 0.5 - 0.2 * i, 0.0]) for i, c in enumerate(v)]

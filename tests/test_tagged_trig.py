@@ -99,7 +99,7 @@ def test_ode_residual_on_24_profile_grid():
     profiles = _profile_grid()
     assert len(profiles) == 24
     for prof in profiles:
-        for u in sample_scalars(50, 123, 0.05, 2.2):
+        for u in sample_scalars(50, 123, 0.05, 2.2).tolist():
             try:
                 g = gamma(prof, u)
             except GammaPoleError:
@@ -108,7 +108,7 @@ def test_ode_residual_on_24_profile_grid():
 
 
 def test_gamma_and_prime_equal_separate_calls_on_24_profile_grid():
-    us = sample_scalars(50, 123, 0.05, 2.2)
+    us = sample_scalars(50, 123, 0.05, 2.2).tolist()
     for prof in _profile_grid():
         good = []
         for u in us:
@@ -216,7 +216,7 @@ def test_gamma_evaluators_equal_the_reference_on_every_branch(c, kappa, translat
         prof = GammaProfile(0.0, 1.5, 0.0)
     else:
         prof = GammaProfile.from_c_kappa(c, kappa, translated=translated)
-    us = list(sample_scalars(20, 321, -2.2, 2.2)) + [0.0, -0.0, math.pi / 2, math.pi / 2 ** 1.5]
+    us = sample_scalars(20, 321, -2.2, 2.2).tolist() + [0.0, -0.0, math.pi / 2, math.pi / 2 ** 1.5]
     tag = new_tag()
     leaves = us + [Dual(u, 0.7, tag) for u in us] + [np.array(us), np.array([0.4, -0.0, 0.0, 0.9])]
     leaves.append(Dual(np.array(us[:12]), np.array(us[12:]), tag))
