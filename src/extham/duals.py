@@ -15,11 +15,9 @@ so the Dual wraps the Jet and the outermost layer always carries the newest
 tag. Jets must therefore only meet Duals seeded after their coefficients
 were built. A Jet has one power rule, for ``**`` and :func:`pow_` alike: an
 integer power multiplies the series by itself, so a zero constant term is
-allowed, and any other power runs a recurrence that divides by it. A
-constant base to a Jet power takes its constant term from :func:`pow_`, as
-a Dual does, and the rest from exp's recurrence. Each operation
-computes its coefficients by one rule (the ``_*_terms`` functions), which
-extends them one order at a time.
+allowed, and any other power runs a recurrence that divides by it. Each
+operation computes its coefficients by one rule (the ``_*_terms``
+functions), which extends them one order at a time.
 
 A float64 array is the third leaf: one coordinate at many sample points,
 so one evaluation differentiates all of them. numpy does its + - * /, which
@@ -43,14 +41,15 @@ form (:meth:`Tape.series`), where each value is the list of its Taylor
 coefficients and each operation appends coefficient k by the Jet's own rule
 for it. So a program looping over k (``extension.compile_flow_series``)
 computes each coefficient once, bit for bit as the evaluation on Jets. The
-series form is its rule table, arithmetic and the math functions: it has no
-rule for a power or ``abs``, and a tape holding one has no series form.
+series form is its rule table, arithmetic, exp, sin and cos, which is what
+the catalog's potentials use: a tape holding any other operation (a power,
+``abs``, a comparison, another math function) has no series form.
 
 Two seams decide how scalars are computed: :func:`_lift` every unary math
 function (Dual -> Jet -> array -> Trace -> ``math``) and :func:`pow_` every
-power, on every leaf and from either side. A new scalar leaf (an mpmath
-``mpf``, say) is one more branch in each, before ``math``, whose functions
-would silently return floats.
+power, with any leaf as its base and a plain number as its exponent. A new
+scalar leaf (an mpmath ``mpf``, say) is one more branch in each, before
+``math``, whose functions would silently return floats.
 
 A :class:`Tangent` is the dot of a Dual that carries several directions
 under one tag: it maps a direction index to that direction's component, so
@@ -159,14 +158,6 @@ class Dual:
         # last bit on a share of inputs; (2 x) * dot is the tangent of x * x
         # bit for bit, since doubling is exact
         return Dual(pow_(self.val, r), (r * pow_(self.val, r - 1)) * self.dot, self.tag)
-
-    def __rpow__(self, base):
-        # the value is pow_(base, val), so it rounds as the float and array
-        # evaluations do, which exp(val log base) does not on a share of inputs;
-        # Jet.__rpow__ takes its constant term the same way
-        lb = log(base)
-        y = pow_(base, self.val)
-        return Dual(y, y * (self.dot * lb), self.tag)
 
     def __abs__(self):
         x = primal(self)
@@ -319,13 +310,6 @@ class Jet:
                 x = x * x
         return out
 
-    def __rpow__(self, base):
-        # coefficient 0 is pow_(base, c0), as Dual.__rpow__ takes its value; the
-        # rest follow exp's recurrence on log(base) * self, so log(base) runs first
-        e = []
-        _rpow_terms(base, self.c, (log(base) * self).c, e)
-        return Jet(e)
-
 
 def _cauchy(a, b, k):
     """Coefficient k of the product of two series."""
@@ -341,7 +325,8 @@ def _cauchy(a, b, k):
 # out's own lower ones. A Jet operation calls it once, on an empty out; the
 # series program (Tape.series) calls it once per order, when the operands
 # have one coefficient more. So both compute every coefficient by one rule.
-# The power rules (_rpow_terms, _pow_terms) serve Jets alone.
+# The series program runs the arithmetic, exp and sin/cos rules; the others
+# serve Jets alone.
 
 
 def _div_terms(a, b, q):
@@ -364,14 +349,6 @@ def _ode_coefficient(a, k, g):
 def _exp_terms(a, e):
     if not e:
         e.append(exp(a[0]))
-    for k in range(len(e), len(a)):
-        e.append(_ode_coefficient(a, k, e))
-
-
-def _rpow_terms(base, x, a, e):
-    # e = base ** x, where a is the series log(base) x: e_0 = pow_(base, x_0), then exp's rule
-    if not e:
-        e.append(pow_(base, x[0]))
     for k in range(len(e), len(a)):
         e.append(_ode_coefficient(a, k, e))
 
@@ -410,15 +387,14 @@ def _sin_cos_terms(a, s, c, hyperbolic):
         c.append(ck if hyperbolic else -ck)
 
 
-def _tan_terms(a, t, w, hyperbolic):
-    # t' = w a' with w = 1 + t^2 (tan) or 1 - t^2 (tanh)
-    sign = -1.0 if hyperbolic else 1.0
+def _tanh_terms(a, t, w):
+    # t' = w a' with w = 1 - t^2
     if not t:
-        t.append(tanh(a[0]) if hyperbolic else tan(a[0]))
-        w.append(1.0 + sign * t[0] * t[0])
+        t.append(tanh(a[0]))
+        w.append(1.0 - t[0] * t[0])
     for k in range(len(t), len(a)):
         t.append(_ode_coefficient(a, k, w))
-        w.append(sign * _cauchy(t, t, k))
+        w.append(-_cauchy(t, t, k))
 
 
 def _pow_terms(a, b, r):
@@ -439,10 +415,10 @@ def _jet(terms, x, *params):
     return Jet(out)
 
 
-def _jet_pair(terms, x, hyperbolic):
-    """(sin, cos) or (tan, its companion 1 +- tan^2) of x, whose coefficients terms appends."""
+def _jet_pair(terms, x, *params):
+    """(sin, cos) or (tanh, its companion 1 - tanh^2) of x, whose coefficients terms appends."""
     f, g = [], []
-    terms(x.c, f, g, hyperbolic)
+    terms(x.c, f, g, *params)
     return Jet(f), Jet(g)
 
 
@@ -528,28 +504,19 @@ class Tape:
         runs for k; body then appends coefficient k of every value, in tape
         order, by the rule the Jet method of that operation runs. So body run
         for k = 0, 1, 2, ... gives every coefficient of the evaluation on Jets
-        bit for bit, each once. A guard compares the primals of coefficients
-        0, as an evaluation on Jets compares them, and at k = 0, where it
-        comes out the other way, body runs ``return fallback(<params>, order)``,
-        as the float program's guard does, so ``namespace`` needs a
-        ``fallback`` and the program an ``order``. An operation with no series
-        rule (a power, ``abs``) raises TypeError.
+        bit for bit, each once. An operation ``_SERIES_RULES`` has no line for
+        (a power, ``abs``, a comparison, a math function other than exp, sin
+        and cos) raises TypeError.
         """
         self.namespace.update({f.__name__: f for f in _SERIES_HELPERS})
         head, body = [], []
         for fn, args, out in self.ops:
             names = [self.atom(x) for x in args]
-            if not isinstance(out, Trace):
-                cmp = _INFIX[fn].format(*[f"primal({n}[0])" if isinstance(x, Trace) else n
-                                          for x, n in zip(args, names)])
-                body.append(f"if not k and {'not ' if out else ''}({cmp}): "
-                            f"return fallback({', '.join(self.params)}, order)")
-                continue
-            o = f"t{out.i}"
             kinds = "".join("s" if isinstance(x, Trace) else "c" for x in args)
             line = _SERIES_RULES.get((fn, kinds))
             if line is None:
                 raise TypeError(f"no series rule for {getattr(fn, '__name__', fn)} on {kinds}")
+            o = f"t{out.i}"
             head.append(f"{o} = []")
             if "{o}_c" in line:
                 head.append(f"{o}_c = []")
@@ -588,14 +555,8 @@ _SERIES_RULES = {
     (operator.truediv, "cs"): "{o}_c.append({a} if not k else 0.0); _div_terms({o}_c, {b}, {o})",
     (operator.neg, "s"): "{o}.append(-{a}[k])",
     (math.exp, "s"): "_exp_terms({a}, {o})",
-    (math.log, "s"): "_log_terms({a}, {o})",
-    (math.sqrt, "s"): "_sqrt_terms({a}, {o})",
     (math.sin, "s"): "_sin_cos_terms({a}, {o}, {o}_c, False)",
     (math.cos, "s"): "_sin_cos_terms({a}, {o}_c, {o}, False)",
-    (math.sinh, "s"): "_sin_cos_terms({a}, {o}, {o}_c, True)",
-    (math.cosh, "s"): "_sin_cos_terms({a}, {o}_c, {o}, True)",
-    (math.tan, "s"): "_tan_terms({a}, {o}, {o}_c, False)",
-    (math.tanh, "s"): "_tan_terms({a}, {o}, {o}_c, True)",
 }
 
 
@@ -650,7 +611,6 @@ class Trace:
     __truediv__ = _traced(operator.truediv)
     __rtruediv__ = _traced(operator.truediv, reflected=True)
     __pow__ = _traced(math.pow)
-    __rpow__ = _traced(math.pow, reflected=True)
     __lt__ = _traced(operator.lt, guard=True)
     __le__ = _traced(operator.le, guard=True)
     __gt__ = _traced(operator.gt, guard=True)
@@ -752,36 +712,31 @@ sin = _lift(math.sin, lambda x: _jet_pair(_sin_cos_terms, x, False)[0],
             lambda x, y, dx: cos(x) * dx)
 cos = _lift(math.cos, lambda x: _jet_pair(_sin_cos_terms, x, False)[1],
             lambda x, y, dx: -sin(x) * dx)
-tan = _lift(math.tan, lambda x: _jet_pair(_tan_terms, x, False)[0],
-            lambda x, t, dx: (1.0 + t * t) * dx)
 sinh = _lift(math.sinh, lambda x: _jet_pair(_sin_cos_terms, x, True)[0],
              lambda x, y, dx: cosh(x) * dx)
 cosh = _lift(math.cosh, lambda x: _jet_pair(_sin_cos_terms, x, True)[1],
              lambda x, y, dx: sinh(x) * dx)
-tanh = _lift(math.tanh, lambda x: _jet_pair(_tan_terms, x, True)[0],
+tanh = _lift(math.tanh, lambda x: _jet_pair(_tanh_terms, x)[0],
              lambda x, t, dx: (1.0 - t * t) * dx)
 
 
-_OPERAND_LEAVES = (Dual, Jet, Trace)  # the leaves whose own ** carries the power rule
-
-
 def pow_(x, r):
-    """x ** r, the one rule for every power on every leaf.
+    """x ** r, the one rule for every power on every leaf: x is the leaf, r a plain number.
 
-    A Dual, Jet or Trace on either side runs its own ``**``, an array on
-    either side applies ``math.pow`` entry by entry, and anything else calls
-    it. So every power rounds as libm does, and off the real domain raises
-    ValueError.
+    A Dual, Jet or Trace base runs its own ``**``, an array base applies
+    ``math.pow`` entry by entry, and anything else calls it. So every power
+    rounds as libm does, and off the real domain raises ValueError. Under a
+    float base a leaf or array exponent reaches ``math.pow``, which raises
+    TypeError.
     """
     if type(x) is float and type(r) is int:  # first: most calls, the closed forms' at floats
         return math.pow(x, r)
-    if isinstance(x, _OPERAND_LEAVES) or isinstance(r, _OPERAND_LEAVES):
+    if isinstance(x, (Dual, Jet, Trace)):
         return x**r
-    if isinstance(x, np.ndarray) or isinstance(r, np.ndarray):
+    if isinstance(x, np.ndarray):
         return _entrywise(math.pow, x, r)
     return math.pow(x, r)
 
 
 # what series programs call, by name
-_SERIES_HELPERS = (_cauchy, _div_terms, _exp_terms, _log_terms, _sqrt_terms, _sin_cos_terms,
-                   _tan_terms, primal)
+_SERIES_HELPERS = (_cauchy, _div_terms, _exp_terms, _sin_cos_terms)

@@ -99,6 +99,9 @@ def integrate(H, x0, h, steps, fp_tol=1e-13, max_iter=50, u_min=None):
             break
         z = y
         states.append(z)
+    else:  # the last state gets the test each earlier state had
+        if u_min is not None and z[0] < u_min:
+            status, exit_step = DOMAIN_EXIT, steps
     if len(states) > 1:
         last = states[-1]
         try:

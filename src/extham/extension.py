@@ -17,8 +17,10 @@ order.
 
 A base system compiles both evaluations once (compile_partials,
 compile_flow_series), under one contract: a program answers as the
-evaluation it compiles, bit for bit, by calling it where a guard flips, and
-where the trace fails the callable returned is that evaluation itself.
+evaluation it compiles, bit for bit, and where the trace fails or has no
+compiled form the callable returned is that evaluation itself. The partials
+program calls it where a guard flips; the series program has no guards, as
+a tape that compares has no series form.
 
 The base Hamiltonian L acts on the trailing (psi, p_psi) block of the
 extended phase space (u, psi, p_u, p_psi); functions of the base block are
@@ -120,9 +122,10 @@ class BaseSystem:
 
         Under partials' leaf rule, where both coordinates are plain floats,
         it runs the series program of L's flow (compile_flow_series), kept by
-        _kept. Every other leaf, and order 0 (the start point, which never
-        touches L, so a singular first point would keep the evaluation),
-        takes the evaluation on jets.
+        _kept, or the evaluation itself where L's tape has no series form.
+        Every other leaf, and order 0 (the start point, which never touches
+        L, so a singular first point would keep the evaluation), takes the
+        evaluation on jets.
         """
         if order and type(psi) is float and type(p_psi) is float:
             return self._kept(compile_flow_series, self.L, (psi, p_psi), [psi], [p_psi], order)
@@ -152,11 +155,10 @@ def compile_flow_series(L, psi, p_psi):
     and the tape writes its operations in series form (Tape.series), so the
     program computes each coefficient once, O(order^2) in all. The trace
     costs about 0.5 ms. program([psi], [p_psi], order) returns the two Jets
-    flow_jets_by_evaluation(L, psi, p_psi, order) returns, bit for bit, as
-    compile_partials' program answers as partials_at: where a guard comes
-    out the other way, it returns that evaluation's answer, and where L
-    cannot be traced at (psi, p_psi), raises there or uses an operation the
-    series writer has no rule for (a power, abs), the callable returned is
+    flow_jets_by_evaluation(L, psi, p_psi, order) returns, bit for bit.
+    Where L cannot be traced at (psi, p_psi), raises there or records an
+    operation the series writer has no rule for (a power, abs, a comparison,
+    a math function other than exp, sin and cos), the callable returned is
     that evaluation itself.
     """
 
@@ -179,7 +181,7 @@ def compile_flow_series(L, psi, p_psi):
     loop = body + [f"t0.append({coefficient_k(dp)} / (k + 1))",
                    f"t1.append(-{coefficient_k(dq)} / (k + 1))"]
     lines = head + ["for k in range(order):"] + ["    " + line for line in loop] + ["return Jet(t0), Jet(t1)"]
-    tape.namespace.update(fallback=fallback, Jet=Jet)
+    tape.namespace["Jet"] = Jet
     return define("flow_series", tape.params + ["order"], lines, tape.namespace, "<flow series>")
 
 

@@ -12,7 +12,6 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from extham.catalog import (
     exp_base,
@@ -32,7 +31,7 @@ from extham.extension import Extension, ExtensionSpec, bracket_scale
 from extham.ladder import ladder_eigen_pattern, ladder_from_base, ladder_residuals
 from extham.phase import PhaseFunction, PhasePoint, gradient, lift_last, poisson_bracket
 from extham.sampling import make_rng, sample_points, sample_scalars
-from extham.tagged_trig import GammaPoleError, GammaProfile, gamma, gamma_prime
+from extham.tagged_trig import GammaPoleError, GammaProfile, gamma
 
 from references import ode_residual, phase_points, seed_equation_terms
 

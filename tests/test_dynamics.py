@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from extham import catalog, dynamics, phase
+from extham import catalog, phase
 from extham.catalog import make_minkowski_hamiltonian
 from extham.dynamics import (
     COMPLETED,
@@ -83,6 +83,20 @@ def test_domain_exit_guard(wedge_system):
     assert traj.status == DOMAIN_EXIT
     assert traj.exit_step is not None and traj.exit_step < 10_000
     assert traj.states[-1][0] < 0.4
+
+
+def test_a_last_step_below_u_min_is_a_domain_exit(wedge_system):
+    # state 147 is the first below u = 0.3 (u = 0.29324): a run asked for 147
+    # steps ends on it, and reports it as a run that goes on does
+    H, _, _ = wedge_system
+    x0 = PhasePoint((1.0, 0.0), (-3.2, 0.5))
+    runs = [integrate(H, x0, 1e-3, steps, u_min=0.3) for steps in (147, 148)]
+    for traj in runs:
+        assert (traj.status, traj.exit_step) == (DOMAIN_EXIT, 147)
+        assert traj.states.shape == (148, 4) and traj.states[-1][0] < 0.3 <= traj.states[-2][0]
+    assert runs[0].states.tolist() == runs[1].states.tolist()
+    assert_matches_vector_loop(H, x0, 1e-3, 147, u_min=0.3)
+    assert integrate(H, x0, 1e-3, 146, u_min=0.3).status == COMPLETED
 
 
 def test_no_convergence_status(wedge_system):
@@ -236,6 +250,9 @@ def vector_integrate(H, x0, h, steps, fp_tol=1e-13, max_iter=50, u_min=None, u_s
             break
         z = y
         states.append(z.copy())
+    else:
+        if u_min is not None and z[u_slot] < u_min:
+            status, exit_step = DOMAIN_EXIT, steps
     if len(states) > 1:
         try:
             H(PhasePoint.from_array(states[-1]))

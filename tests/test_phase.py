@@ -217,8 +217,8 @@ def test_array_leaves_give_array_partials_equal_to_the_float_partials():
     # float64 arrays; a constant or absent partial stays a float; every entry
     # equals the float evaluation's at its point
     def rule(q, p):
-        return (q[0] ** 3 * p[0] + 2.0 ** (q[0] * p[0]) + dm.exp(p[1]) + abs(q[1] - 1.0)
-                + 2.5 * q[2])
+        return (q[0] ** 3 * p[0] + dm.pow_(2.0 + q[0] * p[0], 1.5) + dm.exp(p[1])
+                + abs(q[1] - 1.0) + 2.5 * q[2])
 
     f = PhaseFunction(rule, 3)
     z = np.array([[0.5, 0.7, 1.5, -0.2, 0.3, 0.1], [1.1, 1.3, -0.4, 0.9, 0.2, 0.4],
