@@ -4,7 +4,8 @@ non-extendable pair, plus the null <-> pseudo-polar canonical transforms.
 
 Two constructors build what the families share: _base makes every base system
 L = p^2/2 + V with its seed G and c0 = 0, and _extended_model makes every
-curved or flat extension's model, H with the integrals L and K.
+curved or flat extension's model, H with the integrals L and K. PSI_WINDOW is
+the bases' default psi window, and ccm_pair builds the ccm check's pair.
 
 Rational parameters are passed as fractions.Fraction so the integral indices
 (m, n) come out exact; irrational k is accepted for Hamiltonian construction
@@ -17,12 +18,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import duals as dm
+from .ccm import ccm_transform
 from .duals import any_true, primal
 from .extension import BaseSystem, Extension, ExtensionSpec
 from .phase import PhaseFunction, PhasePoint, lift_last
 from .tagged_trig import GammaProfile
 
 _SQRT2 = math.sqrt(2.0)
+PSI_WINDOW = (0.3, 2.0)
 
 
 @dataclass
@@ -91,7 +94,7 @@ def _check_eta(eta):
                          "normal, nonzero doubles")
 
 
-def _base(family, params, c, V_rule, G_rule, g, eta_hat, psi_window=(0.3, 2.0)):
+def _base(family, params, c, V_rule, G_rule, g, eta_hat, psi_window):
     """The BaseSystem L = p^2/2 + V with seed G and c0 = 0."""
     return BaseSystem(
         family=family, params=params, c=c, c0=0.0, V=PhaseFunction(V_rule, 1),
@@ -100,7 +103,7 @@ def _base(family, params, c, V_rule, G_rule, g, eta_hat, psi_window=(0.3, 2.0)):
     )
 
 
-def make_base_family(C1, C2, C3, C4, eta, branch, psi_window=None):
+def make_base_family(C1, C2, C3, C4, eta, branch, psi_window=PSI_WINDOW):
     """Base system with seed G = g(psi) p_psi.
 
     hyperbolic branch: g = C1 e^(eta psi) + C2 e^(-eta psi), c = -eta^2;
@@ -143,8 +146,6 @@ def make_base_family(C1, C2, C3, C4, eta, branch, psi_window=None):
         gv, slope = g_and_slope(q[0])
         return (C3 + C4 * slope) / (gv * gv)
 
-    if psi_window is None:
-        psi_window = (0.3, 2.0)
     _window_free_of_zeros(C1, C2, eta_hat, branch, psi_window, f"{branch}(C1={C1}, C2={C2})")
     return _base(f"V2-{branch}", {"C1": C1, "C2": C2, "C3": C3, "C4": C4, "eta": eta}, c,
                  V_rule, lambda q, p: g(q[0]) * p[0], g, eta_hat, psi_window)
@@ -165,7 +166,7 @@ def _free_base(eta):
         return dm.exp(eta * psi)
 
     return _base("free", {"C1": 1.0, "C2": 0.0, "C3": 0.0, "C4": 0.0, "eta": eta}, -(eta**2),
-                 lambda q, p: 0.0, lambda q, p: g(q[0]) * p[0], g, eta)
+                 lambda q, p: 0.0, lambda q, p: g(q[0]) * p[0], g, eta, PSI_WINDOW)
 
 
 def cosh_base(A, psi0, alpha, beta, eta=2.0):
@@ -175,7 +176,7 @@ def cosh_base(A, psi0, alpha, beta, eta=2.0):
     return make_base_family(C1, C2, alpha * A * A, beta * A, eta, "hyperbolic")
 
 
-def sinh_base(A, psi0, alpha, beta, eta=2.0, psi_window=(0.3, 2.0)):
+def sinh_base(A, psi0, alpha, beta, eta=2.0, psi_window=PSI_WINDOW):
     """g = A sinh(eta psi + psi0), V = (alpha + beta cosh(eta psi + psi0))/sinh^2(...)."""
     C1 = 0.5 * A * math.exp(psi0)
     C2 = -0.5 * A * math.exp(-psi0)
@@ -208,10 +209,10 @@ def momentum_free_seed_base(C1, C2, C3, eta=2.0):
     def g(psi):
         return C1 * dm.exp(eta * psi) + C2 * dm.exp(-eta * psi)
 
-    _window_free_of_zeros(C1, C2, eta, "hyperbolic", (0.3, 2.0), "V10")
+    _window_free_of_zeros(C1, C2, eta, "hyperbolic", PSI_WINDOW, "V10")
     return _base("V10", {"C1": C1, "C2": C2, "C3": C3, "eta": eta}, -(eta**2),
                  lambda q, p: C3 / dm.pow_(g(q[0]), 2),
-                 lambda q, p: C1 * dm.exp(eta * q[0]) - C2 * dm.exp(-eta * q[0]), g, eta)
+                 lambda q, p: C1 * dm.exp(eta * q[0]) - C2 * dm.exp(-eta * q[0]), g, eta, PSI_WINDOW)
 
 
 # -- null <-> pseudo-polar canonical transforms --------------------------------
@@ -499,6 +500,27 @@ def _free_flow():
 
 # what integrate follows for each --model
 FLOWS = {"minkowski": _minkowski_flow, "free": _free_flow}
+
+
+def ccm_pair(m, n, eta, alpha, beta, E):
+    """(H', K', the (u, psi) sample windows) that ccm checks, from its flags' values.
+
+    H = Hhat - Etilde u^2 is the (m, n) extension at Omega = -Etilde/eta^4, whose
+    first integral, Kbar(m, n) for even m, is K' with Etilde replaced by H'.
+    """
+    base = exp_base(alpha, beta, abs(eta))
+    eta4 = eta**4
+    profile = GammaProfile.from_c_C(base.c, 0.0)
+
+    def K_builder(etilde):
+        spec = ExtensionSpec(m, n, base.c, 0.0, (-1.0 / eta4) * etilde, profile)
+        return Extension(spec, base).first_integral()[1]
+
+    if m % 2 != 0:
+        raise ValueError("ccm demo requires even m (Kbar indices)")
+    Hhat = Extension(ExtensionSpec(m, n, base.c, 0.0, 0.0, profile), base).hamiltonian()
+    U = PhaseFunction(lambda q, p: q[0] * q[0], 2)
+    return (*ccm_transform(Hhat, K_builder, U, E), ((0.3, 2.0), base.psi_window))
 
 
 # -- machine-readable catalog -------------------------------------------------

@@ -18,19 +18,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .catalog import BASES, FLOWS, MODELS, catalog_listing
-from .ccm import ccm_transform, rescale_radial
+from .catalog import BASES, FLOWS, MODELS, catalog_listing, ccm_pair
+from .ccm import rescale_radial
 from .duals import primal
 from .dynamics import drift_report, integrate
-from .extension import Extension, ExtensionSpec, jacobian_rank, row_norms
+from .extension import jacobian_rank, row_norms
 from .ladder import ladder_eigen_pattern, ladder_from_base, ladder_residuals, ladder_scale
-from .phase import (
-    PhaseFunction,
-    PhasePoint,
-    bracket_of_gradients,
-    evaluate_batch,
-    partials_at,
-)
+from .phase import PhasePoint, bracket_of_gradients, evaluate_batch, partials_at
 from .sampling import RNG_NAME, sample_points, sample_scalars
 from .tagged_trig import GammaProfile, gamma, gamma_prime
 
@@ -346,27 +340,9 @@ def cmd_ladder(args):
     return _verdict(args, report, passed)
 
 
-def _ccm_pair(args):
-    """The base system and the transformed pair (H', K') of the ccm check."""
-    base = BASES["hyperbolic"](args.alpha, args.beta, args.eta)
-    eta4 = args.eta**4
-    profile = GammaProfile.from_c_C(base.c, 0.0)
-
-    def K_builder(etilde):
-        spec = ExtensionSpec(args.m, args.n, base.c, 0.0, (-1.0 / eta4) * etilde, profile)
-        return Extension(spec, base).kbar_closed(args.m // 2, args.n)
-
-    if args.m % 2 != 0:
-        raise ValueError("ccm demo requires even m (Kbar indices)")
-    Hhat = Extension(ExtensionSpec(args.m, args.n, base.c, 0.0, 0.0, profile), base).hamiltonian()
-    U = PhaseFunction(lambda q, p: q[0] * q[0], 2)
-    Hp, Kp = ccm_transform(Hhat, K_builder, U, args.E)
-    return base, Hp, Kp
-
-
 def cmd_ccm(args):
-    base, Hp, Kp = _ccm_pair(args)
-    z = sample_points(args.points, args.seed, 2, q_ranges=((0.3, 2.0), base.psi_window))
+    Hp, Kp, windows = ccm_pair(args.m, args.n, args.eta, args.alpha, args.beta, args.E)
+    z = sample_points(args.points, args.seed, 2, q_ranges=windows)
     max_abs, max_rel, _ = _bracket_sweep(Hp, [("Kprime", Kp)], z)
     max_abs2, max_rel2, _ = _bracket_sweep(rescale_radial(Hp), [("K2", rescale_radial(Kp))], z)
 

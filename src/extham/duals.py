@@ -422,10 +422,9 @@ def _jet_pair(terms, x, *params):
     return Jet(f), Jet(g)
 
 
-def _entrywise(fn, *args):
-    """fn entry by entry as a float64 array; array arguments are zipped, scalars repeated."""
-    cols = [a.tolist() if isinstance(a, np.ndarray) else itertools.repeat(a) for a in args]
-    return np.fromiter(map(fn, *cols), dtype=float)
+def _entrywise(fn, x, *params):
+    """fn(entry, *params) for each entry of the array x, as a float64 array."""
+    return np.fromiter(map(fn, x.tolist(), *map(itertools.repeat, params)), dtype=float)
 
 
 _INFIX = {
@@ -610,7 +609,6 @@ class Trace:
     __rmul__ = _traced(operator.mul, reflected=True)
     __truediv__ = _traced(operator.truediv)
     __rtruediv__ = _traced(operator.truediv, reflected=True)
-    __pow__ = _traced(math.pow)
     __lt__ = _traced(operator.lt, guard=True)
     __le__ = _traced(operator.le, guard=True)
     __gt__ = _traced(operator.gt, guard=True)
@@ -621,6 +619,9 @@ class Trace:
 
     def __neg__(self):
         return self.tape.record(operator.neg, (self,))
+
+    def __pow__(self, r):  # a leaf or array exponent answers NotImplemented, so ** raises TypeError
+        return self.tape.record(math.pow, (self, r)) if isinstance(r, (float, int)) else NotImplemented
 
     def __abs__(self):
         return self.tape.record(abs, (self,))
@@ -725,11 +726,12 @@ def pow_(x, r):
 
     A Dual, Jet or Trace base runs its own ``**``, an array base applies
     ``math.pow`` entry by entry, and anything else calls it. So every power
-    rounds as libm does, and off the real domain raises ValueError. Under a
-    float base a leaf or array exponent reaches ``math.pow``, which raises
-    TypeError.
+    rounds as libm does, and off the real domain raises ValueError. A leaf
+    or an array as the exponent, of any size, raises TypeError.
     """
-    if type(x) is float and type(r) is int:  # first: most calls, the closed forms' at floats
+    if type(r) is not int and type(r) is not float and isinstance(r, (Dual, Jet, Trace, np.ndarray)):
+        raise TypeError(f"a power's exponent is a plain number, not {type(r).__name__}")
+    if type(x) is float:  # first: most calls, the closed forms' at floats
         return math.pow(x, r)
     if isinstance(x, (Dual, Jet, Trace)):
         return x**r

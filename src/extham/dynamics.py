@@ -17,11 +17,11 @@ the other way, a private exception hands that iteration to ``partials_at``,
 which raises where H leaves its domain; an operation that raises in the
 inlined lines raises the exception ``partials_at`` raises there. The solve
 turns OverflowError, ValueError and ZeroDivisionError, from either, or a
-midpoint or iterate that is not finite, into LEFT_DOMAIN, and max_iter
-iterations without convergence into NO_CONVERGENCE. It starts every solve
-from the last state rather than from a predictor such as ``z + h * slope``:
-a predictor saves about one iteration per step but moves every iterate in
-its last bits, which changes where a collapsing orbit stops and how.
+midpoint or iterate that is not finite, into LEFT_DOMAIN, and 50 iterations
+without converging to 1e-13 into NO_CONVERGENCE. It starts every solve from
+the last state rather than from a predictor such as ``z + h * slope``: a
+predictor saves about one iteration per step but moves every iterate in its
+last bits, which changes where a collapsing orbit stops and how.
 """
 
 import itertools
@@ -46,9 +46,9 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     h: float
-    method: str = "implicit-midpoint"
     status: str = COMPLETED
     exit_step: int = None
+    method = "implicit-midpoint"  # not a field: integrate has one method
 
     @property
     def dof(self):
@@ -65,13 +65,13 @@ class Trajectory:
         fh.writelines(itertools.starmap(row.format, rows))
 
 
-def integrate(H, x0, h, steps, fp_tol=1e-13, max_iter=50, u_min=None):
+def integrate(H, x0, h, steps, u_min=None):
     """Implicit-midpoint trajectory of Hamilton's equations from x0.
 
     h may be negative (the method is symmetric, so this is the exact time
     reversal). When u_min is given, the run truncates with DOMAIN_EXIT as
     soon as the first position coordinate drops below it. An implicit solve whose
-    residual never falls to fp_tol in max_iter iterations truncates with
+    residual max |w - y| never falls to 1e-13 in 50 iterations truncates with
     NO_CONVERGENCE; one whose iterate leaves H's domain (evaluating the flow
     raises, or the midpoint or iterate is no longer finite) truncates with
     LEFT_DOMAIN. The rule evaluates H only between states, so when the run
@@ -84,7 +84,7 @@ def integrate(H, x0, h, steps, fp_tol=1e-13, max_iter=50, u_min=None):
     d = x0.dof
     if H.dof != d:
         raise ValueError(f"function of {H.dof} dof evaluated at a {d}-dof point")
-    solve = _compile_solve(H, x0.q, x0.p, fp_tol, max_iter)
+    solve = _compile_solve(H, x0.q, x0.p)
     z = x0.q + x0.p
     states = [z]
     status = COMPLETED
@@ -119,7 +119,7 @@ class _Flipped(Exception):
     """A guard of the inlined partials came out the other way; args[0] is partials_at's answer."""
 
 
-def _compile_solve(H, q, p, fp_tol, max_iter):
+def _compile_solve(H, q, p):
     """solve(z_0, ..., z_{2d-1}, h) -> (failure, y): one step's fixed-point solve.
 
     Every quantity is a scalar local; failure is None with y the new state, or
@@ -144,7 +144,7 @@ def _compile_solve(H, q, p, fp_tol, max_iter):
     left = "return LEFT_DOMAIN, None"
     body = [
         f"{seq(y)} = {seq(z)}",
-        "for _ in range(max_iter):",
+        "for _ in range(50):",
         *each("    {} = 0.5 * ({} + {})", m, z, y),
         f"    if not ({' and '.join(each('isfinite({})', m))}):",
         f"        {left}",
@@ -159,14 +159,13 @@ def _compile_solve(H, q, p, fp_tol, max_iter):
         *each("    {} = {} + h * -{}", w[d:], z[d:], dq),
         f"    if not ({' and '.join(each('isfinite({})', w))}):",
         f"        {left}",
-        f"    if {' and '.join(each('abs({} - {}) <= fp_tol', w, y))}:",
+        f"    if {' and '.join(each('abs({} - {}) <= 1e-13', w, y))}:",
         f"        return None, ({seq(w)},)",
         f"    {seq(y)} = {seq(w)}",
         "return NO_CONVERGENCE, None",
     ]
     tape.namespace.update(fallback=fallback, Flipped=_Flipped, isfinite=math.isfinite,
-                          fp_tol=fp_tol, max_iter=max_iter, LEFT_DOMAIN=LEFT_DOMAIN,
-                          NO_CONVERGENCE=NO_CONVERGENCE)
+                          LEFT_DOMAIN=LEFT_DOMAIN, NO_CONVERGENCE=NO_CONVERGENCE)
     return define("solve", z + ["h"], body, tape.namespace, "<integrate solve>")
 
 

@@ -67,7 +67,8 @@ class BaseSystem:
 
     The seed satisfies X_L^2(G) = -2(c L + c0) G for the recorded (c, c0).
     psi_window is the position interval on which the family is free of
-    singularities; samplers respect it. A base system also keeps the
+    singularities; samplers respect it. catalog._base, the one constructor,
+    sets every field but the kept programs. A base system also keeps the
     programs it traces at its first regular float point: the partials
     programs of G and L (partials) and the series program of L's flow
     (flow_jets), each until the rule it traced is patched.
@@ -80,9 +81,9 @@ class BaseSystem:
     V: PhaseFunction
     L: PhaseFunction
     G: PhaseFunction
-    g_scalar: object = None
-    eta_hat: float = None
-    psi_window: tuple = (0.3, 2.0)
+    g_scalar: object
+    eta_hat: float
+    psi_window: tuple
     # {(compiler, f): (the f.rule it traced, its program)}, built by _kept on first use
     _programs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 

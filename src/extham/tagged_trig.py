@@ -92,9 +92,9 @@ class GammaProfile:
                 raise ValueError("kappa must equal C/c when c != 0")
 
     @staticmethod
-    def from_c_C(c, C, shift=0.0, translated=False):
-        kappa = C / c if c != 0.0 else 0.0
-        return GammaProfile(c, C, kappa, shift, translated)
+    def from_c_C(c, C):
+        """The principal branch, unshifted; from_c_kappa reaches the others."""
+        return GammaProfile(c, C, C / c if c != 0.0 else 0.0)
 
     @staticmethod
     def from_c_kappa(c, kappa, shift=0.0, translated=False):

@@ -93,7 +93,7 @@ def test_criterion_02_seed_certification():
     worst = 0.0
     for name, base in bases:
         assert (base.c > 0) == (name == "trig-TTW")
-        for x in phase_points(sample_points(50, 1003, 1, q_range=base.psi_window)):
+        for x in phase_points(sample_points(50, 1003, 1, q_ranges=(base.psi_window,))):
             a, b = seed_equation_terms(base, base.c, base.c0, x)
             worst = max(worst, abs(a + b) / (1.0 + abs(a) + abs(b)))
     ok = worst <= 1e-10

@@ -7,6 +7,7 @@ import pytest
 
 from extham import duals as dm
 from extham.catalog import (
+    PSI_WINDOW,
     catalog_listing,
     cosh_base,
     default_models,
@@ -34,7 +35,7 @@ from references import leaf_values, nth_derivative, phase_points, seed_equation_
 
 
 def wedge_points(num, seed):
-    return phase_points(sample_points(num, seed, 2, q_range=(0.3, 2.0)))
+    return phase_points(sample_points(num, seed, 2))
 
 
 def test_minkowski_hamiltonian_values():
@@ -151,7 +152,7 @@ def test_every_family_passes_seed_residual():
         eta = rng.uniform(0.8, 2.5)
         bases.append(make_base_family(C1, C2, C3, C4, eta, "hyperbolic"))
     for base in bases:
-        for x in phase_points(sample_points(50, 203, 1, q_range=base.psi_window)):
+        for x in phase_points(sample_points(50, 203, 1, q_ranges=(base.psi_window,))):
             a, b = seed_equation_terms(base, base.c, base.c0, x)
             assert abs(a + b) <= 1e-10 * (1.0 + abs(a) + abs(b)), base.family
 
@@ -278,8 +279,9 @@ def test_base_family_L_equals_separate_transcendentals(params, window):
     if isinstance(params, str):
         base, reference = _OTHER_BASES[params]()
     else:
-        base, reference = make_base_family(*params, psi_window=window), _explicit_base(*params)
-    lo, hi = window or (0.3, 2.0)
+        base = make_base_family(*params, psi_window=window or PSI_WINDOW)
+        reference = _explicit_base(*params)
+    lo, hi = window or PSI_WINDOW
     p = (0.4,)
     psis = np.linspace(lo, hi, 7)
     for built, rule in zip((base.V, base.L, base.G), reference):

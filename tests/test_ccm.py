@@ -1,20 +1,24 @@
+import json
+
 import numpy as np
 import pytest
 
-from extham.catalog import exp_base
+from extham import cli
+from extham.catalog import ccm_pair, exp_base
 from extham.ccm import ccm_transform, rescale_radial
-from extham.duals import primal
+from extham.duals import Dual, new_tag, primal
 from extham.extension import Extension, ExtensionSpec, bracket_scale
 from extham.phase import (
     PhaseFunction,
     PhasePoint,
     gradient,
+    partials_at,
     poisson_bracket,
 )
 from extham.sampling import sample_points
 from extham.tagged_trig import GammaProfile
 
-from references import fd_gradient, phase_points
+from references import columns, fd_gradient, leaf_bits, phase_points
 
 ETA = 2.0
 ETA4 = ETA**4
@@ -118,3 +122,37 @@ def test_chain_rule_reaches_kprime_derivatives(setup):
         assert np.max(np.abs(chained - fd)) <= 1e-5 * (1.0 + np.max(np.abs(fd)))
         frozen = gradient(K_frozen, x)
         assert np.max(np.abs(chained - frozen)) > 1e-4 * (1.0 + np.max(np.abs(chained)))
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (4, 3)])
+def test_the_catalog_pair_takes_kbar_from_the_first_integral(m, n):
+    # ccm_pair's K' comes from Extension.first_integral; it must equal, bit for
+    # bit, the pair whose builder names Kbar(m, n) itself
+    eta, alpha, beta, E = 2.0, 0.7, 1.3, 0.4
+    Hp, Kp, windows = ccm_pair(m, n, eta, alpha, beta, E)
+    base = exp_base(alpha, beta, eta)
+    profile = GammaProfile.from_c_C(base.c, 0.0)
+
+    def K_builder(etilde):
+        spec = ExtensionSpec(m, n, base.c, 0.0, (-1.0 / eta**4) * etilde, profile)
+        return Extension(spec, base).kbar_closed(m // 2, n)
+
+    Hhat = Extension(ExtensionSpec(m, n, base.c, 0.0, 0.0, profile), base).hamiltonian()
+    Hr, Kr = ccm_transform(Hhat, K_builder, PhaseFunction(lambda q, p: q[0] * q[0], 2), E)
+    assert windows == ((0.3, 2.0), base.psi_window)
+    q, p = columns(sample_points(20, 78, 2, q_ranges=windows))
+    tag = new_tag()
+    dual_q = (Dual(q[0], 1.0, tag), q[1])
+    for new, ref in ((Hp, Hr), (Kp, Kr)):
+        assert leaf_bits(new.rule(q, p)) == leaf_bits(ref.rule(q, p))  # array leaves
+        assert leaf_bits(new.rule(dual_q, p)) == leaf_bits(ref.rule(dual_q, p))  # a Dual over arrays
+        assert leaf_bits(partials_at(new, q, p)) == leaf_bits(partials_at(ref, q, p))
+        x = PhasePoint((q[0][3], q[1][3]), (p[0][3], p[1][3]))
+        assert gradient(new, x).tolist() == gradient(ref, x).tolist()  # Duals over floats
+
+
+def test_ccm_refuses_odd_m(capsys):
+    with pytest.raises(ValueError, match=r"ccm demo requires even m \(Kbar indices\)"):
+        ccm_pair(3, 1, 2.0, 0.7, 1.3, 0.4)
+    assert cli.main(["ccm", "--m", "3"]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": "ccm demo requires even m (Kbar indices)"}

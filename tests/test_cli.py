@@ -786,8 +786,8 @@ def test_overflowing_gradients_keep_every_bracket_checked(capsys):
 
 def test_one_jacobian_sweep_equals_separate_figures_ccm():
     args = cli.build_parser().parse_args(["ccm", "--m", "2", "--n", "1"])
-    base, Hp, Kp = cli._ccm_pair(args)
-    pts = sample_points(12, 5, 2, q_ranges=((0.3, 2.0), base.psi_window))
+    Hp, Kp, windows = catalog.ccm_pair(args.m, args.n, args.eta, args.alpha, args.beta, args.E)
+    pts = sample_points(12, 5, 2, q_ranges=windows)
     _assert_same_sweep(Hp, [("Kprime", Kp)], pts)
     _assert_same_sweep(rescale_radial(Hp), [("K2", rescale_radial(Kp))], pts)
 
@@ -865,8 +865,8 @@ def test_batched_sweep_equals_per_point_figures(case, seed):
 @pytest.mark.parametrize("m,n", [(2, 1), (4, 3)])
 def test_batched_ccm_sweep_equals_per_point_figures(m, n, seed):
     args = cli.build_parser().parse_args(["ccm", "--m", str(m), "--n", str(n)])
-    base, Hp, Kp = cli._ccm_pair(args)
-    pts = sample_points(args.points, seed, 2, q_ranges=((0.3, 2.0), base.psi_window))
+    Hp, Kp, windows = catalog.ccm_pair(args.m, args.n, args.eta, args.alpha, args.beta, args.E)
+    pts = sample_points(args.points, seed, 2, q_ranges=windows)
     _assert_same_sweep(Hp, [("Kprime", Kp)], pts)
     _assert_same_sweep(rescale_radial(Hp), [("K2", rescale_radial(Kp))], pts)
     _assert_same_gradients([Hp, Kp, rescale_radial(Hp), rescale_radial(Kp)], pts)

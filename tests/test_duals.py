@@ -117,6 +117,35 @@ def test_a_constant_base_to_a_leaf_power_is_refused(kind):
         dm.pow_(2.0, under_pow_)
 
 
+# each leaf as a power's base, arrays of three entries
+LEAF_BASES = {
+    "float": lambda: 1.5,
+    "dual": lambda: Dual(1.5, 1.0, dm.new_tag()),
+    "jet": lambda: Jet([1.5, 1.0]),
+    "trace": lambda: dm.Tape().inputs((1.5,))[0],
+    "array": lambda: np.array([1.5, 2.0, 3.0]),
+    "dual over array": lambda: Dual(np.array([1.5, 2.0, 3.0]), 1.0, dm.new_tag()),
+}
+
+
+@pytest.mark.parametrize("kind", LEAF_BASES)
+def test_a_leaf_or_array_exponent_is_refused(kind):
+    # a power's exponent is a plain number: pow_ raises TypeError for a leaf, the
+    # base itself included, and for an array of any size, which it once zipped
+    # with an array base or read as a number
+    x = LEAF_BASES[kind]()
+    exponents = [Dual(2.0, 1.0, dm.new_tag()), Jet([2.0, 1.0]), dm.Tape().inputs((2.0,))[0],
+                 np.array([2.0]), np.array([2.0, 3.0, 4.0]), x]
+    for r in exponents[:5] if kind == "float" else exponents:
+        with pytest.raises(TypeError, match="exponent is a plain number"):
+            dm.pow_(x, r)
+    if kind == "trace":  # a Trace records a power as math.pow: x ** x is refused too
+        with pytest.raises(TypeError):
+            x**x
+    if kind == "array":  # the one array is mapped and a plain exponent repeated
+        assert dm.pow_(x, 2.0).tolist() == [2.25, 4.0, 9.0]
+
+
 # values of one leaf, one per series rule: every operand kind of + - * /, and
 # exp, sin and cos
 SERIES_FUNCS = [
@@ -168,7 +197,7 @@ def test_an_operation_without_a_taylor_rule_is_refused():
     # a Jet has power rules, but the series writer has none: every power is refused
     powers = (lambda x: x**3, lambda x: x**0, lambda x: x**1, lambda x: x**2.0,
               lambda x: dm.pow_(x * x + 1.0, -2), lambda x: dm.pow_(x * x + 1.0, 0.5))
-    for f in (abs, lambda x: x**x, lambda x: dm.pow_(x, x)) + powers:
+    for f in (abs,) + powers:
         _refuses_a_series(f)
 
 

@@ -113,7 +113,9 @@ def test_seed_residual_zero_seed(base):
         V=base.V,
         L=base.L,
         G=PhaseFunction(lambda q, p: base.G.rule(q, p) * 0.0, 1),
+        g_scalar=None,
         eta_hat=2.0,
+        psi_window=base.psi_window,
     )
     for x in phase_points(sample_points(5, 32, 1)):
         assert seed_equation_residual(degenerate, -4.0, 0.0, x) == 0.0
@@ -123,7 +125,7 @@ def test_seed_residual_trig_family_with_fd_oracle():
     tb = trig_base(1.0, 0.2, 1.0, 0.5, 2.0)
     assert tb.c == pytest.approx(4.0)
     XG = hamiltonian_vector_field(tb.L, tb.G)
-    for x in phase_points(sample_points(15, 33, 1, q_range=tb.psi_window)):
+    for x in phase_points(sample_points(15, 33, 1, q_ranges=(tb.psi_window,))):
         r = seed_equation_residual(tb, tb.c, 0.0, x)
         a, b = seed_equation_terms(tb, tb.c, 0.0, x)
         assert abs(r) <= 1e-10 * (1.0 + abs(a) + abs(b))

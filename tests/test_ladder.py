@@ -153,6 +153,7 @@ def test_ladder_requires_gauge_function(hyper):
         G=hyper.G,
         g_scalar=None,
         eta_hat=2.0,
+        psi_window=hyper.psi_window,
     )
     with pytest.raises(ValueError):
         ladder_from_base(bare)
