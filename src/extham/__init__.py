@@ -43,4 +43,4 @@ from .phase import (
     lift_last,
     poisson_bracket,
 )
-from .tagged_trig import GammaProfile, gamma, gamma_prime, tagged_C, tagged_S, tagged_T
+from .tagged_trig import GammaProfile, gamma, gamma_prime, tagged_C, tagged_S

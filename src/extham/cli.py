@@ -23,7 +23,7 @@ from .ccm import rescale_radial
 from .duals import primal
 from .dynamics import drift_report, integrate
 from .extension import jacobian_rank, row_norms
-from .ladder import ladder_eigen_pattern, ladder_from_base, ladder_residuals, ladder_scale
+from .ladder import ladder_eigen_pattern, ladder_from_base, ladder_residuals
 from .phase import PhasePoint, bracket_of_gradients, evaluate_batch, partials_at
 from .sampling import RNG_NAME, sample_points, sample_scalars
 from .tagged_trig import GammaProfile, gamma, gamma_prime
@@ -82,8 +82,9 @@ def _bracket_sweep(H, integrals, z):
     their norms, so a non-integral cannot pass there. An inf or NaN gradient
     entry or bracket raises ValueError naming its point, the one PhasePoint
     built here; evaluate_batch refuses an overflow inside a gradient by its
-    function: no bracket there can be checked. Maxima run over Python
-    floats, so verdicts stay plain bools.
+    function: no bracket there can be checked. Each maximum is numpy's over
+    finite values, which picks the same value Python's max does, and is
+    returned as a float, so verdicts stay plain bools.
     """
     fs = [("H", H)] + list(integrals)
     d = H.dof
@@ -106,7 +107,7 @@ def _bracket_sweep(H, integrals, z):
             if bad.size:
                 raise ValueError(f"non-finite bracket {{H, {fs[j][0]}}} at sample point {bad[0]}: "
                                  f"{PhasePoint.from_array(z[bad[0]])}")
-            max_abs = max([max_abs] + b.tolist())
+            max_abs = float(np.max(b, initial=max_abs))
             s = norms[:, 0] * norms[:, j]
             over = np.isinf(s)
             b[over] /= norms[over, 0]
@@ -116,7 +117,7 @@ def _bracket_sweep(H, integrals, z):
                 unit = jac[under][:, [0, j]] / norms[under][:, [0, j], None]
                 b[under] = abs(bracket_of_gradients(unit[:, 0].T, unit[:, 1].T))
                 s[under] = 1.0
-            max_rel = max([max_rel] + (b[s > 0] / s[s > 0]).tolist())
+            max_rel = float(np.max(b[s > 0] / s[s > 0], initial=max_rel))
     return max_abs, max_rel, jac
 
 
@@ -312,8 +313,7 @@ def cmd_ladder(args):
     base = _build(BASES, "branch", args)
     data = ladder_from_base(base)
     col = sample_scalars(args.points, args.seed, *base.psi_window)
-    r1, r2, s = evaluate_batch("the ladder residual",
-                               lambda: (*ladder_residuals(data, col), ladder_scale(data, col)))
+    r1, r2, s = evaluate_batch("the ladder residual", ladder_residuals, data, col)
     # r2 carries c1, so a non-finite c1 is refused at every point; max() would skip NaN
     finite = np.isfinite(r1) & np.isfinite(r2) & np.isfinite(s)
     bad = np.flatnonzero(~np.broadcast_to(finite, col.shape))

@@ -147,6 +147,7 @@ class Dual:
         return Dual(q, -q * self.dot / self.val, self.tag)
 
     def __pow__(self, r):
+        _plain_exponent(r)
         if r == 0:  # a present 0.0 in each direction self has
             dot = self.dot
             zero = Tangent(dict.fromkeys(dot.d, 0.0)) if isinstance(dot, Tangent) else 0.0
@@ -295,6 +296,7 @@ class Jet:
         return Jet([other] + [0.0] * (len(self.c) - 1)) / self
 
     def __pow__(self, r):
+        _plain_exponent(r)
         if r != int(r):
             return _jet(_pow_terms, self, r)
         r = int(r)
@@ -620,7 +622,8 @@ class Trace:
     def __neg__(self):
         return self.tape.record(operator.neg, (self,))
 
-    def __pow__(self, r):  # a leaf or array exponent answers NotImplemented, so ** raises TypeError
+    def __pow__(self, r):
+        _plain_exponent(r)
         return self.tape.record(math.pow, (self, r)) if isinstance(r, (float, int)) else NotImplemented
 
     def __abs__(self):
@@ -721,16 +724,22 @@ tanh = _lift(math.tanh, lambda x: _jet_pair(_tanh_terms, x)[0],
              lambda x, t, dx: (1.0 - t * t) * dx)
 
 
+def _plain_exponent(r):
+    """TypeError for a leaf or an array of any size as an exponent: the check of pow_ and every leaf's **."""
+    if isinstance(r, (Dual, Jet, Trace, np.ndarray)):
+        raise TypeError(f"a power's exponent is a plain number, not {type(r).__name__}")
+
+
 def pow_(x, r):
     """x ** r, the one rule for every power on every leaf: x is the leaf, r a plain number.
 
     A Dual, Jet or Trace base runs its own ``**``, an array base applies
     ``math.pow`` entry by entry, and anything else calls it. So every power
     rounds as libm does, and off the real domain raises ValueError. A leaf
-    or an array as the exponent, of any size, raises TypeError.
+    or an array as the exponent raises TypeError (_plain_exponent).
     """
-    if type(r) is not int and type(r) is not float and isinstance(r, (Dual, Jet, Trace, np.ndarray)):
-        raise TypeError(f"a power's exponent is a plain number, not {type(r).__name__}")
+    if type(r) is not int and type(r) is not float:  # a plain int or float passes the check
+        _plain_exponent(r)
     if type(x) is float:  # first: most calls, the closed forms' at floats
         return math.pow(x, r)
     if isinstance(x, (Dual, Jet, Trace)):

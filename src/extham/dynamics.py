@@ -69,9 +69,10 @@ def integrate(H, x0, h, steps, u_min=None):
     """Implicit-midpoint trajectory of Hamilton's equations from x0.
 
     h may be negative (the method is symmetric, so this is the exact time
-    reversal). When u_min is given, the run truncates with DOMAIN_EXIT as
-    soon as the first position coordinate drops below it. An implicit solve whose
-    residual max |w - y| never falls to 1e-13 in 50 iterations truncates with
+    reversal). When u_min is given, each of the steps + 1 states is tested
+    once, and the run truncates with DOMAIN_EXIT at the first whose first
+    position coordinate is below it. An implicit solve whose residual max
+    |w - y| never falls to 1e-13 in 50 iterations truncates with
     NO_CONVERGENCE; one whose iterate leaves H's domain (evaluating the flow
     raises, or the midpoint or iterate is no longer finite) truncates with
     LEFT_DOMAIN. The rule evaluates H only between states, so when the run
@@ -89,9 +90,11 @@ def integrate(H, x0, h, steps, u_min=None):
     states = [z]
     status = COMPLETED
     exit_step = None
-    for step in range(steps):
+    for step in range(steps + 1):  # state `step` is tested, then stepped from if step < steps
         if u_min is not None and z[0] < u_min:
             status, exit_step = DOMAIN_EXIT, step
+            break
+        if step == steps:
             break
         failure, y = solve(*z, h)
         if failure is not None:
@@ -99,9 +102,6 @@ def integrate(H, x0, h, steps, u_min=None):
             break
         z = y
         states.append(z)
-    else:  # the last state gets the test each earlier state had
-        if u_min is not None and z[0] < u_min:
-            status, exit_step = DOMAIN_EXIT, steps
     if len(states) > 1:
         last = states[-1]
         try:

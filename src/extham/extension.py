@@ -221,15 +221,15 @@ class Extension:
         return gn, xgn
 
     def _pd_values(self, r, gam, pu, w, sign=-2):
-        """Closed-form P_{m,n,r} and D_{m,n,r} in powers of (m/n)gamma, p_u, cL+c0."""
+        """Closed-form P_{m,n,r} and D_{m,n,r}: one loop adds term j of each, sharing w^j = (cL+c0)^j."""
         mg = (self.spec.m / self.spec.n) * gam
         P = 0.0
-        for j in range(r // 2 + 1):
-            P = P + math.comb(r, 2 * j) * sign**j * pow_(mg, 2 * j) * pow_(pu, r - 2 * j) * pow_(w, j)
         D = 0.0
-        for j in range((r - 1) // 2 + 1):
-            D = D + (math.comb(r, 2 * j + 1) * sign**j * pow_(mg, 2 * j + 1) * pow_(pu, r - 2 * j - 1)
-                     * pow_(w, j))
+        for j in range(r // 2 + 1):
+            wj = pow_(w, j)
+            P = P + math.comb(r, 2 * j) * sign**j * pow_(mg, 2 * j) * pow_(pu, r - 2 * j) * wj
+            if 2 * j < r:
+                D = D + math.comb(r, 2 * j + 1) * sign**j * pow_(mg, 2 * j + 1) * pow_(pu, r - 2 * j - 1) * wj
         return P, (1.0 / self.spec.n) * D
 
     # -- G_n chain ---------------------------------------------------------

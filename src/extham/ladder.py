@@ -33,8 +33,6 @@ class LadderData:
 
 def ladder_from_base(base):
     """The base family's own ladder pair: F = g', c1 = -c^2 C4 / eta_hat."""
-    if base.g_scalar is None:
-        raise ValueError("base system has no gauge function g to differentiate")
     C4 = base.params.get("C4", 0.0)
     g = base.g_scalar
     F = lambda psi: derivative(g, psi)
@@ -43,9 +41,9 @@ def ladder_from_base(base):
 
 
 def ladder_residuals(data, psi):
-    """(r1, r2) at psi (a float or a float64 array); both vanish iff (F, c1) is a valid ladder pair.
-
-    F, F', F'' and V, V' come from one jet evaluation each.
+    """(r1, r2, 1 + |V|) at psi (a float or a float64 array): r1 and r2 both vanish iff (F, c1)
+    is a valid ladder pair, and 1 + |V| is their scale. F, F', F'' and V, V' come from one jet
+    evaluation each; V, its coefficient 0, is V.rule's value at psi bit for bit.
     """
     base = data.base
     Fv, Fp, Fpp = taylor(data.F, psi, 2)
@@ -53,12 +51,7 @@ def ladder_residuals(data, psi):
     c = base.c
     r1 = Fpp + c * Fv
     r2 = Vp * Fp - 2.0 * c * Vv * Fv + data.c1
-    return r1, r2
-
-
-def ladder_scale(data, psi):
-    """1 + |V(psi)|, the residual tolerance scale."""
-    return 1.0 + abs(data.base.V.rule((psi,), (0.0,)))
+    return r1, r2, 1.0 + abs(Vv)
 
 
 def ladder_function(data, sign):

@@ -175,12 +175,11 @@ def compile_partials(f, q, p):
 
 
 def poisson_bracket(f, g, x):
-    """{f, g} = sum_i df/dq_i dg/dp_i - df/dp_i dg/dq_i at the point x."""
+    """{f, g} = sum_i df/dq_i dg/dp_i - df/dp_i dg/dq_i at the point x: X_g(f) at x, by
+    hamiltonian_vector_field's rule. A point of another dof raises ValueError."""
     if f.dof != g.dof:
         raise ValueError("bracket of functions on different phase spaces")
-    _, fq, fp = partials_at(f, x.q, x.p)
-    _, gq, gp = partials_at(g, x.q, x.p)
-    return bracket_of_gradients(fq + fp, gq + gp)
+    return hamiltonian_vector_field(g, f)(x)
 
 
 def bracket_of_gradients(gf, gg):

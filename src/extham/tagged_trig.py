@@ -63,10 +63,6 @@ def tagged_C(kappa, x):
     return 1.0
 
 
-def tagged_T(kappa, x):
-    return tagged_S(kappa, x) / tagged_C(kappa, x)
-
-
 @dataclass(frozen=True)
 class GammaProfile:
     """Parameters of one gamma(u) solution branch.

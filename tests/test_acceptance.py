@@ -292,7 +292,7 @@ def test_criterion_12_ladder_conditions():
     for base in (section3_base(), trig_base(1.0, 0.2, 1.0, 0.5, 1.0)):
         data = ladder_from_base(base)
         for psi in sample_scalars(50, 1015, *base.psi_window).tolist():
-            r1, r2 = ladder_residuals(data, psi)
+            r1, r2, _ = ladder_residuals(data, psi)
             scale = 1.0 + abs(base.V.rule((psi,), (0.0,)))
             worst = max(worst, abs(r1) / scale, abs(r2) / scale)
     # the second-order diagnostic is reported, never gated

@@ -10,7 +10,6 @@ from extham.ladder import (
     ladder_from_base,
     ladder_function,
     ladder_residuals,
-    ladder_scale,
 )
 from extham.phase import PhasePoint
 from extham.sampling import sample_scalars
@@ -32,8 +31,7 @@ def test_family_ladder_residuals_vanish(hyper, trig):
     for base in (hyper, trig):
         data = ladder_from_base(base)
         for psi in sample_scalars(50, 81, *base.psi_window).tolist():
-            r1, r2 = ladder_residuals(data, psi)
-            s = ladder_scale(data, psi)
+            r1, r2, s = ladder_residuals(data, psi)
             assert abs(r1) <= 1e-10 * s
             assert abs(r2) <= 1e-10 * s
 
@@ -55,10 +53,22 @@ def test_batched_residuals_equal_nested_duals(seed):
         psis = sample_scalars(50, seed, *base.psi_window).tolist()
         ref = [_nested_residuals(data, psi) for psi in psis]
         col = np.array(psis)
-        r1, r2 = ladder_residuals(data, col)
+        r1, r2, _ = ladder_residuals(data, col)
         assert r1.tolist() == [a for a, _ in ref]
         assert r2.tolist() == [b for _, b in ref]
-        assert ladder_scale(data, col).tolist() == [ladder_scale(data, x) for x in psis]
+
+
+# the bases of `ladder --branch hyperbolic` and `--branch trig`, and the free base
+# that the hyperbolic branch builds at alpha = beta = 0
+@pytest.mark.parametrize("base", [exp_base(0.7, 1.3, 2.0), trig_base(1.0, 0.2, 0.7, 1.3, 2.0),
+                                  exp_base(0.0, 0.0, 2.0)], ids=["hyperbolic", "trig", "free"])
+def test_scale_is_one_plus_abs_potential(base):
+    data = ladder_from_base(base)
+    psis = sample_scalars(50, 5, *base.psi_window).tolist()
+    want = [1.0 + abs(base.V.rule((psi,), (0.0,))) for psi in psis]
+    assert [ladder_residuals(data, psi)[2] for psi in psis] == want
+    s = ladder_residuals(data, np.array(psis))[2]
+    assert np.broadcast_to(s, len(psis)).tolist() == want
 
 
 def test_free_base_potential_has_zero_derivatives():
@@ -75,21 +85,21 @@ def test_hyperbolic_c1_value(hyper):
 def test_zero_function_is_rejected_by_r2(hyper):
     data = ladder_from_base(hyper)
     zero = LadderData(F=lambda psi: 0.0 * psi, c1=data.c1, base=hyper)
-    r1, r2 = ladder_residuals(zero, 0.8)
+    r1, r2, _ = ladder_residuals(zero, 0.8)
     assert r1 == 0.0
     assert r2 == pytest.approx(data.c1)
     assert abs(r2) > 1e-6  # C4 != 0 makes the trivial F fail the second condition
-    r1s, r2s = ladder_residuals(zero, np.array([0.5, 0.8, 1.5]))
+    r1s, r2s, _ = ladder_residuals(zero, np.array([0.5, 0.8, 1.5]))
     assert r1s.tolist() == [0.0] * 3 and r2s.tolist() == [r2] * 3
 
 
 def test_generic_exponential_fails_second_condition(hyper):
     data = ladder_from_base(hyper)
     cand = LadderData(F=lambda psi: dm.exp(2.0 * psi), c1=data.c1, base=hyper)
-    r1s, r2s = zip(*(ladder_residuals(cand, psi) for psi in (0.5, 1.0, 1.5)))
+    r1s, r2s, _ = zip(*(ladder_residuals(cand, psi) for psi in (0.5, 1.0, 1.5)))
     assert all(abs(r) <= 1e-12 for r in r1s)  # solves F'' - eta^2 F = 0
     assert any(abs(r) > 1e-3 for r in r2s)  # but not the potential condition
-    b1, b2 = ladder_residuals(cand, np.array([0.5, 1.0, 1.5]))
+    b1, b2, _ = ladder_residuals(cand, np.array([0.5, 1.0, 1.5]))
     assert (b1.tolist(), b2.tolist()) == (list(r1s), list(r2s))
 
 
@@ -141,19 +151,3 @@ def test_ladder_momentum_reflection(hyper):
         b = minus(PhasePoint((psi,), (-pp,)))
         assert a == pytest.approx(b, rel=1e-13)
 
-
-def test_ladder_requires_gauge_function(hyper):
-    bare = type(hyper)(
-        family="bare",
-        params={},
-        c=-4.0,
-        c0=0.0,
-        V=hyper.V,
-        L=hyper.L,
-        G=hyper.G,
-        g_scalar=None,
-        eta_hat=2.0,
-        psi_window=hyper.psi_window,
-    )
-    with pytest.raises(ValueError):
-        ladder_from_base(bare)

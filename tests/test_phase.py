@@ -88,6 +88,20 @@ def test_bracket_frozen_example():
     assert fd_poisson_bracket(f, g, x) == pytest.approx(-8.0, abs=1e-6)
 
 
+def test_poisson_bracket_is_x_g_of_f():
+    # {f, g} at x is X_g(f) at x bit for bit, and a point of another dof is refused
+    f = PhaseFunction(lambda q, p: dm.sin(q[0]) * p[1] + q[1] ** 2 * p[0], 2)
+    g = PhaseFunction(lambda q, p: dm.exp(q[1]) * p[0] * p[0] + q[0], 2)
+    mink = make_minkowski_hamiltonian(Fraction(1), 1.0, 2.0, 0.3)
+    K = mink.known_integrals[1][1]
+    for a, b in ((f, g), (g, f), (mink.H, K), (K, mink.H)):
+        for x in phase_points(sample_points(10, 11, 2, q_ranges=((0.5, 1.8), (0.5, 1.8)))):
+            assert poisson_bracket(a, b, x).hex() == hamiltonian_vector_field(b, a)(x).hex()
+    for x in (PhasePoint((0.3,), (0.4,)), PhasePoint((0.3, 0.5, 0.7), (0.1, 0.2, 0.4))):
+        with pytest.raises(ValueError, match="2 dof evaluated at a"):
+            poisson_bracket(f, g, x)
+
+
 def test_hamiltonian_vector_field_free_motion():
     L = PhaseFunction(lambda q, p: 0.5 * p[0] * p[0], 1)
     psi = PhaseFunction(lambda q, p: q[0], 1)

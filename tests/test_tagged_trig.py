@@ -13,7 +13,6 @@ from extham.tagged_trig import (
     gamma_prime,
     tagged_C,
     tagged_S,
-    tagged_T,
 )
 
 import references
@@ -35,15 +34,10 @@ def test_tagged_s_examples():
     assert tagged_S(-1.0, 1.0) == pytest.approx(_series_sinh(1.0), rel=1e-14)
 
 
-def test_tagged_c_and_t():
+def test_tagged_c():
     assert tagged_C(0.0, 1.7) == 1.0
     assert tagged_C(1.0, 0.4) == pytest.approx(math.cos(0.4), rel=1e-15)
     assert tagged_C(-4.0, 0.4) == pytest.approx(math.cosh(0.8), rel=1e-15)
-    for kappa in (-2.0, -1.0, 1.0, 3.0):
-        for x in (0.2, 0.9, 1.4):
-            assert tagged_T(kappa, x) == pytest.approx(
-                tagged_S(kappa, x) / tagged_C(kappa, x), rel=1e-15
-            )
 
 
 def test_tagged_continuity_at_zero_curvature():
