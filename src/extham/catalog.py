@@ -14,7 +14,7 @@ but characteristic-integral construction is refused.
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import duals as dm
@@ -323,10 +323,9 @@ def make_minkowski_hamiltonian(k, alpha, beta, Omega=0.0):
     extension = None
     if isinstance(k, Fraction):
         m, n = minkowski_indices(k)
-        profile = GammaProfile.from_c_C(-4.0, 0.0)
         # catalog Omega multiplies u^2 = 2 q1 q2; the extension scalar is
-        # Omega_ext / gamma^2 = 16 Omega_ext u^2, so Omega_ext = Omega/16
-        spec = ExtensionSpec(m, n, -4.0, 0.0, Omega / 16.0, profile)
+        # Omega_ext / gamma^2 = c^2 Omega_ext u^2, so Omega_ext = Omega/c^2
+        spec = ExtensionSpec(m, n, base.c, 0.0, Omega / base.c**2, GammaProfile.from_c_C(base.c, 0.0))
         extension = Extension(spec, base)
         label, K_polar = extension.first_integral()
         integrals.append((label, pullback_to_null(K_polar, kf)))
@@ -506,19 +505,16 @@ def ccm_pair(m, n, eta, alpha, beta, E):
     """(H', K', the (u, psi) sample windows) that ccm checks, from its flags' values.
 
     H = Hhat - Etilde u^2 is the (m, n) extension at Omega = -Etilde/eta^4, whose
-    first integral, Kbar(m, n) for even m, is K' with Etilde replaced by H'.
+    first integral (Kbar(m, n) for even m, Kbar(2m, 2n) for odd m) is K' with
+    Etilde replaced by H'.
     """
     base = exp_base(alpha, beta, abs(eta))
-    eta4 = eta**4
-    profile = GammaProfile.from_c_C(base.c, 0.0)
+    spec = ExtensionSpec(m, n, base.c, 0.0, 0.0, GammaProfile.from_c_C(base.c, 0.0))
 
     def K_builder(etilde):
-        spec = ExtensionSpec(m, n, base.c, 0.0, (-1.0 / eta4) * etilde, profile)
-        return Extension(spec, base).first_integral()[1]
+        return Extension(replace(spec, Omega=(-1.0 / eta**4) * etilde), base).first_integral()[1]
 
-    if m % 2 != 0:
-        raise ValueError("ccm demo requires even m (Kbar indices)")
-    Hhat = Extension(ExtensionSpec(m, n, base.c, 0.0, 0.0, profile), base).hamiltonian()
+    Hhat = Extension(spec, base).hamiltonian()
     U = PhaseFunction(lambda q, p: q[0] * q[0], 2)
     return (*ccm_transform(Hhat, K_builder, U, E), ((0.3, 2.0), base.psi_window))
 

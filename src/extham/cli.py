@@ -319,7 +319,7 @@ def cmd_ladder(args):
     bad = np.flatnonzero(~np.broadcast_to(finite, col.shape))
     if bad.size:
         raise ValueError(f"non-finite ladder residual at sample point {bad[0]}: psi={col[bad[0]].item()!r}")
-    worst = max([0.0] + (abs(r1) / s).tolist() + (abs(r2) / s).tolist())
+    worst = max(float(np.max(abs(r1) / s, initial=0.0)), float(np.max(abs(r2) / s, initial=0.0)))
     passed = worst <= args.tol
 
     diag = {"status": "reported"}

@@ -202,34 +202,32 @@ class Extension:
         xg = Gq[0] * Lp[0] - Gp[0] * Lq[0]
         return Gv, xg, Lv
 
-    def _gn_xgn_values(self, G, XG, w, n, sign=-2):
+    def _gn_xgn_values(self, G, XG, w, n):
         """Closed-form (G_n, X_L G_n) from powers of (G, X_L G, w = cL+c0).
 
         X_L acts as a derivation with X_L(G) = XG, X_L(XG) = -2wG and
-        X_L(L) = 0, which turns both sums into plain algebra. sign is the
-        -2 of that rule; _closed_form passes +2 with absolute inputs to add
-        the absolute summands.
+        X_L(L) = 0, which turns both sums into plain algebra.
         """
         gn = 0.0
         xgn = 0.0
         for j in range((n - 1) // 2 + 1):
-            t = math.comb(n, 2 * j + 1) * sign**j * pow_(w, j)
+            t = math.comb(n, 2 * j + 1) * (-2)**j * pow_(w, j)
             gn = gn + t * pow_(G, 2 * j + 1) * pow_(XG, n - 2 * j - 1)
             xgn = xgn + t * (2 * j + 1) * pow_(G, 2 * j) * pow_(XG, n - 2 * j)
             if n - 2 * j - 1 > 0:
-                xgn = xgn - t * -sign * (n - 2 * j - 1) * w * pow_(G, 2 * j + 2) * pow_(XG, n - 2 * j - 2)
+                xgn = xgn - t * 2 * (n - 2 * j - 1) * w * pow_(G, 2 * j + 2) * pow_(XG, n - 2 * j - 2)
         return gn, xgn
 
-    def _pd_values(self, r, gam, pu, w, sign=-2):
+    def _pd_values(self, r, gam, pu, w):
         """Closed-form P_{m,n,r} and D_{m,n,r}: one loop adds term j of each, sharing w^j = (cL+c0)^j."""
         mg = (self.spec.m / self.spec.n) * gam
         P = 0.0
         D = 0.0
         for j in range(r // 2 + 1):
             wj = pow_(w, j)
-            P = P + math.comb(r, 2 * j) * sign**j * pow_(mg, 2 * j) * pow_(pu, r - 2 * j) * wj
+            P = P + math.comb(r, 2 * j) * (-2)**j * pow_(mg, 2 * j) * pow_(pu, r - 2 * j) * wj
             if 2 * j < r:
-                D = D + math.comb(r, 2 * j + 1) * sign**j * pow_(mg, 2 * j + 1) * pow_(pu, r - 2 * j - 1) * wj
+                D = D + math.comb(r, 2 * j + 1) * (-2)**j * pow_(mg, 2 * j + 1) * pow_(pu, r - 2 * j - 1) * wj
         return P, (1.0 / self.spec.n) * D
 
     # -- G_n chain ---------------------------------------------------------
@@ -300,23 +298,23 @@ class Extension:
 
     def k_recursive(self):
         """K_{m,n} = U^m(G_n) via the operator recursion (Omega must be 0)."""
-        self._require_omega_zero()
-        self._require_base_constants()
-        return PhaseFunction(lambda q, p: self._recursive_form(q, p, 0), 2)
+        return self._integral(self._recursive_form, 0)
 
     def k_closed(self):
         """K_{m,n} = P_{m,n,m} G_n + D_{m,n,m} X_L(G_n) in closed form."""
-        self._require_omega_zero()
-        self._require_base_constants()
-        return PhaseFunction(lambda q, p: self._closed_form(q, p, 0), 2)
+        return self._integral(self._closed_form, 0)
 
     def _omega_is_zero(self):
         Om = self.spec.Omega
         return isinstance(Om, (int, float)) and Om == 0.0
 
-    def _require_omega_zero(self):
-        if not self._omega_is_zero():
+    def _integral(self, form, s):
+        """The PhaseFunction form(q, p, s): K for s = 0, which needs Omega = 0, and
+        Kbar for s = m/2; both need the base's (c, c0)."""
+        if s == 0 and not self._omega_is_zero():
             raise ValueError("K_{m,n} requires Omega = 0; use kbar for Omega != 0")
+        self._require_base_constants()
+        return PhaseFunction(lambda q, p: form(q, p, s), 2)
 
     def _require_base_constants(self):
         """The seed relation X_L^2 G = -2(cL + c0)G, which makes K an integral, holds
@@ -335,29 +333,29 @@ class Extension:
     def kbar_closed(self, s, r):
         """Kbar_{2s,r} = sum_j C(s,j) (2 Omega/gamma^2)^j U^{2(s-j)}(G_r), expanded."""
         self._check_kbar_indices(s, r)
-        self._require_base_constants()
-        return PhaseFunction(lambda q, p: self._closed_form(q, p, s), 2)
+        return self._integral(self._closed_form, s)
 
     def _closed_form(self, q, p, s, magnitudes=False):
         """sum_{j<=s} C(s,j) (2 Omega/gamma^2)^j (P_{m-2j} G_n + D_{m-2j} X_L G_n) at (q, p).
 
         s = 0 is K_{m,n} (no gamma^-2 is computed) and s = m/2 is Kbar_{m,n}.
-        With magnitudes=True every input enters as its absolute value and the
-        -2 of the X_L rule as +2, so the absolute summands are added instead:
-        the intrinsic scale against which the cancelling sums are conditioned.
+        With magnitudes=True, G, X_L G, gamma, p_u and Omega enter as their
+        absolute values and w = cL + c0 as -|w|, so every summand, whose factor
+        (-2)^j meets w^j, is added as its absolute value: the intrinsic scale
+        against which the cancelling sums are conditioned.
         """
         spec = self.spec
         G, XG, L = self._seed_triple(q[1:], p[1:])
         w = spec.c * L + spec.c0
         gam = gamma(spec.gamma, q[0])
-        pu, Om, sign = p[0], spec.Omega, -2
+        pu, Om = p[0], spec.Omega
         if magnitudes:
-            G, XG, w, gam, pu, Om = map(abs, (G, XG, w, gam, pu, Om))
-            sign = 2
-        gn, xgn = self._gn_xgn_values(G, XG, w, spec.n, sign)
+            G, XG, gam, pu, Om = map(abs, (G, XG, gam, pu, Om))
+            w = -abs(w)
+        gn, xgn = self._gn_xgn_values(G, XG, w, spec.n)
 
         def term(r):
-            P, D = self._pd_values(r, gam, pu, w, sign)
+            P, D = self._pd_values(r, gam, pu, w)
             return P * gn + D * xgn
 
         if s == 0:
@@ -394,8 +392,7 @@ class Extension:
     def kbar_recursive(self, s, r):
         """Kbar_{2s,r} = (U^2 + 2 Omega gamma^-2)^s (G_r) by operator application."""
         self._check_kbar_indices(s, r)
-        self._require_base_constants()
-        return PhaseFunction(lambda q, p: self._recursive_form(q, p, s), 2)
+        return self._integral(self._recursive_form, s)
 
     def _recursive_form(self, q, p, s):
         """_closed_form's recursive twin: U^m(G_n) at (q, p) for s = 0 (K_{m,n})

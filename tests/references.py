@@ -188,6 +188,14 @@ def xl_gn_closed(ext, n):
     return PhaseFunction(rule, 1)
 
 
+def ttw_hamiltonian(a, b, kappa, psi0, w, r, theta, p_r, p_theta):
+    """The TTW Hamiltonian (Tremblay, Turbiner & Winternitz 2009) in plane polar coordinates:
+    p_r^2/2 + (p_theta^2 + a/sin^2(kappa theta + psi0/2) + b/cos^2(kappa theta + psi0/2))/(2 r^2) + w r^2."""
+    phi = kappa * theta + 0.5 * psi0
+    angular = p_theta**2 + a / math.sin(phi) ** 2 + b / math.cos(phi) ** 2
+    return 0.5 * p_r**2 + angular / (2.0 * r**2) + w * r**2
+
+
 def ode_residual(profile, u):
     """gamma' + c gamma^2 + C; zero to rounding on every branch."""
     g, gp = gamma_and_prime(profile, u)

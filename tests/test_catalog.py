@@ -7,6 +7,7 @@ import pytest
 
 from extham import duals as dm
 from extham.catalog import (
+    MODELS,
     PSI_WINDOW,
     catalog_listing,
     cosh_base,
@@ -31,7 +32,7 @@ from extham.phase import PhaseFunction, PhasePoint, hamiltonian_vector_field, pa
 from extham.sampling import make_rng, sample_points
 from extham.tagged_trig import GammaProfile
 
-from references import leaf_values, nth_derivative, phase_points, seed_equation_terms
+from references import leaf_values, nth_derivative, phase_points, seed_equation_terms, ttw_hamiltonian
 
 
 def wedge_points(num, seed):
@@ -362,6 +363,34 @@ def test_flat_ttw_bracket_with_omega():
     assert name == "Kbar(2,1)"
     for x in phase_points(sample_points(20, 66, 2, q_ranges=mdl.q_windows)):
         assert abs(poisson_bracket(mdl.H, K, x)) <= 1e-9 * bracket_scale(mdl.H, K, x)
+
+
+@pytest.mark.parametrize("m, n, omega, eta", [
+    (2, 1, 0.0, 2.0), (2, 1, 0.3, 2.0), (3, 2, 0.0, 2.0), (3, 2, 0.3, 2.0),
+    (5, 3, 0.0, 2.0), (5, 3, 0.3, 2.0), (3, 2, 0.3, 1.5),
+])
+def test_ttw_flat_is_the_ttw_hamiltonian(m, n, omega, eta):
+    # r = u, theta = |eta| psi/k, p_theta = k p_psi/|eta| with k = m/n maps ttw-flat
+    # onto TTW with kappa = k/2; the control kappa = k must miss it
+    psi0, alpha, beta = 0.2, 1.0, 2.0  # verify's defaults
+    model = MODELS["ttw-flat"](psi0=psi0, alpha=alpha, beta=beta, eta=eta, m=m, n=n, omega=omega)
+    k = m / n
+    a = k * k * (alpha + beta) / (2.0 * eta * eta)
+    b = k * k * (alpha - beta) / (2.0 * eta * eta)
+    points = phase_points(sample_points(50, 7, 2, q_ranges=model.q_windows))
+
+    def mismatch(kappa):
+        worst = 0.0
+        for x in points:
+            (u, psi), (pu, ppsi) = x.q, x.p
+            H = model.H(x)
+            ttw = ttw_hamiltonian(a, b, kappa, psi0, eta**4 * omega,
+                                  u, abs(eta) * psi / k, pu, k * ppsi / abs(eta))
+            worst = max(worst, abs(H - ttw) / (1.0 + abs(H)))
+        return worst
+
+    assert mismatch(m / (2 * n)) <= 1e-13
+    assert mismatch(m / n) > 1e-3
 
 
 def test_remark_pair_brackets_and_flags():

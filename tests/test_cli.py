@@ -338,7 +338,6 @@ _ETA_TEXT = "eta={} is out of range: c = +-eta^2 and c^2 must be finite, normal,
     (("ladder", "--seed=-3"), "argument --seed: expected an integer in [0, 2**128), got '-3'"),
     (("ccm", "--seed", str(2**128)),
      f"argument --seed: expected an integer in [0, 2**128), got '{2**128}'"),
-    (("ccm", "--m", "3"), "ccm demo requires even m (Kbar indices)"),
     (("verify", "--model", "sphere", "--k=-1"), "k must exceed -1"),
     (("verify", "--model", "minkowski", "--k=-1"), "k = -1 degenerates the pseudo-polar map"),
     # the null chart has no radial coordinate for --u-min to bound
@@ -356,7 +355,7 @@ _ETA_TEXT = "eta={} is out of range: c = +-eta^2 and c^2 must be finite, normal,
         "ladder-free-huge-eta", "sphere-tiny-eta", "de-sitter-tiny-eta", "sphere-eta-1e-160",
         "ccm-tiny-eta", "ccm-eta-1e-160", "ladder-tiny-eta", "ladder-eta-1e-160",
         "x0-at-gamma-pole", "x0-off-wedge", "integrate-zero-h", "verify-negative-seed",
-        "ladder-negative-seed", "ccm-seed-2**128", "ccm-odd-m", "sphere-k-minus-one",
+        "ladder-negative-seed", "ccm-seed-2**128", "sphere-k-minus-one",
         "minkowski-k-minus-one", "null-chart-u-min"])
 def test_errors_exit_two_with_json_error(capsys, monkeypatch, tmp_path, argv, message):
     monkeypatch.chdir(tmp_path)  # integrate writes its default CSV path here
