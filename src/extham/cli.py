@@ -268,17 +268,6 @@ def _table_rows(cases, evaluate):
     return rows
 
 
-def gamma_prime_table():
-    """Evaluate gamma' for c = +-1, kappa = +-1, both branches, and classify."""
-    return _table_rows([(c, kappa, t, e) for (c, kappa, t), e in _GAMMA_PRIME_EXPECTED.items()],
-                       gamma_prime)
-
-
-def gamma_squared_table():
-    cases = [(c, kappa, t, e) for (kappa, t), e in _GAMMA_SQ_EXPECTED.items() for c in (1, -1)]
-    return _table_rows(cases, lambda prof, u: gamma(prof, u) ** 2)
-
-
 def _constant_gamma_prime_rows():
     rows = []
     for C in (1.0, -1.0):
@@ -290,8 +279,11 @@ def _constant_gamma_prime_rows():
 
 
 def cmd_gamma_table(args):
-    gp = gamma_prime_table()
-    gs = gamma_squared_table()
+    """Evaluate gamma' and gamma^2 for c = +-1, kappa = +-1, both branches, and classify."""
+    gp = _table_rows([(c, kappa, t, e) for (c, kappa, t), e in _GAMMA_PRIME_EXPECTED.items()],
+                     gamma_prime)
+    gs = _table_rows([(c, kappa, t, e) for (kappa, t), e in _GAMMA_SQ_EXPECTED.items() for c in (1, -1)],
+                     lambda prof, u: gamma(prof, u) ** 2)
     cz = _constant_gamma_prime_rows()
     ok = all(r["match"] for r in gp + gs + cz)
     if args.json:
@@ -459,13 +451,22 @@ def _parser():
 
 
 def main(argv=None):
-    """Run one subcommand; any error that is not a verdict exits 2 with a JSON error."""
+    """Run one subcommand; any error that is not a verdict exits 2, a closed stdout included."""
     try:
-        args = _parser().parse_args(argv)
-        return args.func(args)
-    except Exception as exc:
-        _log(f"error: {type(exc).__name__}: {exc}")
-        _emit({"error": str(exc)})
+        try:
+            args = _parser().parse_args(argv)
+            return args.func(args)
+        except BrokenPipeError:
+            raise
+        except Exception as exc:
+            _log(f"error: {type(exc).__name__}: {exc}")
+            _emit({"error": str(exc)})
+            return 2
+        finally:
+            sys.stdout.flush()  # a closed stdout raises here rather than at interpreter exit
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the exit flush cannot raise
+        _log("error: stdout has no reader")
         return 2
 
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from .duals import Jet, Tape, Trace, coefficient, define, pow_
 from .phase import PhaseFunction, compile_partials, gradient, partials_at
-from .tagged_trig import GammaProfile, gamma, gamma_and_prime, gamma_prime
+from .tagged_trig import GammaProfile, gamma, gamma_and_prime
 
 
 @dataclass(frozen=True)
@@ -284,12 +284,11 @@ class Extension:
         scalar_off = self._omega_is_zero() and c0 == 0.0
 
         def rule(q, p):
-            u = q[0]
             Lv = L.rule(q[1:], p[1:])
-            if scalar_off:
-                return 0.5 * p[0] * p[0] - ratio2 * gamma_prime(prof, u) * Lv
-            g, gp = gamma_and_prime(prof, u)
+            g, gp = gamma_and_prime(prof, q[0])
             H = 0.5 * p[0] * p[0] - ratio2 * gp * Lv
+            if scalar_off:
+                return H
             return H + ratio2 * c0 * g * g + Om / (g * g)
 
         return PhaseFunction(rule, 2)

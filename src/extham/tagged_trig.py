@@ -15,8 +15,8 @@ namely gamma = -C (u+shift) for c = 0 and gamma = C_k(c w)/S_k(c w) with
 w = u+shift otherwise. The ``translated`` flag selects the half-period
 translation of w (imaginary for kappa<0), which stays real and swaps the
 sin^2/cos^2 and sinh^2/cosh^2 end forms while solving the same ODE with
-the opposite-sign effective gamma'. One branch table, _branch, serves
-gamma_prime and gamma_and_prime; gamma is gamma_and_prime's first value.
+the opposite-sign effective gamma'. One function, gamma_and_prime, holds the
+branch table; gamma and gamma_prime are its two values.
 """
 
 from dataclasses import dataclass
@@ -104,24 +104,6 @@ def _pole_guard(den, u):
         raise GammaPoleError(u, near)
 
 
-def _branch(profile, u):
-    """(x, d, a) with gamma' = a/(d*d): d is 1 for c = 0 (x is None) and else, for
-    x = c (u+shift), S_k(x), or C_k(x) when translated, behind the pole guard.
-    gamma_prime takes it alone, never gamma's numerator."""
-    c = profile.c
-    if c == 0.0:
-        return None, 1.0, -profile.C
-    x = c * (u + profile.shift)
-    k = profile.kappa
-    if profile.translated:
-        # translated S_k^2 = C_k^2(x)/k, so gamma' = -c k / C_k^2(x) for either sign of kappa
-        d, a = tagged_C(k, x), -c * k
-    else:
-        d, a = tagged_S(k, x), -c
-    _pole_guard(d, u)
-    return x, d, a
-
-
 def gamma(profile, u):
     """gamma(u); raises GammaPoleError where S_k (or the translated denominator) vanishes."""
     return gamma_and_prime(profile, u)[0]
@@ -129,17 +111,23 @@ def gamma(profile, u):
 
 def gamma_prime(profile, u):
     """gamma'(u), satisfying gamma' = -c gamma^2 - C identically on the branch."""
-    _, d, a = _branch(profile, u)
-    return a / (d * d)
+    return gamma_and_prime(profile, u)[1]
 
 
 def gamma_and_prime(profile, u):
-    """(gamma(u), gamma'(u)), equal to gamma and gamma_prime bit for bit, from one denominator."""
-    x, d, a = _branch(profile, u)
-    k = profile.kappa
-    if x is None:
-        g = -profile.C * (u + profile.shift)
-    elif not profile.translated:
+    """(gamma(u), gamma'(u)) with gamma' = a/(d*d): d is 1 for c = 0 and else, for x =
+    c (u+shift), S_k(x), or C_k(x) when translated, behind the pole guard."""
+    c, k = profile.c, profile.kappa
+    if c == 0.0:
+        return -profile.C * (u + profile.shift), -profile.C
+    x = c * (u + profile.shift)
+    if profile.translated:
+        # translated S_k^2 = C_k^2(x)/k, so gamma' = -c k / C_k^2(x) for either sign of kappa
+        d, a = tagged_C(k, x), -c * k
+    else:
+        d, a = tagged_S(k, x), -c
+    _pole_guard(d, u)
+    if not profile.translated:
         g = tagged_C(k, x) / d
     elif k > 0:
         # C_k(x + pi/(2 sqrt(k))) / S_k(same) = -sqrt(k) tan(sqrt(k) x)
@@ -147,4 +135,3 @@ def gamma_and_prime(profile, u):
     else:
         g = dm.sqrt(-k) * dm.tanh(dm.sqrt(-k) * x)
     return g, a / (d * d)
-

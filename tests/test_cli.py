@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import subprocess
 import sys
 import warnings
 from fractions import Fraction
@@ -643,6 +644,28 @@ def test_unwritable_csv_exits_two_with_json_error(capsys, tmp_path, monkeypatch)
     assert code == 2
     assert "No such file" in json.loads(out)["error"]
     assert calls == []  # the path is refused before any step
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--model", "minkowski"),
+    ("catalog",),
+    ("gamma-table", "--json"),
+    ("integrate", "--x0", "1", "0", "3.2", "0.5", "--steps", "5"),
+])
+def test_a_closed_stdout_exits_two_with_one_stderr_line(tmp_path, argv):
+    # a pipe whose read end is closed: every write to stdout raises BrokenPipeError
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "extham.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, cwd=tmp_path, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2, proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if not line.startswith(("verifying", "integrating"))]
+    assert errors == ["error: stdout has no reader"]
 
 
 def test_failed_integration_keeps_an_existing_csv(capsys, tmp_path, monkeypatch):
