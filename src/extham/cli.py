@@ -357,11 +357,14 @@ def cmd_catalog(args):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Usage errors raise, so main reports them like every other error."""
+    """Usage errors and failed writes raise, so main reports them like every other error."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         raise ValueError(f"{self.prog}: {message}")
+
+    def _print_message(self, message, file=None):
+        (file or sys.stderr).write(message)  # argparse's own swallows OSError: --help would exit 0 unread
 
 
 def build_parser():

@@ -646,26 +646,47 @@ def test_unwritable_csv_exits_two_with_json_error(capsys, tmp_path, monkeypatch)
     assert calls == []  # the path is refused before any step
 
 
+def _fresh_interpreter(args, **kwargs):
+    """Run python with args in a new process that imports this checkout's extham."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           **kwargs.pop("env", {})}
+    return subprocess.run([sys.executable, *args], env=env, text=True, timeout=60, **kwargs)
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--model", "minkowski"),
     ("catalog",),
     ("gamma-table", "--json"),
     ("integrate", "--x0", "1", "0", "3.2", "0.5", "--steps", "5"),
+    ("--help",),
+    ("verify", "--help"),
 ])
 def test_a_closed_stdout_exits_two_with_one_stderr_line(tmp_path, argv):
-    # a pipe whose read end is closed: every write to stdout raises BrokenPipeError
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        proc = subprocess.run([sys.executable, "-m", "extham.cli", *argv], stdout=write_end,
-                              stderr=subprocess.PIPE, text=True, env=env, cwd=tmp_path, timeout=60)
-    finally:
-        os.close(write_end)
-    assert proc.returncode == 2, proc.stderr
-    errors = [line for line in proc.stderr.splitlines() if not line.startswith(("verifying", "integrating"))]
-    assert errors == ["error: stdout has no reader"]
+    # a pipe whose read end is closed: every write to stdout raises BrokenPipeError,
+    # at once when unbuffered and at the flush otherwise
+    for unbuffered in ("1", ""):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _fresh_interpreter(["-m", "extham.cli", *argv], stdout=write_end, stderr=subprocess.PIPE,
+                                      env={"PYTHONUNBUFFERED": unbuffered}, cwd=tmp_path)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2, (unbuffered, proc.stderr)
+        errors = [line for line in proc.stderr.splitlines() if not line.startswith(("verifying", "integrating"))]
+        assert errors == ["error: stdout has no reader"], unbuffered
+
+
+@pytest.mark.parametrize("prelude, loaded", [("", False), ("import numpy.random", True)],
+                         ids=["sweeps-only", "control-imports-it"])
+def test_the_sampled_checks_never_import_numpy_random(prelude, loaded):
+    # sampling computes Philox itself; the control shows the probe sees the module
+    probe = (f"{prelude}\nimport sys\nfrom extham.cli import main\n"
+             "codes = [main(argv) for argv in (['verify', '--model', 'minkowski'], ['ccm'], ['ladder'])]\n"
+             "print(codes, 'numpy.random' in sys.modules, file=sys.stderr)")
+    proc = _fresh_interpreter(["-c", probe], capture_output=True)
+    assert proc.stderr.splitlines()[-1] == f"[0, 0, 0] {loaded}", proc.stderr
 
 
 def test_failed_integration_keeps_an_existing_csv(capsys, tmp_path, monkeypatch):

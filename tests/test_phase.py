@@ -39,32 +39,44 @@ def test_phase_point_validation():
     assert x.dof == 2 and x.q == (1.0, 2.0)
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3, 43, 1007])
+@pytest.mark.parametrize("seed", [1, 2, 3, 43, 1007, 2**64, 2**127 + 5, 2**128 - 1])
 @pytest.mark.parametrize(
     "dof, q_ranges",
     [(2, None), (1, None), (2, ((0.3, 2.0), (0.05, 1.4))), (3, ((0.1, 0.2), (1, 2), (-3, -1)))],
 )
 def test_sample_points_equal_one_draw_per_coordinate(seed, dof, q_ranges):
     # the reference draws q then p for each point, one rng.uniform call each;
-    # momenta always come from [-2, 2]
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    # momenta always come from [-2, 2]. At dof 1 and 3, draws of 1, 2, 3 and
+    # 5 points end inside a counter block of four words.
     windows = q_ranges if q_ranges is not None else [(0.3, 2.0)] * dof
-    expected = []
-    for _ in range(23):
-        q = tuple(float(rng.uniform(lo, hi)) for lo, hi in windows)
-        p = tuple(float(rng.uniform(-2.0, 2.0)) for _ in range(dof))
-        expected.append(list(q + p))
-    z = sample_points(23, seed, dof, q_ranges=q_ranges)
-    assert type(z) is np.ndarray and z.dtype == np.float64 and z.shape == (23, 2 * dof)
-    assert z.tolist() == expected
+    for num in (1, 2, 3, 5, 23):
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        expected = []
+        for _ in range(num):
+            q = tuple(float(rng.uniform(lo, hi)) for lo, hi in windows)
+            p = tuple(float(rng.uniform(-2.0, 2.0)) for _ in range(dof))
+            expected.append(list(q + p))
+        z = sample_points(num, seed, dof, q_ranges=q_ranges)
+        assert type(z) is np.ndarray and z.dtype == np.float64 and z.shape == (num, 2 * dof)
+        assert z.tolist() == expected
 
 
 def test_sample_scalars_equal_one_draw_per_value():
-    rng = np.random.Generator(np.random.Philox(key=3))
-    expected = [float(rng.uniform(0.05, 2.2)) for _ in range(23)]
-    col = sample_scalars(23, 3, 0.05, 2.2)
-    assert type(col) is np.ndarray and col.dtype == np.float64 and col.shape == (23,)
-    assert col.tolist() == expected
+    for seed in (3, 2**64, 2**127 + 5, 2**128 - 1):
+        for num in (1, 2, 3, 5, 23):
+            rng = np.random.Generator(np.random.Philox(key=seed))
+            expected = [float(rng.uniform(0.05, 2.2)) for _ in range(num)]
+            col = sample_scalars(num, seed, 0.05, 2.2)
+            assert type(col) is np.ndarray and col.dtype == np.float64 and col.shape == (num,)
+            assert col.tolist() == expected
+
+
+def test_a_large_draw_equals_numpys_philox():
+    # 50 000 points read 200 000 words, over 50 000 counter blocks
+    rng = np.random.Generator(np.random.Philox(key=2**127 + 5))
+    expected = rng.uniform((0.3, 0.05, -2.0, -2.0), (2.0, 1.4, 2.0, 2.0), size=(50_000, 4))
+    z = sample_points(50_000, 2**127 + 5, 2, q_ranges=((0.3, 2.0), (0.05, 1.4)))
+    assert z.tolist() == expected.tolist()
 
 
 def test_canonical_bracket():
