@@ -442,6 +442,7 @@ def make_remark_pair(d1=2.0, d2=3.0):
 
 def _parse_k(text, allow_float=False):
     """--k as a Fraction p/q, or as a finite float where allow_float (--no-integral)."""
+    refusal = ValueError(f"--k must be a rational p/q, or a decimal with --no-integral; got {text!r}")
     try:
         if "." not in text:
             k = Fraction(text)
@@ -450,8 +451,8 @@ def _parse_k(text, allow_float=False):
         if allow_float and math.isfinite(float(text)):
             return float(text)
     except (ValueError, ZeroDivisionError, OverflowError):
-        pass
-    raise ValueError(f"--k must be a rational p/q, or a decimal with --no-integral; got {text!r}")
+        raise refusal from None
+    raise refusal
 
 
 BASES = {

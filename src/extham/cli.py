@@ -48,13 +48,14 @@ def _verdict(args, report, passed):
 def _checked(convert, accept, what):
     """An argparse type that converts, then refuses values that fail accept."""
     def parse(text):
+        refusal = argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
         try:
             value = convert(text)
-            if accept(value):
-                return value
         except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+            raise refusal from None
+        if not accept(value):
+            raise refusal
+        return value
     return parse
 
 

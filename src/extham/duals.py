@@ -198,9 +198,6 @@ class Tangent:
     def __init__(self, d):
         self.d = d
 
-    def __repr__(self):
-        return f"Tangent({self.d!r})"
-
     def __add__(self, other):
         a = self.d
         out = dict(a)
@@ -240,9 +237,6 @@ class Jet:
 
     def __init__(self, coeffs):
         self.c = list(coeffs)
-
-    def __repr__(self):
-        return f"Jet({self.c!r})"
 
     def deriv(self):
         """d/dt of the series, known to one order less."""
@@ -599,9 +593,6 @@ class Trace:
         self.tape = tape
         self.i = i
         self.v = v
-
-    def __repr__(self):
-        return f"Trace({self.v!r}, i={self.i})"
 
     __add__ = _traced(operator.add)
     __radd__ = _traced(operator.add, reflected=True)

@@ -44,9 +44,6 @@ class PhasePoint:
     def dof(self):
         return len(self.q)
 
-    def as_array(self):
-        return np.array(self.q + self.p, dtype=float)
-
     @staticmethod
     def from_array(z):
         d = len(z) // 2
@@ -97,8 +94,6 @@ def lift_last(f, dof):
     """
     if f.dof > dof:
         raise ValueError("cannot lift to a smaller phase space")
-    if f.dof == dof:
-        return f
     k = f.dof
     rule = f.rule
     return PhaseFunction(lambda q, p: rule(q[-k:], p[-k:]), dof)

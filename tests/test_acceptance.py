@@ -175,7 +175,7 @@ def test_criterion_06_chart_consistency():
             scale = 1.0 + abs(a) + abs(x.p[0] * x.p[1])
             worst_eq = max(worst_eq, abs(a - b) / scale)
             y = from_pseudo_polar(kf, to_pseudo_polar(kf, x))
-            for u, v in zip(x.as_array(), y.as_array()):
+            for u, v in zip(x.q + x.p, y.q + y.p):
                 worst_rt = max(worst_rt, abs(u - v) / (1.0 + abs(u)))
     ok = worst_eq <= 1e-12 and worst_rt <= 1e-13
     _finish(6, "null vs pseudo-polar chart consistency", 1.0, t0, ok,

@@ -83,7 +83,7 @@ def test_pseudo_polar_round_trip():
         kf = float(k)
         for x in wedge_points(50, 61):
             y = from_pseudo_polar(kf, to_pseudo_polar(kf, x))
-            for a, b in zip(x.as_array(), y.as_array()):
+            for a, b in zip(x.q + x.p, y.q + y.p):
                 assert abs(a - b) <= 1e-13 * (1.0 + abs(a))
 
 

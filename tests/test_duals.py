@@ -147,6 +147,13 @@ def test_a_leaf_or_array_exponent_is_refused(kind):
         assert dm.pow_(x, 2.0).tolist() == [2.25, 4.0, 9.0]
 
 
+@pytest.mark.parametrize("x, r", [(2, 3), (np.float64(1.5), 0.5), (1.5, np.float64(0.5))])
+def test_a_plain_number_that_is_no_float_takes_math_pow(x, r):
+    # an int or a numpy scalar, as base or exponent, passes pow_'s check and rounds as libm
+    y = dm.pow_(x, r)
+    assert type(y) is float and y == math.pow(x, r)
+
+
 # values of one leaf, one per series rule: every operand kind of + - * /, and
 # exp, sin and cos
 SERIES_FUNCS = [
@@ -267,7 +274,7 @@ def test_mixed_depth_arithmetic_and_comparisons():
     y = 2.0 + x - 0.5
     assert primal(y) == 3.0
     assert y.dot == 1.0
-    assert (x < 2.0) and (x > 1.0) and abs(-x) >= 1.0
+    assert (x < 2.0) and (x <= 1.5) and (x > 1.0) and abs(-x) >= 1.0
     z = 1.0 / x
     assert z.val == pytest.approx(1 / 1.5)
     assert z.dot == pytest.approx(-1 / 1.5**2)
