@@ -395,7 +395,8 @@ def build_parser():
     pv.add_argument("--n", type=int, default=1)
     pv.add_argument("--d", type=_finite_float, default=2.0)
     pv.add_argument("--no-integral", action="store_true",
-                    help="allow irrational k; verifies only L conservation")
+                    help="admit a decimal k, which then checks only L; "
+                         "a k written p/q is checked in full, as without this flag")
     pv.set_defaults(func=cmd_verify, default_of=pv.get_default)
 
     pi = sub.add_parser("integrate", help="implicit-midpoint trajectory with drift summary")
@@ -416,7 +417,9 @@ def build_parser():
     pi.add_argument("--u-min", type=_finite_float, default=0.05,
                     help="truncate when the pseudo-polar radial coordinate u drops below this")
     pi.add_argument("--csv", default="trajectory.csv")
-    pi.add_argument("--no-integral", action="store_true")
+    pi.add_argument("--no-integral", action="store_true",
+                    help="admit a decimal k (with --chart null), which then reports the drift "
+                         "of H and L only; a k written p/q runs as without this flag")
     pi.set_defaults(func=cmd_integrate, default_of=pi.get_default)
 
     pg = sub.add_parser("gamma-table", help="reproduce the gamma'/gamma^2 translation tables")
