@@ -11,18 +11,13 @@ __version__ = "0.1.0"
 
 from .catalog import (
     ModelInstance,
-    cosh_base,
     exp_base,
-    from_pseudo_polar,
     make_base_family,
     make_curved_hamiltonian,
     make_flat_ttw_hamiltonian,
     make_minkowski_hamiltonian,
     make_remark_pair,
     minkowski_indices,
-    momentum_free_seed_base,
-    sinh_base,
-    to_pseudo_polar,
     trig_base,
 )
 from .ccm import ccm_transform, rescale_radial

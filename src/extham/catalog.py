@@ -2,10 +2,11 @@
 families, constant-curvature generalizations, the flat TTW form, and the
 non-extendable pair, plus the null <-> pseudo-polar canonical transforms.
 
-Two constructors build what the families share: _base makes every base system
-L = p^2/2 + V with its seed G and c0 = 0, and _extended_model makes every
-curved or flat extension's model, H with the integrals L and K. PSI_WINDOW is
-the bases' default psi window, and ccm_pair builds the ccm check's pair.
+make_base_family's hyperbolic branch gives the exponential, cosh and sinh base
+potentials, its trig branch the trigonometric ones. _base makes every base
+system L = p^2/2 + V with seed G = g(psi) p_psi and c0 = 0, and _extended_model
+every curved or flat extension's model, H with the integrals L and K.
+PSI_WINDOW is the bases' default psi window; ccm_pair builds the ccm pair.
 
 Rational parameters are passed as fractions.Fraction so the integral indices
 (m, n) come out exact; irrational k is accepted for Hamiltonian construction
@@ -21,7 +22,7 @@ from . import duals as dm
 from .ccm import ccm_transform
 from .duals import any_true, primal
 from .extension import BaseSystem, Extension, ExtensionSpec
-from .phase import PhaseFunction, PhasePoint, lift_last
+from .phase import PhaseFunction, lift_last
 from .tagged_trig import GammaProfile
 
 _SQRT2 = math.sqrt(2.0)
@@ -61,7 +62,7 @@ class ModelInstance:
 # -- base-potential families -------------------------------------------------
 
 
-def _window_free_of_zeros(C1, C2, eta, branch, window, label):
+def _window_free_of_zeros(C1, C2, eta, branch, window):
     """Refuse a psi window that is empty or holds a zero of the gauge function g.
 
     g is C1 e^(eta psi) + C2 e^(-eta psi) on the hyperbolic branch and
@@ -70,7 +71,7 @@ def _window_free_of_zeros(C1, C2, eta, branch, window, label):
     """
     lo, hi = window
     if not lo < hi:
-        raise ValueError(f"{label}: empty psi window {window}")
+        raise ValueError(f"{branch}(C1={C1}, C2={C2}): empty psi window {window}")
     if branch == "hyperbolic":
         # zero where e^(2 eta psi) = -C2/C1, if that is positive
         ratio = -C2 / C1 if C1 else 0.0
@@ -80,7 +81,7 @@ def _window_free_of_zeros(C1, C2, eta, branch, window, label):
         phi = math.atan2(C2, C1) + 0.5 * math.pi
         vanishes = (phi + math.ceil((eta * lo - phi) / math.pi) * math.pi) / eta <= hi
     if vanishes:
-        raise ValueError(f"{label}: gauge function vanishes inside psi window {window}")
+        raise ValueError(f"{branch}(C1={C1}, C2={C2}): gauge function vanishes inside psi window {window}")
 
 
 def _check_eta(eta):
@@ -94,12 +95,12 @@ def _check_eta(eta):
                          "normal, nonzero doubles")
 
 
-def _base(family, params, c, V_rule, G_rule, g, eta_hat, psi_window):
-    """The BaseSystem L = p^2/2 + V with seed G and c0 = 0."""
+def _base(family, params, c, V_rule, g, eta_hat, psi_window):
+    """The BaseSystem L = p^2/2 + V with seed G = g(psi) p_psi and c0 = 0."""
     return BaseSystem(
         family=family, params=params, c=c, c0=0.0, V=PhaseFunction(V_rule, 1),
         L=PhaseFunction(lambda q, p: 0.5 * p[0] * p[0] + V_rule(q, p), 1),
-        G=PhaseFunction(G_rule, 1), g_scalar=g, eta_hat=eta_hat, psi_window=psi_window,
+        G=PhaseFunction(lambda q, p: g(q[0]) * p[0], 1), g_scalar=g, eta_hat=eta_hat, psi_window=psi_window,
     )
 
 
@@ -146,9 +147,9 @@ def make_base_family(C1, C2, C3, C4, eta, branch, psi_window=PSI_WINDOW):
         gv, slope = g_and_slope(q[0])
         return (C3 + C4 * slope) / (gv * gv)
 
-    _window_free_of_zeros(C1, C2, eta_hat, branch, psi_window, f"{branch}(C1={C1}, C2={C2})")
+    _window_free_of_zeros(C1, C2, eta_hat, branch, psi_window)
     return _base(f"V2-{branch}", {"C1": C1, "C2": C2, "C3": C3, "C4": C4, "eta": eta}, c,
-                 V_rule, lambda q, p: g(q[0]) * p[0], g, eta_hat, psi_window)
+                 V_rule, g, eta_hat, psi_window)
 
 
 def exp_base(alpha_t, beta_t, eta=2.0):
@@ -166,53 +167,20 @@ def _free_base(eta):
         return dm.exp(eta * psi)
 
     return _base("free", {"C1": 1.0, "C2": 0.0, "C3": 0.0, "C4": 0.0, "eta": eta}, -(eta**2),
-                 lambda q, p: 0.0, lambda q, p: g(q[0]) * p[0], g, eta, PSI_WINDOW)
+                 lambda q, p: 0.0, g, eta, PSI_WINDOW)
 
 
-def cosh_base(A, psi0, alpha, beta, eta=2.0):
-    """g = A cosh(eta psi + psi0), V = (alpha + beta sinh(eta psi + psi0))/cosh^2(...)."""
-    C1 = 0.5 * A * math.exp(psi0)
-    C2 = 0.5 * A * math.exp(-psi0)
-    return make_base_family(C1, C2, alpha * A * A, beta * A, eta, "hyperbolic")
-
-
-def sinh_base(A, psi0, alpha, beta, eta=2.0, psi_window=PSI_WINDOW):
-    """g = A sinh(eta psi + psi0), V = (alpha + beta cosh(eta psi + psi0))/sinh^2(...)."""
-    C1 = 0.5 * A * math.exp(psi0)
-    C2 = -0.5 * A * math.exp(-psi0)
-    return make_base_family(C1, C2, alpha * A * A, beta * A, eta, "hyperbolic", psi_window)
-
-
-def trig_base(A, psi0, alpha, beta, abs_eta=1.0, psi_window=None):
+def trig_base(A, psi0, alpha, beta, abs_eta=1.0):
     """g = A sin(|eta| psi + psi0), V = (alpha + beta cos(|eta| psi + psi0))/sin^2(...)."""
     C1 = A * math.sin(psi0)
     C2 = A * math.cos(psi0)
     _check_eta(abs_eta)  # before the window divides by it
-    if psi_window is None:
-        # keep |eta| psi + psi0 inside (0.3, pi - 0.4), away from the sin zeros
-        lo = max(0.05, (0.3 - psi0) / abs_eta)
-        hi = (math.pi - 0.4 - psi0) / abs_eta
-        if hi <= lo:
-            raise ValueError(f"psi0={psi0} leaves an empty psi window ({lo}, {hi}) at |eta|={abs_eta}")
-        psi_window = (lo, hi)
-    return make_base_family(C1, C2, alpha * A * A, beta * A, abs_eta, "trig", psi_window)
-
-
-def momentum_free_seed_base(C1, C2, C3, eta=2.0):
-    """The position-only seed G = C1 e^(eta psi) - C2 e^(-eta psi) with V = C3/g^2."""
-    if (C1, C2) == (0.0, 0.0):
-        raise ValueError("C1 and C2 must not both vanish")
-    if C3 == 0.0:
-        raise ValueError("C3 must be nonzero")
-    _check_eta(eta)
-
-    def g(psi):
-        return C1 * dm.exp(eta * psi) + C2 * dm.exp(-eta * psi)
-
-    _window_free_of_zeros(C1, C2, eta, "hyperbolic", PSI_WINDOW, "V10")
-    return _base("V10", {"C1": C1, "C2": C2, "C3": C3, "eta": eta}, -(eta**2),
-                 lambda q, p: C3 / dm.pow_(g(q[0]), 2),
-                 lambda q, p: C1 * dm.exp(eta * q[0]) - C2 * dm.exp(-eta * q[0]), g, eta, PSI_WINDOW)
+    # keep |eta| psi + psi0 inside (0.3, pi - 0.4), away from the sin zeros
+    lo = max(0.05, (0.3 - psi0) / abs_eta)
+    hi = (math.pi - 0.4 - psi0) / abs_eta
+    if hi <= lo:
+        raise ValueError(f"psi0={psi0} leaves an empty psi window ({lo}, {hi}) at |eta|={abs_eta}")
+    return make_base_family(C1, C2, alpha * A * A, beta * A, abs_eta, "trig", (lo, hi))
 
 
 # -- null <-> pseudo-polar canonical transforms --------------------------------
@@ -255,16 +223,6 @@ def null_coords_generic(k, q, p):
     p1 = (pu + rad) / (ech * _SQRT2)
     p2 = ech * (pu - rad) / _SQRT2
     return (q1, q2), (p1, p2)
-
-
-def to_pseudo_polar(k, x):
-    q, p = polar_coords_generic(k, x.q, x.p)
-    return PhasePoint(q, p)
-
-
-def from_pseudo_polar(k, x):
-    q, p = null_coords_generic(k, x.q, x.p)
-    return PhasePoint(q, p)
 
 
 def pullback_to_null(f_polar, k):
@@ -398,11 +356,13 @@ def make_flat_ttw_hamiltonian(base, m, n, Omega=0.0):
 def make_remark_pair(d1=2.0, d2=3.0):
     """Two wedge Hamiltonians with quadratic integrals that admit no extension.
 
-    The bracket identities {H1, I1} = {H2, I2} = 0 hold for every real d;
-    the integer-derived choices d1 in {p, (1-2p)/2} and d2 in
+    The bracket identities {H1, I1} = {H2, I2} = 0 hold for every real d (I2
+    needs d2 != -1); the integer-derived choices d1 in {p, (1-2p)/2} and d2 in
     {(1-p)/p, (1+2p)/(1-2p)} (p natural) are recorded as metadata only.
     """
     d1f, d2f = float(d1), float(d2)
+    if d2f == -1.0:
+        raise ValueError("remark-h2 needs d != -1: I2 = p1^2 + q2^(d+1)/(d+1) divides by d+1 = 0")
 
     def _wedge(q):
         if any_true(primal(q[0]) <= 0.0):
@@ -473,8 +433,8 @@ MODELS = {
         make_curved_hamiltonian(BASES["hyperbolic"](alpha, beta, eta), _parse_k(k), -1, omega),
     "ttw-flat": lambda psi0, alpha, beta, eta, m, n, omega:
         make_flat_ttw_hamiltonian(BASES["trig"](psi0, alpha, beta, eta), m, n, omega),
-    "remark-h1": lambda d: make_remark_pair(d, d)[0],
-    "remark-h2": lambda d: make_remark_pair(d, d)[1],
+    "remark-h1": lambda d: make_remark_pair(d1=d)[0],
+    "remark-h2": lambda d: make_remark_pair(d2=d)[1],
 }
 
 

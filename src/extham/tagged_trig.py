@@ -11,12 +11,12 @@ A :class:`GammaProfile` fixes one solution gamma(u) of
 
     gamma' + c gamma^2 + C = 0,       kappa = C/c  (when c != 0)
 
-namely gamma = -C (u+shift) for c = 0 and gamma = C_k(c w)/S_k(c w) with
-w = u+shift otherwise. The ``translated`` flag selects the half-period
-translation of w (imaginary for kappa<0), which stays real and swaps the
-sin^2/cos^2 and sinh^2/cosh^2 end forms while solving the same ODE with
-the opposite-sign effective gamma'. One function, gamma_and_prime, holds the
-branch table; gamma and gamma_prime are its two values.
+namely gamma = -C u for c = 0 and gamma = C_k(c u)/S_k(c u) otherwise. The
+``translated`` flag selects the half-period translation of u (imaginary for
+kappa<0), which stays real and swaps the sin^2/cos^2 and sinh^2/cosh^2 end
+forms while solving the same ODE with the opposite-sign effective gamma'. One
+function, gamma_and_prime, holds the branch table; gamma and gamma_prime are
+its two values.
 """
 
 from dataclasses import dataclass
@@ -76,7 +76,6 @@ class GammaProfile:
     c: float
     C: float
     kappa: float
-    shift: float = 0.0
     translated: bool = False
 
     def __post_init__(self):
@@ -89,12 +88,12 @@ class GammaProfile:
 
     @staticmethod
     def from_c_C(c, C):
-        """The principal branch, unshifted; from_c_kappa reaches the others."""
+        """The principal branch; from_c_kappa reaches the translated one."""
         return GammaProfile(c, C, C / c if c != 0.0 else 0.0)
 
     @staticmethod
-    def from_c_kappa(c, kappa, shift=0.0, translated=False):
-        return GammaProfile(c, kappa * c, kappa, shift, translated)
+    def from_c_kappa(c, kappa, translated=False):
+        return GammaProfile(c, kappa * c, kappa, translated)
 
 
 def _pole_guard(den, u):
@@ -116,11 +115,11 @@ def gamma_prime(profile, u):
 
 def gamma_and_prime(profile, u):
     """(gamma(u), gamma'(u)) with gamma' = a/(d*d): d is 1 for c = 0 and else, for x =
-    c (u+shift), S_k(x), or C_k(x) when translated, behind the pole guard."""
+    c u, S_k(x), or C_k(x) when translated, behind the pole guard."""
     c, k = profile.c, profile.kappa
     if c == 0.0:
-        return -profile.C * (u + profile.shift), -profile.C
-    x = c * (u + profile.shift)
+        return -profile.C * u, -profile.C
+    x = c * u
     if profile.translated:
         # translated S_k^2 = C_k^2(x)/k, so gamma' = -c k / C_k^2(x) for either sign of kappa
         d, a = tagged_C(k, x), -c * k

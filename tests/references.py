@@ -1,12 +1,13 @@
 """References that the package itself no longer uses.
 
 Nested-dual derivatives, central-difference gradients and brackets, the
-seed-equation terms and residual, the rows of a draw as PhasePoints, a
-leaf-by-leaf view of values, the closed-form X_L(G_n) and the gamma ODE
-residual, and the earlier bodies of partials_at on every leaf, gamma,
-gamma_prime, the recursive K and Kbar rules and the closed-form sums with
-their magnitude mode: one partials rule, one branch table, one recursive
-evaluator and one closed-form evaluator must reproduce them bit for bit.
+seed-equation terms and residual, the V10 base with its position-only seed,
+the rows of a draw as PhasePoints, a leaf-by-leaf view of values, the
+closed-form X_L(G_n) and the gamma ODE residual, and the earlier bodies of
+partials_at on every leaf, gamma, gamma_prime, the recursive K and Kbar rules
+and the closed-form sums with their magnitude mode: one partials rule, one
+branch table, one recursive evaluator and one closed-form evaluator must
+reproduce them bit for bit.
 """
 
 import math
@@ -15,6 +16,8 @@ import numpy as np
 
 from extham import duals as dm
 from extham import tagged_trig
+from extham.catalog import PSI_WINDOW
+from extham.extension import BaseSystem
 from extham.phase import PhaseFunction, PhasePoint, bracket_of_gradients, hamiltonian_vector_field
 from extham.tagged_trig import GammaPoleError, gamma_and_prime, tagged_C, tagged_S
 
@@ -74,6 +77,25 @@ def seed_equation_residual(base, c, c0, x):
     return a + b
 
 
+def v10_base(C1, C2, C3, eta=2.0):
+    """The paper's V10 base: V = C3/g^2 with g = C1 e^(eta psi) + C2 e^(-eta psi), and the
+    position-only seed G = C1 e^(eta psi) - C2 e^(-eta psi), which solves the seed
+    equation at c = -eta^2, c0 = 0; no command builds it. Take a g free of zeros on
+    PSI_WINDOW."""
+    def g(psi):
+        return C1 * dm.exp(eta * psi) + C2 * dm.exp(-eta * psi)
+
+    def V(q, p):
+        return C3 / dm.pow_(g(q[0]), 2)
+
+    return BaseSystem(
+        family="V10", params={"C1": C1, "C2": C2, "C3": C3, "eta": eta}, c=-(eta**2), c0=0.0,
+        V=PhaseFunction(V, 1), L=PhaseFunction(lambda q, p: 0.5 * p[0] * p[0] + V(q, p), 1),
+        G=PhaseFunction(lambda q, p: C1 * dm.exp(eta * q[0]) - C2 * dm.exp(-eta * q[0]), 1),
+        g_scalar=g, eta_hat=eta, psi_window=PSI_WINDOW,
+    )
+
+
 def phase_points(z):
     """The rows of a sampler's (num, 2*dof) draw as PhasePoints."""
     return [PhasePoint.from_array(row) for row in z]
@@ -123,10 +145,9 @@ def _checked_div(num, den, u):
 def gamma(profile, u):
     """gamma(u), one branch at a time."""
     c = profile.c
-    w = u + profile.shift
     if c == 0.0:
-        return -profile.C * w
-    x = c * w
+        return -profile.C * u
+    x = c * u
     k = profile.kappa
     if not profile.translated:
         return _checked_div(tagged_C(k, x), tagged_S(k, x), u)
@@ -142,7 +163,7 @@ def gamma_prime(profile, u):
     c = profile.c
     if c == 0.0:
         return -profile.C
-    x = c * (u + profile.shift)
+    x = c * u
     k = profile.kappa
     if not profile.translated:
         s = tagged_S(k, x)

@@ -10,19 +10,16 @@ from extham.catalog import (
     MODELS,
     PSI_WINDOW,
     catalog_listing,
-    cosh_base,
     default_models,
     exp_base,
-    from_pseudo_polar,
     make_base_family,
     make_curved_hamiltonian,
     make_flat_ttw_hamiltonian,
     make_minkowski_hamiltonian,
     make_remark_pair,
     minkowski_indices,
-    momentum_free_seed_base,
-    sinh_base,
-    to_pseudo_polar,
+    null_coords_generic,
+    polar_coords_generic,
     trig_base,
 )
 from extham.ccm import ccm_transform
@@ -32,11 +29,23 @@ from extham.phase import PhaseFunction, PhasePoint, hamiltonian_vector_field, pa
 from extham.sampling import sample_points
 from extham.tagged_trig import GammaProfile
 
-from references import leaf_values, nth_derivative, phase_points, seed_equation_terms, ttw_hamiltonian
+from references import (
+    leaf_values,
+    nth_derivative,
+    phase_points,
+    seed_equation_terms,
+    ttw_hamiltonian,
+    v10_base,
+)
 
 
 def wedge_points(num, seed):
     return phase_points(sample_points(num, seed, 2))
+
+
+def polar_point(k, x):
+    """The null-chart point x on the pseudo-polar chart."""
+    return PhasePoint(*polar_coords_generic(k, x.q, x.p))
 
 
 def test_minkowski_hamiltonian_values():
@@ -73,7 +82,7 @@ def test_integral_indices_from_k():
 def test_pseudo_polar_center_point():
     s = 1.0 / math.sqrt(2.0)
     x = PhasePoint((s, s), (0.3, 0.9))
-    y = to_pseudo_polar(1, x)
+    y = polar_point(1, x)
     assert y.q[0] == pytest.approx(1.0, rel=1e-15)
     assert y.q[1] == pytest.approx(0.0, abs=1e-15)
 
@@ -82,8 +91,8 @@ def test_pseudo_polar_round_trip():
     for k in (Fraction(1), Fraction(1, 2), Fraction(3)):
         kf = float(k)
         for x in wedge_points(50, 61):
-            y = from_pseudo_polar(kf, to_pseudo_polar(kf, x))
-            for a, b in zip(x.q + x.p, y.q + y.p):
+            q, p = null_coords_generic(kf, *polar_coords_generic(kf, x.q, x.p))
+            for a, b in zip(x.q + x.p, q + p):
                 assert abs(a - b) <= 1e-13 * (1.0 + abs(a))
 
 
@@ -93,7 +102,7 @@ def test_chart_equality_null_vs_polar():
         H_polar = mdl.extension.hamiltonian()
         for x in wedge_points(50, 62):
             a = mdl.H(x)
-            b = H_polar(to_pseudo_polar(float(k), x))
+            b = H_polar(polar_point(float(k), x))
             scale = 1.0 + abs(a) + abs(x.p[0] * x.p[1])
             assert abs(a - b) <= 1e-12 * scale
 
@@ -141,10 +150,13 @@ def test_every_family_passes_seed_residual():
     bases = [
         exp_base(0.5, 0.5),
         make_base_family(1.0, 0.6, 1.3, 0.0, 2.0, "hyperbolic"),
-        cosh_base(1.2, 0.4, 0.8, -0.5, 2.0),
-        sinh_base(0.9, 0.5, 1.1, 0.7, 2.0),
+        # g = A cosh(2 psi + psi0) and A sinh(2 psi + psi0) at (A, psi0) = (1.2, 0.4) and (0.9, 0.5)
+        make_base_family(0.5 * 1.2 * math.exp(0.4), 0.5 * 1.2 * math.exp(-0.4), 0.8 * 1.2 * 1.2,
+                         -0.5 * 1.2, 2.0, "hyperbolic"),
+        make_base_family(0.5 * 0.9 * math.exp(0.5), -0.5 * 0.9 * math.exp(-0.5), 1.1 * 0.9 * 0.9,
+                         0.7 * 0.9, 2.0, "hyperbolic"),
         trig_base(1.0, 0.2, 1.0, 0.5, 1.0),
-        momentum_free_seed_base(1.0, 0.4, 1.2, 2.0),
+        v10_base(1.0, 0.4, 1.2, 2.0),
     ]
     # five random (V2) parameter draws with C1, C2 > 0 (pole-free gauge)
     for _ in range(5):
@@ -178,8 +190,6 @@ _WEDGE = make_minkowski_hamiltonian(Fraction(1), 1.0, 2.0, 0.0)
 
 
 @pytest.mark.parametrize("call,error,message", [
-    (lambda: momentum_free_seed_base(0.0, 0.0, 1.0), ValueError, "C1 and C2 must not both vanish"),
-    (lambda: momentum_free_seed_base(1.0, 0.5, 0.0), ValueError, "C3 must be nonzero"),
     (lambda: _WEDGE.extension.gn_recursive(0), ValueError, "n must be positive"),
     (lambda: _WEDGE.extension.gn_closed(0), ValueError, "n must be positive"),
     (lambda: _WEDGE.integral("K(9,9)"), KeyError, r"K\(9,9\)"),
@@ -191,7 +201,7 @@ _WEDGE = make_minkowski_hamiltonian(Fraction(1), 1.0, 2.0, 0.0)
      "X_L requires L and f on the same phase space"),
     (lambda: ccm_transform(_TWO_DOF, None, _ONE_DOF, 0.4), ValueError,
      "coupling function and Hamiltonian must share a phase space"),
-], ids=["V10-C1-C2", "V10-C3", "gn-recursive", "gn-closed", "unknown-integral",
+], ids=["gn-recursive", "gn-closed", "unknown-integral",
         "phase-function-dof", "drift-report-dof", "vector-field-dof", "ccm-dof"])
 def test_a_refusal_names_its_cause(call, error, message):
     with pytest.raises(error, match=message):
@@ -200,8 +210,10 @@ def test_a_refusal_names_its_cause(call, error, message):
 
 @pytest.mark.parametrize("build", [
     lambda w: make_base_family(1.0, 0.6, 1.3, 0.0, 2.0, "hyperbolic", psi_window=w),
-    lambda w: sinh_base(0.9, 0.5, 1.1, 0.7, 2.0, psi_window=w),
-    lambda w: trig_base(1.0, 0.2, 1.0, 0.5, 1.0, psi_window=w),
+    # g = 0.9 sinh(2 psi + 0.5), and g = sin(psi + 0.2) as trig_base(1.0, 0.2, 1.0, 0.5) maps it
+    lambda w: make_base_family(0.45 * math.exp(0.5), -0.45 * math.exp(-0.5), 1.1 * 0.9 * 0.9, 0.7 * 0.9, 2.0,
+                               "hyperbolic", psi_window=w),
+    lambda w: make_base_family(math.sin(0.2), math.cos(0.2), 1.0, 0.5, 1.0, "trig", psi_window=w),
 ])
 @pytest.mark.parametrize("window", [(2.0, 0.3), (0.5, 0.5)])
 def test_an_explicit_empty_window_is_refused(build, window):
@@ -211,9 +223,11 @@ def test_an_explicit_empty_window_is_refused(build, window):
 
 @pytest.mark.parametrize("build", [
     # each zero falls between the points of an evenly spaced 201-point scan
-    lambda: sinh_base(0.9, -1.0, 1.1, 0.7, 2.0),  # sinh(2 psi - 1): psi = 0.5
-    lambda: momentum_free_seed_base(1.0, -4.0, 0.8),  # e^(4 psi) = 4: psi = ln(4)/4
-    lambda: momentum_free_seed_base(1.0, -0.25, 0.8, -2.0),  # e^(-4 psi) = 1/4: psi = ln(4)/4
+    # g = 0.9 sinh(2 psi - 1): psi = 0.5
+    lambda: make_base_family(0.45 * math.exp(-1.0), -0.45 * math.exp(1.0), 1.1 * 0.9 * 0.9, 0.7 * 0.9, 2.0,
+                             "hyperbolic"),
+    lambda: make_base_family(1.0, -4.0, 0.8, 0.0, 2.0, "hyperbolic"),  # e^(4 psi) = 4: psi = ln(4)/4
+    lambda: make_base_family(-0.25, 1.0, 0.8, 0.0, 2.0, "hyperbolic"),  # e^(-4 psi) = 1/4: psi = ln(4)/4
     lambda: make_base_family(0.0, 1.0, 1.0, 0.5, 1.0, "trig", psi_window=(3.0, 3.2)),  # pi
     lambda: make_base_family(1.0, 1.0, 1.0, 0.5, 3.0, "trig", psi_window=(4.9, 5.1)),  # 19 pi / 12
 ])
@@ -250,18 +264,10 @@ def _explicit_base(C1, C2, C3, C4, eta, branch):
     return V, lambda q, p: 0.5 * p[0] * p[0] + V(q, p), lambda q, p: g(q[0]) * p[0]
 
 
-def _v10_reference():
-    g = lambda s: 1.0 * dm.exp(2.0 * s) + 0.4 * dm.exp(-2.0 * s)
-    return (lambda q, p: 1.2 / g(q[0]) ** 2,
-            lambda q, p: 0.5 * p[0] * p[0] + 1.2 / g(q[0]) ** 2,
-            lambda q, p: 1.0 * dm.exp(2.0 * q[0]) - 0.4 * dm.exp(-2.0 * q[0]))
-
-
-# the bases make_base_family does not build, with their (V, L, G) written out
+# the base make_base_family does not build, with its (V, L, G) written out
 _OTHER_BASES = {
     "free": lambda: (exp_base(0.0, 0.0), (lambda q, p: 0.0, lambda q, p: 0.5 * p[0] * p[0],
                                           lambda q, p: dm.exp(2.0 * q[0]) * p[0])),
-    "V10": lambda: (momentum_free_seed_base(1.0, 0.4, 1.2, 2.0), _v10_reference()),
 }
 
 
@@ -271,7 +277,6 @@ _OTHER_BASES = {
     ((0.3, 1.1, 0.9, -0.4, 1.0, "trig"), None),
     ((1.1, 0.0, 0.9, -0.4, 1.3, "trig"), (0.1, 1.0)),
     ("free", None),
-    ("V10", None),
 ])
 def test_base_family_L_equals_separate_transcendentals(params, window):
     # make_base_family's g and g'/eta_hat share one pair of exp or cos/sin calls, and
@@ -466,7 +471,7 @@ def test_first_integral_is_the_catalog_integral(build, label):
     if mdl.id == "minkowski":
         k = float(mdl.params["k"])
         for x in wedge_points(10, 67):
-            y = to_pseudo_polar(k, x)
+            y = polar_point(k, x)
             assert f(y) == direct(y)
             assert catalog_K(x) == direct(y)
     else:

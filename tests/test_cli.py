@@ -475,11 +475,26 @@ def test_report_digest_argvs_are_not_refused(monkeypatch):
     assert (len(argvs), built, len(digest.REFUSED_AT_PARSE)) == (94, 81, 2)
 
 
-def test_report_digest_is_pinned():
+def test_report_digest_is_pinned(tmp_path):
     # every report of tools/report_digest.py's 94 commands, byte for byte, as recorded
-    # when the last four commands were added
-    assert _report_digest_tool().digest() == (
-        "3eaa6ed4b2f96eba555db9e05fd870f97481f9f2055cdaf164281e125eb60e23")
+    # when the last four commands were added; with this checkout's src on PYTHONPATH, as
+    # an installed extham would be, a --src that holds no extham is refused, not hashed
+    root = os.path.realpath(os.path.join(os.path.dirname(__file__), os.pardir))
+    src, elsewhere = os.path.join(root, "src"), os.path.join(os.path.realpath(tmp_path), "src")
+
+    def run(path):
+        return subprocess.run([sys.executable, os.path.join(root, "tools", "report_digest.py"),
+                               "--src", path], capture_output=True, text=True, cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": src})
+
+    refused = run(elsewhere)
+    assert (refused.returncode, refused.stdout) == (1, "")
+    assert refused.stderr.splitlines() == [
+        f"error: extham imported from {os.path.join(src, 'extham', '__init__.py')}, "
+        f"not from --src {elsewhere}"]
+    pinned = run(src)
+    assert (pinned.returncode, pinned.stdout) == (
+        0, "3eaa6ed4b2f96eba555db9e05fd870f97481f9f2055cdaf164281e125eb60e23\n")
 
 
 @pytest.mark.parametrize("builder,model", [
@@ -490,7 +505,7 @@ def test_verify_calls_the_builders_through_the_catalog_module(capsys, monkeypatc
     # a tracer that patches catalog's module bindings must see every verify build
     calls = []
     real = getattr(catalog, builder)
-    monkeypatch.setattr(catalog, builder, lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(catalog, builder, lambda *a, **kw: calls.append(a) or real(*a, **kw))
     code, _, _ = run_cli(capsys, "verify", "--model", model, "--points", "3")
     assert code == 0 and len(calls) == 1
     if model == "minkowski":
@@ -938,6 +953,14 @@ def test_pow_errors_in_a_batch_exit_two(capsys, monkeypatch):
     monkeypatch.setattr(cli, "sample_points", lambda *a, **kw: z)
     code, out, _ = run_cli(capsys, "verify", "--model", "remark-h1", "--d", "0.5", "--points", "2")
     assert code == 2 and json.loads(out)["error"] == "math domain error"
+
+
+def test_remark_h2_refuses_d_minus_one_and_remark_h1_takes_it(capsys):
+    # I2 = p1^2 + q2^(d+1)/(d+1) is not defined at d = -1; H1 and I1 are
+    assert _refused(capsys, ["verify", "--model", "remark-h2", "--d=-1"]) == (
+        "remark-h2 needs d != -1: I2 = p1^2 + q2^(d+1)/(d+1) divides by d+1 = 0")
+    code, out, _ = run_cli(capsys, "verify", "--model", "remark-h1", "--d=-1")
+    assert code == 0 and json.loads(out)["model"]["params"]["d"] == -1.0
 
 
 def test_parser_reuse_leaks_nothing_between_calls(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -9,13 +10,11 @@ from extham import duals as dm
 from extham import phase, tagged_trig
 from extham.catalog import (
     BASES,
-    cosh_base,
     exp_base,
+    make_base_family,
     make_curved_hamiltonian,
     make_flat_ttw_hamiltonian,
     make_minkowski_hamiltonian,
-    momentum_free_seed_base,
-    sinh_base,
     trig_base,
 )
 from extham.duals import Dual, Jet, Tape, new_tag, primal
@@ -388,9 +387,11 @@ def test_recursive_k_base_rule_calls_grow_linearly(profile, m, n):
 
 def _series_bases():
     """Every catalog base family, and L = 0.5 p^2 + V, whose bare power the series writer refuses."""
+    # g = cosh(2 psi + 0.3) and sinh(2 psi + 0.3), then the free base and V10
     bases = [BASES["hyperbolic"](0.7, 1.3, 2.0), BASES["trig"](0.2, 1.0, 0.5, 1.0),
-             cosh_base(1.0, 0.3, 0.7, 1.1), sinh_base(1.0, 0.3, 0.7, 1.1), exp_base(0.0, 0.0),
-             momentum_free_seed_base(1.0, 0.5, 0.8)]
+             make_base_family(0.5 * math.exp(0.3), 0.5 * math.exp(-0.3), 0.7, 1.1, 2.0, "hyperbolic"),
+             make_base_family(0.5 * math.exp(0.3), -0.5 * math.exp(-0.3), 0.7, 1.1, 2.0, "hyperbolic"),
+             exp_base(0.0, 0.0), references.v10_base(1.0, 0.5, 0.8)]
     squared = exp_base(0.7, 1.3)
     V = squared.V.rule
     squared.L.rule = lambda q, p: 0.5 * p[0] ** 2 + V(q, p)
@@ -595,7 +596,8 @@ def test_one_base_compiles_two_seed_partials_programs(profile, monkeypatch):
     assert made == ["<compile_partials>", "<compile_partials>"]
 
 
-@pytest.mark.parametrize("b", [trig_base(1.0, 0.0, 0.5, 1.0), sinh_base(1.0, 0.0, 0.7, 1.1)],
+@pytest.mark.parametrize("b", [trig_base(1.0, 0.0, 0.5, 1.0),
+                               make_base_family(0.5, -0.5, 0.7, 1.1, 2.0, "hyperbolic")],  # sinh(2 psi)
                          ids=["trig", "sinh"])
 def test_a_closed_form_where_g_vanishes_raises_as_partials_at_does(b, monkeypatch):
     # g(0) = 0.0 exactly, and V divides by g^2

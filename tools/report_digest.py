@@ -8,6 +8,8 @@ are byte for byte the same print the same digest:
     python tools/report_digest.py --src OTHER/src      # another checkout
     python tools/report_digest.py -v                   # one line per command too
 
+It exits 1 if the extham it imports is not the one under --src.
+
 The list is the verify, ccm and ladder sweep at seeds 1, 2, 3 and 7; verify
 on the Minkowski wedge at k = 1/3, 9/2, 19/2 and 13, and on its free base
 (alpha = beta = 0) at seeds 1 and 7; gamma-table as text and JSON; catalog;
@@ -156,7 +158,14 @@ def main():
                     help="directory holding the extham package (default: this checkout's src)")
     ap.add_argument("-v", "--verbose", action="store_true", help="also print each command's digest")
     args = ap.parse_args()
-    sys.path.insert(0, os.path.abspath(args.src))
+    src = os.path.realpath(args.src)
+    sys.path.insert(0, src)
+    import extham
+
+    # an installed extham, or one on PYTHONPATH, imports first where --src holds none
+    origin = os.path.realpath(extham.__file__)
+    if not origin.startswith(src + os.sep):
+        sys.exit(f"error: extham imported from {origin}, not from --src {src}")
     print(digest(args.verbose))
 
 
