@@ -439,18 +439,16 @@ MODELS = {
 
 
 def _minkowski_flow(k, alpha, beta, omega, no_integral, chart, u_min):
-    """(H, the functions whose drift is reported, floor of u) of a wedge orbit in chart;
-    the null chart has no coordinate u, so no floor."""
+    """(H, {label: function} of H and the integrals verify checks, floor of u) of a wedge
+    orbit in chart, the same labels in both; the null chart has no coordinate u, so no floor."""
     model = MODELS["minkowski"](k, alpha, beta, omega, no_integral)
     if chart == "null":
         return model.H, {"H": model.H, **dict(model.known_integrals)}, None
     if model.extension is None:
         raise ValueError(f"--k {k} builds no extension, so the pseudo-polar chart has no H; use --chart null")
     H = model.extension.hamiltonian()
-    drift_fns = {"H": H, "L": lift_last(model.base.L, 2)}
-    if omega == 0.0:  # Kbar's drift at Omega != 0 would cost about 9% of a flow round
-        drift_fns["K"] = model.extension.first_integral()[1]
-    return H, drift_fns, u_min
+    integrals = [("L", lift_last(model.base.L, 2)), model.extension.first_integral()]
+    return H, {"H": H, **dict(integrals)}, u_min
 
 
 def _free_flow():

@@ -725,9 +725,10 @@ def pow_(x, r):
     """x ** r, the one rule for every power on every leaf: x is the leaf, r a plain number.
 
     A Dual, Jet or Trace base runs its own ``**``, an array base applies
-    ``math.pow`` entry by entry, and anything else calls it. So every power
-    rounds as libm does, and off the real domain raises ValueError. A leaf
-    or an array as the exponent raises TypeError (_plain_exponent).
+    ``math.pow`` entry by entry (at r = 0 and 1 its ones and float64 copy: libm's
+    pow(x, +-0) is 1 and pow(x, 1) is x, NaN included), and anything else calls
+    it. So every power rounds as libm does, and off the real domain raises
+    ValueError. A leaf or an array as the exponent raises TypeError (_plain_exponent).
     """
     if type(r) is not int and type(r) is not float:  # a plain int or float passes the check
         _plain_exponent(r)
@@ -736,7 +737,7 @@ def pow_(x, r):
     if isinstance(x, (Dual, Jet, Trace)):
         return x**r
     if isinstance(x, np.ndarray):
-        return _entrywise(math.pow, x, r)
+        return np.ones(x.shape) if r == 0 else x.astype(float) if r == 1 else _entrywise(math.pow, x, r)
     return math.pow(x, r)
 
 

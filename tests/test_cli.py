@@ -494,7 +494,7 @@ def test_report_digest_is_pinned(tmp_path):
         f"not from --src {elsewhere}"]
     pinned = run(src)
     assert (pinned.returncode, pinned.stdout) == (
-        0, "3eaa6ed4b2f96eba555db9e05fd870f97481f9f2055cdaf164281e125eb60e23\n")
+        0, "4ce850c1c064693b3831624ea4f276e93611c55cbe89c152d12ae660823f10c5\n")
 
 
 @pytest.mark.parametrize("builder,model", [
@@ -545,7 +545,10 @@ def test_non_finite_ladder_residual_is_refused_not_skipped(capsys):
     (("ladder", "--eta", "1000"), "the ladder residual overflows double precision"),
     # the orbit runs; a float power inside the closed K overflows in the drift report
     (("integrate", "--x0", "1", "0", "1e100", "0.5", "--steps", "3"),
-     "K overflows double precision"),
+     "K(4,1) overflows double precision"),
+    # at Omega != 0 the drift report holds Kbar, whose closed form overflows the same way
+    (("integrate", "--omega", "0.3", "--x0", "1", "0", "1e100", "0.5", "--steps", "3"),
+     "Kbar(4,1) overflows double precision"),
     # p1 * p1 overflows to inf in numpy, which names the state and prints no warning
     (("integrate", "--model", "free", "--x0", "1", "0", "1e160", "0.5", "--steps", "3"),
      "non-finite H at state 0: [1.0, 0.0, 1e+160, 0.5]"),
@@ -553,7 +556,7 @@ def test_non_finite_ladder_residual_is_refused_not_skipped(capsys):
     (("verify", "--model", "sphere", "--alpha", "1e300"),
      "non-finite bracket {H, K(2,1)} at sample point 0: PhasePoint(q=(0.28211744551986573, "
      "0.41058097281440015), p=(-0.3196092859710311, -0.3784310168640217))"),
-], ids=["ladder", "integrate-k", "integrate-free", "sphere-bracket"])
+], ids=["ladder", "integrate-k", "integrate-kbar", "integrate-free", "sphere-bracket"])
 def test_an_overflow_in_a_batch_is_refused_by_name(capsys, tmp_path, argv, message):
     if argv[0] == "integrate":
         argv += ("--csv", str(tmp_path / "x.csv"))
@@ -983,6 +986,33 @@ def test_parser_reuse_leaks_nothing_between_calls(capsys, tmp_path):
         cli._parser.cache_clear()
         fresh.append(run_cli(capsys, *argv)[:2])
     assert reused == fresh
+
+
+def _drift(capsys, tmp_path, *flags):
+    code, out, _ = run_cli(capsys, "integrate", *flags, "--csv", str(tmp_path / "x.csv"))
+    assert code == 0
+    return json.loads(out)["drift"]
+
+
+def test_a_pseudo_polar_orbit_at_nonzero_omega_keeps_kbar_to_second_order(capsys, tmp_path):
+    # Kbar is the first integral at Omega != 0; halving h divides its drift by ~4
+    flags = ("--omega", "0.3", "--x0", "1", "0", "3.2", "0.5")
+    at_h = _drift(capsys, tmp_path, *flags, "--steps", "200")
+    at_half_h = _drift(capsys, tmp_path, *flags, "--steps", "400", "--h", "5e-4")
+    assert set(at_h) == set(at_half_h) == {"H", "L", "Kbar(4,1)"}
+    assert 3.0 <= at_h["Kbar(4,1)"] / at_half_h["Kbar(4,1)"] <= 5.5
+
+
+@pytest.mark.parametrize("omega", ["0", "0.3"])
+@pytest.mark.parametrize("k", ["1", "1/2", "2", "3/2"])
+def test_both_charts_report_the_drift_of_the_integrals_verify_checks(capsys, tmp_path, k, omega):
+    flags = ("--k", k, "--omega", omega, "--steps", "20")
+    polar = _drift(capsys, tmp_path, *flags, "--x0", "1", "0", "3.2", "0.5")
+    null = _drift(capsys, tmp_path, "--chart", "null", *flags, "--x0", "1", "0.5", "0.2", "0.5")
+    code, out, _ = run_cli(capsys, "verify", "--model", "minkowski", "--k", k, "--omega", omega,
+                           "--points", "2")
+    assert code == 0
+    assert set(polar) == set(null) == {"H", *json.loads(out)["integrals_checked"]}
 
 
 def test_null_chart_orbit_that_leaves_the_wedge_exits_one(capsys, tmp_path):

@@ -459,6 +459,18 @@ def test_batch_power_is_python_power():
             dm.pow_(base, r)
 
 
+@pytest.mark.parametrize("r", [0, 0.0, -0.0, 1, 1.0])
+def test_an_array_to_the_power_zero_or_one_is_the_libm_loop_bit_for_bit(r):
+    # pow_ skips the libm loop at r = 0 and r = 1; NaN keeps its bits, -0.0 its sign
+    tiny = math.ulp(0.0)
+    floats = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, tiny, -tiny,
+                       2.5e-310, 1e308, -1e308, 0.3, -7.0])
+    for x in (floats, np.array([0, 1, -3, 2**53 + 1, 10**18])):
+        y = dm.pow_(x, r)
+        assert y is not x and y.dtype == np.float64
+        assert y.tobytes() == dm._entrywise(math.pow, x, r).tobytes()
+
+
 def test_a_dual_over_a_plain_array_rounds_as_the_float_evaluations():
     # the sweep runs partials_at on plain arrays; abs goes entry by entry and
     # stays a plain array
