@@ -21,13 +21,14 @@ functions), which extends them one order at a time.
 
 A float64 array is the third leaf: one coordinate at many sample points,
 so one evaluation differentiates all of them. numpy does its + - * /, which
-round like Python floats; the two seams below apply every power and math
-function entry by entry through ``math``, since numpy's own differ from libm
-in the last bit on a share of inputs. A bare ``**`` on an array is numpy's,
-so every rule in the package writes its powers through :func:`pow_`. Dual,
-Jet and Trace set ``__array_ufunc__`` to None, so an array operand defers to
-them. Guards go through :func:`any_true`, which leaves float and Jet
-evaluations free of numpy calls.
+round like Python floats, and :func:`pow_` an array's powers in one
+``np.float_power``, which calls libm's pow. Every math function runs entry by
+entry through ``math``, since numpy's own differ from libm in the last bit on
+a share of inputs; so does ``np.power``, a bare ``**`` on an array, so every
+rule in the package writes its powers through :func:`pow_`. Dual, Jet and
+Trace set ``__array_ufunc__`` to None, so an array operand defers to them.
+Guards go through :func:`any_true`, which leaves float and Jet evaluations
+free of numpy calls.
 
 A :class:`Trace` is the fourth leaf: a float whose :class:`Tape` records
 every operation on it, and every comparison with its outcome. Anything that
@@ -419,8 +420,8 @@ def _jet_pair(terms, x, *params):
 
 
 def _entrywise(fn, x, *params):
-    """fn(entry, *params) for each entry of the array x, as a float64 array."""
-    return np.fromiter(map(fn, x.tolist(), *map(itertools.repeat, params)), dtype=float)
+    """fn(entry, *params) for each entry of the array x, as a float64 array of x's shape."""
+    return np.fromiter(map(fn, x.ravel().tolist(), *map(itertools.repeat, params)), float).reshape(x.shape)
 
 
 _INFIX = {
@@ -724,11 +725,11 @@ def _plain_exponent(r):
 def pow_(x, r):
     """x ** r, the one rule for every power on every leaf: x is the leaf, r a plain number.
 
-    A Dual, Jet or Trace base runs its own ``**``, an array base applies
-    ``math.pow`` entry by entry (at r = 0 and 1 its ones and float64 copy: libm's
-    pow(x, +-0) is 1 and pow(x, 1) is x, NaN included), and anything else calls
-    it. So every power rounds as libm does, and off the real domain raises
-    ValueError. A leaf or an array as the exponent raises TypeError (_plain_exponent).
+    A Dual, Jet or Trace base runs its own ``**``, an array of any shape takes one
+    ``np.float_power``, which is libm's pow (``math.pow`` entry by entry where a result
+    is not finite), and anything else calls ``math.pow``. So every power rounds as
+    libm does, overflow raises OverflowError and off the real domain ValueError, on
+    an array at the first such entry. A leaf or an array exponent raises TypeError.
     """
     if type(r) is not int and type(r) is not float:  # a plain int or float passes the check
         _plain_exponent(r)
@@ -737,7 +738,9 @@ def pow_(x, r):
     if isinstance(x, (Dual, Jet, Trace)):
         return x**r
     if isinstance(x, np.ndarray):
-        return np.ones(x.shape) if r == 0 else x.astype(float) if r == 1 else _entrywise(math.pow, x, r)
+        with np.errstate(all="ignore"):
+            y = np.asarray(np.float_power(x, r))
+        return y if np.isfinite(y).all() else _entrywise(math.pow, x, r)
     return math.pow(x, r)
 
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from extham import catalog, cli, phase
+from extham import duals as dm
 from extham.cli import main
 from extham.ccm import rescale_radial
 from extham.extension import bracket_scale, functional_independence, jacobian_rank, row_norms
@@ -956,6 +957,42 @@ def test_pow_errors_in_a_batch_exit_two(capsys, monkeypatch):
     monkeypatch.setattr(cli, "sample_points", lambda *a, **kw: z)
     code, out, _ = run_cli(capsys, "verify", "--model", "remark-h1", "--d", "0.5", "--points", "2")
     assert code == 2 and json.loads(out)["error"] == "math domain error"
+
+
+LARGE_SAMPLES = [
+    ("verify", "--model", "sphere", "--k", "40", "--points", "5000", "--seed", "1"),
+    ("ccm", "--m", "8", "--n", "3", "--points", "5000", "--seed", "1"),
+    ("verify", "--model", "minkowski", "--k", "1", "--omega", "0.3", "--points", "5000", "--seed", "1"),
+    ("integrate", "--omega", "0.3", "--x0", "1", "0", "3.2", "0.5", "--steps", "2000", "--csv", "orbit.csv"),
+]
+
+
+def test_large_samples_are_byte_identical_under_the_per_entry_libm_loop(capsys, monkeypatch, tmp_path):
+    # pow_ takes an array's powers in one np.float_power; with the per-entry math.pow
+    # loop in its place, each command prints the same bytes and writes the same CSV
+    monkeypatch.chdir(tmp_path)
+
+    def runs():
+        out = []
+        for argv in LARGE_SAMPLES:
+            code, stdout, _ = run_cli(capsys, *argv)
+            out.append((code, stdout, (tmp_path / "orbit.csv").read_bytes() if argv[0] == "integrate" else None))
+            (tmp_path / "orbit.csv").unlink(missing_ok=True)
+        return out
+
+    fast = runs()
+    entries = []
+
+    def loop(x, r):
+        entries.append(x.size)
+        return dm._entrywise(math.pow, x, r)
+
+    monkeypatch.setattr(np, "float_power", loop)
+    assert runs() == fast
+    # ccm fails its 1e-9 tolerance at 5000 points (max_rel_bracket 8.3e-07), on both
+    assert [code for code, _, _ in fast] == [0, 1, 0, 0]
+    # every large batch took its powers through the loop: 5000 points, 2001 states
+    assert {5000, 2001} <= set(entries)
 
 
 def test_remark_h2_refuses_d_minus_one_and_remark_h1_takes_it(capsys):

@@ -2,12 +2,14 @@ import math
 import operator
 import random
 import struct
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from extham import duals as dm
-from extham.catalog import exp_base
+from extham.catalog import default_models, exp_base
 from extham.duals import Dual, Jet, Tangent, derivative, primal, taylor
 from extham.extension import Extension, ExtensionSpec, bracket_scale
 from extham.phase import (
@@ -469,6 +471,122 @@ def test_an_array_to_the_power_zero_or_one_is_the_libm_loop_bit_for_bit(r):
         y = dm.pow_(x, r)
         assert y is not x and y.dtype == np.float64
         assert y.tobytes() == dm._entrywise(math.pow, x, r).tobytes()
+
+
+SHAPES = [(), (3,), (2, 2)]
+
+
+def _float64_of_shape(y, shape, want):
+    """y is a float64 array of shape whose bytes are those of the floats want, in C order."""
+    assert type(y) is np.ndarray and y.dtype == np.float64 and y.shape == shape
+    return y.tobytes() == np.array(want, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_powers_and_math_functions_keep_any_array_shape(shape):
+    # pow_ and every lifted function give an array of the input's shape, each entry
+    # the math function's; a 0-d array stays a 0-d array
+    x = np.array([0.35, 1.7, 0.9, 2.2][:math.prod(shape)]).reshape(shape)
+    xs = x.ravel().tolist()
+    for r in (0, 1, 2, 0.5, -3, 5 / 3):
+        assert _float64_of_shape(dm.pow_(x, r), shape, [math.pow(v, r) for v in xs]), r
+    for name in ("exp", "log", "sqrt", "sin", "cos", "sinh", "cosh", "tanh"):
+        fn = getattr(math, name)
+        assert _float64_of_shape(getattr(dm, name)(x), shape, [fn(v) for v in xs]), name
+
+
+def _catalog_exponents():
+    """Every exponent a catalog rule passes to pow_, computed as the rules compute it."""
+    rs = [1 / 3, 0.5, -1.0, -2.5, *range(31)]
+    for k in (1, Fraction(1, 2), 2, Fraction(5, 3), Fraction(9, 2), 13):
+        kf = float(k)  # as make_minkowski_hamiltonian writes its four exponents
+        rs += [2 * kf + 1, -2 * kf - 3, kf, -kf - 2]
+    return list(dict.fromkeys(rs))
+
+
+def _catalog_bases():
+    """Seeded values from each catalog window (momenta from [-2, 2]), spread over every
+    magnitude with both signs, and the special values."""
+    rng = random.Random(50)
+    windows = {w for mdl in default_models() for w in mdl.q_windows} | {(-2.0, 2.0)}
+    xs = [rng.uniform(lo, hi) for lo, hi in sorted(windows) for _ in range(500)]
+    xs += [rng.choice((-1.0, 1.0)) * 2.0 ** rng.uniform(-1074, 1024) for _ in range(2000)]
+    tiny = math.ulp(0.0)
+    return xs + [0.0, -0.0, tiny, -tiny, math.inf, -math.inf, math.nan, 1.0, -1.0]
+
+
+def _libm(xs, r):
+    """math.pow(x, r) for each x, or the exception it raises."""
+    out = []
+    for x in xs:
+        try:
+            out.append(math.pow(x, r))
+        except (OverflowError, ValueError) as e:
+            out.append(e)
+    return out
+
+
+def _overflow_edge(r):
+    """The bases, both signs, within 4 ulps of where x ** r leaves double range (|r| >= 1)."""
+    edge = math.pow(sys.float_info.max, 1.0 / r)
+    xs = [edge]
+    for _ in range(4):
+        xs = [math.nextafter(xs[0], 0.0), *xs, math.nextafter(xs[-1], math.inf)]
+    return xs + [-x for x in xs]
+
+
+@pytest.mark.filterwarnings("error")
+def test_array_powers_are_libms_pow_bit_for_bit():
+    # pow_ takes an array's powers in one np.float_power, whose float64 loop is libm's
+    # pow: on every exponent the catalog writes, its bits are math.pow's, and where
+    # math.pow raises, pow_ raises the first such entry's exception. The bases whose
+    # powers are finite go in alone: one non-finite result sends the whole array
+    # through the math.pow loop
+    bases = _catalog_bases()
+    for r in _catalog_exponents():
+        xs = bases + (_overflow_edge(r) if abs(r) >= 1 else [])
+        want = _libm(xs, r)
+        finite = [(x, w) for x, w in zip(xs, want) if not isinstance(w, Exception) and math.isfinite(w)]
+        rest = [(x, w) for x, w in zip(xs, want) if not isinstance(w, Exception) and not math.isfinite(w)]
+        for pairs in (finite, rest):
+            got = dm.pow_(np.array([x for x, _ in pairs]), r).tolist()
+            differ = sum(struct.pack("<d", g) != struct.pack("<d", w) for g, (_, w) in zip(got, pairs))
+            assert differ == 0, f"np.float_power is not libm's pow at r = {r!r}: {differ} of {len(pairs)} differ"
+        assert len(finite) > len(bases) // 2
+        refused = [w for w in want if isinstance(w, Exception)]
+        if refused:
+            with pytest.raises(type(refused[0]), match=f"^{refused[0]}$"):
+                dm.pow_(np.array(xs), r)
+
+
+# (entries, r): padded with 1.5 to each shape; the first refused entry decides
+REFUSALS = [
+    ([1e200], 2), ([2.0], 2**63), ([-2.0], 0.5), ([0.0], -1),
+    ([1e200, -2.0], 2.5), ([-2.0, 1e200], 2.5), ([0.0, 1e200], -1.5), ([1e200, 0.0], 2**63),
+    ([math.inf, -2.0], 0.5), ([math.nan, 1e-200], -2),
+    ([math.inf, math.nan], -1), ([-math.inf], 3), ([-math.inf, math.nan], 0.5),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_an_array_power_refuses_as_math_pow_at_its_first_entry(shape):
+    # a finite base whose power overflows raises OverflowError, and one off the real
+    # domain ValueError, as math.pow does at the first such entry in C order; a
+    # non-finite base gets what math.pow gives it
+    size = math.prod(shape)
+    for entries, r in REFUSALS:
+        if len(entries) > size:
+            continue
+        xs = [1.5] * (size - len(entries)) + entries
+        want = _libm(xs, r)
+        refused = [w for w in want if isinstance(w, Exception)]
+        if not refused:
+            assert _float64_of_shape(dm.pow_(np.array(xs).reshape(shape), r), shape, want)
+            continue
+        assert str(refused[0]) in ("math range error", "math domain error")
+        with pytest.raises(type(refused[0]), match=f"^{refused[0]}$"):
+            dm.pow_(np.array(xs).reshape(shape), r)
 
 
 def test_a_dual_over_a_plain_array_rounds_as_the_float_evaluations():
