@@ -27,8 +27,8 @@ entry through ``math``, since numpy's own differ from libm in the last bit on
 a share of inputs; so does ``np.power``, a bare ``**`` on an array, so every
 rule in the package writes its powers through :func:`pow_`. Dual, Jet and
 Trace set ``__array_ufunc__`` to None, so an array operand defers to them.
-Guards go through :func:`any_true`, which leaves float and Jet evaluations
-free of numpy calls.
+Guards go through :func:`any_true`. Every dispatch settles a float or a Trace
+before it tests for an array, so scalar evaluations never load numpy.
 
 A :class:`Trace` is the fourth leaf: a float whose :class:`Tape` records
 every operation on it, and every comparison with its outcome. Anything that
@@ -47,7 +47,7 @@ the catalog's potentials use: a tape holding any other operation (a power,
 ``abs``, a comparison, another math function) has no series form.
 
 Two seams decide how scalars are computed: :func:`_lift` every unary math
-function (Dual -> Jet -> array -> Trace -> ``math``) and :func:`pow_` every
+function (Dual -> Jet -> Trace -> float -> array -> ``math``) and :func:`pow_` every
 power, with any leaf as its base and a plain number as its exponent. A new
 scalar leaf (an mpmath ``mpf``, say) is one more branch in each, before
 ``math``, whose functions would silently return floats.
@@ -162,11 +162,7 @@ class Dual:
         return Dual(pow_(self.val, r), (r * pow_(self.val, r - 1)) * self.dot, self.tag)
 
     def __abs__(self):
-        x = primal(self)
-        if isinstance(x, np.ndarray):
-            s = np.where(x >= 0.0, 1.0, -1.0)
-        else:
-            s = 1.0 if x >= 0.0 else -1.0
+        s = (primal(self) >= 0.0) * 2.0 - 1.0  # 1.0 or -1.0, at a float or each entry of an array
         return Dual(abs(self.val), self.dot * s, self.tag)
 
     # Comparisons act on the underlying primal value.
@@ -623,12 +619,8 @@ class Trace:
 
 
 def any_true(cond):
-    """Whether a guard holds: cond itself for a scalar, at any entry for an array.
-
-    Scalar conditions never reach numpy, so float and Jet evaluations pay
-    nothing for the array case.
-    """
-    return cond.any() if isinstance(cond, np.ndarray) else cond
+    """Whether a guard holds: a bool itself, without numpy, or an array at any entry."""
+    return cond if isinstance(cond, bool) else cond.any()
 
 
 def primal(x):
@@ -678,12 +670,12 @@ def taylor(f, x, order):
     return [math.factorial(k) * coefficient(y, k) for k in range(order + 1)]
 
 
-# -- the seam: every math function dispatches Dual -> Jet -> array -> Trace -> math --
+# -- the seam: every math function dispatches Dual -> Jet -> Trace -> float -> array -> math --
 
 
 def _lift(fn, jet_rule, tangent):
-    """fn on every leaf: a Dual carries tangent(x, fn(x), dx), a Jet runs jet_rule,
-    an array applies fn entry by entry, a Trace records fn and a float calls fn itself."""
+    """fn on every leaf: a Dual carries tangent(x, fn(x), dx), a Jet runs jet_rule, a Trace
+    records fn, a float calls fn itself before any array test, an array applies fn entry by entry."""
 
     def lifted(x):
         if isinstance(x, Dual):
@@ -691,11 +683,9 @@ def _lift(fn, jet_rule, tangent):
             return Dual(y, tangent(x.val, y, x.dot), x.tag)
         if isinstance(x, Jet):
             return jet_rule(x)
-        if isinstance(x, np.ndarray):
-            return _entrywise(fn, x)
         if isinstance(x, Trace):
             return x.tape.record(fn, (x,))
-        return fn(x)
+        return fn(x) if isinstance(x, float) or not isinstance(x, np.ndarray) else _entrywise(fn, x)
 
     lifted.__name__ = lifted.__qualname__ = fn.__name__
     return lifted
@@ -718,7 +708,7 @@ tanh = _lift(math.tanh, lambda x: _jet_pair(_tanh_terms, x)[0],
 
 def _plain_exponent(r):
     """TypeError for a leaf or an array of any size as an exponent: the check of pow_ and every leaf's **."""
-    if isinstance(r, (Dual, Jet, Trace, np.ndarray)):
+    if not isinstance(r, (float, int)) and isinstance(r, (Dual, Jet, Trace, np.ndarray)):
         raise TypeError(f"a power's exponent is a plain number, not {type(r).__name__}")
 
 

@@ -43,8 +43,8 @@ LEFT_DOMAIN = "left-domain"
 class Trajectory:
     """Uniform-step trajectory; states has shape (len(times), 2*dof)."""
 
-    times: np.ndarray
-    states: np.ndarray
+    times: "np.ndarray"
+    states: "np.ndarray"
     h: float
     status: str = COMPLETED
     exit_step: int = None

@@ -39,7 +39,7 @@ class GammaPoleError(ZeroDivisionError):
 
     def __init__(self, u, at=True):
         u = primal(u)
-        if isinstance(u, np.ndarray):
+        if not isinstance(u, float) and isinstance(u, np.ndarray):  # a float pole loads no numpy
             u = float(u[at][0])
         super().__init__(f"gamma profile singular at u={u!r}")
         self.u = u
