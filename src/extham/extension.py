@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .duals import Jet, Tape, Trace, coefficient, define, pow_
+from .duals import Jet, Tape, Trace, coefficient, define, pow_, primal
 from .phase import PhaseFunction, compile_partials, gradient, partials_at
 from .tagged_trig import GammaProfile, gamma, gamma_and_prime
 
@@ -435,11 +435,11 @@ def functional_independence(fs, x):
 def row_norms(jac):
     """Euclidean norms of the rows (last axis) of jac, safe from overflow and underflow.
 
-    A row whose sum of squares is a normal float keeps sqrt(vecdot), bit for
-    bit. A row of finite entries whose squares overflow (|grad K| reaches
-    1e248 at high degree), or underflow while an entry is nonzero (below
-    about 1.5e-154), is first scaled by its largest |entry|, as LAPACK's
-    dnrm2 does (Blue 1978), so its norm stays finite and nonzero.
+    A row whose sum of squares is a normal float keeps sqrt(vecdot), bit for bit.
+    A row of finite entries whose squares overflow (|grad K| reaches 1e248 at high
+    degree), or underflow while an entry is nonzero (below about 1.5e-154), is first
+    scaled by its largest |entry|, as LAPACK's dnrm2 does (Blue 1978), so its norm
+    stays finite and nonzero. bracket_scale's _float_norm rounds one row alike, in floats.
     """
     with np.errstate(over="ignore"):  # overflowing rows are rescaled below
         sq = np.vecdot(jac, jac)
@@ -469,16 +469,36 @@ def jacobian_rank(jac):
     return np.sum(svals > 1e-8 * svals[..., :1], axis=-1)
 
 
+def _float_norm(row):
+    """row_norms of one finite float row, bit for bit, in floats. Its sum of squares is vecdot's
+    fused chain s = round(v*v + s), which s += v*v and math.hypot miss: each step is exact
+    in ints and rounded once by int true division, which CPython rounds correctly."""
+    s = 0.0
+    try:
+        for v in row:
+            (a, b), (c, d) = v.as_integer_ratio(), s.as_integer_ratio()
+            s = (a * a * d + c * b * b) / (b * b * d)
+    except OverflowError:  # such a row is rescaled below
+        s = math.inf
+    if (s == math.inf or s < sys.float_info.min) and (big := max(map(abs, row))):
+        return big * _float_norm([v / big for v in row])
+    return math.sqrt(s)
+
+
 def bracket_scale(f, g, x):
     """The relative scale |grad f||grad g| used by every bracket tolerance.
 
-    Outside the normal doubles it raises ValueError naming x: an infinite
-    scale would make any bracket read as 0 relative to it, and one that
-    underflows while both gradients are nonzero would let only an exact 0
-    bracket pass a tolerance.
+    Its norms are row_norms', taken in floats (_float_norm), so a point loads no
+    numpy. An inf or NaN gradient entry raises ValueError naming x, as does a
+    scale outside the normal doubles: an infinite scale would make any bracket
+    read as 0 relative to it, and one that underflows while both gradients are
+    nonzero would let only an exact 0 bracket pass a tolerance.
     """
-    nf, ng = row_norms(np.array([gradient(f, x), gradient(g, x)]))
-    scale = float(nf) * float(ng)  # a Python float product overflows to inf without a warning
+    rows = [[float(primal(v)) for v in dq + dp] for _, dq, dp in (partials_at(h, x.q, x.p) for h in (f, g))]
+    if not all(math.isfinite(v) for row in rows for v in row):
+        raise ValueError(f"non-finite gradient at {x}")
+    nf, ng = map(_float_norm, rows)
+    scale = nf * ng  # a Python float product overflows to inf without a warning
     if math.isinf(scale):
         raise ValueError(f"the bracket scale |grad f||grad g| overflows double precision at {x}")
     if scale < sys.float_info.min and nf > 0.0 and ng > 0.0:

@@ -638,6 +638,42 @@ def test_an_underflowing_bracket_scale_is_refused_by_its_point():
         1e-300, rel=1e-15)
 
 
+@pytest.mark.parametrize("entry", [math.nan, math.inf], ids=["nan", "inf"])
+def test_a_non_finite_gradient_is_refused_by_its_point(entry):
+    # a NaN scale would pass every max(worst, b / scale); an inf entry is no overflowing scale
+    H = PhaseFunction(lambda q, p: q[0] * p[1], 2)
+    K = PhaseFunction(lambda q, p: entry * q[0] + p[0], 2)
+    x = phase_points(sample_points(5, 1, 2))[0]
+    for f, g in ((H, K), (K, H)):
+        with pytest.raises(ValueError, match=r"^non-finite gradient at PhasePoint\(q=\(0.816"):
+            bracket_scale(f, g, x)
+
+
+def _row_norms_scale(f, g, x):
+    """bracket_scale's figure as row_norms takes it, from the numpy gradients."""
+    n0, n1 = row_norms(np.array([gradient(f, x), gradient(g, x)]))
+    return float(n0) * float(n1)
+
+
+@pytest.mark.parametrize("name", list(catalog.MODELS))
+def test_bracket_scale_equals_row_norms_at_every_model_point(name):
+    args = cli.build_parser().parse_args(["verify", "--model", name])
+    model = cli._verify_model(args)
+    pts = phase_points(sample_points(args.points, args.seed, model.H.dof, q_ranges=model.q_windows))
+    for x in pts:
+        for _, K in model.known_integrals:
+            assert bracket_scale(model.H, K, x) == _row_norms_scale(model.H, K, x), x
+
+
+def test_bracket_scale_equals_row_norms_where_squares_overflow():
+    args = cli.build_parser().parse_args(["verify", "--model", "minkowski", "--k", "13", "--seed", "1"])
+    model = cli._verify_model(args)
+    fs = (model.H, model.known_integrals[-1][1])  # K(28,1), whose |grad K| reaches 1e248
+    pts = phase_points(sample_points(args.points, args.seed, model.H.dof, q_ranges=model.q_windows))
+    assert any(math.isinf(sum(v * v for v in gradient(fs[1], x).tolist())) for x in pts)
+    assert [bracket_scale(*fs, x) for x in pts] == [_row_norms_scale(*fs, x) for x in pts]
+
+
 def test_ccm_past_an_overflowing_scale_reports_its_bracket_without_warning(capsys):
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")

@@ -22,6 +22,7 @@ from extham.extension import (
     BaseSystem,
     Extension,
     ExtensionSpec,
+    _float_norm,
     bracket_scale,
     compile_flow_series,
     flow_jets_by_evaluation,
@@ -753,6 +754,46 @@ def test_row_norms_rescale_underflowing_rows():
     assert norms[0] == pytest.approx(5e-170, rel=1e-15, abs=0.0)
     assert norms[1] == pytest.approx(np.hypot(5e-160, 1e-161), rel=1e-15, abs=0.0)
     assert norms[2:].tolist() == [0.0, np.sqrt(0.3 * 0.3 + 0.4 * 0.4)]
+
+
+def _pin_rows(n, rows, rng):
+    """Seeded rows of n entries of sizes 1e-330 (which reads 0.0) to 1e308: half spread entry by
+    entry, half within a factor 100 of one size (where a plain sum of squares rounds otherwise),
+    with one entry in ten zero."""
+    size = np.where(np.arange(rows)[:, None] % 2 == 0, rng.uniform(-330, 308, (rows, n)),
+                    rng.uniform(-330, 306, (rows, 1)) + rng.uniform(0, 2, (rows, n)))
+    with np.errstate(under="ignore"):
+        jac = rng.choice([-1.0, 1.0], (rows, n)) * rng.uniform(0.1, 1.0, (rows, n)) * 10.0 ** size
+    jac[rng.random((rows, n)) < 0.1] = 0.0
+    return jac
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_float_norm_equals_row_norms_bit_for_bit(n):
+    jac = _pin_rows(n, 100_000, np.random.default_rng(54 + n))
+    with np.errstate(over="ignore", under="ignore"):
+        sq = np.vecdot(jac, jac)
+    nonzero = jac.any(axis=1)
+    # rows rescaled where their squares overflow or underflow, and zero rows
+    assert np.isinf(sq).sum() > 1000 and ((sq < np.finfo(float).tiny) & nonzero).sum() > 1000
+    assert (~nonzero).sum() > 0
+    got = np.array([_float_norm(row) for row in jac.tolist()])
+    assert np.array_equal(got.view(np.uint64), row_norms(jac).view(np.uint64))
+
+
+def test_float_norm_pin_sees_a_plain_sum_of_squares():
+    # control: s += v*v rounds v*v before the add, unlike vecdot's fused chain
+    jac = _pin_rows(4, 100_000, np.random.default_rng(58))
+    with np.errstate(over="ignore", under="ignore"):
+        sq = np.vecdot(jac, jac)
+    normal = np.flatnonzero(np.isfinite(sq) & (sq >= np.finfo(float).tiny))
+    plain = []
+    for i in normal:
+        s = 0.0
+        for v in jac[i].tolist():
+            s += v * v
+        plain.append(math.sqrt(s))
+    assert (np.array(plain) != row_norms(jac[normal])).sum() > 1000
 
 
 def test_memoized_chain_matches_fresh_application(base, profile):

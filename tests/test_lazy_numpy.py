@@ -60,11 +60,13 @@ def _cli(*argv):
     (MODEL + "print(repr(H(x)), repr(K(x)), repr(poisson_bracket(H, K, x)))", 0, False),
     ("from extham import GammaProfile, gamma\ntry:\n    gamma(GammaProfile.from_c_kappa(1.0, 1.0), 0.0)\n"
      "except ZeroDivisionError as exc:\n    print(exc)", 0, False),
-    # controls: an array path loads numpy
+    (MODEL + "print(repr(bracket_scale(H, K, x)))", 0, False),
+    # controls: an array path loads numpy, and gradient returns a numpy vector at a float point
     (_cli("verify", "--model", "minkowski", "--points", "5"), 0, True),
-    (MODEL + "print(repr(bracket_scale(H, K, x)))", 0, True),
+    (MODEL + "from extham.phase import gradient\nprint(repr(gradient(H, x)))", 0, True),
 ], ids=["import", "catalog", "gamma-table", "gamma-table-json", "help", "verify-help",
-        "usage-error", "float-H-K-bracket", "float-gamma-pole", "control-verify", "control-bracket-scale"])
+        "usage-error", "float-H-K-bracket", "float-gamma-pole", "float-bracket-scale", "control-verify",
+        "control-gradient"])
 def test_only_an_array_path_loads_numpy(code, code_exit, loads):
     (code_lazy, out, err), (code_eager, eager_out, _) = _fresh((code, ""), (code, "import numpy"))
     assert (code_lazy, err.splitlines()[-1]) == (code_exit, str(loads)), err

@@ -58,14 +58,18 @@ REASONS = (
            "bench/tracing.py patches as its span catalog.chart; the test takes points round it",
            ("catalog.null_coords_generic",),
            tests=("tests/test_catalog.py::test_pseudo_polar_round_trip",)),
-    Reason("pointwise references that the round and final checks of bench/workloads.py call",
-           ("phase.poisson_bracket", "phase.gradient", "extension.bracket_scale",
+    Reason("pointwise references that the round and final checks of bench/workloads.py call, "
+           "and the float norm's rescale of a row whose squares overflow, which only a test takes",
+           ("phase.poisson_bracket", "extension.bracket_scale", "extension._float_norm",
             "extension.Extension.k_magnitude", "extension.Extension.kbar_magnitude",
             "extension.Extension._closed_form", "catalog.ModelInstance.integral"),
-           workloads=True),
-    Reason("no command or workload calls it, but bench/tracing.py times it as the span "
-           "extension.rank, which reads 0 (ROADMAP direction 11 deletes both after direction 1A)",
-           ("extension.functional_independence",),
+           workloads=True,
+           tests=("tests/test_cli.py::test_an_overflowing_bracket_scale_is_refused_without_warning",)),
+    Reason("no command or workload calls them, but bench/tracing.py times them as the spans "
+           "extension.rank and phase.gradient, which read 0 (ROADMAP direction 11 deletes "
+           "functional_independence after direction 1A); the tests' references take numpy "
+           "gradients through gradient",
+           ("extension.functional_independence", "phase.gradient"),
            tests=("tests/test_extension.py::test_functional_independence_ranks",)),
     Reason("Jet rules kept for K's momentum jets, which take pow_ on Jets (ROADMAP direction 4, "
            "stage A), and for jets along position directions through sqrt, log and fractional "
