@@ -3,9 +3,11 @@ families, constant-curvature generalizations, the flat TTW form, and the
 non-extendable pair, plus the null <-> pseudo-polar canonical transforms.
 
 make_base_family's hyperbolic branch gives the exponential, cosh and sinh base
-potentials, its trig branch the trigonometric ones. _base makes every base
-system L = p^2/2 + V with seed G = g(psi) p_psi and c0 = 0, and _extended_model
-every curved or flat extension's model, H with the integrals L and K.
+potentials, its trig branch the trigonometric ones, and it makes every base
+system L = p^2/2 + V with seed G = g(psi) p_psi and c0 = 0. C3 = C4 = 0 is the
+free base, V = 0, and no hyperbolic g computes the exponential of a zero
+coefficient. _extended_model makes every curved or flat extension's model, H
+with the integrals L and K.
 PSI_WINDOW is the bases' default psi window; ccm_pair builds the ccm pair.
 
 Rational parameters are passed as fractions.Fraction so the integral indices
@@ -95,39 +97,31 @@ def _check_eta(eta):
                          "normal, nonzero doubles")
 
 
-def _base(family, params, c, V_rule, g, eta_hat, psi_window):
-    """The BaseSystem L = p^2/2 + V with seed G = g(psi) p_psi and c0 = 0."""
-    return BaseSystem(
-        family=family, params=params, c=c, c0=0.0, V=PhaseFunction(V_rule, 1),
-        L=PhaseFunction(lambda q, p: 0.5 * p[0] * p[0] + V_rule(q, p), 1),
-        G=PhaseFunction(lambda q, p: g(q[0]) * p[0], 1), g_scalar=g, eta_hat=eta_hat, psi_window=psi_window,
-    )
-
-
 def make_base_family(C1, C2, C3, C4, eta, branch, psi_window=PSI_WINDOW):
-    """Base system with seed G = g(psi) p_psi.
+    """The base system L = p^2/2 + V with seed G = g(psi) p_psi and c0 = 0.
 
     hyperbolic branch: g = C1 e^(eta psi) + C2 e^(-eta psi), c = -eta^2;
     trig branch:       g = C1 cos(|eta| psi) + C2 sin(|eta| psi), c = +eta^2;
-    both with V = (C3 + C4 g'/eta_hat) / g^2 and c0 = 0.
+    both with V = (C3 + C4 g'/eta_hat) / g^2. C3 = C4 = 0 is the free base, V = 0,
+    and the exponential of a zero coefficient is not computed.
     """
     if (C1, C2) == (0.0, 0.0):
         raise ValueError("C1 and C2 must not both vanish")
-    if (C3, C4) == (0.0, 0.0):
-        raise ValueError("C3 and C4 must not both vanish")
     _check_eta(eta)
     eta_hat = abs(eta)
-    # g_and_slope returns g and g'/eta_hat from one pair of transcendentals
+    # g_and_slope returns g and g'/eta_hat from the same transcendentals
     if branch == "hyperbolic":
         c = -(eta_hat**2)
 
-        def g(psi):
-            return C1 * dm.exp(eta_hat * psi) + C2 * dm.exp(-eta_hat * psi)
-
         def g_and_slope(psi):
-            up = dm.exp(eta_hat * psi)
-            down = dm.exp(-eta_hat * psi)
-            return C1 * up + C2 * down, C1 * up - C2 * down
+            up = C1 * dm.exp(eta_hat * psi) if C1 else None
+            down = C2 * dm.exp(-eta_hat * psi) if C2 else None
+            if down is None:  # the wedge and free bases
+                return up, up
+            return (down, -down) if up is None else (up + down, up - down)
+
+        def g(psi):
+            return g_and_slope(psi)[0]
 
     elif branch == "trig":
         c = eta_hat**2
@@ -148,26 +142,19 @@ def make_base_family(C1, C2, C3, C4, eta, branch, psi_window=PSI_WINDOW):
         return (C3 + C4 * slope) / (gv * gv)
 
     _window_free_of_zeros(C1, C2, eta_hat, branch, psi_window)
-    return _base(f"V2-{branch}", {"C1": C1, "C2": C2, "C3": C3, "C4": C4, "eta": eta}, c,
-                 V_rule, g, eta_hat, psi_window)
+    family = f"V2-{branch}"
+    if (C3, C4) == (0.0, 0.0):
+        family, C3, C4, V_rule = "free", 0.0, 0.0, lambda q, p: 0.0
+    return BaseSystem(
+        family=family, params={"C1": C1, "C2": C2, "C3": C3, "C4": C4, "eta": eta}, c=c, c0=0.0,
+        V=PhaseFunction(V_rule, 1), L=PhaseFunction(lambda q, p: 0.5 * p[0] * p[0] + V_rule(q, p), 1),
+        G=PhaseFunction(lambda q, p: g(q[0]) * p[0], 1), g_scalar=g, eta_hat=eta_hat, psi_window=psi_window,
+    )
 
 
 def exp_base(alpha_t, beta_t, eta=2.0):
-    """V = alpha_t e^(-2 eta psi) + beta_t e^(-eta psi), the Minkowski wedge base."""
-    if alpha_t == 0.0 and beta_t == 0.0:
-        return _free_base(eta)
+    """V = alpha_t e^(-2 eta psi) + beta_t e^(-eta psi), the Minkowski wedge base, free at 0, 0."""
     return make_base_family(1.0, 0.0, alpha_t, beta_t, eta, "hyperbolic")
-
-
-def _free_base(eta):
-    """V = 0: the seed G = e^(eta psi) p_psi still solves the c = -eta^2 equation."""
-    _check_eta(eta)
-
-    def g(psi):
-        return dm.exp(eta * psi)
-
-    return _base("free", {"C1": 1.0, "C2": 0.0, "C3": 0.0, "C4": 0.0, "eta": eta}, -(eta**2),
-                 lambda q, p: 0.0, g, eta, PSI_WINDOW)
 
 
 def trig_base(A, psi0, alpha, beta, abs_eta=1.0):

@@ -67,11 +67,11 @@ class BaseSystem:
 
     The seed satisfies X_L^2(G) = -2(c L + c0) G for the recorded (c, c0).
     psi_window is the position interval on which the family is free of
-    singularities; samplers respect it. catalog._base, the one constructor,
-    sets every field but the kept programs. A base system also keeps the
-    programs it traces at its first regular float point: the partials
-    programs of G and L (partials) and the series program of L's flow
-    (flow_jets), each until the rule it traced is patched.
+    singularities; samplers respect it. catalog.make_base_family, the one
+    constructor, sets every field but the kept programs. A base system also
+    keeps the programs it traces at its first regular float point: the
+    partials programs of G and L (partials) and the series program of L's
+    flow (flow_jets), each until the rule it traced is patched.
     """
 
     family: str

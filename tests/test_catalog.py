@@ -173,8 +173,10 @@ def test_every_family_passes_seed_residual():
 def test_base_family_validation():
     with pytest.raises(ValueError):
         make_base_family(0.0, 0.0, 1.0, 1.0, 2.0, "hyperbolic")
-    with pytest.raises(ValueError):
-        make_base_family(1.0, 0.0, 0.0, 0.0, 2.0, "hyperbolic")
+    # C3 = C4 = 0 is the free base, V = 0, its params written as the free base always was
+    free = make_base_family(1.0, 0.0, -0.0, 0, 2.0, "hyperbolic")
+    assert free.family == "free" and free.V.rule((0.9,), (0.4,)) == 0.0
+    assert repr(free.params) == repr({"C1": 1.0, "C2": 0.0, "C3": 0.0, "C4": 0.0, "eta": 2.0})
     with pytest.raises(ValueError):
         make_base_family(1.0, 0.0, 1.0, 0.0, 0.0, "hyperbolic")
     with pytest.raises(ValueError):
@@ -264,7 +266,7 @@ def _explicit_base(C1, C2, C3, C4, eta, branch):
     return V, lambda q, p: 0.5 * p[0] * p[0] + V(q, p), lambda q, p: g(q[0]) * p[0]
 
 
-# the base make_base_family does not build, with its (V, L, G) written out
+# the free base, exp_base(0, 0), with its (V, L, G) written out
 _OTHER_BASES = {
     "free": lambda: (exp_base(0.0, 0.0), (lambda q, p: 0.0, lambda q, p: 0.5 * p[0] * p[0],
                                           lambda q, p: dm.exp(2.0 * q[0]) * p[0])),
@@ -274,19 +276,22 @@ _OTHER_BASES = {
 @pytest.mark.parametrize("params, window", [
     ((0.8, 0.6, 0.7, 1.3, -1.5, "hyperbolic"), None),
     ((1.2, 0.0, 0.7, 1.3, 2.0, "hyperbolic"), None),
+    ((0.0, 0.9, 0.7, 1.3, 2.0, "hyperbolic"), None),
     ((0.3, 1.1, 0.9, -0.4, 1.0, "trig"), None),
     ((1.1, 0.0, 0.9, -0.4, 1.3, "trig"), (0.1, 1.0)),
+    ((1.0, 0.0, 0.0, 0.0, 2.0, "hyperbolic"), None),
     ("free", None),
 ])
 def test_base_family_L_equals_separate_transcendentals(params, window):
-    # make_base_family's g and g'/eta_hat share one pair of exp or cos/sin calls, and
-    # every base's L adds V to p^2/2: every value and partial of V, L and G must equal
-    # the form written out with each transcendental called on its own
+    # make_base_family's g and g'/eta_hat share their exp or cos/sin calls, and every
+    # base's L adds V to p^2/2: every value and partial of V, L and G must equal the
+    # form written out with each transcendental called on its own; at C3 = C4 = 0 that
+    # form is the free base's
     if isinstance(params, str):
         base, reference = _OTHER_BASES[params]()
     else:
         base = make_base_family(*params, psi_window=window or PSI_WINDOW)
-        reference = _explicit_base(*params)
+        reference = _OTHER_BASES["free"]()[1] if params[2:4] == (0.0, 0.0) else _explicit_base(*params)
     lo, hi = window or PSI_WINDOW
     p = (0.4,)
     psis = np.linspace(lo, hi, 7)
@@ -306,6 +311,22 @@ def test_base_family_L_equals_separate_transcendentals(params, window):
         same(lambda F: F.rule((col,), p))
         same(lambda F: partials_at(F, (col,), p))
         same(lambda F: nth_derivative(lambda s: F.rule((s,), p), col, 2))
+
+
+@pytest.mark.parametrize("build, exps", [
+    (lambda: exp_base(0.7, 1.3), (1, 1)),
+    (lambda: exp_base(0.0, 0.0), (0, 1)),
+    (lambda: make_base_family(0.0, 0.5, 0.7, 1.3, 2.0, "hyperbolic"), (1, 1)),
+    # the control: both coefficients of g nonzero
+    (lambda: make_base_family(1.0, 0.5, 0.7, 1.3, 2.0, "hyperbolic"), (2, 2)),
+], ids=["wedge", "free", "C1=0", "control"])
+def test_an_exponential_base_takes_one_exp_per_nonzero_coefficient(build, exps):
+    # traced on Trace leaves, V and G record math.exp once for each nonzero coefficient of g
+    base = build()
+    for f, want in zip((base.V, base.G), exps):
+        tape = dm.Tape()
+        f.rule(tape.inputs((0.9,)), tape.inputs((0.4,)))
+        assert sum(fn is math.exp for fn, _, _ in tape.ops) == want
 
 
 @pytest.mark.parametrize("kappa", [1, -1])
