@@ -4,10 +4,10 @@ non-extendable pair, plus the null <-> pseudo-polar canonical transforms.
 
 make_base_family's hyperbolic branch gives the exponential, cosh and sinh base
 potentials, its trig branch the trigonometric ones, and it makes every base
-system L = p^2/2 + V with seed G = g(psi) p_psi and c0 = 0. C3 = C4 = 0 is the
-free base, V = 0, and no hyperbolic g computes the exponential of a zero
-coefficient. _extended_model makes every curved or flat extension's model, H
-with the integrals L and K.
+system L = p^2/2 + V with seed G = g(psi) p_psi solving X_L^2 G = -2cLG (c0 = 0).
+C3 = C4 = 0 is the free base, V = 0, and no hyperbolic g computes the exponential
+of a zero coefficient. _extended_model makes every curved or flat extension's
+model, H with the integrals L and K.
 PSI_WINDOW is the bases' default psi window; ccm_pair builds the ccm pair.
 
 Rational parameters are passed as fractions.Fraction so the integral indices
@@ -98,7 +98,7 @@ def _check_eta(eta):
 
 
 def make_base_family(C1, C2, C3, C4, eta, branch, psi_window=PSI_WINDOW):
-    """The base system L = p^2/2 + V with seed G = g(psi) p_psi and c0 = 0.
+    """The base system L = p^2/2 + V with seed G = g(psi) p_psi solving X_L^2 G = -2cLG (c0 = 0).
 
     hyperbolic branch: g = C1 e^(eta psi) + C2 e^(-eta psi), c = -eta^2;
     trig branch:       g = C1 cos(|eta| psi) + C2 sin(|eta| psi), c = +eta^2;
@@ -146,7 +146,7 @@ def make_base_family(C1, C2, C3, C4, eta, branch, psi_window=PSI_WINDOW):
     if (C3, C4) == (0.0, 0.0):
         family, C3, C4, V_rule = "free", 0.0, 0.0, lambda q, p: 0.0
     return BaseSystem(
-        family=family, params={"C1": C1, "C2": C2, "C3": C3, "C4": C4, "eta": eta}, c=c, c0=0.0,
+        family=family, params={"C1": C1, "C2": C2, "C3": C3, "C4": C4, "eta": eta}, c=c,
         V=PhaseFunction(V_rule, 1), L=PhaseFunction(lambda q, p: 0.5 * p[0] * p[0] + V_rule(q, p), 1),
         G=PhaseFunction(lambda q, p: g(q[0]) * p[0], 1), g_scalar=g, eta_hat=eta_hat, psi_window=psi_window,
     )

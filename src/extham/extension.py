@@ -41,7 +41,8 @@ from .tagged_trig import GammaProfile, gamma, gamma_and_prime
 
 @dataclass(frozen=True)
 class ExtensionSpec:
-    """Indices and constants (m, n, c, c0, Omega) plus the gamma branch of one extension."""
+    """Indices and constants (m, n, c, c0, Omega) plus the gamma branch of one extension:
+    c != 0, and c0 = 0 as in every base (BaseSystem), so no evaluation reads c0."""
 
     m: int
     n: int
@@ -55,8 +56,8 @@ class ExtensionSpec:
             raise TypeError("m and n must be integers")
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be positive")
-        if self.c == 0.0 and self.c0 == 0.0:
-            raise ValueError("(c, c0) must not both vanish")
+        if self.c == 0.0 or self.c0 != 0.0:
+            raise ValueError(f"an extension needs c != 0 and c0 = 0; it has (c, c0) = ({self.c}, {self.c0})")
         if abs(self.gamma.c - self.c) > 1e-12 * (1.0 + abs(self.c)):
             raise ValueError("gamma profile must solve the ODE with the same c")
 
@@ -65,7 +66,7 @@ class ExtensionSpec:
 class BaseSystem:
     """One-dimensional natural Hamiltonian L = p^2/2 + V with its seed G.
 
-    The seed satisfies X_L^2(G) = -2(c L + c0) G for the recorded (c, c0).
+    The seed satisfies X_L^2(G) = -2cLG for the recorded c: the paper's relation at c0 = 0.
     psi_window is the position interval on which the family is free of
     singularities; samplers respect it. catalog.make_base_family, the one
     constructor, sets every field but the kept programs. A base system also
@@ -77,7 +78,6 @@ class BaseSystem:
     family: str
     params: dict
     c: float
-    c0: float
     V: PhaseFunction
     L: PhaseFunction
     G: PhaseFunction
@@ -203,7 +203,7 @@ class Extension:
         return Gv, xg, Lv
 
     def _gn_xgn_values(self, G, XG, w, n):
-        """Closed-form (G_n, X_L G_n) from powers of (G, X_L G, w = cL+c0).
+        """Closed-form (G_n, X_L G_n) from powers of (G, X_L G, w = cL).
 
         X_L acts as a derivation with X_L(G) = XG, X_L(XG) = -2wG and
         X_L(L) = 0, which turns both sums into plain algebra.
@@ -219,7 +219,7 @@ class Extension:
         return gn, xgn
 
     def _pd_values(self, r, gam, pu, w):
-        """Closed-form P_{m,n,r} and D_{m,n,r}: one loop adds term j of each, sharing w^j = (cL+c0)^j."""
+        """Closed-form P_{m,n,r} and D_{m,n,r}: one loop adds term j of each, sharing w^j = (cL)^j."""
         mg = (self.spec.m / self.spec.n) * gam
         P = 0.0
         D = 0.0
@@ -260,36 +260,35 @@ class Extension:
         return PhaseFunction(lambda q, p: self._xl_powers(q, p, n, 1)[0], 1)
 
     def gn_closed(self, n):
-        """G_n from its binomial expansion in G, X_L G and (cL+c0)."""
+        """G_n from its binomial expansion in G, X_L G and cL."""
         if n < 1:
             raise ValueError("n must be positive")
         self._require_base_constants()
 
         def rule(q, p):
             G, XG, L = self._seed_triple(q, p)
-            return self._gn_xgn_values(G, XG, self.spec.c * L + self.spec.c0, n)[0]
+            return self._gn_xgn_values(G, XG, self.spec.c * L, n)[0]
 
         return PhaseFunction(rule, 1)
 
     # -- extended Hamiltonian ----------------------------------------------
 
     def hamiltonian(self):
-        """H = p_u^2/2 - (m/n)^2 gamma' L + (m/n)^2 c0 gamma^2 + Omega/gamma^2."""
+        """H = p_u^2/2 - (m/n)^2 gamma' L, plus Omega/gamma^2 where Omega != 0: the paper's H at c0 = 0."""
         spec = self.spec
         prof = spec.gamma
         ratio2 = (spec.m / spec.n) ** 2
         L = self.base.L
-        c0 = spec.c0
         Om = spec.Omega
-        scalar_off = self._omega_is_zero() and c0 == 0.0
+        omega_off = self._omega_is_zero()
 
         def rule(q, p):
             Lv = L.rule(q[1:], p[1:])
             g, gp = gamma_and_prime(prof, q[0])
             H = 0.5 * p[0] * p[0] - ratio2 * gp * Lv
-            if scalar_off:
+            if omega_off:
                 return H
-            return H + ratio2 * c0 * g * g + Om / (g * g)
+            return H + Om / (g * g)
 
         return PhaseFunction(rule, 2)
 
@@ -309,19 +308,18 @@ class Extension:
 
     def _integral(self, form, s):
         """The PhaseFunction form(q, p, s): K for s = 0, which needs Omega = 0, and
-        Kbar for s = m/2; both need the base's (c, c0)."""
+        Kbar for s = m/2; both need the base's c."""
         if s == 0 and not self._omega_is_zero():
             raise ValueError("K_{m,n} requires Omega = 0; use kbar for Omega != 0")
         self._require_base_constants()
         return PhaseFunction(lambda q, p: form(q, p, s), 2)
 
     def _require_base_constants(self):
-        """The seed relation X_L^2 G = -2(cL + c0)G, which makes K an integral, holds
-        for the base's own (c, c0) only."""
-        spec, base = self.spec, self.base
-        if (spec.c, spec.c0) != (base.c, base.c0):
-            raise ValueError(f"K, Kbar and G_n need the base's (c, c0) = ({base.c}, {base.c0}); "
-                             f"the spec has ({spec.c}, {spec.c0})")
+        """The seed relation X_L^2 G = -2cLG, which makes K an integral, holds
+        for the base's own c only."""
+        if self.spec.c != self.base.c:
+            raise ValueError(f"K, Kbar and G_n need the base's c = {self.base.c}; "
+                             f"the spec has c = {self.spec.c}")
 
     def _check_kbar_indices(self, s, r):
         if s < 1 or r < 1:
@@ -339,13 +337,13 @@ class Extension:
 
         s = 0 is K_{m,n} (no gamma^-2 is computed) and s = m/2 is Kbar_{m,n}.
         With magnitudes=True, G, X_L G, gamma, p_u and Omega enter as their
-        absolute values and w = cL + c0 as -|w|, so every summand, whose factor
+        absolute values and w = cL as -|w|, so every summand, whose factor
         (-2)^j meets w^j, is added as its absolute value: the intrinsic scale
         against which the cancelling sums are conditioned.
         """
         spec = self.spec
         G, XG, L = self._seed_triple(q[1:], p[1:])
-        w = spec.c * L + spec.c0
+        w = spec.c * L
         gam = gamma(spec.gamma, q[0])
         pu, Om = p[0], spec.Omega
         if magnitudes:

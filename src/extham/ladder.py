@@ -10,7 +10,7 @@ constant c1 satisfying
 For the V-family bases the solution is F = g' with c1 = -c^2 C4 / eta_hat
 (the hyperbolic form of which is -C4 eta^3). The first-order combinations
 
-    F_pm = +-F' p_psi + F f + c1/f,      f = sqrt(2 (eta^2 L + c0))
+    F_pm = +-F' p_psi + F f + c1/f,      f = sqrt(2 eta^2 L) = sqrt(-2cL)
 
 are evaluated here only as diagnostics; see ladder_eigen_pattern.
 """
@@ -61,13 +61,13 @@ def ladder_function(data, sign):
     base = data.base
     F = data.F
     c1 = data.c1
-    c, c0 = base.c, base.c0
+    c = base.c
     L_rule = base.L.rule
 
     def rule(q, p):
-        arg = 2.0 * (-c * L_rule(q, p) + c0)
+        arg = 2.0 * (-c * L_rule(q, p))
         if any_true(primal(arg) <= 0.0):
-            raise ValueError("ladder function needs eta^2 L + c0 > 0 at the point")
+            raise ValueError("ladder function needs eta^2 L > 0 at the point")
         f = dm.sqrt(arg)
         Fv, Fp = taylor(F, q[0], 1)
         return sign * Fp * p[0] + Fv * f + c1 / f
@@ -86,7 +86,7 @@ def ladder_eigen_pattern(data, x, sign=1):
     Fpm = ladder_function(data, sign)
     x1 = hamiltonian_vector_field(base.L, Fpm)
     x2 = hamiltonian_vector_field(base.L, x1)
-    f = dm.sqrt(2.0 * (-base.c * base.L(x) + base.c0))
+    f = dm.sqrt(2.0 * (-base.c * base.L(x)))
     val, x2x = Fpm(x), x2(x)
     return {
         "second_order_vs_f": x2x - f * val,

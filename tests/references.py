@@ -89,7 +89,7 @@ def v10_base(C1, C2, C3, eta=2.0):
         return C3 / dm.pow_(g(q[0]), 2)
 
     return BaseSystem(
-        family="V10", params={"C1": C1, "C2": C2, "C3": C3, "eta": eta}, c=-(eta**2), c0=0.0,
+        family="V10", params={"C1": C1, "C2": C2, "C3": C3, "eta": eta}, c=-(eta**2),
         V=PhaseFunction(V, 1), L=PhaseFunction(lambda q, p: 0.5 * p[0] * p[0] + V(q, p), 1),
         G=PhaseFunction(lambda q, p: C1 * dm.exp(eta * q[0]) - C2 * dm.exp(-eta * q[0]), 1),
         g_scalar=g, eta_hat=eta, psi_window=PSI_WINDOW,

@@ -95,7 +95,7 @@ def test_criterion_02_seed_certification():
     for name, base in bases:
         assert (base.c > 0) == (name == "trig-TTW")
         for x in phase_points(sample_points(50, 1003, 1, q_ranges=(base.psi_window,))):
-            a, b = seed_equation_terms(base, base.c, base.c0, x)
+            a, b = seed_equation_terms(base, base.c, 0.0, x)
             worst = max(worst, abs(a + b) / (1.0 + abs(a) + abs(b)))
     ok = worst <= 1e-10
     _finish(2, "seed-equation certification across families", 2.0, t0, ok,

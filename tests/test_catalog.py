@@ -166,7 +166,7 @@ def test_every_family_passes_seed_residual():
         bases.append(make_base_family(C1, C2, C3, C4, eta, "hyperbolic"))
     for base in bases:
         for x in phase_points(sample_points(50, 203, 1, q_ranges=(base.psi_window,))):
-            a, b = seed_equation_terms(base, base.c, base.c0, x)
+            a, b = seed_equation_terms(base, base.c, 0.0, x)
             assert abs(a + b) <= 1e-10 * (1.0 + abs(a) + abs(b)), base.family
 
 

@@ -689,6 +689,20 @@ def test_sphere_below_the_overflow_still_passes(capsys):
     assert code == 0 and report["max_rel_bracket"] < 1e-16
 
 
+def test_sphere_fails_by_rank_at_small_eta(capsys):
+    # ROADMAP Found 13 and direction 7: the rank test asks sigma3/sigma1 > 1e-8 at every
+    # point, and the smallest sigma3/sigma1 is linear in eta, so at eta = 1e-8 the sphere
+    # fails by rank 2 while its brackets sit near 1e-36. A known false negative, kept
+    # visible until a change mends it on purpose; at eta = 1e-2 it passes at rank 3.
+    for seed in ("1", "7"):
+        code, out, _ = run_cli(capsys, "verify", "--model", "sphere", "--eta", "1e-8", "--seed", seed)
+        report = json.loads(out)
+        assert (code, report["independence_rank"]) == (1, 2)
+        assert report["max_rel_bracket"] < 1e-30
+        code, out, _ = run_cli(capsys, "verify", "--model", "sphere", "--eta", "1e-2", "--seed", seed)
+        assert (code, json.loads(out)["independence_rank"]) == (0, 3)
+
+
 def test_unwritable_csv_exits_two_with_json_error(capsys, tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr(cli, "integrate", lambda *a, **kw: calls.append(a))

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from extham import duals as dm
-from extham import phase, tagged_trig
+from extham import catalog, phase, tagged_trig
 from extham.catalog import (
     BASES,
     exp_base,
@@ -90,8 +91,11 @@ def test_spec_validation(profile):
         ExtensionSpec(0, 1, -4.0, 0.0, 0.0, profile)
     with pytest.raises(TypeError):
         ExtensionSpec(1.5, 1, -4.0, 0.0, 0.0, profile)
-    with pytest.raises(ValueError):
-        ExtensionSpec(1, 1, 0.0, 0.0, 0.0, GammaProfile.from_c_C(0.0, 1.0))
+    # c0 = 0 in every base, and the seed relation X_L^2 G = -2cLG needs c != 0
+    flat = GammaProfile.from_c_C(0.0, 1.0)
+    for c, c0, prof in [(0.0, 0.0, flat), (0.0, 0.5, flat), (-4.0, 0.5, profile)]:
+        with pytest.raises(ValueError, match=r"an extension needs c != 0 and c0 = 0"):
+            ExtensionSpec(1, 1, c, c0, 0.0, prof)
     with pytest.raises(ValueError):
         ExtensionSpec(1, 1, -2.0, 0.0, 0.0, profile)  # profile.c mismatch
     spec = ExtensionSpec(6, 4, -4.0, 0.0, 0.0, profile)
@@ -109,7 +113,6 @@ def test_seed_residual_zero_seed(base):
         family="zero-seed",
         params={},
         c=-4.0,
-        c0=0.0,
         V=base.V,
         L=base.L,
         G=PhaseFunction(lambda q, p: base.G.rule(q, p) * 0.0, 1),
@@ -185,10 +188,9 @@ def test_extended_hamiltonian_form(base, profile):
         assert H1(x) - H(x) == pytest.approx(16.0 * x.q[0] ** 2, rel=1e-11)
 
 
-# (c, kappa, translated) on every gamma branch: c = 0, principal with kappa
-# of either sign, translated with kappa of either sign
-GAMMA_BRANCHES = [(0.0, 0.0, False), (-1.0, 2.0, False), (-1.0, -2.0, False),
-                  (-1.0, 2.0, True), (-1.0, -2.0, True)]
+# (c, kappa, translated) on every gamma branch an extension can have (c != 0):
+# principal with kappa of either sign, translated with kappa of either sign
+GAMMA_BRANCHES = [(-1.0, 2.0, False), (-1.0, -2.0, False), (-1.0, 2.0, True), (-1.0, -2.0, True)]
 
 
 def _two_call_hamiltonian(e):
@@ -201,15 +203,14 @@ def _two_call_hamiltonian(e):
         u = q[0]
         H = 0.5 * p[0] * p[0] - ratio2 * gamma_prime(spec.gamma, u) * L.rule(q[1:], p[1:])
         g = gamma(spec.gamma, u)
-        return H + ratio2 * spec.c0 * g * g + spec.Omega / (g * g)
+        return H + spec.Omega / (g * g)
 
     return PhaseFunction(rule, 2)
 
 
 def _branch_extension(base, c, kappa, translated):
-    prof = (GammaProfile(0.0, 1.5, 0.0) if c == 0.0
-            else GammaProfile.from_c_kappa(c, kappa, translated=translated))
-    return Extension(ExtensionSpec(2, 1, c, 0.5, 0.3, prof), base)
+    prof = GammaProfile.from_c_kappa(c, kappa, translated=translated)
+    return Extension(ExtensionSpec(2, 1, c, 0.0, 0.3, prof), base)
 
 
 @pytest.mark.parametrize("c,kappa,translated", GAMMA_BRANCHES)
@@ -246,6 +247,18 @@ def test_hamiltonian_computes_tagged_s_once_per_rule_call(base, monkeypatch):
     assert len(calls) == 1
     partials_at(H, (0.7, 0.9), (0.4, -0.3))  # one rule call for every direction
     assert len(calls) == 2
+
+
+def test_hamiltonian_computes_no_c0_term():
+    # the k = 1 pseudo-polar H that integrate follows from x0 = (1, 0; 3.2, 0.5):
+    # at c0 = 0 its (m/n)^2 c0 gamma^2 term is not computed, which took 8 of the
+    # 64 traced partials lines at Omega = 0.3, two of them products with 0.0
+    for omega, count in ((0.3, 56), (0.0, 46)):
+        H = catalog.FLOWS["minkowski"]("1", 1.0, 2.0, omega, False, "pseudo-polar", 0.05)[0]
+        tape, lines, _ = phase.trace_partials(H, (1.0, 0.0), (3.2, 0.5))
+        assert not [args for fn, args, _ in tape.ops
+                    if fn is operator.mul and any(type(a) is float and a == 0.0 for a in args)]
+        assert len(lines) == count
 
 
 def test_u_operator_examples(base, profile):
@@ -498,16 +511,18 @@ def test_a_patched_base_rule_is_traced_again(profile, monkeypatch):
 
 
 def test_k_builders_refuse_constants_that_are_not_the_bases(base):
-    # exp_base(0.7, 1.3) has (c, c0) = (-4, 0); on (-1, 0) the seed relation fails,
+    # exp_base(0.7, 1.3) has c = -4; at c = -1 the seed relation fails,
     # and {H, K} at (0.8, 0.9; 0.3, -0.4) read 42.7 (closed) and 389 (recursive)
-    for c, c0 in [(-1.0, 0.0), (-4.0, 0.5)]:
-        prof = GammaProfile.from_c_C(c, 0.0)
-        e, ebar = (Extension(ExtensionSpec(2, 1, c, c0, Om, prof), base) for Om in (0.0, 0.3))
-        for build in (e.k_closed, e.k_recursive, lambda: e.gn_closed(1),
-                      lambda: ebar.kbar_closed(1, 1), lambda: ebar.kbar_recursive(1, 1)):
-            with pytest.raises(ValueError, match=r"need the base's \(c, c0\) = \(-4.0, 0.0\)"):
-                build()
-        e.hamiltonian()  # H itself is built for any pairing
+    prof = GammaProfile.from_c_C(-1.0, 0.0)
+    e, ebar = (Extension(ExtensionSpec(2, 1, -1.0, 0.0, Om, prof), base) for Om in (0.0, 0.3))
+    for build in (e.k_closed, e.k_recursive, lambda: e.gn_closed(1),
+                  lambda: ebar.kbar_closed(1, 1), lambda: ebar.kbar_recursive(1, 1)):
+        with pytest.raises(ValueError, match=r"need the base's c = -4.0; the spec has c = -1.0"):
+            build()
+    e.hamiltonian()  # H itself is built for any c
+    # a spec with c0 != 0 is refused before any builder runs
+    with pytest.raises(ValueError, match=r"needs c != 0 and c0 = 0; it has \(c, c0\) = \(-4.0, 0.5\)"):
+        ExtensionSpec(2, 1, -4.0, 0.5, 0.0, GammaProfile.from_c_C(-4.0, 0.0))
 
 
 # -- the seed partials' programs ---------------------------------------------

@@ -38,6 +38,10 @@ COMMANDS = (
     ("verify", "--model", "minkowski", "--alpha", "0", "--beta", "0"),
     ("integrate", "--alpha", "0", "--beta", "0", "--x0", "1", "0", "3.2", "0.5", "--steps", "400",
      "--csv", "t.csv"),
+    ("ccm",),
+    ("ladder",),
+    # the Kbar(4,1) orbit, whose H adds Omega/gamma^2
+    ("integrate", "--omega", "0.3", "--x0", "1", "0", "3.2", "0.5", "--steps", "400", "--csv", "t.csv"),
 )
 
 
