@@ -17,7 +17,7 @@ were built. A Jet has one power rule, for ``**`` and :func:`pow_` alike: an
 integer power multiplies the series by itself, so a zero constant term is
 allowed, and any other power runs a recurrence that divides by it. Each
 operation computes its coefficients by one rule (the ``_*_terms``
-functions), which extends them one order at a time.
+functions), from coefficient 0 up.
 
 A float64 array is the third leaf: one coordinate at many sample points,
 so one evaluation differentiates all of them. numpy does its + - * /, which
@@ -35,16 +35,11 @@ every operation on it, and every comparison with its outcome. Anything that
 would branch on a traced value without a comparison (bool, float, int,
 hash) raises; every power is recorded as ``math.pow``, however it was
 written. A repeated operation is recorded once, and ``x * 1.0`` is x, which
-is exact on every double. The tape writes its one record in two forms: the
-straight-line float program of the evaluation (:attr:`Tape.lines`, from
-``phase.trace_partials``, which :func:`define` compiles), and its series
-form (:meth:`Tape.series`), where each value is the list of its Taylor
-coefficients and each operation appends coefficient k by the Jet's own rule
-for it. So a program looping over k (``extension.compile_flow_series``)
-computes each coefficient once, bit for bit as the evaluation on Jets. The
-series form is its rule table, arithmetic, exp, sin and cos, which is what
-the catalog's potentials use: a tape holding any other operation (a power,
-``abs``, a comparison, another math function) has no series form.
+is exact on every double. The tape writes its record as one straight-line
+float program (:attr:`Tape.lines`), which :func:`define` compiles. Traced
+through an evaluation on Jets of Traces (``extension.compile_flow_jets``),
+the program computes each Taylor coefficient once, however often the
+evaluation recomputes it, bit for bit as the evaluation on Jets.
 
 Two seams decide how scalars are computed: :func:`_lift` every unary math
 function (Dual -> Jet -> Trace -> float -> array -> ``math``) and :func:`pow_` every
@@ -276,9 +271,7 @@ class Jet:
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
-            q = []
-            _div_terms(self.c, other.c, q)
-            return Jet(q)
+            return Jet(_div_terms(self.c, other.c))
         if isinstance(other, Dual):
             return NotImplemented
         return Jet([a / other for a in self.c])
@@ -289,7 +282,7 @@ class Jet:
     def __pow__(self, r):
         _plain_exponent(r)
         if r != int(r):
-            return _jet(_pow_terms, self, r)
+            return Jet(_pow_terms(self.c, r))
         r = int(r)
         if r < 0:
             return 1.0 / self ** (-r)
@@ -312,23 +305,21 @@ def _cauchy(a, b, k):
     return total
 
 
-# -- one rule per coefficient ------------------------------------------------
-# Each _*_terms extends the coefficient list of one operation's result, out,
-# through the last coefficient its operands have, from their coefficients and
-# out's own lower ones. A Jet operation calls it once, on an empty out; the
-# series program (Tape.series) calls it once per order, when the operands
-# have one coefficient more. So both compute every coefficient by one rule.
-# The series program runs the arithmetic, exp and sin/cos rules; the others
-# serve Jets alone.
+# -- one rule per operation ----------------------------------------------------
+# Each _*_terms returns the coefficients of one operation's result, 0 through
+# the last its operands have, each from its operands' coefficients and its own
+# lower ones: what the Jet method of that operation computes.
 
 
-def _div_terms(a, b, q):
+def _div_terms(a, b):
     # q = a/b: q_k = (a_k - sum_{j=1..k} b_j q_{k-j}) / b_0
-    for k in range(len(q), min(len(a), len(b))):
+    q = []
+    for k in range(min(len(a), len(b))):
         t = a[k]
         for j in range(1, k + 1):
             t = t - b[j] * q[k - j]
         q.append(t / b[0])
+    return q
 
 
 def _ode_coefficient(a, k, g):
@@ -339,80 +330,66 @@ def _ode_coefficient(a, k, g):
     return total / k
 
 
-def _exp_terms(a, e):
-    if not e:
-        e.append(exp(a[0]))
-    for k in range(len(e), len(a)):
+def _exp_terms(a):
+    e = [exp(a[0])]
+    for k in range(1, len(a)):
         e.append(_ode_coefficient(a, k, e))
+    return e
 
 
-def _log_terms(a, lg):
+def _log_terms(a):
     # a l' = a', so l_k = (a_k - (1/k) sum_{j=1..k-1} j l_j a_{k-j}) / a_0
-    if not lg:
-        lg.append(log(a[0]))
-    for k in range(len(lg), len(a)):
+    lg = [log(a[0])]
+    for k in range(1, len(a)):
         t = a[k]
         for j in range(1, k):
             t = t - (j / k) * lg[j] * a[k - j]
         lg.append(t / a[0])
+    return lg
 
 
-def _sqrt_terms(a, s):
+def _sqrt_terms(a):
     # s * s = a
-    if not s:
-        s.append(sqrt(a[0]))
-    for k in range(len(s), len(a)):
+    s = [sqrt(a[0])]
+    for k in range(1, len(a)):
         t = a[k]
         for j in range(1, k):
             t = t - s[j] * s[k - j]
         s.append(t / (s[0] + s[0]))
+    return s
 
 
-def _sin_cos_terms(a, s, c, hyperbolic):
+def _sin_cos_terms(a, hyperbolic):
     # coupled: s' = c a', c' = -s a' (circular) or +s a' (hyperbolic)
-    if not s:
-        s.append(sinh(a[0]) if hyperbolic else sin(a[0]))
-        c.append(cosh(a[0]) if hyperbolic else cos(a[0]))
-    for k in range(len(s), len(a)):
+    s = [sinh(a[0]) if hyperbolic else sin(a[0])]
+    c = [cosh(a[0]) if hyperbolic else cos(a[0])]
+    for k in range(1, len(a)):
         sk = _ode_coefficient(a, k, c)
         ck = _ode_coefficient(a, k, s)
         s.append(sk)
         c.append(ck if hyperbolic else -ck)
+    return s, c
 
 
-def _tanh_terms(a, t, w):
+def _tanh_terms(a):
     # t' = w a' with w = 1 - t^2
-    if not t:
-        t.append(tanh(a[0]))
-        w.append(1.0 - t[0] * t[0])
-    for k in range(len(t), len(a)):
+    t = [tanh(a[0])]
+    w = [1.0 - t[0] * t[0]]
+    for k in range(1, len(a)):
         t.append(_ode_coefficient(a, k, w))
         w.append(-_cauchy(t, t, k))
+    return t
 
 
-def _pow_terms(a, b, r):
+def _pow_terms(a, r):
     # a b' = r a' b, so b_k = (1/(k a_0)) sum_{j=1..k} (r j - (k - j)) a_j b_{k-j}
-    if not b:
-        b.append(pow_(a[0], r))
-    for k in range(len(b), len(a)):
+    b = [pow_(a[0], r)]
+    for k in range(1, len(a)):
         t = (r - (k - 1)) * a[1] * b[k - 1]
         for j in range(2, k + 1):
             t = t + (r * j - (k - j)) * a[j] * b[k - j]
         b.append(t / (k * a[0]))
-
-
-def _jet(terms, x, *params):
-    """The Jet of one operation on x, whose coefficients terms appends."""
-    out = []
-    terms(x.c, out, *params)
-    return Jet(out)
-
-
-def _jet_pair(terms, x, *params):
-    """(sin, cos) or (tanh, its companion 1 - tanh^2) of x, whose coefficients terms appends."""
-    f, g = [], []
-    terms(x.c, f, g, *params)
-    return Jet(f), Jet(g)
+    return b
 
 
 def _entrywise(fn, x, *params):
@@ -434,12 +411,10 @@ class Tape:
     ``params`` names the inputs ``t0``, ``t1``, ..., all made before the first
     operation. ``ops`` is the one record: each operation as (fn, args,
     result), the result a Trace or, for a guard (a comparison the evaluation
-    branched on), its outcome. Two writers turn it into Python source: the
-    float program (:attr:`lines`), of every operation, and the series program
-    (:meth:`series`), of the operations ``_SERIES_RULES`` has a line for.
-    Finite numbers are written as literals; functions and other constants
-    are passed by reference as ``c0``, ``c1``, ... in ``namespace``, named in
-    the order the writer first meets them.
+    branched on), its outcome. One writer turns it into Python source, the
+    float program (:attr:`lines`). Finite numbers are written as literals;
+    functions and other constants are passed by reference as ``c0``, ``c1``,
+    ... in ``namespace``, named in the order the writer first meets them.
     """
 
     def __init__(self):
@@ -487,34 +462,6 @@ class Tape:
                            f"return fallback({', '.join(self.params)})")
         return out
 
-    def series(self):
-        """The recorded operations on Taylor series: (head, body), lines of source.
-
-        Each traced value t<i> stands for the list of its Taylor coefficients.
-        head starts the list of every value an operation made. The inputs'
-        lists come from outside and must hold coefficients 0..k when body
-        runs for k; body then appends coefficient k of every value, in tape
-        order, by the rule the Jet method of that operation runs. So body run
-        for k = 0, 1, 2, ... gives every coefficient of the evaluation on Jets
-        bit for bit, each once. An operation ``_SERIES_RULES`` has no line for
-        (a power, ``abs``, a comparison, a math function other than exp, sin
-        and cos) raises TypeError.
-        """
-        self.namespace.update({f.__name__: f for f in _SERIES_HELPERS})
-        head, body = [], []
-        for fn, args, out in self.ops:
-            names = [self.atom(x) for x in args]
-            kinds = "".join("s" if isinstance(x, Trace) else "c" for x in args)
-            line = _SERIES_RULES.get((fn, kinds))
-            if line is None:
-                raise TypeError(f"no series rule for {getattr(fn, '__name__', fn)} on {kinds}")
-            o = f"t{out.i}"
-            head.append(f"{o} = []")
-            if "{o}_c" in line:
-                head.append(f"{o}_c = []")
-            body.append(line.format(o=o, a=names[0], b=names[-1]))
-        return head, body
-
     def atom(self, x):
         """x in the source: a Trace's name, a finite number's literal or a reference."""
         if isinstance(x, Trace):
@@ -527,29 +474,6 @@ class Tape:
         name = f"c{len(self.namespace)}"
         self.namespace[name] = x
         return name
-
-
-# (fn, which operands are series (s) or constants (c)) -> the line appending
-# coefficient k of the result o, as the Jet method computes it; a reflected
-# operation was recorded with its operands in the order written
-_SERIES_RULES = {
-    (operator.add, "ss"): "{o}.append({a}[k] + {b}[k])",
-    (operator.add, "sc"): "{o}.append({a}[k] if k else {a}[0] + {b})",
-    (operator.add, "cs"): "{o}.append({b}[k] if k else {b}[0] + {a})",
-    (operator.sub, "ss"): "{o}.append({a}[k] - {b}[k])",
-    (operator.sub, "sc"): "{o}.append({a}[k] if k else {a}[0] - {b})",
-    (operator.sub, "cs"): "{o}.append(-{b}[k] if k else {a} - {b}[0])",
-    (operator.mul, "ss"): "{o}.append(_cauchy({a}, {b}, k))",
-    (operator.mul, "sc"): "{o}.append({a}[k] * {b})",
-    (operator.mul, "cs"): "{o}.append({b}[k] * {a})",
-    (operator.truediv, "ss"): "_div_terms({a}, {b}, {o})",
-    (operator.truediv, "sc"): "{o}.append({a}[k] / {b})",
-    (operator.truediv, "cs"): "{o}_c.append({a} if not k else 0.0); _div_terms({o}_c, {b}, {o})",
-    (operator.neg, "s"): "{o}.append(-{a}[k])",
-    (math.exp, "s"): "_exp_terms({a}, {o})",
-    (math.sin, "s"): "_sin_cos_terms({a}, {o}, {o}_c, False)",
-    (math.cos, "s"): "_sin_cos_terms({a}, {o}_c, {o}, False)",
-}
 
 
 def define(name, params, lines, namespace, filename):
@@ -691,19 +615,14 @@ def _lift(fn, jet_rule, tangent):
     return lifted
 
 
-exp = _lift(math.exp, lambda x: _jet(_exp_terms, x), lambda x, e, dx: e * dx)
-log = _lift(math.log, lambda x: _jet(_log_terms, x), lambda x, y, dx: dx / x)
-sqrt = _lift(math.sqrt, lambda x: _jet(_sqrt_terms, x), lambda x, s, dx: dx / (s + s))
-sin = _lift(math.sin, lambda x: _jet_pair(_sin_cos_terms, x, False)[0],
-            lambda x, y, dx: cos(x) * dx)
-cos = _lift(math.cos, lambda x: _jet_pair(_sin_cos_terms, x, False)[1],
-            lambda x, y, dx: -sin(x) * dx)
-sinh = _lift(math.sinh, lambda x: _jet_pair(_sin_cos_terms, x, True)[0],
-             lambda x, y, dx: cosh(x) * dx)
-cosh = _lift(math.cosh, lambda x: _jet_pair(_sin_cos_terms, x, True)[1],
-             lambda x, y, dx: sinh(x) * dx)
-tanh = _lift(math.tanh, lambda x: _jet_pair(_tanh_terms, x)[0],
-             lambda x, t, dx: (1.0 - t * t) * dx)
+exp = _lift(math.exp, lambda x: Jet(_exp_terms(x.c)), lambda x, e, dx: e * dx)
+log = _lift(math.log, lambda x: Jet(_log_terms(x.c)), lambda x, y, dx: dx / x)
+sqrt = _lift(math.sqrt, lambda x: Jet(_sqrt_terms(x.c)), lambda x, s, dx: dx / (s + s))
+sin = _lift(math.sin, lambda x: Jet(_sin_cos_terms(x.c, False)[0]), lambda x, y, dx: cos(x) * dx)
+cos = _lift(math.cos, lambda x: Jet(_sin_cos_terms(x.c, False)[1]), lambda x, y, dx: -sin(x) * dx)
+sinh = _lift(math.sinh, lambda x: Jet(_sin_cos_terms(x.c, True)[0]), lambda x, y, dx: cosh(x) * dx)
+cosh = _lift(math.cosh, lambda x: Jet(_sin_cos_terms(x.c, True)[1]), lambda x, y, dx: sinh(x) * dx)
+tanh = _lift(math.tanh, lambda x: Jet(_tanh_terms(x.c)), lambda x, t, dx: (1.0 - t * t) * dx)
 
 
 def _plain_exponent(r):
@@ -733,6 +652,3 @@ def pow_(x, r):
         return y if np.isfinite(y).all() else _entrywise(math.pow, x, r)
     return math.pow(x, r)
 
-
-# what series programs call, by name
-_SERIES_HELPERS = (_cauchy, _div_terms, _exp_terms, _sin_cos_terms)

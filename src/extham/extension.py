@@ -15,12 +15,11 @@ flow's coefficients through t^order come from BaseSystem.flow_jets, which
 equals flow_jets_by_evaluation: L's partials evaluated on jets, order after
 order.
 
-A base system compiles both evaluations once (compile_partials,
-compile_flow_series), under one contract: a program answers as the
-evaluation it compiles, bit for bit, and where the trace fails or has no
-compiled form the callable returned is that evaluation itself. The partials
-program calls it where a guard flips; the series program has no guards, as
-a tape that compares has no series form.
+A base system compiles both evaluations once (compile_partials, and
+compile_flow_jets once per order), under one contract: a program answers as
+the evaluation it compiles, bit for bit, calls that evaluation where a guard
+flips, and where the trace fails the callable returned is that evaluation
+itself.
 
 The base Hamiltonian L acts on the trailing (psi, p_psi) block of the
 extended phase space (u, psi, p_u, p_psi); functions of the base block are
@@ -71,8 +70,8 @@ class BaseSystem:
     singularities; samplers respect it. catalog.make_base_family, the one
     constructor, sets every field but the kept programs. A base system also
     keeps the programs it traces at its first regular float point: the
-    partials programs of G and L (partials) and the series program of L's
-    flow (flow_jets), each until the rule it traced is patched.
+    partials programs of G and L (partials) and the programs of L's flow,
+    one per order (flow_jets), each until the rule it traced is patched.
     """
 
     family: str
@@ -84,25 +83,27 @@ class BaseSystem:
     g_scalar: object
     eta_hat: float
     psi_window: tuple
-    # {(compiler, f): (the f.rule it traced, its program)}, built by _kept on first use
+    # {(compiler, f, *settings): (the f.rule it traced, its program)}, built by _kept on first use
     _programs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.V.dof != 1 or self.L.dof != 1 or self.G.dof != 1:
             raise ValueError("base system functions must live on the 1-dof phase space")
 
-    def _kept(self, compiler, f, point, *args):
-        """program(*args) for program = compiler(f, *point), traced at that float
-        point the first time it is asked for, and kept once it answers there
-        (where f is singular, the evaluation it fell back to raises, and the next
-        float point traces again) until f.rule is no longer the rule it traced.
-        Two threads asking at once may both build it; either serves."""
-        rule, program = self._programs.get((compiler, f), (None, None))
+    def _kept(self, compiler, f, point, *args, settings=()):
+        """program(*args) for program = compiler(f, *point, *settings), traced at that
+        float point the first time it is asked for, and kept under (compiler, f,
+        *settings) once it answers there (where f is singular, the evaluation it fell
+        back to raises, and the next float point traces again) until f.rule is no
+        longer the rule it traced. Two threads asking at once may both build it;
+        either serves."""
+        key = (compiler, f, *settings)
+        rule, program = self._programs.get(key, (None, None))
         if rule is f.rule:
             return program(*args)
-        program = compiler(f, *point)
+        program = compiler(f, *point, *settings)
         answer = program(*args)
-        self._programs[compiler, f] = (f.rule, program)
+        self._programs[key] = (f.rule, program)
         return answer
 
     def partials(self, f, q, p):
@@ -122,14 +123,13 @@ class BaseSystem:
         """flow_jets_by_evaluation(L, psi, p_psi, order), bit for bit.
 
         Under partials' leaf rule, where both coordinates are plain floats,
-        it runs the series program of L's flow (compile_flow_series), kept by
-        _kept, or the evaluation itself where L's tape has no series form.
-        Every other leaf, and order 0 (the start point, which never touches
-        L, so a singular first point would keep the evaluation), takes the
-        evaluation on jets.
+        it runs L's flow program at that order (compile_flow_jets), kept by
+        _kept. Every other leaf, and order 0 (the start point, which never
+        touches L, so a singular first point would keep the evaluation),
+        takes the evaluation on jets.
         """
         if order and type(psi) is float and type(p_psi) is float:
-            return self._kept(compile_flow_series, self.L, (psi, p_psi), [psi], [p_psi], order)
+            return self._kept(compile_flow_jets, self.L, (psi, p_psi), psi, p_psi, settings=(order,))
         return flow_jets_by_evaluation(self.L, psi, p_psi, order)
 
 
@@ -139,7 +139,7 @@ def flow_jets_by_evaluation(L, psi, p_psi, order):
     Each order k evaluates the partials on the jets (Q, P) known through t^k
     and appends Q_{k+1} = [dL/dp]_k / (k+1) and P_{k+1} = -[dL/dpsi]_k / (k+1),
     recomputing every lower coefficient: O(order^3) coefficient work. It is
-    what the series program (compile_flow_series) compiles.
+    what compile_flow_jets compiles.
     """
     Q, P = [psi], [p_psi]
     for k in range(order):
@@ -149,41 +149,33 @@ def flow_jets_by_evaluation(L, psi, p_psi, order):
     return Jet(Q), Jet(P)
 
 
-def compile_flow_series(L, psi, p_psi):
-    """flow_jets_by_evaluation(L, ., ., order) as one program over the coefficient lists.
+def compile_flow_jets(L, psi, p_psi, order):
+    """flow_jets_by_evaluation(L, ., ., order) on float points as one straight-line program.
 
-    partials_at(L) runs once on Trace leaves at the float point (psi, p_psi),
-    and the tape writes its operations in series form (Tape.series), so the
-    program computes each coefficient once, O(order^2) in all. The trace
-    costs about 0.5 ms. program([psi], [p_psi], order) returns the two Jets
-    flow_jets_by_evaluation(L, psi, p_psi, order) returns, bit for bit.
-    Where L cannot be traced at (psi, p_psi), raises there or records an
-    operation the series writer has no rule for (a power, abs, a comparison,
-    a math function other than exp, sin and cos), the callable returned is
-    that evaluation itself.
+    The evaluation runs once on Trace leaves at the float point (psi, p_psi).
+    Its tape records each operation once, so the program computes every
+    coefficient once, where the evaluation recomputes the lower ones at each
+    order. program(psi, p_psi) returns the two Jets the evaluation returns, bit
+    for bit, and the evaluation's answer where a comparison it branched on
+    comes out the other way. Where L cannot be traced at (psi, p_psi), or the
+    evaluation raises there (an operation Jets lack, such as abs), the callable
+    returned is that evaluation itself.
     """
 
-    def fallback(Q, P, order):
-        return flow_jets_by_evaluation(L, Q[0], P[0], order)
+    def fallback(psi, p_psi):
+        return flow_jets_by_evaluation(L, psi, p_psi, order)
 
     tape = Tape()
     try:
-        _, (dq,), (dp,) = partials_at(L, tape.inputs((psi,)), tape.inputs((p_psi,)))
-        head, body = tape.series()
-    except Exception:  # untraceable, singular here, or no series rule: evaluation on jets decides
+        jets = flow_jets_by_evaluation(L, *tape.inputs((psi, p_psi)), order)
+    except Exception:  # untraceable or singular here: the evaluation on jets decides
         return fallback
-    if not all(isinstance(x, (Trace, float, int)) for x in (dq, dp)):
+    if not all(isinstance(x, (Trace, float, int)) for jet in jets for x in jet.c):
         return fallback
-
-    def coefficient_k(x):  # coefficient(x, k): a constant is a series of one term
-        name = tape.atom(x)
-        return f"{name}[k]" if isinstance(x, Trace) else f"({name} if not k else 0.0)"
-
-    loop = body + [f"t0.append({coefficient_k(dp)} / (k + 1))",
-                   f"t1.append(-{coefficient_k(dq)} / (k + 1))"]
-    lines = head + ["for k in range(order):"] + ["    " + line for line in loop] + ["return Jet(t0), Jet(t1)"]
-    tape.namespace["Jet"] = Jet
-    return define("flow_series", tape.params + ["order"], lines, tape.namespace, "<flow series>")
+    lines = tape.lines  # written first, so constants are named in tape order
+    Q, P = ("Jet([" + ", ".join(map(tape.atom, jet.c)) + "])" for jet in jets)
+    tape.namespace.update(fallback=fallback, Jet=Jet)
+    return define("flow_jets", tape.params, lines + [f"return {Q}, {P}"], tape.namespace, "<flow jets>")
 
 
 class Extension:

@@ -8,10 +8,11 @@ holding that coordinate at many points, so one evaluation covers all of
 them, bare or under :func:`partials_at`, which takes every partial from one
 evaluation on every leaf. Functions are immutable after construction and
 all operations are pure but one: a base system keeps the programs it traces
-at its first regular float point, the series program of its L's flow and
-the partials programs of its G and L (``extension.BaseSystem``), and runs
-them at plain float points only. Two threads may both build one, and either
-serves, so concurrent evaluation at distinct points needs no synchronization.
+at its first regular float point, the programs of its L's flow (one per
+order) and the partials programs of its G and L (``extension.BaseSystem``),
+and runs them at plain float points only. Two threads may both build one,
+and either serves, so concurrent evaluation at distinct points needs no
+synchronization.
 """
 
 import math

@@ -204,7 +204,7 @@ def xl_gn_closed(ext, n):
 
     def rule(q, p):
         G, XG, L = ext._seed_triple(q, p)
-        return ext._gn_xgn_values(G, XG, ext.spec.c * L + ext.spec.c0, n)[1]
+        return ext._gn_xgn_values(G, XG, ext.spec.c * L, n)[1]
 
     return PhaseFunction(rule, 1)
 
@@ -226,7 +226,7 @@ def ode_residual(profile, u):
 def gn_xgn_values(ext, q1, p1, n, magnitudes=False):
     """(G_n, X_L G_n, L), or their absolute summands, with the magnitude switch inside."""
     G, XG, L = ext._seed_triple(q1, p1)
-    w = ext.spec.c * L + ext.spec.c0
+    w = ext.spec.c * L
     if magnitudes:
         G, XG, w = abs(G), abs(XG), abs(w)
         sign = 2
@@ -269,7 +269,7 @@ def closed_form(ext, q, p, s, magnitudes=False):
     """K_{m,n} (s = 0) or Kbar_{m,n} (s = m/2) at (q, p), or the sum of its absolute summands."""
     spec = ext.spec
     gn, xgn, L = gn_xgn_values(ext, q[1:], p[1:], spec.n, magnitudes)
-    w = spec.c * L + spec.c0
+    w = spec.c * L
     gam = tagged_trig.gamma(spec.gamma, q[0])
 
     def term(r):

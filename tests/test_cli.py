@@ -439,17 +439,28 @@ def test_choices_are_the_table_keys(command, selector, table):
     assert list(_choices(command, selector)) == list(table)
 
 
-def _report_digest_tool():
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "report_digest.py")
-    spec = importlib.util.spec_from_file_location("report_digest", path)
+def _tool(name):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     return tool
 
 
+@pytest.mark.parametrize("runs", ["0", "-3"])
+def test_wall_times_refuses_fewer_than_one_run_before_starting_a_process(runs, monkeypatch, capsys):
+    # --runs 0 used to start nothing and then fail in statistics.median on no data
+    tool = _tool("wall_times")
+    monkeypatch.setattr(tool.subprocess, "Popen", lambda *a, **k: pytest.fail("a child process started"))
+    with pytest.raises(SystemExit) as exit_:
+        tool.main([os.path.dirname(__file__), "--runs", runs])
+    assert exit_.value.code == 2
+    assert f"argument --runs: needs at least 1 run, got {runs}" in capsys.readouterr().err
+
+
 def test_report_digest_argvs_are_not_refused(monkeypatch):
     # tools/report_digest.py and the bench pass every model flag to every model at its default
-    digest = _report_digest_tool()
+    digest = _tool("report_digest")
 
     class Built(Exception):
         pass

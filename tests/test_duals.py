@@ -156,77 +156,77 @@ def test_a_plain_number_that_is_no_float_takes_math_pow(x, r):
     assert type(y) is float and y == math.pow(x, r)
 
 
-# values of one leaf, one per series rule: every operand kind of + - * /, and
-# exp, sin and cos
+# values of one leaf: every operand kind of + - * /, every math function with a
+# Jet rule, integer, negative and fractional powers, and a comparison the
+# evaluation branches on
 SERIES_FUNCS = [
     lambda x: (x * x, 2.0 * x, x * 2.0, x - 0.5, 1.5 + x, x + 1.5, -x, 2.0 - x, x - x),
     lambda x: (x / 3.0, 1.0 / (x * x + 1.0), (x - 3.0) / (x * x + 2.0)),
     lambda x: (dm.exp(x),),
     lambda x: (dm.sin(x), dm.cos(x)),
+    lambda x: (dm.sinh(x), dm.cosh(x), dm.tanh(x)),
+    lambda x: (dm.log(x * x + 1.0), dm.sqrt(x * x + 1.0)),
+    lambda x: (x**3, x**0, x**1, x**2.0, dm.pow_(x * x + 1.0, -2), dm.pow_(x * x + 1.0, 0.5)),
+    lambda x: (x * x if primal(x) < 0.0 else -x, dm.exp(x) if primal(x) >= 0.0 else x),
 ]
 
 
-def _series_program(f, x0):
-    """f as a series program: series(a, order) gives the coefficients 0..order-1 of each
-    value f returns, at the series a, taking one coefficient of a per order."""
+def _jet_program(f, a):
+    """f on the Jet of the coefficients a, traced at a and written as one float program
+    (Tape.lines): program(*a) gives the coefficients of each value f returns, and
+    where a comparison comes out the other way, the evaluation on Jets answers."""
     tape = dm.Tape()
-    (x,) = tape.inputs((x0,))
-    ys = ", ".join(map(tape.atom, f(x)))
-    head, body = tape.series()
-    lines = ["t0 = []"] + head + ["for k in range(order):", "    t0.append(a[k])"]
-    lines += [f"    {line}" for line in body]
-    lines.append(f"return [{ys}]")
-    return dm.define("series", ["a", "order"], lines, tape.namespace, "<test>")
+    ys = f(Jet(tape.inputs(a)))
+    lines = tape.lines
+    out = ", ".join("[" + ", ".join(map(tape.atom, y.c)) + "]" for y in ys)
+    tape.namespace["fallback"] = lambda *a: [y.c for y in f(Jet(a))]
+    return dm.define("jets", tape.params, lines + [f"return [{out}]"], tape.namespace, "<test>")
 
 
 @pytest.mark.parametrize("i", range(len(SERIES_FUNCS)))
-def test_series_rules_equal_the_jet_methods_bit_for_bit(i):
+def test_traced_jet_programs_equal_the_jet_methods_bit_for_bit(i):
     f = SERIES_FUNCS[i]
-    program = _series_program(f, 0.7)
     rng = random.Random(i)
-    tag = dm.new_tag()
-    for _ in range(20):
-        a = [rng.uniform(-1.0, 1.0) for _ in range(9)]
-        a[rng.randrange(1, 9)] = rng.choice([0.0, -0.0])  # signed zeros flow through
-        for leaves in (a, [Dual(v, 0.5 * v, tag) for v in a]):
-            for order in range(10):
-                got = program(leaves, order)
-                want = [y.c for y in f(Jet(leaves[:order]))] if order else [[]] * len(got)
-                assert leaf_bits(got) == leaf_bits(want)
-
-
-def _refuses_a_series(f):
-    tape = dm.Tape()
-    (x,) = tape.inputs((0.7,))
-    f(x)
-    with pytest.raises(TypeError, match="no series rule for"):
-        tape.series()
+    for order in range(1, 10):
+        draws = [[rng.uniform(-1.0, 1.0) for _ in range(order)] for _ in range(20)]
+        for a in draws[1:] if order > 1 else ():
+            a[rng.randrange(1, order)] = rng.choice([0.0, -0.0])  # signed zeros flow through
+        program = _jet_program(f, draws[0])
+        for a in draws:
+            assert leaf_bits(program(*a)) == leaf_bits([y.c for y in f(Jet(a))])
 
 
 def test_an_operation_without_a_taylor_rule_is_refused():
-    # a Jet has power rules, but the series writer has none: every power is refused
-    powers = (lambda x: x**3, lambda x: x**0, lambda x: x**1, lambda x: x**2.0,
-              lambda x: dm.pow_(x * x + 1.0, -2), lambda x: dm.pow_(x * x + 1.0, 0.5))
-    for f in (abs,) + powers:
-        _refuses_a_series(f)
+    # a Jet has no rule for abs: the evaluation raises on floats and on traced leaves
+    # alike, so no program is written for it
+    tape = dm.Tape()
+    for a in ([0.7, 1.0, 0.0], tape.inputs((0.7, 1.0, 0.0))):
+        with pytest.raises(TypeError, match="bad operand type for abs"):
+            abs(Jet(a))
+    assert tape.lines == []
 
 
-# a comparison the evaluation branched on, and the math functions the catalog's
-# potentials do not use
-NO_SERIES_FORM = {
-    "guard": lambda x: x if primal(x) < 1.0 else -x,
-    "eq": lambda x: x == 0.7,
-    "log": dm.log,
-    "sqrt": dm.sqrt,
-    "sinh": dm.sinh,
-    "cosh": dm.cosh,
-    "tanh": dm.tanh,
+# a comparison on the jet's value, traced at 0.5, and a point where it comes out the
+# other way
+GUARDS = {
+    "lt": (lambda x: primal(x) < 0.0, -0.25),
+    "ge": (lambda x: primal(x) >= 0.25, 0.0),
+    "eq": (lambda x: primal(x) == 0.5, 0.75),
 }
 
 
-@pytest.mark.parametrize("name", NO_SERIES_FORM)
-def test_a_comparison_or_a_function_outside_the_table_has_no_series_form(name):
-    _refuses_a_series(NO_SERIES_FORM[name])
+@pytest.mark.parametrize("name", GUARDS)
+def test_a_traced_jet_program_falls_back_where_its_guard_flips(name):
+    cmp, flipped = GUARDS[name]
+    f = lambda x: (x * x if cmp(x) else dm.exp(x),)  # noqa: E731
+    program = _jet_program(f, [0.5, 1.0, -0.0, 0.25])
+    calls = []
+    fallback = program.__globals__["fallback"]
+    program.__globals__["fallback"] = lambda *a: calls.append(a) or fallback(*a)
+    for x0, n_calls in ((0.5, 0), (flipped, 1)):
+        a = [x0, 1.0, -0.0, 0.25]
+        assert leaf_bits(program(*a)) == leaf_bits([y.c for y in f(Jet(a))])
+        assert len(calls) == n_calls
 
 
 # -- the seam: one dispatch for every math function --------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from extham import duals as dm
-from extham import catalog, phase, tagged_trig
+from extham import catalog, extension, phase, tagged_trig
 from extham.catalog import (
     BASES,
     exp_base,
@@ -25,7 +25,7 @@ from extham.extension import (
     ExtensionSpec,
     _float_norm,
     bracket_scale,
-    compile_flow_series,
+    compile_flow_jets,
     flow_jets_by_evaluation,
     functional_independence,
     jacobian_rank,
@@ -376,8 +376,8 @@ def test_kbar_8_3_recursive_equals_closed(base, profile, Omega):
 
 @pytest.mark.parametrize("m,n", [(5, 3), (16, 3)])
 def test_recursive_k_base_rule_calls_grow_linearly(profile, m, n):
-    # one G call per point; L's rule runs only in the one trace of its series
-    # program, at the first point, and the program does every order of the flow jet
+    # one G call per point; L's rule runs only in the one trace of its flow
+    # program, at the first point: once per order m + n - 1 of the flow jet
     b = exp_base(0.7, 1.3)
     calls = []
 
@@ -393,14 +393,14 @@ def test_recursive_k_base_rule_calls_grow_linearly(profile, m, n):
     for i, x in enumerate(phase_points(sample_points(3, 54, 2))):
         calls.clear()
         kr(x)
-        assert calls == (["L", "G"] if i == 0 else ["G"])
+        assert calls == (["L"] * (m + n - 1) + ["G"] if i == 0 else ["G"])
 
 
-# -- the flow's series program -------------------------------------------------
+# -- the flow's programs ---------------------------------------------------------
 
 
 def _series_bases():
-    """Every catalog base family, and L = 0.5 p^2 + V, whose bare power the series writer refuses."""
+    """Every catalog base family, and L = 0.5 p^2 + V with a bare power of p."""
     # g = cosh(2 psi + 0.3) and sinh(2 psi + 0.3), then the free base and V10
     bases = [BASES["hyperbolic"](0.7, 1.3, 2.0), BASES["trig"](0.2, 1.0, 0.5, 1.0),
              make_base_family(0.5 * math.exp(0.3), 0.5 * math.exp(-0.3), 0.7, 1.1, 2.0, "hyperbolic"),
@@ -412,28 +412,28 @@ def _series_bases():
     return bases + [squared]
 
 
-@pytest.mark.parametrize("b, compiled", zip(_series_bases(), [True] * 5 + [False] * 2),
-                         ids=["hyperbolic", "trig", "cosh", "sinh", "free", "V10", "p-squared"])
-def test_flow_series_equals_the_jet_evaluation_bit_for_bit(b, compiled):
-    # V10 and p-squared raise a value to a power inside L, which the series writer
-    # has no rule for, so their callable is the evaluation on jets itself.
-    # Signed zeros too: p_psi = 0.0 and -0.0 start the flow at a turning point
+@pytest.mark.parametrize("b", _series_bases(), ids=["hyperbolic", "trig", "cosh", "sinh", "free", "V10", "p-squared"])
+def test_flow_program_equals_the_jet_evaluation_bit_for_bit(b):
+    # every base compiles at every order, powers included; Duals take the
+    # evaluation on jets through flow_jets. Signed zeros too: p_psi = 0.0
+    # and -0.0 start the flow at a turning point
     lo, hi = b.psi_window
-    program = compile_flow_series(b.L, lo, 0.3)
-    assert (program.__code__.co_filename == "<flow series>") == compiled
     rng = random.Random(25)
     points = [(rng.uniform(lo, hi), rng.uniform(-2.0, 2.0)) for _ in range(6)]
     points += [(0.5 * (lo + hi), 0.0), (0.5 * (lo + hi), -0.0)]
-    for psi, p_psi in points:
-        tag = new_tag()
-        for leaves in [(psi, p_psi), (Dual(psi, 1.0, tag), Dual(p_psi, -0.5, tag))]:
-            for order in range(13):
-                got = program([leaves[0]], [leaves[1]], order)
-                assert leaf_bits(got) == leaf_bits(flow_jets_by_evaluation(b.L, *leaves, order))
+    for order in range(1, 13):
+        program = compile_flow_jets(b.L, lo, 0.3, order)
+        assert program.__code__.co_filename == "<flow jets>"
+        for psi, p_psi in points:
+            want = flow_jets_by_evaluation(b.L, psi, p_psi, order)
+            assert leaf_bits(program(psi, p_psi)) == leaf_bits(want)
+            tag = new_tag()
+            leaves = (Dual(psi, 1.0, tag), Dual(p_psi, -0.5, tag))
+            assert leaf_bits(b.flow_jets(*leaves, order)) == leaf_bits(flow_jets_by_evaluation(b.L, *leaves, order))
 
 
 def test_flow_jets_at_duals_take_the_jet_evaluation_and_keep_no_program():
-    # partials' leaf rule: only plain floats run (and keep) the series program
+    # partials' leaf rule: only plain floats run (and keep) a flow program
     b = exp_base(0.7, 1.3)
     tag = new_tag()
     psi, p_psi = Dual(0.9, 1.0, tag), Dual(0.3, -0.5, tag)
@@ -442,7 +442,8 @@ def test_flow_jets_at_duals_take_the_jet_evaluation_and_keep_no_program():
         assert leaf_bits(got) == leaf_bits(flow_jets_by_evaluation(b.L, psi, p_psi, order))
     assert not b._programs
     b.flow_jets(0.9, 0.3, 4)
-    assert [program.__code__.co_filename for _, program in b._programs.values()] == ["<flow series>"]
+    assert {key: program.__code__.co_filename for key, (_, program) in b._programs.items()} == {
+        (compile_flow_jets, b.L, 4): "<flow jets>"}
 
 
 @pytest.mark.parametrize("b", _series_bases()[:-1], ids=["hyperbolic", "trig", "cosh", "sinh", "free", "V10"])
@@ -466,18 +467,23 @@ def _guarded_base():
     return b
 
 
-def test_a_flipped_guard_falls_back_to_the_jet_evaluation():
-    # a tape that compares has no series form: the guarded L's callable is the
-    # evaluation on jets, on both sides of the switch
+def test_a_flipped_guard_falls_back_to_the_jet_evaluation(monkeypatch):
+    # the guarded L compiles; where its comparison comes out the other way the
+    # program returns the evaluation on jets, which takes the other branch
     b = _guarded_base()
-    program = compile_flow_series(b.L, 0.8, 0.3)
-    assert program.__code__.co_filename != "<flow series>"
-    for psi in (1.3, 0.9):  # the other side, then the traced one
-        assert leaf_bits(program([psi], [0.4], 5)) == leaf_bits(flow_jets_by_evaluation(b.L, psi, 0.4, 5))
+    program = compile_flow_jets(b.L, 0.8, 0.3, 5)
+    assert program.__code__.co_filename == "<flow jets>"
+    calls = []
+    monkeypatch.setattr(extension, "flow_jets_by_evaluation",
+                        lambda *args: calls.append(args[1:]) or flow_jets_by_evaluation(*args))
+    for psi, fell_back in [(1.3, True), (0.9, False), (1.0, True)]:  # the other side, the traced one, the switch
+        calls.clear()
+        assert leaf_bits(program(psi, 0.4)) == leaf_bits(flow_jets_by_evaluation(b.L, psi, 0.4, 5))
+        assert calls == ([(psi, 0.4, 5)] if fell_back else [])
     for psi in (0.8, 1.3, 0.9):  # traced on the first side, then both
         got = b.flow_jets(psi, 0.4, 8)
         assert leaf_bits(got) == leaf_bits(flow_jets_by_evaluation(b.L, psi, 0.4, 8))
-    assert b._programs[compile_flow_series, b.L][1].__code__.co_filename != "<flow series>"
+    assert b._programs[compile_flow_jets, b.L, 8][1].__code__.co_filename == "<flow jets>"
 
 
 def test_an_operation_jets_lack_leaves_the_jet_evaluation_in_charge(profile):
@@ -486,14 +492,14 @@ def test_an_operation_jets_lack_leaves_the_jet_evaluation_in_charge(profile):
     b = exp_base(0.7, 1.3)
     V = b.V.rule
     b.L.rule = lambda q, p: 0.5 * p[0] * p[0] + abs(V(q, p))
-    assert compile_flow_series(b.L, 0.8, 0.3).__code__.co_filename != "<flow series>"
+    assert compile_flow_jets(b.L, 0.8, 0.3, 4).__code__.co_filename != "<flow jets>"
     with pytest.raises(TypeError) as want:
         flow_jets_by_evaluation(b.L, 0.8, 0.3, 4)
     kr = Extension(ExtensionSpec(5, 3, -4.0, 0.0, 0.0, profile), b).k_recursive()
     with pytest.raises(TypeError) as got:
         kr(PhasePoint((1.1, 0.8), (0.5, 0.3)))
     assert str(got.value) == str(want.value) == "bad operand type for abs(): 'Jet'"
-    assert (compile_flow_series, b.L) not in b._programs  # nothing is kept: the evaluation raised
+    assert (compile_flow_jets, b.L, 7) not in b._programs  # nothing is kept at order m + n - 1: the evaluation raised
 
 
 def test_a_patched_base_rule_is_traced_again(profile, monkeypatch):
@@ -504,7 +510,7 @@ def test_a_patched_base_rule_is_traced_again(profile, monkeypatch):
     V = b.V.rule
     b.L.rule = lambda q, p: 0.5 * p[0] * p[0] + 3.0 * V(q, p)
     after = kr(x)
-    assert b._programs[compile_flow_series, b.L][0] is b.L.rule
+    assert b._programs[compile_flow_jets, b.L, 7][0] is b.L.rule  # order m + n - 1
     monkeypatch.setattr(BaseSystem, "flow_jets", lambda self, psi, p_psi, order:
                         flow_jets_by_evaluation(self.L, psi, p_psi, order))
     assert after == kr(x) != before  # the jet evaluation of the patched rule
@@ -646,11 +652,11 @@ def test_a_singular_first_point_keeps_no_program():
         with pytest.raises(ZeroDivisionError, match="float division by zero"):
             k(PhasePoint((1.1, 0.0), (0.5, 0.3)))
     assert (compile_partials, b.L) not in b._programs
-    assert (compile_flow_series, b.L) not in b._programs
+    assert (compile_flow_jets, b.L, 4) not in b._programs  # order m + n - 1
     x = PhasePoint((1.1, 1.0), (0.5, 0.3))
     assert [k(x) for k in ks] == [k(x) for k in k_pair()[1]]
-    for compiler, f in ((compile_partials, b.G), (compile_partials, b.L), (compile_flow_series, b.L)):
-        assert b._programs[compiler, f][1].__code__.co_filename in ("<compile_partials>", "<flow series>")
+    for key in ((compile_partials, b.G), (compile_partials, b.L), (compile_flow_jets, b.L, 4)):
+        assert b._programs[key][1].__code__.co_filename in ("<compile_partials>", "<flow jets>")
 
 
 def test_recursive_route_uses_no_closed_form(base, profile, monkeypatch):

@@ -8,7 +8,7 @@ from extham import catalog, phase
 from extham import duals as dm
 from extham.catalog import exp_base, make_minkowski_hamiltonian, trig_base
 from extham.duals import primal
-from extham.extension import compile_flow_series
+from extham.extension import compile_flow_jets
 from extham.phase import (
     PhaseFunction,
     PhasePoint,
@@ -503,8 +503,8 @@ def test_where_two_operations_raise_both_raise_the_first(fallbacks):
     lambda q, p: {primal(q[0]): p[0]}[primal(q[0])],  # hash
     lambda q, p: OUTER * q[0] * p[0],  # a Dual of an enclosing evaluation in every output
 ])
-def test_untraceable_rules_have_no_flow_series(rule):
-    assert compile_flow_series(PhaseFunction(rule, 1), 0.5, -0.2).__code__.co_filename != "<flow series>"
+def test_untraceable_rules_have_no_flow_program(rule):
+    assert compile_flow_jets(PhaseFunction(rule, 1), 0.5, -0.2, 3).__code__.co_filename != "<flow jets>"
 
 
 def test_compiled_partials_source(monkeypatch):

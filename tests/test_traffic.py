@@ -91,18 +91,18 @@ REASONS = (
                       "[model minkowski Omega=0.0 L]")),
     Reason("the recursive route and its fast paths, which only the bench oracle reaches "
            "(ROADMAP Found 5; directions 1B and 2), and their branches that only tests take: the "
-           "fallbacks to evaluation where a program cannot be traced or written, and a series "
-           "rule with a second list",
+           "fallbacks to evaluation where a program cannot be traced or a guard flips",
            ("extension.Extension.k_recursive", "extension.Extension.kbar_recursive",
             "extension.Extension.gn_recursive", "extension.Extension.gn_closed",
             "extension.Extension._recursive_form", "extension.Extension._u_step",
             "extension.Extension._xl_powers", "extension.BaseSystem._kept",
             "extension.BaseSystem.partials", "extension.BaseSystem.flow_jets",
-            "extension.flow_jets_by_evaluation", "extension.compile_flow_series",
-            "phase.compile_partials", "duals.Tape.series", "duals.Jet.deriv", "duals.Jet.__mul__"),
+            "extension.flow_jets_by_evaluation", "extension.compile_flow_jets",
+            "phase.compile_partials", "duals.Jet.deriv", "duals.Jet.__mul__"),
            workloads=True,
            tests=("tests/test_extension.py::test_a_singular_first_point_keeps_no_program",
-                  "tests/test_phase.py::test_untraceable_rules_have_no_flow_series")),
+                  "tests/test_extension.py::test_a_flipped_guard_falls_back_to_the_jet_evaluation",
+                  "tests/test_phase.py::test_untraceable_rules_have_no_flow_program")),
     Reason("fallbacks and checks that only tests reach: the sweep's unit gradients where the "
            "scale underflows, gamma-table's unclassified label, the primal of a Jet, the "
            "derivative and coefficient of a constant, pow_ on numbers that are no float, the "

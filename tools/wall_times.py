@@ -64,10 +64,18 @@ def run(tree, argv, cwd):
     return seconds, peak_mb(usage.ru_maxrss), proc.returncode, out
 
 
+def at_least_one(text):
+    """--runs as an int of at least 1; argparse turns a refusal into a usage error (exit 2)."""
+    runs = int(text)
+    if runs < 1:
+        raise argparse.ArgumentTypeError(f"needs at least 1 run, got {runs}")
+    return runs
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("other", help="the root of another checkout, the first column")
-    ap.add_argument("--runs", type=int, default=9, help="runs per command and tree")
+    ap.add_argument("--runs", type=at_least_one, default=9, help="runs per command and tree (at least 1)")
     args = ap.parse_args(argv)
     trees, differ = (args.other, ROOT), []
     print("| command | other | this | this / other | other peak RSS | this peak RSS |\n"
