@@ -37,9 +37,10 @@ hash) raises; every power is recorded as ``math.pow``, however it was
 written. A repeated operation is recorded once, and ``x * 1.0`` is x, which
 is exact on every double. The tape writes its record as one straight-line
 float program (:attr:`Tape.lines`), which :func:`define` compiles. Traced
-through an evaluation on Jets of Traces (``extension.compile_flow_jets``),
-the program computes each Taylor coefficient once, however often the
-evaluation recomputes it, bit for bit as the evaluation on Jets.
+through a whole integral (``phase.compile_rule``), whose recursive route
+evaluates on Jets of Traces, the program computes each Taylor coefficient
+once, however often the evaluation recomputes it, bit for bit as the
+evaluation on Jets.
 
 Two seams decide how scalars are computed: :func:`_lift` every unary math
 function (Dual -> Jet -> Trace -> float -> array -> ``math``) and :func:`pow_` every

@@ -6,20 +6,20 @@ recursion (U applied repeatedly, G_n built by its recursion) and the closed
 binomial expansions; tests pin their pointwise equality.
 
 The closed forms need G, X_L G and L at a base point, from the partials of G
-and L (BaseSystem.partials). The recursion runs on truncated Taylor series
-along the L-flow: at a base point, X_L^j f = j! [f(z(t))]_j for the flow
-z(t) of L, so the G_n recursion becomes jet products with X_L a coefficient
-shift, and U acts on the vector of X_L-derivatives. It never uses the seed
+and L (partials_at). The recursion runs on truncated Taylor series along
+the L-flow: at a base point, X_L^j f = j! [f(z(t))]_j for the flow z(t) of
+L, so the G_n recursion becomes jet products with X_L a coefficient shift,
+and U acts on the vector of X_L-derivatives. It never uses the seed
 equation or the closed forms, and its cost is polynomial in (m, n). The
-flow's coefficients through t^order come from BaseSystem.flow_jets, which
-equals flow_jets_by_evaluation: L's partials evaluated on jets, order after
-order.
+flow's coefficients through t^order come from flow_jets_by_evaluation: L's
+partials evaluated on jets, order after order.
 
-A base system compiles both evaluations once (compile_partials, and
-compile_flow_jets once per order), under one contract: a program answers as
-the evaluation it compiles, bit for bit, calls that evaluation where a guard
-flips, and where the trace fails the callable returned is that evaluation
-itself.
+An Extension keeps one program per integral it hands out (K, Kbar and G_n
+by either route, and the magnitudes): at the second plain-float point a key
+is evaluated at, phase.compile_rule traces the whole evaluation once, and
+later plain-float points run that program. It answers as the evaluation
+bit for bit, calls the evaluation where a guard flips, and where the trace
+fails the callable kept is the evaluation itself.
 
 The base Hamiltonian L acts on the trailing (psi, p_psi) block of the
 extended phase space (u, psi, p_u, p_psi); functions of the base block are
@@ -29,12 +29,12 @@ function of u commutes with the U operator.
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .duals import Jet, Tape, Trace, coefficient, define, pow_, primal
-from .phase import PhaseFunction, compile_partials, gradient, partials_at
+from .duals import Jet, coefficient, pow_, primal
+from .phase import PhaseFunction, compile_rule, gradient, partials_at
 from .tagged_trig import GammaProfile, gamma, gamma_and_prime
 
 
@@ -68,10 +68,7 @@ class BaseSystem:
     The seed satisfies X_L^2(G) = -2cLG for the recorded c: the paper's relation at c0 = 0.
     psi_window is the position interval on which the family is free of
     singularities; samplers respect it. catalog.make_base_family, the one
-    constructor, sets every field but the kept programs. A base system also
-    keeps the programs it traces at its first regular float point: the
-    partials programs of G and L (partials) and the programs of L's flow,
-    one per order (flow_jets), each until the rule it traced is patched.
+    constructor, sets every field.
     """
 
     family: str
@@ -83,54 +80,10 @@ class BaseSystem:
     g_scalar: object
     eta_hat: float
     psi_window: tuple
-    # {(compiler, f, *settings): (the f.rule it traced, its program)}, built by _kept on first use
-    _programs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.V.dof != 1 or self.L.dof != 1 or self.G.dof != 1:
             raise ValueError("base system functions must live on the 1-dof phase space")
-
-    def _kept(self, compiler, f, point, *args, settings=()):
-        """program(*args) for program = compiler(f, *point, *settings), traced at that
-        float point the first time it is asked for, and kept under (compiler, f,
-        *settings) once it answers there (where f is singular, the evaluation it fell
-        back to raises, and the next float point traces again) until f.rule is no
-        longer the rule it traced. Two threads asking at once may both build it;
-        either serves."""
-        key = (compiler, f, *settings)
-        rule, program = self._programs.get(key, (None, None))
-        if rule is f.rule:
-            return program(*args)
-        program = compiler(f, *point, *settings)
-        answer = program(*args)
-        self._programs[key] = (f.rule, program)
-        return answer
-
-    def partials(self, f, q, p):
-        """partials_at(f, q, p) for f = G or L, bit for bit.
-
-        Where both coordinates are plain floats it runs f's straight-line
-        program (compile_partials), kept by _kept: on the benchmark's oracle
-        base 0.2-0.35 us a call against 6-11 us for partials_at's Tangent
-        evaluation, after a trace of 0.08-0.15 ms (timeit minima, 2-core AMD
-        EPYC). Every other leaf takes partials_at's evaluation.
-        """
-        if type(q[0]) is float and type(p[0]) is float:
-            return self._kept(compile_partials, f, (q, p), q[0], p[0])
-        return partials_at(f, q, p)
-
-    def flow_jets(self, psi, p_psi, order):
-        """flow_jets_by_evaluation(L, psi, p_psi, order), bit for bit.
-
-        Under partials' leaf rule, where both coordinates are plain floats,
-        it runs L's flow program at that order (compile_flow_jets), kept by
-        _kept. Every other leaf, and order 0 (the start point, which never
-        touches L, so a singular first point would keep the evaluation),
-        takes the evaluation on jets.
-        """
-        if order and type(psi) is float and type(p_psi) is float:
-            return self._kept(compile_flow_jets, self.L, (psi, p_psi), psi, p_psi, settings=(order,))
-        return flow_jets_by_evaluation(self.L, psi, p_psi, order)
 
 
 def flow_jets_by_evaluation(L, psi, p_psi, order):
@@ -138,8 +91,8 @@ def flow_jets_by_evaluation(L, psi, p_psi, order):
 
     Each order k evaluates the partials on the jets (Q, P) known through t^k
     and appends Q_{k+1} = [dL/dp]_k / (k+1) and P_{k+1} = -[dL/dpsi]_k / (k+1),
-    recomputing every lower coefficient: O(order^3) coefficient work. It is
-    what compile_flow_jets compiles.
+    recomputing every lower coefficient: O(order^3) coefficient work. A
+    traced integral records each coefficient once (compile_rule).
     """
     Q, P = [psi], [p_psi]
     for k in range(order):
@@ -149,48 +102,46 @@ def flow_jets_by_evaluation(L, psi, p_psi, order):
     return Jet(Q), Jet(P)
 
 
-def compile_flow_jets(L, psi, p_psi, order):
-    """flow_jets_by_evaluation(L, ., ., order) on float points as one straight-line program.
-
-    The evaluation runs once on Trace leaves at the float point (psi, p_psi).
-    Its tape records each operation once, so the program computes every
-    coefficient once, where the evaluation recomputes the lower ones at each
-    order. program(psi, p_psi) returns the two Jets the evaluation returns, bit
-    for bit, and the evaluation's answer where a comparison it branched on
-    comes out the other way. Where L cannot be traced at (psi, p_psi), or the
-    evaluation raises there (an operation Jets lack, such as abs), the callable
-    returned is that evaluation itself.
-    """
-
-    def fallback(psi, p_psi):
-        return flow_jets_by_evaluation(L, psi, p_psi, order)
-
-    tape = Tape()
-    try:
-        jets = flow_jets_by_evaluation(L, *tape.inputs((psi, p_psi)), order)
-    except Exception:  # untraceable or singular here: the evaluation on jets decides
-        return fallback
-    if not all(isinstance(x, (Trace, float, int)) for jet in jets for x in jet.c):
-        return fallback
-    lines = tape.lines  # written first, so constants are named in tape order
-    Q, P = ("Jet([" + ", ".join(map(tape.atom, jet.c)) + "])" for jet in jets)
-    tape.namespace.update(fallback=fallback, Jet=Jet)
-    return define("flow_jets", tape.params, lines + [f"return {Q}, {P}"], tape.namespace, "<flow jets>")
-
-
 class Extension:
-    """An ExtensionSpec bound to a BaseSystem."""
+    """An ExtensionSpec bound to a BaseSystem, with the programs of the integrals it hands out."""
 
     def __init__(self, spec, base):
         self.spec = spec
         self.base = base
+        # {key: () once evaluated at a float point, then (the G and L rules it read, program)}
+        self._programs = {}
+
+    def _rule(self, key, run):
+        """run as an evaluation rule that answers bit for bit as run, and at plain-float
+        points through the program kept under key. The first such point runs run, so an
+        Extension built per evaluation (ccm's K') never pays a trace; the next traces
+        compile_rule(run, q, p), kept once it answers there (where run raises, nothing is
+        kept and the next point traces again) and run at every later point until
+        base.G.rule or base.L.rule is no longer the rule it read."""
+
+        def rule(q, p):
+            if not all(type(v) is float for v in (*q, *p)):
+                return run(q, p)
+            rules = (self.base.G.rule, self.base.L.rule)
+            kept = self._programs.get(key)
+            if kept is None:
+                self._programs[key] = ()
+                return run(q, p)
+            if kept and kept[0] == rules:
+                return kept[1](q, p)
+            program = compile_rule(run, q, p)
+            answer = program(q, p)
+            self._programs[key] = (rules, program)
+            return answer
+
+        return rule
 
     # -- pointwise seed data ---------------------------------------------
 
     def _seed_triple(self, q1, p1):
         """(G, X_L G, L) values at a base-block point; inputs may be duals."""
-        Gv, Gq, Gp = self.base.partials(self.base.G, q1, p1)
-        Lv, Lq, Lp = self.base.partials(self.base.L, q1, p1)
+        Gv, Gq, Gp = partials_at(self.base.G, q1, p1)
+        Lv, Lq, Lp = partials_at(self.base.L, q1, p1)
         xg = Gq[0] * Lp[0] - Gp[0] * Lq[0]
         return Gv, xg, Lv
 
@@ -231,7 +182,7 @@ class Extension:
         the L-flow; each X_L shortens a jet by one, hence the flow order.
         """
         order = count + n - 2
-        Q, P = self.base.flow_jets(q1[0], p1[0], order)
+        Q, P = flow_jets_by_evaluation(self.base.L, q1[0], p1[0], order)
         g = self.base.G.rule((Q,), (P,))
         G = Jet([coefficient(g, j) for j in range(order + 1)])
         XG = G.deriv()
@@ -249,7 +200,7 @@ class Extension:
         """G_n by the literal recursion G_{k+1} = X_L(G) G_k + (1/k) G X_L(G_k)."""
         if n < 1:
             raise ValueError("n must be positive")
-        return PhaseFunction(lambda q, p: self._xl_powers(q, p, n, 1)[0], 1)
+        return PhaseFunction(self._rule(("gn_recursive", n), lambda q, p: self._xl_powers(q, p, n, 1)[0]), 1)
 
     def gn_closed(self, n):
         """G_n from its binomial expansion in G, X_L G and cL."""
@@ -261,7 +212,7 @@ class Extension:
             G, XG, L = self._seed_triple(q, p)
             return self._gn_xgn_values(G, XG, self.spec.c * L, n)[0]
 
-        return PhaseFunction(rule, 1)
+        return PhaseFunction(self._rule(("gn_closed", n), rule), 1)
 
     # -- extended Hamiltonian ----------------------------------------------
 
@@ -304,7 +255,7 @@ class Extension:
         if s == 0 and not self._omega_is_zero():
             raise ValueError("K_{m,n} requires Omega = 0; use kbar for Omega != 0")
         self._require_base_constants()
-        return PhaseFunction(lambda q, p: form(q, p, s), 2)
+        return PhaseFunction(self._rule((form.__name__, s), lambda q, p: form(q, p, s)), 2)
 
     def _require_base_constants(self):
         """The seed relation X_L^2 G = -2cLG, which makes K an integral, holds
@@ -409,12 +360,16 @@ class Extension:
         agreement tolerances are taken relative to this scale: the value of
         K itself can sit many orders below it through cancellation.
         """
-        return self._closed_form(x.q, x.p, 0, magnitudes=True)
+        return self._magnitude(x, 0)
 
     def kbar_magnitude(self, x, s, r):
         """Sum of absolute summand magnitudes of the closed form of Kbar_{2s,r} at x."""
         self._check_kbar_indices(s, r)
-        return self._closed_form(x.q, x.p, s, magnitudes=True)
+        return self._magnitude(x, s)
+
+    def _magnitude(self, x, s):
+        run = self._rule(("magnitude", s), lambda q, p: self._closed_form(q, p, s, magnitudes=True))
+        return run(x.q, x.p)
 
 
 def functional_independence(fs, x):

@@ -7,12 +7,11 @@ direction, at any nesting depth. An entry may also be a float64 array
 holding that coordinate at many points, so one evaluation covers all of
 them, bare or under :func:`partials_at`, which takes every partial from one
 evaluation on every leaf. Functions are immutable after construction and
-all operations are pure but one: a base system keeps the programs it traces
-at its first regular float point, the programs of its L's flow (one per
-order) and the partials programs of its G and L (``extension.BaseSystem``),
-and runs them at plain float points only. Two threads may both build one,
-and either serves, so concurrent evaluation at distinct points needs no
-synchronization.
+all operations are pure but one: an ``extension.Extension`` keeps, for each
+integral it hands out, the straight-line program that :func:`compile_rule`
+traces at its second float point, and runs it at plain float points only.
+Two threads may both build one, and either serves, so concurrent evaluation
+at distinct points needs no synchronization.
 """
 
 import math
@@ -107,10 +106,9 @@ def partials_at(f, q, p):
     Trace, Jet, or the Duals of an enclosing evaluation):
     q_i is seeded as direction i and p_i as direction dof + i of a Tangent
     under one tag. Each partial equals the one seeded along its slot alone
-    bit for bit, and an absent direction is 0.0. Where the same f is
-    differentiated at many float points (H in integrate, a base system's G
-    and L in the closed forms), trace_partials turns that one evaluation
-    into plain-float lines instead, for integrate's solve and compile_partials.
+    bit for bit, and an absent direction is 0.0. Where H is differentiated
+    at many float points in integrate's solve, trace_partials turns that one
+    evaluation into plain-float lines instead.
     """
     d = len(q)
     tag = new_tag()
@@ -144,30 +142,34 @@ def trace_partials(f, q, p):
     return tape, lines, [tape.atom(x) for x in answer]
 
 
-def compile_partials(f, q, p):
-    """partials_at(f, ., .) on float points as one straight-line program.
+def compile_rule(run, q, p):
+    """The scalar rule run(q, p) at float points as one straight-line program.
 
-    The program runs trace_partials(f, q, p)'s lines and returns (value, dq,
-    dp) bit for bit as partials_at does; it takes the coordinates as separate
-    arguments. Where a comparison the evaluation branched on comes out the
-    other way, the program returns partials_at's answer, which takes the
-    other branch or raises. Where one of its operations raises (a repeated
-    one at its first place), partials_at raises the same exception at the
-    same operation. Where the evaluation cannot be traced at (q, p), or raises
-    there, the callable returned is partials_at itself.
+    run runs once on Trace leaves at the float point (q, p); the program takes
+    (q, p) as run does and runs the tape's lines (Tape.lines), so a repeated
+    operation runs once. It returns run's answer bit for bit, and where a
+    comparison run branched on comes out the other way, run's own answer. An
+    operation that raises does so in the program as in run (a repeated one at
+    its first place). Where run cannot be traced at (q, p), or raises there,
+    the callable returned is run itself.
     """
     d = len(q)
 
     def fallback(*z):
-        return partials_at(f, z[:d], z[d:])
+        return run(z[:d], z[d:])
 
-    tape, lines, answer = trace_partials(f, q, p)
-    if not answer:
-        return fallback
-    result = f"return {answer[0]}, [{', '.join(answer[1:d + 1])}], [{', '.join(answer[d + 1:])}]"
+    tape = Tape()
+    try:
+        answer = run(tape.inputs(q), tape.inputs(p))
+    except Exception:  # any failure, untraceable or not, leaves run in charge
+        return run
+    if not isinstance(answer, (Trace, float, int)):
+        return run
+    lines = tape.lines  # written first, so constants are named in tape order
     tape.namespace["fallback"] = fallback
-    return duals.define("partials", tape.params, lines + [result], tape.namespace,
-                        "<compile_partials>")
+    head = [f"{', '.join(tape.params[:d])}, = q", f"{', '.join(tape.params[d:])}, = p"]
+    return duals.define("rule", ("q", "p"), head + lines + [f"return {tape.atom(answer)}"],
+                        tape.namespace, "<compile_rule>")
 
 
 def poisson_bracket(f, g, x):

@@ -7,7 +7,8 @@ closed-form X_L(G_n) and the gamma ODE residual, and the earlier bodies of
 partials_at on every leaf, gamma, gamma_prime, the recursive K and Kbar rules
 and the closed-form sums with their magnitude mode: one partials rule, one
 branch table, one recursive evaluator and one closed-form evaluator must
-reproduce them bit for bit.
+reproduce them bit for bit. compile_partials rebuilds the partials programs
+that base systems once kept, from phase.compile_rule.
 """
 
 import math
@@ -15,7 +16,7 @@ import math
 import numpy as np
 
 from extham import duals as dm
-from extham import tagged_trig
+from extham import phase, tagged_trig
 from extham.catalog import PSI_WINDOW
 from extham.extension import BaseSystem
 from extham.phase import PhaseFunction, PhasePoint, bracket_of_gradients, hamiltonian_vector_field
@@ -44,6 +45,33 @@ def seeded_partials(f, q, p):
         y = f.rule(q, p[:i] + (dm.Dual(p[i], 1.0, tag),) + p[i + 1 :])
         dp.append(dm.tangent_part(y, tag))
     return value, dq, dp
+
+
+def compile_partials(f, q, p):
+    """partials_at(f, ., .) on float points from phase.compile_rule: one program per entry of
+    (value, *dq, *dp), each traced at (q, p) through phase.partials_at as bound when it runs.
+
+    program(*z) returns (value, dq, dp); program.programs holds the entry programs, each of
+    which calls partials_at once where a guard flips, or is its entry's rule where that rule
+    cannot be traced.
+    """
+    d = len(q)
+
+    def entry(j):
+        def run(q, p):
+            value, dq, dp = phase.partials_at(f, q, p)
+            return (value, *dq, *dp)[j]
+
+        return run
+
+    programs = [phase.compile_rule(entry(j), q, p) for j in range(2 * d + 1)]
+
+    def program(*z):
+        out = [run(z[:d], z[d:]) for run in programs]
+        return out[0], out[1:d + 1], out[d + 1:]
+
+    program.programs = programs
+    return program
 
 
 def fd_gradient(f, x, h=1e-5):

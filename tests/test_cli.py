@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from extham import catalog, cli, phase
+from extham import catalog, cli, extension, phase
 from extham import duals as dm
 from extham.cli import main
 from extham.ccm import rescale_radial
@@ -1127,3 +1127,29 @@ def test_null_chart_orbit_that_leaves_the_wedge_exits_one(capsys, tmp_path):
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 2322 and min(float(v) for v in rows[-1][1:3]) > 0.0
+
+
+POINTWISE_FREE = [("verify", "--model", name, "--points", "5") for name in catalog.MODELS] + [
+    ("ccm", "--points", "5"),
+    ("ladder", "--branch", "hyperbolic", "--points", "5"),
+    ("ladder", "--branch", "trig", "--points", "5"),
+    ("integrate", "--steps", "5", "--x0", "1", "0", "3.2", "0.5"),
+    ("integrate", "--chart", "null", "--steps", "5", "--x0", "1", "1", "0.5", "0.5"),
+]
+
+
+def test_no_command_reaches_an_integral_program(capsys, monkeypatch, tmp_path):
+    # an Extension compiles an integral at its second plain-float point; every command
+    # evaluates its integrals on arrays or Duals, or once per Extension (ccm's K'), so
+    # with compile_rule refusing, each exits and prints as it does without the refusal
+    def run_all():
+        return [run_cli(capsys, *argv, "--csv", str(tmp_path / "x.csv"))[:2] if argv[0] == "integrate"
+                else run_cli(capsys, *argv)[:2] for argv in POINTWISE_FREE]
+
+    want = run_all()
+
+    def refuse(*args):
+        raise AssertionError("a command compiled an integral program")
+
+    monkeypatch.setattr(extension, "compile_rule", refuse)
+    assert run_all() == want

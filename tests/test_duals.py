@@ -15,7 +15,6 @@ from extham.extension import Extension, ExtensionSpec, bracket_scale
 from extham.phase import (
     PhaseFunction,
     PhasePoint,
-    compile_partials,
     hamiltonian_vector_field,
     partials_at,
     poisson_bracket,
@@ -23,7 +22,7 @@ from extham.phase import (
 from extham.sampling import sample_points
 from extham.tagged_trig import GammaProfile
 
-from references import columns, leaf_bits, leaf_values, nth_derivative, phase_points
+from references import columns, compile_partials, leaf_bits, leaf_values, nth_derivative, phase_points
 
 
 def test_first_derivatives_match_hand_results():

@@ -286,6 +286,19 @@ def test_flow_orbits_equal_the_vector_loop(k, omega, x0, h):
     assert traj.status == COMPLETED and len(traj.states) == 51
 
 
+@pytest.mark.parametrize("rule, u", [
+    (lambda q, p: 0.5 * (p[0] * p[0] + p[1] * p[1]) + (q[0] if dm.primal(q[1]) else q[1]), 0.9),  # bool
+    (lambda q, p: 0.5 * (p[0] * p[0] + p[1] * p[1]) + q[0] * q[1] / float(dm.primal(q[0])), 0.9),  # float
+    (lambda q, p: 0.5 * p[0] * p[0] + dm.log(q[0]) * p[1], -0.5),  # raises at x0
+], ids=["bool", "float", "raises"])
+def test_an_untraceable_hamiltonian_takes_partials_at_every_iteration(rule, u):
+    # trace_partials cannot trace the rule at x0, so every iteration takes partials_at's
+    # answer, and the run equals the reference loop, which leaves the domain at once
+    # where the rule raises at x0
+    traj = assert_matches_vector_loop(PhaseFunction(rule, 2), PhasePoint((u, 0.3), (0.2, -0.4)), 1e-2, 20)
+    assert traj.status == (COMPLETED if u > 0.0 else LEFT_DOMAIN)
+
+
 def test_collapsing_orbit_equals_the_vector_loop(wedge_system):
     # criterion 08's orbit: the solve's no-convergence return, checked against the reference
     H, _, _ = wedge_system
@@ -337,7 +350,7 @@ def test_fallback_inside_a_solve_equals_the_vector_loop(monkeypatch, flow, x0, h
     monkeypatch.setattr(phase, "partials_at",
                         lambda f, q, p: calls.append(q + p) or seeded(f, q, p))
     traj = integrate(H, x0, h, steps, u_min=u_min)
-    assert calls[1:] == [midpoint]  # calls[0] is compile_partials tracing at x0
+    assert calls[1:] == [midpoint]  # calls[0] is trace_partials tracing at x0
     assert (traj.status, traj.exit_step) == (LEFT_DOMAIN, exit_step)
     monkeypatch.setattr(phase, "partials_at", seeded)
     assert_matches_vector_loop(H, x0, h, steps, u_min=u_min)

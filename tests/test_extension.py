@@ -20,12 +20,10 @@ from extham.catalog import (
 )
 from extham.duals import Dual, Jet, Tape, new_tag, primal
 from extham.extension import (
-    BaseSystem,
     Extension,
     ExtensionSpec,
     _float_norm,
     bracket_scale,
-    compile_flow_jets,
     flow_jets_by_evaluation,
     functional_independence,
     jacobian_rank,
@@ -34,7 +32,7 @@ from extham.extension import (
 from extham.phase import (
     PhaseFunction,
     PhasePoint,
-    compile_partials,
+    compile_rule,
     gradient,
     hamiltonian_vector_field,
     lift_last,
@@ -47,6 +45,7 @@ from extham.tagged_trig import GammaProfile, gamma, gamma_prime
 import references
 from references import (
     columns,
+    compile_partials,
     fd_gradient,
     leaf_bits,
     leaf_values,
@@ -376,8 +375,9 @@ def test_kbar_8_3_recursive_equals_closed(base, profile, Omega):
 
 @pytest.mark.parametrize("m,n", [(5, 3), (16, 3)])
 def test_recursive_k_base_rule_calls_grow_linearly(profile, m, n):
-    # one G call per point; L's rule runs only in the one trace of its flow
-    # program, at the first point: once per order m + n - 1 of the flow jet
+    # one evaluation calls L's rule once per order m + n - 1 of the flow jet and G's
+    # once; it runs at the first float point and in the trace at the second, and
+    # later points run the program, which calls neither
     b = exp_base(0.7, 1.3)
     calls = []
 
@@ -390,13 +390,13 @@ def test_recursive_k_base_rule_calls_grow_linearly(profile, m, n):
 
     b.G.rule, b.L.rule = counted("G", b.G.rule), counted("L", b.L.rule)
     kr = Extension(ExtensionSpec(m, n, -4.0, 0.0, 0.0, profile), b).k_recursive()
-    for i, x in enumerate(phase_points(sample_points(3, 54, 2))):
+    for i, x in enumerate(phase_points(sample_points(4, 54, 2))):
         calls.clear()
         kr(x)
-        assert calls == (["L"] * (m + n - 1) + ["G"] if i == 0 else ["G"])
+        assert calls == (["L"] * (m + n - 1) + ["G"] if i < 2 else [])
 
 
-# -- the flow's programs ---------------------------------------------------------
+# -- the integrals' programs -----------------------------------------------------
 
 
 def _series_bases():
@@ -412,38 +412,83 @@ def _series_bases():
     return bases + [squared]
 
 
-@pytest.mark.parametrize("b", _series_bases(), ids=["hyperbolic", "trig", "cosh", "sinh", "free", "V10", "p-squared"])
-def test_flow_program_equals_the_jet_evaluation_bit_for_bit(b):
-    # every base compiles at every order, powers included; Duals take the
-    # evaluation on jets through flow_jets. Signed zeros too: p_psi = 0.0
-    # and -0.0 start the flow at a turning point
+SERIES_IDS = ["hyperbolic", "trig", "cosh", "sinh", "free", "V10", "p-squared"]
+
+
+def _on_base(route, n):
+    """G_n by route ("gn_closed" or "gn_recursive") of an Extension, at the base block of a point."""
+    return lambda e: lambda x: getattr(e, route)(n)(PhasePoint(x.q[1:], x.p[1:]))
+
+
+def _integrals(b):
+    """(spec, builders) over the base b: K(m, n) by both routes and its magnitude with G_n by
+    both routes, for a few (m, n), then Kbar(4, 3) likewise. A builder maps an Extension
+    to a function of a 2-dof point."""
+    prof = GammaProfile.from_c_C(b.c, 0.0)
+    ks = [lambda e: e.k_closed(), lambda e: e.k_recursive(), lambda e: e.k_magnitude]
+    out = [(ExtensionSpec(m, n, b.c, 0.0, 0.0, prof), ks + [_on_base("gn_closed", n), _on_base("gn_recursive", n)])
+           for m, n in [(1, 1), (3, 2), (5, 3)]]
+    kbars = [lambda e: e.kbar_closed(2, 3), lambda e: e.kbar_recursive(2, 3),
+             lambda e: lambda x: e.kbar_magnitude(x, 2, 3)]
+    return out + [(ExtensionSpec(4, 3, b.c, 0.0, 0.3, prof), kbars)]
+
+
+@pytest.mark.parametrize("b", _series_bases(), ids=SERIES_IDS)
+def test_integral_programs_equal_the_evaluations_bit_for_bit(b):
+    # every base compiles every integral, powers included, and each program, traced at
+    # the first point, answers as the evaluation (a fresh Extension's first float point)
+    # everywhere. Signed zeros too: p_psi = 0.0 and -0.0 start the flow at a turning point
     lo, hi = b.psi_window
     rng = random.Random(25)
-    points = [(rng.uniform(lo, hi), rng.uniform(-2.0, 2.0)) for _ in range(6)]
-    points += [(0.5 * (lo + hi), 0.0), (0.5 * (lo + hi), -0.0)]
-    for order in range(1, 13):
-        program = compile_flow_jets(b.L, lo, 0.3, order)
-        assert program.__code__.co_filename == "<flow jets>"
-        for psi, p_psi in points:
-            want = flow_jets_by_evaluation(b.L, psi, p_psi, order)
-            assert leaf_bits(program(psi, p_psi)) == leaf_bits(want)
-            tag = new_tag()
-            leaves = (Dual(psi, 1.0, tag), Dual(p_psi, -0.5, tag))
-            assert leaf_bits(b.flow_jets(*leaves, order)) == leaf_bits(flow_jets_by_evaluation(b.L, *leaves, order))
+    points = [PhasePoint((rng.uniform(0.3, 2.0), rng.uniform(lo, hi)), (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)))
+              for _ in range(6)]
+    points += [PhasePoint((1.1, 0.5 * (lo + hi)), (0.5, z)) for z in (0.0, -0.0)]
+    for spec, builders in _integrals(b):
+        e = Extension(spec, b)
+        for build in builders:
+            for x in points[:1] + points:
+                assert leaf_bits(build(e)(x)) == leaf_bits(build(Extension(spec, b))(x))
+        assert [program.__code__.co_filename for _, program in e._programs.values()] == (
+            ["<compile_rule>"] * len(builders))
 
 
-def test_flow_jets_at_duals_take_the_jet_evaluation_and_keep_no_program():
-    # partials' leaf rule: only plain floats run (and keep) a flow program
+def test_only_float_points_run_the_integral_programs(profile):
+    # a program runs only where every coordinate is a plain float: arrays, Duals,
+    # Jets, Traces, float64 scalars and mixed leaves take the evaluation, and keep nothing
     b = exp_base(0.7, 1.3)
+    e = Extension(ExtensionSpec(4, 3, -4.0, 0.0, 0.3, profile), b)
+    kb, kr, gn = e.kbar_closed(2, 3), e.kbar_recursive(2, 3), e.gn_recursive(3)
+    x = PhasePoint((1.1, 0.8), (0.5, 0.3))
     tag = new_tag()
-    psi, p_psi = Dual(0.9, 1.0, tag), Dual(0.3, -0.5, tag)
-    for order in range(1, 7):
-        got = b.flow_jets(psi, p_psi, order)
-        assert leaf_bits(got) == leaf_bits(flow_jets_by_evaluation(b.L, psi, p_psi, order))
-    assert not b._programs
-    b.flow_jets(0.9, 0.3, 4)
-    assert {key: program.__code__.co_filename for key, (_, program) in b._programs.items()} == {
-        (compile_flow_jets, b.L, 4): "<flow jets>"}
+    tape = Tape()
+    jets = (tuple(Jet([v, 1.0]) for v in x.q), tuple(Jet([v, -0.5]) for v in x.p))
+    others = [columns([x.q + x.p, (1.2, 0.9, -0.4, 0.2)]),
+              (tuple(Dual(v, 1.0, tag) for v in x.q), tuple(Dual(v, 0.5, tag) for v in x.p)),
+              (tape.inputs(x.q), tape.inputs(x.p)),
+              (tuple(map(np.float64, x.q)), tuple(map(np.float64, x.p))),
+              ((x.q[0], Dual(x.q[1], 1.0, tag)), x.p)]
+
+    def evaluate():
+        kb.rule(*jets)  # abs has no Jet rule, and the flow takes no Jet
+        for q, p in others:
+            kb.rule(q, p)
+            kr.rule(q, p)
+            gn.rule(q[1:], p[1:])
+            e.kbar_magnitude(SimpleNamespace(q=q, p=p), 2, 3)
+
+    evaluate()
+    assert not e._programs
+    for _ in range(2):
+        kb(x), kr(x), gn(PhasePoint(x.q[1:], x.p[1:])), e.kbar_magnitude(x, 2, 3)
+    assert sorted(e._programs) == [("_closed_form", 2), ("_recursive_form", 2), ("gn_recursive", 3),
+                                   ("magnitude", 2)]
+
+    def refuse(*z):
+        raise AssertionError("an integral program ran on a leaf that is not a float")
+
+    for key, (rules, _) in e._programs.items():
+        e._programs[key] = (rules, refuse)
+    evaluate()
 
 
 @pytest.mark.parametrize("b", _series_bases()[:-1], ids=["hyperbolic", "trig", "cosh", "sinh", "free", "V10"])
@@ -467,53 +512,96 @@ def _guarded_base():
     return b
 
 
-def test_a_flipped_guard_falls_back_to_the_jet_evaluation(monkeypatch):
-    # the guarded L compiles; where its comparison comes out the other way the
-    # program returns the evaluation on jets, which takes the other branch
+def test_a_flipped_guard_falls_back_to_the_evaluation(profile, monkeypatch):
+    # the guarded L compiles in both routes; where its comparison comes out the other
+    # way, the program returns the evaluation's answer, which takes the other branch
     b = _guarded_base()
-    program = compile_flow_jets(b.L, 0.8, 0.3, 5)
-    assert program.__code__.co_filename == "<flow jets>"
+    spec = ExtensionSpec(5, 3, -4.0, 0.0, 0.0, profile)
+    e = Extension(spec, b)
+    builders = (Extension.k_closed, Extension.k_recursive)
+    for build in builders:
+        for _ in range(2):
+            build(e)(PhasePoint((1.1, 0.8), (0.5, 0.3)))  # traced below the switch
     calls = []
-    monkeypatch.setattr(extension, "flow_jets_by_evaluation",
-                        lambda *args: calls.append(args[1:]) or flow_jets_by_evaluation(*args))
+    for name in ("partials_at", "flow_jets_by_evaluation"):
+        monkeypatch.setattr(extension, name, lambda *a, f=getattr(extension, name): calls.append(a) or f(*a))
     for psi, fell_back in [(1.3, True), (0.9, False), (1.0, True)]:  # the other side, the traced one, the switch
-        calls.clear()
-        assert leaf_bits(program(psi, 0.4)) == leaf_bits(flow_jets_by_evaluation(b.L, psi, 0.4, 5))
-        assert calls == ([(psi, 0.4, 5)] if fell_back else [])
-    for psi in (0.8, 1.3, 0.9):  # traced on the first side, then both
-        got = b.flow_jets(psi, 0.4, 8)
-        assert leaf_bits(got) == leaf_bits(flow_jets_by_evaluation(b.L, psi, 0.4, 8))
-    assert b._programs[compile_flow_jets, b.L, 8][1].__code__.co_filename == "<flow jets>"
+        x = PhasePoint((1.1, psi), (0.5, 0.4))
+        for build in builders:
+            want = build(Extension(spec, b))(x)
+            calls.clear()
+            assert build(e)(x) == want
+            assert bool(calls) == fell_back
+    assert [program.__code__.co_filename for _, program in e._programs.values()] == ["<compile_rule>"] * 2
 
 
 def test_an_operation_jets_lack_leaves_the_jet_evaluation_in_charge(profile):
-    # abs has no Taylor rule: no program is built, and the evaluation on jets
-    # raises its own error
+    # abs has no Taylor rule: the recursive route's trace raises, so its program is the
+    # evaluation itself, nothing is kept, and every evaluation raises its own error
     b = exp_base(0.7, 1.3)
     V = b.V.rule
     b.L.rule = lambda q, p: 0.5 * p[0] * p[0] + abs(V(q, p))
-    assert compile_flow_jets(b.L, 0.8, 0.3, 4).__code__.co_filename != "<flow jets>"
+    e = Extension(ExtensionSpec(5, 3, -4.0, 0.0, 0.0, profile), b)
+
+    def run(q, p):
+        return e._recursive_form(q, p, 0)
+
+    assert compile_rule(run, (1.1, 0.8), (0.5, 0.3)) is run
     with pytest.raises(TypeError) as want:
         flow_jets_by_evaluation(b.L, 0.8, 0.3, 4)
-    kr = Extension(ExtensionSpec(5, 3, -4.0, 0.0, 0.0, profile), b).k_recursive()
-    with pytest.raises(TypeError) as got:
-        kr(PhasePoint((1.1, 0.8), (0.5, 0.3)))
-    assert str(got.value) == str(want.value) == "bad operand type for abs(): 'Jet'"
-    assert (compile_flow_jets, b.L, 7) not in b._programs  # nothing is kept at order m + n - 1: the evaluation raised
+    kr = e.k_recursive()
+    for _ in range(3):
+        with pytest.raises(TypeError) as got:
+            kr(PhasePoint((1.1, 0.8), (0.5, 0.3)))
+        assert str(got.value) == str(want.value) == "bad operand type for abs(): 'Jet'"
+    assert e._programs == {("_recursive_form", 0): ()}
 
 
-def test_a_patched_base_rule_is_traced_again(profile, monkeypatch):
+def test_a_patched_base_rule_is_traced_again(profile):
+    # patching G, then L, traces both routes again at the next float point, and each
+    # program answers as the evaluation of the patched rules (a fresh Extension's)
     b = exp_base(0.7, 1.3)
-    kr = Extension(ExtensionSpec(5, 3, -4.0, 0.0, 0.0, profile), b).k_recursive()
+    spec = ExtensionSpec(5, 3, -4.0, 0.0, 0.0, profile)
+    e = Extension(spec, b)
+    ks = [e.k_closed(), e.k_recursive()]
     x = PhasePoint((1.1, 0.8), (0.5, 0.3))
-    before = kr(x)
-    V = b.V.rule
-    b.L.rule = lambda q, p: 0.5 * p[0] * p[0] + 3.0 * V(q, p)
-    after = kr(x)
-    assert b._programs[compile_flow_jets, b.L, 7][0] is b.L.rule  # order m + n - 1
-    monkeypatch.setattr(BaseSystem, "flow_jets", lambda self, psi, p_psi, order:
-                        flow_jets_by_evaluation(self.L, psi, p_psi, order))
-    assert after == kr(x) != before  # the jet evaluation of the patched rule
+    values = [[k(x) for k in ks] for _ in range(2)]  # the second traces
+    for f in (b.G, b.L):
+        rule = f.rule
+        f.rule = lambda q, p, rule=rule: 3.0 * rule(q, p)
+        values.append([k(x) for k in ks])
+        assert [rules for rules, _ in e._programs.values()] == [(b.G.rule, b.L.rule)] * 2
+        fresh = Extension(spec, b)
+        assert values[-1] == [fresh.k_closed()(x), fresh.k_recursive()(x)]
+    assert values[0] == values[1] and all(len(set(route)) == 3 for route in zip(*values[1:]))
+
+
+def test_an_integral_traces_at_its_second_float_point(profile, monkeypatch):
+    # the first float evaluation of a key runs the rule, the second compiles, and later
+    # ones run the program, which calls neither base rule
+    traced, calls = [], []
+    monkeypatch.setattr(extension, "compile_rule", lambda run, q, p: traced.append(q + p) or compile_rule(run, q, p))
+    b = exp_base(0.7, 1.3)
+    for f in (b.G, b.L):
+        f.rule = lambda q, p, rule=f.rule: calls.append(q) or rule(q, p)
+    e = Extension(ExtensionSpec(3, 2, -4.0, 0.0, 0.0, profile), b)
+    for i, x in enumerate(phase_points(sample_points(4, 59, 2))):
+        calls.clear()
+        for k in (e.k_closed(), e.k_recursive()):
+            k(x)
+        assert (len(traced), bool(calls)) == ([0, 2, 2, 2][i], i < 2)
+
+
+def test_ccm_kprime_at_a_float_point_never_compiles(monkeypatch):
+    # K' builds a fresh Extension at each evaluation, whose first float point runs the rule
+    def refuse(*args):
+        raise AssertionError("K' compiled a program")
+
+    monkeypatch.setattr(extension, "compile_rule", refuse)
+    for m, n in [(2, 1), (3, 2)]:
+        _, K, _ = catalog.ccm_pair(m, n, 2.0, 0.7, 1.3, 0.4)
+        x = PhasePoint((1.1, 0.8), (0.5, 0.3))
+        assert K(x) == K(x) == K(x)
 
 
 def test_k_builders_refuse_constants_that_are_not_the_bases(base):
@@ -541,66 +629,18 @@ def _window_points(b):
     return [(rng.uniform(lo, hi), rng.uniform(-2.0, 2.0)) for _ in range(6)] + [(mid, 0.0), (mid, -0.0)]
 
 
-@pytest.mark.parametrize("b", _series_bases(),
-                         ids=["hyperbolic", "trig", "cosh", "sinh", "free", "V10", "p-squared"])
+@pytest.mark.parametrize("b", _series_bases(), ids=SERIES_IDS)
 def test_the_seed_partials_programs_equal_the_seeded_partials_bit_for_bit(b):
     for f in (b.G, b.L):
-        for psi, p_psi in _window_points(b):
-            got = b.partials(f, (psi,), (p_psi,))
+        points = _window_points(b)
+        program = compile_partials(f, *map(tuple, zip(points[0])))
+        for psi, p_psi in points:
+            got = program(psi, p_psi)
             assert leaf_bits(got) == leaf_bits(references.seeded_partials(f, (psi,), (p_psi,)))
-        assert b._programs[compile_partials, f][1].__code__.co_filename == "<compile_partials>"
+        assert {run.__code__.co_filename for run in program.programs} == {"<compile_rule>"}
 
 
-def test_a_patched_seed_or_l_rule_is_traced_again(profile, monkeypatch):
-    b = exp_base(0.7, 1.3)
-    k = Extension(ExtensionSpec(5, 3, -4.0, 0.0, 0.0, profile), b).k_closed()
-    x = PhasePoint((1.1, 0.8), (0.5, 0.3))
-    values = [k(x)]
-    for f in (b.G, b.L):
-        rule = f.rule
-        f.rule = lambda q, p, rule=rule: 3.0 * rule(q, p)
-        values.append(k(x))
-        assert b._programs[compile_partials, f][0] is f.rule
-    monkeypatch.setattr(BaseSystem, "partials", lambda self, f, q, p: partials_at(f, q, p))
-    assert values[2] == k(x) and len(set(values)) == 3  # partials_at's value of the patched rules
-
-
-def test_a_flipped_guard_in_the_seed_partials_falls_back_to_partials_at(monkeypatch):
-    b = _guarded_base()
-    b.partials(b.L, (0.8,), (0.3,))  # traced below the switch
-    seeded = phase.partials_at
-    calls = []
-    monkeypatch.setattr(phase, "partials_at", lambda f, q, p: calls.append(q + p) or seeded(f, q, p))
-    for psi, fell_back in [(1.3, True), (0.9, False), (1.0, True)]:
-        calls.clear()
-        got = b.partials(b.L, (psi,), (0.4,))
-        assert leaf_bits(got) == leaf_bits(references.seeded_partials(b.L, (psi,), (0.4,)))
-        assert calls == ([(psi, 0.4)] if fell_back else [])
-
-
-def test_only_float_points_run_the_seed_partials_programs(profile):
-    b = exp_base(0.7, 1.3)
-    e = Extension(ExtensionSpec(4, 3, -4.0, 0.0, 0.3, profile), b)
-    kb = e.kbar_closed(2, 3)
-    x = PhasePoint((1.1, 0.8), (0.5, 0.3))
-    kb(x)
-
-    def refuse(*z):
-        raise AssertionError("a seed partials program ran on a leaf that is not a float")
-
-    for f in (b.G, b.L):
-        b._programs[compile_partials, f] = (f.rule, refuse)
-    tag = new_tag()
-    kb.rule(tuple(Jet([v, 1.0]) for v in x.q), tuple(Jet([v, -0.5]) for v in x.p))
-    tape = Tape()
-    for q, p in [columns([x.q + x.p, (1.2, 0.9, -0.4, 0.2)]),
-                 (tuple(Dual(v, 1.0, tag) for v in x.q), tuple(Dual(v, 0.5, tag) for v in x.p)),
-                 (tape.inputs(x.q), tape.inputs(x.p))]:
-        kb.rule(q, p)
-        e.kbar_magnitude(SimpleNamespace(q=q, p=p), 2, 3)  # abs has no Jet rule
-
-
-def test_one_base_compiles_two_seed_partials_programs(profile, monkeypatch):
+def test_each_integral_compiles_once_per_extension(profile, monkeypatch):
     made = []
 
     def counting(source, filename, mode):
@@ -615,48 +655,53 @@ def test_one_base_compiles_two_seed_partials_programs(profile, monkeypatch):
             e.k_closed()(x)
             e.k_magnitude(x)
             e.gn_closed(2)(PhasePoint(x.q[1:], x.p[1:]))
-    assert made == ["<compile_partials>", "<compile_partials>"]
+    assert made == ["<compile_rule>"] * 9
 
 
 @pytest.mark.parametrize("b", [trig_base(1.0, 0.0, 0.5, 1.0),
                                make_base_family(0.5, -0.5, 0.7, 1.1, 2.0, "hyperbolic")],  # sinh(2 psi)
                          ids=["trig", "sinh"])
-def test_a_closed_form_where_g_vanishes_raises_as_partials_at_does(b, monkeypatch):
-    # g(0) = 0.0 exactly, and V divides by g^2
+def test_a_closed_form_where_g_vanishes_raises_as_partials_at_does(b):
+    # g(0) = 0.0 exactly, and V divides by g^2: the programs, traced away from the
+    # zero, and a fresh Extension's evaluations raise alike there
     c = b.c
     e = Extension(ExtensionSpec(3, 2, c, 0.0, 0.0, GammaProfile.from_c_C(c, 0.0)), b)
     lo, hi = b.psi_window
     x, zero = PhasePoint((1.1, 0.5 * (lo + hi)), (0.5, 0.3)), PhasePoint((1.1, 0.0), (0.5, 0.3))
-    e.k_closed()(x)  # traced away from the zero
+
+    def evaluations(e):
+        return e.k_closed(), e.k_magnitude, lambda x: e.gn_closed(2)(PhasePoint(x.q[1:], x.p[1:]))
+
+    for evaluate in evaluations(e):
+        evaluate(x), evaluate(x)
     errors = []
-    for partials in (BaseSystem.partials, lambda self, f, q, p: partials_at(f, q, p)):
-        monkeypatch.setattr(BaseSystem, "partials", partials)
-        for evaluate in (e.k_closed(), e.k_magnitude, lambda x: e.gn_closed(2)(PhasePoint(x.q[1:], x.p[1:]))):
+    for ext in (e, Extension(e.spec, b)):
+        for evaluate in evaluations(ext):
             with pytest.raises(ZeroDivisionError) as err:
                 evaluate(zero)
             errors.append(str(err.value))
     assert errors == ["float division by zero"] * 6
+    assert [program.__code__.co_filename for _, program in e._programs.values()] == ["<compile_rule>"] * 3
 
 
 def test_a_singular_first_point_keeps_no_program():
-    # L divides by g^2 and g(0) = 0.0, so L's partials raise at psi = 0: the
-    # first evaluation there keeps no program for L, and the first regular
-    # point traces both of L's programs, which answer as on a fresh base
+    # L divides by g^2 and g(0) = 0.0, so both routes raise at psi = 0: the rule
+    # there, then the trace, keep no program, and the next regular point traces
+    # both, which answer as on a fresh base
     def k_pair():
         b = trig_base(1.0, 0.0, 0.5, 1.0)
         e = Extension(ExtensionSpec(3, 2, b.c, 0.0, 0.0, GammaProfile.from_c_C(b.c, 0.0)), b)
-        return b, (e.k_closed(), e.k_recursive())
+        return e, (e.k_closed(), e.k_recursive())
 
-    b, ks = k_pair()
+    e, ks = k_pair()
     for k in ks:
-        with pytest.raises(ZeroDivisionError, match="float division by zero"):
-            k(PhasePoint((1.1, 0.0), (0.5, 0.3)))
-    assert (compile_partials, b.L) not in b._programs
-    assert (compile_flow_jets, b.L, 4) not in b._programs  # order m + n - 1
+        for _ in range(2):
+            with pytest.raises(ZeroDivisionError, match="float division by zero"):
+                k(PhasePoint((1.1, 0.0), (0.5, 0.3)))
+    assert e._programs == {("_closed_form", 0): (), ("_recursive_form", 0): ()}
     x = PhasePoint((1.1, 1.0), (0.5, 0.3))
     assert [k(x) for k in ks] == [k(x) for k in k_pair()[1]]
-    for key in ((compile_partials, b.G), (compile_partials, b.L), (compile_flow_jets, b.L, 4)):
-        assert b._programs[key][1].__code__.co_filename in ("<compile_partials>", "<flow jets>")
+    assert [program.__code__.co_filename for _, program in e._programs.values()] == ["<compile_rule>"] * 2
 
 
 def test_recursive_route_uses_no_closed_form(base, profile, monkeypatch):

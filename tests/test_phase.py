@@ -8,11 +8,11 @@ from extham import catalog, phase
 from extham import duals as dm
 from extham.catalog import exp_base, make_minkowski_hamiltonian, trig_base
 from extham.duals import primal
-from extham.extension import compile_flow_jets
+from extham.extension import flow_jets_by_evaluation
 from extham.phase import (
     PhaseFunction,
     PhasePoint,
-    compile_partials,
+    compile_rule,
     gradient,
     hamiltonian_vector_field,
     lift_last,
@@ -25,7 +25,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from references import columns, fd_gradient, fd_poisson_bracket, leaf_bits, phase_points, seeded_partials
+from references import (
+    columns,
+    compile_partials,
+    fd_gradient,
+    fd_poisson_bracket,
+    leaf_bits,
+    phase_points,
+    seeded_partials,
+)
 
 
 def test_phase_point_validation():
@@ -356,7 +364,7 @@ COMPILED_CASES = _flow_hamiltonians() + _model_hamiltonians()
 @pytest.fixture
 def fallbacks(monkeypatch):
     """The calls made to phase.partials_at, one list entry each: a compiled program's
-    fallbacks, and compile_partials' own trace when it compiles one."""
+    fallbacks, and compile_partials' own traces when it compiles one."""
     calls = []
     monkeypatch.setattr(phase, "partials_at", lambda *a: calls.append(a) or partials_at(*a))
     return calls
@@ -365,7 +373,7 @@ def fallbacks(monkeypatch):
 @pytest.mark.parametrize("label,H,box", COMPILED_CASES, ids=[c[0] for c in COMPILED_CASES])
 def test_compiled_partials_equal_partials_at_hypothesis(fallbacks, label, H, box):
     # compiled at one in-domain point and run there and at 100 uniform others,
-    # the program itself returns partials_at's (value, dq, dp), the sign of every
+    # the programs themselves return partials_at's (value, dq, dp), the sign of every
     # zero included; so many points because pow(x, 2) and x * x differ on about
     # 1 in 1200 inputs, and an emitter that confused them must fail here
     hyp = pytest.importorskip("hypothesis")
@@ -415,21 +423,25 @@ def test_compiled_partials_leave_the_wedge_to_partials_at(fallbacks):
 OUTER = dm.Dual(2.0, 1.0, dm.new_tag())
 
 
-@pytest.mark.parametrize("rule", [
-    lambda q, p: q[0] * p[0] if primal(q[1]) else p[0],  # bool
-    lambda q, p: math.exp(float(primal(q[1]))) * p[0],  # float
-    lambda q, p: {primal(q[1]): p[0]}[primal(q[1])],  # hash
-    lambda q, p: OUTER * q[1] * p[0],  # a Dual of an enclosing evaluation in every output
+@pytest.mark.parametrize("rule, left", [
+    (lambda q, p: q[0] * p[0] if primal(q[1]) else p[0], 5),  # bool
+    (lambda q, p: math.exp(float(primal(q[1]))) * p[0], 5),  # float
+    (lambda q, p: {primal(q[1]): p[0]}[primal(q[1])], 5),  # hash
+    # a Dual of an enclosing evaluation in the value, d/dq2 and d/dp1; the other
+    # two partials are the constant 0.0, which compiles
+    (lambda q, p: OUTER * q[1] * p[0], 3),
 ])
-def test_untraceable_rules_are_left_to_partials_at(fallbacks, rule):
+def test_untraceable_rules_are_left_to_partials_at(fallbacks, rule, left):
     # checked away from the trace point too, where a constant baked in at it
-    # would give another answer
+    # would give another answer; a rule that cannot be traced is its own program
     f = PhaseFunction(rule, 2)
     program = compile_partials(f, (0.5, 0.7), (1.5, -0.2))
+    assert compile_rule(rule, (0.5, 0.7), (1.5, -0.2)) is rule
+    assert sum(p.__code__.co_filename != "<compile_rule>" for p in program.programs) == left
     for z in ((0.5, 0.7, 1.5, -0.2), (0.9, 1.3, -0.4, 0.6)):
         fallbacks.clear()
         assert repr(program(*z)) == repr(partials_at(f, z[:2], z[2:]))
-        assert len(fallbacks) == 1
+        assert len(fallbacks) == left
 
 
 def test_equality_tests_compile_to_guards(fallbacks):
@@ -443,7 +455,7 @@ def test_equality_tests_compile_to_guards(fallbacks):
             z = (0.8, q1, 1.3, 0.4)
             fallbacks.clear()
             assert repr(program(*z)) == repr(partials_at(f, z[:2], z[2:]))
-            assert len(fallbacks) == (q1 in refused)
+            assert len(fallbacks) == 5 * (q1 in refused)  # each of the five programs falls back
 
 
 def test_compiled_partials_raise_as_partials_at_does(fallbacks):
@@ -504,18 +516,25 @@ def test_where_two_operations_raise_both_raise_the_first(fallbacks):
     lambda q, p: OUTER * q[0] * p[0],  # a Dual of an enclosing evaluation in every output
 ])
 def test_untraceable_rules_have_no_flow_program(rule):
-    assert compile_flow_jets(PhaseFunction(rule, 1), 0.5, -0.2, 3).__code__.co_filename != "<flow jets>"
+    # a rule that reads the L-flow's jets cannot be compiled either
+    def run(q, p):
+        return flow_jets_by_evaluation(PhaseFunction(rule, 1), q[0], p[0], 3)[0].c[1]
+
+    assert compile_rule(run, (0.5,), (-0.2,)) is run
 
 
 def test_compiled_partials_source(monkeypatch):
-    # a guard returns partials_at's answer; math functions are passed by
-    # reference under sequential names, negative literals are parenthesised
+    # the program unpacks (q, p) as the rule takes them; a guard returns the rule's
+    # answer; math functions are passed by reference under sequential names,
+    # negative literals are parenthesised
     sources = []
     monkeypatch.setattr(dm, "compile", lambda source, *a: sources.append(source) or compile(source, *a),
                         raising=False)
     f = PhaseFunction(lambda q, p: dm.sin(q[0]) * p[1] * -2.0 if primal(q[1]) > 0.0 else p[0], 2)
-    program = compile_partials(f, (0.5, 0.7), (1.5, -0.2))
-    assert sources == ["""def partials(t0, t1, t2, t3):
+    program = compile_rule(lambda q, p: partials_at(f, q, p)[1][0], (0.5, 0.7), (1.5, -0.2))
+    assert sources == ["""def rule(q, p):
+    t0, t1, = q
+    t2, t3, = p
     if not (t1 > 0.0): return fallback(t0, t1, t2, t3)
     t4 = c0(t0)
     t5 = c1(t0)
@@ -524,6 +543,6 @@ def test_compiled_partials_source(monkeypatch):
     t8 = t6 * (-2.0)
     t9 = t4 * (-2.0)
     t10 = t7 * (-2.0)
-    return t8, [t10, 0.0], [0.0, t9]
+    return t10
 """]
     assert (program.__globals__["c0"], program.__globals__["c1"]) == (math.sin, math.cos)

@@ -62,7 +62,8 @@ REASONS = (
            "and the float norm's rescale of a row whose squares overflow, which only a test takes",
            ("phase.poisson_bracket", "extension.bracket_scale", "extension._float_norm",
             "extension.Extension.k_magnitude", "extension.Extension.kbar_magnitude",
-            "extension.Extension._closed_form", "catalog.ModelInstance.integral"),
+            "extension.Extension._magnitude", "extension.Extension._closed_form",
+            "catalog.ModelInstance.integral"),
            workloads=True,
            tests=("tests/test_cli.py::test_an_overflowing_bracket_scale_is_refused_without_warning",)),
     Reason("no command or workload calls them, but bench/tracing.py times them as the spans "
@@ -89,19 +90,18 @@ REASONS = (
                   "tests/test_phase.py::test_untraceable_rules_are_left_to_partials_at",
                   "tests/test_phase.py::test_partials_at_equals_the_seeded_loop_on_every_leaf"
                       "[model minkowski Omega=0.0 L]")),
-    Reason("the recursive route and its fast paths, which only the bench oracle reaches "
+    Reason("the recursive route and the integrals' programs, which only the bench oracle reaches "
            "(ROADMAP Found 5; directions 1B and 2), and their branches that only tests take: the "
-           "fallbacks to evaluation where a program cannot be traced or a guard flips",
+           "fallbacks to the evaluation where a rule cannot be traced or a guard flips",
            ("extension.Extension.k_recursive", "extension.Extension.kbar_recursive",
             "extension.Extension.gn_recursive", "extension.Extension.gn_closed",
             "extension.Extension._recursive_form", "extension.Extension._u_step",
-            "extension.Extension._xl_powers", "extension.BaseSystem._kept",
-            "extension.BaseSystem.partials", "extension.BaseSystem.flow_jets",
-            "extension.flow_jets_by_evaluation", "extension.compile_flow_jets",
-            "phase.compile_partials", "duals.Jet.deriv", "duals.Jet.__mul__"),
+            "extension.Extension._xl_powers", "extension.Extension._rule",
+            "extension.flow_jets_by_evaluation", "phase.compile_rule", "duals.Jet.deriv",
+            "duals.Jet.__mul__"),
            workloads=True,
            tests=("tests/test_extension.py::test_a_singular_first_point_keeps_no_program",
-                  "tests/test_extension.py::test_a_flipped_guard_falls_back_to_the_jet_evaluation",
+                  "tests/test_extension.py::test_a_flipped_guard_falls_back_to_the_evaluation",
                   "tests/test_phase.py::test_untraceable_rules_have_no_flow_program")),
     Reason("fallbacks and checks that only tests reach: the sweep's unit gradients where the "
            "scale underflows, gamma-table's unclassified label, the primal of a Jet, the "
@@ -119,6 +119,7 @@ REASONS = (
                   "tests/test_duals.py::test_a_plain_number_that_is_no_float_takes_math_pow",
                   "tests/test_cli.py::test_an_overflowing_bracket_is_refused_by_its_point",
                   "tests/test_extension.py::test_u_operator_examples",
+                  "tests/test_dynamics.py::test_an_untraceable_hamiltonian_takes_partials_at_every_iteration",
                   "tests/test_phase.py::test_compiled_partials_leave_the_gamma_pole_to_partials_at",
                   "tests/test_tagged_trig.py::test_pole_errors_in_a_batch_name_the_first_offending_u")),
     Reason("g and g'/eta_hat of a hyperbolic base with two nonzero coefficients, the paper's "
